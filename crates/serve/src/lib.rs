@@ -16,8 +16,7 @@
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests, incremental per-trajectory
 //!   rebuilds, and a top-k early-termination query path — all
-//!   **bit-identical** to the linear scan (the legacy pointer-tree
-//!   baseline survives as [`TreeIndex`]).
+//!   **bit-identical** to the linear scan.
 //! * [`DiagnosisEngine`] — single and batched diagnosis over a shared
 //!   loaded bank, fanning batches out over `std::thread::scope` workers
 //!   in input order.
@@ -94,7 +93,6 @@ pub mod obs;
 pub mod pool;
 pub mod store;
 pub mod synthetic;
-pub mod tree_index;
 
 pub use bank::{MappedBank, TrajectoryBank};
 pub use codec::{
@@ -118,4 +116,3 @@ pub use store::{
     diagnose_on, valid_cut_id, BankStore, DiagnosisRequest, RefreshSummary, StoreConfig, StoreError,
 };
 pub use synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};
-pub use tree_index::TreeIndex;

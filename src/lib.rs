@@ -88,6 +88,6 @@ pub mod prelude {
     pub use ft_serve::{
         BankStore, CodecError, DiagnosisEngine, DiagnosisRequest, EngineConfig, MappedBank,
         MetricsRegistry, SegmentIndex, ServeHandle, Snapshot, StoreConfig, StoreError,
-        TrajectoryBank, TreeIndex,
+        TrajectoryBank,
     };
 }
