@@ -131,11 +131,11 @@ SUBCOMMANDS:
                        output lines stay byte-identical to a full-ranking
                        server.
                        With --listen ADDR the same shard directory is
-                       served over TCP instead of stdin: a non-blocking
-                       epoll event loop speaking length-prefixed,
-                       checksummed request/response frames, with
-                       per-connection pipelining (responses in request
-                       order), bounded backpressure (--max-inflight
+                       served over TCP instead of stdin (unix only): a
+                       non-blocking poll(2) event loop speaking
+                       length-prefixed, checksummed request/response
+                       frames, with per-connection pipelining (responses
+                       in request order), bounded backpressure (--max-inflight
                        requests in flight and --write-highwater unsent
                        bytes per connection), periodic shard refresh
                        every --refresh-ms (0 disables), and graceful

@@ -32,14 +32,24 @@
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
 //!   over the engine, store, and pool, snapshotted to JSON, greppable
 //!   text, or Prometheus exposition — and provably inert when disabled.
-//! * [`NetServer`] ([`net`]) — the non-blocking TCP serving tier: a
-//!   hand-rolled epoll/poll readiness loop speaking a length-prefixed,
+//! * [`NetServer`] ([`net`]) — the non-blocking TCP serving tier: one
+//!   hand-rolled `poll(2)` readiness loop speaking a length-prefixed,
 //!   checksummed frame protocol, with per-connection pipelining,
 //!   bounded-memory backpressure, graceful drain, and a matching
 //!   pipelined load generator ([`run_loadgen`]).
 //! * the `ftd` binary ([`cli`]) — `build-bank`, `diagnose`, `serve`
 //!   (stdin or `--listen`), `loadgen`, `gen-requests`, `bank-info`,
 //!   `stats`, and `bench-scan-vs-index` front ends over the same API.
+//!
+//! ## Platform
+//!
+//! The crate targets unix. Its two OS layers call the C library through
+//! hand-rolled `extern "C"` bindings (there is no libc crate here):
+//! [`Mmap`] maps shards with `mmap(2)`, and [`NetServer::run`] serves TCP
+//! from one `poll(2)` loop. Off unix, [`Mmap`] falls back to reading the
+//! file onto the heap, and [`NetServer::run`] returns
+//! [`std::io::ErrorKind::Unsupported`]; everything else, the stdin
+//! front end included, is portable.
 //!
 //! ## Example
 //!

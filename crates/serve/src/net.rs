@@ -1,13 +1,16 @@
 //! The network serving tier: a non-blocking TCP front over the
 //! [`ServeHandle`] pool, plus the matching load-generator client.
 //!
-//! The server is a single-threaded readiness loop — `epoll(7)` on
-//! Linux, `poll(2)` on other unixes, both hand-rolled over raw
-//! `extern "C"` syscalls the way [`crate::mmap`] wraps `mmap(2)` (the
-//! vendored environment has no libc crate) — that owns every socket and
-//! feeds decoded requests into the existing worker pool. Workers wake
-//! the loop back through a self-pipe (see [`ServeHandle::with_notifier`]),
-//! so the loop never blocks on anything but the poller.
+//! The server is one single-threaded `poll(2)` readiness loop,
+//! hand-rolled over raw `extern "C"` syscalls the way [`crate::mmap`]
+//! wraps `mmap(2)` (the vendored environment has no libc crate), that
+//! owns every socket and feeds decoded requests into the existing
+//! worker pool. Workers wake the loop back through a self-pipe (see
+//! [`ServeHandle::with_notifier`]), so the loop never blocks on anything
+//! but the poller. `poll(2)` is the readiness call every unix has, so
+//! the tier runs on unix only: elsewhere [`NetServer::run`] returns
+//! [`std::io::ErrorKind::Unsupported`]. The frame codec and the load
+//! generator are portable.
 //!
 //! ## Wire protocol
 //!
@@ -47,9 +50,9 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::codec::{checksum_parts, CodecError, Decoder, Encoder};
@@ -404,8 +407,15 @@ mod sys {
         pub revents: i16,
     }
 
+    /// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` on
+    /// macOS and the BSDs.
+    #[cfg(target_os = "linux")]
+    pub type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    pub type Nfds = std::os::raw::c_uint;
+
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
+        pub fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
         pub fn pipe(fds: *mut c_int) -> c_int;
         pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -428,46 +438,10 @@ mod sys {
 
     pub const SIGINT: c_int = 2;
     pub const SIGTERM: c_int = 15;
-
-    #[cfg(target_os = "linux")]
-    pub mod epoll {
-        use std::os::raw::c_int;
-
-        // The kernel ABI packs the struct on x86_64 only.
-        #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-        #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        extern "C" {
-            pub fn epoll_create1(flags: c_int) -> c_int;
-            pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-            pub fn epoll_wait(
-                epfd: c_int,
-                events: *mut EpollEvent,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-        }
-
-        pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-        pub const EPOLL_CTL_ADD: c_int = 1;
-        pub const EPOLL_CTL_DEL: c_int = 2;
-        pub const EPOLL_CTL_MOD: c_int = 3;
-        pub const EPOLLIN: u32 = 0x1;
-        pub const EPOLLOUT: u32 = 0x4;
-        pub const EPOLLERR: u32 = 0x8;
-        pub const EPOLLHUP: u32 = 0x10;
-        pub const EPOLLRDHUP: u32 = 0x2000;
-    }
 }
 
 // ---------------------------------------------------------------------
-// Poller: epoll on Linux, poll(2) elsewhere (both backends compile and
-// are tested on Linux so the fallback cannot rot)
+// Poller: poll(2), the one readiness call every unix has
 // ---------------------------------------------------------------------
 
 #[cfg(unix)]
@@ -488,46 +462,20 @@ mod poller {
         pub writable: bool,
     }
 
-    /// Readiness poller over raw fds, keyed by caller tokens.
+    /// Readiness poller over raw fds, keyed by caller tokens. The
+    /// registrations are the `pollfd` array itself, handed to `poll(2)`
+    /// as is; `tokens[i]` names `fds[i]`.
+    #[derive(Default)]
     pub(crate) struct Poller {
-        backend: Backend,
+        fds: Vec<sys::PollFd>,
+        tokens: Vec<u64>,
     }
 
-    enum Backend {
-        #[cfg(target_os = "linux")]
-        Epoll(EpollFd),
-        // On Linux the poll backend is only constructed by tests (it is
-        // the production backend everywhere else).
-        #[cfg_attr(target_os = "linux", allow(dead_code))]
-        Poll(Vec<Entry>),
+    fn interest(read: bool, write: bool) -> i16 {
+        (if read { sys::POLLIN } else { 0 }) | (if write { sys::POLLOUT } else { 0 })
     }
 
-    #[cfg(target_os = "linux")]
-    struct EpollFd(RawFd);
-
-    #[cfg(target_os = "linux")]
-    impl Drop for EpollFd {
-        fn drop(&mut self) {
-            unsafe { sys::close(self.0) };
-        }
-    }
-
-    struct Entry {
-        fd: RawFd,
-        token: u64,
-        read: bool,
-        write: bool,
-    }
-
-    fn check(ret: c_int) -> io::Result<c_int> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    /// Millisecond timeout for poll/epoll: `None` blocks forever; a
+    /// Millisecond timeout for `poll(2)`: `None` blocks forever; a
     /// sub-millisecond remainder rounds **up** so a pending timer never
     /// busy-spins.
     fn timeout_ms(timeout: Option<Duration>) -> c_int {
@@ -543,82 +491,31 @@ mod poller {
     }
 
     impl Poller {
-        /// The platform's best backend: epoll on Linux, poll elsewhere.
-        pub fn new() -> io::Result<Poller> {
-            #[cfg(target_os = "linux")]
-            {
-                let epfd = check(unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) })?;
-                Ok(Poller {
-                    backend: Backend::Epoll(EpollFd(epfd)),
-                })
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Poller::poll_backend()
-            }
+        fn slot(&self, fd: RawFd) -> Option<usize> {
+            self.fds.iter().position(|p| p.fd == fd)
         }
 
-        /// Forces the portable `poll(2)` backend — exercised by tests
-        /// on Linux too, so the non-Linux path stays correct.
-        #[cfg_attr(target_os = "linux", allow(dead_code))]
-        pub fn poll_backend() -> io::Result<Poller> {
-            Ok(Poller {
-                backend: Backend::Poll(Vec::new()),
-            })
+        /// Registers `fd`, which must not be registered already.
+        pub fn add(&mut self, fd: RawFd, token: u64, read: bool, write: bool) {
+            debug_assert!(self.slot(fd).is_none(), "fd {fd} registered twice");
+            self.fds.push(sys::PollFd {
+                fd,
+                events: interest(read, write),
+                revents: 0,
+            });
+            self.tokens.push(token);
         }
 
-        pub fn add(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    epoll_ctl(ep.0, sys::epoll::EPOLL_CTL_ADD, fd, token, read, write)
-                }
-                Backend::Poll(entries) => {
-                    entries.retain(|e| e.fd != fd);
-                    entries.push(Entry {
-                        fd,
-                        token,
-                        read,
-                        write,
-                    });
-                    Ok(())
-                }
+        pub fn modify(&mut self, fd: RawFd, read: bool, write: bool) {
+            if let Some(i) = self.slot(fd) {
+                self.fds[i].events = interest(read, write);
             }
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    epoll_ctl(ep.0, sys::epoll::EPOLL_CTL_MOD, fd, token, read, write)
-                }
-                Backend::Poll(entries) => {
-                    for e in entries.iter_mut() {
-                        if e.fd == fd {
-                            e.token = token;
-                            e.read = read;
-                            e.write = write;
-                        }
-                    }
-                    Ok(())
-                }
-            }
-        }
-
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    let mut ev = sys::epoll::EpollEvent { events: 0, data: 0 };
-                    check(unsafe {
-                        sys::epoll::epoll_ctl(ep.0, sys::epoll::EPOLL_CTL_DEL, fd, &mut ev)
-                    })
-                    .map(|_| ())
-                }
-                Backend::Poll(entries) => {
-                    entries.retain(|e| e.fd != fd);
-                    Ok(())
-                }
+        pub fn remove(&mut self, fd: RawFd) {
+            if let Some(i) = self.slot(fd) {
+                self.fds.swap_remove(i);
+                self.tokens.swap_remove(i);
             }
         }
 
@@ -627,91 +524,40 @@ mod poller {
         /// caller re-checks its shutdown flag.
         pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
             out.clear();
-            let ms = timeout_ms(timeout);
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    let mut events = [sys::epoll::EpollEvent { events: 0, data: 0 }; 256];
-                    let n = unsafe {
-                        sys::epoll::epoll_wait(ep.0, events.as_mut_ptr(), events.len() as c_int, ms)
-                    };
-                    if n < 0 {
-                        let err = io::Error::last_os_error();
-                        if err.kind() == io::ErrorKind::Interrupted {
-                            return Ok(());
-                        }
-                        return Err(err);
-                    }
-                    for ev in events.iter().take(n as usize) {
-                        let bits = ev.events;
-                        out.push(Event {
-                            token: ev.data,
-                            readable: bits
-                                & (sys::epoll::EPOLLIN
-                                    | sys::epoll::EPOLLERR
-                                    | sys::epoll::EPOLLHUP
-                                    | sys::epoll::EPOLLRDHUP)
-                                != 0,
-                            writable: bits & (sys::epoll::EPOLLOUT | sys::epoll::EPOLLERR) != 0,
-                        });
-                    }
-                    Ok(())
+            // SAFETY: `fds` is a live, exclusively borrowed array of
+            // `fds.len()` `#[repr(C)]` entries laid out as `struct
+            // pollfd`; `poll(2)` writes only their `revents` fields and
+            // keeps no pointer after it returns. Exercised by
+            // `poller_tracks_interest_and_removal` and every
+            // `tests/net_serve.rs` test.
+            let n = unsafe {
+                sys::poll(
+                    self.fds.as_mut_ptr(),
+                    self.fds.len() as sys::Nfds,
+                    timeout_ms(timeout),
+                )
+            };
+            if n < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() == io::ErrorKind::Interrupted {
+                    return Ok(());
                 }
-                Backend::Poll(entries) => {
-                    let mut fds: Vec<sys::PollFd> = entries
-                        .iter()
-                        .map(|e| sys::PollFd {
-                            fd: e.fd,
-                            events: if e.read { sys::POLLIN } else { 0 }
-                                | if e.write { sys::POLLOUT } else { 0 },
-                            revents: 0,
-                        })
-                        .collect();
-                    let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
-                    if n < 0 {
-                        let err = io::Error::last_os_error();
-                        if err.kind() == io::ErrorKind::Interrupted {
-                            return Ok(());
-                        }
-                        return Err(err);
-                    }
-                    for (entry, fd) in entries.iter().zip(&fds) {
-                        let bits = fd.revents;
-                        if bits == 0 {
-                            continue;
-                        }
-                        out.push(Event {
-                            token: entry.token,
-                            readable: bits
-                                & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)
-                                != 0,
-                            writable: bits & (sys::POLLOUT | sys::POLLERR) != 0,
-                        });
-                    }
-                    Ok(())
-                }
+                return Err(err);
             }
+            for (fd, &token) in self.fds.iter().zip(&self.tokens) {
+                let bits = fd.revents;
+                if bits == 0 {
+                    continue;
+                }
+                out.push(Event {
+                    token,
+                    readable: bits & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)
+                        != 0,
+                    writable: bits & (sys::POLLOUT | sys::POLLERR) != 0,
+                });
+            }
+            Ok(())
         }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn epoll_ctl(
-        epfd: RawFd,
-        op: c_int,
-        fd: RawFd,
-        token: u64,
-        read: bool,
-        write: bool,
-    ) -> io::Result<()> {
-        let mut ev = sys::epoll::EpollEvent {
-            events: if read {
-                sys::epoll::EPOLLIN | sys::epoll::EPOLLRDHUP
-            } else {
-                0
-            } | if write { sys::epoll::EPOLLOUT } else { 0 },
-            data: token,
-        };
-        check(unsafe { sys::epoll::epoll_ctl(epfd, op, fd, &mut ev) }).map(|_| ())
     }
 }
 
@@ -727,12 +573,23 @@ struct WakePipe {
 impl WakePipe {
     fn new() -> io::Result<WakePipe> {
         let mut fds = [0i32; 2];
+        // SAFETY: `fds` is a live two-element `c_int` array, exactly
+        // what `pipe(2)` writes. Exercised by every event-loop start
+        // (`tests/net_serve.rs`) and `poller_tracks_interest_and_removal`.
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
             return Err(io::Error::last_os_error());
         }
         for fd in fds {
+            // SAFETY: `F_SETFL` takes one `int` argument, which is what
+            // is passed; `fd` came from the `pipe(2)` above and is still
+            // open. No pointer is involved. Exercised with `pipe` above.
             if unsafe { sys::fcntl(fd, sys::F_SETFL, sys::O_NONBLOCK) } < 0 {
                 let err = io::Error::last_os_error();
+                // SAFETY: both fds came from the successful `pipe(2)`
+                // above and no `WakePipe` owns them yet, so each is
+                // closed exactly once, here. No test can make `fcntl`
+                // fail on a fresh pipe; the invariant is the one `Drop`
+                // relies on below.
                 unsafe {
                     sys::close(fds[0]);
                     sys::close(fds[1]);
@@ -751,6 +608,11 @@ impl WakePipe {
     fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: `buf` is a live 64-byte stack buffer and `count`
+            // is its length, so `read(2)` writes only inside it;
+            // `read_fd` stays open while `self` lives. Exercised by
+            // `poller_tracks_interest_and_removal` and every wake of
+            // the event loop.
             let n = unsafe { sys::read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
             if n <= 0 || (n as usize) < buf.len() {
                 break;
@@ -762,6 +624,11 @@ impl WakePipe {
 #[cfg(unix)]
 impl Drop for WakePipe {
     fn drop(&mut self) {
+        // SAFETY: `WakePipe` owns both fds from `new` on and closes them
+        // only here, once. The event loop stops its pokers first: it
+        // joins the pool workers and resets the shutdown handle's
+        // `wake_fd` to -1 before the pipe drops. Exercised by every
+        // `tests/net_serve.rs` server that stops.
         unsafe {
             sys::close(self.read_fd);
             sys::close(self.write_fd);
@@ -773,6 +640,11 @@ impl Drop for WakePipe {
 fn poke(fd: i32) {
     if fd >= 0 {
         let byte = [1u8];
+        // SAFETY: `byte` is a live one-byte buffer that `write(2)` only
+        // reads. A stale fd makes the call fail with `EBADF`; it cannot
+        // touch memory. Async-signal-safe, which `drain_on_signal`
+        // needs. Exercised by every worker completion and
+        // `ShutdownHandle::shutdown` in `tests/net_serve.rs`.
         unsafe { sys::write(fd, byte.as_ptr().cast(), 1) };
     }
 }
@@ -842,6 +714,12 @@ pub fn install_signal_drain(handle: &ShutdownHandle) {
     #[cfg(unix)]
     {
         let _ = SIGNAL_TARGET.set(handle.clone());
+        // SAFETY: the handler is the address of `drain_on_signal`, an
+        // `extern "C" fn(c_int)` that lives as long as the program and
+        // does only async-signal-safe work (an atomic store and
+        // `write(2)`); `sighandler_t` is a pointer-sized function
+        // pointer, which `usize` matches. Exercised by the CI TCP smoke,
+        // which sends SIGTERM and expects exit 0.
         unsafe {
             sys::signal(sys::SIGINT, drain_on_signal as *const () as usize);
             sys::signal(sys::SIGTERM, drain_on_signal as *const () as usize);
@@ -973,13 +851,14 @@ impl NetServer {
     }
 
     /// Runs the server until a drain completes; returns what it served.
-    /// On unix this is the non-blocking readiness loop; elsewhere it
-    /// falls back to [`NetServer::run_blocking`].
+    /// This is the one TCP server: a `poll(2)` readiness loop, so it
+    /// runs on unix only.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] on a fatal loop error (poller or listener —
-    /// never an individual connection).
+    /// never an individual connection), and off unix with
+    /// [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> Result<NetSummary, NetError> {
         #[cfg(unix)]
         {
@@ -987,7 +866,13 @@ impl NetServer {
         }
         #[cfg(not(unix))]
         {
-            self.run_blocking()
+            Err(NetError::Io {
+                context: "serve".into(),
+                source: io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    "the TCP tier needs poll(2), so it runs on unix only",
+                ),
+            })
         }
     }
 
@@ -1021,14 +906,9 @@ impl NetServer {
             Arc::new(move || poke(notify_fd)),
         );
 
-        let mut poller = Poller::new().map_err(NetError::io("poller"))?;
-        let listener_fd = listener.as_raw_fd();
-        poller
-            .add(listener_fd, TOKEN_LISTENER, true, false)
-            .map_err(NetError::io("register listener"))?;
-        poller
-            .add(wake.read_fd, TOKEN_WAKE, true, false)
-            .map_err(NetError::io("register wake pipe"))?;
+        let mut poller = Poller::default();
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
+        poller.add(wake.read_fd, TOKEN_WAKE, true, false);
 
         let mut lp = EventLoop {
             poller,
@@ -1058,7 +938,7 @@ impl NetServer {
                     // in the accept backlog; closing the listener would
                     // RST them. Adopt them into the drain first.
                     lp.accept_all(&l);
-                    let _ = lp.poller.remove(l.as_raw_fd());
+                    lp.poller.remove(l.as_raw_fd());
                     // Dropping closes the socket: no new connections.
                 }
             }
@@ -1132,236 +1012,9 @@ impl NetServer {
         shutdown.shared.wake_fd.store(-1, Ordering::SeqCst);
         Ok(summary)
     }
-
-    /// Portable blocking fallback: one thread per connection, requests
-    /// served in arrival order straight off the store. Same protocol,
-    /// same response bytes, same drain semantics (stop accepting,
-    /// connections finish when their peer half-closes, stragglers are
-    /// force-closed once [`NetConfig::drain_deadline`] passes) — used
-    /// as [`NetServer::run`] off unix, and kept compiled and tested
-    /// everywhere so it cannot rot.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] if the listener breaks.
-    pub fn run_blocking(self) -> Result<NetSummary, NetError> {
-        let NetServer {
-            listener,
-            store,
-            registry,
-            config,
-            shutdown,
-        } = self;
-        listener
-            .set_nonblocking(true)
-            .map_err(NetError::io("listener nonblock"))?;
-        let metrics = registry
-            .is_enabled()
-            .then(|| NetMetrics::from_registry(&registry));
-        let counters = Arc::new(BlockingCounters::default());
-        // Clones of every live accepted stream, so the drain watchdog
-        // can `shutdown(Both)` stragglers (which unblocks their
-        // connection thread's read/write); each thread removes its own
-        // entry on exit so the registry doesn't grow with server age.
-        let tracked: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut joins = Vec::new();
-        let mut accepted = 0u64;
-        let mut next_refresh = (config.refresh_interval > Duration::ZERO)
-            .then(|| Instant::now() + config.refresh_interval);
-        while !shutdown.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    accepted += 1;
-                    if let Some(m) = &metrics {
-                        m.accepted.inc();
-                        m.active_connections.add(1);
-                    }
-                    let id = accepted;
-                    if let Ok(clone) = stream.try_clone() {
-                        lock_tracked(&tracked).push((id, clone));
-                    }
-                    let store = Arc::clone(&store);
-                    let registry = Arc::clone(&registry);
-                    let metrics = metrics.clone();
-                    let counters = Arc::clone(&counters);
-                    let tracked = Arc::clone(&tracked);
-                    joins.push(std::thread::spawn(move || {
-                        serve_blocking(
-                            stream,
-                            peer.to_string(),
-                            store,
-                            registry,
-                            metrics,
-                            counters,
-                        );
-                        lock_tracked(&tracked).retain(|(tid, _)| *tid != id);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(NetError::Io {
-                        context: "accept".into(),
-                        source: e,
-                    })
-                }
-            }
-            if let Some(t) = next_refresh {
-                if Instant::now() >= t {
-                    store.refresh();
-                    if let Some(m) = &metrics {
-                        m.refresh_ticks.inc();
-                    }
-                    next_refresh = Some(Instant::now() + config.refresh_interval);
-                }
-            }
-        }
-        drop(listener);
-        // Honor the drain deadline (the analog of the event loop's
-        // force-close): a watchdog shuts down every still-tracked
-        // stream once it passes, so an idle connected peer cannot
-        // block shutdown indefinitely.
-        let drained = Arc::new(AtomicBool::new(false));
-        let watchdog = {
-            let tracked = Arc::clone(&tracked);
-            let drained = Arc::clone(&drained);
-            let deadline = Instant::now() + config.drain_deadline;
-            std::thread::spawn(move || {
-                while !drained.load(Ordering::SeqCst) {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        for (_, stream) in lock_tracked(&tracked).iter() {
-                            let _ = stream.shutdown(Shutdown::Both);
-                        }
-                        return;
-                    }
-                    std::thread::sleep(left.min(Duration::from_millis(20)));
-                }
-            })
-        };
-        for join in joins {
-            let _ = join.join();
-        }
-        drained.store(true, Ordering::SeqCst);
-        let _ = watchdog.join();
-        Ok(NetSummary {
-            accepted,
-            served: counters.served.load(Ordering::SeqCst),
-            errors: counters.errors.load(Ordering::SeqCst),
-            protocol_errors: counters.protocol_errors.load(Ordering::SeqCst),
-        })
-    }
 }
 
-/// Locks the blocking tier's stream registry, recovering from
-/// poisoning the same way the metrics registry does (the state is just
-/// a list of fds; a panicked holder leaves it usable).
-fn lock_tracked(
-    tracked: &Mutex<Vec<(u64, TcpStream)>>,
-) -> std::sync::MutexGuard<'_, Vec<(u64, TcpStream)>> {
-    tracked
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-#[derive(Debug, Default)]
-struct BlockingCounters {
-    served: AtomicU64,
-    errors: AtomicU64,
-    protocol_errors: AtomicU64,
-}
-
-/// One blocking connection: decode → diagnose → respond, in order.
-fn serve_blocking(
-    mut stream: TcpStream,
-    peer: String,
-    store: Arc<BankStore>,
-    registry: Arc<MetricsRegistry>,
-    metrics: Option<NetMetrics>,
-    counters: Arc<BlockingCounters>,
-) {
-    let _ = stream.set_nodelay(true);
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    'conn: loop {
-        loop {
-            let (kind, payload, consumed) = match decode_frame(&rbuf) {
-                Ok(None) => break,
-                Ok(Some((kind, payload, consumed))) => (kind, payload.to_vec(), consumed),
-                Err((kind, error)) => {
-                    report_protocol_error(&peer, frame_name(kind), &error, &metrics);
-                    counters.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    let _ = stream.write_all(&encode_text_frame(FRAME_ERROR, &error.to_string()));
-                    break 'conn;
-                }
-            };
-            rbuf.drain(..consumed);
-            let started = Instant::now();
-            let reply = match kind {
-                FRAME_REQUEST => match decode_request(&payload) {
-                    Ok(request) => {
-                        if let Some(m) = &metrics {
-                            m.requests.inc();
-                        }
-                        let result = store.diagnose(&request);
-                        counters.served.fetch_add(1, Ordering::SeqCst);
-                        if result.is_err() {
-                            counters.errors.fetch_add(1, Ordering::SeqCst);
-                        }
-                        encode_response(&response_line(&request.cut_id, &result), result.is_err())
-                    }
-                    Err(error) => {
-                        report_protocol_error(&peer, "request", &error, &metrics);
-                        counters.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                        let _ =
-                            stream.write_all(&encode_text_frame(FRAME_ERROR, &error.to_string()));
-                        break 'conn;
-                    }
-                },
-                FRAME_STATS_REQUEST => {
-                    encode_text_frame(FRAME_STATS, &registry.snapshot().to_prometheus())
-                }
-                other => {
-                    let error =
-                        FrameError::Malformed(format!("unexpected {} frame", frame_name(other)));
-                    report_protocol_error(&peer, frame_name(other), &error, &metrics);
-                    counters.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    let _ = stream.write_all(&encode_text_frame(FRAME_ERROR, &error.to_string()));
-                    break 'conn;
-                }
-            };
-            if stream.write_all(&reply).is_err() {
-                break 'conn;
-            }
-            if let Some(m) = &metrics {
-                m.bytes_out.add(reply.len() as u64);
-                if kind == FRAME_REQUEST {
-                    m.wire_latency
-                        .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                rbuf.extend_from_slice(&chunk[..n]);
-                if let Some(m) = &metrics {
-                    m.bytes_in.add(n as u64);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    if let Some(m) = &metrics {
-        m.closed.inc();
-        m.active_connections.sub(1);
-    }
-}
-
+#[cfg(unix)]
 fn report_protocol_error(
     peer: &str,
     frame: &'static str,
@@ -1407,7 +1060,6 @@ struct Reply {
 struct Conn {
     stream: TcpStream,
     fd: std::os::unix::io::RawFd,
-    token: u64,
     peer: String,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
@@ -1470,9 +1122,7 @@ impl EventLoop {
                     let fd = stream.as_raw_fd();
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self.poller.add(fd, token, true, false).is_err() {
-                        continue; // dropping the stream closes it
-                    }
+                    self.poller.add(fd, token, true, false);
                     self.summary.accepted += 1;
                     if let Some(m) = &self.metrics {
                         m.accepted.inc();
@@ -1483,7 +1133,6 @@ impl EventLoop {
                         Conn {
                             stream,
                             fd,
-                            token,
                             peer: peer.to_string(),
                             rbuf: Vec::new(),
                             wbuf: Vec::new(),
@@ -1566,7 +1215,7 @@ impl EventLoop {
 
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.remove(conn.fd);
+            self.poller.remove(conn.fd);
             if let Some(m) = &self.metrics {
                 m.closed.inc();
                 m.active_connections.sub(1);
@@ -1788,7 +1437,7 @@ fn update_interest(
     if want_read != conn.want_read || want_write != conn.want_write {
         conn.want_read = want_read;
         conn.want_write = want_write;
-        let _ = poller.modify(conn.fd, conn.token, want_read, want_write);
+        poller.modify(conn.fd, want_read, want_write);
     }
 }
 
@@ -2419,48 +2068,39 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn poll_backend_reports_pipe_readiness() {
-        let mut poller = Poller::poll_backend().unwrap();
-        let pipe = WakePipe::new().unwrap();
-        poller.add(pipe.read_fd, 42, true, false).unwrap();
+    fn poller_tracks_interest_and_removal() {
+        let mut poller = Poller::default();
+        let (a, b) = (WakePipe::new().unwrap(), WakePipe::new().unwrap());
+        poller.add(a.read_fd, 41, true, false);
+        poller.add(b.read_fd, 42, true, false);
         let mut events = Vec::new();
-        poller
-            .wait(Some(Duration::from_millis(10)), &mut events)
-            .unwrap();
+        let ms = |n| Some(Duration::from_millis(n));
+        poller.wait(ms(10), &mut events).unwrap();
         assert!(events.is_empty(), "nothing written yet");
-        poke(pipe.write_fd);
-        poller
-            .wait(Some(Duration::from_millis(1000)), &mut events)
-            .unwrap();
+
+        poke(b.write_fd);
+        poller.wait(ms(1000), &mut events).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 42);
-        assert!(events[0].readable);
-        pipe.drain();
-        poller.remove(pipe.read_fd).unwrap();
-        poller
-            .wait(Some(Duration::from_millis(10)), &mut events)
-            .unwrap();
-        assert!(events.is_empty(), "removed fd reports nothing");
-    }
+        assert!(events[0].readable && !events[0].writable);
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_pipe_readiness() {
-        let mut poller = Poller::new().unwrap();
-        let pipe = WakePipe::new().unwrap();
-        poller.add(pipe.read_fd, 7, true, false).unwrap();
-        let mut events = Vec::new();
-        poke(pipe.write_fd);
-        poller
-            .wait(Some(Duration::from_millis(1000)), &mut events)
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-        poller.modify(pipe.read_fd, 7, false, false).unwrap();
-        poller
-            .wait(Some(Duration::from_millis(10)), &mut events)
-            .unwrap();
+        // The byte stays unread throughout: only interest hides it.
+        poller.modify(b.read_fd, false, false);
+        poller.wait(ms(10), &mut events).unwrap();
         assert!(events.is_empty(), "interest dropped");
+        poller.modify(b.read_fd, true, false);
+        poller.wait(ms(1000), &mut events).unwrap();
+        assert_eq!(events.len(), 1, "interest restored");
+
+        // Removing the first entry moves the last into its slot; its
+        // token must move with it.
+        poller.remove(a.read_fd);
+        poller.wait(ms(1000), &mut events).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 42);
+        poller.remove(b.read_fd);
+        poller.wait(ms(10), &mut events).unwrap();
+        assert!(events.is_empty(), "removed fd reports nothing");
+        b.drain();
     }
 }
