@@ -6,8 +6,8 @@
 //! phase loads everything from disk instead of re-simulating.
 //! Serialisation uses the sectioned [`codec`](crate::codec) container
 //! (one type-tagged, independently checksummed section per artifact;
-//! unknown sections are skipped); legacy v1 monolithic and v2 sectioned
-//! banks still load. Every structural invariant is re-checked on load
+//! unknown sections are skipped); v2 banks still load. Every structural
+//! invariant is re-checked on load
 //! before any panicking constructor runs, so a hostile or corrupt file
 //! yields a [`CodecError`], never a panic.
 //!
@@ -55,9 +55,9 @@ use ft_faults::{
 use ft_numerics::{FrequencyGrid, Spacing};
 
 use crate::codec::{
-    peek_version, CodecError, Container, ContainerBuilder, Decoder, Encoder, SectionEntry,
-    SectionTable, BANK_VERSION, BANK_VERSION_V1, BANK_VERSION_V2, HEADER_LEN_V2,
-    SECTION_DICTIONARY, SECTION_ENTRY_LEN, SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
+    CodecError, Container, ContainerBuilder, Decoder, Encoder, SectionEntry, SectionTable,
+    BANK_VERSION, BANK_VERSION_V2, HEADER_LEN_V2, SECTION_DICTIONARY, SECTION_ENTRY_LEN,
+    SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
 };
 use crate::mmap::{FileGen, Mmap};
 use crate::obs::Counter;
@@ -185,80 +185,50 @@ impl TrajectoryBank {
         builder.finish()
     }
 
-    /// Serialises the bank as a legacy **v1** monolithic container —
-    /// the format every pre-v2 reader understands. A v1 container has no
-    /// sections, so an attached multi-fault dictionary is *not*
-    /// representable and is omitted. Kept for compatibility tests and
-    /// for interoperating with old tooling.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        encode_dictionary_into(&mut enc, &self.dict);
-        encode_trajectory_set_into(&mut enc, &self.set);
-        enc.finish()
-    }
-
     /// Deserialises a bank, verifying the container header, checksums,
-    /// and every structural invariant of the decoded data. All format
-    /// versions load: v1 monolithic payloads and v2/v3 sectioned
-    /// containers (whose unknown sections are skipped, and whose
-    /// optional multi-fault section is decoded when present).
+    /// and every structural invariant of the decoded data. v2 and v3
+    /// containers load; unknown sections are skipped, and the optional
+    /// multi-fault section is decoded when present.
     ///
     /// # Errors
     ///
-    /// Any corruption or inconsistency yields a [`CodecError`]; v2/v3
-    /// corruption is attributed to the section it hit.
+    /// Any corruption or inconsistency yields a [`CodecError`], attributed
+    /// to the section it hit; any other format version is
+    /// [`CodecError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        match peek_version(bytes)? {
-            BANK_VERSION_V1 => {
-                // Legacy monolithic payload: dictionary fields then
-                // trajectory fields, one whole-payload checksum.
-                let mut dec = Decoder::open(bytes)?;
-                let dict = decode_dictionary(&mut dec)?;
-                let set = decode_trajectory_set(&mut dec)?;
+        let container = Container::parse(bytes)?;
+        let mut dec = Decoder::over(container.require(SECTION_DICTIONARY)?);
+        let dict = decode_dictionary(&mut dec)?;
+        dec.finish()?;
+        let traj_payload = container.require(SECTION_TRAJECTORIES)?;
+        let set = if container.version() == BANK_VERSION {
+            let offset = container
+                .sections()
+                .iter()
+                .find(|s| s.kind == SECTION_TRAJECTORIES)
+                .expect("require located the section")
+                .offset;
+            decode_trajectory_set_v3(traj_payload, offset)?
+        } else {
+            let mut dec = Decoder::over(traj_payload);
+            let set = decode_trajectory_set(&mut dec)?;
+            dec.finish()?;
+            set
+        };
+        let multifault = match container.find(SECTION_MULTIFAULT)? {
+            None => None,
+            Some(payload) => {
+                let mut dec = Decoder::over(payload);
+                let mfd = decode_multifault(&mut dec)?;
                 dec.finish()?;
-                Ok(TrajectoryBank {
-                    dict,
-                    set,
-                    multifault: None,
-                })
+                Some(mfd)
             }
-            BANK_VERSION_V2 | BANK_VERSION => {
-                let container = Container::parse(bytes)?;
-                let mut dec = Decoder::over(container.require(SECTION_DICTIONARY)?);
-                let dict = decode_dictionary(&mut dec)?;
-                dec.finish()?;
-                let traj_payload = container.require(SECTION_TRAJECTORIES)?;
-                let set = if container.version() == BANK_VERSION {
-                    let offset = container
-                        .sections()
-                        .iter()
-                        .find(|s| s.kind == SECTION_TRAJECTORIES)
-                        .expect("require located the section")
-                        .offset;
-                    decode_trajectory_set_v3(traj_payload, offset)?
-                } else {
-                    let mut dec = Decoder::over(traj_payload);
-                    let set = decode_trajectory_set(&mut dec)?;
-                    dec.finish()?;
-                    set
-                };
-                let multifault = match container.find(SECTION_MULTIFAULT)? {
-                    None => None,
-                    Some(payload) => {
-                        let mut dec = Decoder::over(payload);
-                        let mfd = decode_multifault(&mut dec)?;
-                        dec.finish()?;
-                        Some(mfd)
-                    }
-                };
-                Ok(TrajectoryBank {
-                    dict,
-                    set,
-                    multifault,
-                })
-            }
-            version => Err(CodecError::UnsupportedVersion(version)),
-        }
+        };
+        Ok(TrajectoryBank {
+            dict,
+            set,
+            multifault,
+        })
     }
 
     /// Writes the bank to a file.
@@ -285,21 +255,6 @@ impl TrajectoryBank {
             .and_then(|bytes| TrajectoryBank::from_bytes(&bytes))
             .map_err(|e| e.in_file(path))
     }
-}
-
-/// How a [`MappedBank`] reaches its undecoded sections.
-#[derive(Debug)]
-enum MappedPayload {
-    /// A sectioned (v2/v3) container: the mapping and its validated
-    /// section table stay resident, and sections decode lazily out of
-    /// the mapped bytes on first touch. The mapping is behind an `Arc`
-    /// because a v3 trajectory set borrows it as packed storage.
-    Sectioned { map: Arc<Mmap>, table: SectionTable },
-    /// A v1 monolithic container: the whole payload shares one
-    /// checksum, so nothing can be verified lazily — everything decodes
-    /// at open and the lazy cells are pre-populated. The mapping is
-    /// dropped (nothing left to read from it).
-    Legacy,
 }
 
 /// A lazily decoded section: empty until first touch, then caching the
@@ -330,7 +285,12 @@ type SectionCell<T> = Mutex<Option<Result<T, Arc<CodecError>>>>;
 /// one copy.
 #[derive(Debug)]
 pub struct MappedBank {
-    payload: MappedPayload,
+    /// The mapping stays resident and sections decode lazily out of it
+    /// on first touch; it sits behind an `Arc` because a v3 trajectory
+    /// set borrows it as packed storage.
+    map: Arc<Mmap>,
+    /// The validated section table of the mapped container.
+    table: SectionTable,
     path: PathBuf,
     generation: FileGen,
     dict: SectionCell<Arc<FaultDictionary>>,
@@ -341,8 +301,7 @@ pub struct MappedBank {
 impl MappedBank {
     /// Maps `path` and opens it as a bank, returning the mapped handle
     /// and the trajectory set (packed/zero-copy for v3, decoded for
-    /// v2). v1 monolithic shards open too (fully decoded — see
-    /// [`MappedPayload::Legacy`]).
+    /// v2).
     ///
     /// # Errors
     ///
@@ -358,116 +317,77 @@ impl MappedBank {
     }
 
     fn open_inner(path: &Path) -> Result<(MappedBank, TrajectorySet), CodecError> {
-        let map = Mmap::map(path)?;
+        let map = Arc::new(Mmap::map(path)?);
         let generation = map.generation();
-        match peek_version(map.bytes())? {
-            BANK_VERSION_V1 => {
-                let TrajectoryBank {
-                    dict,
-                    set,
-                    multifault,
-                } = TrajectoryBank::from_bytes(map.bytes())?;
-                Ok((
-                    MappedBank {
-                        payload: MappedPayload::Legacy,
-                        path: path.to_path_buf(),
-                        generation,
-                        dict: Mutex::new(Some(Ok(Arc::new(dict)))),
-                        multifault: Mutex::new(Some(Ok(multifault.map(Arc::new)))),
-                        decode_events: None,
-                    },
-                    set,
-                ))
+        let table = SectionTable::parse(map.bytes())?;
+        let set = if table.version() == BANK_VERSION_V2 {
+            let mut dec = Decoder::over(table.require(map.bytes(), SECTION_TRAJECTORIES)?);
+            let set = decode_trajectory_set(&mut dec)?;
+            dec.finish()?;
+            set
+        } else {
+            // Locate the trajectory section *without* checksumming its
+            // payload — the whole point of the v3 open is that no
+            // payload byte is read.
+            let entry = *unique_entry(&table, SECTION_TRAJECTORIES)?;
+            let payload = entry.payload(map.bytes());
+            let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
+            let tv = TestVector::new(layout.omegas.clone());
+            let packed = if layout.aligned {
+                PackedTrajectories::new(
+                    Arc::<Mmap>::clone(&map) as Arc<dyn AsRef<[u8]> + Send + Sync>,
+                    layout.components,
+                    layout.point_offsets,
+                    entry.offset + layout.devs_off,
+                    entry.offset + layout.coords_off,
+                    layout.dim,
+                )
+                .ok()
+            } else {
+                // Sections were shifted after encoding (spliced
+                // container): the regions no longer sit on 8-byte file
+                // offsets, so no in-place view exists.
+                None
+            };
+            match packed {
+                Some(packed) => TrajectorySet::from_packed(tv, packed),
+                // Misaligned container, big-endian host, or the
+                // non-unix heap fallback handing out an unaligned
+                // buffer: decode owned trajectories instead — correct,
+                // just not zero-copy.
+                None => decode_trajectory_set_v3(payload, entry.offset)?,
             }
-            BANK_VERSION_V2 => {
-                let table = SectionTable::parse(map.bytes())?;
-                let mut dec = Decoder::over(table.require(map.bytes(), SECTION_TRAJECTORIES)?);
-                let set = decode_trajectory_set(&mut dec)?;
-                dec.finish()?;
-                Ok((
-                    MappedBank {
-                        payload: MappedPayload::Sectioned {
-                            map: Arc::new(map),
-                            table,
-                        },
-                        path: path.to_path_buf(),
-                        generation,
-                        dict: Mutex::new(None),
-                        multifault: Mutex::new(None),
-                        decode_events: None,
-                    },
-                    set,
-                ))
-            }
-            BANK_VERSION => {
-                let map = Arc::new(map);
-                let table = SectionTable::parse(map.bytes())?;
-                // Locate the trajectory section *without* checksumming
-                // its payload — the whole point of the v3 open is that
-                // no payload byte is read.
-                let entry = *unique_entry(&table, SECTION_TRAJECTORIES)?;
-                let payload = entry.payload(map.bytes());
-                let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
-                let tv = TestVector::new(layout.omegas.clone());
-                let packed = if layout.aligned {
-                    PackedTrajectories::new(
-                        Arc::<Mmap>::clone(&map) as Arc<dyn AsRef<[u8]> + Send + Sync>,
-                        layout.components,
-                        layout.point_offsets,
-                        entry.offset + layout.devs_off,
-                        entry.offset + layout.coords_off,
-                        layout.dim,
-                    )
-                    .ok()
-                } else {
-                    // Sections were shifted after encoding (spliced
-                    // container): the regions no longer sit on 8-byte
-                    // file offsets, so no in-place view exists.
-                    None
-                };
-                let set = match packed {
-                    Some(packed) => TrajectorySet::from_packed(tv, packed),
-                    // Misaligned container, big-endian host, or the
-                    // non-unix heap fallback handing out an unaligned
-                    // buffer: decode owned trajectories instead —
-                    // correct, just not zero-copy.
-                    None => decode_trajectory_set_v3(payload, entry.offset)?,
-                };
-                Ok((
-                    MappedBank {
-                        payload: MappedPayload::Sectioned { map, table },
-                        path: path.to_path_buf(),
-                        generation,
-                        dict: Mutex::new(None),
-                        multifault: Mutex::new(None),
-                        decode_events: None,
-                    },
-                    set,
-                ))
-            }
-            version => Err(CodecError::UnsupportedVersion(version)),
-        }
+        };
+        Ok((
+            MappedBank {
+                map,
+                table,
+                path: path.to_path_buf(),
+                generation,
+                dict: Mutex::new(None),
+                multifault: Mutex::new(None),
+                decode_events: None,
+            },
+            set,
+        ))
     }
 
     /// Verifies the stored FNV checksum of the trajectory section — the
     /// payload read a v3 open deliberately skips. Serving paths call
     /// this once at engine load, so a corrupt shard is still rejected
     /// before any diagnosis reads its bytes, while `open` itself stays
-    /// O(header). No-op for v1/v2 shards (their trajectory payloads
-    /// were verified during open).
+    /// O(header). A v2 shard's trajectory payload was already verified
+    /// during open, so this re-checks it.
     ///
     /// # Errors
     ///
     /// [`CodecError::SectionChecksumMismatch`] attributed to the
     /// trajectory section, annotated with the shard path.
     pub fn verify_trajectory_payload(&self) -> Result<(), CodecError> {
-        match &self.payload {
-            MappedPayload::Sectioned { map, table } => table
-                .require(map.bytes(), SECTION_TRAJECTORIES)
-                .map(|_| ())
-                .map_err(|e| e.in_file(&self.path)),
-            MappedPayload::Legacy => Ok(()),
-        }
+        self.table
+            .require(self.map.bytes(), SECTION_TRAJECTORIES)
+            .map(|_| ())
+            .map_err(|e| e.in_file(&self.path))
     }
 
     /// The single-fault dictionary, decoded (and checksum-verified) out
@@ -514,12 +434,9 @@ impl MappedBank {
     /// sections), returning the estimated bytes freed — the
     /// section-granular eviction primitive. The trajectory view keeps
     /// serving untouched; a later accessor call simply decodes again
-    /// from the mapped bytes. Legacy v1 shards free nothing (their
-    /// decodes are the only copy of the data).
+    /// from the mapped bytes.
     pub fn evict_decoded(&self) -> u64 {
-        let MappedPayload::Sectioned { table, .. } = &self.payload else {
-            return 0;
-        };
+        let table = &self.table;
         let mut freed = 0u64;
         if self
             .dict
@@ -542,36 +459,27 @@ impl MappedBank {
     /// itself: the trajectory section (always live — packed view or
     /// decoded set) plus each cold section whose decode is cached. The
     /// store's memory budget accounts with this, so evicting a decode
-    /// immediately relieves pressure. Legacy v1 shards are accounted at
-    /// whole-file length (everything decoded, nothing evictable).
+    /// immediately relieves pressure.
     pub fn resident_bytes(&self) -> u64 {
-        match &self.payload {
-            MappedPayload::Sectioned { table, .. } => {
-                let mut total = section_len(table, SECTION_TRAJECTORIES);
-                if self.dict.lock().expect("dictionary cell lock").is_some() {
-                    total += section_len(table, SECTION_DICTIONARY);
-                }
-                if matches!(
-                    &*self.multifault.lock().expect("multifault cell lock"),
-                    Some(Ok(Some(_)))
-                ) {
-                    total += section_len(table, SECTION_MULTIFAULT);
-                }
-                total
-            }
-            MappedPayload::Legacy => self.generation.len(),
+        let table = &self.table;
+        let mut total = section_len(table, SECTION_TRAJECTORIES);
+        if self.dict.lock().expect("dictionary cell lock").is_some() {
+            total += section_len(table, SECTION_DICTIONARY);
         }
+        if matches!(
+            &*self.multifault.lock().expect("multifault cell lock"),
+            Some(Ok(Some(_)))
+        ) {
+            total += section_len(table, SECTION_MULTIFAULT);
+        }
+        total
     }
 
     /// Per-section residency rows `(kind, payload_bytes, resident)`:
     /// `resident` is `true` for the trajectory section (always live)
-    /// and for cold sections whose decode is currently cached. Empty
-    /// for legacy v1 shards.
+    /// and for cold sections whose decode is currently cached.
     pub fn section_residency(&self) -> Vec<(u16, u64, bool)> {
-        let MappedPayload::Sectioned { table, .. } = &self.payload else {
-            return Vec::new();
-        };
-        table
+        self.table
             .entries()
             .iter()
             .map(|e| {
@@ -601,9 +509,7 @@ impl MappedBank {
         kind: u16,
         decode: fn(&mut Decoder) -> Result<T, CodecError>,
     ) -> Result<Option<T>, Arc<CodecError>> {
-        let MappedPayload::Sectioned { map, table } = &self.payload else {
-            unreachable!("legacy cells are pre-populated at open");
-        };
+        let (map, table) = (&self.map, &self.table);
         if let Some(counter) = &self.decode_events {
             counter.inc();
         }
@@ -634,39 +540,28 @@ impl MappedBank {
     }
 
     /// Estimated resident bytes this shard can pin: the section-table
-    /// payload total for a sectioned shard, the file length for a fully
-    /// decoded legacy one. This is what the store's memory budget
-    /// accounts with.
+    /// payload total. This is what the store's memory budget accounts
+    /// with.
     pub fn payload_bytes(&self) -> u64 {
-        match &self.payload {
-            MappedPayload::Sectioned { table, .. } => table.payload_bytes(),
-            MappedPayload::Legacy => self.generation.len(),
-        }
+        self.table.payload_bytes()
     }
 
-    /// Per-section `(kind, payload_bytes)` rows of a sectioned shard —
-    /// the breakdown of [`payload_bytes`](MappedBank::payload_bytes)
-    /// the store's eviction budget accounts with. Empty for legacy v1
-    /// shards, which are accounted at whole-file length.
+    /// Per-section `(kind, payload_bytes)` rows — the breakdown of
+    /// [`payload_bytes`](MappedBank::payload_bytes) the store's
+    /// eviction budget accounts with.
     pub fn section_sizes(&self) -> Vec<(u16, u64)> {
-        match &self.payload {
-            MappedPayload::Sectioned { table, .. } => table
-                .entries()
-                .iter()
-                .map(|e| (e.kind, e.len as u64))
-                .collect(),
-            MappedPayload::Legacy => Vec::new(),
-        }
+        self.table
+            .entries()
+            .iter()
+            .map(|e| (e.kind, e.len as u64))
+            .collect()
     }
 
     /// `true` when the undecoded sections are backed by a genuine
-    /// kernel mapping (zero-copy); `false` for legacy shards and the
-    /// non-unix heap fallback.
+    /// kernel mapping (zero-copy); `false` for the non-unix heap
+    /// fallback.
     pub fn is_mapped(&self) -> bool {
-        match &self.payload {
-            MappedPayload::Sectioned { map, .. } => map.is_mapped(),
-            MappedPayload::Legacy => false,
-        }
+        self.map.is_mapped()
     }
 }
 
@@ -700,9 +595,7 @@ fn section_len(table: &SectionTable, kind: u16) -> u64 {
 // --- section payload encoders/decoders ------------------------------
 //
 // Each artifact has a symmetric `encode_*`/`decode_*` pair over bare
-// payload bytes; the v1 path concatenates the dictionary and trajectory
-// payloads into one monolithic container, the v2 path gives each its own
-// checksummed section.
+// payload bytes, one checksummed container section each.
 
 fn encode_grid_into(enc: &mut Encoder, grid: &FrequencyGrid) {
     enc.put_u8(match grid.spacing() {
@@ -772,11 +665,12 @@ fn decode_response(dec: &mut Decoder, grid_len: usize, what: &str) -> Result<Vec
     Ok(xs)
 }
 
-fn encode_dictionary_into(enc: &mut Encoder, dict: &FaultDictionary) {
-    encode_grid_into(enc, dict.grid());
+fn encode_dictionary(dict: &FaultDictionary) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    encode_grid_into(&mut enc, dict.grid());
     enc.put_f64s(dict.golden_db());
     enc.put_str(dict.input());
-    encode_probe_into(enc, dict.probe());
+    encode_probe_into(&mut enc, dict.probe());
     let universe = dict.universe();
     enc.put_u32(universe.components().len() as u32);
     for comp in universe.components() {
@@ -791,11 +685,6 @@ fn encode_dictionary_into(enc: &mut Encoder, dict: &FaultDictionary) {
     for entry in dict.entries() {
         enc.put_f64s(entry.magnitude_db());
     }
-}
-
-fn encode_dictionary(dict: &FaultDictionary) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_dictionary_into(&mut enc, dict);
     enc.into_payload()
 }
 
@@ -845,7 +734,8 @@ fn decode_dictionary(dec: &mut Decoder) -> Result<FaultDictionary, CodecError> {
     ))
 }
 
-fn encode_trajectory_set_into(enc: &mut Encoder, set: &TrajectorySet) {
+fn encode_trajectory_set(set: &TrajectorySet) -> Vec<u8> {
+    let mut enc = Encoder::new();
     enc.put_f64s(set.test_vector().omegas());
     enc.put_u32(set.len() as u32);
     for t in set.trajectories() {
@@ -858,11 +748,6 @@ fn encode_trajectory_set_into(enc: &mut Encoder, set: &TrajectorySet) {
             }
         }
     }
-}
-
-fn encode_trajectory_set(set: &TrajectorySet) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_trajectory_set_into(&mut enc, set);
     enc.into_payload()
 }
 
@@ -1309,29 +1194,6 @@ mod tests {
         assert!(err.to_string().contains("/nonexistent/bank.ftb"));
     }
 
-    #[test]
-    fn v1_container_still_loads() {
-        // A bank written by the legacy monolithic writer decodes under
-        // the v2 reader, bit-for-bit equal apart from the (absent)
-        // multi-fault dictionary.
-        let bank = rc_bank();
-        let v1 = bank.to_bytes_v1();
-        assert_eq!(crate::codec::peek_version(&v1).unwrap(), BANK_VERSION_V1);
-        let back = TrajectoryBank::from_bytes(&v1).unwrap();
-        assert_eq!(bank, back);
-        // The v1 writer is deterministic too.
-        assert_eq!(v1, back.to_bytes_v1());
-        // And single-byte corruption of a v1 container is still caught.
-        for pos in (0..v1.len()).step_by(101).chain([0, 9, 17, 25]) {
-            let mut corrupt = v1.clone();
-            corrupt[pos] ^= 0x01;
-            assert!(
-                TrajectoryBank::from_bytes(&corrupt).is_err(),
-                "v1 flip at byte {pos} went undetected"
-            );
-        }
-    }
-
     fn rc_multifault() -> MultiFaultDictionary {
         let mut ckt = ft_circuit::Circuit::new("rc");
         ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
@@ -1399,23 +1261,6 @@ mod tests {
         // header/table overhead).
         let file_len = std::fs::metadata(&path).unwrap().len();
         assert!(mapped.payload_bytes() > 0 && mapped.payload_bytes() < file_len);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mapped_open_decodes_legacy_v1_eagerly() {
-        let bank = rc_bank();
-        let path = std::env::temp_dir().join("ft_serve_mapped_v1_test.ftb");
-        std::fs::write(&path, bank.to_bytes_v1()).unwrap();
-        let (mapped, set) = MappedBank::open(&path).unwrap();
-        assert_eq!(&set, bank.trajectory_set());
-        assert_eq!(&*mapped.dictionary().unwrap(), bank.dictionary());
-        assert_eq!(mapped.multifault_dictionary().unwrap(), None);
-        assert!(!mapped.is_mapped(), "v1 has no lazily mapped sections");
-        assert_eq!(
-            mapped.payload_bytes(),
-            std::fs::metadata(&path).unwrap().len()
-        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1631,37 +1476,45 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Encodes a minimal single-component bank by hand, letting tests
-    /// inject hostile field values the public API can never produce.
+    /// Encodes a minimal single-component bank by hand as a v2
+    /// container — a dictionary section plus a length-prefixed
+    /// trajectory section — letting tests inject hostile field values
+    /// the public API can never produce.
     fn hostile_bank(step_pct: f64, traj_dim: u32, coord: f64) -> Vec<u8> {
-        use crate::codec::Encoder;
-        let mut enc = Encoder::new();
-        enc.put_u8(1); // logarithmic spacing
-        enc.put_f64s(&[1.0, 2.0]);
-        enc.put_f64s(&[-3.0, -9.0]); // golden
-        enc.put_str("V1");
-        enc.put_u8(0); // node probe
-        enc.put_str("out");
-        enc.put_u32(1); // one component
-        enc.put_str("R1");
-        enc.put_f64(40.0); // max_pct
-        enc.put_f64(step_pct);
+        let mut dict = Encoder::new();
+        dict.put_u8(1); // logarithmic spacing
+        dict.put_f64s(&[1.0, 2.0]);
+        dict.put_f64s(&[-3.0, -9.0]); // golden
+        dict.put_str("V1");
+        dict.put_u8(0); // node probe
+        dict.put_str("out");
+        dict.put_u32(1); // one component
+        dict.put_str("R1");
+        dict.put_f64(40.0); // max_pct
+        dict.put_f64(step_pct);
         let n_entries = if step_pct == 10.0 { 8 } else { 0 };
-        enc.put_u32(n_entries);
+        dict.put_u32(n_entries);
         for _ in 0..n_entries {
-            enc.put_f64s(&[-2.0, -8.0]);
+            dict.put_f64s(&[-2.0, -8.0]);
         }
-        enc.put_f64s(&[1.0, 2.0]); // test vector
-        enc.put_u32(1); // one trajectory
-        enc.put_str("R1");
-        enc.put_f64s(&[-10.0, 0.0, 10.0]);
-        enc.put_u32(traj_dim);
+        let mut traj = Encoder::new();
+        traj.put_f64s(&[1.0, 2.0]); // test vector
+        traj.put_u32(1); // one trajectory
+        traj.put_str("R1");
+        traj.put_f64s(&[-10.0, 0.0, 10.0]);
+        traj.put_u32(traj_dim);
         if traj_dim == 2 {
             for &c in &[-1.0, -1.0, 0.0, 0.0, coord, 1.0] {
-                enc.put_f64(c);
+                traj.put_f64(c);
             }
         }
-        enc.finish()
+        let mut b = ContainerBuilder::new();
+        b.push_section(SECTION_DICTIONARY, dict.into_payload());
+        b.push_section(SECTION_TRAJECTORIES, traj.into_payload());
+        let mut bytes = b.finish();
+        // The version field sits outside the table checksum.
+        bytes[8..10].copy_from_slice(&BANK_VERSION_V2.to_le_bytes());
+        bytes
     }
 
     #[test]

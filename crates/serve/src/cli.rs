@@ -39,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bank::{MappedBank, TrajectoryBank};
-use crate::codec::{peek_version, Container, BANK_VERSION, BANK_VERSION_V1, BANK_VERSION_V2};
+use crate::codec::{peek_version, Container, BANK_VERSION, BANK_VERSION_V2};
 use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
 use crate::obs::{MetricsRegistry, Snapshot};
@@ -84,7 +84,7 @@ SUBCOMMANDS:
                        --format picks the container version: 3 (default)
                        stores trajectories 8-byte-aligned for zero-copy
                        mapped serving; 2 writes the previous layout.
-  reencode             Decode a bank in any readable format (v1/v2/v3)
+  reencode             Decode a bank in any readable format (v2/v3)
                        and re-persist it in --format (default 3).
                        Lossless: serving from the output is
                        byte-identical to serving from the input.
@@ -348,9 +348,7 @@ fn parse_bank_format(raw: &str) -> Result<u16, CliError> {
     match raw {
         "2" => Ok(BANK_VERSION_V2),
         "3" => Ok(BANK_VERSION),
-        other => Err(usage(format!(
-            "--format must be 2 or 3, got `{other}` (v1 is read-only legacy)"
-        ))),
+        other => Err(usage(format!("--format must be 2 or 3, got `{other}`"))),
     }
 }
 
@@ -404,7 +402,7 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `ftd reencode IN OUT [--format N]` — decode a bank in any readable
-/// format (v1/v2/v3) and re-persist it in the requested container
+/// format (v2/v3) and re-persist it in the requested container
 /// format (default: current, v3). Re-encoding is lossless: serving from
 /// the output is byte-identical to serving from the input.
 fn reencode(args: &[String]) -> Result<(), CliError> {
@@ -1176,44 +1174,34 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
     let version = peek_version(&bytes).map_err(runtime)?;
     println!("bank `{path}`: {} bytes, format v{version}", bytes.len());
 
-    let mut bad_sections = 0usize;
-    match version {
-        BANK_VERSION_V1 => {
-            println!("layout: monolithic payload, whole-payload checksum (legacy)");
-        }
-        BANK_VERSION_V2 | BANK_VERSION => {
-            if version == BANK_VERSION {
-                println!(
-                    "layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)"
-                );
-            } else {
-                println!("layout: sectioned, length-prefixed trajectory payload");
-            }
-            let container = Container::parse(&bytes).map_err(runtime)?;
-            println!("section table ({} sections):", container.sections().len());
-            println!("  type  name          offset  payload_bytes  checksum");
-            let mut payload_total = 0usize;
-            for s in container.sections() {
-                let ok = s.checksum_ok();
-                bad_sections += usize::from(!ok);
-                payload_total += s.payload.len();
-                println!(
-                    "  {:>4}  {:<12} {:>7} {:>13}  {}",
-                    s.kind,
-                    crate::codec::section_name(s.kind),
-                    s.offset,
-                    s.payload.len(),
-                    if ok { "ok" } else { "MISMATCH" },
-                );
-            }
-            println!(
-                "payload: {payload_total} bytes across {} sections, {} bytes of framing",
-                container.sections().len(),
-                bytes.len() - payload_total,
-            );
-        }
-        other => return Err(runtime(format!("unsupported bank format version {other}"))),
+    let container = Container::parse(&bytes).map_err(runtime)?;
+    if version == BANK_VERSION {
+        println!("layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)");
+    } else {
+        println!("layout: sectioned, length-prefixed trajectory payload");
     }
+    println!("section table ({} sections):", container.sections().len());
+    println!("  type  name          offset  payload_bytes  checksum");
+    let mut bad_sections = 0usize;
+    let mut payload_total = 0usize;
+    for s in container.sections() {
+        let ok = s.checksum_ok();
+        bad_sections += usize::from(!ok);
+        payload_total += s.payload.len();
+        println!(
+            "  {:>4}  {:<12} {:>7} {:>13}  {}",
+            s.kind,
+            crate::codec::section_name(s.kind),
+            s.offset,
+            s.payload.len(),
+            if ok { "ok" } else { "MISMATCH" },
+        );
+    }
+    println!(
+        "payload: {payload_total} bytes across {} sections, {} bytes of framing",
+        container.sections().len(),
+        bytes.len() - payload_total,
+    );
 
     match TrajectoryBank::from_bytes(&bytes) {
         Ok(bank) => {

@@ -35,21 +35,8 @@
 //! without decoding (see `bank.rs` for the payload layout). The
 //! container framing above is byte-for-byte the same; [`SectionTable`]
 //! and [`Container`] parse both and report the version they saw so
-//! payload readers can dispatch.
-//!
-//! ## Container layout, format v1 (legacy, monolithic)
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"FTBANK\r\n"
-//! 8       2     format version (u16 LE) = 1
-//! 10      8     payload length in bytes (u64 LE)
-//! 18      8     FNV-1a 64 checksum of the payload (u64 LE)
-//! 26      n     payload (length-prefixed fields, little-endian)
-//! ```
-//!
-//! v1 banks remain loadable: [`peek_version`] dispatches readers between
-//! [`Decoder::open`] (v1) and [`Container::parse`] (v2).
+//! payload readers can dispatch. Only v3 is written; v2 is read so old
+//! banks can be migrated.
 //!
 //! Within any payload every variable-length field carries a `u32 LE`
 //! count prefix; scalars are fixed-width little-endian. All reads are
@@ -69,12 +56,6 @@ pub const BANK_VERSION: u16 = 3;
 /// The sectioned container format with a length-prefixed (decode-only)
 /// trajectory payload.
 pub const BANK_VERSION_V2: u16 = 2;
-
-/// The legacy monolithic container format version.
-pub const BANK_VERSION_V1: u16 = 1;
-
-/// Size of the fixed v1 container header in bytes.
-pub const HEADER_LEN: usize = 8 + 2 + 8 + 8;
 
 /// Size of the fixed v2 container header in bytes (magic, version,
 /// section count, table checksum) — the section table follows.
@@ -103,8 +84,8 @@ pub fn section_name(kind: u16) -> &'static str {
 }
 
 /// Checks the magic and returns the container's declared format version
-/// without validating anything else — the dispatch point between the v1
-/// and v2 read paths.
+/// without validating anything else — the dispatch point between the v2
+/// and v3 trajectory payload readers.
 ///
 /// # Errors
 ///
@@ -140,8 +121,7 @@ pub enum CodecError {
         /// Bytes actually available.
         available: usize,
     },
-    /// The payload checksum does not match the header (v1), or the v2
-    /// section table does not match its header checksum.
+    /// The section table does not match its header checksum.
     ChecksumMismatch {
         /// Checksum stored in the header.
         stored: u64,
@@ -199,7 +179,7 @@ impl fmt::Display for CodecError {
                 write!(
                     f,
                     "unsupported bank format version {v} (reader supports \
-                     {BANK_VERSION_V1}..={BANK_VERSION})"
+                     {BANK_VERSION_V2}..={BANK_VERSION})"
                 )
             }
             CodecError::Truncated { needed, available } => {
@@ -339,20 +319,6 @@ impl Encoder {
     /// (hand to [`ContainerBuilder::push_section`]).
     pub fn into_payload(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Seals the payload into a full **v1** (legacy, monolithic)
-    /// container: header (magic, version, length, checksum) followed by
-    /// the payload bytes. Kept so compatibility tests can mint v1 banks;
-    /// new artifacts go through [`ContainerBuilder`].
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.buf.len());
-        out.extend_from_slice(&BANK_MAGIC);
-        out.extend_from_slice(&BANK_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum(&self.buf).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        out
     }
 }
 
@@ -769,48 +735,6 @@ pub struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    /// Verifies a **v1** container (magic, version, declared length,
-    /// checksum) and returns a decoder positioned at the start of the
-    /// payload. v2 containers go through [`Container::parse`] instead;
-    /// use [`peek_version`] to dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Any header or checksum violation is reported before a single
-    /// payload field is parsed.
-    pub fn open(container: &'a [u8]) -> Result<Self, CodecError> {
-        if container.len() < HEADER_LEN {
-            return Err(CodecError::Truncated {
-                needed: HEADER_LEN,
-                available: container.len(),
-            });
-        }
-        if container[..8] != BANK_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u16::from_le_bytes([container[8], container[9]]);
-        if version != BANK_VERSION_V1 {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        let declared = u64::from_le_bytes(container[10..18].try_into().expect("8 bytes"));
-        let payload = &container[HEADER_LEN..];
-        if declared != payload.len() as u64 {
-            return Err(CodecError::Truncated {
-                needed: HEADER_LEN + declared as usize,
-                available: container.len(),
-            });
-        }
-        let stored = u64::from_le_bytes(container[18..26].try_into().expect("8 bytes"));
-        let computed = checksum(payload);
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
-        }
-        Ok(Decoder {
-            buf: payload,
-            pos: 0,
-        })
-    }
-
     /// A decoder over a bare payload slice (a verified v2 section body —
     /// header and checksum checks already done by [`Container`]).
     pub fn over(payload: &'a [u8]) -> Self {
@@ -953,7 +877,7 @@ impl<'a> Decoder<'a> {
 mod tests {
     use super::*;
 
-    fn sample_container() -> Vec<u8> {
+    fn sample_payload() -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_u8(3);
         enc.put_u32(77);
@@ -961,13 +885,13 @@ mod tests {
         enc.put_f64(-2.5);
         enc.put_str("R3+20%");
         enc.put_f64s(&[0.0, 1.5, f64::MAX]);
-        enc.finish()
+        enc.into_payload()
     }
 
     #[test]
     fn primitive_round_trip() {
-        let bytes = sample_container();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = sample_payload();
+        let mut dec = Decoder::over(&bytes);
         assert_eq!(dec.get_u8().unwrap(), 3);
         assert_eq!(dec.get_u32().unwrap(), 77);
         assert_eq!(dec.get_u64().unwrap(), 1 << 40);
@@ -979,52 +903,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = sample_container();
-        bytes[0] ^= 0xff;
-        assert!(matches!(Decoder::open(&bytes), Err(CodecError::BadMagic)));
-    }
-
-    #[test]
-    fn future_version_rejected() {
-        let mut bytes = sample_container();
-        bytes[8] = 0xfe;
-        bytes[9] = 0x01;
-        // Version bytes sit in the header, outside the checksum.
-        assert!(matches!(
-            Decoder::open(&bytes),
-            Err(CodecError::UnsupportedVersion(0x01fe))
-        ));
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let bytes = sample_container();
-        for cut in [0, HEADER_LEN - 1, bytes.len() - 1] {
-            assert!(matches!(
-                Decoder::open(&bytes[..cut]),
-                Err(CodecError::Truncated { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn payload_corruption_detected() {
-        let mut bytes = sample_container();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x10;
-        assert!(matches!(
-            Decoder::open(&bytes),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn oversized_count_rejected_before_allocating() {
         let mut enc = Encoder::new();
         enc.put_u32(u32::MAX); // declares ~4 billion elements
-        let bytes = enc.finish();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = enc.into_payload();
+        let mut dec = Decoder::over(&bytes);
         assert!(matches!(dec.get_f64s(), Err(CodecError::Truncated { .. })));
     }
 
@@ -1036,8 +919,8 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put_u8(0xaa); // advance pos past 0 so the add could overflow
         enc.put_u32(u32::MAX);
-        let bytes = enc.finish();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = enc.into_payload();
+        let mut dec = Decoder::over(&bytes);
         assert_eq!(dec.get_u8().unwrap(), 0xaa);
         match dec.get_count(usize::MAX) {
             Err(CodecError::Truncated { needed, available }) => {
@@ -1050,8 +933,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_detected() {
-        let bytes = sample_container();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = sample_payload();
+        let mut dec = Decoder::over(&bytes);
         let _ = dec.get_u8().unwrap();
         assert!(matches!(dec.finish(), Err(CodecError::TrailingBytes(_))));
     }
@@ -1062,8 +945,8 @@ mod tests {
         enc.put_u32(2);
         enc.put_u8(0xff);
         enc.put_u8(0xfe);
-        let bytes = enc.finish();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = enc.into_payload();
+        let mut dec = Decoder::over(&bytes);
         assert!(matches!(dec.get_str(), Err(CodecError::Malformed(_))));
     }
 
@@ -1087,6 +970,16 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
         b.finish()
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let mut bytes = sample_v2();
+        bytes[0] ^= 0xff;
+        assert!(matches!(
+            SectionTable::parse(&bytes),
+            Err(CodecError::BadMagic)
+        ));
     }
 
     #[test]
@@ -1241,17 +1134,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_container_rejected_by_v2_parser_and_vice_versa() {
-        let v1 = sample_container();
-        assert_eq!(peek_version(&v1).unwrap(), BANK_VERSION_V1);
+    fn v1_container_rejected_by_sectioned_parser() {
+        // The version field sits outside the table checksum, so a
+        // sectioned container stamped 1 is well formed apart from it.
+        let mut v1 = sample_v2();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(peek_version(&v1).unwrap(), 1);
+        assert!(matches!(
+            SectionTable::parse(&v1),
+            Err(CodecError::UnsupportedVersion(1))
+        ));
         assert!(matches!(
             Container::parse(&v1),
-            Err(CodecError::UnsupportedVersion(BANK_VERSION_V1))
-        ));
-        let v2 = sample_v2();
-        assert!(matches!(
-            Decoder::open(&v2),
-            Err(CodecError::UnsupportedVersion(BANK_VERSION))
+            Err(CodecError::UnsupportedVersion(1))
         ));
     }
 

@@ -9,9 +9,8 @@
 //!   multi-fault dictionary) persisted to disk through a self-contained
 //!   binary [`codec`]: a sectioned v2 container whose sections are
 //!   type-tagged, length-prefixed, and independently checksummed
-//!   (unknown sections skip; legacy v1 monolithic banks still load; the
-//!   vendored `serde` is a marker-only shim, so the codec is
-//!   hand-rolled).
+//!   (unknown sections skip; the vendored `serde` is a marker-only shim,
+//!   so the codec is hand-rolled).
 //! * [`SegmentIndex`] — a spatial index over signature space: a
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests, incremental per-trajectory
@@ -107,8 +106,8 @@ pub mod synthetic;
 pub use bank::{MappedBank, TrajectoryBank};
 pub use codec::{
     checksum, peek_version, section_name, CodecError, Container, ContainerBuilder, Decoder,
-    Encoder, Section, SectionEntry, SectionTable, BANK_MAGIC, BANK_VERSION, BANK_VERSION_V1,
-    SECTION_DICTIONARY, SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
+    Encoder, Section, SectionEntry, SectionTable, BANK_MAGIC, BANK_VERSION, SECTION_DICTIONARY,
+    SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
 };
 pub use engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 pub use index::{IndexCounters, QueryStats, SegmentIndex};

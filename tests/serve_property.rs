@@ -105,17 +105,6 @@ proptest! {
         prop_assert_eq!(bytes, back.to_bytes());
     }
 
-    /// Any bank the legacy v1 writer can mint loads identically under
-    /// the v2 reader (backward compatibility across the format bump).
-    #[test]
-    fn v1_banks_load_under_v2_reader(seed in 0i64..1_000_000) {
-        let bank = bank_from_seed(seed as u64);
-        let v1 = bank.to_bytes_v1();
-        let back = TrajectoryBank::from_bytes(&v1).expect("v1 bank decodes");
-        prop_assert!(back == bank, "v1-decoded bank differs for seed {seed}");
-        prop_assert_eq!(v1, back.to_bytes_v1());
-    }
-
     /// Flipping any single byte of the container is detected.
     #[test]
     fn bank_codec_detects_single_byte_corruption(

@@ -1,8 +1,7 @@
-//! Acceptance tests for the sectioned bank format v2, the sharded
+//! Acceptance tests for the sectioned bank format, the sharded
 //! `BankStore`, and the persistent-pool serving front-end:
 //!
-//! * a v1 bank written by the legacy codec loads under the v2 reader;
-//! * a v2 bank with a `MultiFaultSection` round-trips its
+//! * a bank with a `MultiFaultSection` round-trips its
 //!   `MultiFaultDictionary` byte-identically;
 //! * per-section single-byte corruption is detected *and attributed* to
 //!   the section it hit; unknown sections are skipped losslessly;
@@ -34,19 +33,6 @@ fn paper_bank_with_multifault(q: f64) -> TrajectoryBank {
     )
     .expect("multi-fault dictionary builds");
     TrajectoryBank::build(dict, &TestVector::pair(0.6, 1.6)).with_multifault(mfd)
-}
-
-#[test]
-fn v1_bank_loads_under_v2_reader() {
-    let bank = paper_bank_with_multifault(1.0);
-    let v1 = bank.to_bytes_v1();
-    let back = TrajectoryBank::from_bytes(&v1).expect("v1 container loads");
-    // v1 cannot carry the multi-fault section; everything else survives.
-    assert_eq!(back.dictionary(), bank.dictionary());
-    assert_eq!(back.trajectory_set(), bank.trajectory_set());
-    assert!(back.multifault_dictionary().is_none());
-    // Round-tripping the loaded bank through v2 and back is lossless.
-    assert_eq!(TrajectoryBank::from_bytes(&back.to_bytes()).unwrap(), back);
 }
 
 #[test]
