@@ -6,10 +6,9 @@
 //! phase loads everything from disk instead of re-simulating.
 //! Serialisation uses the sectioned [`codec`](crate::codec) container
 //! (one type-tagged, independently checksummed section per artifact;
-//! unknown sections are skipped); v2 banks still load. Every structural
-//! invariant is re-checked on load
-//! before any panicking constructor runs, so a hostile or corrupt file
-//! yields a [`CodecError`], never a panic.
+//! unknown sections are skipped). Every structural invariant is
+//! re-checked on load before any panicking constructor runs, so a
+//! hostile or corrupt file yields a [`CodecError`], never a panic.
 //!
 //! ## Trajectory section payload, format v3 (zero-copy viewable)
 //!
@@ -37,8 +36,12 @@
 //! mapped reader can view `D` and `C` in place as `&[f64]` — opening a
 //! v3 shard decodes nothing (O(header + n_traj)), and the deviation and
 //! coordinate data the index streams over are the mapped file pages
-//! themselves. v2 banks carry the older length-prefixed trajectory
-//! payload and decode eagerly on open.
+//! themselves.
+//!
+//! v3 is the only format written and the only one the mapped reader
+//! opens. A v2 bank carries the older length-prefixed trajectory payload;
+//! [`TrajectoryBank::from_bytes`] still decodes it, so `ftd reencode`
+//! rewrites it as v3.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -55,8 +58,8 @@ use ft_faults::{
 use ft_numerics::{FrequencyGrid, Spacing};
 
 use crate::codec::{
-    CodecError, Container, ContainerBuilder, Decoder, Encoder, SectionEntry, SectionTable,
-    BANK_VERSION, BANK_VERSION_V2, HEADER_LEN_V2, SECTION_DICTIONARY, SECTION_ENTRY_LEN,
+    peek_version, CodecError, Container, ContainerBuilder, Decoder, Encoder, SectionEntry,
+    SectionTable, BANK_VERSION, HEADER_LEN_V2, SECTION_DICTIONARY, SECTION_ENTRY_LEN,
     SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
 };
 use crate::mmap::{FileGen, Mmap};
@@ -171,24 +174,11 @@ impl TrajectoryBank {
         builder.finish()
     }
 
-    /// Serialises the bank as a **v2** sectioned container — the same
-    /// framing as v3, but with the older length-prefixed trajectory
-    /// payload that readers must decode eagerly. Kept for compatibility
-    /// tests and `ftd build-bank --format 2`.
-    pub fn to_bytes_v2(&self) -> Vec<u8> {
-        let mut builder = ContainerBuilder::with_version(BANK_VERSION_V2);
-        builder.push_section(SECTION_DICTIONARY, encode_dictionary(&self.dict));
-        builder.push_section(SECTION_TRAJECTORIES, encode_trajectory_set(&self.set));
-        if let Some(mfd) = &self.multifault {
-            builder.push_section(SECTION_MULTIFAULT, encode_multifault(mfd));
-        }
-        builder.finish()
-    }
-
     /// Deserialises a bank, verifying the container header, checksums,
-    /// and every structural invariant of the decoded data. v2 and v3
-    /// containers load; unknown sections are skipped, and the optional
-    /// multi-fault section is decoded when present.
+    /// and every structural invariant of the decoded data. v3 and v2
+    /// containers load — this is the one reader of v2, which is how
+    /// `ftd reencode` migrates old banks. Unknown sections are skipped,
+    /// and the optional multi-fault section is decoded when present.
     ///
     /// # Errors
     ///
@@ -265,15 +255,14 @@ type SectionCell<T> = Mutex<Option<Result<T, Arc<CodecError>>>>;
 /// A trajectory bank opened zero-copy over a memory-mapped shard file.
 ///
 /// Unlike [`TrajectoryBank::load`], opening verifies only the container
-/// header and section table eagerly. On a **v3** shard the trajectory
-/// section is not decoded at all: its aligned regions are viewed in
-/// place ([`PackedTrajectories`]), making open O(header + trajectory
-/// count) regardless of payload size — callers that serve from the set
-/// run [`MappedBank::verify_trajectory_payload`] plus
-/// [`TrajectorySet::validate_deep`] once before trusting the bytes. On
-/// a v2 shard the trajectory section decodes eagerly (FNV checked at
-/// open), as before. Either way the dictionary and multi-fault sections
-/// stay untouched mapped bytes: neither read, checksummed, nor decoded
+/// header and section table eagerly. Only **v3** shards open (a v2 bank
+/// is converted with `ftd reencode`). The trajectory section is not
+/// decoded at all: its aligned regions are viewed in place
+/// ([`PackedTrajectories`]), making open O(header + trajectory count)
+/// regardless of payload size — callers that serve from the set run
+/// [`MappedBank::verify_trajectory_payload`] plus
+/// [`TrajectorySet::validate_deep`] once before trusting the bytes. The
+/// dictionary and multi-fault sections stay untouched mapped bytes: neither read, checksummed, nor decoded
 /// until [`dictionary`](MappedBank::dictionary) /
 /// [`multifault_dictionary`](MappedBank::multifault_dictionary) is
 /// called — and their decoded forms can be dropped again with
@@ -300,12 +289,13 @@ pub struct MappedBank {
 
 impl MappedBank {
     /// Maps `path` and opens it as a bank, returning the mapped handle
-    /// and the trajectory set (packed/zero-copy for v3, decoded for
-    /// v2).
+    /// and the trajectory set, viewed in place (zero-copy).
     ///
     /// # Errors
     ///
-    /// I/O and mapping failures, header/table validation failures, and
+    /// I/O and mapping failures, a format version other than v3
+    /// ([`CodecError::UnsupportedVersion`], whose message points a v2
+    /// bank at `ftd reencode`), header/table validation failures, and
     /// any structural violation of the trajectory section, annotated
     /// with `path`. v3 trajectory *content* corruption is deferred to
     /// [`verify_trajectory_payload`](MappedBank::verify_trajectory_payload)
@@ -319,44 +309,46 @@ impl MappedBank {
     fn open_inner(path: &Path) -> Result<(MappedBank, TrajectorySet), CodecError> {
         let map = Arc::new(Mmap::map(path)?);
         let generation = map.generation();
+        // Only v3 is served: its trajectory payload is viewed in place.
+        // A v2 bank is read by `TrajectoryBank::from_bytes` alone, which
+        // is what `ftd reencode` uses to convert it.
+        let found = peek_version(map.bytes())?;
+        if found != BANK_VERSION {
+            return Err(CodecError::UnsupportedVersion {
+                found,
+                mapped: true,
+            });
+        }
         let table = SectionTable::parse(map.bytes())?;
-        let set = if table.version() == BANK_VERSION_V2 {
-            let mut dec = Decoder::over(table.require(map.bytes(), SECTION_TRAJECTORIES)?);
-            let set = decode_trajectory_set(&mut dec)?;
-            dec.finish()?;
-            set
+        // Locate the trajectory section *without* checksumming its
+        // payload — the whole point of the v3 open is that no payload
+        // byte is read.
+        let entry = *unique_entry(&table, SECTION_TRAJECTORIES)?;
+        let payload = entry.payload(map.bytes());
+        let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
+        let tv = TestVector::new(layout.omegas.clone());
+        let packed = if layout.aligned {
+            PackedTrajectories::new(
+                Arc::<Mmap>::clone(&map) as Arc<dyn AsRef<[u8]> + Send + Sync>,
+                layout.components,
+                layout.point_offsets,
+                entry.offset + layout.devs_off,
+                entry.offset + layout.coords_off,
+                layout.dim,
+            )
+            .ok()
         } else {
-            // Locate the trajectory section *without* checksumming its
-            // payload — the whole point of the v3 open is that no
-            // payload byte is read.
-            let entry = *unique_entry(&table, SECTION_TRAJECTORIES)?;
-            let payload = entry.payload(map.bytes());
-            let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
-            let tv = TestVector::new(layout.omegas.clone());
-            let packed = if layout.aligned {
-                PackedTrajectories::new(
-                    Arc::<Mmap>::clone(&map) as Arc<dyn AsRef<[u8]> + Send + Sync>,
-                    layout.components,
-                    layout.point_offsets,
-                    entry.offset + layout.devs_off,
-                    entry.offset + layout.coords_off,
-                    layout.dim,
-                )
-                .ok()
-            } else {
-                // Sections were shifted after encoding (spliced
-                // container): the regions no longer sit on 8-byte file
-                // offsets, so no in-place view exists.
-                None
-            };
-            match packed {
-                Some(packed) => TrajectorySet::from_packed(tv, packed),
-                // Misaligned container, big-endian host, or the
-                // non-unix heap fallback handing out an unaligned
-                // buffer: decode owned trajectories instead — correct,
-                // just not zero-copy.
-                None => decode_trajectory_set_v3(payload, entry.offset)?,
-            }
+            // Sections were shifted after encoding (spliced container):
+            // the regions no longer sit on 8-byte file offsets, so no
+            // in-place view exists.
+            None
+        };
+        let set = match packed {
+            Some(packed) => TrajectorySet::from_packed(tv, packed),
+            // Misaligned container, big-endian host, or the non-unix
+            // heap fallback handing out an unaligned buffer: decode
+            // owned trajectories instead — correct, just not zero-copy.
+            None => decode_trajectory_set_v3(payload, entry.offset)?,
         };
         Ok((
             MappedBank {
@@ -376,8 +368,7 @@ impl MappedBank {
     /// payload read a v3 open deliberately skips. Serving paths call
     /// this once at engine load, so a corrupt shard is still rejected
     /// before any diagnosis reads its bytes, while `open` itself stays
-    /// O(header). A v2 shard's trajectory payload was already verified
-    /// during open, so this re-checks it.
+    /// O(header).
     ///
     /// # Errors
     ///
@@ -734,23 +725,6 @@ fn decode_dictionary(dec: &mut Decoder) -> Result<FaultDictionary, CodecError> {
     ))
 }
 
-fn encode_trajectory_set(set: &TrajectorySet) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_f64s(set.test_vector().omegas());
-    enc.put_u32(set.len() as u32);
-    for t in set.trajectories() {
-        enc.put_str(t.component());
-        enc.put_f64s(t.deviations_pct());
-        enc.put_u32(t.dim() as u32);
-        for p in t.points() {
-            for &x in p.coords() {
-                enc.put_f64(x);
-            }
-        }
-    }
-    enc.into_payload()
-}
-
 fn decode_trajectory_set(dec: &mut Decoder) -> Result<TrajectorySet, CodecError> {
     let omegas = dec.get_f64s()?;
     ensure(!omegas.is_empty(), "test vector is empty")?;
@@ -1099,9 +1073,41 @@ fn decode_multifault(dec: &mut Decoder) -> Result<MultiFaultDictionary, CodecErr
     ))
 }
 
+/// Mints a **v2** container for `bank`, the previous layout that
+/// [`TrajectoryBank::from_bytes`] still reads, for the tests that pin
+/// its migration to v3.
+#[cfg(test)]
+pub(crate) fn v2_bytes(bank: &TrajectoryBank) -> Vec<u8> {
+    let mut traj = Encoder::new();
+    traj.put_f64s(bank.set.test_vector().omegas());
+    traj.put_u32(bank.set.len() as u32);
+    for t in bank.set.trajectories() {
+        traj.put_str(t.component());
+        traj.put_f64s(t.deviations_pct());
+        traj.put_u32(t.dim() as u32);
+        for p in t.points() {
+            for &x in p.coords() {
+                traj.put_f64(x);
+            }
+        }
+    }
+    let mut builder = ContainerBuilder::new();
+    builder.push_section(SECTION_DICTIONARY, encode_dictionary(&bank.dict));
+    builder.push_section(SECTION_TRAJECTORIES, traj.into_payload());
+    if let Some(mfd) = &bank.multifault {
+        builder.push_section(SECTION_MULTIFAULT, encode_multifault(mfd));
+    }
+    let mut bytes = builder.finish();
+    // The version field sits outside the table checksum, so stamping it
+    // leaves a well-formed container.
+    bytes[8..10].copy_from_slice(&crate::codec::BANK_VERSION_V2.to_le_bytes());
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::BANK_VERSION_V2;
     use ft_numerics::FrequencyGrid;
 
     fn rc_bank() -> TrajectoryBank {
@@ -1294,24 +1300,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_v2_corruption_in_trajectories_fails_open() {
-        // v2 decodes the trajectory section eagerly, so its FNV is
-        // checked at open and corruption is fatal there.
-        let bank = rc_bank();
-        let bytes = bank.to_bytes_v2();
-        let container = Container::parse(&bytes).unwrap();
-        let traj_off = container.sections()[1].offset;
-        drop(container);
-        let mut corrupt = bytes;
-        corrupt[traj_off] ^= 0x01;
-        let path = std::env::temp_dir().join("ft_serve_mapped_traj_corrupt_test.ftb");
-        std::fs::write(&path, &corrupt).unwrap();
-        let err = MappedBank::open(&path).expect_err("trajectory corruption fails open");
-        assert!(err.to_string().contains("trajectories"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn mapped_v3_region_corruption_is_caught_by_deferred_verification() {
         // A v3 open never reads the deviation/coordinate regions, so a
         // flipped coordinate byte opens fine — and must then be caught
@@ -1427,7 +1415,7 @@ mod tests {
         assert_eq!(bank, back);
         assert_eq!(v3, back.to_bytes(), "v3 encoding is deterministic");
         // v2 → decode → v3 re-encode equals direct v3 encode.
-        let v2 = bank.to_bytes_v2();
+        let v2 = v2_bytes(&bank);
         assert_ne!(v2, v3);
         let via_v2 = TrajectoryBank::from_bytes(&v2).unwrap();
         assert_eq!(bank, via_v2);

@@ -39,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bank::{MappedBank, TrajectoryBank};
-use crate::codec::{peek_version, Container, BANK_VERSION, BANK_VERSION_V2};
+use crate::codec::{peek_version, Container, BANK_VERSION};
 use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
 use crate::obs::{MetricsRegistry, Snapshot};
@@ -52,8 +52,7 @@ ftd — fault-trajectory diagnosis engine
 
 USAGE:
   ftd build-bank [--out PATH] [--f1 W] [--f2 W] [--grid-points N] [--q Q]
-                 [--format 2|3]
-  ftd reencode IN OUT [--format 2|3]
+  ftd reencode IN OUT
   ftd diagnose --bank PATH [--fault COMP:PCT]... [--random N]
                [--noise-db S] [--seed N] [--workers N] [--linear | --topk K]
                [--q Q]
@@ -79,15 +78,15 @@ SUBCOMMANDS:
   build-bank           Simulate the Tow-Thomas CUT's fault dictionary on
                        the stamp-split AC sweep engine, materialise the
                        fault trajectories at the test vector {--f1, --f2},
-                       and persist the bank. Deterministic: repeated runs
-                       are byte-identical regardless of worker count.
-                       --format picks the container version: 3 (default)
-                       stores trajectories 8-byte-aligned for zero-copy
-                       mapped serving; 2 writes the previous layout.
-  reencode             Decode a bank in any readable format (v2/v3)
-                       and re-persist it in --format (default 3).
-                       Lossless: serving from the output is
-                       byte-identical to serving from the input.
+                       and persist the bank as format v3, whose
+                       trajectories sit 8-byte-aligned for zero-copy
+                       mapped serving. Deterministic: repeated runs are
+                       byte-identical regardless of worker count.
+  reencode             Decode a v2 or v3 bank and re-persist it as v3,
+                       the only format `serve` maps; a v3 input comes
+                       back byte-identical. Lossless: serving from the
+                       output is byte-identical to serving from the
+                       input.
   diagnose             Load a bank, measure signatures for the requested
                        (--fault R2:+25) and/or --random sampled unknown
                        faults on the same CUT, and diagnose them as one
@@ -335,30 +334,12 @@ fn parse_fault(spec: &str) -> Result<ParametricFault, CliError> {
     Ok(ParametricFault::from_percent(comp, pct))
 }
 
-/// Encodes `bank` in container format `format` (2 or 3, validated by
-/// the caller via [`parse_bank_format`]).
-fn encode_bank(bank: &TrajectoryBank, format: u16) -> Vec<u8> {
-    match format {
-        BANK_VERSION_V2 => bank.to_bytes_v2(),
-        _ => bank.to_bytes(),
-    }
-}
-
-fn parse_bank_format(raw: &str) -> Result<u16, CliError> {
-    match raw {
-        "2" => Ok(BANK_VERSION_V2),
-        "3" => Ok(BANK_VERSION),
-        other => Err(usage(format!("--format must be 2 or 3, got `{other}`"))),
-    }
-}
-
 fn build_bank(args: &[String]) -> Result<(), CliError> {
     let mut out = "bank.ftb".to_string();
     let mut f1 = 0.6f64;
     let mut f2 = 1.6f64;
     let mut grid_points = 41usize;
     let mut q = 1.0f64;
-    let mut format = BANK_VERSION;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
         match flag {
@@ -367,7 +348,6 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
             "--f2" => f2 = flags.parse("--f2")?,
             "--grid-points" => grid_points = flags.parse("--grid-points")?,
             "--q" => q = flags.parse("--q")?,
-            "--format" => format = parse_bank_format(flags.value("--format")?)?,
             other => return Err(usage(format!("build-bank: unknown flag `{other}`"))),
         }
     }
@@ -385,11 +365,11 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
     let dict = FaultDictionary::build(&bench.circuit, &universe, &bench.input, &bench.probe, &grid)
         .map_err(runtime)?;
     let bank = TrajectoryBank::build(dict, &TestVector::pair(f1, f2));
-    let bytes = encode_bank(&bank, format);
+    let bytes = bank.to_bytes();
     std::fs::write(&out, &bytes).map_err(runtime)?;
 
     println!(
-        "built bank `{out}` (format v{format}): {} faults x {} grid points, {} trajectories / {} segments at tv {}, {} bytes, {:.2?}",
+        "built bank `{out}` (format v{BANK_VERSION}): {} faults x {} grid points, {} trajectories / {} segments at tv {}, {} bytes, {:.2?}",
         bank.dictionary().entries().len(),
         bank.dictionary().grid().len(),
         bank.trajectory_set().len(),
@@ -401,17 +381,15 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `ftd reencode IN OUT [--format N]` — decode a bank in any readable
-/// format (v2/v3) and re-persist it in the requested container
-/// format (default: current, v3). Re-encoding is lossless: serving from
-/// the output is byte-identical to serving from the input.
+/// `ftd reencode IN OUT` — decode a v2 or v3 bank and re-persist it as
+/// v3, the format the mapped serving path reads. Re-encoding is
+/// lossless: serving from the output is byte-identical to serving from
+/// the input, and a v3 input comes back byte-identical.
 fn reencode(args: &[String]) -> Result<(), CliError> {
     let mut paths: Vec<&str> = Vec::new();
-    let mut format = BANK_VERSION;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next_flag() {
         match arg {
-            "--format" => format = parse_bank_format(flags.value("--format")?)?,
             other if other.starts_with("--") => {
                 return Err(usage(format!("reencode: unknown flag `{other}`")))
             }
@@ -423,10 +401,10 @@ fn reencode(args: &[String]) -> Result<(), CliError> {
     };
     let started = Instant::now();
     let bank = TrajectoryBank::load(input).map_err(runtime)?;
-    let bytes = encode_bank(&bank, format);
+    let bytes = bank.to_bytes();
     std::fs::write(output, &bytes).map_err(|e| runtime(format!("{output}: {e}")))?;
     println!(
-        "re-encoded `{input}` -> `{output}` (format v{format}): {} trajectories / {} segments, {} bytes, {:.2?}",
+        "re-encoded `{input}` -> `{output}` (format v{BANK_VERSION}): {} trajectories / {} segments, {} bytes, {:.2?}",
         bank.trajectory_set().len(),
         bank.trajectory_set().total_segments(),
         bytes.len(),
@@ -1178,7 +1156,10 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
     if version == BANK_VERSION {
         println!("layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)");
     } else {
-        println!("layout: sectioned, length-prefixed trajectory payload");
+        println!(
+            "layout: sectioned, length-prefixed trajectory payload (read only for migration: \
+             `ftd reencode IN OUT` rewrites it as v{BANK_VERSION})"
+        );
     }
     println!("section table ({} sections):", container.sections().len());
     println!("  type  name          offset  payload_bytes  checksum");
@@ -1866,6 +1847,7 @@ mod tests {
 
     #[test]
     fn reencode_round_trips_between_formats() {
+        use crate::bank::v2_bytes;
         use crate::synthetic::synthetic_circuit_bank;
         use ft_core::TestVector;
 
@@ -1874,47 +1856,43 @@ mod tests {
         let bank = synthetic_circuit_bank(2, 0.5, 7, &TestVector::pair(0.5, 2.0)).unwrap();
         let v3 = dir.join("v3.ftb");
         let v2 = dir.join("v2.ftb");
-        let back = dir.join("back.ftb");
         bank.save(&v3).unwrap();
-
-        // v3 -> v2 -> v3 through the subcommand, byte-identical.
+        std::fs::write(&v2, v2_bytes(&bank)).unwrap();
         let arg = |p: &std::path::Path| p.display().to_string();
-        assert_eq!(
-            main_from_args(vec![
-                "reencode".into(),
-                arg(&v3),
-                arg(&v2),
-                "--format".into(),
-                "2".into(),
-            ]),
-            0
-        );
-        assert_eq!(
-            main_from_args(vec!["reencode".into(), arg(&v2), arg(&back)]),
-            0
-        );
-        assert_eq!(
-            std::fs::read(&v3).unwrap(),
-            std::fs::read(&back).unwrap(),
-            "v3 -> v2 -> v3 must be the identity"
-        );
-        assert_ne!(std::fs::read(&v3).unwrap(), std::fs::read(&v2).unwrap());
-        // Both render through bank-info, plain and mapped.
-        for p in [&v3, &v2] {
-            assert_eq!(main_from_args(vec!["bank-info".into(), arg(p)]), 0);
+        let read = |p: &std::path::Path| std::fs::read(p).unwrap();
+        assert_ne!(read(&v2), read(&v3));
+
+        // v2 -> v3 equals a direct v3 save, and v3 -> v3 is the identity.
+        for (input, output) in [
+            (&v2, dir.join("from_v2.ftb")),
+            (&v3, dir.join("from_v3.ftb")),
+        ] {
             assert_eq!(
-                main_from_args(vec!["bank-info".into(), "--mapped".into(), arg(p)]),
+                main_from_args(vec!["reencode".into(), arg(input), arg(&output)]),
                 0
             );
+            assert_eq!(read(&output), read(&v3), "reencode {}", input.display());
         }
-        // Usage errors: bad --format, missing paths.
+        // bank-info reads both formats; the mapped path opens only v3
+        // and points a v2 bank at `ftd reencode`.
+        for p in [&v3, &v2] {
+            assert_eq!(main_from_args(vec!["bank-info".into(), arg(p)]), 0);
+        }
+        let mapped = |p: &std::path::Path| vec!["bank-info".into(), "--mapped".into(), arg(p)];
+        assert_eq!(main_from_args(mapped(&v3)), 0);
+        assert_eq!(main_from_args(mapped(&v2)), 1);
+        let Err(CliError::Runtime(msg)) = bank_info(&mapped(&v2)[1..]) else {
+            panic!("bank-info --mapped must fail at runtime on a v2 bank");
+        };
+        assert!(msg.contains("ftd reencode IN OUT"), "{msg}");
+        assert!(msg.contains("v2.ftb"), "{msg}");
+        // Usage errors: an unknown flag, missing paths.
         assert_eq!(
             main_from_args(vec![
                 "reencode".into(),
                 arg(&v3),
                 arg(&v2),
-                "--format".into(),
-                "1".into(),
+                "--bogus".into()
             ]),
             2
         );
@@ -1996,7 +1974,7 @@ mod tests {
                 "{flag} must be rejected with --requests"
             );
         }
-        // bank-info on the fresh v2 bank exits 0.
+        // bank-info on the fresh bank exits 0.
         assert_eq!(main_from_args(vec!["bank-info".into(), bank_str]), 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -35,8 +35,9 @@
 //! without decoding (see `bank.rs` for the payload layout). The
 //! container framing above is byte-for-byte the same; [`SectionTable`]
 //! and [`Container`] parse both and report the version they saw so
-//! payload readers can dispatch. Only v3 is written; v2 is read so old
-//! banks can be migrated.
+//! payload readers can dispatch. Only v3 is written and served; v2 is
+//! read by the heap reader alone, so `ftd reencode` can migrate old
+//! banks to v3.
 //!
 //! Within any payload every variable-length field carries a `u32 LE`
 //! count prefix; scalars are fixed-width little-endian. All reads are
@@ -53,8 +54,9 @@ pub const BANK_MAGIC: [u8; 8] = *b"FTBANK\r\n";
 /// trajectory payload).
 pub const BANK_VERSION: u16 = 3;
 
-/// The sectioned container format with a length-prefixed (decode-only)
-/// trajectory payload.
+/// The previous sectioned format, with a length-prefixed trajectory
+/// payload. No writer emits it; the heap reader still decodes it so
+/// `ftd reencode` can migrate a v2 bank to v3.
 pub const BANK_VERSION_V2: u16 = 2;
 
 /// Size of the fixed v2 container header in bytes (magic, version,
@@ -112,8 +114,18 @@ pub enum CodecError {
     Io(std::io::Error),
     /// The container does not start with [`BANK_MAGIC`].
     BadMagic,
-    /// The container's format version is newer than this reader.
-    UnsupportedVersion(u16),
+    /// The container's format version is not one the failing read path
+    /// reads: the heap reader ([`SectionTable::parse`] and
+    /// `TrajectoryBank::from_bytes` on top of it) reads v2 and v3, the
+    /// mapped serving path (`MappedBank::open`) v3 only.
+    UnsupportedVersion {
+        /// The version the container declares.
+        found: u16,
+        /// `true` when the mapped serving path refused the container;
+        /// the message then points at `ftd reencode`, which converts a
+        /// v2 bank to v3.
+        mapped: bool,
+    },
     /// The container or a field within it is shorter than declared.
     Truncated {
         /// Bytes the decoder needed.
@@ -175,13 +187,23 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Io(e) => write!(f, "bank I/O error: {e}"),
             CodecError::BadMagic => write!(f, "not a trajectory bank (bad magic)"),
-            CodecError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported bank format version {v} (reader supports \
-                     {BANK_VERSION_V2}..={BANK_VERSION})"
-                )
-            }
+            CodecError::UnsupportedVersion {
+                found,
+                mapped: false,
+            } => write!(
+                f,
+                "unsupported bank format version {found} (this reader reads v{BANK_VERSION_V2} \
+                 and v{BANK_VERSION} banks)"
+            ),
+            CodecError::UnsupportedVersion {
+                found,
+                mapped: true,
+            } => write!(
+                f,
+                "unsupported bank format version {found} (mapped serving reads v{BANK_VERSION} \
+                 banks only; `ftd reencode IN OUT` converts a v{BANK_VERSION_V2} bank to \
+                 v{BANK_VERSION})"
+            ),
             CodecError::Truncated { needed, available } => {
                 write!(
                     f,
@@ -322,52 +344,20 @@ impl Encoder {
     }
 }
 
-/// Assembles a sectioned container (v2 or v3 framing — identical bytes
-/// apart from the version field): push type-tagged payloads, then
+/// Assembles a sectioned container stamped with the current format
+/// version ([`BANK_VERSION`]): push type-tagged payloads, then
 /// [`finish`](ContainerBuilder::finish) seals the header and section
 /// table. Encoding is deterministic — identical sections in identical
 /// order yield identical bytes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ContainerBuilder {
-    version: u16,
     sections: Vec<(u16, Vec<u8>)>,
 }
 
-impl Default for ContainerBuilder {
-    fn default() -> Self {
-        ContainerBuilder::new()
-    }
-}
-
 impl ContainerBuilder {
-    /// A builder holding no sections yet, targeting the current format
-    /// version ([`BANK_VERSION`]).
+    /// A builder holding no sections yet.
     pub fn new() -> Self {
-        ContainerBuilder::with_version(BANK_VERSION)
-    }
-
-    /// A builder targeting an explicit sectioned format version —
-    /// [`BANK_VERSION_V2`] or [`BANK_VERSION`] — for writers that keep
-    /// emitting the older trajectory payload (`ftd build-bank --format 2`,
-    /// compatibility tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a version with non-sectioned framing.
-    pub fn with_version(version: u16) -> Self {
-        assert!(
-            version == BANK_VERSION_V2 || version == BANK_VERSION,
-            "sectioned container versions are {BANK_VERSION_V2} and {BANK_VERSION}"
-        );
-        ContainerBuilder {
-            version,
-            sections: Vec::new(),
-        }
-    }
-
-    /// The format version this builder will stamp into the header.
-    pub fn version(&self) -> u16 {
-        self.version
+        ContainerBuilder::default()
     }
 
     /// Appends a section. Sections are written in push order; readers
@@ -403,7 +393,7 @@ impl ContainerBuilder {
 
         let mut out = Vec::with_capacity(HEADER_LEN_V2 + table.len() + body_len);
         out.extend_from_slice(&BANK_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&BANK_VERSION.to_le_bytes());
         out.extend_from_slice(&count_le);
         out.extend_from_slice(&table_ck.to_le_bytes());
         out.extend_from_slice(&table);
@@ -464,7 +454,10 @@ impl SectionTable {
     pub fn parse(container: &[u8]) -> Result<Self, CodecError> {
         let version = peek_version(container)?;
         if version != BANK_VERSION_V2 && version != BANK_VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
+            return Err(CodecError::UnsupportedVersion {
+                found: version,
+                mapped: false,
+            });
         }
         if container.len() < HEADER_LEN_V2 {
             return Err(CodecError::Truncated {
@@ -1112,9 +1105,11 @@ mod tests {
     #[test]
     fn sectioned_parser_accepts_v2_and_v3_and_reports_the_version() {
         for version in [BANK_VERSION_V2, BANK_VERSION] {
-            let mut b = ContainerBuilder::with_version(version);
+            let mut b = ContainerBuilder::new();
             b.push_section(SECTION_DICTIONARY, b"dict".to_vec());
-            let bytes = b.finish();
+            let mut bytes = b.finish();
+            // The version field sits outside the table checksum.
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert_eq!(peek_version(&bytes).unwrap(), version);
             let table = SectionTable::parse(&bytes).unwrap();
             assert_eq!(table.version(), version);
@@ -1129,7 +1124,10 @@ mod tests {
         bytes[8] = 4;
         assert!(matches!(
             SectionTable::parse(&bytes),
-            Err(CodecError::UnsupportedVersion(4))
+            Err(CodecError::UnsupportedVersion {
+                found: 4,
+                mapped: false
+            })
         ));
     }
 
@@ -1140,13 +1138,22 @@ mod tests {
         let mut v1 = sample_v2();
         v1[8..10].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(peek_version(&v1).unwrap(), 1);
-        assert!(matches!(
-            SectionTable::parse(&v1),
-            Err(CodecError::UnsupportedVersion(1))
-        ));
+        let err = SectionTable::parse(&v1).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::UnsupportedVersion {
+                    found: 1,
+                    mapped: false
+                }
+            ),
+            "{err:?}"
+        );
+        // The message states what this reader does read.
+        assert!(err.to_string().contains("reads v2 and v3"), "{err}");
         assert!(matches!(
             Container::parse(&v1),
-            Err(CodecError::UnsupportedVersion(1))
+            Err(CodecError::UnsupportedVersion { found: 1, .. })
         ));
     }
 

@@ -1223,6 +1223,56 @@ mod tests {
     }
 
     #[test]
+    fn unsupported_bank_versions_are_attributed_on_every_read_path() {
+        let dir = std::env::temp_dir().join("ft_store_version_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bank = rc_bank(1e3);
+        // The version field sits outside every checksum, so stamping 1
+        // leaves an otherwise well-formed container.
+        let mut v1 = bank.to_bytes();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let v1_path = dir.join("old.ftb");
+        std::fs::write(&v1_path, &v1).unwrap();
+        let v2_path = dir.join("mig.ftb");
+        std::fs::write(&v2_path, crate::bank::v2_bytes(&bank)).unwrap();
+        let is_v1_in_file = |err: &CodecError| match err {
+            CodecError::InFile { path, source } => {
+                path == &v1_path
+                    && matches!(**source, CodecError::UnsupportedVersion { found: 1, .. })
+            }
+            _ => false,
+        };
+
+        // v1: an attributed error on the heap, mapped and store paths,
+        // each message stating what that path reads.
+        let heap = TrajectoryBank::load(&v1_path).unwrap_err();
+        assert!(is_v1_in_file(&heap), "{heap:?}");
+        assert!(heap.to_string().contains("reads v2 and v3"), "{heap}");
+        let mapped = crate::bank::MappedBank::open(&v1_path).unwrap_err();
+        assert!(is_v1_in_file(&mapped), "{mapped:?}");
+        assert!(
+            mapped.to_string().contains("reads v3 banks only"),
+            "{mapped}"
+        );
+        let store = BankStore::open(&dir, EngineConfig::default()).unwrap();
+        let Err(StoreError::Bank { source, .. }) = store.engine("old") else {
+            panic!("a v1 shard must fail to load");
+        };
+        assert!(is_v1_in_file(&source), "{source:?}");
+
+        // v2: the heap reader (what `ftd reencode` uses) still loads it,
+        // while the store refuses it and names the conversion.
+        assert_eq!(TrajectoryBank::load(&v2_path).unwrap(), bank);
+        let Err(err) = store.engine("mig") else {
+            panic!("a v2 shard must not be served");
+        };
+        let msg = err.to_string();
+        assert!(msg.contains("mig.ftb"), "{msg}");
+        assert!(msg.contains("ftd reencode IN OUT"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn poisoned_lock_is_recovered_not_propagated() {
         let dir = std::env::temp_dir().join("ft_store_poison_test");
         std::fs::create_dir_all(&dir).unwrap();

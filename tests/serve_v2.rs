@@ -192,18 +192,10 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
     ] {
         let path = dir.join(format!("{name}.ftb"));
         bank.save(&path).expect("saves");
-        // The same bank in the v2 wire format: the zero-copy view only
-        // exists for v3, so this pins the format migration — a v2 shard
-        // and its v3 re-encode must serve identical answers on every
-        // engine path.
-        let v2_path = dir.join(format!("{name}.v2.ftb"));
-        std::fs::write(&v2_path, bank.to_bytes_v2()).expect("saves v2");
 
         let heap = DiagnosisEngine::load(&path, EngineConfig::default()).expect("heap load");
         let mapped =
             DiagnosisEngine::load_mapped(&path, EngineConfig::default()).expect("mapped load");
-        let mapped_v2 =
-            DiagnosisEngine::load_mapped(&v2_path, EngineConfig::default()).expect("v2 mapped");
         assert!(mapped.bank().is_none(), "mapped engine holds no heap bank");
         assert_eq!(
             heap.generation(),
@@ -214,10 +206,6 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
             mapped.trajectory_set().is_packed(),
             "v3 shard must be viewed in place on `{name}`"
         );
-        assert!(
-            !mapped_v2.trajectory_set().is_packed(),
-            "v2 shard has no viewable payload"
-        );
 
         let queries = synthetic_queries(bank.trajectory_set(), 23, 42);
         let reference = heap.diagnose_batch(&queries);
@@ -227,28 +215,13 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
             "indexed batch diverged on `{name}`"
         );
         assert_eq!(
-            reference,
-            mapped_v2.diagnose_batch(&queries),
-            "v2-mapped indexed batch diverged on `{name}`"
-        );
-        assert_eq!(
             heap.diagnose_batch_linear(&queries),
             mapped.diagnose_batch_linear(&queries),
             "linear batch diverged on `{name}`"
         );
-        assert_eq!(
-            heap.diagnose_batch_linear(&queries),
-            mapped_v2.diagnose_batch_linear(&queries),
-            "v2-mapped linear batch diverged on `{name}`"
-        );
         for q in &queries {
             let want = heap.diagnose(q);
             assert_eq!(want, mapped.diagnose(q), "single diverged on `{name}`");
-            assert_eq!(
-                want,
-                mapped_v2.diagnose(q),
-                "v2-mapped single diverged on `{name}`"
-            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
