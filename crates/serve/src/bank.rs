@@ -58,9 +58,8 @@ use ft_faults::{
 use ft_numerics::{FrequencyGrid, Spacing};
 
 use crate::codec::{
-    peek_version, CodecError, Container, ContainerBuilder, Decoder, Encoder, SectionEntry,
-    SectionTable, BANK_VERSION, HEADER_LEN_V2, SECTION_DICTIONARY, SECTION_ENTRY_LEN,
-    SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
+    peek_version, CodecError, ContainerBuilder, Decoder, Encoder, SectionTable, BANK_VERSION,
+    HEADER_LEN_V2, SECTION_DICTIONARY, SECTION_ENTRY_LEN, SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
 };
 use crate::mmap::{FileGen, Mmap};
 use crate::obs::Counter;
@@ -186,26 +185,23 @@ impl TrajectoryBank {
     /// to the section it hit; any other format version is
     /// [`CodecError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let container = Container::parse(bytes)?;
-        let mut dec = Decoder::over(container.require(SECTION_DICTIONARY)?);
+        let table = SectionTable::parse(bytes)?;
+        let mut dec = Decoder::over(table.require(bytes, SECTION_DICTIONARY)?);
         let dict = decode_dictionary(&mut dec)?;
         dec.finish()?;
-        let traj_payload = container.require(SECTION_TRAJECTORIES)?;
-        let set = if container.version() == BANK_VERSION {
-            let offset = container
-                .sections()
-                .iter()
-                .find(|s| s.kind == SECTION_TRAJECTORIES)
-                .expect("require located the section")
-                .offset;
-            decode_trajectory_set_v3(traj_payload, offset)?
+        let traj = table
+            .locate(SECTION_TRAJECTORIES)?
+            .ok_or(CodecError::MissingSection(SECTION_TRAJECTORIES))?;
+        let traj_payload = table.verify(bytes, traj)?;
+        let set = if table.version() == BANK_VERSION {
+            decode_trajectory_set_v3(traj_payload, traj.offset)?
         } else {
             let mut dec = Decoder::over(traj_payload);
             let set = decode_trajectory_set(&mut dec)?;
             dec.finish()?;
             set
         };
-        let multifault = match container.find(SECTION_MULTIFAULT)? {
+        let multifault = match table.find(bytes, SECTION_MULTIFAULT)? {
             None => None,
             Some(payload) => {
                 let mut dec = Decoder::over(payload);
@@ -323,7 +319,9 @@ impl MappedBank {
         // Locate the trajectory section *without* checksumming its
         // payload — the whole point of the v3 open is that no payload
         // byte is read.
-        let entry = *unique_entry(&table, SECTION_TRAJECTORIES)?;
+        let entry = *table
+            .locate(SECTION_TRAJECTORIES)?
+            .ok_or(CodecError::MissingSection(SECTION_TRAJECTORIES))?;
         let payload = entry.payload(map.bytes());
         let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
         let tv = TestVector::new(layout.omegas.clone());
@@ -554,24 +552,6 @@ impl MappedBank {
     pub fn is_mapped(&self) -> bool {
         self.map.is_mapped()
     }
-}
-
-/// The unique section entry of type `kind`, located structurally (no
-/// payload checksum) — the lookup a v3 O(header) open uses.
-fn unique_entry(table: &SectionTable, kind: u16) -> Result<&SectionEntry, CodecError> {
-    let mut found: Option<&SectionEntry> = None;
-    for e in table.entries() {
-        if e.kind == kind {
-            if found.is_some() {
-                return Err(CodecError::Malformed(format!(
-                    "duplicate section {kind} ({})",
-                    crate::codec::section_name(kind)
-                )));
-            }
-            found = Some(e);
-        }
-    }
-    found.ok_or(CodecError::MissingSection(kind))
 }
 
 /// Declared payload length of section `kind`, or 0 when absent.
@@ -1274,9 +1254,7 @@ mod tests {
     fn mapped_corruption_outside_trajectories_is_deferred_and_attributed() {
         let bank = rc_bank().with_multifault(rc_multifault());
         let bytes = bank.to_bytes();
-        let container = Container::parse(&bytes).unwrap();
-        let dict_off = container.sections()[0].offset;
-        drop(container);
+        let dict_off = SectionTable::parse(&bytes).unwrap().entries()[0].offset;
         let mut corrupt = bytes;
         corrupt[dict_off] ^= 0x01;
 
@@ -1306,12 +1284,10 @@ mod tests {
         // by the explicit verification pass engines run before serving.
         let bank = rc_bank();
         let bytes = bank.to_bytes();
-        let container = Container::parse(&bytes).unwrap();
-        let traj = container.sections()[1];
+        let traj = SectionTable::parse(&bytes).unwrap().entries()[1];
         // Last byte of the trajectory payload = deep inside the
         // coordinate region.
-        let hit = traj.offset + traj.payload.len() - 1;
-        drop(container);
+        let hit = traj.offset + traj.len - 1;
         let mut corrupt = bytes;
         corrupt[hit] ^= 0x01;
         let path = std::env::temp_dir().join("ft_serve_mapped_v3_region_corrupt_test.ftb");
@@ -1348,11 +1324,10 @@ mod tests {
         // The checksums are valid (the builder recomputes them), so
         // the data is intact: both readers must fall back to owned
         // decode (no zero-copy view over unaligned bytes, no error).
-        let container = Container::parse(&bytes).unwrap();
-        let traj = container.sections()[1];
-        let dict_payload = container.require(SECTION_DICTIONARY).unwrap().to_vec();
-        drop(container);
-        let layout = parse_v3_trajectory_payload(traj.payload, traj.offset).unwrap();
+        let table = SectionTable::parse(&bytes).unwrap();
+        let traj = table.entries()[1];
+        let dict_payload = table.require(&bytes, SECTION_DICTIONARY).unwrap().to_vec();
+        let layout = parse_v3_trajectory_payload(traj.payload(&bytes), traj.offset).unwrap();
         assert!(layout.aligned, "writer aligns");
         assert_eq!((traj.offset + layout.devs_off) % 8, 0, "writer aligns");
         let skewed = encode_trajectory_set_v3(bank.trajectory_set(), traj.offset + 4);
@@ -1361,9 +1336,8 @@ mod tests {
         b.push_section(SECTION_TRAJECTORIES, skewed);
         let misaligned = b.finish();
         let skewed_layout = {
-            let c = Container::parse(&misaligned).unwrap();
-            let t = c.sections()[1];
-            parse_v3_trajectory_payload(t.payload, t.offset).unwrap()
+            let t = SectionTable::parse(&misaligned).unwrap().entries()[1];
+            parse_v3_trajectory_payload(t.payload(&misaligned), t.offset).unwrap()
         };
         assert!(!skewed_layout.aligned, "skew must defeat the padding");
         std::fs::write(&path, &misaligned).unwrap();
@@ -1383,17 +1357,17 @@ mod tests {
         // it hit by the heap loader.
         let bank = rc_bank().with_multifault(rc_multifault());
         let bytes = bank.to_bytes();
-        let container = Container::parse(&bytes).unwrap();
+        let table = SectionTable::parse(&bytes).unwrap();
+        let sections = table.entries();
         let hits: Vec<(usize, &str)> = vec![
-            (container.sections()[0].offset, "dictionary"),
+            (sections[0].offset, "dictionary"),
             (
                 // Mid-payload: inside the trajectory f64 regions.
-                container.sections()[1].offset + container.sections()[1].payload.len() / 2,
+                sections[1].offset + sections[1].len / 2,
                 "trajectories",
             ),
-            (container.sections()[2].offset, "multifault"),
+            (sections[2].offset, "multifault"),
         ];
-        drop(container);
         for (pos, name) in hits {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;

@@ -39,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bank::{MappedBank, TrajectoryBank};
-use crate::codec::{peek_version, Container, BANK_VERSION};
+use crate::codec::{peek_version, section_name, SectionTable, BANK_VERSION};
 use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
 use crate::obs::{MetricsRegistry, Snapshot};
@@ -1152,7 +1152,7 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
     let version = peek_version(&bytes).map_err(runtime)?;
     println!("bank `{path}`: {} bytes, format v{version}", bytes.len());
 
-    let container = Container::parse(&bytes).map_err(runtime)?;
+    let table = SectionTable::parse(&bytes).map_err(runtime)?;
     if version == BANK_VERSION {
         println!("layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)");
     } else {
@@ -1161,26 +1161,26 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
              `ftd reencode IN OUT` rewrites it as v{BANK_VERSION})"
         );
     }
-    println!("section table ({} sections):", container.sections().len());
+    println!("section table ({} sections):", table.entries().len());
     println!("  type  name          offset  payload_bytes  checksum");
     let mut bad_sections = 0usize;
     let mut payload_total = 0usize;
-    for s in container.sections() {
-        let ok = s.checksum_ok();
+    for e in table.entries() {
+        let ok = table.verify(&bytes, e).is_ok();
         bad_sections += usize::from(!ok);
-        payload_total += s.payload.len();
+        payload_total += e.len;
         println!(
             "  {:>4}  {:<12} {:>7} {:>13}  {}",
-            s.kind,
-            crate::codec::section_name(s.kind),
-            s.offset,
-            s.payload.len(),
+            e.kind,
+            section_name(e.kind),
+            e.offset,
+            e.len,
             if ok { "ok" } else { "MISMATCH" },
         );
     }
     println!(
         "payload: {payload_total} bytes across {} sections, {} bytes of framing",
-        container.sections().len(),
+        table.entries().len(),
         bytes.len() - payload_total,
     );
 
@@ -1250,7 +1250,7 @@ fn bank_info_mapped(path: &str) -> Result<(), CliError> {
             println!(
                 "  {:>4}  {:<12} {payload_bytes:>13} payload bytes  {}",
                 kind,
-                crate::codec::section_name(kind),
+                section_name(kind),
                 if resident {
                     "resident"
                 } else {

@@ -34,8 +34,8 @@
 //! fixed-stride little-endian layout that a reader can view in place
 //! without decoding (see `bank.rs` for the payload layout). The
 //! container framing above is byte-for-byte the same; [`SectionTable`]
-//! and [`Container`] parse both and report the version they saw so
-//! payload readers can dispatch. Only v3 is written and served; v2 is
+//! parses both and reports the version it saw so payload readers can
+//! dispatch. Only v3 is written and served; v2 is
 //! read by the heap reader alone, so `ftd reencode` can migrate old
 //! banks to v3.
 //!
@@ -404,10 +404,9 @@ impl ContainerBuilder {
     }
 }
 
-/// One entry of a parsed v2 section table, without a borrow of the
-/// container bytes — the owner-independent sibling of [`Section`], for
-/// long-lived mapped shards where the table outlives any one borrow of
-/// the mapping (see [`SectionTable`]).
+/// One entry of a parsed section table. It holds no borrow of the
+/// container bytes, so a long-lived mapped shard's table can outlive any
+/// one borrow of the mapping (see [`SectionTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionEntry {
     /// The section's type tag.
@@ -428,13 +427,15 @@ impl SectionEntry {
     }
 }
 
-/// A structurally validated v2 section table that owns no borrow of the
+/// A structurally validated section table that owns no borrow of the
 /// container: magic, version, table checksum, and exact payload tiling
 /// are verified eagerly by [`SectionTable::parse`], while each section's
 /// payload FNV is verified lazily on first access through
 /// [`SectionTable::find`] / [`SectionTable::require`] — the shape a
 /// mapped shard needs, where the kernel pages a section in only when a
-/// reader actually touches it.
+/// reader actually touches it. This is the one parser of the container
+/// frame: the heap reader, the mapped reader and `ftd bank-info` all go
+/// through it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionTable {
     version: u16,
@@ -449,8 +450,9 @@ impl SectionTable {
     ///
     /// # Errors
     ///
-    /// As [`Container::parse`]: magic/version violations, a table
-    /// checksum mismatch, or any size inconsistency.
+    /// Magic/version violations, a table checksum mismatch
+    /// ([`CodecError::ChecksumMismatch`]), or any size inconsistency (the
+    /// container must equal header + table + declared payloads exactly).
     pub fn parse(container: &[u8]) -> Result<Self, CodecError> {
         let version = peek_version(container)?;
         if version != BANK_VERSION_V2 && version != BANK_VERSION {
@@ -540,25 +542,17 @@ impl SectionTable {
         self.entries.iter().map(|e| e.len as u64).sum()
     }
 
-    /// Locates the unique section of type `kind` in `container` (the
-    /// same bytes the table was parsed from) and verifies its payload
-    /// checksum — the lazy half of the mapped read path.
+    /// The unique entry of type `kind`, located structurally: no
+    /// payload byte is read and no checksum verified. This is the lookup
+    /// an O(header) v3 open uses and the one [`find`](SectionTable::find)
+    /// builds on. `Ok(None)` when the container has no such section (an
+    /// *optional* section being absent is not an error).
     ///
     /// # Errors
     ///
-    /// [`CodecError::SectionChecksumMismatch`] (attributed to `kind`) on
-    /// payload corruption, [`CodecError::Malformed`] on a duplicate tag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `container` is not the byte sequence this table was
-    /// parsed from (length mismatch).
-    pub fn find<'a>(&self, container: &'a [u8], kind: u16) -> Result<Option<&'a [u8]>, CodecError> {
-        assert_eq!(
-            container.len(),
-            self.total_len,
-            "section table used against a different container"
-        );
+    /// [`CodecError::Malformed`] when the type tag appears more than
+    /// once.
+    pub fn locate(&self, kind: u16) -> Result<Option<&SectionEntry>, CodecError> {
         let mut found: Option<&SectionEntry> = None;
         for e in &self.entries {
             if e.kind == kind {
@@ -571,21 +565,60 @@ impl SectionTable {
                 found = Some(e);
             }
         }
-        match found {
-            None => Ok(None),
-            Some(e) => {
-                let payload = e.payload(container);
-                let computed = checksum(payload);
-                if computed != e.stored_checksum {
-                    return Err(CodecError::SectionChecksumMismatch {
-                        kind,
-                        stored: e.stored_checksum,
-                        computed,
-                    });
-                }
-                Ok(Some(payload))
-            }
+        Ok(found)
+    }
+
+    /// The payload `entry` describes within `container` (the same bytes
+    /// the table was parsed from), after verifying its checksum — the
+    /// lazy half of the mapped read path.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::SectionChecksumMismatch`], attributed to the
+    /// entry's type tag, on payload corruption.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `container` is not the byte sequence this table was
+    /// parsed from (length mismatch).
+    pub fn verify<'a>(
+        &self,
+        container: &'a [u8],
+        entry: &SectionEntry,
+    ) -> Result<&'a [u8], CodecError> {
+        assert_eq!(
+            container.len(),
+            self.total_len,
+            "section table used against a different container"
+        );
+        let payload = entry.payload(container);
+        let computed = checksum(payload);
+        if computed != entry.stored_checksum {
+            return Err(CodecError::SectionChecksumMismatch {
+                kind: entry.kind,
+                stored: entry.stored_checksum,
+                computed,
+            });
         }
+        Ok(payload)
+    }
+
+    /// Locates the unique section of type `kind` in `container` and
+    /// verifies its payload checksum: [`locate`](SectionTable::locate)
+    /// then [`verify`](SectionTable::verify).
+    ///
+    /// # Errors
+    ///
+    /// As [`locate`](SectionTable::locate) and
+    /// [`verify`](SectionTable::verify).
+    ///
+    /// # Panics
+    ///
+    /// As [`verify`](SectionTable::verify).
+    pub fn find<'a>(&self, container: &'a [u8], kind: u16) -> Result<Option<&'a [u8]>, CodecError> {
+        self.locate(kind)?
+            .map(|entry| self.verify(container, entry))
+            .transpose()
     }
 
     /// [`SectionTable::find`] for a *required* section.
@@ -600,126 +633,6 @@ impl SectionTable {
     }
 }
 
-/// One section of a parsed v2 container.
-#[derive(Debug, Clone, Copy)]
-pub struct Section<'a> {
-    /// The section's type tag.
-    pub kind: u16,
-    /// Absolute byte offset of the payload within the container.
-    pub offset: usize,
-    /// Checksum stored in the section table.
-    pub stored_checksum: u64,
-    /// The section's payload bytes (not yet checksum-verified).
-    pub payload: &'a [u8],
-}
-
-impl Section<'_> {
-    /// Recomputes the payload checksum and compares it to the table.
-    pub fn checksum_ok(&self) -> bool {
-        checksum(self.payload) == self.stored_checksum
-    }
-}
-
-/// A parsed (but not yet per-section-verified) v2 container: the header
-/// and section table are validated structurally — magic, version, table
-/// checksum, and that the declared payloads tile the container exactly —
-/// while each section's payload checksum is verified on access, so tools
-/// like `ftd bank-info` can report per-section status without aborting
-/// at the first bad section.
-#[derive(Debug)]
-pub struct Container<'a> {
-    version: u16,
-    sections: Vec<Section<'a>>,
-}
-
-impl<'a> Container<'a> {
-    /// Parses a sectioned (v2 or v3) container's header and section
-    /// table.
-    ///
-    /// # Errors
-    ///
-    /// Magic/version violations, a table checksum mismatch
-    /// ([`CodecError::ChecksumMismatch`]), or any size inconsistency
-    /// (the container must equal header + table + declared payloads
-    /// exactly) are reported before any section is touched.
-    pub fn parse(container: &'a [u8]) -> Result<Self, CodecError> {
-        let table = SectionTable::parse(container)?;
-        let sections = table
-            .entries()
-            .iter()
-            .map(|e| Section {
-                kind: e.kind,
-                offset: e.offset,
-                stored_checksum: e.stored_checksum,
-                payload: e.payload(container),
-            })
-            .collect();
-        Ok(Container {
-            version: table.version(),
-            sections,
-        })
-    }
-
-    /// The container format version the header declared.
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// The sections, in table order (payload checksums not yet verified
-    /// — see [`Section::checksum_ok`]).
-    pub fn sections(&self) -> &[Section<'a>] {
-        &self.sections
-    }
-
-    /// Locates the unique section of type `kind` and verifies its
-    /// checksum. Returns `Ok(None)` when the container has no such
-    /// section (an *optional* section being absent is not an error).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::SectionChecksumMismatch`] (attributed to `kind`) on
-    /// payload corruption, [`CodecError::Malformed`] when the type tag
-    /// appears more than once.
-    pub fn find(&self, kind: u16) -> Result<Option<&'a [u8]>, CodecError> {
-        let mut found: Option<&Section<'a>> = None;
-        for s in &self.sections {
-            if s.kind == kind {
-                if found.is_some() {
-                    return Err(CodecError::Malformed(format!(
-                        "duplicate section {kind} ({})",
-                        section_name(kind)
-                    )));
-                }
-                found = Some(s);
-            }
-        }
-        match found {
-            None => Ok(None),
-            Some(s) => {
-                let computed = checksum(s.payload);
-                if computed != s.stored_checksum {
-                    return Err(CodecError::SectionChecksumMismatch {
-                        kind,
-                        stored: s.stored_checksum,
-                        computed,
-                    });
-                }
-                Ok(Some(s.payload))
-            }
-        }
-    }
-
-    /// [`Container::find`] for a *required* section.
-    ///
-    /// # Errors
-    ///
-    /// As [`Container::find`], plus [`CodecError::MissingSection`] when
-    /// the section is absent.
-    pub fn require(&self, kind: u16) -> Result<&'a [u8], CodecError> {
-        self.find(kind)?.ok_or(CodecError::MissingSection(kind))
-    }
-}
-
 /// Bounds-checked reader over a verified container payload.
 #[derive(Debug)]
 pub struct Decoder<'a> {
@@ -728,8 +641,8 @@ pub struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    /// A decoder over a bare payload slice (a verified v2 section body —
-    /// header and checksum checks already done by [`Container`]).
+    /// A decoder over a bare payload slice (a section body whose
+    /// checksum [`SectionTable::find`] already verified).
     pub fn over(payload: &'a [u8]) -> Self {
         Decoder {
             buf: payload,
@@ -979,37 +892,33 @@ mod tests {
     fn v2_container_round_trips_sections() {
         let bytes = sample_v2();
         assert_eq!(peek_version(&bytes).unwrap(), BANK_VERSION);
-        let c = Container::parse(&bytes).unwrap();
-        assert_eq!(c.sections().len(), 3);
-        assert!(c.sections().iter().all(|s| s.checksum_ok()));
-        assert_eq!(c.require(SECTION_DICTIONARY).unwrap(), b"dict-payload");
-        assert_eq!(c.require(SECTION_TRAJECTORIES).unwrap(), b"traj");
-        assert_eq!(c.find(0x7ff0).unwrap(), Some(&b"future-section"[..]));
-        assert_eq!(c.find(SECTION_MULTIFAULT).unwrap(), None);
+        let table = SectionTable::parse(&bytes).unwrap();
+        assert_eq!(table.entries().len(), 3);
+        assert_eq!(table.total_len(), bytes.len());
+        assert!(table
+            .entries()
+            .iter()
+            .all(|e| table.verify(&bytes, e).is_ok()));
+        assert_eq!(
+            table.payload_bytes(),
+            table.entries().iter().map(|e| e.len as u64).sum()
+        );
+        assert_eq!(
+            table.require(&bytes, SECTION_DICTIONARY).unwrap(),
+            b"dict-payload"
+        );
+        assert_eq!(
+            table.require(&bytes, SECTION_TRAJECTORIES).unwrap(),
+            b"traj"
+        );
+        assert_eq!(
+            table.find(&bytes, 0x7ff0).unwrap(),
+            Some(&b"future-section"[..])
+        );
+        assert_eq!(table.find(&bytes, SECTION_MULTIFAULT).unwrap(), None);
         assert!(matches!(
-            c.require(SECTION_MULTIFAULT),
+            table.require(&bytes, SECTION_MULTIFAULT),
             Err(CodecError::MissingSection(SECTION_MULTIFAULT))
-        ));
-    }
-
-    #[test]
-    fn v2_section_corruption_is_attributed() {
-        let bytes = sample_v2();
-        let c = Container::parse(&bytes).unwrap();
-        let traj_off = c.sections()[1].offset;
-        drop(c);
-        let mut corrupt = bytes.clone();
-        corrupt[traj_off] ^= 0x01;
-        let c = Container::parse(&corrupt).unwrap();
-        // The untouched section still verifies…
-        assert!(c.require(SECTION_DICTIONARY).is_ok());
-        // …while the hit one is reported by name.
-        assert!(matches!(
-            c.require(SECTION_TRAJECTORIES),
-            Err(CodecError::SectionChecksumMismatch {
-                kind: SECTION_TRAJECTORIES,
-                ..
-            })
         ));
     }
 
@@ -1021,7 +930,7 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;
             assert!(
-                Container::parse(&corrupt).is_err(),
+                SectionTable::parse(&corrupt).is_err(),
                 "table flip at byte {pos} went undetected"
             );
         }
@@ -1031,11 +940,11 @@ mod tests {
     fn v2_truncation_and_trailing_garbage_detected() {
         let bytes = sample_v2();
         for cut in [0, 9, HEADER_LEN_V2 - 1, bytes.len() - 1] {
-            assert!(Container::parse(&bytes[..cut]).is_err());
+            assert!(SectionTable::parse(&bytes[..cut]).is_err());
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(Container::parse(&padded).is_err());
+        assert!(SectionTable::parse(&padded).is_err());
     }
 
     #[test]
@@ -1043,36 +952,19 @@ mod tests {
         let mut b = ContainerBuilder::new();
         b.push_section(SECTION_DICTIONARY, b"a".to_vec());
         b.push_section(SECTION_DICTIONARY, b"b".to_vec());
-        let c = b.finish();
-        let c = Container::parse(&c).unwrap();
+        b.push_section(SECTION_TRAJECTORIES, b"t".to_vec());
+        let bytes = b.finish();
+        let table = SectionTable::parse(&bytes).unwrap();
+        // The structural lookup and the checksummed one share the rule.
         assert!(matches!(
-            c.require(SECTION_DICTIONARY),
+            table.locate(SECTION_DICTIONARY),
             Err(CodecError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn section_table_matches_container_view() {
-        let bytes = sample_v2();
-        let table = SectionTable::parse(&bytes).unwrap();
-        let c = Container::parse(&bytes).unwrap();
-        assert_eq!(table.entries().len(), c.sections().len());
-        assert_eq!(table.total_len(), bytes.len());
-        for (e, s) in table.entries().iter().zip(c.sections()) {
-            assert_eq!(e.kind, s.kind);
-            assert_eq!(e.offset, s.offset);
-            assert_eq!(e.stored_checksum, s.stored_checksum);
-            assert_eq!(e.payload(&bytes), s.payload);
-        }
-        assert_eq!(
-            table.payload_bytes(),
-            c.sections().iter().map(|s| s.payload.len() as u64).sum()
-        );
-        assert_eq!(
-            table.require(&bytes, SECTION_DICTIONARY).unwrap(),
-            b"dict-payload"
-        );
-        assert_eq!(table.find(&bytes, SECTION_MULTIFAULT).unwrap(), None);
+        assert!(matches!(
+            table.require(&bytes, SECTION_DICTIONARY),
+            Err(CodecError::Malformed(_))
+        ));
+        assert_eq!(table.require(&bytes, SECTION_TRAJECTORIES).unwrap(), b"t");
     }
 
     #[test]
@@ -1113,9 +1005,7 @@ mod tests {
             assert_eq!(peek_version(&bytes).unwrap(), version);
             let table = SectionTable::parse(&bytes).unwrap();
             assert_eq!(table.version(), version);
-            let c = Container::parse(&bytes).unwrap();
-            assert_eq!(c.version(), version);
-            assert_eq!(c.require(SECTION_DICTIONARY).unwrap(), b"dict");
+            assert_eq!(table.require(&bytes, SECTION_DICTIONARY).unwrap(), b"dict");
         }
         // An unknown sectioned future version is still rejected.
         let mut b = ContainerBuilder::new();
@@ -1151,10 +1041,6 @@ mod tests {
         );
         // The message states what this reader does read.
         assert!(err.to_string().contains("reads v2 and v3"), "{err}");
-        assert!(matches!(
-            Container::parse(&v1),
-            Err(CodecError::UnsupportedVersion { found: 1, .. })
-        ));
     }
 
     #[test]

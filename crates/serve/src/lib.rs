@@ -105,9 +105,9 @@ pub mod synthetic;
 
 pub use bank::{MappedBank, TrajectoryBank};
 pub use codec::{
-    checksum, peek_version, section_name, CodecError, Container, ContainerBuilder, Decoder,
-    Encoder, Section, SectionEntry, SectionTable, BANK_MAGIC, BANK_VERSION, SECTION_DICTIONARY,
-    SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
+    checksum, peek_version, section_name, CodecError, ContainerBuilder, Decoder, Encoder,
+    SectionEntry, SectionTable, BANK_MAGIC, BANK_VERSION, SECTION_DICTIONARY, SECTION_MULTIFAULT,
+    SECTION_TRAJECTORIES,
 };
 pub use engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 pub use index::{IndexCounters, QueryStats, SegmentIndex};

@@ -4,7 +4,7 @@
 //! bindings are hand-rolled `extern "C"` declarations (std already
 //! links the platform libc on unix). [`Mmap`] maps a file `PROT_READ` /
 //! `MAP_PRIVATE` and derefs to `&[u8]`, so every codec reader
-//! ([`crate::codec::Decoder::over`], [`crate::codec::Container::parse`])
+//! ([`crate::codec::Decoder::over`], [`crate::codec::SectionTable::parse`])
 //! works over mapped bytes exactly as over a heap buffer — without the
 //! intermediate `std::fs::read` copy. On non-unix targets the same API
 //! is backed by a plain heap read, so callers never need to gate.

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use fault_trajectory::core::Diagnosis;
 use fault_trajectory::faults::all_pairs;
 use fault_trajectory::prelude::*;
-use fault_trajectory::serve::{diagnose_on, synthetic_queries, Container, ContainerBuilder};
+use fault_trajectory::serve::{diagnose_on, synthetic_queries, ContainerBuilder, SectionTable};
 
 /// The paper CUT's bank at quality factor `q`, with the exhaustive
 /// pair-fault dictionary attached as a multi-fault section.
@@ -39,7 +39,7 @@ fn paper_bank_with_multifault(q: f64) -> TrajectoryBank {
 fn multifault_dictionary_round_trips_byte_identically() {
     let bank = paper_bank_with_multifault(1.0);
     let bytes = bank.to_bytes();
-    let back = TrajectoryBank::from_bytes(&bytes).expect("v2 container loads");
+    let back = TrajectoryBank::from_bytes(&bytes).expect("container loads");
     assert_eq!(back, bank);
     assert_eq!(
         back.multifault_dictionary().expect("section decoded"),
@@ -61,13 +61,12 @@ fn per_section_corruption_is_attributed_to_the_right_section() {
     use fault_trajectory::serve::CodecError;
 
     let bytes = paper_bank_with_multifault(1.0).to_bytes();
-    let container = Container::parse(&bytes).expect("container parses");
-    let sections: Vec<(u16, usize, usize)> = container
-        .sections()
+    let sections: Vec<(u16, usize, usize)> = SectionTable::parse(&bytes)
+        .expect("container parses")
+        .entries()
         .iter()
-        .map(|s| (s.kind, s.offset, s.payload.len()))
+        .map(|e| (e.kind, e.offset, e.len))
         .collect();
-    drop(container);
     assert_eq!(sections.len(), 3, "dictionary, trajectories, multifault");
 
     for &(kind, offset, len) in &sections {
@@ -94,20 +93,19 @@ fn per_section_corruption_is_attributed_to_the_right_section() {
 fn unknown_sections_are_skipped_losslessly() {
     let bank = paper_bank_with_multifault(1.0);
     let bytes = bank.to_bytes();
-    let container = Container::parse(&bytes).expect("container parses");
+    let table = SectionTable::parse(&bytes).expect("container parses");
 
     // Rebuild the container with an unknown section spliced between the
     // known ones — a future format extension this reader predates.
     let mut builder = ContainerBuilder::new();
-    for (i, s) in container.sections().iter().enumerate() {
+    for (i, e) in table.entries().iter().enumerate() {
         if i == 1 {
             builder.push_section(0x7abc, b"from-the-future".to_vec());
         }
-        builder.push_section(s.kind, s.payload.to_vec());
+        builder.push_section(e.kind, e.payload(&bytes).to_vec());
     }
     builder.push_section(0x7abd, Vec::new());
     let extended = builder.finish();
-    drop(container);
 
     let back = TrajectoryBank::from_bytes(&extended).expect("unknown sections skip");
     assert_eq!(back, bank, "skipping must not perturb the decoded bank");
@@ -235,13 +233,12 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
     // moment the damaged section is decoded.
     let bank = paper_bank_with_multifault(1.0);
     let bytes = bank.to_bytes();
-    let container = Container::parse(&bytes).expect("container parses");
-    let sections: Vec<(u16, usize, usize)> = container
-        .sections()
+    let sections: Vec<(u16, usize, usize)> = SectionTable::parse(&bytes)
+        .expect("container parses")
+        .entries()
         .iter()
-        .map(|s| (s.kind, s.offset, s.payload.len()))
+        .map(|e| (e.kind, e.offset, e.len))
         .collect();
-    drop(container);
 
     let dir = std::env::temp_dir().join("serve_v2_mapped_lazy_corruption");
     std::fs::create_dir_all(&dir).expect("dir");
