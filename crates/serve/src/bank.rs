@@ -1088,6 +1088,7 @@ pub(crate) fn v2_bytes(bank: &TrajectoryBank) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::codec::BANK_VERSION_V2;
+    use crate::engine::{DiagnosisEngine, EngineConfig};
     use ft_numerics::FrequencyGrid;
 
     fn rc_bank() -> TrajectoryBank {
@@ -1499,5 +1500,133 @@ mod tests {
         // would panic the diagnosis path later.
         assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, 2, f64::NAN)).is_err());
         assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, 2, f64::INFINITY)).is_err());
+    }
+
+    /// Payload-relative offsets of the v3 trajectory header fields the
+    /// hostile cases patch.
+    struct V3Fields {
+        /// `n_traj`; `dim` and `total_points` follow at +4 and +8.
+        n_traj_at: usize,
+        pad_len_at: usize,
+        pad_len: usize,
+        coords_at: usize,
+    }
+
+    fn v3_fields(payload: &[u8]) -> V3Fields {
+        let u32_at = |off: usize| {
+            u32::from_le_bytes(payload[off..off + 4].try_into().expect("4 bytes")) as usize
+        };
+        let n_traj_at = 4 + 8 * u32_at(0);
+        let mut pad_len_at = n_traj_at + 12;
+        for _ in 0..u32_at(n_traj_at) {
+            pad_len_at += 4 + u32_at(pad_len_at);
+        }
+        V3Fields {
+            n_traj_at,
+            pad_len_at,
+            pad_len: u32_at(pad_len_at),
+            coords_at: parse_v3_trajectory_payload(payload, 0)
+                .expect("writer output parses")
+                .coords_off,
+        }
+    }
+
+    /// A v3 container for [`rc_bank`] whose trajectory payload `patch`
+    /// rewrites before the container is sealed, so every checksum stays
+    /// valid and only the v3 structural and content checks stand between
+    /// the hostile field and the readers. An unknown filler section in
+    /// front of the trajectories is sized so the payload carries 7 pad
+    /// bytes while its regions still land 8-byte aligned.
+    fn hostile_v3(patch: impl FnOnce(&mut [u8], &V3Fields)) -> Vec<u8> {
+        let bank = rc_bank();
+        let dict = encode_dictionary(bank.dictionary());
+        let (filler, mut traj) = (0..8)
+            .map(|filler| {
+                let offset = HEADER_LEN_V2 + 3 * SECTION_ENTRY_LEN + dict.len() + filler;
+                (
+                    filler,
+                    encode_trajectory_set_v3(bank.trajectory_set(), offset),
+                )
+            })
+            .find(|(_, traj)| v3_fields(traj).pad_len == 7)
+            .expect("one of eight filler lengths leaves 7 pad bytes");
+        let fields = v3_fields(&traj);
+        patch(&mut traj, &fields);
+        let mut b = ContainerBuilder::new();
+        b.push_section(SECTION_DICTIONARY, dict);
+        b.push_section(0x7ff0, vec![0; filler]);
+        b.push_section(SECTION_TRAJECTORIES, traj);
+        b.finish()
+    }
+
+    #[test]
+    fn hand_patched_v3_baseline_loads_zero_copy() {
+        // Sanity-check the hostile v3 builder: unpatched, both readers
+        // load it, and the mapped one views the regions in place.
+        let bytes = hostile_v3(|_, _| {});
+        let bank = TrajectoryBank::from_bytes(&bytes).unwrap();
+        assert_eq!(bank.trajectory_set(), rc_bank().trajectory_set());
+        let path = std::env::temp_dir().join("ft_serve_hostile_v3_baseline_test.ftb");
+        std::fs::write(&path, &bytes).unwrap();
+        let engine = DiagnosisEngine::load_mapped(&path, EngineConfig::default()).unwrap();
+        assert!(engine.trajectory_set().is_packed() || !engine.is_mapped());
+        assert_eq!(engine.trajectory_set(), bank.trajectory_set());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_v3_fields_error_on_both_read_paths() {
+        fn put_u32(payload: &mut [u8], at: usize, v: u32) {
+            payload[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "n_traj = u32::MAX",
+                hostile_v3(|p, f| put_u32(p, f.n_traj_at, u32::MAX)),
+            ),
+            (
+                "dim = u32::MAX",
+                hostile_v3(|p, f| put_u32(p, f.n_traj_at + 4, u32::MAX)),
+            ),
+            // Even, so it passes the test-vector multiple check and meets
+            // the payload-size bound instead.
+            (
+                "dim = u32::MAX - 1",
+                hostile_v3(|p, f| put_u32(p, f.n_traj_at + 4, u32::MAX - 1)),
+            ),
+            (
+                "total_points = u32::MAX",
+                hostile_v3(|p, f| put_u32(p, f.n_traj_at + 8, u32::MAX)),
+            ),
+            (
+                "pad_len = 8",
+                hostile_v3(|p, f| put_u32(p, f.pad_len_at, 8)),
+            ),
+            (
+                "a non-zero pad byte",
+                hostile_v3(|p, f| p[f.pad_len_at + 4 + f.pad_len - 1] = 0x5a),
+            ),
+            (
+                "a NaN coordinate",
+                hostile_v3(|p, f| {
+                    p[f.coords_at..f.coords_at + 8].copy_from_slice(&f64::NAN.to_le_bytes())
+                }),
+            ),
+        ];
+        let path = std::env::temp_dir().join("ft_serve_hostile_v3_test.ftb");
+        for (what, bytes) in cases {
+            assert!(
+                TrajectoryBank::from_bytes(&bytes).is_err(),
+                "heap reader accepted {what}"
+            );
+            // The mapped engine refuses it at open or, for content it
+            // views in place without reading, at validate_deep.
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                DiagnosisEngine::load_mapped(&path, EngineConfig::default()).is_err(),
+                "mapped engine accepted {what}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
