@@ -59,7 +59,8 @@ use ft_numerics::{FrequencyGrid, Spacing};
 
 use crate::codec::{
     peek_version, CodecError, ContainerBuilder, Decoder, Encoder, SectionTable, BANK_VERSION,
-    HEADER_LEN_V2, SECTION_DICTIONARY, SECTION_ENTRY_LEN, SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
+    CONTAINER_HEADER_LEN, SECTION_DICTIONARY, SECTION_ENTRY_LEN, SECTION_MULTIFAULT,
+    SECTION_TRAJECTORIES,
 };
 use crate::mmap::{FileGen, Mmap};
 use crate::obs::Counter;
@@ -160,7 +161,8 @@ impl TrajectoryBank {
         // (dictionary + trajectories + optional multifault), and the
         // dictionary payload.
         let n_sections = 2 + usize::from(self.multifault.is_some());
-        let traj_offset = HEADER_LEN_V2 + n_sections * SECTION_ENTRY_LEN + dict_payload.len();
+        let traj_offset =
+            CONTAINER_HEADER_LEN + n_sections * SECTION_ENTRY_LEN + dict_payload.len();
         let mut builder = ContainerBuilder::new();
         builder.push_section(SECTION_DICTIONARY, dict_payload);
         builder.push_section(
@@ -1542,7 +1544,7 @@ mod tests {
         let dict = encode_dictionary(bank.dictionary());
         let (filler, mut traj) = (0..8)
             .map(|filler| {
-                let offset = HEADER_LEN_V2 + 3 * SECTION_ENTRY_LEN + dict.len() + filler;
+                let offset = CONTAINER_HEADER_LEN + 3 * SECTION_ENTRY_LEN + dict.len() + filler;
                 (
                     filler,
                     encode_trajectory_set_v3(bank.trajectory_set(), offset),

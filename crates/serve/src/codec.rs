@@ -35,9 +35,8 @@
 //! without decoding (see `bank.rs` for the payload layout). The
 //! container framing above is byte-for-byte the same; [`SectionTable`]
 //! parses both and reports the version it saw so payload readers can
-//! dispatch. Only v3 is written and served; v2 is
-//! read by the heap reader alone, so `ftd reencode` can migrate old
-//! banks to v3.
+//! dispatch. Only v3 is written and served; v2 is read by the heap
+//! reader alone, so `ftd reencode` can migrate old banks to v3.
 //!
 //! Within any payload every variable-length field carries a `u32 LE`
 //! count prefix; scalars are fixed-width little-endian. All reads are
@@ -59,11 +58,11 @@ pub const BANK_VERSION: u16 = 3;
 /// `ftd reencode` can migrate a v2 bank to v3.
 pub const BANK_VERSION_V2: u16 = 2;
 
-/// Size of the fixed v2 container header in bytes (magic, version,
-/// section count, table checksum) — the section table follows.
-pub const HEADER_LEN_V2: usize = 8 + 2 + 4 + 8;
+/// Size of the fixed container header in bytes (magic, version, section
+/// count, table checksum) — the section table follows.
+pub const CONTAINER_HEADER_LEN: usize = 8 + 2 + 4 + 8;
 
-/// Size of one v2 section-table entry in bytes (type, length, checksum).
+/// Size of one section-table entry in bytes (type, length, checksum).
 pub const SECTION_ENTRY_LEN: usize = 2 + 8 + 8;
 
 /// Section type: the single-fault dictionary (required).
@@ -391,7 +390,7 @@ impl ContainerBuilder {
         let count_le = count.to_le_bytes();
         let table_ck = checksum_parts(&[&count_le, &table]);
 
-        let mut out = Vec::with_capacity(HEADER_LEN_V2 + table.len() + body_len);
+        let mut out = Vec::with_capacity(CONTAINER_HEADER_LEN + table.len() + body_len);
         out.extend_from_slice(&BANK_MAGIC);
         out.extend_from_slice(&BANK_VERSION.to_le_bytes());
         out.extend_from_slice(&count_le);
@@ -461,22 +460,22 @@ impl SectionTable {
                 mapped: false,
             });
         }
-        if container.len() < HEADER_LEN_V2 {
+        if container.len() < CONTAINER_HEADER_LEN {
             return Err(CodecError::Truncated {
-                needed: HEADER_LEN_V2,
+                needed: CONTAINER_HEADER_LEN,
                 available: container.len(),
             });
         }
         let count = u32::from_le_bytes(container[10..14].try_into().expect("4 bytes")) as usize;
         let table_len = count.saturating_mul(SECTION_ENTRY_LEN);
-        let table_end = HEADER_LEN_V2.saturating_add(table_len);
+        let table_end = CONTAINER_HEADER_LEN.saturating_add(table_len);
         if table_end > container.len() {
             return Err(CodecError::Truncated {
                 needed: table_end,
                 available: container.len(),
             });
         }
-        let table = &container[HEADER_LEN_V2..table_end];
+        let table = &container[CONTAINER_HEADER_LEN..table_end];
         let stored = u64::from_le_bytes(container[14..22].try_into().expect("8 bytes"));
         let computed = checksum_parts(&[&container[10..14], table]);
         if stored != computed {
@@ -926,7 +925,7 @@ mod tests {
     fn v2_table_corruption_is_detected() {
         let bytes = sample_v2();
         // Every byte of count + table checksum + table entries.
-        for pos in 10..HEADER_LEN_V2 + 3 * SECTION_ENTRY_LEN {
+        for pos in 10..CONTAINER_HEADER_LEN + 3 * SECTION_ENTRY_LEN {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;
             assert!(
@@ -939,7 +938,7 @@ mod tests {
     #[test]
     fn v2_truncation_and_trailing_garbage_detected() {
         let bytes = sample_v2();
-        for cut in [0, 9, HEADER_LEN_V2 - 1, bytes.len() - 1] {
+        for cut in [0, 9, CONTAINER_HEADER_LEN - 1, bytes.len() - 1] {
             assert!(SectionTable::parse(&bytes[..cut]).is_err());
         }
         let mut padded = bytes.clone();

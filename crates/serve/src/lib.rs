@@ -7,10 +7,12 @@
 //!
 //! * [`TrajectoryBank`] — dictionary + trajectories (+ an optional
 //!   multi-fault dictionary) persisted to disk through a self-contained
-//!   binary [`codec`]: a sectioned v2 container whose sections are
-//!   type-tagged, length-prefixed, and independently checksummed
-//!   (unknown sections skip; the vendored `serde` is a marker-only shim,
-//!   so the codec is hand-rolled).
+//!   binary [`codec`]: a sectioned v3 container whose sections are
+//!   type-tagged, length-prefixed, and independently checksummed, with
+//!   the trajectories laid out for zero-copy mapped serving (unknown
+//!   sections skip; v2 banks are read only so `ftd reencode` can migrate
+//!   them; the vendored `serde` is a marker-only shim, so the codec is
+//!   hand-rolled).
 //! * [`SegmentIndex`] — a spatial index over signature space: a
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests, incremental per-trajectory

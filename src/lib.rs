@@ -16,7 +16,7 @@
 //! * [`core`] — the paper's method: signatures, trajectories, fitness
 //!   `1/(1+I)`, GA ATPG, perpendicular-distance diagnosis, metrics.
 //! * [`serve`] — the serving layer: persistent trajectory banks
-//!   (sectioned v2 container), the segment spatial index, batched
+//!   (sectioned v3 container), the segment spatial index, batched
 //!   diagnosis, out-of-core multi-circuit bank sharding (`BankStore`:
 //!   zero-copy mmap loads, LRU eviction under a memory budget, hot
 //!   shard reload), the persistent-pool front-end (`ServeHandle`), the
