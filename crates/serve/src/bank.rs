@@ -260,8 +260,9 @@ type SectionCell<T> = Mutex<Option<Result<T, Arc<CodecError>>>>;
 /// regardless of payload size — callers that serve from the set run
 /// [`MappedBank::verify_trajectory_payload`] plus
 /// [`TrajectorySet::validate_deep`] once before trusting the bytes. The
-/// dictionary and multi-fault sections stay untouched mapped bytes: neither read, checksummed, nor decoded
-/// until [`dictionary`](MappedBank::dictionary) /
+/// dictionary and multi-fault sections stay untouched mapped bytes:
+/// neither read, checksummed, nor decoded until
+/// [`dictionary`](MappedBank::dictionary) /
 /// [`multifault_dictionary`](MappedBank::multifault_dictionary) is
 /// called — and their decoded forms can be dropped again with
 /// [`evict_decoded`](MappedBank::evict_decoded) while the trajectory
@@ -287,7 +288,9 @@ pub struct MappedBank {
 
 impl MappedBank {
     /// Maps `path` and opens it as a bank, returning the mapped handle
-    /// and the trajectory set, viewed in place (zero-copy).
+    /// and the trajectory set: viewed in place (zero-copy), or decoded
+    /// owned where the regions cannot be (misaligned container,
+    /// big-endian host).
     ///
     /// # Errors
     ///
@@ -500,15 +503,15 @@ impl MappedBank {
         kind: u16,
         decode: fn(&mut Decoder) -> Result<T, CodecError>,
     ) -> Result<Option<T>, Arc<CodecError>> {
-        let (map, table) = (&self.map, &self.table);
         if let Some(counter) = &self.decode_events {
             counter.inc();
         }
         let run = || -> Result<Option<T>, CodecError> {
+            let bytes = self.map.bytes();
             let Some(payload) = (if kind == SECTION_DICTIONARY {
-                Some(table.require(map.bytes(), kind)?)
+                Some(self.table.require(bytes, kind)?)
             } else {
-                table.find(map.bytes(), kind)?
+                self.table.find(bytes, kind)?
             }) else {
                 return Ok(None);
             };

@@ -85,8 +85,8 @@ pub fn section_name(kind: u16) -> &'static str {
 }
 
 /// Checks the magic and returns the container's declared format version
-/// without validating anything else — the dispatch point between the v2
-/// and v3 trajectory payload readers.
+/// without validating anything else, so a reader can refuse a version it
+/// does not read before parsing the section table.
 ///
 /// # Errors
 ///
@@ -336,7 +336,7 @@ impl Encoder {
         self.buf.is_empty()
     }
 
-    /// The raw payload bytes encoded so far — the body of one v2 section
+    /// The raw payload bytes encoded so far — the body of one section
     /// (hand to [`ContainerBuilder::push_section`]).
     pub fn into_payload(self) -> Vec<u8> {
         self.buf
@@ -1006,40 +1006,23 @@ mod tests {
             assert_eq!(table.version(), version);
             assert_eq!(table.require(&bytes, SECTION_DICTIONARY).unwrap(), b"dict");
         }
-        // An unknown sectioned future version is still rejected.
-        let mut b = ContainerBuilder::new();
-        b.push_section(SECTION_DICTIONARY, b"dict".to_vec());
-        let mut bytes = b.finish();
-        bytes[8] = 4;
-        assert!(matches!(
-            SectionTable::parse(&bytes),
-            Err(CodecError::UnsupportedVersion {
-                found: 4,
-                mapped: false
-            })
-        ));
-    }
-
-    #[test]
-    fn v1_container_rejected_by_sectioned_parser() {
-        // The version field sits outside the table checksum, so a
-        // sectioned container stamped 1 is well formed apart from it.
-        let mut v1 = sample_v2();
-        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(peek_version(&v1).unwrap(), 1);
-        let err = SectionTable::parse(&v1).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CodecError::UnsupportedVersion {
-                    found: 1,
-                    mapped: false
-                }
-            ),
-            "{err:?}"
-        );
-        // The message states what this reader does read.
-        assert!(err.to_string().contains("reads v2 and v3"), "{err}");
+        // Every other version is rejected — v1 (the deleted monolithic
+        // format) and an unknown future one — and the message states
+        // what this reader does read. The version field sits outside the
+        // table checksum, so the rest of the container is well formed.
+        for version in [1u16, 4] {
+            let mut bytes = sample_v2();
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            let err = SectionTable::parse(&bytes).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CodecError::UnsupportedVersion { found, mapped: false } if found == version
+                ),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("reads v2 and v3"), "{err}");
+        }
     }
 
     #[test]
