@@ -1149,10 +1149,10 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
         return bank_info_mapped(path);
     }
     let bytes = std::fs::read(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-    let version = peek_version(&bytes).map_err(runtime)?;
+    let version = peek_version(&bytes).map_err(|e| runtime(e.in_file(path)))?;
     println!("bank `{path}`: {} bytes, format v{version}", bytes.len());
 
-    let table = SectionTable::parse(&bytes).map_err(runtime)?;
+    let table = SectionTable::parse(&bytes).map_err(|e| runtime(e.in_file(path)))?;
     if version == BANK_VERSION {
         println!("layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)");
     } else {
@@ -1886,6 +1886,21 @@ mod tests {
         };
         assert!(msg.contains("ftd reencode IN OUT"), "{msg}");
         assert!(msg.contains("v2.ftb"), "{msg}");
+        // A v1 container is refused by every subcommand, naming the file.
+        let v1 = dir.join("v1.ftb");
+        let mut bytes = read(&v3);
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&v1, bytes).unwrap();
+        let Err(CliError::Runtime(msg)) = bank_info(&[arg(&v1)]) else {
+            panic!("bank-info must fail at runtime on a v1 bank");
+        };
+        assert!(msg.contains("v1.ftb") && msg.contains("version 1"), "{msg}");
+        assert_eq!(main_from_args(mapped(&v1)), 1);
+        let back = dir.join("from_v1.ftb");
+        assert_eq!(
+            main_from_args(vec!["reencode".into(), arg(&v1), arg(&back)]),
+            1
+        );
         // Usage errors: an unknown flag, missing paths.
         assert_eq!(
             main_from_args(vec![
