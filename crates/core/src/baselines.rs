@@ -293,6 +293,9 @@ impl NnDictionary {
     }
 
     /// Ranks components by the distance of their nearest stored point.
+    /// Equal distances keep dictionary order (the order in which each
+    /// component first appears), so ties break first-wins, as in
+    /// [`Diagnosis::from_candidates`](crate::Diagnosis::from_candidates).
     ///
     /// # Panics
     ///
@@ -303,23 +306,25 @@ impl NnDictionary {
             self.test_vector.len(),
             "signature dimension mismatch"
         );
-        use std::collections::HashMap;
-        let mut best: HashMap<&str, (f64, f64)> = HashMap::new();
+        let mut candidates: Vec<Candidate> = Vec::new();
         for (comp, dev, sig) in &self.points {
             let d = observed.distance(sig);
-            let entry = best.entry(comp.as_str()).or_insert((f64::INFINITY, 0.0));
-            if d < entry.0 {
-                *entry = (d, *dev);
+            let slot = match candidates.iter().position(|c| c.component == *comp) {
+                Some(i) => &mut candidates[i],
+                None => {
+                    candidates.push(Candidate {
+                        component: comp.clone(),
+                        distance: f64::INFINITY,
+                        deviation_pct: 0.0,
+                    });
+                    candidates.last_mut().expect("just pushed")
+                }
+            };
+            if d < slot.distance {
+                slot.distance = d;
+                slot.deviation_pct = *dev;
             }
         }
-        let mut candidates: Vec<Candidate> = best
-            .into_iter()
-            .map(|(comp, (distance, deviation_pct))| Candidate {
-                component: comp.to_string(),
-                distance,
-                deviation_pct,
-            })
-            .collect();
         candidates.sort_by(|a, b| a.distance.partial_cmp(&b.distance).expect("finite"));
         candidates
     }
@@ -401,6 +406,28 @@ mod tests {
         assert_eq!(ranked[0].deviation_pct, fault.percent());
         // One candidate per component.
         assert_eq!(ranked.len(), d.universe().components().len());
+    }
+
+    #[test]
+    fn nn_dictionary_ties_keep_dictionary_order() {
+        // Two components share a stored point, so every query ties them.
+        // The order must not depend on per-process hash state.
+        let at = |x: f64, y: f64| Signature::new(vec![x, y]);
+        let nn = NnDictionary {
+            test_vector: TestVector::pair(0.5, 2.0),
+            points: vec![
+                ("Z9".to_string(), 10.0, at(1.0, -2.0)),
+                ("A1".to_string(), 20.0, at(1.0, -2.0)),
+                ("M5".to_string(), 30.0, at(9.0, 9.0)),
+            ],
+        };
+        for _ in 0..64 {
+            let ranked = nn.classify(&at(1.5, -2.0));
+            let order: Vec<&str> = ranked.iter().map(|c| c.component.as_str()).collect();
+            assert_eq!(order, ["Z9", "A1", "M5"]);
+            assert_eq!(ranked[0].deviation_pct, 10.0);
+            assert_eq!(ranked[0].distance, ranked[1].distance);
+        }
     }
 
     #[test]
