@@ -53,12 +53,17 @@ impl Diagnosis {
     /// Components whose distance is within `ambiguity_ratio` × best
     /// distance — the ambiguity set containing the true suspect.
     pub fn ambiguity_set(&self) -> Vec<&str> {
+        self.ambiguity_iter().collect()
+    }
+
+    /// [`Diagnosis::ambiguity_set`] in the same order, without
+    /// collecting it.
+    pub fn ambiguity_iter(&self) -> impl Iterator<Item = &str> {
         let threshold = self.best().distance.max(1e-12) * self.ambiguity_ratio;
         self.candidates
             .iter()
-            .filter(|c| c.distance <= threshold)
+            .filter(move |c| c.distance <= threshold)
             .map(|c| c.component.as_str())
-            .collect()
     }
 
     /// `true` when more than one component falls in the ambiguity set.

@@ -279,14 +279,23 @@ impl<'a> Flags<'a> {
 /// that compute identical values render identical bytes — the property
 /// the CI smoke `cmp`s `serve` output against `diagnose --requests`.
 pub(crate) fn render_diagnosis_line(cut_id: &str, diagnosis: &Diagnosis) -> String {
+    use std::fmt::Write;
     let best = diagnosis.best();
-    format!(
-        "{cut_id}\t{}\t{}\t{}\t{}",
-        best.component,
-        best.deviation_pct,
-        best.distance,
-        diagnosis.ambiguity_set().join(",")
-    )
+    // One buffer for the whole line: the two shortest-round-trip floats
+    // rarely pass 24 bytes each, and the ambiguity set is a few names.
+    let mut line = String::with_capacity(cut_id.len() + 4 * best.component.len() + 64);
+    line.push_str(cut_id);
+    line.push('\t');
+    line.push_str(&best.component);
+    write!(line, "\t{}\t{}\t", best.deviation_pct, best.distance)
+        .expect("writing to a String cannot fail");
+    for (i, component) in diagnosis.ambiguity_iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(component);
+    }
+    line
 }
 
 /// Parses one request line — `CUT_ID X1 X2 ...`, whitespace-separated —
@@ -854,10 +863,49 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             Err(runtime(format!("stdout: {e}")))
         }
     };
+    // Prints completed batches, oldest first, until at most `keep` stay
+    // in flight; `Ok(false)` means stdout closed and serving stops.
+    let drain_to = |handle: &mut ServeHandle,
+                    in_flight: &mut std::collections::VecDeque<Vec<String>>,
+                    keep: usize|
+     -> Result<bool, CliError> {
+        while in_flight.len() > keep {
+            let results = handle.drain_one().expect("submitted batch completes");
+            let mut cuts = in_flight.pop_front().expect("in-flight cuts per batch");
+            if let Err(e) = print_batch(&mut cuts, results) {
+                return write_failed(e);
+            }
+        }
+        Ok(true)
+    };
     let mut in_flight: std::collections::VecDeque<Vec<String>> = std::collections::VecDeque::new();
     let mut stats_written_at = 0usize;
-    'stream: for (i, line) in stdin.lock().lines().enumerate() {
-        let line = line.map_err(|e| runtime(format!("stdin: {e}")))?;
+    let mut reader = std::io::BufReader::with_capacity(64 * 1024, stdin.lock());
+    let mut line = String::new();
+    let mut lineno = 0usize;
+    loop {
+        // Once the bytes already read hold no whole line, the next read
+        // may block on a quiet pipe: answer everything read so far
+        // first, so a client that waits for its answers before writing
+        // more is never left hanging. At EOF this prints the tail.
+        if !reader.buffer().contains(&b'\n') {
+            if !chunk.is_empty() {
+                handle.submit(std::mem::take(&mut chunk));
+                in_flight.push_back(std::mem::take(&mut cuts));
+                chunk.reserve(batch);
+            }
+            if !drain_to(&mut handle, &mut in_flight, 0)? {
+                break;
+            }
+        }
+        line.clear();
+        let read = reader
+            .read_line(&mut line)
+            .map_err(|e| runtime(format!("stdin: {e}")))?;
+        if read == 0 {
+            break;
+        }
+        lineno += 1;
         // `!stats` is an in-band control line, not a request: print a
         // one-shot snapshot to stderr (stdout stays pure diagnoses).
         if line.trim() == "!stats" {
@@ -868,7 +916,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             }
             continue;
         }
-        let Some(req) = parse_request_line(&line, i + 1)? else {
+        let Some(req) = parse_request_line(&line, lineno)? else {
             continue;
         };
         cuts.push(req.cut_id.clone());
@@ -879,15 +927,8 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             chunk.reserve(batch);
             // Keep at most two batches in flight: enough to overlap
             // reading with serving, bounded so output stays prompt.
-            while in_flight.len() > 2 {
-                let results = handle.drain_one().expect("submitted batch completes");
-                if let Err(e) =
-                    print_batch(&mut in_flight.pop_front().expect("in-flight cuts"), results)
-                {
-                    if !write_failed(e)? {
-                        break 'stream;
-                    }
-                }
+            if !drain_to(&mut handle, &mut in_flight, 2)? {
+                break;
             }
             // Periodic snapshots land on batch boundaries: close enough
             // to "every N requests" without a write on the hot path.
@@ -896,20 +937,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
                     write_stats(path)?;
                     stats_written_at = served.get();
                 }
-            }
-        }
-    }
-    if !chunk.is_empty() {
-        handle.submit(chunk);
-        in_flight.push_back(std::mem::take(&mut cuts));
-    }
-    while let Some(results) = handle.drain_one() {
-        if let Err(e) = print_batch(
-            &mut in_flight.pop_front().expect("in-flight cuts per batch"),
-            results,
-        ) {
-            if !write_failed(e)? {
-                break;
             }
         }
     }
@@ -2031,6 +2058,35 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn render_diagnosis_line_bytes() {
+        let at = |component: &str, distance: f64, deviation_pct: f64| ft_core::Candidate {
+            component: component.into(),
+            distance,
+            deviation_pct,
+        };
+        // Ratio 1.5 around a best distance of 0.5: only R2 is inside.
+        let one = Diagnosis::from_candidates(vec![at("C1", 3.0, -10.0), at("R2", 0.5, 25.0)], 1.5);
+        assert_eq!(
+            render_diagnosis_line("cut-7", &one),
+            "cut-7\tR2\t25\t0.5\tR2"
+        );
+        // Three components within 1.5 × 0.25; shortest round-trip floats.
+        let three = Diagnosis::from_candidates(
+            vec![
+                at("R1", 5.0, 40.0),
+                at("R3", 0.25, 0.1 + 0.2),
+                at("R5", 0.3, -4.0),
+                at("C2", 0.375, 1e-3),
+            ],
+            1.5,
+        );
+        assert_eq!(
+            render_diagnosis_line("q15", &three),
+            "q15\tR3\t0.30000000000000004\t0.25\tR3,R5,C2"
+        );
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! hand-rolled over raw `extern "C"` syscalls the way [`crate::mmap`]
 //! wraps `mmap(2)` (the vendored environment has no libc crate), that
 //! owns every socket and feeds decoded requests into the existing
-//! worker pool. Workers wake the loop back through a self-pipe (see
-//! [`ServeHandle::with_notifier`]), so the loop never blocks on anything
-//! but the poller. `poll(2)` is the readiness call every unix has, so
-//! the tier runs on unix only: elsewhere [`NetServer::run`] returns
-//! [`std::io::ErrorKind::Unsupported`]. The frame codec and the load
-//! generator are portable.
+//! worker pool. Workers wake the loop back through a self-pipe, once
+//! per finished batch (see [`ServeHandle::with_notifier`]), so the loop
+//! never blocks on anything but the poller. `poll(2)` is the readiness
+//! call every unix has, so the tier runs on unix only: elsewhere
+//! [`NetServer::run`] returns [`std::io::ErrorKind::Unsupported`]. The
+//! frame codec and the load generator are portable.
 //!
 //! ## Wire protocol
 //!
@@ -50,7 +50,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -107,16 +107,30 @@ fn frame_checksum(kind: u16, len: u32, payload: &[u8]) -> u64 {
 /// Encodes one frame (header + payload). Panics if `payload` exceeds
 /// [`MAX_FRAME_PAYLOAD`] — callers control payload sizes.
 pub fn encode_frame(kind: u16, payload: &[u8]) -> Vec<u8> {
+    build_frame(kind, payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// Builds one frame in a single allocation: the header, the `len`
+/// payload bytes that `put` appends, and the checksum patched into the
+/// header last. Panics if `len` exceeds [`MAX_FRAME_PAYLOAD`].
+fn build_frame(kind: u16, len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     assert!(
-        payload.len() <= MAX_FRAME_PAYLOAD as usize,
+        len <= MAX_FRAME_PAYLOAD as usize,
         "frame payload over the wire cap"
     );
-    let len = payload.len() as u32;
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    let len32 = len as u32;
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + len);
     out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&frame_checksum(kind, len, payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&len32.to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    put(&mut out);
+    debug_assert_eq!(
+        out.len(),
+        FRAME_HEADER_LEN + len,
+        "payload length as declared"
+    );
+    let checksum = frame_checksum(kind, len32, &out[FRAME_HEADER_LEN..]);
+    out[6..FRAME_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -215,13 +229,18 @@ fn clip_text(text: &str, max: usize) -> Cow<'_, str> {
 
 /// Encodes a response frame: status byte (0 ok, 1 error) + the serve
 /// output line (clipped via [`clip_text`] in the pathological case of
-/// a line that would overflow the frame cap).
+/// a line that would overflow the frame cap). The payload is laid out
+/// as [`Encoder::put_u8`] + [`Encoder::put_str`] would, straight into
+/// the frame buffer.
 pub fn encode_response(line: &str, is_error: bool) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u8(u8::from(is_error));
     // Payload overhead: 1 status byte + 4-byte string length prefix.
-    enc.put_str(&clip_text(line, MAX_FRAME_PAYLOAD as usize - 5));
-    encode_frame(FRAME_RESPONSE, &enc.into_payload())
+    const OVERHEAD: usize = 5;
+    let line = clip_text(line, MAX_FRAME_PAYLOAD as usize - OVERHEAD);
+    build_frame(FRAME_RESPONSE, OVERHEAD + line.len(), |out| {
+        out.push(u8::from(is_error));
+        out.extend_from_slice(&(line.len() as u32).to_le_bytes());
+        out.extend_from_slice(line.as_bytes());
+    })
 }
 
 /// Decodes a response frame payload into `(is_error, line)`.
@@ -564,6 +583,7 @@ mod poller {
 /// A nonblocking self-pipe: the read end wakes the poller, the write
 /// end is poked by pool workers and signal handlers.
 #[cfg(unix)]
+#[derive(Debug)]
 struct WakePipe {
     read_fd: i32,
     write_fd: i32,
@@ -619,33 +639,36 @@ impl WakePipe {
             }
         }
     }
+
+    /// Writes one wake byte. A full pipe already holds a pending wake,
+    /// so a failed write loses nothing.
+    fn poke(&self) {
+        let byte = [1u8];
+        // SAFETY: `byte` is a live one-byte buffer that `write(2)` only
+        // reads, and `write_fd` stays open while `self` lives (see
+        // `Drop`). Async-signal-safe, which `drain_on_signal` needs.
+        // Exercised by every batch completion and
+        // `ShutdownHandle::shutdown` in `tests/net_serve.rs`, and by
+        // `shutdown_after_run_pokes_only_its_own_pipe`.
+        unsafe { sys::write(self.write_fd, byte.as_ptr().cast(), 1) };
+    }
 }
 
 #[cfg(unix)]
 impl Drop for WakePipe {
     fn drop(&mut self) {
         // SAFETY: `WakePipe` owns both fds from `new` on and closes them
-        // only here, once. The event loop stops its pokers first: it
-        // joins the pool workers and resets the shutdown handle's
-        // `wake_fd` to -1 before the pipe drops. Exercised by every
-        // `tests/net_serve.rs` server that stops.
+        // only here, once. Its one instance lives in `ShutdownShared`,
+        // and every poker — each `ShutdownHandle` clone (the signal
+        // target among them) and the pool notifier — holds the `Arc`
+        // around it, so no `write(2)` can reach these fds once they
+        // close: they close when the server and its last handle drop.
+        // Exercised by every `tests/net_serve.rs` server that stops and
+        // by `shutdown_after_run_pokes_only_its_own_pipe`.
         unsafe {
             sys::close(self.read_fd);
             sys::close(self.write_fd);
         }
-    }
-}
-
-#[cfg(unix)]
-fn poke(fd: i32) {
-    if fd >= 0 {
-        let byte = [1u8];
-        // SAFETY: `byte` is a live one-byte buffer that `write(2)` only
-        // reads. A stale fd makes the call fail with `EBADF`; it cannot
-        // touch memory. Async-signal-safe, which `drain_on_signal`
-        // needs. Exercised by every worker completion and
-        // `ShutdownHandle::shutdown` in `tests/net_serve.rs`.
-        unsafe { sys::write(fd, byte.as_ptr().cast(), 1) };
     }
 }
 
@@ -656,9 +679,10 @@ fn poke(fd: i32) {
 #[derive(Debug)]
 struct ShutdownShared {
     flag: AtomicBool,
-    /// The event loop's wake-pipe write fd once `run` starts; −1
-    /// otherwise. Only ever poked (async-signal-safe `write(2)`).
-    wake_fd: AtomicI32,
+    /// The event loop's self-pipe, created with the server. Pokers hold
+    /// this struct's `Arc`, which keeps the pipe's fds open.
+    #[cfg(unix)]
+    wake: WakePipe,
 }
 
 /// Requests a graceful drain of a running [`NetServer`] from any thread
@@ -670,22 +694,23 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    fn new() -> ShutdownHandle {
-        ShutdownHandle {
+    fn new() -> io::Result<ShutdownHandle> {
+        Ok(ShutdownHandle {
             shared: Arc::new(ShutdownShared {
                 flag: AtomicBool::new(false),
-                wake_fd: AtomicI32::new(-1),
+                #[cfg(unix)]
+                wake: WakePipe::new()?,
             }),
-        }
+        })
     }
 
     /// Flips the drain flag and wakes the event loop. Safe to call
-    /// repeatedly, from any thread, and from a signal handler (it only
-    /// does an atomic store and a `write(2)`).
+    /// repeatedly, from any thread, from a signal handler (it only does
+    /// an atomic store and a `write(2)`), and after the server stopped.
     pub fn shutdown(&self) {
         self.shared.flag.store(true, Ordering::SeqCst);
         #[cfg(unix)]
-        poke(self.shared.wake_fd.load(Ordering::SeqCst));
+        self.shared.wake.poke();
     }
 
     /// Whether a drain has been requested.
@@ -701,8 +726,7 @@ static SIGNAL_TARGET: std::sync::OnceLock<ShutdownHandle> = std::sync::OnceLock:
 extern "C" fn drain_on_signal(_sig: std::os::raw::c_int) {
     // Async-signal-safe: an atomic store and a write(2), nothing else.
     if let Some(handle) = SIGNAL_TARGET.get() {
-        handle.shared.flag.store(true, Ordering::SeqCst);
-        poke(handle.shared.wake_fd.load(Ordering::SeqCst));
+        handle.shutdown();
     }
 }
 
@@ -813,11 +837,12 @@ impl std::fmt::Debug for NetServer {
 }
 
 impl NetServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:4174"`; port 0 picks a free one).
+    /// Binds `addr` (e.g. `"127.0.0.1:4174"`; port 0 picks a free one)
+    /// and creates the event loop's self-pipe.
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] if the bind fails.
+    /// [`NetError::Io`] if the bind or the pipe fails.
     pub fn bind(
         addr: impl ToSocketAddrs,
         store: Arc<BankStore>,
@@ -830,7 +855,7 @@ impl NetServer {
             store,
             registry: Arc::clone(registry),
             config,
-            shutdown: ShutdownHandle::new(),
+            shutdown: ShutdownHandle::new().map_err(NetError::io("wake pipe"))?,
         })
     }
 
@@ -890,21 +915,18 @@ impl NetServer {
         listener
             .set_nonblocking(true)
             .map_err(NetError::io("listener nonblock"))?;
-        let wake = WakePipe::new().map_err(NetError::io("wake pipe"))?;
-        shutdown
-            .shared
-            .wake_fd
-            .store(wake.write_fd, Ordering::SeqCst);
         let metrics = registry
             .is_enabled()
             .then(|| NetMetrics::from_registry(&registry));
-        let notify_fd = wake.write_fd;
+        // The notifier holds the pipe's `Arc`, like every other poker.
+        let shared = Arc::clone(&shutdown.shared);
         let handle = ServeHandle::with_notifier(
             Arc::clone(&store),
             config.workers,
             &registry,
-            Arc::new(move || poke(notify_fd)),
+            Arc::new(move || shared.wake.poke()),
         );
+        let wake = &shutdown.shared.wake;
 
         let mut poller = Poller::default();
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
@@ -1009,7 +1031,6 @@ impl NetServer {
             handle, summary, ..
         } = lp;
         drop(handle); // joins the workers (discarding any orphaned runs)
-        shutdown.shared.wake_fd.store(-1, Ordering::SeqCst);
         Ok(summary)
     }
 }
@@ -1967,6 +1988,67 @@ mod tests {
     }
 
     #[test]
+    fn encode_response_matches_the_encoder_composition() {
+        // The frame as an `Encoder` payload copied into `encode_frame`:
+        // `encode_response` must write the same bytes in one buffer.
+        let composed = |line: &str, is_error: bool| {
+            let mut enc = Encoder::new();
+            enc.put_u8(u8::from(is_error));
+            enc.put_str(&clip_text(line, MAX_FRAME_PAYLOAD as usize - 5));
+            encode_frame(FRAME_RESPONSE, &enc.into_payload())
+        };
+        let clipped = "é".repeat(MAX_FRAME_PAYLOAD as usize / 2 + 7);
+        assert!(clipped.len() > MAX_FRAME_PAYLOAD as usize - 5);
+        for (line, is_error) in [
+            ("cut-7\tR2\t25.000000000000004\t0.125\tR2,R3", false),
+            ("ghost\terror\tunknown CUT `ghost`", true),
+            (clipped.as_str(), false),
+        ] {
+            assert_eq!(
+                encode_response(line, is_error),
+                composed(line, is_error),
+                "{}-byte line, error {is_error}",
+                line.len()
+            );
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_after_run_pokes_only_its_own_pipe() {
+        let store = Arc::new(BankStore::in_memory(crate::EngineConfig::default()));
+        let registry = Arc::new(MetricsRegistry::noop());
+        let config = NetConfig {
+            workers: 1,
+            ..NetConfig::default()
+        };
+        let server = NetServer::bind("127.0.0.1:0", store, &registry, config).unwrap();
+        let handle = server.shutdown_handle();
+        let running = std::thread::spawn(move || server.run());
+        handle.shutdown();
+        running.join().unwrap().unwrap();
+        handle.shared.wake.drain();
+
+        // `run` has returned and the server is gone, so fds it closed
+        // would be reused by these pipes. A late shutdown must poke only
+        // the pipe this handle keeps open.
+        let fresh: Vec<WakePipe> = (0..4).map(|_| WakePipe::new().unwrap()).collect();
+        handle.shutdown();
+        handle.shutdown();
+        let mut poller = Poller::default();
+        for (token, pipe) in fresh.iter().enumerate() {
+            poller.add(pipe.read_fd, token as u64, true, false);
+        }
+        poller.add(handle.shared.wake.read_fd, 99, true, false);
+        let mut events = Vec::new();
+        poller
+            .wait(Some(Duration::from_millis(50)), &mut events)
+            .unwrap();
+        let woken: Vec<u64> = events.iter().map(|e| e.token).collect();
+        assert_eq!(woken, [99], "only the server's own pipe holds a byte");
+    }
+
+    #[test]
     fn oversized_frames_reject_from_the_header() {
         let mut bad = Vec::new();
         bad.extend_from_slice(&FRAME_REQUEST.to_le_bytes());
@@ -2078,7 +2160,7 @@ mod tests {
         poller.wait(ms(10), &mut events).unwrap();
         assert!(events.is_empty(), "nothing written yet");
 
-        poke(b.write_fd);
+        b.poke();
         poller.wait(ms(1000), &mut events).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 42);

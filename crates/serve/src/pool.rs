@@ -19,7 +19,8 @@
 //! [`DiagnosisEngine::diagnose_batch`]: crate::DiagnosisEngine::diagnose_batch
 //! [`DiagnosisEngine::diagnose`]: crate::DiagnosisEngine::diagnose
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -44,6 +45,10 @@ struct Job {
     batch: BatchId,
     start: usize,
     requests: Vec<DiagnosisRequest>,
+    /// The batch's requests not yet published, shared by all its runs:
+    /// the worker that takes it to zero runs the notifier, once per
+    /// batch.
+    unpublished: Arc<AtomicUsize>,
 }
 
 /// Per-batch reassembly state: filled slot count + the slots.
@@ -54,6 +59,12 @@ struct Pending {
     /// request's end-to-end latency is recorded against it when the
     /// batch completes.
     enqueued: Option<Instant>,
+}
+
+impl Pending {
+    fn complete(&self) -> bool {
+        self.filled == self.slots.len()
+    }
 }
 
 /// A persistent worker pool serving [`DiagnosisRequest`]s against a
@@ -70,10 +81,10 @@ pub struct ServeHandle {
     results: Receiver<(BatchId, usize, Vec<ServeResult>)>,
     /// Set on drop so workers discard any still-queued backlog instead
     /// of diagnosing requests whose results nobody will read.
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-    /// (batch id, batch length) in submission order.
-    submitted: VecDeque<(BatchId, usize)>,
-    pending: HashMap<BatchId, Pending>,
+    shutdown: Arc<AtomicBool>,
+    /// Undrained batches in submission order: batch `id` sits at index
+    /// `id - (next_batch - pending.len())`.
+    pending: VecDeque<Pending>,
     next_batch: BatchId,
     metrics: Option<PoolMetrics>,
 }
@@ -82,7 +93,7 @@ impl std::fmt::Debug for ServeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeHandle")
             .field("workers", &self.workers.len())
-            .field("pending_batches", &self.submitted.len())
+            .field("pending_batches", &self.pending.len())
             .finish()
     }
 }
@@ -113,12 +124,14 @@ impl ServeHandle {
     }
 
     /// Like [`ServeHandle::with_metrics`], but additionally installs a
-    /// completion notifier: workers call `notify` after publishing each
-    /// finished run. A non-blocking front-end (the TCP event loop) uses
+    /// completion notifier: `notify` runs once per batch, on the worker
+    /// that publishes the batch's last run, after that run is published
+    /// — so a [`ServeHandle::try_drain_one`] after the wake finds the
+    /// whole batch. A non-blocking front-end (the TCP event loop) uses
     /// this to wake its poller — e.g. by writing one byte to a self-pipe
-    /// registered for read interest — and then collects the completed
-    /// batches with [`ServeHandle::try_drain_one`] instead of parking on
-    /// the blocking [`ServeHandle::drain_one`].
+    /// registered for read interest — instead of parking on the
+    /// blocking [`ServeHandle::drain_one`]. An empty batch has no runs:
+    /// it is complete at submit and never notifies.
     ///
     /// `notify` runs on worker threads and must be cheap and non-blocking.
     pub fn with_notifier(
@@ -143,7 +156,7 @@ impl ServeHandle {
         let (job_tx, job_rx) = channel::<Job>();
         let (res_tx, res_rx) = channel();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let shutdown = Arc::new(AtomicBool::new(false));
         let threads = (0..workers)
             .map(|i| {
                 let job_rx = Arc::clone(&job_rx);
@@ -175,52 +188,49 @@ impl ServeHandle {
                         // Acquire pairs with the Release store in Drop,
                         // so a worker that sees the flag also sees every
                         // write the dropping thread made before it.
-                        if shutdown.load(std::sync::atomic::Ordering::Acquire) {
+                        if shutdown.load(Ordering::Acquire) {
                             continue;
                         }
                         // Resolve each shard once per same-CUT stretch of
                         // the run, keeping the shard-map lock — and the
                         // per-hit generation stat — off the per-request
-                        // path. The cached resolution is stamped with the
-                        // store epoch: any slot swap (hot reload,
-                        // eviction, retirement) bumps it, which forces a
-                        // re-resolve so a run never keeps serving a shard
-                        // the store has since replaced.
-                        let mut cached: Option<(String, u64, Arc<crate::DiagnosisEngine>)> = None;
-                        let results: Vec<ServeResult> = job
-                            .requests
-                            .iter()
-                            .map(|request| -> ServeResult {
-                                let engine = match &cached {
-                                    Some((id, epoch, engine))
-                                        if *id == request.cut_id && store.epoch() == *epoch =>
-                                    {
-                                        Arc::clone(engine)
+                        // path. The cache names its CUT by the run
+                        // position of the request that resolved it, so a
+                        // CUT switch clones no id. The cached resolution
+                        // is stamped with the store epoch: any slot swap
+                        // (hot reload, eviction, retirement) bumps it,
+                        // which forces a re-resolve so a run never keeps
+                        // serving a shard the store has since replaced.
+                        let mut cached: Option<(usize, u64, Arc<crate::DiagnosisEngine>)> = None;
+                        let mut results: Vec<ServeResult> = Vec::with_capacity(job.requests.len());
+                        for (at, request) in job.requests.iter().enumerate() {
+                            let fresh = matches!(&cached, Some((from, epoch, _))
+                                if job.requests[*from].cut_id == request.cut_id
+                                    && store.epoch() == *epoch);
+                            if !fresh {
+                                // Epoch read *before* resolving: if a swap
+                                // lands in between, the stamp is already
+                                // stale and the next request re-resolves —
+                                // the race can only cost a redundant
+                                // lookup, never a stale serve.
+                                let epoch = store.epoch();
+                                match store.engine(&request.cut_id) {
+                                    Ok(engine) => cached = Some((at, epoch, engine)),
+                                    Err(e) => {
+                                        results.push(Err(e));
+                                        continue;
                                     }
-                                    _ => {
-                                        // Epoch read *before* resolving:
-                                        // if a swap lands in between, the
-                                        // stamp is already stale and the
-                                        // next request re-resolves — the
-                                        // race can only cost a redundant
-                                        // lookup, never a stale serve.
-                                        let epoch = store.epoch();
-                                        let engine = store.engine(&request.cut_id)?;
-                                        cached = Some((
-                                            request.cut_id.clone(),
-                                            epoch,
-                                            Arc::clone(&engine),
-                                        ));
-                                        engine
-                                    }
-                                };
-                                // A panicking diagnosis must not kill the
-                                // worker: an unsent result would leave its
-                                // batch slot empty and hang drain forever
-                                // (unlike thread::scope, which re-raises on
-                                // join). Catch and report it in-slot.
+                                }
+                            }
+                            let (_, _, engine) = cached.as_ref().expect("resolved above");
+                            // A panicking diagnosis must not kill the
+                            // worker: an unsent result would leave its
+                            // batch slot empty and hang drain forever
+                            // (unlike thread::scope, which re-raises on
+                            // join). Catch and report it in-slot.
+                            let result =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    crate::store::diagnose_on(&engine, request)
+                                    crate::store::diagnose_on(engine, request)
                                 }))
                                 .unwrap_or_else(|panic| {
                                     let what = panic
@@ -229,19 +239,25 @@ impl ServeHandle {
                                         .or_else(|| panic.downcast_ref::<String>().cloned())
                                         .unwrap_or_else(|| "non-string panic payload".into());
                                     Err(StoreError::Panicked(what))
-                                })
-                            })
-                            .collect();
+                                });
+                            results.push(result);
+                        }
                         if let Some((_, jobs)) = &worker_metrics {
                             jobs.inc();
                         }
+                        let published = results.len();
                         if res_tx.send((job.batch, job.start, results)).is_err() {
                             break; // handle dropped mid-flight
                         }
-                        // Published after the send so the waking caller's
-                        // try_recv is guaranteed to see the run.
-                        if let Some(notify) = &notify {
-                            notify();
+                        // Every run's send happens before its fetch_sub,
+                        // and AcqRel orders the batch's fetch_subs, so
+                        // the worker that takes the count to zero sees
+                        // every run of the batch published: the caller's
+                        // try_recv after this wake finds the whole batch.
+                        if job.unpublished.fetch_sub(published, Ordering::AcqRel) == published {
+                            if let Some(notify) = &notify {
+                                notify();
+                            }
                         }
                     }
                 })
@@ -253,8 +269,7 @@ impl ServeHandle {
             jobs: Some(job_tx),
             results: res_rx,
             shutdown,
-            submitted: VecDeque::new(),
-            pending: HashMap::new(),
+            pending: VecDeque::new(),
             next_batch: 0,
             metrics,
         }
@@ -272,7 +287,7 @@ impl ServeHandle {
 
     /// Batches submitted but not yet drained.
     pub fn pending_batches(&self) -> usize {
-        self.submitted.len()
+        self.pending.len()
     }
 
     /// Enqueues a batch and returns immediately — requests start being
@@ -288,22 +303,19 @@ impl ServeHandle {
     pub fn submit(&mut self, requests: Vec<DiagnosisRequest>) -> BatchId {
         let id = self.next_batch;
         self.next_batch += 1;
-        self.submitted.push_back((id, requests.len()));
         if let Some(m) = &self.metrics {
             m.batch_sizes.record(requests.len() as u64);
         }
-        self.pending.insert(
-            id,
-            Pending {
-                filled: 0,
-                slots: requests.iter().map(|_| None).collect(),
-                enqueued: self.metrics.as_ref().map(|_| Instant::now()),
-            },
-        );
+        self.pending.push_back(Pending {
+            filled: 0,
+            slots: requests.iter().map(|_| None).collect(),
+            enqueued: self.metrics.as_ref().map(|_| Instant::now()),
+        });
         if requests.is_empty() {
             return id;
         }
         let run = requests.len().div_ceil(self.workers.len() * 4).max(1);
+        let unpublished = Arc::new(AtomicUsize::new(requests.len()));
         let jobs = self.jobs.as_ref().expect("job queue open while alive");
         let mut start = 0usize;
         let mut rest = requests;
@@ -314,6 +326,7 @@ impl ServeHandle {
                 batch: id,
                 start,
                 requests: std::mem::replace(&mut rest, tail),
+                unpublished: Arc::clone(&unpublished),
             })
             .expect("workers outlive the handle");
             if let Some(m) = &self.metrics {
@@ -326,10 +339,8 @@ impl ServeHandle {
 
     /// Slots one worker run into its batch's reassembly buffer.
     fn absorb(&mut self, batch: BatchId, start: usize, results: Vec<ServeResult>) {
-        let entry = self
-            .pending
-            .get_mut(&batch)
-            .expect("result for known batch");
+        let front = self.next_batch - self.pending.len() as BatchId;
+        let entry = &mut self.pending[(batch - front) as usize];
         for (offset, result) in results.into_iter().enumerate() {
             debug_assert!(entry.slots[start + offset].is_none(), "slot filled twice");
             entry.slots[start + offset] = Some(result);
@@ -338,9 +349,8 @@ impl ServeHandle {
     }
 
     /// Pops the completed oldest batch and returns it in input order.
-    fn finish_front(&mut self, id: BatchId) -> Vec<ServeResult> {
-        self.submitted.pop_front();
-        let entry = self.pending.remove(&id).expect("completed batch present");
+    fn finish_front(&mut self) -> Vec<ServeResult> {
+        let entry = self.pending.pop_front().expect("completed batch present");
         let batch: Vec<ServeResult> = entry
             .slots
             .into_iter()
@@ -367,15 +377,14 @@ impl ServeHandle {
     /// outstanding. Younger batches keep being served in the background
     /// while this waits.
     pub fn drain_one(&mut self) -> Option<Vec<ServeResult>> {
-        let (id, len) = *self.submitted.front()?;
-        while self.pending.get(&id).expect("pending entry exists").filled < len {
+        while !self.pending.front()?.complete() {
             let (batch, start, results) = self
                 .results
                 .recv()
                 .expect("workers alive while batches are outstanding");
             self.absorb(batch, start, results);
         }
-        Some(self.finish_front(id))
+        Some(self.finish_front())
     }
 
     /// Non-blocking [`ServeHandle::drain_one`]: absorbs every worker run
@@ -388,17 +397,16 @@ impl ServeHandle {
         while let Ok((batch, start, results)) = self.results.try_recv() {
             self.absorb(batch, start, results);
         }
-        let (id, len) = *self.submitted.front()?;
-        if self.pending.get(&id).expect("pending entry exists").filled < len {
+        if !self.pending.front()?.complete() {
             return None;
         }
-        Some(self.finish_front(id))
+        Some(self.finish_front())
     }
 
     /// Blocks until **every** outstanding batch completes; returns them
     /// in submission order, each batch in input order.
     pub fn drain(&mut self) -> Vec<Vec<ServeResult>> {
-        let mut out = Vec::with_capacity(self.submitted.len());
+        let mut out = Vec::with_capacity(self.pending.len());
         while let Some(batch) = self.drain_one() {
             out.push(batch);
         }
@@ -417,8 +425,7 @@ impl Drop for ServeHandle {
         // flight. Release pairs with the workers' Acquire load, giving
         // the flag a synchronizing edge of its own instead of riding on
         // the channel's internal synchronization.
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.shutdown.store(true, Ordering::Release);
         drop(self.jobs.take());
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -640,41 +647,56 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let (store, requests) = two_cut_store();
-        let mut blocking = ServeHandle::new(Arc::clone(&store), 3);
-        let chunks: Vec<Vec<DiagnosisRequest>> = requests.chunks(5).map(|c| c.to_vec()).collect();
-        for chunk in &chunks {
-            blocking.submit(chunk.clone());
-        }
-        let reference = blocking.drain();
-
-        let wakes = Arc::new(AtomicUsize::new(0));
-        let registry = Arc::new(MetricsRegistry::noop());
-        let counter = Arc::clone(&wakes);
-        let mut handle = ServeHandle::with_notifier(
-            store,
-            3,
-            &registry,
-            Arc::new(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        assert!(handle.try_drain_one().is_none(), "nothing outstanding yet");
-        for chunk in &chunks {
-            handle.submit(chunk.clone());
-        }
-        let mut drained = Vec::new();
-        while drained.len() < chunks.len() {
-            match handle.try_drain_one() {
-                Some(batch) => drained.push(batch),
-                None => std::thread::yield_now(),
+        // Batches of 5 are cut into several runs at either worker count
+        // (3 runs at 1 worker, 5 at 3), and an empty batch sits in the
+        // middle of the sequence.
+        let mut chunks: Vec<Vec<DiagnosisRequest>> =
+            requests.chunks(5).map(|c| c.to_vec()).collect();
+        chunks.insert(2, Vec::new());
+        let non_empty = chunks.iter().filter(|c| !c.is_empty()).count();
+        for workers in [1, 3] {
+            let mut blocking = ServeHandle::new(Arc::clone(&store), workers);
+            for chunk in &chunks {
+                blocking.submit(chunk.clone());
             }
-        }
-        assert!(handle.try_drain_one().is_none());
-        assert!(wakes.load(Ordering::SeqCst) > 0, "workers signalled runs");
-        for (a, b) in reference.iter().zip(&drained) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+            let reference = blocking.drain();
+
+            let wakes = Arc::new(AtomicUsize::new(0));
+            let registry = Arc::new(MetricsRegistry::noop());
+            let counter = Arc::clone(&wakes);
+            let mut handle = ServeHandle::with_notifier(
+                Arc::clone(&store),
+                workers,
+                &registry,
+                Arc::new(move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
+            assert!(handle.try_drain_one().is_none(), "nothing outstanding yet");
+            for chunk in &chunks {
+                handle.submit(chunk.clone());
+            }
+            let mut drained = Vec::new();
+            while drained.len() < chunks.len() {
+                match handle.try_drain_one() {
+                    Some(batch) => drained.push(batch),
+                    None => std::thread::yield_now(),
+                }
+            }
+            assert!(handle.try_drain_one().is_none());
+            // Dropping joins the workers, so every notify has returned.
+            drop(handle);
+            assert_eq!(
+                wakes.load(Ordering::SeqCst),
+                non_empty,
+                "one wake per non-empty batch at {workers} workers"
+            );
+            assert_eq!(reference.len(), drained.len());
+            for (a, b) in reference.iter().zip(&drained) {
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+                }
             }
         }
     }
