@@ -969,14 +969,6 @@ pub struct StoreMetrics {
     pub load_failures: Arc<Counter>,
     /// `store_shard_evictions_total` — shards evicted over budget.
     pub evictions: Arc<Counter>,
-    /// `store_section_evictions_total` — shards whose cold-section
-    /// decodes (dictionary / multi-fault) were dropped over budget
-    /// while their hot trajectory view kept serving.
-    pub section_evictions: Arc<Counter>,
-    /// `store_section_resident_bytes` — bytes of cold-section decodes
-    /// currently cached across resident shards (the part section
-    /// eviction can reclaim without touching a trajectory view).
-    pub section_resident_bytes: Arc<Gauge>,
     /// `store_hot_reloads_total` — healthy shards swapped for a newer
     /// file generation.
     pub hot_reloads: Arc<Counter>,
@@ -1002,8 +994,6 @@ impl StoreMetrics {
             load_latency: registry.histogram("store_shard_load_us"),
             load_failures: registry.counter("store_shard_load_failures_total"),
             evictions: registry.counter("store_shard_evictions_total"),
-            section_evictions: registry.counter("store_section_evictions_total"),
-            section_resident_bytes: registry.gauge("store_section_resident_bytes"),
             hot_reloads: registry.counter("store_hot_reloads_total"),
             file_stats: registry.counter("store_generation_stats_total"),
             resident_bytes: registry.gauge("store_resident_bytes"),

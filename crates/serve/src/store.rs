@@ -21,10 +21,11 @@
 //!   fails to load with an error naming `ftd reencode`, which converts
 //!   it.
 //! * **LRU eviction** — [`StoreConfig::mem_budget`] caps the resident
-//!   bytes (accounted per shard from the section table); crossing the
-//!   budget evicts least-recently-used shards. Eviction only drops the
-//!   store's `Arc`, so in-flight diagnoses holding the engine finish
-//!   unharmed, and a later request simply reloads the shard.
+//!   bytes, each shard accounted as its trajectory section's payload
+//!   length, fixed at load; crossing the budget evicts whole
+//!   least-recently-used shards. Eviction only drops the store's `Arc`,
+//!   so in-flight diagnoses holding the engine finish unharmed, and a
+//!   later request simply reloads the shard.
 //! * **Hot reload** — every slot records its source file's
 //!   `(mtime, len)` generation ([`FileGen`]); a request that finds the
 //!   file changed reloads it and swaps the slot, so a rebuilt bank is
@@ -183,10 +184,12 @@ pub fn valid_cut_id(id: &str) -> bool {
 pub struct StoreConfig {
     /// Engine configuration every shard is built with.
     pub engine: EngineConfig,
-    /// Resident-byte budget for file-backed shards, accounted from the
-    /// section table. `None` (default) never evicts. The budget is a
-    /// target, not a hard wall: the shard being served is never evicted,
-    /// so a single shard larger than the budget still serves.
+    /// Resident-byte budget for file-backed shards, each accounted as
+    /// the payload length of its trajectory section (the only section
+    /// diagnosis reads), fixed at load. `None` (default) never evicts.
+    /// The budget is a target, not a hard wall: the shard being served
+    /// is never evicted, so a single shard larger than the budget still
+    /// serves.
     pub mem_budget: Option<u64>,
     /// Minimum age before a cache hit re-`stat(2)`s its shard file for
     /// hot-reload detection. The default (`Duration::ZERO`) preserves
@@ -243,16 +246,6 @@ struct ShardMap {
     resident_bytes: u64,
 }
 
-/// Cold-section decode bytes cached across the map's resident shards.
-fn cold_bytes(map: &ShardMap) -> u64 {
-    map.slots
-        .values()
-        .filter(|slot| slot.generation.is_some())
-        .filter_map(|slot| slot.state.as_ref().ok())
-        .map(|engine| engine.cold_section_bytes())
-        .sum()
-}
-
 /// A sharded collection of diagnosis engines keyed by CUT id.
 ///
 /// Thread-safe: the shard map sits behind a mutex and hands out
@@ -292,7 +285,7 @@ impl BankStore {
     }
 
     /// [`BankStore::open`] with full store-level configuration (memory
-    /// budget, mapped loads).
+    /// budget, stat interval).
     ///
     /// # Errors
     ///
@@ -374,14 +367,6 @@ impl BankStore {
     /// quantity [`StoreConfig::mem_budget`] bounds).
     pub fn resident_bytes(&self) -> u64 {
         self.lock_shards().resident_bytes
-    }
-
-    /// Bytes of cold-section decodes (dictionary / multi-fault)
-    /// currently cached across resident shards — the portion of
-    /// [`resident_bytes`](BankStore::resident_bytes) that section
-    /// eviction can reclaim without dropping a trajectory view.
-    pub fn cold_section_bytes(&self) -> u64 {
-        cold_bytes(&self.lock_shards())
     }
 
     /// The store's mutation epoch: changes whenever any slot is
@@ -714,10 +699,9 @@ impl BankStore {
                 if let Some(m) = &self.metrics {
                     engine.set_metrics(m.engine.clone());
                 }
-                // Account what the shard actually pins right now: for a
-                // mapped v3 shard that is just the trajectory section —
-                // cold sections only start counting if a tool decodes
-                // them (and section eviction reclaims them first).
+                // A shard pins its trajectory section and nothing else
+                // diagnosis reads, so that length is its accounted size
+                // for as long as it stays resident.
                 let bytes = engine.resident_bytes();
                 // Successful opens capture the generation from the file
                 // they actually read (fd-accurate for mapped shards).
@@ -754,79 +738,24 @@ impl BankStore {
         map.resident_bytes += bytes;
         self.evict_over_budget(&mut map, cut_id);
         let resident = map.resident_bytes;
-        let cold = cold_bytes(&map);
         drop(map);
         self.bump_epoch();
         if let Some(m) = &self.metrics {
             m.resident_bytes.set(resident.min(i64::MAX as u64) as i64);
-            m.section_resident_bytes
-                .set(cold.min(i64::MAX as u64) as i64);
         }
         state.map_err(bank_error(Some(generation)))
     }
 
-    /// Brings the resident total back under the budget in two phases.
-    ///
-    /// **Phase 1 — section-granular.** Walks resident shards in LRU
-    /// order and drops their cached cold-section decodes (dictionary /
-    /// multi-fault) via [`DiagnosisEngine::evict_cold_sections`]. The
-    /// shards' hot trajectory views — and every diagnose path — keep
-    /// serving untouched; re-accounting from the engines' live
-    /// [`DiagnosisEngine::resident_bytes`] also absorbs any decode
-    /// growth since the shard loaded. This phase may visit `keep` too:
-    /// dropping its cold decodes is always safe.
-    ///
-    /// **Phase 2 — whole shards.** If still over budget, evicts
-    /// least-recently-used file-backed shards outright. The shard being
-    /// served (`keep`) is never evicted, so a single shard larger than
-    /// the whole budget still serves; in-flight holders of an evicted
-    /// engine's `Arc` keep it alive until their diagnoses finish.
+    /// Brings the resident total back under the budget by evicting
+    /// least-recently-used file-backed shards whole. Nothing is visited
+    /// while the store is within budget. The shard being served (`keep`)
+    /// is never evicted, so a single shard larger than the whole budget
+    /// still serves; in-flight holders of an evicted engine's `Arc` keep
+    /// it alive until their diagnoses finish.
     fn evict_over_budget(&self, map: &mut ShardMap, keep: &str) {
         let Some(budget) = self.config.mem_budget else {
             return;
         };
-        // Re-account every resident shard from its engine's live
-        // residency first: lazy cold-section decodes grow a shard after
-        // it was accounted at load, and this — the pressure point — is
-        // where that growth must become visible to the budget.
-        for slot in map.slots.values_mut() {
-            if slot.generation.is_none() {
-                continue;
-            }
-            let Ok(engine) = &slot.state else { continue };
-            let now = engine.resident_bytes();
-            map.resident_bytes = map.resident_bytes - slot.bytes + now;
-            slot.bytes = now;
-        }
-        if map.resident_bytes > budget {
-            let mut order: Vec<(u64, String)> = map
-                .slots
-                .iter()
-                .filter(|(_, slot)| {
-                    slot.generation.is_some() && slot.state.is_ok() && slot.bytes > 0
-                })
-                .map(|(id, slot)| (slot.last_used, id.clone()))
-                .collect();
-            order.sort_unstable();
-            for (_, id) in order {
-                if map.resident_bytes <= budget {
-                    break;
-                }
-                let slot = map.slots.get_mut(&id).expect("slot came from the map");
-                let Ok(engine) = &slot.state else {
-                    continue;
-                };
-                let freed = engine.evict_cold_sections();
-                let now = engine.resident_bytes();
-                map.resident_bytes = map.resident_bytes - slot.bytes + now;
-                slot.bytes = now;
-                if freed > 0 {
-                    if let Some(m) = &self.metrics {
-                        m.section_evictions.inc();
-                    }
-                }
-            }
-        }
         while map.resident_bytes > budget {
             let victim = map
                 .slots
@@ -1511,85 +1440,6 @@ mod tests {
         let pinned = BankStore::in_memory(EngineConfig::default());
         pinned.insert_bank("mem", rc_bank(1e3)).unwrap();
         assert_eq!(pinned.refresh(), RefreshSummary::default());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn section_eviction_reclaims_cold_decodes_before_whole_shards() {
-        let dir = std::env::temp_dir().join("ft_store_section_eviction_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let banks = [rc_bank(1e3), rc_bank(2e3), rc_bank(4e3)];
-        for (i, bank) in banks.iter().enumerate() {
-            bank.save(dir.join(format!("c{i}.ftb"))).unwrap();
-        }
-        // Trajectory-only residency of all three shards (nothing
-        // decodes a cold section on the diagnose path).
-        let all_traj = {
-            let store = BankStore::open(&dir, EngineConfig::default()).unwrap();
-            for i in 0..3 {
-                store.engine(&format!("c{i}")).unwrap();
-            }
-            assert_eq!(store.cold_section_bytes(), 0);
-            store.resident_bytes()
-        };
-        assert!(all_traj > 0);
-
-        let registry = Arc::new(MetricsRegistry::new());
-        let store = BankStore::open_with(
-            &dir,
-            StoreConfig {
-                mem_budget: Some(all_traj),
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap()
-        .with_metrics(&registry);
-        let unbounded = BankStore::open(&dir, EngineConfig::default()).unwrap();
-
-        // Load two shards, then decode c0's dictionary out of the map —
-        // cold bytes the budget does not cover.
-        store.engine("c0").unwrap();
-        store.engine("c1").unwrap();
-        let dict = store
-            .engine("c0")
-            .unwrap()
-            .mapped_bank()
-            .expect("the store loads shards mapped")
-            .dictionary()
-            .unwrap();
-        assert!(store.cold_section_bytes() > 0);
-        drop(dict);
-
-        // The third load pushes past the budget; section eviction must
-        // reclaim c0's dictionary decode instead of evicting a shard.
-        store.engine("c2").unwrap();
-        assert_eq!(store.loaded_count(), 3, "no shard was evicted");
-        assert_eq!(store.cold_section_bytes(), 0, "cold decode reclaimed");
-        assert!(store.resident_bytes() <= all_traj);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("store_section_evictions_total"), Some(1));
-        assert_eq!(snap.counter("store_shard_evictions_total"), Some(0));
-        assert_eq!(snap.gauge("store_section_resident_bytes"), Some(0));
-
-        // Every shard still serves, byte-identical to an unbounded
-        // store, and the evicted dictionary decodes again on demand.
-        let sig = Signature::new(vec![0.4, 0.9]);
-        for i in 0..3 {
-            let req = DiagnosisRequest::new(format!("c{i}"), sig.clone());
-            assert_eq!(
-                store.diagnose(&req).unwrap(),
-                unbounded.diagnose(&req).unwrap()
-            );
-        }
-        let redecoded = store
-            .engine("c0")
-            .unwrap()
-            .mapped_bank()
-            .unwrap()
-            .dictionary()
-            .unwrap();
-        assert_eq!(&*redecoded, banks[0].dictionary());
-
         std::fs::remove_dir_all(&dir).ok();
     }
 }
