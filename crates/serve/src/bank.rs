@@ -44,7 +44,7 @@
 //! rewrites it as v3.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ft_circuit::Probe;
 use ft_core::{
@@ -63,7 +63,6 @@ use crate::codec::{
     SECTION_TRAJECTORIES,
 };
 use crate::mmap::{FileGen, Mmap};
-use crate::obs::Counter;
 
 /// Probe encoding tags.
 const PROBE_NODE: u8 = 0;
@@ -188,9 +187,7 @@ impl TrajectoryBank {
     /// [`CodecError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let table = SectionTable::parse(bytes)?;
-        let mut dec = Decoder::over(table.require(bytes, SECTION_DICTIONARY)?);
-        let dict = decode_dictionary(&mut dec)?;
-        dec.finish()?;
+        let dict = decode_payload(table.require(bytes, SECTION_DICTIONARY)?, decode_dictionary)?;
         let traj = table
             .locate(SECTION_TRAJECTORIES)?
             .ok_or(CodecError::MissingSection(SECTION_TRAJECTORIES))?;
@@ -198,20 +195,12 @@ impl TrajectoryBank {
         let set = if table.version() == BANK_VERSION {
             decode_trajectory_set_v3(traj_payload, traj.offset)?
         } else {
-            let mut dec = Decoder::over(traj_payload);
-            let set = decode_trajectory_set(&mut dec)?;
-            dec.finish()?;
-            set
+            decode_payload(traj_payload, decode_trajectory_set)?
         };
-        let multifault = match table.find(bytes, SECTION_MULTIFAULT)? {
-            None => None,
-            Some(payload) => {
-                let mut dec = Decoder::over(payload);
-                let mfd = decode_multifault(&mut dec)?;
-                dec.finish()?;
-                Some(mfd)
-            }
-        };
+        let multifault = table
+            .find(bytes, SECTION_MULTIFAULT)?
+            .map(|payload| decode_payload(payload, decode_multifault))
+            .transpose()?;
         Ok(TrajectoryBank {
             dict,
             set,
@@ -245,11 +234,6 @@ impl TrajectoryBank {
     }
 }
 
-/// A lazily decoded section: empty until first touch, then caching the
-/// decode result; clearable by section-granular eviction, after which
-/// the next touch decodes again from the mapped bytes.
-type SectionCell<T> = Mutex<Option<Result<T, Arc<CodecError>>>>;
-
 /// A trajectory bank opened zero-copy over a memory-mapped shard file.
 ///
 /// Unlike [`TrajectoryBank::load`], opening verifies only the container
@@ -259,31 +243,31 @@ type SectionCell<T> = Mutex<Option<Result<T, Arc<CodecError>>>>;
 /// ([`PackedTrajectories`]), making open O(header + trajectory count)
 /// regardless of payload size — callers that serve from the set run
 /// [`MappedBank::verify_trajectory_payload`] plus
-/// [`TrajectorySet::validate_deep`] once before trusting the bytes. The
-/// dictionary and multi-fault sections stay untouched mapped bytes:
-/// neither read, checksummed, nor decoded until
-/// [`dictionary`](MappedBank::dictionary) /
-/// [`multifault_dictionary`](MappedBank::multifault_dictionary) is
-/// called — and their decoded forms can be dropped again with
-/// [`evict_decoded`](MappedBank::evict_decoded) while the trajectory
-/// view keeps serving.
+/// [`TrajectorySet::validate_deep`] once before trusting the bytes.
+///
+/// Diagnosis reads the trajectory section alone, so that section's
+/// payload length is all a served shard pins
+/// ([`resident_bytes`](MappedBank::resident_bytes)). The dictionary and
+/// multi-fault sections stay untouched mapped bytes; the offline tools
+/// that want them call [`dictionary`](MappedBank::dictionary) /
+/// [`multifault_dictionary`](MappedBank::multifault_dictionary), which
+/// verify and decode on every call and keep nothing.
 ///
 /// The [`TrajectorySet`] is returned by value from
 /// [`open`](MappedBank::open) so the caller (the engine) owns exactly
 /// one copy.
 #[derive(Debug)]
 pub struct MappedBank {
-    /// The mapping stays resident and sections decode lazily out of it
-    /// on first touch; it sits behind an `Arc` because a v3 trajectory
-    /// set borrows it as packed storage.
+    /// The mapping stays resident for the bank's lifetime; it sits
+    /// behind an `Arc` because a v3 trajectory set borrows it as packed
+    /// storage.
     map: Arc<Mmap>,
     /// The validated section table of the mapped container.
     table: SectionTable,
     path: PathBuf,
     generation: FileGen,
-    dict: SectionCell<Arc<FaultDictionary>>,
-    multifault: SectionCell<Option<Arc<MultiFaultDictionary>>>,
-    decode_events: Option<Arc<Counter>>,
+    /// Payload length of the trajectory section, fixed at open.
+    trajectory_bytes: u64,
 }
 
 impl MappedBank {
@@ -359,9 +343,7 @@ impl MappedBank {
                 table,
                 path: path.to_path_buf(),
                 generation,
-                dict: Mutex::new(None),
-                multifault: Mutex::new(None),
-                decode_events: None,
+                trajectory_bytes: entry.len as u64,
             },
             set,
         ))
@@ -384,143 +366,43 @@ impl MappedBank {
             .map_err(|e| e.in_file(&self.path))
     }
 
-    /// The single-fault dictionary, decoded (and checksum-verified) out
-    /// of the mapping on first call and cached until evicted.
+    /// The single-fault dictionary, checksum-verified and decoded out of
+    /// the mapping on every call; nothing is cached.
     ///
     /// # Errors
     ///
     /// Corruption or malformation of the dictionary section, attributed
-    /// and annotated with the shard path; the same error is replayed on
-    /// every subsequent call (the mapped bytes cannot have changed —
-    /// the store retires the whole shard on file change instead).
-    pub fn dictionary(&self) -> Result<Arc<FaultDictionary>, Arc<CodecError>> {
-        let mut cell = self.dict.lock().expect("dictionary cell lock");
-        if cell.is_none() {
-            *cell = Some(
-                self.decode_section(SECTION_DICTIONARY, decode_dictionary)
-                    .map(|d| Arc::new(d.expect("dictionary section is required"))),
-            );
-        }
-        cell.as_ref().expect("just populated").clone()
+    /// and annotated with the shard path.
+    pub fn dictionary(&self) -> Result<FaultDictionary, CodecError> {
+        self.table
+            .require(self.map.bytes(), SECTION_DICTIONARY)
+            .and_then(|payload| decode_payload(payload, decode_dictionary))
+            .map_err(|e| e.in_file(&self.path))
     }
 
-    /// The optional multi-fault dictionary, decoded lazily like
-    /// [`dictionary`](MappedBank::dictionary); `Ok(None)` when the
-    /// shard carries no multi-fault section.
+    /// The optional multi-fault dictionary, verified and decoded on
+    /// every call like [`dictionary`](MappedBank::dictionary);
+    /// `Ok(None)` when the shard carries no multi-fault section.
     ///
     /// # Errors
     ///
     /// As [`dictionary`](MappedBank::dictionary).
-    pub fn multifault_dictionary(
-        &self,
-    ) -> Result<Option<Arc<MultiFaultDictionary>>, Arc<CodecError>> {
-        let mut cell = self.multifault.lock().expect("multifault cell lock");
-        if cell.is_none() {
-            *cell = Some(
-                self.decode_section(SECTION_MULTIFAULT, decode_multifault)
-                    .map(|o| o.map(Arc::new)),
-            );
-        }
-        cell.as_ref().expect("just populated").clone()
-    }
-
-    /// Drops the cached dictionary/multi-fault decodes (the cold
-    /// sections), returning the estimated bytes freed — the
-    /// section-granular eviction primitive. The trajectory view keeps
-    /// serving untouched; a later accessor call simply decodes again
-    /// from the mapped bytes.
-    pub fn evict_decoded(&self) -> u64 {
-        let table = &self.table;
-        let mut freed = 0u64;
-        if self
-            .dict
-            .lock()
-            .expect("dictionary cell lock")
-            .take()
-            .is_some()
-        {
-            freed += section_len(table, SECTION_DICTIONARY);
-        }
-        if let Some(prev) = self.multifault.lock().expect("multifault cell lock").take() {
-            if matches!(prev, Ok(Some(_))) {
-                freed += section_len(table, SECTION_MULTIFAULT);
-            }
-        }
-        freed
-    }
-
-    /// Estimated bytes this shard currently pins beyond the mapping
-    /// itself: the trajectory section (always live — packed view or
-    /// decoded set) plus each cold section whose decode is cached. The
-    /// store's memory budget accounts with this, so evicting a decode
-    /// immediately relieves pressure.
-    pub fn resident_bytes(&self) -> u64 {
-        let table = &self.table;
-        let mut total = section_len(table, SECTION_TRAJECTORIES);
-        if self.dict.lock().expect("dictionary cell lock").is_some() {
-            total += section_len(table, SECTION_DICTIONARY);
-        }
-        if matches!(
-            &*self.multifault.lock().expect("multifault cell lock"),
-            Some(Ok(Some(_)))
-        ) {
-            total += section_len(table, SECTION_MULTIFAULT);
-        }
-        total
-    }
-
-    /// Per-section residency rows `(kind, payload_bytes, resident)`:
-    /// `resident` is `true` for the trajectory section (always live)
-    /// and for cold sections whose decode is currently cached.
-    pub fn section_residency(&self) -> Vec<(u16, u64, bool)> {
+    pub fn multifault_dictionary(&self) -> Result<Option<MultiFaultDictionary>, CodecError> {
         self.table
-            .entries()
-            .iter()
-            .map(|e| {
-                let resident = match e.kind {
-                    SECTION_TRAJECTORIES => true,
-                    SECTION_DICTIONARY => self.dict.lock().expect("dictionary cell lock").is_some(),
-                    SECTION_MULTIFAULT => matches!(
-                        &*self.multifault.lock().expect("multifault cell lock"),
-                        Some(Ok(Some(_)))
-                    ),
-                    _ => false,
-                };
-                (e.kind, e.len as u64, resident)
+            .find(self.map.bytes(), SECTION_MULTIFAULT)
+            .and_then(|payload| {
+                payload
+                    .map(|p| decode_payload(p, decode_multifault))
+                    .transpose()
             })
-            .collect()
+            .map_err(|e| e.in_file(&self.path))
     }
 
-    /// Attaches a counter incremented once per lazy section decode
-    /// (`engine_lazy_decodes_total`): each section fires at most once,
-    /// on its first touch.
-    pub(crate) fn set_decode_counter(&mut self, counter: Arc<Counter>) {
-        self.decode_events = Some(counter);
-    }
-
-    fn decode_section<T>(
-        &self,
-        kind: u16,
-        decode: fn(&mut Decoder) -> Result<T, CodecError>,
-    ) -> Result<Option<T>, Arc<CodecError>> {
-        if let Some(counter) = &self.decode_events {
-            counter.inc();
-        }
-        let run = || -> Result<Option<T>, CodecError> {
-            let bytes = self.map.bytes();
-            let Some(payload) = (if kind == SECTION_DICTIONARY {
-                Some(self.table.require(bytes, kind)?)
-            } else {
-                self.table.find(bytes, kind)?
-            }) else {
-                return Ok(None);
-            };
-            let mut dec = Decoder::over(payload);
-            let value = decode(&mut dec)?;
-            dec.finish()?;
-            Ok(Some(value))
-        };
-        run().map_err(|e| Arc::new(e.in_file(&self.path)))
+    /// Bytes this shard pins while it serves: the trajectory section's
+    /// payload length (packed view or decoded set), fixed at open. The
+    /// store's memory budget accounts each shard with this.
+    pub fn resident_bytes(&self) -> u64 {
+        self.trajectory_bytes
     }
 
     /// The shard file's generation, captured from the mapped descriptor.
@@ -533,22 +415,10 @@ impl MappedBank {
         &self.path
     }
 
-    /// Estimated resident bytes this shard can pin: the section-table
-    /// payload total. This is what the store's memory budget accounts
-    /// with.
+    /// Payload bytes across every section of the container (the file
+    /// minus header and section table).
     pub fn payload_bytes(&self) -> u64 {
         self.table.payload_bytes()
-    }
-
-    /// Per-section `(kind, payload_bytes)` rows — the breakdown of
-    /// [`payload_bytes`](MappedBank::payload_bytes) the store's
-    /// eviction budget accounts with.
-    pub fn section_sizes(&self) -> Vec<(u16, u64)> {
-        self.table
-            .entries()
-            .iter()
-            .map(|e| (e.kind, e.len as u64))
-            .collect()
     }
 
     /// `true` when the undecoded sections are backed by a genuine
@@ -559,19 +429,21 @@ impl MappedBank {
     }
 }
 
-/// Declared payload length of section `kind`, or 0 when absent.
-fn section_len(table: &SectionTable, kind: u16) -> u64 {
-    table
-        .entries()
-        .iter()
-        .find(|e| e.kind == kind)
-        .map_or(0, |e| e.len as u64)
-}
-
 // --- section payload encoders/decoders ------------------------------
 //
 // Each artifact has a symmetric `encode_*`/`decode_*` pair over bare
 // payload bytes, one checksummed container section each.
+
+/// Runs `decode` over a whole section payload, rejecting trailing bytes.
+fn decode_payload<T>(
+    payload: &[u8],
+    decode: fn(&mut Decoder) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut dec = Decoder::over(payload);
+    let value = decode(&mut dec)?;
+    dec.finish()?;
+    Ok(value)
+}
 
 fn encode_grid_into(enc: &mut Encoder, grid: &FrequencyGrid) {
     enc.put_u8(match grid.spacing() {
@@ -1242,11 +1114,18 @@ mod tests {
         assert!(set.is_packed() || !mapped.is_mapped());
         mapped.verify_trajectory_payload().unwrap();
         set.validate_deep().unwrap();
-        assert_eq!(&*mapped.dictionary().unwrap(), bank.dictionary());
+        // A served shard pins its trajectory section and nothing else,
+        // before and after a tool decodes the other sections.
+        let bytes = bank.to_bytes();
+        let table = SectionTable::parse(&bytes).unwrap();
+        let traj = table.locate(SECTION_TRAJECTORIES).unwrap().unwrap();
+        assert_eq!(mapped.resident_bytes(), traj.len as u64);
+        assert_eq!(&mapped.dictionary().unwrap(), bank.dictionary());
         assert_eq!(
-            mapped.multifault_dictionary().unwrap().as_deref(),
+            mapped.multifault_dictionary().unwrap().as_ref(),
             bank.multifault_dictionary()
         );
+        assert_eq!(mapped.resident_bytes(), traj.len as u64);
         assert_eq!(mapped.is_mapped(), cfg!(unix));
         assert_eq!(mapped.generation(), FileGen::probe(&path).unwrap());
         // The budget estimate covers the payloads (container minus
@@ -1270,8 +1149,8 @@ mod tests {
         // dictionary bytes are never touched.
         let (mapped, set) = MappedBank::open(&path).unwrap();
         assert_eq!(&set, bank.trajectory_set());
-        // First touch of the dictionary detects and attributes the hit,
-        // naming the shard file; the error replays on every call.
+        // Touching the dictionary detects and attributes the hit, naming
+        // the shard file; every call verifies again and fails alike.
         for _ in 0..2 {
             let err = mapped.dictionary().expect_err("corruption must surface");
             let msg = err.to_string();
@@ -1400,48 +1279,6 @@ mod tests {
         let via_v2 = TrajectoryBank::from_bytes(&v2).unwrap();
         assert_eq!(bank, via_v2);
         assert_eq!(via_v2.to_bytes(), v3, "re-encode is byte-identical");
-    }
-
-    #[test]
-    fn section_eviction_frees_and_redecodes() {
-        let bank = rc_bank().with_multifault(rc_multifault());
-        let path = std::env::temp_dir().join("ft_serve_section_evict_test.ftb");
-        bank.save(&path).unwrap();
-        let (mapped, set) = MappedBank::open(&path).unwrap();
-
-        // Fresh open: only the trajectory section is resident.
-        let traj_only = mapped.resident_bytes();
-        assert!(traj_only > 0);
-        assert_eq!(mapped.evict_decoded(), 0, "nothing decoded yet");
-        let residency = mapped.section_residency();
-        assert_eq!(residency.len(), 3);
-        assert!(residency
-            .iter()
-            .all(|(k, _, r)| *r == (*k == SECTION_TRAJECTORIES)));
-
-        // Touch the cold sections: residency and accounting grow.
-        let dict_a = mapped.dictionary().unwrap();
-        assert!(mapped.multifault_dictionary().unwrap().is_some());
-        let all_resident = mapped.resident_bytes();
-        assert!(all_resident > traj_only);
-        assert_eq!(all_resident, mapped.payload_bytes());
-        assert!(mapped.section_residency().iter().all(|(_, _, r)| *r));
-
-        // Evict: the decodes drop, the trajectory set keeps serving.
-        let freed = mapped.evict_decoded();
-        assert_eq!(freed, all_resident - traj_only);
-        assert_eq!(mapped.resident_bytes(), traj_only);
-        assert_eq!(&set, bank.trajectory_set(), "view survives eviction");
-        // An evicted Arc handed out earlier stays valid (refcounted).
-        assert_eq!(&*dict_a, bank.dictionary());
-
-        // Re-touch: decodes again, byte-identical.
-        let dict_b = mapped.dictionary().unwrap();
-        assert_eq!(&*dict_b, bank.dictionary());
-        let mf_b = mapped.multifault_dictionary().unwrap();
-        assert_eq!(mf_b.as_deref(), bank.multifault_dictionary());
-        assert_eq!(mapped.resident_bytes(), all_resident);
-        std::fs::remove_file(&path).ok();
     }
 
     /// Encodes a minimal single-component bank by hand as a v2

@@ -160,10 +160,11 @@ SUBCOMMANDS:
                        table (type, payload bytes, checksum status), and
                        entry counts without serving from it. With
                        --mapped, open through the server's zero-copy
-                       mmap path instead and report per-section payload
-                       bytes and residency: which sections are viewed in
-                       place (v3 trajectories), which decode lazily, and
-                       how many bytes a fresh open pins.
+                       mmap path instead and report the bytes a served
+                       shard pins (its trajectory section), whether the
+                       trajectories are viewed in place, the trajectory
+                       checksum, and the dictionary and multi-fault
+                       summaries, decoded on demand.
   stats                Read a --stats-file snapshot and print it as
                        greppable `name value` lines (counters, gauges,
                        histogram count/sum/mean/p50/p90/p99, derived
@@ -1248,8 +1249,8 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
 /// The `--mapped` arm of `ftd bank-info`: opens the bank through the
 /// zero-copy mmap path the server uses, so the report reflects exactly
 /// what `ftd serve` would map — including whether this platform maps at
-/// all (non-unix falls back to a heap read) and which sections decode
-/// lazily.
+/// all (non-unix falls back to a heap read) and how many bytes a served
+/// shard pins.
 fn bank_info_mapped(path: &str) -> Result<(), CliError> {
     let (bank, set) = MappedBank::open(path).map_err(runtime)?;
     let generation = bank.generation();
@@ -1263,29 +1264,10 @@ fn bank_info_mapped(path: &str) -> Result<(), CliError> {
             "heap fallback (platform without mmap)"
         },
     );
-    // Residency as a fresh `ftd serve` would hold this shard: sampled
-    // before the dictionary reports below force their lazy decodes.
-    let residency = bank.section_residency();
-    if !residency.is_empty() {
-        println!(
-            "sections ({}), {} of {} payload bytes resident at open:",
-            residency.len(),
-            bank.resident_bytes(),
-            bank.payload_bytes(),
-        );
-        for &(kind, payload_bytes, resident) in &residency {
-            println!(
-                "  {:>4}  {:<12} {payload_bytes:>13} payload bytes  {}",
-                kind,
-                section_name(kind),
-                if resident {
-                    "resident"
-                } else {
-                    "mapped only (decodes lazily, evicts first)"
-                },
-            );
-        }
-    }
+    println!(
+        "served shard pins {} bytes (the trajectory section)",
+        bank.resident_bytes()
+    );
     println!(
         "trajectories ({}): {} trajectories / {} segments, dim {}, tv {}",
         if set.is_packed() {
@@ -1304,22 +1286,22 @@ fn bank_info_mapped(path: &str) -> Result<(), CliError> {
     }
     match bank.dictionary() {
         Ok(dict) => println!(
-            "dictionary (decoded lazily): {} entries x {} grid points, input {}, probe {}",
+            "dictionary (decoded on demand): {} entries x {} grid points, input {}, probe {}",
             dict.entries().len(),
             dict.grid().len(),
             dict.input(),
             probe_str(dict.probe()),
         ),
-        Err(e) => println!("dictionary (decoded lazily): FAILED: {e}"),
+        Err(e) => println!("dictionary (decoded on demand): FAILED: {e}"),
     }
     match bank.multifault_dictionary() {
         Ok(Some(mfd)) => println!(
-            "multifault (decoded lazily): {} entries x {} grid points",
+            "multifault (decoded on demand): {} entries x {} grid points",
             mfd.len(),
             mfd.grid().len(),
         ),
         Ok(None) => println!("multifault: absent"),
-        Err(e) => println!("multifault (decoded lazily): FAILED: {e}"),
+        Err(e) => println!("multifault (decoded on demand): FAILED: {e}"),
     }
     Ok(())
 }

@@ -8,13 +8,13 @@
 //! plain immutable data, so the borrow is free) and write results into
 //! disjoint output slots, preserving input order.
 //!
-//! A mapped engine ([`DiagnosisEngine::load_mapped`]) decodes only the
+//! A mapped engine ([`DiagnosisEngine::load_mapped`]) reads only the
 //! trajectory section at load; the dictionary and multi-fault sections
 //! stay as mapped bytes diagnosis never touches, which is what makes
 //! its cold load a fraction of the heap path on dictionary-heavy
 //! shards. The price: [`DiagnosisEngine::bank`] is `None` for mapped
-//! engines — tools that need the dictionaries go through the bank
-//! directly.
+//! engines — tools that need the dictionaries open the file with
+//! [`MappedBank::open`] or [`TrajectoryBank::load`] themselves.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use ft_core::{Diagnoser, DiagnoserConfig, Diagnosis, SegmentQuery, Signature, TrajectorySet};
 
 use crate::bank::{MappedBank, TrajectoryBank};
-use crate::codec::{CodecError, SECTION_TRAJECTORIES};
+use crate::codec::CodecError;
 use crate::index::SegmentIndex;
 use crate::mmap::FileGen;
 use crate::obs::{EngineMetrics, SpanTimer};
@@ -246,15 +246,11 @@ impl DiagnosisEngine {
     }
 
     /// Attaches observability handles: per-diagnose latency and path
-    /// counters on this engine, per-query work counters (nodes visited,
-    /// segments examined, top-k early exits) on its index, and the
-    /// lazy-decode counter on a mapped bank source. Without this call
-    /// every diagnose path is entirely uninstrumented (no clocks read,
-    /// no atomics touched).
+    /// counters on this engine, and per-query work counters (nodes
+    /// visited, segments examined, top-k early exits) on its index.
+    /// Without this call every diagnose path is entirely uninstrumented
+    /// (no clocks read, no atomics touched).
     pub fn set_metrics(&mut self, metrics: EngineMetrics) {
-        if let BankSource::Mapped(mapped) = &mut self.source {
-            mapped.set_decode_counter(Arc::clone(&metrics.lazy_decodes));
-        }
         self.index.set_counters(crate::index::IndexCounters {
             nodes_visited: Arc::clone(&metrics.index_nodes_visited),
             segments_examined: Arc::clone(&metrics.index_segments_examined),
@@ -265,22 +261,12 @@ impl DiagnosisEngine {
 
     /// The fully decoded bank, when this engine holds one (`None` for
     /// mapped engines, whose dictionaries live undecoded in the
-    /// mapping — see [`DiagnosisEngine::mapped_bank`]).
+    /// mapping).
     #[inline]
     pub fn bank(&self) -> Option<&TrajectoryBank> {
         match &self.source {
             BankSource::Heap { bank, .. } => Some(bank.as_ref()),
             BankSource::Mapped(_) => None,
-        }
-    }
-
-    /// The mapped shard behind this engine, when it was opened with
-    /// [`DiagnosisEngine::load_mapped`].
-    #[inline]
-    pub fn mapped_bank(&self) -> Option<&MappedBank> {
-        match &self.source {
-            BankSource::Heap { .. } => None,
-            BankSource::Mapped(mapped) => Some(mapped),
         }
     }
 
@@ -315,44 +301,15 @@ impl DiagnosisEngine {
         }
     }
 
-    /// Bytes this engine's shard pins resident *right now*: for mapped
-    /// engines, the trajectory section plus whichever cold-section
-    /// decodes are currently cached (see [`MappedBank::resident_bytes`]);
-    /// for heap engines, the whole file. The store's budget accounts
-    /// with this, so section eviction relieves pressure immediately.
+    /// Bytes this engine's shard pins resident: for mapped engines, the
+    /// trajectory section's payload length, fixed at load (see
+    /// [`MappedBank::resident_bytes`]); for heap engines loaded from a
+    /// file, the whole file. The store's budget accounts with this.
     #[inline]
     pub fn resident_bytes(&self) -> u64 {
         match &self.source {
             BankSource::Heap { file_len, .. } => *file_len,
             BankSource::Mapped(mapped) => mapped.resident_bytes(),
-        }
-    }
-
-    /// Drops any cached cold-section decodes (dictionary, multi-fault)
-    /// of a mapped engine, returning the bytes freed. The trajectory
-    /// view — and every diagnose path — is untouched; a later accessor
-    /// call simply decodes again from the mapped bytes. Heap engines
-    /// free nothing (their decode *is* the bank).
-    pub fn evict_cold_sections(&self) -> u64 {
-        match &self.source {
-            BankSource::Heap { .. } => 0,
-            BankSource::Mapped(mapped) => mapped.evict_decoded(),
-        }
-    }
-
-    /// Bytes of cold-section decodes currently cached — the part of
-    /// [`resident_bytes`](DiagnosisEngine::resident_bytes) that
-    /// [`evict_cold_sections`](DiagnosisEngine::evict_cold_sections)
-    /// can reclaim. Zero for heap engines.
-    pub fn cold_section_bytes(&self) -> u64 {
-        match &self.source {
-            BankSource::Heap { .. } => 0,
-            BankSource::Mapped(mapped) => mapped
-                .section_residency()
-                .iter()
-                .filter(|(kind, _, resident)| *resident && *kind != SECTION_TRAJECTORIES)
-                .map(|(_, len, _)| len)
-                .sum(),
         }
     }
 

@@ -922,9 +922,6 @@ pub struct EngineMetrics {
     pub indexed: Arc<Counter>,
     /// `engine_diagnose_linear_total` — diagnoses through the linear scan.
     pub linear: Arc<Counter>,
-    /// `engine_lazy_decodes_total` — mapped-bank sections decoded on
-    /// first touch.
-    pub lazy_decodes: Arc<Counter>,
     /// `engine_index_nodes_visited_total` — index tree nodes whose
     /// bounding box was tested, summed over every indexed query.
     pub index_nodes_visited: Arc<Counter>,
@@ -943,7 +940,6 @@ impl EngineMetrics {
             diagnose_latency: registry.histogram("engine_diagnose_latency_us"),
             indexed: registry.counter("engine_diagnose_indexed_total"),
             linear: registry.counter("engine_diagnose_linear_total"),
-            lazy_decodes: registry.counter("engine_lazy_decodes_total"),
             index_nodes_visited: registry.counter("engine_index_nodes_visited_total"),
             index_segments_examined: registry.counter("engine_index_segments_examined_total"),
             topk_early_exits: registry.counter("engine_topk_early_exit_total"),
