@@ -137,14 +137,10 @@ pub struct EngineConfig {
 #[derive(Debug)]
 enum BankSource {
     /// A fully decoded in-memory bank (built in-process or heap-loaded
-    /// from a file, in which case the file's generation rides along).
-    Heap {
-        /// Boxed so the variant stays close in size to `Mapped` (a
-        /// decoded bank is megabytes of owned vectors behind the box).
-        bank: Box<TrajectoryBank>,
-        generation: Option<FileGen>,
-        file_len: u64,
-    },
+    /// from a file). Boxed so the variant stays close in size to
+    /// `Mapped` (a decoded bank is megabytes of owned vectors behind the
+    /// box).
+    Heap(Box<TrajectoryBank>),
     /// A zero-copy mapped shard; only the trajectory set is decoded
     /// (and it lives in the diagnoser, not here).
     Mapped(MappedBank),
@@ -170,11 +166,7 @@ impl DiagnosisEngine {
         let index = SegmentIndex::build(bank.trajectory_set());
         let diagnoser = Diagnoser::new(bank.trajectory_set().clone(), config.diagnoser);
         DiagnosisEngine {
-            source: BankSource::Heap {
-                bank: Box::new(bank),
-                generation: None,
-                file_len: 0,
-            },
+            source: BankSource::Heap(Box::new(bank)),
             index,
             diagnoser,
             config,
@@ -182,32 +174,17 @@ impl DiagnosisEngine {
         }
     }
 
-    /// Loads a bank file (full heap decode) and builds the engine over
-    /// it, recording the file's generation for the store's hot-reload
-    /// detection.
+    /// Loads a bank file (full heap decode, every section verified) and
+    /// builds the engine over it — the path of the single-bank CLI
+    /// commands. The engine keeps no tie to the file: the store serves
+    /// shards through [`DiagnosisEngine::load_mapped`] instead.
     ///
     /// # Errors
     ///
     /// Propagates bank I/O and decode errors, annotated with the file
-    /// path ([`CodecError::InFile`]) — a multi-shard store loading many
-    /// banks must be able to say *which* shard failed.
+    /// path ([`CodecError::InFile`]).
     pub fn load(path: impl AsRef<Path>, config: EngineConfig) -> Result<Self, CodecError> {
-        let path = path.as_ref();
-        let generation = FileGen::probe(path).map_err(|e| CodecError::from(e).in_file(path))?;
-        let bank = TrajectoryBank::load(path)?;
-        let index = SegmentIndex::build(bank.trajectory_set());
-        let diagnoser = Diagnoser::new(bank.trajectory_set().clone(), config.diagnoser);
-        Ok(DiagnosisEngine {
-            source: BankSource::Heap {
-                bank: Box::new(bank),
-                generation: Some(generation),
-                file_len: generation.len(),
-            },
-            index,
-            diagnoser,
-            config,
-            metrics: None,
-        })
+        Ok(DiagnosisEngine::new(TrajectoryBank::load(path)?, config))
     }
 
     /// Maps a bank file zero-copy and builds the engine over it: only
@@ -265,7 +242,7 @@ impl DiagnosisEngine {
     #[inline]
     pub fn bank(&self) -> Option<&TrajectoryBank> {
         match &self.source {
-            BankSource::Heap { bank, .. } => Some(bank.as_ref()),
+            BankSource::Heap(bank) => Some(bank),
             BankSource::Mapped(_) => None,
         }
     }
@@ -277,38 +254,27 @@ impl DiagnosisEngine {
         self.diagnoser.trajectory_set()
     }
 
-    /// The source file's generation at load time: `Some` for engines
-    /// loaded (heap or mapped) from a shard file, `None` for in-process
-    /// banks. The store compares this against a fresh `stat` to detect
-    /// rebuilt shards.
+    /// The mapped shard file's generation at load time; `None` for heap
+    /// engines, which keep no tie to a file. The store compares this
+    /// against a fresh `stat` to detect rebuilt shards.
     #[inline]
     pub fn generation(&self) -> Option<FileGen> {
         match &self.source {
-            BankSource::Heap { generation, .. } => *generation,
+            BankSource::Heap(_) => None,
             BankSource::Mapped(mapped) => Some(mapped.generation()),
         }
     }
 
-    /// Estimated bytes this engine's shard pins resident — what the
-    /// store's memory budget accounts per shard. Zero for in-process
-    /// banks (they have no file to re-load from, so they are never
-    /// evicted and never counted).
-    #[inline]
-    pub fn source_bytes(&self) -> u64 {
-        match &self.source {
-            BankSource::Heap { file_len, .. } => *file_len,
-            BankSource::Mapped(mapped) => mapped.payload_bytes(),
-        }
-    }
-
-    /// Bytes this engine's shard pins resident: for mapped engines, the
+    /// Bytes this engine's shard pins resident — what the store's
+    /// memory budget accounts per shard: for mapped engines, the
     /// trajectory section's payload length, fixed at load (see
-    /// [`MappedBank::resident_bytes`]); for heap engines loaded from a
-    /// file, the whole file. The store's budget accounts with this.
+    /// [`MappedBank::resident_bytes`]); zero for heap engines, which the
+    /// store only holds as pinned in-process banks that are never
+    /// evicted or counted.
     #[inline]
     pub fn resident_bytes(&self) -> u64 {
         match &self.source {
-            BankSource::Heap { file_len, .. } => *file_len,
+            BankSource::Heap(_) => 0,
             BankSource::Mapped(mapped) => mapped.resident_bytes(),
         }
     }
@@ -510,17 +476,15 @@ mod tests {
         assert_eq!(mapped.is_mapped(), cfg!(unix));
         assert_eq!(mapped.trajectory_set(), heap.trajectory_set());
         assert_eq!(mapped.generation(), Some(FileGen::probe(&path).unwrap()));
-        assert!(mapped.source_bytes() > 0);
-        // Heap-loaded engines carry the file generation too; in-process
-        // ones carry none.
+        assert!(mapped.resident_bytes() > 0);
+        // Heap engines, loaded from a file or built in-process, keep no
+        // tie to a file and pin nothing the store accounts.
         let loaded = DiagnosisEngine::load(&path, heap.config()).unwrap();
-        assert_eq!(loaded.generation(), mapped.generation());
-        assert_eq!(
-            loaded.source_bytes(),
-            std::fs::metadata(&path).unwrap().len()
-        );
-        assert_eq!(heap.generation(), None);
-        assert_eq!(heap.source_bytes(), 0);
+        for engine in [&loaded, &heap] {
+            assert_eq!(engine.generation(), None);
+            assert_eq!(engine.resident_bytes(), 0);
+        }
+        assert_eq!(loaded.trajectory_set(), heap.trajectory_set());
         std::fs::remove_file(&path).ok();
 
         let mut rng = StdRng::seed_from_u64(17);

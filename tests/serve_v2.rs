@@ -14,7 +14,9 @@ use std::sync::Arc;
 use fault_trajectory::core::Diagnosis;
 use fault_trajectory::faults::all_pairs;
 use fault_trajectory::prelude::*;
-use fault_trajectory::serve::{diagnose_on, synthetic_queries, ContainerBuilder, SectionTable};
+use fault_trajectory::serve::{
+    diagnose_on, synthetic_queries, ContainerBuilder, FileGen, SectionTable,
+};
 
 /// The paper CUT's bank at quality factor `q`, with the exhaustive
 /// pair-fault dictionary attached as a multi-fault section.
@@ -196,10 +198,11 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
             DiagnosisEngine::load_mapped(&path, EngineConfig::default()).expect("mapped load");
         assert!(mapped.bank().is_none(), "mapped engine holds no heap bank");
         assert_eq!(
-            heap.generation(),
             mapped.generation(),
-            "same file generation"
+            Some(FileGen::probe(&path).expect("stat")),
+            "the mapped engine records the file generation"
         );
+        assert_eq!(heap.generation(), None, "a heap engine keeps no file tie");
         assert!(
             mapped.trajectory_set().is_packed(),
             "v3 shard must be viewed in place on `{name}`"
