@@ -207,20 +207,19 @@ pub(crate) fn topk_prefix_len(
     keep
 }
 
-/// The exhaustive backend: scans every segment of every trajectory.
+/// The exhaustive backend: scans every segment of every trajectory,
+/// through borrowed views, so a packed set is never decoded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearScan;
 
 impl SegmentQuery for LinearScan {
     fn best_per_trajectory(&self, set: &TrajectorySet, observed: &Signature) -> Vec<(f64, f64)> {
-        set.trajectories()
-            .iter()
-            .map(|t| {
+        set.views()
+            .map(|v| {
                 let mut best_dist = f64::INFINITY;
                 let mut best_dev = 0.0;
-                for (d0, p0, d1, p1) in t.segments() {
-                    let (dist, tpar) =
-                        point_segment_distance(observed.coords(), p0.coords(), p1.coords());
+                for (d0, p0, d1, p1) in v.segments() {
+                    let (dist, tpar) = point_segment_distance(observed.coords(), p0, p1);
                     if dist < best_dist {
                         best_dist = dist;
                         best_dev = d0 + tpar * (d1 - d0);
@@ -313,13 +312,11 @@ impl Diagnoser {
             self.set.len(),
             "backend must report one result per trajectory"
         );
-        let candidates: Vec<Candidate> = self
-            .set
-            .trajectories()
-            .iter()
-            .zip(best)
-            .map(|(t, (distance, deviation_pct))| Candidate {
-                component: t.component().to_string(),
+        let candidates: Vec<Candidate> = best
+            .into_iter()
+            .enumerate()
+            .map(|(ti, (distance, deviation_pct))| Candidate {
+                component: self.set.component(ti).to_string(),
                 distance,
                 deviation_pct,
             })
@@ -354,12 +351,11 @@ impl Diagnoser {
             !topk.ranked.is_empty() && topk.ranked.len() <= self.set.len(),
             "backend must rank between 1 and n trajectories"
         );
-        let trajectories = self.set.trajectories();
         let candidates: Vec<Candidate> = topk
             .ranked
             .into_iter()
             .map(|(ti, distance, deviation_pct)| Candidate {
-                component: trajectories[ti].component().to_string(),
+                component: self.set.component(ti).to_string(),
                 distance,
                 deviation_pct,
             })

@@ -1168,4 +1168,45 @@ mod tests {
         let msg = set.validate_deep().unwrap_err();
         assert!(!msg.is_empty());
     }
+
+    #[test]
+    fn packed_set_diagnoses_without_building_an_owned_copy() {
+        use crate::diagnosis::{Diagnoser, DiagnoserConfig, LinearScan};
+        let devs = [-10.0, 0.0, -5.0, 0.0, 5.0];
+        let coords = [-1.0, -2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0];
+        let (buf, coords_off) = packed_buffer(&devs, &coords);
+        let packed = PackedTrajectories::new(
+            buf,
+            vec!["R1".into(), "C2".into()],
+            vec![0, 2, 5],
+            0,
+            coords_off,
+            2,
+        )
+        .unwrap();
+        let diag = Diagnoser::new(
+            TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed),
+            DiagnoserConfig::default(),
+        );
+        let reference = Diagnoser::new(owned_pair(), DiagnoserConfig::default());
+        for q in [[0.5, 1.2], [-0.8, -1.5], [2.0, 3.0]] {
+            let q = Signature::new(q.to_vec());
+            assert_eq!(diag.diagnose(&q), reference.diagnose(&q));
+            assert_eq!(
+                diag.diagnose_with(&LinearScan, &q),
+                reference.diagnose_with(&LinearScan, &q)
+            );
+            assert_eq!(
+                diag.diagnose_topk(&LinearScan, &q, 1),
+                reference.diagnose_topk(&LinearScan, &q, 1)
+            );
+        }
+        let TrajectoryStorage::Packed(packed) = &diag.trajectory_set().storage else {
+            panic!("the diagnoser keeps the packed storage");
+        };
+        assert!(
+            packed.materialized.get().is_none(),
+            "diagnosis built an owned copy of the packed trajectories"
+        );
+    }
 }
