@@ -111,10 +111,10 @@ SUBCOMMANDS:
                        byte-identical at every worker count. Shards are
                        memory-mapped zero-copy, swap in place when their
                        file changes on disk, and --mem-budget caps
-                       resident shard bytes with two-phase eviction:
-                       cold section decodes (dictionaries) drop first,
-                       whole LRU shards only after that (evicted state
-                       reloads on demand; results are unchanged).
+                       resident shard bytes: each shard is charged its
+                       trajectory section, and over budget whole
+                       least-recently-used shards are evicted (they
+                       reload on demand; results are unchanged).
                        --stat-interval-ms throttles the per-hit stat(2)
                        generation probe: 0 (default) checks every hit,
                        N>0 trusts a confirmed shard for N ms (a rebuilt

@@ -203,8 +203,8 @@ impl DiagnosisEngine {
     ///
     /// As [`DiagnosisEngine::load`]; corruption confined to sections
     /// diagnosis never reads (dictionary, multi-fault) does *not* fail
-    /// the load (it surfaces if a tool later touches them through the
-    /// mapped bank).
+    /// the load (it surfaces when a tool decodes them through
+    /// [`MappedBank`] or [`TrajectoryBank::load`]).
     pub fn load_mapped(path: impl AsRef<Path>, config: EngineConfig) -> Result<Self, CodecError> {
         let path = path.as_ref();
         let (mapped, set) = MappedBank::open(path)?;
