@@ -1128,8 +1128,8 @@ mod tests {
         assert_eq!(mapped.resident_bytes(), traj.len as u64);
         assert_eq!(mapped.is_mapped(), cfg!(unix));
         assert_eq!(mapped.generation(), FileGen::probe(&path).unwrap());
-        // The budget estimate covers the payloads (container minus
-        // header/table overhead).
+        // The payload total is the container minus header/table
+        // overhead.
         let file_len = std::fs::metadata(&path).unwrap().len();
         assert!(mapped.payload_bytes() > 0 && mapped.payload_bytes() < file_len);
         std::fs::remove_file(&path).ok();
