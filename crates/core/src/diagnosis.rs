@@ -189,12 +189,13 @@ pub trait SegmentQuery {
 /// Length of the prefix a top-k ranking must keep: at least `min(k, n)`
 /// entries and every entry inside the winner's ambiguity set (distance
 /// `<= best.max(1e-12) * ambiguity_ratio`, the [`Diagnosis::ambiguity_set`]
-/// rule).
-pub(crate) fn topk_prefix_len(
-    ranked: &[(usize, f64, f64)],
-    k: usize,
-    ambiguity_ratio: f64,
-) -> usize {
+/// rule). `ranked` is sorted by `(distance, trajectory_index)`.
+///
+/// The one definition of the prefix: the
+/// [`SegmentQuery::topk_per_trajectory`] oracle and every backend that
+/// overrides it trim with this function, so a served diagnosis carries
+/// exactly the candidates its verdict and ambiguity set need.
+pub fn topk_prefix_len(ranked: &[(usize, f64, f64)], k: usize, ambiguity_ratio: f64) -> usize {
     let n = ranked.len();
     if n == 0 {
         return 0;

@@ -89,7 +89,8 @@ pub use baselines::{
     grid_search, random_search, sensitivity_heuristic, BaselineResult, NnDictionary,
 };
 pub use diagnosis::{
-    Candidate, Diagnoser, DiagnoserConfig, Diagnosis, LinearScan, SegmentQuery, TopkRanking,
+    topk_prefix_len, Candidate, Diagnoser, DiagnoserConfig, Diagnosis, LinearScan, SegmentQuery,
+    TopkRanking,
 };
 pub use fitness::{
     count_intersections, evaluate_fitness, min_separation, pairwise_separations, FitnessKind,

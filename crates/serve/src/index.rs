@@ -81,7 +81,9 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use ft_core::geometry::point_segment_distance2;
-use ft_core::{FaultTrajectory, SegmentQuery, Signature, TopkRanking, TrajectorySet};
+use ft_core::{
+    topk_prefix_len, FaultTrajectory, SegmentQuery, Signature, TopkRanking, TrajectorySet,
+};
 
 use crate::obs::Counter;
 
@@ -889,22 +891,6 @@ impl SegmentIndex {
             c.segments_examined.add(stats.segments_examined as u64);
         }
     }
-}
-
-/// Length of the prefix a top-k ranking keeps: at least `min(k, n)`
-/// entries and every entry inside the winner's ambiguity set — the same
-/// rule as the `SegmentQuery::topk_per_trajectory` default.
-fn topk_prefix_len(ranked: &[(usize, f64, f64)], k: usize, ambiguity_ratio: f64) -> usize {
-    let n = ranked.len();
-    if n == 0 {
-        return 0;
-    }
-    let threshold = ranked[0].1.max(1e-12) * ambiguity_ratio;
-    let mut keep = k.min(n);
-    while keep < n && ranked[keep].1 <= threshold {
-        keep += 1;
-    }
-    keep
 }
 
 /// Per-worker reusable working sets for [`SegmentIndex::query_topk`]:
