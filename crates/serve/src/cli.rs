@@ -625,10 +625,10 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
 /// The `--requests` arm of `ftd diagnose`: the single-bank reference
 /// path of the sharded server. Reads the request file, keeps the lines
 /// whose CUT id matches `--cut-id` (all lines when omitted), answers
-/// them with `DiagnosisEngine::diagnose_batch`, and prints serve-format
-/// lines — so `cmp`-ing against the matching slice of `ftd serve` output
-/// proves the pooled sharded front-end byte-identical to the per-bank
-/// batch engine.
+/// them with `DiagnosisEngine::diagnose_batch` (full rankings), and
+/// prints serve-format lines — so `cmp`-ing against the matching slice
+/// of `ftd serve` output proves the pooled sharded front-end's top-1
+/// answers byte-identical to the per-bank full ranking.
 fn diagnose_requests(
     bank_path: &str,
     requests_path: &str,
@@ -2006,8 +2006,9 @@ mod tests {
     #[test]
     fn diagnose_requests_matches_store_routing() {
         // The acceptance wiring the CI smoke scripts in shell, pinned
-        // here in-process: serve-format lines from the store/pool path
-        // equal the single-bank diagnose_batch path.
+        // here in-process: the store/pool path serves the single-bank
+        // engine's top-1 prefix, and its serve-format lines equal the
+        // full-ranking diagnose_batch path's.
         let dir = std::env::temp_dir().join("ftd_cli_serve_equiv_test");
         std::fs::create_dir_all(&dir).unwrap();
         let tv = ft_core::TestVector::pair(0.5, 2.0);
@@ -2030,9 +2031,16 @@ mod tests {
         let signatures: Vec<Signature> = requests.iter().map(|r| r.signature.clone()).collect();
         let reference = engine.diagnose_batch(&signatures);
 
+        assert_eq!(pooled.len(), reference.len());
         for ((req, pooled), reference) in requests.iter().zip(&pooled).zip(&reference) {
             let pooled = pooled.as_ref().expect("request served");
-            assert_eq!(pooled, reference, "pooled path diverged");
+            assert_eq!(
+                pooled,
+                &engine.diagnose_topk(&req.signature, 1),
+                "pooled path diverged"
+            );
+            assert_eq!(pooled.best(), reference.best(), "verdicts diverged");
+            assert_eq!(pooled.ambiguity_set(), reference.ambiguity_set());
             assert_eq!(
                 render_diagnosis_line(&req.cut_id, pooled),
                 render_diagnosis_line(&req.cut_id, reference),

@@ -18,17 +18,20 @@
 //!   SIMD-friendly batched box tests, incremental per-trajectory
 //!   rebuilds, and a top-k early-termination query path — all
 //!   **bit-identical** to the linear scan.
-//! * [`DiagnosisEngine`] — single and batched diagnosis over a shared
-//!   loaded bank, fanning batches out over `std::thread::scope` workers
-//!   in input order.
+//! * [`DiagnosisEngine`] — single and batched full-ranking diagnosis
+//!   over a shared loaded bank, fanning batches out over
+//!   `std::thread::scope` workers in input order: the reference that
+//!   served answers are checked against.
 //! * [`BankStore`] — multi-circuit sharding: many banks keyed by CUT
 //!   id, loaded lazily from `<dir>/<cut-id>.ftb`, each request routed to
-//!   its shard's index.
+//!   its shard's index and answered by the top-1 early-exit search
+//!   ([`diagnose_on`]): the full ranking's prefix through the winner's
+//!   ambiguity set, so its verdict, ambiguity set and response line are
+//!   the full ranking's.
 //! * [`ServeHandle`] — the persistent serving front-end: long-lived
 //!   worker threads over an mpsc queue with input-order reassembly, so
 //!   sustained traffic pays no per-batch thread spawn and batches
-//!   pipeline; results stay byte-identical to the scoped path at every
-//!   worker count.
+//!   pipeline; answers are byte-identical at every worker count.
 //! * [`MetricsRegistry`] ([`obs`]) — hand-rolled serving observability:
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
 //!   over the engine, store, and pool, snapshotted to JSON, greppable

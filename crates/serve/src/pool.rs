@@ -10,14 +10,16 @@
 //! batch. Batches pipeline — a new batch can be submitted while earlier
 //! ones are still in flight, and workers drain the queue continuously.
 //!
-//! Each request is diagnosed by the same single-query path the scoped
-//! batch uses ([`DiagnosisEngine::diagnose`] via
-//! [`BankStore::diagnose`]), so results are **byte-identical** to the
-//! scoped-thread path at every worker count — scheduling affects only
-//! timing, never values or order.
+//! Each request is answered by the call behind every served answer,
+//! [`diagnose_on`] (the index's top-1 early-exit search), so a result
+//! is a pure function of (bank, signature): **byte-identical** at every
+//! worker count — scheduling affects only timing, never values or
+//! order. It is the full ranking's prefix through the winner's
+//! ambiguity set, not the full ranking the scoped batch returns; its
+//! rank 1, ambiguity set and rendered line equal the scoped batch's.
 //!
 //! [`DiagnosisEngine::diagnose_batch`]: crate::DiagnosisEngine::diagnose_batch
-//! [`DiagnosisEngine::diagnose`]: crate::DiagnosisEngine::diagnose
+//! [`diagnose_on`]: crate::store::diagnose_on
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -31,7 +33,11 @@ use ft_core::Diagnosis;
 use crate::obs::{MetricsRegistry, PoolMetrics};
 use crate::store::{BankStore, DiagnosisRequest, StoreError};
 
-/// The outcome of one request served through the pool.
+/// The outcome of one request served through the pool. The
+/// [`Diagnosis`] carries the ranked prefix through the winner's
+/// ambiguity set — at least one candidate, not one per trajectory
+/// ([`crate::store::diagnose_on`]); callers that want every rank call
+/// [`crate::DiagnosisEngine::diagnose`].
 pub type ServeResult = Result<Diagnosis, StoreError>;
 
 /// Identifies a submitted batch; batches complete in submission order.
@@ -569,14 +575,34 @@ mod tests {
             .map(|b| crate::DiagnosisEngine::new(b, EngineConfig::default()))
             .unwrap();
 
+        // A served answer is the reference engine's top-1 prefix, and
+        // its verdict, ambiguity set and line are the full ranking's.
+        fn served_as(
+            engine: &crate::DiagnosisEngine,
+            req: &DiagnosisRequest,
+            got: &Diagnosis,
+            what: &str,
+        ) {
+            assert_eq!(got, &engine.diagnose_topk(&req.signature, 1), "{what}");
+            let full = engine.diagnose(&req.signature);
+            assert_eq!(got.best(), full.best(), "{what}");
+            assert_eq!(got.ambiguity_set(), full.ambiguity_set(), "{what}");
+            assert_eq!(
+                crate::cli::render_diagnosis_line(&req.cut_id, got),
+                crate::cli::render_diagnosis_line(&req.cut_id, &full),
+                "{what}"
+            );
+        }
+
         let mut handle = ServeHandle::new(Arc::clone(&store), 2);
         handle.submit(requests.clone());
         let before = handle.drain_one().unwrap();
         for (req, got) in requests.iter().zip(&before) {
-            assert_eq!(
+            served_as(
+                &ref_old,
+                req,
                 got.as_ref().unwrap(),
-                &ref_old.diagnose(&req.signature),
-                "pre-swap answers come from the old bank"
+                "pre-swap answers come from the old bank",
             );
         }
 
@@ -588,10 +614,11 @@ mod tests {
         handle.submit(requests.clone());
         let after = handle.drain_one().unwrap();
         for (req, got) in requests.iter().zip(&after) {
-            assert_eq!(
+            served_as(
+                &ref_new,
+                req,
                 got.as_ref().unwrap(),
-                &ref_new.diagnose(&req.signature),
-                "post-swap answers come from the rebuilt bank"
+                "post-swap answers come from the rebuilt bank",
             );
         }
         drop(handle);

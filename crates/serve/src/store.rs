@@ -776,9 +776,13 @@ impl BankStore {
         }
     }
 
-    /// Routes one request to its shard and diagnoses through the shard's
-    /// spatial index. Results are identical to calling
-    /// [`DiagnosisEngine::diagnose`] on the corresponding single bank.
+    /// Routes one request to its shard and answers it as every served
+    /// request is answered ([`diagnose_on`]): the ranked prefix through
+    /// the winner's ambiguity set, equal to
+    /// [`DiagnosisEngine::diagnose_topk`] with `k = 1` on the
+    /// corresponding single bank. Its rank 1 and ambiguity set are the
+    /// full ranking's; callers that want every rank call
+    /// [`DiagnosisEngine::diagnose`].
     ///
     /// # Errors
     ///
@@ -812,10 +816,21 @@ pub struct RefreshSummary {
     pub retired: usize,
 }
 
+/// Ranking depth of a served answer. A served line prints rank 1, its
+/// deviation and distance, and the winner's ambiguity set, and the top-k
+/// prefix always carries the whole ambiguity set, so ranks past the
+/// first would be computed only to be dropped.
+const SERVED_K: usize = 1;
+
 /// Diagnoses one routed request on an already-resolved shard engine —
 /// the dimension-checked back half of [`BankStore::diagnose`], split out
 /// so pool workers can resolve a shard once per run of same-CUT requests
-/// instead of taking the shard-map lock per request.
+/// instead of taking the shard-map lock per request. This is the one
+/// call behind every served answer (`BankStore::diagnose`, the
+/// [`crate::ServeHandle`] workers, stdin `ftd serve` and
+/// [`crate::NetServer`]): the index's top-1 early-exit search, whose
+/// [`Diagnosis`] is the full ranking's prefix through the winner's
+/// ambiguity set.
 pub fn diagnose_on(
     engine: &DiagnosisEngine,
     request: &DiagnosisRequest,
@@ -833,7 +848,7 @@ pub fn diagnose_on(
     if !request.signature.coords().iter().all(|x| x.is_finite()) {
         return Err(StoreError::NonFiniteSignature(request.cut_id.clone()));
     }
-    Ok(engine.diagnose(&request.signature))
+    Ok(engine.diagnose_topk(&request.signature, SERVED_K))
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //! reload it, and answer a batch of 100 noisy observations through the
 //! indexed diagnosis engine — then serve the same observations through
 //! the sharded `BankStore` + persistent `ServeHandle` worker pool and
-//! check both paths agree byte-for-byte.
+//! check that the pool serves the engine's top-1 prefix, whose verdict,
+//! ambiguity set and response line are the full ranking's.
 //!
 //! ```sh
 //! cargo run --release --example serve_batch
@@ -110,12 +111,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .remove(0)
         .into_iter()
         .collect::<Result<_, _>>()?;
-    assert_eq!(
-        pooled, verdicts,
-        "persistent pool is byte-identical to the scoped batch"
-    );
+    assert_eq!(pooled.len(), verdicts.len());
+    for ((sig, served), full) in observations.iter().zip(&pooled).zip(&verdicts) {
+        assert_eq!(
+            served,
+            &engine.diagnose_topk(sig, 1),
+            "persistent pool serves the top-1 prefix"
+        );
+        assert_eq!(
+            served.best(),
+            full.best(),
+            "same verdict as the scoped batch"
+        );
+        assert_eq!(served.ambiguity_set(), full.ambiguity_set());
+        assert_eq!(
+            fault_trajectory::serve::response_line("tow-thomas", &Ok(served.clone())),
+            fault_trajectory::serve::response_line("tow-thomas", &Ok(full.clone())),
+            "same response line as the scoped batch"
+        );
+    }
     println!(
-        "re-served the batch through BankStore + a {}-worker persistent pool: identical results",
+        "re-served the batch through BankStore + a {}-worker persistent pool: identical verdicts",
         handle.worker_count()
     );
     std::fs::remove_file(&path).ok();

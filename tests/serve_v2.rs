@@ -6,8 +6,10 @@
 //! * per-section single-byte corruption is detected *and attributed* to
 //!   the section it hit; unknown sections are skipped losslessly;
 //! * `BankStore` routing over two CUTs and `ServeHandle` at worker
-//!   counts 1, 2, and 8 are byte-identical to per-bank
-//!   `DiagnosisEngine::diagnose_batch`.
+//!   counts 1, 2, and 8 serve exactly the per-bank engine's top-1
+//!   prefix (`DiagnosisEngine::diagnose_topk(sig, 1)`), whose verdict,
+//!   ambiguity set and response line are per-bank
+//!   `DiagnosisEngine::diagnose_batch`'s.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use fault_trajectory::core::Diagnosis;
 use fault_trajectory::faults::all_pairs;
 use fault_trajectory::prelude::*;
 use fault_trajectory::serve::{
-    diagnose_on, synthetic_queries, ContainerBuilder, FileGen, SectionTable,
+    diagnose_on, response_line, synthetic_queries, ContainerBuilder, FileGen, SectionTable,
 };
 
 /// The paper CUT's bank at quality factor `q`, with the exhaustive
@@ -137,15 +139,19 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
         requests.push(DiagnosisRequest::new("q2", b.clone()));
     }
 
-    // Reference: the per-bank scoped-thread batch path.
+    // Reference: the per-bank scoped-thread batch path (full rankings),
+    // and the per-bank top-1 prefix every served request must equal.
     let engine_q1 = DiagnosisEngine::new(bank_q1, EngineConfig::default());
     let engine_q2 = DiagnosisEngine::new(bank_q2, EngineConfig::default());
     let ref_q1 = engine_q1.diagnose_batch(&sig_q1);
     let ref_q2 = engine_q2.diagnose_batch(&sig_q2);
     let mut reference = Vec::with_capacity(requests.len());
-    for (a, b) in ref_q1.into_iter().zip(ref_q2) {
+    let mut served_ref = Vec::with_capacity(requests.len());
+    for (((a, b), sa), sb) in ref_q1.into_iter().zip(ref_q2).zip(&sig_q1).zip(&sig_q2) {
         reference.push(a);
         reference.push(b);
+        served_ref.push(engine_q1.diagnose_topk(sa, 1));
+        served_ref.push(engine_q2.diagnose_topk(sb, 1));
     }
 
     for workers in [1usize, 2, 8] {
@@ -163,9 +169,22 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
             .map(|r| r.expect("request serves"))
             .collect();
         assert_eq!(
-            drained, reference,
-            "pooled front-end diverged from per-bank diagnose_batch at {workers} workers"
+            drained, served_ref,
+            "pooled front-end diverged from the per-bank top-1 prefix at {workers} workers"
         );
+        for ((req, got), full) in requests.iter().zip(&drained).zip(&reference) {
+            assert_eq!(
+                got.best(),
+                full.best(),
+                "verdict drift at {workers} workers"
+            );
+            assert_eq!(got.ambiguity_set(), full.ambiguity_set());
+            assert_eq!(
+                response_line(&req.cut_id, &Ok(got.clone())),
+                response_line(&req.cut_id, &Ok(full.clone())),
+                "served line diverged from per-bank diagnose_batch at {workers} workers"
+            );
+        }
         assert_eq!(
             store.loaded_count(),
             2,
