@@ -49,7 +49,6 @@ fn frontend_setup(
     let config = EngineConfig {
         diagnoser: DiagnoserConfig::default(),
         workers: Some(workers),
-        topk: None,
     };
     let engine = DiagnosisEngine::new(bank.clone(), config);
     let store = Arc::new(BankStore::in_memory(config));
@@ -142,7 +141,6 @@ fn emit_summary(_c: &mut Criterion) {
     let config = EngineConfig {
         diagnoser: DiagnoserConfig::default(),
         workers: Some(workers),
-        topk: None,
     };
     let store = Arc::new(BankStore::in_memory(config).with_metrics(&registry));
     store.insert_bank("ladder", bank).expect("valid cut id");
@@ -186,7 +184,6 @@ fn emit_summary(_c: &mut Criterion) {
         BankStore::in_memory(EngineConfig {
             diagnoser: DiagnoserConfig::default(),
             workers: Some(workers),
-            topk: None,
         })
         .with_metrics(&net_registry),
     );

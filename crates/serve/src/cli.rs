@@ -54,11 +54,10 @@ USAGE:
   ftd build-bank [--out PATH] [--f1 W] [--f2 W] [--grid-points N] [--q Q]
   ftd reencode IN OUT
   ftd diagnose --bank PATH [--fault COMP:PCT]... [--random N]
-               [--noise-db S] [--seed N] [--workers N] [--linear | --topk K]
-               [--q Q]
+               [--noise-db S] [--seed N] [--workers N] [--linear] [--q Q]
   ftd diagnose --bank PATH --requests FILE [--cut-id ID] [--workers N]
-               [--linear | --topk K]
-  ftd serve --banks DIR [--workers N] [--batch N] [--topk K]
+               [--linear]
+  ftd serve --banks DIR [--workers N] [--batch N]
             [--mem-budget BYTES[K|M|G]] [--stat-interval-ms N]
             [--stats-file PATH] [--stats-every N]
             [--listen ADDR] [--refresh-ms N] [--max-inflight N]
@@ -90,18 +89,17 @@ SUBCOMMANDS:
   diagnose             Load a bank, measure signatures for the requested
                        (--fault R2:+25) and/or --random sampled unknown
                        faults on the same CUT, and diagnose them as one
-                       batch (spatial index unless --linear). With
-                       --requests FILE, skip simulation and instead
-                       answer the file's signature lines (the `serve`
-                       request format; --cut-id keeps only matching
-                       lines), printing one tab-separated diagnosis line
-                       per request — byte-comparable with `serve` output.
-                       --topk K routes queries through the index's top-k
-                       early-termination path: traversal stops once the
-                       best K trajectories and the ambiguity set are
-                       settled, so the printed verdict (best component +
-                       ambiguity set) is byte-identical to the full
-                       ranking while examining far fewer segments.
+                       batch (spatial index unless --linear), printing
+                       the ranked table, the accuracy, and how many
+                       verdicts resolve to a single structural ambiguity
+                       group. With --requests FILE, skip simulation and
+                       instead answer the file's signature lines (the
+                       `serve` request format; --cut-id keeps only
+                       matching lines), printing one tab-separated
+                       diagnosis line per request — byte-comparable with
+                       `serve` output. Every diagnosis here ranks all
+                       trajectories: this is the full-ranking reference
+                       that served answers are checked against.
   serve                Open a shard directory (<dir>/<cut-id>.ftb, loaded
                        lazily), read requests from stdin — one per line:
                        `CUT_ID X1 X2 ...` — route each to its CUT's bank,
@@ -125,10 +123,11 @@ SUBCOMMANDS:
                        --stats-every; a `!stats` request line prints a
                        one-shot snapshot to stderr. Metrics never change
                        diagnosis output; without --stats-file nothing is
-                       recorded at all. --topk K serves every request
-                       through the top-k early-termination query path;
-                       output lines stay byte-identical to a full-ranking
-                       server.
+                       recorded at all. Every request is answered by the
+                       index's top-1 early-exit search, which stops once
+                       rank 1 and its ambiguity set are settled, so each
+                       line is byte-identical to the full ranking's
+                       (`diagnose --requests`).
                        With --listen ADDR the same shard directory is
                        served over TCP instead of stdin (unix only): a
                        non-blocking poll(2) event loop speaking
@@ -431,7 +430,6 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
     let mut seed: Option<u64> = None;
     let mut workers: Option<usize> = None;
     let mut linear = false;
-    let mut topk: Option<usize> = None;
     let mut q: Option<f64> = None;
     let mut requests_path: Option<String> = None;
     let mut cut_id: Option<String> = None;
@@ -445,7 +443,6 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
             "--seed" => seed = Some(flags.parse("--seed")?),
             "--workers" => workers = Some(flags.parse("--workers")?),
             "--linear" => linear = true,
-            "--topk" => topk = Some(flags.parse("--topk")?),
             "--q" => q = Some(flags.parse("--q")?),
             "--requests" => requests_path = Some(flags.value("--requests")?.to_string()),
             "--cut-id" => cut_id = Some(flags.value("--cut-id")?.to_string()),
@@ -453,12 +450,6 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
         }
     }
     let bank_path = bank_path.ok_or_else(|| usage("diagnose needs --bank PATH"))?;
-    if topk == Some(0) {
-        return Err(usage("--topk must be at least 1"));
-    }
-    if linear && topk.is_some() {
-        return Err(usage("--linear and --topk are mutually exclusive"));
-    }
     if let Some(requests_path) = requests_path {
         // Pre-measured signatures: every simulation flag would silently
         // do nothing, so passing any of them is an error, not a shrug.
@@ -474,7 +465,6 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
             cut_id.as_deref(),
             workers,
             linear,
-            topk,
         );
     }
     if cut_id.is_some() {
@@ -495,7 +485,6 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
         EngineConfig {
             diagnoser: DiagnoserConfig::default(),
             workers,
-            topk,
         },
     )
     .map_err(runtime)?;
@@ -597,28 +586,20 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
         results.len(),
         in_set,
         results.len(),
-        if linear {
-            "linear"
-        } else if topk.is_some() {
-            "indexed top-k"
-        } else {
-            "indexed"
-        },
+        if linear { "linear" } else { "indexed" },
         elapsed,
     );
-    if topk.is_some() {
-        // How often the (possibly truncated) verdict already pins down a
-        // single structural ambiguity group of the bank.
-        let groups = ambiguity_groups(bank.trajectory_set(), 1e-6, &GeometryOptions::default());
-        let resolved = results
-            .iter()
-            .filter(|d| groups.is_resolved(&d.ambiguity_set()))
-            .count();
-        println!(
-            "{resolved}/{} verdicts resolved to a single structural ambiguity group",
-            results.len(),
-        );
-    }
+    // How often the verdict already pins down a single structural
+    // ambiguity group of the bank.
+    let groups = ambiguity_groups(bank.trajectory_set(), 1e-6, &GeometryOptions::default());
+    let resolved = results
+        .iter()
+        .filter(|d| groups.is_resolved(&d.ambiguity_set()))
+        .count();
+    println!(
+        "{resolved}/{} verdicts resolved to a single structural ambiguity group",
+        results.len(),
+    );
     Ok(())
 }
 
@@ -635,14 +616,12 @@ fn diagnose_requests(
     cut_id: Option<&str>,
     workers: Option<usize>,
     linear: bool,
-    topk: Option<usize>,
 ) -> Result<(), CliError> {
     let engine = DiagnosisEngine::load(
         bank_path,
         EngineConfig {
             diagnoser: DiagnoserConfig::default(),
             workers,
-            topk,
         },
     )
     .map_err(runtime)?;
@@ -702,7 +681,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let mut banks: Option<String> = None;
     let mut workers: Option<usize> = None;
     let mut batch = 64usize;
-    let mut topk: Option<usize> = None;
     let mut mem_budget: Option<u64> = None;
     let mut stats_file: Option<String> = None;
     let mut stats_every: Option<usize> = None;
@@ -717,7 +695,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             "--banks" => banks = Some(flags.value("--banks")?.to_string()),
             "--workers" => workers = Some(flags.parse("--workers")?),
             "--batch" => batch = flags.parse("--batch")?,
-            "--topk" => topk = Some(flags.parse("--topk")?),
             "--mem-budget" => mem_budget = Some(parse_mem_budget(flags.value("--mem-budget")?)?),
             "--stats-file" => stats_file = Some(flags.value("--stats-file")?.to_string()),
             "--stats-every" => stats_every = Some(flags.parse("--stats-every")?),
@@ -736,9 +713,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let banks = banks.ok_or_else(|| usage("serve needs --banks DIR"))?;
     if batch == 0 {
         return Err(usage("--batch must be positive"));
-    }
-    if topk == Some(0) {
-        return Err(usage("--topk must be at least 1"));
     }
     if stats_every.is_some() && stats_file.is_none() {
         return Err(usage("--stats-every needs --stats-file PATH"));
@@ -783,10 +757,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         min_stat_interval: std::time::Duration::from_millis(
             stat_interval_ms.unwrap_or(default_stat_interval),
         ),
-        ..StoreConfig::new(EngineConfig {
-            topk,
-            ..EngineConfig::default()
-        })
+        ..StoreConfig::new(EngineConfig::default())
     };
     let store = Arc::new(
         BankStore::open_with(&banks, store_config)
@@ -1836,6 +1807,22 @@ mod tests {
             ]),
             2
         );
+        // Serving always answers with the top-1 prefix; there is no
+        // ranking-depth flag on either front end.
+        for cmd in [["serve", "--banks"], ["diagnose", "--bank"]] {
+            assert_eq!(
+                main_from_args(vec![
+                    cmd[0].into(),
+                    cmd[1].into(),
+                    "/tmp".into(),
+                    "--topk".into(),
+                    "3".into(),
+                ]),
+                2,
+                "{} --topk must be an unknown flag",
+                cmd[0]
+            );
+        }
         assert_eq!(main_from_args(vec!["gen-requests".into()]), 2);
         assert_eq!(
             main_from_args(vec![

@@ -116,7 +116,10 @@ where
         .collect()
 }
 
-/// Engine configuration.
+/// Engine configuration. Ranking depth is not configured:
+/// [`DiagnosisEngine::diagnose`] and [`DiagnosisEngine::diagnose_batch`]
+/// rank in full, and served requests take the top-1 prefix
+/// ([`crate::store::diagnose_on`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineConfig {
     /// Diagnosis configuration (ambiguity ratio).
@@ -124,13 +127,6 @@ pub struct EngineConfig {
     /// Worker threads for batched queries; `None` uses the machine's
     /// available parallelism.
     pub workers: Option<usize>,
-    /// When `Some(k)`, indexed diagnoses take the top-k /
-    /// early-termination path: rankings stop after the `k` best
-    /// trajectories plus the winner's full ambiguity set, so the rank-1
-    /// verdict and ambiguity set stay identical to the full ranking
-    /// while the search skips the tail. `None` (the default) ranks the
-    /// full universe.
-    pub topk: Option<usize>,
 }
 
 /// Where an engine's bank came from, and how much of it is decoded.
@@ -298,31 +294,27 @@ impl DiagnosisEngine {
         self.config
     }
 
-    /// Diagnoses one observed signature through the spatial index —
-    /// the full ranking, or the top-k / early-termination path when
-    /// [`EngineConfig::topk`] is set (rank-1 and ambiguity set are
-    /// identical either way).
+    /// Diagnoses one observed signature through the spatial index,
+    /// ranking every trajectory: the reference that served answers
+    /// ([`DiagnosisEngine::diagnose_topk`] with `k = 1`) are compared
+    /// against.
     ///
     /// # Panics
     ///
     /// Panics on signature dimension mismatch.
     pub fn diagnose(&self, observed: &Signature) -> Diagnosis {
-        match self.config.topk {
-            Some(k) => self.diagnose_topk(observed, k),
-            None => {
-                let _span = self.metrics.as_ref().map(|m| {
-                    m.indexed.inc();
-                    SpanTimer::start(Arc::clone(&m.diagnose_latency))
-                });
-                self.diagnoser.diagnose_with(&self.index, observed)
-            }
-        }
+        let _span = self.metrics.as_ref().map(|m| {
+            m.indexed.inc();
+            SpanTimer::start(Arc::clone(&m.diagnose_latency))
+        });
+        self.diagnoser.diagnose_with(&self.index, observed)
     }
 
     /// Diagnoses through the index's top-k / early-termination search:
     /// the ranking stops after the `k` best trajectories plus the
     /// winner's full ambiguity set, both provably identical to the full
-    /// ranking's ([`Diagnoser::diagnose_topk`]).
+    /// ranking's ([`Diagnoser::diagnose_topk`]). Every served request
+    /// takes this path with `k = 1`.
     ///
     /// # Panics
     ///
@@ -350,7 +342,8 @@ impl DiagnosisEngine {
     }
 
     /// Diagnoses a batch of observed signatures concurrently, returning
-    /// results in input order.
+    /// full rankings ([`DiagnosisEngine::diagnose`]) in input order —
+    /// the single-bank reference `ftd diagnose --requests` prints.
     ///
     /// # Panics
     ///
@@ -371,18 +364,7 @@ impl DiagnosisEngine {
 
     fn batch(&self, observed: &[Signature], indexed: bool) -> Vec<Diagnosis> {
         if indexed {
-            match self.config.topk {
-                Some(k) => diagnose_batch_topk_with(
-                    &self.diagnoser,
-                    &self.index,
-                    observed,
-                    k,
-                    self.config.workers,
-                ),
-                None => {
-                    diagnose_batch_with(&self.diagnoser, &self.index, observed, self.config.workers)
-                }
-            }
+            diagnose_batch_with(&self.diagnoser, &self.index, observed, self.config.workers)
         } else {
             diagnose_batch_with(
                 &self.diagnoser,
@@ -520,7 +502,6 @@ mod tests {
     fn topk_engine_keeps_rank1_and_ambiguity_set() {
         let full = rc_engine(Some(2));
         let mut topk = rc_engine(Some(2));
-        topk.config.topk = Some(1);
         let registry = crate::obs::MetricsRegistry::new();
         topk.set_metrics(EngineMetrics::from_registry(&registry));
         let mut rng = StdRng::seed_from_u64(21);
@@ -528,7 +509,8 @@ mod tests {
             .map(|_| Signature::new(vec![rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0)]))
             .collect();
         let batched_full = full.diagnose_batch(&sigs);
-        let batched_topk = topk.diagnose_batch(&sigs);
+        let batched_topk =
+            diagnose_batch_topk_with(&topk.diagnoser, topk.index(), &sigs, 1, topk.config.workers);
         for ((sig, f), t) in sigs.iter().zip(&batched_full).zip(&batched_topk) {
             assert_eq!(f.best(), t.best(), "rank-1 drift at {sig}");
             assert_eq!(f.ambiguity_set(), t.ambiguity_set());
@@ -538,7 +520,7 @@ mod tests {
                 "top-k is not a prefix at {sig}"
             );
             // Single-query path agrees with the batch.
-            assert_eq!(&topk.diagnose(sig), t);
+            assert_eq!(&topk.diagnose_topk(sig, 1), t);
             assert_eq!(&full.diagnose_topk(sig, 1), t);
         }
         // The index counters flowed through EngineMetrics.
