@@ -1,9 +1,10 @@
 //! Property-based tests for the serving layer: bank codec round-trips,
-//! corruption detection, and indexed-vs-linear diagnosis agreement.
+//! corruption detection, indexed-vs-linear diagnosis agreement, and
+//! served (top-1) response lines against the full ranking's.
 
 use fault_trajectory::core::{FaultTrajectory, TrajectorySet};
 use fault_trajectory::prelude::*;
-use fault_trajectory::serve::{synthetic_trajectory_set, SegmentIndex};
+use fault_trajectory::serve::{response_line, synthetic_trajectory_set, SegmentIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,6 +42,39 @@ fn jagged_set_from_seed(seed: u64, components: usize, dim: usize) -> TrajectoryS
         TestVector::new((1..=dim).map(|i| i as f64).collect()),
         trajectories,
     )
+}
+
+/// `set` with every trajectory translated so its 0% point sits at the
+/// origin, as the golden circuit anchors every trajectory of a real
+/// bank: at the origin every trajectory is at distance 0.
+fn anchored_at_origin(set: &TrajectorySet) -> TrajectorySet {
+    let trajectories = set
+        .trajectories()
+        .iter()
+        .map(|t| {
+            let zero = t
+                .deviations_pct()
+                .iter()
+                .position(|&d| d == 0.0)
+                .expect("jagged trajectories hold a 0% point");
+            let at = t.points()[zero].coords().to_vec();
+            let points = t
+                .points()
+                .iter()
+                .map(|p| {
+                    Signature::new(
+                        p.coords()
+                            .iter()
+                            .zip(&at)
+                            .map(|(x, o)| x - o)
+                            .collect::<Vec<f64>>(),
+                    )
+                })
+                .collect();
+            FaultTrajectory::new(t.component(), t.deviations_pct().to_vec(), points)
+        })
+        .collect();
+    TrajectorySet::new(set.test_vector().clone(), trajectories)
 }
 
 /// Builds a small but structurally varied bank from a seed: random
@@ -224,6 +258,47 @@ proptest! {
             prop_assert_eq!(&got.ranked[..], &full[..got.ranked.len()]);
             if got.early_exit {
                 prop_assert!(got.ranked.len() < set.len());
+            }
+        }
+    }
+
+    /// A served answer — the index's top-1 early-exit search — renders
+    /// the same response line as the linear full ranking, on ragged
+    /// banks with ties and zero-length segments: at random signatures,
+    /// at an exact trajectory vertex, and at the origin. On the bank
+    /// anchored at the origin, every distance there is 0, so the whole
+    /// set is ambiguous and the search cannot exit early.
+    #[test]
+    fn served_top1_line_matches_the_full_ranking(
+        seed in 0i64..1_000_000,
+        components in 1usize..12,
+        dim in 1usize..4,
+    ) {
+        let raw = jagged_set_from_seed(seed as u64, components, dim);
+        let anchored = anchored_at_origin(&raw);
+        let mut rng = StdRng::seed_from_u64(seed as u64 ^ 0x7e57_0001);
+        for (set, is_anchored) in [(raw, false), (anchored, true)] {
+            let index = SegmentIndex::build(&set);
+            let on = set.view(rng.gen_range(0..set.len()));
+            let vertex = on.point(rng.gen_range(0..on.point_count())).to_vec();
+            let mut probes = vec![Signature::new(vec![0.0; dim]), Signature::new(vertex)];
+            for _ in 0..6 {
+                probes.push(Signature::new(
+                    (0..dim).map(|_| rng.gen_range(-12.0..12.0)).collect::<Vec<f64>>(),
+                ));
+            }
+            let n = set.len();
+            let diagnoser = Diagnoser::new(set, DiagnoserConfig::default());
+            for (i, sig) in probes.iter().enumerate() {
+                let served = diagnoser.diagnose_topk(&index, sig, 1);
+                if is_anchored && i == 0 {
+                    prop_assert_eq!(served.ambiguity_set().len(), n, "origin not all-ambiguous");
+                }
+                prop_assert_eq!(
+                    response_line("cut", &Ok(served)),
+                    response_line("cut", &Ok(diagnoser.diagnose(sig))),
+                    "served line drift for seed {} at {}", seed, sig
+                );
             }
         }
     }
