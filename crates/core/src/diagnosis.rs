@@ -191,10 +191,9 @@ pub trait SegmentQuery {
 /// `<= best.max(1e-12) * ambiguity_ratio`, the [`Diagnosis::ambiguity_set`]
 /// rule). `ranked` is sorted by `(distance, trajectory_index)`.
 ///
-/// The one definition of the prefix: the
-/// [`SegmentQuery::topk_per_trajectory`] oracle and every backend that
-/// overrides it trim with this function, so a served diagnosis carries
-/// exactly the candidates its verdict and ambiguity set need.
+/// The [`SegmentQuery::topk_per_trajectory`] oracle and every backend
+/// that overrides it trim with this one function, so they cannot
+/// disagree on the prefix.
 pub fn topk_prefix_len(ranked: &[(usize, f64, f64)], k: usize, ambiguity_ratio: f64) -> usize {
     let n = ranked.len();
     if n == 0 {
