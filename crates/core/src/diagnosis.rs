@@ -208,7 +208,8 @@ pub fn topk_prefix_len(ranked: &[(usize, f64, f64)], k: usize, ambiguity_ratio: 
 }
 
 /// The exhaustive backend: scans every segment of every trajectory,
-/// through borrowed views, so a packed set is never decoded.
+/// through borrowed views, so a packed set is never copied into owned
+/// trajectories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearScan;
 

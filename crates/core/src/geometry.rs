@@ -11,8 +11,8 @@
 pub const GEOM_EPS: f64 = 1e-12;
 
 /// `true` when every value is finite — the content gate packed
-/// (zero-copy) trajectory storage runs over whole deviation/coordinate
-/// regions before serving from them.
+/// trajectory storage runs over its whole deviation/coordinate runs
+/// before serving from them.
 #[inline]
 pub fn all_finite(xs: &[f64]) -> bool {
     xs.iter().all(|x| x.is_finite())

@@ -13,21 +13,19 @@
 //!
 //! * **owned** — the classic `Vec<FaultTrajectory>` the offline pipeline
 //!   builds, each point its own [`Signature`];
-//! * **packed** — [`PackedTrajectories`]: borrowed little-endian `f64`
-//!   runs (deviations, point coordinates) inside a byte buffer the set
-//!   merely keeps alive, typically a memory-mapped bank file. Nothing is
-//!   decoded; slices are cast in place (8-byte alignment is validated at
-//!   construction, so the cast is sound and opening a mapped bank is
-//!   O(header)).
+//! * **packed** — [`PackedTrajectories`]: one contiguous deviation run
+//!   and one point-major coordinate run, the layout a bank file's
+//!   trajectory section stores and its reader decodes into. Every set
+//!   read from a bank file is packed.
 //!
 //! Hot paths consume [`TrajectoryView`]s ([`TrajectorySet::view`],
 //! [`TrajectorySet::all_segments`]), which read either storage without
 //! copying. The legacy [`TrajectorySet::trajectories`] accessor still
 //! works on packed sets by materialising owned trajectories once, on
 //! first use — cold introspection paths keep working, but they pay the
-//! decode the hot paths avoid.
+//! per-point copy the hot paths avoid.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use ft_circuit::{AcSweepEngine, Circuit, CircuitError, Probe};
 use ft_faults::{FaultDictionary, ParametricFault};
@@ -176,7 +174,7 @@ impl FaultTrajectory {
 /// deviation grid, and point coordinates exposed as plain `f64` slices.
 /// Owned and packed [`TrajectorySet`] storages produce the same view
 /// type, so diagnosis and indexing code written against it runs
-/// zero-copy over mapped banks and unchanged over heap-decoded ones.
+/// unchanged over sets built in process and sets read from bank files.
 #[derive(Debug, Clone, Copy)]
 pub struct TrajectoryView<'a> {
     component: &'a str,
@@ -259,10 +257,9 @@ impl<'a> TrajectoryView<'a> {
     }
 }
 
-/// A constructed [`PackedTrajectories`] layout that cannot be viewed in
-/// place (misaligned, truncated, inconsistent, or on a platform whose
-/// byte order differs from the bank's little-endian encoding). Callers
-/// fall back to an owned decode or reject the file.
+/// A [`PackedTrajectories`] shape that does not describe a trajectory
+/// set: no trajectories, a zero dimension, a malformed point-offset
+/// table, or runs whose lengths disagree with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedLayoutError(String);
 
@@ -274,32 +271,26 @@ impl std::fmt::Display for PackedLayoutError {
 
 impl std::error::Error for PackedLayoutError {}
 
-/// Zero-copy trajectory storage over a byte buffer: per-trajectory
-/// component names and point ranges, plus byte offsets of two aligned
-/// little-endian `f64` regions inside `bytes` — the concatenated
-/// deviation grid and the point-major coordinate run. The buffer
-/// (typically an `Arc`'d memory map of a v3 bank) stays alive exactly as
-/// long as the storage.
+/// Trajectories stored as two contiguous `f64` runs, the way a v3 bank's
+/// trajectory section lays them out: per-trajectory component names and
+/// point ranges, the concatenated deviation grid, and the point-major
+/// coordinate run. Views slice the runs; nothing is copied per query.
 ///
-/// Construction validates bounds, monotonic point offsets, and 8-byte
-/// alignment of both regions, so the in-place `&[u8] → &[f64]` casts are
-/// sound; it does **not** read the regions themselves — that is what
-/// keeps a mapped open O(header). [`TrajectorySet::validate_deep`] runs
-/// the full content checks (finiteness, deviation ordering) when a
-/// consumer needs them.
+/// Construction checks shapes only (offset table, run lengths).
+/// [`TrajectorySet::validate_deep`] runs the content checks
+/// (finiteness, deviation ordering, the 0% origin) a decoder must apply
+/// before serving the set.
+#[derive(Clone)]
 pub struct PackedTrajectories {
-    /// Backing buffer. The `AsRef` implementation must return the same
-    /// slice on every call (memory maps and owned buffers do); the
-    /// alignment validated here is re-asserted on access.
-    bytes: Arc<dyn AsRef<[u8]> + Send + Sync>,
     components: Vec<String>,
     /// Prefix sums of per-trajectory point counts; `len() + 1` entries.
     point_offsets: Vec<u32>,
-    devs_offset: usize,
-    coords_offset: usize,
+    /// Deviations of every trajectory, concatenated (`total_points`).
+    devs: Vec<f64>,
+    /// Point coordinates, point-major (`total_points * dim`).
+    coords: Vec<f64>,
     dim: usize,
-    total_points: usize,
-    /// Owned trajectories, decoded once if a legacy accessor needs them.
+    /// Owned trajectories, built once if a legacy accessor needs them.
     materialized: OnceLock<Vec<FaultTrajectory>>,
 }
 
@@ -307,52 +298,29 @@ impl std::fmt::Debug for PackedTrajectories {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedTrajectories")
             .field("trajectories", &self.components.len())
-            .field("total_points", &self.total_points)
+            .field("total_points", &self.total_points())
             .field("dim", &self.dim)
             .finish_non_exhaustive()
     }
 }
 
-impl Clone for PackedTrajectories {
-    fn clone(&self) -> Self {
-        PackedTrajectories {
-            bytes: Arc::clone(&self.bytes),
-            components: self.components.clone(),
-            point_offsets: self.point_offsets.clone(),
-            devs_offset: self.devs_offset,
-            coords_offset: self.coords_offset,
-            dim: self.dim,
-            total_points: self.total_points,
-            materialized: self.materialized.clone(),
-        }
-    }
-}
-
 impl PackedTrajectories {
-    /// Assembles packed storage over `bytes`. `point_offsets` are prefix
-    /// sums of per-trajectory point counts (first 0, strictly increasing
-    /// by at least 2 — every trajectory needs two points); `devs_offset`
-    /// / `coords_offset` locate the two `f64` regions, which must lie in
-    /// bounds and start 8-byte aligned in memory.
+    /// Assembles packed storage. `point_offsets` are prefix sums of
+    /// per-trajectory point counts (first 0, increasing by at least 2 —
+    /// every trajectory needs two points); `devs` holds one deviation
+    /// per point and `coords` `dim` coordinates per point.
     ///
     /// # Errors
     ///
-    /// Returns [`PackedLayoutError`] when the layout cannot be viewed in
-    /// place — the caller decides between an owned-decode fallback and
-    /// rejecting the file. Never unsafe: a misaligned or truncated
-    /// buffer is an error here, not undefined behaviour later.
+    /// Returns [`PackedLayoutError`] when the shapes disagree.
     pub fn new(
-        bytes: Arc<dyn AsRef<[u8]> + Send + Sync>,
         components: Vec<String>,
         point_offsets: Vec<u32>,
-        devs_offset: usize,
-        coords_offset: usize,
+        devs: Vec<f64>,
+        coords: Vec<f64>,
         dim: usize,
     ) -> Result<Self, PackedLayoutError> {
         let err = |msg: &str| Err(PackedLayoutError(msg.to_string()));
-        if cfg!(target_endian = "big") {
-            return err("in-place views require a little-endian host");
-        }
         if components.is_empty() {
             return err("no trajectories");
         }
@@ -366,34 +334,15 @@ impl PackedTrajectories {
             return err("point offsets must grow by at least two per trajectory");
         }
         let total_points = point_offsets[components.len()] as usize;
-        let data: &[u8] = (*bytes).as_ref();
-        let devs_len = total_points
-            .checked_mul(8)
-            .filter(|l| devs_offset.checked_add(*l).is_some_and(|e| e <= data.len()));
-        let coords_len = total_points
-            .checked_mul(dim)
-            .and_then(|n| n.checked_mul(8))
-            .filter(|l| {
-                coords_offset
-                    .checked_add(*l)
-                    .is_some_and(|e| e <= data.len())
-            });
-        if devs_len.is_none() || coords_len.is_none() {
-            return err("f64 regions truncated or out of bounds");
-        }
-        if !(data[devs_offset..].as_ptr() as usize).is_multiple_of(8)
-            || !(data[coords_offset..].as_ptr() as usize).is_multiple_of(8)
-        {
-            return err("f64 regions are not 8-byte aligned in memory");
+        if devs.len() != total_points || Some(coords.len()) != total_points.checked_mul(dim) {
+            return err("deviation or coordinate run does not match the point offsets");
         }
         Ok(PackedTrajectories {
-            bytes,
             components,
             point_offsets,
-            devs_offset,
-            coords_offset,
+            devs,
+            coords,
             dim,
-            total_points,
             materialized: OnceLock::new(),
         })
     }
@@ -420,44 +369,7 @@ impl PackedTrajectories {
     /// Total points across all trajectories.
     #[inline]
     pub fn total_points(&self) -> usize {
-        self.total_points
-    }
-
-    #[inline]
-    fn data(&self) -> &[u8] {
-        (*self.bytes).as_ref()
-    }
-
-    /// In-place view of `len` little-endian `f64`s at `byte_offset`.
-    #[inline]
-    fn f64s(&self, byte_offset: usize, len: usize) -> &[f64] {
-        let bytes = &self.data()[byte_offset..byte_offset + 8 * len];
-        // The constructor validated this; it can only fail if the
-        // backing `AsRef` returns a different slice than it did then,
-        // which its contract forbids. Assert (never cast) so a broken
-        // provider is a panic, not undefined behaviour.
-        assert_eq!(
-            bytes.as_ptr() as usize % 8,
-            0,
-            "packed trajectory buffer moved out of alignment"
-        );
-        // SAFETY: `bytes` spans exactly `8 * len` initialised bytes, is
-        // 8-byte aligned (asserted above), any bit pattern is a valid
-        // f64, and the borrow ties the slice to `self`, which keeps the
-        // backing Arc alive.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f64>(), len) }
-    }
-
-    /// The concatenated deviation grid of all trajectories.
-    #[inline]
-    fn devs_all(&self) -> &[f64] {
-        self.f64s(self.devs_offset, self.total_points)
-    }
-
-    /// The point-major coordinate run of all trajectories.
-    #[inline]
-    fn coords_all(&self) -> &[f64] {
-        self.f64s(self.coords_offset, self.total_points * self.dim)
+        self.devs.len()
     }
 
     /// Borrowed view of trajectory `ti`.
@@ -471,17 +383,17 @@ impl PackedTrajectories {
         let hi = self.point_offsets[ti + 1] as usize;
         TrajectoryView {
             component: &self.components[ti],
-            deviations_pct: &self.devs_all()[lo..hi],
-            points: PointsRef::Packed(&self.coords_all()[lo * self.dim..hi * self.dim]),
+            deviations_pct: &self.devs[lo..hi],
+            points: PointsRef::Packed(&self.coords[lo * self.dim..hi * self.dim]),
             dim: self.dim,
         }
     }
 
-    /// Full content validation — everything construction skipped to stay
-    /// O(header): deviations finite, strictly ascending, containing the
-    /// 0% origin; coordinates finite.
+    /// Full content validation — everything construction leaves to the
+    /// caller: deviations finite, strictly ascending, containing the 0%
+    /// origin; coordinates finite.
     fn validate_deep(&self) -> Result<(), String> {
-        if !all_finite(self.coords_all()) {
+        if !all_finite(&self.coords) {
             return Err("trajectory coordinates must be finite".to_string());
         }
         for ti in 0..self.len() {
@@ -499,8 +411,8 @@ impl PackedTrajectories {
         Ok(())
     }
 
-    /// Owned trajectories, decoded from the packed regions once and
-    /// cached — the compatibility path for cold accessors.
+    /// Owned trajectories, built from the packed runs once and cached —
+    /// the compatibility path for cold accessors.
     fn materialized(&self) -> &[FaultTrajectory] {
         self.materialized.get_or_init(|| {
             (0..self.len())
@@ -544,8 +456,8 @@ impl Serialize for TrajectorySet {}
 impl<'de> Deserialize<'de> for TrajectorySet {}
 
 /// Equality is over content, not storage: a packed set equals the owned
-/// set holding the same trajectories — what the mapped-vs-heap
-/// byte-identity tests lean on.
+/// set holding the same trajectories — what the tests comparing sets
+/// read from files with the sets they were built from lean on.
 impl PartialEq for TrajectorySet {
     fn eq(&self, other: &Self) -> bool {
         if self.test_vector != other.test_vector || self.len() != other.len() {
@@ -591,8 +503,8 @@ impl TrajectorySet {
         }
     }
 
-    /// Packages packed (zero-copy) trajectories with the test vector
-    /// that produced them — the mapped-bank open path.
+    /// Packages packed trajectories with the test vector that produced
+    /// them — what the bank readers return.
     ///
     /// # Panics
     ///
@@ -610,7 +522,8 @@ impl TrajectorySet {
         }
     }
 
-    /// `true` when the set runs zero-copy over packed (mapped) bytes.
+    /// `true` when the set holds packed storage (it was read from a bank
+    /// file).
     #[inline]
     pub fn is_packed(&self) -> bool {
         matches!(self.storage, TrajectoryStorage::Packed(_))
@@ -665,7 +578,7 @@ impl TrajectorySet {
         }
     }
 
-    /// Borrowed view of trajectory `ti` — zero-copy on either storage.
+    /// Borrowed view of trajectory `ti` — no copy on either storage.
     ///
     /// # Panics
     ///
@@ -722,7 +635,7 @@ impl TrajectorySet {
     /// `(trajectory index, segment index, start deviation, start point
     /// coordinates, end deviation, end point coordinates)`, in
     /// trajectory-major order — the enumeration spatial index builders
-    /// consume. Zero-copy on either storage.
+    /// consume. No copy on either storage.
     pub fn all_segments(
         &self,
     ) -> impl Iterator<Item = (usize, usize, f64, &[f64], f64, &[f64])> + '_ {
@@ -736,8 +649,8 @@ impl TrajectorySet {
     /// Full content validation of packed storage (finite, ascending
     /// deviation grids containing the 0% origin; finite coordinates).
     /// Owned storage was validated at construction and returns `Ok`
-    /// immediately. Mapped engines call this once at load, keeping
-    /// `MappedBank::open` O(header) without ever serving NaNs.
+    /// immediately. Every bank reader runs this before a set it decoded
+    /// serves, so a file's bytes can never put a NaN in a diagnosis.
     pub fn validate_deep(&self) -> Result<(), String> {
         match &self.storage {
             TrajectoryStorage::Owned(_) => Ok(()),
@@ -1027,28 +940,17 @@ mod tests {
         assert_eq!(empty.channels(), 1);
     }
 
-    /// 8-byte-aligned backing storage for packed-view tests: a
-    /// `Vec<u64>` reinterpreted as bytes, so every multiple-of-8 offset
-    /// is guaranteed aligned regardless of allocator whims.
-    struct Aligned(Vec<u64>);
-
-    impl AsRef<[u8]> for Aligned {
-        fn as_ref(&self) -> &[u8] {
-            // SAFETY: u64 → u8 reinterpretation is always valid; the
-            // length covers exactly the Vec's initialized storage.
-            unsafe { std::slice::from_raw_parts(self.0.as_ptr() as *const u8, self.0.len() * 8) }
-        }
-    }
-
-    /// Packs `devs ++ coords` into an [`Aligned`] buffer and returns
-    /// the storage plus the coords region offset.
-    fn packed_buffer(devs: &[f64], coords: &[f64]) -> (Arc<Aligned>, usize) {
-        let words: Vec<u64> = devs
-            .iter()
-            .chain(coords)
-            .map(|x| u64::from_le_bytes(x.to_le_bytes()))
-            .collect();
-        (Arc::new(Aligned(words)), devs.len() * 8)
+    /// Packed storage for the two-trajectory layout of [`owned_pair`]
+    /// (`R1` with two points, `C2` with three), over the given runs.
+    fn packed_pair(devs: &[f64], coords: &[f64]) -> PackedTrajectories {
+        PackedTrajectories::new(
+            vec!["R1".into(), "C2".into()],
+            vec![0, 2, 5],
+            devs.to_vec(),
+            coords.to_vec(),
+            2,
+        )
+        .unwrap()
     }
 
     fn owned_pair() -> TrajectorySet {
@@ -1067,17 +969,8 @@ mod tests {
         let owned = owned_pair();
         let devs = [-10.0, 0.0, -5.0, 0.0, 5.0];
         let coords = [-1.0, -2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0];
-        let (buf, coords_off) = packed_buffer(&devs, &coords);
-        let packed = PackedTrajectories::new(
-            buf,
-            vec!["R1".into(), "C2".into()],
-            vec![0, 2, 5],
-            0,
-            coords_off,
-            2,
-        )
-        .unwrap();
-        let set = TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed);
+        let set =
+            TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed_pair(&devs, &coords));
 
         assert!(set.is_packed());
         assert!(!owned.is_packed());
@@ -1110,7 +1003,7 @@ mod tests {
             owned.trajectory_of("C2").unwrap()
         );
         set.validate_deep().unwrap();
-        // A clone shares the backing bytes and stays equal.
+        // A clone stays equal.
         assert_eq!(set.clone(), owned);
     }
 
@@ -1119,31 +1012,29 @@ mod tests {
         let devs = [-10.0, 0.0, -5.0, 0.0, 5.0];
         let coords = [-1.0, -2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0];
         let comps = || vec!["R1".to_string(), "C2".to_string()];
-        let mk = |offsets: Vec<u32>, devs_off: usize, coords_off: usize, dim: usize| {
-            let (buf, _) = packed_buffer(&devs, &coords);
-            PackedTrajectories::new(buf, comps(), offsets, devs_off, coords_off, dim)
+        let mk = |offsets: Vec<u32>, devs: &[f64], coords: &[f64], dim: usize| {
+            PackedTrajectories::new(comps(), offsets, devs.to_vec(), coords.to_vec(), dim)
         };
-        let coords_off = devs.len() * 8;
-        // Misaligned region start: rejected, never cast.
-        assert!(mk(vec![0, 2, 5], 4, coords_off, 2)
-            .unwrap_err()
-            .to_string()
-            .contains("aligned"));
-        // Truncation: the coords region would run past the buffer.
-        assert!(mk(vec![0, 2, 5], 0, coords_off + 8, 2)
-            .unwrap_err()
-            .to_string()
-            .contains("truncated"));
+        // Runs shorter or longer than the offset table declares.
+        for (d, c) in [
+            (&devs[..4], &coords[..]),
+            (&devs[..], &coords[..9]),
+            (&devs[..], &[coords.as_slice(), &[0.0, 0.0]].concat()[..]),
+        ] {
+            assert!(mk(vec![0, 2, 5], d, c, 2)
+                .unwrap_err()
+                .to_string()
+                .contains("does not match"));
+        }
         // Offset table shape and monotonicity.
-        assert!(mk(vec![0, 2], 0, coords_off, 2).is_err());
-        assert!(mk(vec![1, 2, 5], 0, coords_off, 2).is_err());
-        assert!(mk(vec![0, 1, 5], 0, coords_off, 2).is_err());
+        assert!(mk(vec![0, 2], &devs, &coords, 2).is_err());
+        assert!(mk(vec![1, 2, 5], &devs, &coords, 2).is_err());
+        assert!(mk(vec![0, 1, 5], &devs, &coords, 2).is_err());
         // Single-point "trajectory" (offsets step of 1) is rejected.
-        assert!(mk(vec![0, 4, 5], 0, coords_off, 2).is_err());
+        assert!(mk(vec![0, 4, 5], &devs, &coords, 2).is_err());
         // Degenerate dims.
-        assert!(mk(vec![0, 2, 5], 0, coords_off, 0).is_err());
-        let (buf, _) = packed_buffer(&devs, &coords);
-        assert!(PackedTrajectories::new(buf, vec![], vec![0], 0, coords_off, 2).is_err());
+        assert!(mk(vec![0, 2, 5], &devs, &coords, 0).is_err());
+        assert!(PackedTrajectories::new(vec![], vec![0], vec![], vec![], 2).is_err());
     }
 
     #[test]
@@ -1154,17 +1045,8 @@ mod tests {
         // validation rejects it.
         let devs = [-10.0, 0.0, -5.0, 1.0, 5.0]; // second traj skips 0.0
         let coords = [-1.0, f64::NAN, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0];
-        let (buf, coords_off) = packed_buffer(&devs, &coords);
-        let packed = PackedTrajectories::new(
-            buf,
-            vec!["R1".into(), "C2".into()],
-            vec![0, 2, 5],
-            0,
-            coords_off,
-            2,
-        )
-        .unwrap();
-        let set = TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed);
+        let set =
+            TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed_pair(&devs, &coords));
         let msg = set.validate_deep().unwrap_err();
         assert!(!msg.is_empty());
     }
@@ -1174,18 +1056,8 @@ mod tests {
         use crate::diagnosis::{Diagnoser, DiagnoserConfig, LinearScan};
         let devs = [-10.0, 0.0, -5.0, 0.0, 5.0];
         let coords = [-1.0, -2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0];
-        let (buf, coords_off) = packed_buffer(&devs, &coords);
-        let packed = PackedTrajectories::new(
-            buf,
-            vec!["R1".into(), "C2".into()],
-            vec![0, 2, 5],
-            0,
-            coords_off,
-            2,
-        )
-        .unwrap();
         let diag = Diagnoser::new(
-            TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed),
+            TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed_pair(&devs, &coords)),
             DiagnoserConfig::default(),
         );
         let reference = Diagnoser::new(owned_pair(), DiagnoserConfig::default());

@@ -44,7 +44,6 @@
 //! rewrites it as v3.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use ft_circuit::Probe;
 use ft_core::{
@@ -258,10 +257,8 @@ impl TrajectoryBank {
 /// one copy.
 #[derive(Debug)]
 pub struct MappedBank {
-    /// The mapping stays resident for the bank's lifetime; it sits
-    /// behind an `Arc` because a v3 trajectory set borrows it as packed
-    /// storage.
-    map: Arc<Mmap>,
+    /// The mapping stays resident for the bank's lifetime.
+    map: Mmap,
     /// The validated section table of the mapped container.
     table: SectionTable,
     path: PathBuf,
@@ -292,7 +289,7 @@ impl MappedBank {
     }
 
     fn open_inner(path: &Path) -> Result<(MappedBank, TrajectorySet), CodecError> {
-        let map = Arc::new(Mmap::map(path)?);
+        let map = Mmap::map(path)?;
         let generation = map.generation();
         // Only v3 is served: its trajectory payload is viewed in place.
         // A v2 bank is read by `TrajectoryBank::from_bytes` alone, which
@@ -313,29 +310,12 @@ impl MappedBank {
             .ok_or(CodecError::MissingSection(SECTION_TRAJECTORIES))?;
         let payload = entry.payload(map.bytes());
         let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
-        let tv = TestVector::new(layout.omegas.clone());
-        let packed = if layout.aligned {
-            PackedTrajectories::new(
-                Arc::<Mmap>::clone(&map) as Arc<dyn AsRef<[u8]> + Send + Sync>,
-                layout.components,
-                layout.point_offsets,
-                entry.offset + layout.devs_off,
-                entry.offset + layout.coords_off,
-                layout.dim,
-            )
-            .ok()
+        let set = if layout.aligned {
+            decode_packed(payload, layout)?
         } else {
             // Sections were shifted after encoding (spliced container):
-            // the regions no longer sit on 8-byte file offsets, so no
-            // in-place view exists.
-            None
-        };
-        let set = match packed {
-            Some(packed) => TrajectorySet::from_packed(tv, packed),
-            // Misaligned container, big-endian host, or the non-unix
-            // heap fallback handing out an unaligned buffer: decode
-            // owned trajectories instead — correct, just not zero-copy.
-            None => decode_trajectory_set_v3(payload, entry.offset)?,
+            // decode owned trajectories instead.
+            decode_trajectory_set_v3(payload, entry.offset)?
         };
         Ok((
             MappedBank {
@@ -820,6 +800,34 @@ fn parse_v3_trajectory_payload(
         dim,
         aligned,
     })
+}
+
+/// Decodes the two `f64` regions `layout` locates in `payload` with
+/// `f64::from_le_bytes` into packed storage. The regions are read at any
+/// alignment; their content is left to
+/// [`TrajectorySet::validate_deep`].
+fn decode_packed(payload: &[u8], layout: V3Layout) -> Result<TrajectorySet, CodecError> {
+    let f64s = |off: usize, n: usize| -> Vec<f64> {
+        payload[off..off + 8 * n]
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect()
+    };
+    let total_points = layout.point_offsets[layout.components.len()] as usize;
+    let devs = f64s(layout.devs_off, total_points);
+    let coords = f64s(layout.coords_off, total_points * layout.dim);
+    let packed = PackedTrajectories::new(
+        layout.components,
+        layout.point_offsets,
+        devs,
+        coords,
+        layout.dim,
+    )
+    .map_err(|e| CodecError::Malformed(e.to_string()))?;
+    Ok(TrajectorySet::from_packed(
+        TestVector::new(layout.omegas),
+        packed,
+    ))
 }
 
 /// Decodes a v3 trajectory payload into owned trajectories — the heap
