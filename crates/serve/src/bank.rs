@@ -10,7 +10,7 @@
 //! re-checked on load before any panicking constructor runs, so a
 //! hostile or corrupt file yields a [`CodecError`], never a panic.
 //!
-//! ## Trajectory section payload, format v3 (zero-copy viewable)
+//! ## Trajectory section payload, format v3
 //!
 //! All fields little-endian; `off` is relative to the payload start.
 //!
@@ -32,17 +32,19 @@
 //! ```
 //!
 //! The writer chooses `pad_len` so the absolute container offset of `A`
-//! is a multiple of 8; since `mmap` returns page-aligned bases, a
-//! mapped reader can view `D` and `C` in place as `&[f64]` — opening a
-//! v3 shard decodes nothing (O(header + n_traj)), and the deviation and
-//! coordinate data the index streams over are the mapped file pages
-//! themselves.
+//! is a multiple of 8. Readers check the padding fields but do not
+//! depend on them: they decode `D` and `C` with `f64::from_le_bytes`, at
+//! any alignment, into packed storage ([`PackedTrajectories`]). The
+//! padding stays so that files remain byte-identical to those earlier
+//! builds wrote.
 //!
-//! v3 is the only format written and the only one the mapped reader
-//! opens. A v2 bank carries the older length-prefixed trajectory payload;
+//! v3 is the only format written and the only one the shard reader
+//! ([`MappedBank`]) opens. A v2 bank carries the older length-prefixed trajectory payload;
 //! [`TrajectoryBank::from_bytes`] still decodes it, so `ftd reencode`
 //! rewrites it as v3.
 
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use ft_circuit::Probe;
@@ -57,11 +59,11 @@ use ft_faults::{
 use ft_numerics::{FrequencyGrid, Spacing};
 
 use crate::codec::{
-    peek_version, CodecError, ContainerBuilder, Decoder, Encoder, SectionTable, BANK_VERSION,
-    CONTAINER_HEADER_LEN, SECTION_DICTIONARY, SECTION_ENTRY_LEN, SECTION_MULTIFAULT,
-    SECTION_TRAJECTORIES,
+    checksum, peek_version, CodecError, ContainerBuilder, Decoder, Encoder, SectionEntry,
+    SectionTable, BANK_VERSION, CONTAINER_HEADER_LEN, SECTION_DICTIONARY, SECTION_ENTRY_LEN,
+    SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
 };
-use crate::mmap::{FileGen, Mmap};
+use crate::store::FileGen;
 
 /// Probe encoding tags.
 const PROBE_NODE: u8 = 0;
@@ -233,164 +235,140 @@ impl TrajectoryBank {
     }
 }
 
-/// A trajectory bank opened zero-copy over a memory-mapped shard file.
+/// A shard file opened for serving: only its trajectory section is read.
 ///
-/// Unlike [`TrajectoryBank::load`], opening verifies only the container
-/// header and section table eagerly. Only **v3** shards open (a v2 bank
-/// is converted with `ftd reencode`). The trajectory section is not
-/// decoded at all: its aligned regions are viewed in place
-/// ([`PackedTrajectories`]), making open O(header + trajectory count)
-/// regardless of payload size — callers that serve from the set run
-/// [`MappedBank::verify_trajectory_payload`] plus
-/// [`TrajectorySet::validate_deep`] once before trusting the bytes.
+/// Unlike [`TrajectoryBank::load`], opening reads the container header,
+/// the section table and the trajectory section, and nothing else. Only
+/// **v3** shards open (a v2 bank is converted with `ftd reencode`). The
+/// trajectory section is checksummed while its bytes are in hand and
+/// decoded into packed storage ([`PackedTrajectories`]); callers that
+/// serve from the set run [`MappedBank::verify_trajectory_payload`] plus
+/// [`TrajectorySet::validate_deep`] once before trusting it. A loaded set
+/// is an owned copy: rewriting or truncating the file afterwards cannot
+/// change it.
 ///
 /// Diagnosis reads the trajectory section alone, so that section's
-/// payload length is all a served shard pins
+/// payload length is all a served shard holds
 /// ([`resident_bytes`](MappedBank::resident_bytes)). The dictionary and
-/// multi-fault sections stay untouched mapped bytes; the offline tools
-/// that want them call [`dictionary`](MappedBank::dictionary) /
-/// [`multifault_dictionary`](MappedBank::multifault_dictionary), which
-/// verify and decode on every call and keep nothing.
+/// multi-fault sections are never read; the offline tools that want them
+/// use [`TrajectoryBank::load`].
 ///
 /// The [`TrajectorySet`] is returned by value from
 /// [`open`](MappedBank::open) so the caller (the engine) owns exactly
 /// one copy.
 #[derive(Debug)]
 pub struct MappedBank {
-    /// The mapping stays resident for the bank's lifetime.
-    map: Mmap,
-    /// The validated section table of the mapped container.
+    /// The validated section table of the shard file.
     table: SectionTable,
     path: PathBuf,
     generation: FileGen,
-    /// Payload length of the trajectory section, fixed at open.
-    trajectory_bytes: u64,
+    /// The trajectory section's table entry.
+    trajectories: SectionEntry,
+    /// Checksum of the trajectory payload as read at open.
+    trajectory_checksum: u64,
 }
 
 impl MappedBank {
-    /// Maps `path` and opens it as a bank, returning the mapped handle
-    /// and the trajectory set: viewed in place (zero-copy), or decoded
-    /// owned where the regions cannot be (misaligned container,
-    /// big-endian host).
+    /// Opens the shard at `path`: reads the header, the section table
+    /// and the trajectory section, and returns the handle with the
+    /// decoded trajectory set. Whatever the header declares, `open`
+    /// allocates at most the file's length, and it keeps no file
+    /// descriptor open.
     ///
     /// # Errors
     ///
-    /// I/O and mapping failures, a format version other than v3
+    /// I/O failures, a format version other than v3
     /// ([`CodecError::UnsupportedVersion`], whose message points a v2
     /// bank at `ftd reencode`), header/table validation failures, and
     /// any structural violation of the trajectory section, annotated
-    /// with `path`. v3 trajectory *content* corruption is deferred to
-    /// [`verify_trajectory_payload`](MappedBank::verify_trajectory_payload)
-    /// (open never reads the payload regions); corruption confined to
-    /// the other sections is deferred to their accessors.
+    /// with `path`. A trajectory checksum mismatch is reported by
+    /// [`verify_trajectory_payload`](MappedBank::verify_trajectory_payload);
+    /// corruption confined to the other sections is never seen.
     pub fn open(path: impl AsRef<Path>) -> Result<(MappedBank, TrajectorySet), CodecError> {
         let path = path.as_ref();
         MappedBank::open_inner(path).map_err(|e| e.in_file(path))
     }
 
     fn open_inner(path: &Path) -> Result<(MappedBank, TrajectorySet), CodecError> {
-        let map = Mmap::map(path)?;
-        let generation = map.generation();
-        // Only v3 is served: its trajectory payload is viewed in place.
-        // A v2 bank is read by `TrajectoryBank::from_bytes` alone, which
-        // is what `ftd reencode` uses to convert it.
-        let found = peek_version(map.bytes())?;
+        let mut file = File::open(path)?;
+        // The generation comes from the descriptor the bytes are read
+        // from, so it describes exactly the file that was read.
+        let generation = FileGen::from_metadata(&file.metadata()?)?;
+        let total_len = usize::try_from(generation.len())
+            .map_err(|_| CodecError::Malformed("file exceeds the address space".into()))?;
+        let mut prefix = vec![0u8; CONTAINER_HEADER_LEN.min(total_len)];
+        file.read_exact(&mut prefix)?;
+        // Only v3 is served. A v2 bank is read by
+        // `TrajectoryBank::from_bytes` alone, which is what `ftd
+        // reencode` uses to convert it.
+        let found = peek_version(&prefix)?;
         if found != BANK_VERSION {
             return Err(CodecError::UnsupportedVersion {
                 found,
                 mapped: true,
             });
         }
-        let table = SectionTable::parse(map.bytes())?;
-        // Locate the trajectory section *without* checksumming its
-        // payload — the whole point of the v3 open is that no payload
-        // byte is read.
+        // The table length is bounded by the file before it is read.
+        let table_end = SectionTable::prefix_len(&prefix, total_len)?;
+        prefix.resize(table_end, 0);
+        file.read_exact(&mut prefix[CONTAINER_HEADER_LEN..])?;
+        let table = SectionTable::parse_prefix(&prefix, total_len)?;
         let entry = *table
             .locate(SECTION_TRAJECTORIES)?
             .ok_or(CodecError::MissingSection(SECTION_TRAJECTORIES))?;
-        let payload = entry.payload(map.bytes());
-        let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
+        let mut payload = vec![0u8; entry.len];
+        file.seek(SeekFrom::Start(entry.offset as u64))?;
+        file.read_exact(&mut payload)?;
+        let trajectory_checksum = checksum(&payload);
+        let layout = parse_v3_trajectory_payload(&payload, entry.offset)?;
         let set = if layout.aligned {
-            decode_packed(payload, layout)?
+            decode_packed(&payload, layout)?
         } else {
             // Sections were shifted after encoding (spliced container):
             // decode owned trajectories instead.
-            decode_trajectory_set_v3(payload, entry.offset)?
+            decode_trajectory_set_v3(&payload, entry.offset)?
         };
         Ok((
             MappedBank {
-                map,
                 table,
                 path: path.to_path_buf(),
                 generation,
-                trajectory_bytes: entry.len as u64,
+                trajectories: entry,
+                trajectory_checksum,
             },
             set,
         ))
     }
 
-    /// Verifies the stored FNV checksum of the trajectory section — the
-    /// payload read a v3 open deliberately skips. Serving paths call
-    /// this once at engine load, so a corrupt shard is still rejected
-    /// before any diagnosis reads its bytes, while `open` itself stays
-    /// O(header).
+    /// Compares the trajectory section's checksum, computed when `open`
+    /// read it, with the one the section table stores. Serving paths
+    /// call this once at engine load, so a corrupt shard is rejected
+    /// before any diagnosis reads its trajectories.
     ///
     /// # Errors
     ///
     /// [`CodecError::SectionChecksumMismatch`] attributed to the
     /// trajectory section, annotated with the shard path.
     pub fn verify_trajectory_payload(&self) -> Result<(), CodecError> {
-        self.table
-            .require(self.map.bytes(), SECTION_TRAJECTORIES)
-            .map(|_| ())
+        self.trajectories
+            .check(self.trajectory_checksum)
             .map_err(|e| e.in_file(&self.path))
     }
 
-    /// The single-fault dictionary, checksum-verified and decoded out of
-    /// the mapping on every call; nothing is cached.
-    ///
-    /// # Errors
-    ///
-    /// Corruption or malformation of the dictionary section, attributed
-    /// and annotated with the shard path.
-    pub fn dictionary(&self) -> Result<FaultDictionary, CodecError> {
-        self.table
-            .require(self.map.bytes(), SECTION_DICTIONARY)
-            .and_then(|payload| decode_payload(payload, decode_dictionary))
-            .map_err(|e| e.in_file(&self.path))
-    }
-
-    /// The optional multi-fault dictionary, verified and decoded on
-    /// every call like [`dictionary`](MappedBank::dictionary);
-    /// `Ok(None)` when the shard carries no multi-fault section.
-    ///
-    /// # Errors
-    ///
-    /// As [`dictionary`](MappedBank::dictionary).
-    pub fn multifault_dictionary(&self) -> Result<Option<MultiFaultDictionary>, CodecError> {
-        self.table
-            .find(self.map.bytes(), SECTION_MULTIFAULT)
-            .and_then(|payload| {
-                payload
-                    .map(|p| decode_payload(p, decode_multifault))
-                    .transpose()
-            })
-            .map_err(|e| e.in_file(&self.path))
-    }
-
-    /// Bytes this shard pins while it serves: the trajectory section's
-    /// payload length (packed view or decoded set), fixed at open. The
-    /// store's memory budget accounts each shard with this.
+    /// Bytes this shard holds while it serves: the trajectory section's
+    /// payload length, fixed at open. The store's memory budget accounts
+    /// each shard with this.
     pub fn resident_bytes(&self) -> u64 {
-        self.trajectory_bytes
+        self.trajectories.len as u64
     }
 
-    /// The shard file's generation, captured from the mapped descriptor.
+    /// The shard file's generation, captured from the descriptor its
+    /// bytes were read from.
     pub fn generation(&self) -> FileGen {
         self.generation
     }
 
-    /// The shard file this bank was mapped from.
+    /// The shard file this bank was read from.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -399,13 +377,6 @@ impl MappedBank {
     /// minus header and section table).
     pub fn payload_bytes(&self) -> u64 {
         self.table.payload_bytes()
-    }
-
-    /// `true` when the undecoded sections are backed by a genuine
-    /// kernel mapping (zero-copy); `false` for the non-unix heap
-    /// fallback.
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
     }
 }
 
@@ -1119,22 +1090,15 @@ mod tests {
         bank.save(&path).unwrap();
         let (mapped, set) = MappedBank::open(&path).unwrap();
         assert_eq!(&set, bank.trajectory_set());
-        assert!(set.is_packed() || !mapped.is_mapped());
+        assert!(set.is_packed());
         mapped.verify_trajectory_payload().unwrap();
         set.validate_deep().unwrap();
-        // A served shard pins its trajectory section and nothing else,
-        // before and after a tool decodes the other sections.
+        // A served shard holds its trajectory section and nothing else.
         let bytes = bank.to_bytes();
         let table = SectionTable::parse(&bytes).unwrap();
         let traj = table.locate(SECTION_TRAJECTORIES).unwrap().unwrap();
         assert_eq!(mapped.resident_bytes(), traj.len as u64);
-        assert_eq!(&mapped.dictionary().unwrap(), bank.dictionary());
-        assert_eq!(
-            mapped.multifault_dictionary().unwrap().as_ref(),
-            bank.multifault_dictionary()
-        );
-        assert_eq!(mapped.resident_bytes(), traj.len as u64);
-        assert_eq!(mapped.is_mapped(), cfg!(unix));
+        assert_eq!(mapped.path(), path.as_path());
         assert_eq!(mapped.generation(), FileGen::probe(&path).unwrap());
         // The payload total is the container minus header/table
         // overhead.
@@ -1153,28 +1117,27 @@ mod tests {
 
         let path = std::env::temp_dir().join("ft_serve_mapped_lazy_corrupt_test.ftb");
         std::fs::write(&path, &corrupt).unwrap();
-        // Opening succeeds — the trajectory section is intact, and the
-        // dictionary bytes are never touched.
-        let (mapped, set) = MappedBank::open(&path).unwrap();
-        assert_eq!(&set, bank.trajectory_set());
-        // Touching the dictionary detects and attributes the hit, naming
-        // the shard file; every call verifies again and fails alike.
-        for _ in 0..2 {
-            let err = mapped.dictionary().expect_err("corruption must surface");
-            let msg = err.to_string();
-            assert!(msg.contains("dictionary"), "{msg}");
-            assert!(msg.contains("mapped_lazy_corrupt"), "{msg}");
-        }
-        // The untouched multifault section still decodes.
-        assert!(mapped.multifault_dictionary().unwrap().is_some());
+        // The served load succeeds — the trajectory section is intact,
+        // and the dictionary bytes are never read — and diagnoses.
+        let engine = DiagnosisEngine::load_mapped(&path, EngineConfig::default()).unwrap();
+        assert_eq!(engine.trajectory_set(), bank.trajectory_set());
+        let reference = DiagnosisEngine::new(bank, EngineConfig::default());
+        let sig = Signature::new(vec![0.3, -0.2]);
+        assert_eq!(engine.diagnose(&sig), reference.diagnose(&sig));
+        // The full load, which tools use, attributes the hit to the
+        // dictionary section and names the shard file.
+        let err = TrajectoryBank::load(&path).expect_err("corruption must surface");
+        let msg = err.to_string();
+        assert!(msg.contains("dictionary"), "{msg}");
+        assert!(msg.contains("mapped_lazy_corrupt"), "{msg}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mapped_v3_region_corruption_is_caught_by_deferred_verification() {
-        // A v3 open never reads the deviation/coordinate regions, so a
-        // flipped coordinate byte opens fine — and must then be caught
-        // by the explicit verification pass engines run before serving.
+        // A flipped coordinate byte still decodes, so the open succeeds;
+        // the checksum it took is compared by the verification pass
+        // engines run before serving, which must catch it.
         let bank = rc_bank();
         let bytes = bank.to_bytes();
         let traj = SectionTable::parse(&bytes).unwrap().entries()[1];
@@ -1410,16 +1373,16 @@ mod tests {
     }
 
     #[test]
-    fn hand_patched_v3_baseline_loads_zero_copy() {
+    fn hand_patched_v3_baseline_loads_packed() {
         // Sanity-check the hostile v3 builder: unpatched, both readers
-        // load it, and the mapped one views the regions in place.
+        // load it, and the served one decodes it into packed storage.
         let bytes = hostile_v3(|_, _| {});
         let bank = TrajectoryBank::from_bytes(&bytes).unwrap();
         assert_eq!(bank.trajectory_set(), rc_bank().trajectory_set());
         let path = std::env::temp_dir().join("ft_serve_hostile_v3_baseline_test.ftb");
         std::fs::write(&path, &bytes).unwrap();
         let engine = DiagnosisEngine::load_mapped(&path, EngineConfig::default()).unwrap();
-        assert!(engine.trajectory_set().is_packed() || !engine.is_mapped());
+        assert!(engine.trajectory_set().is_packed());
         assert_eq!(engine.trajectory_set(), bank.trajectory_set());
         std::fs::remove_file(&path).ok();
     }
@@ -1469,8 +1432,8 @@ mod tests {
                 TrajectoryBank::from_bytes(&bytes).is_err(),
                 "heap reader accepted {what}"
             );
-            // The mapped engine refuses it at open or, for content it
-            // views in place without reading, at validate_deep.
+            // The served engine refuses it at open or, for content the
+            // decoder does not judge, at validate_deep.
             std::fs::write(&path, &bytes).unwrap();
             assert!(
                 DiagnosisEngine::load_mapped(&path, EngineConfig::default()).is_err(),

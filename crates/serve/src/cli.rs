@@ -77,10 +77,9 @@ SUBCOMMANDS:
   build-bank           Simulate the Tow-Thomas CUT's fault dictionary on
                        the stamp-split AC sweep engine, materialise the
                        fault trajectories at the test vector {--f1, --f2},
-                       and persist the bank as format v3, whose
-                       trajectories sit 8-byte-aligned for zero-copy
-                       mapped serving. Deterministic: repeated runs are
-                       byte-identical regardless of worker count.
+                       and persist the bank as format v3.
+                       Deterministic: repeated runs are byte-identical
+                       regardless of worker count.
   reencode             Decode a v2 or v3 bank and re-persist it as v3,
                        the only format `serve` maps; a v3 input comes
                        back byte-identical. Lossless: serving from the
@@ -106,13 +105,14 @@ SUBCOMMANDS:
                        and print diagnoses to stdout in input order.
                        Batches of --batch requests pipeline through a
                        persistent pool of --workers threads; results are
-                       byte-identical at every worker count. Shards are
-                       memory-mapped zero-copy, swap in place when their
-                       file changes on disk, and --mem-budget caps
-                       resident shard bytes: each shard is charged its
-                       trajectory section, and over budget whole
-                       least-recently-used shards are evicted (they
-                       reload on demand; results are unchanged).
+                       byte-identical at every worker count. A shard
+                       load reads only its trajectory section, a shard
+                       swaps in when its file changes on disk, and
+                       --mem-budget caps resident shard bytes: each
+                       shard is charged its trajectory section, and over
+                       budget whole least-recently-used shards are
+                       evicted (they reload on demand; results are
+                       unchanged).
                        --stat-interval-ms throttles the per-hit stat(2)
                        generation probe: 0 (default) checks every hit,
                        N>0 trusts a confirmed shard for N ms (a rebuilt
@@ -158,12 +158,11 @@ SUBCOMMANDS:
   bank-info            Print a bank container's format version, section
                        table (type, payload bytes, checksum status), and
                        entry counts without serving from it. With
-                       --mapped, open through the server's zero-copy
-                       mmap path instead and report the bytes a served
-                       shard pins (its trajectory section), whether the
-                       trajectories are viewed in place, the trajectory
-                       checksum, and the dictionary and multi-fault
-                       summaries, decoded on demand.
+                       --mapped, open it the way the server loads a
+                       shard instead (header, section table and
+                       trajectory section only) and report the bytes a
+                       served shard holds (its trajectory section), the
+                       trajectory summary and the trajectory checksum.
   stats                Read a --stats-file snapshot and print it as
                        greppable `name value` lines (counters, gauges,
                        histogram count/sum/mean/p50/p90/p99, derived
@@ -1217,35 +1216,23 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// The `--mapped` arm of `ftd bank-info`: opens the bank through the
-/// zero-copy mmap path the server uses, so the report reflects exactly
-/// what `ftd serve` would map — including whether this platform maps at
-/// all (non-unix falls back to a heap read) and how many bytes a served
-/// shard pins.
+/// The `--mapped` arm of `ftd bank-info`: opens the bank the way the
+/// server loads a shard (header, section table and trajectory section
+/// only), so the report reflects exactly what `ftd serve` would read and
+/// how many bytes a served shard holds.
 fn bank_info_mapped(path: &str) -> Result<(), CliError> {
     let (bank, set) = MappedBank::open(path).map_err(runtime)?;
-    let generation = bank.generation();
     println!(
-        "bank `{path}`: {} payload bytes of {} on disk, {}",
+        "bank `{path}`: {} payload bytes of {} on disk, trajectory section read",
         bank.payload_bytes(),
-        generation.len(),
-        if bank.is_mapped() {
-            "memory-mapped (zero-copy)"
-        } else {
-            "heap fallback (platform without mmap)"
-        },
+        bank.generation().len(),
     );
     println!(
         "served shard pins {} bytes (the trajectory section)",
         bank.resident_bytes()
     );
     println!(
-        "trajectories ({}): {} trajectories / {} segments, dim {}, tv {}",
-        if set.is_packed() {
-            "viewed in place, zero-copy"
-        } else {
-            "decoded eagerly"
-        },
+        "trajectories: {} trajectories / {} segments, dim {}, tv {}",
         set.len(),
         set.total_segments(),
         set.dim(),
@@ -1254,25 +1241,6 @@ fn bank_info_mapped(path: &str) -> Result<(), CliError> {
     match bank.verify_trajectory_payload() {
         Ok(()) => println!("trajectory payload checksum: ok"),
         Err(e) => println!("trajectory payload checksum: FAILED: {e}"),
-    }
-    match bank.dictionary() {
-        Ok(dict) => println!(
-            "dictionary (decoded on demand): {} entries x {} grid points, input {}, probe {}",
-            dict.entries().len(),
-            dict.grid().len(),
-            dict.input(),
-            probe_str(dict.probe()),
-        ),
-        Err(e) => println!("dictionary (decoded on demand): FAILED: {e}"),
-    }
-    match bank.multifault_dictionary() {
-        Ok(Some(mfd)) => println!(
-            "multifault (decoded on demand): {} entries x {} grid points",
-            mfd.len(),
-            mfd.grid().len(),
-        ),
-        Ok(None) => println!("multifault: absent"),
-        Err(e) => println!("multifault (decoded on demand): FAILED: {e}"),
     }
     Ok(())
 }

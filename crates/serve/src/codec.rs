@@ -139,7 +139,7 @@ pub enum CodecError {
         /// Checksum recomputed over the payload.
         computed: u64,
     },
-    /// A v2 section's payload does not match its table checksum — the
+    /// A section's payload does not match its table checksum — the
     /// corruption is attributed to that section.
     SectionChecksumMismatch {
         /// Type tag of the corrupted section.
@@ -149,7 +149,7 @@ pub enum CodecError {
         /// Checksum recomputed over the section payload.
         computed: u64,
     },
-    /// A required v2 section is absent from the container.
+    /// A required section is absent from the container.
     MissingSection(u16),
     /// The payload decoded cleanly but bytes were left over.
     TrailingBytes(usize),
@@ -404,8 +404,8 @@ impl ContainerBuilder {
 }
 
 /// One entry of a parsed section table. It holds no borrow of the
-/// container bytes, so a long-lived mapped shard's table can outlive any
-/// one borrow of the mapping (see [`SectionTable`]).
+/// container bytes, so a table parsed from a file's prefix can locate a
+/// section the reader has not read yet (see [`SectionTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionEntry {
     /// The section's type tag.
@@ -424,17 +424,36 @@ impl SectionEntry {
     pub fn payload<'a>(&self, container: &'a [u8]) -> &'a [u8] {
         &container[self.offset..self.offset + self.len]
     }
+
+    /// The per-section checksum rule: `computed`, the checksum of this
+    /// entry's payload, must equal the one stored in the table.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::SectionChecksumMismatch`], attributed to the
+    /// entry's type tag.
+    pub fn check(&self, computed: u64) -> Result<(), CodecError> {
+        if computed != self.stored_checksum {
+            return Err(CodecError::SectionChecksumMismatch {
+                kind: self.kind,
+                stored: self.stored_checksum,
+                computed,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// A structurally validated section table that owns no borrow of the
 /// container: magic, version, table checksum, and exact payload tiling
-/// are verified eagerly by [`SectionTable::parse`], while each section's
-/// payload FNV is verified lazily on first access through
-/// [`SectionTable::find`] / [`SectionTable::require`] — the shape a
-/// mapped shard needs, where the kernel pages a section in only when a
-/// reader actually touches it. This is the one parser of the container
-/// frame: the heap reader, the mapped reader and `ftd bank-info` all go
-/// through it.
+/// are verified eagerly by [`SectionTable::parse`] (or, from a file's
+/// first bytes, [`SectionTable::parse_prefix`]), while each section's
+/// payload FNV is verified only when a reader asks for that section
+/// ([`SectionTable::find`] / [`SectionTable::require`]). A reader can
+/// therefore read and check the one section it needs and leave the rest
+/// of the file unread. This is the one parser of the container frame:
+/// the heap reader, the shard reader and `ftd bank-info` all go through
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionTable {
     version: u16,
@@ -445,54 +464,91 @@ pub struct SectionTable {
 impl SectionTable {
     /// Parses and structurally validates a sectioned (v2 or v3)
     /// container's header and section table, touching none of the
-    /// payload bytes.
+    /// payload bytes: [`SectionTable::parse_prefix`] over the whole
+    /// container.
     ///
     /// # Errors
     ///
-    /// Magic/version violations, a table checksum mismatch
-    /// ([`CodecError::ChecksumMismatch`]), or any size inconsistency (the
-    /// container must equal header + table + declared payloads exactly).
+    /// As [`SectionTable::parse_prefix`].
     pub fn parse(container: &[u8]) -> Result<Self, CodecError> {
-        let version = peek_version(container)?;
+        SectionTable::parse_prefix(container, container.len())
+    }
+
+    /// The length of the prefix (header + section table) that
+    /// [`SectionTable::parse_prefix`] needs, read from the header alone
+    /// and bounded by `total_len`, the length of the container. A reader
+    /// reads the header, then exactly this many bytes, and never sizes a
+    /// buffer by a count it has not bounded by the file.
+    ///
+    /// # Errors
+    ///
+    /// Magic/version violations, or [`CodecError::Truncated`] when the
+    /// header is short or the declared table runs past `total_len`.
+    pub fn prefix_len(header: &[u8], total_len: usize) -> Result<usize, CodecError> {
+        let version = peek_version(header)?;
         if version != BANK_VERSION_V2 && version != BANK_VERSION {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 mapped: false,
             });
         }
-        if container.len() < CONTAINER_HEADER_LEN {
+        if header.len() < CONTAINER_HEADER_LEN {
             return Err(CodecError::Truncated {
                 needed: CONTAINER_HEADER_LEN,
-                available: container.len(),
+                available: header.len(),
             });
         }
-        let count = u32::from_le_bytes(container[10..14].try_into().expect("4 bytes")) as usize;
-        let table_len = count.saturating_mul(SECTION_ENTRY_LEN);
-        let table_end = CONTAINER_HEADER_LEN.saturating_add(table_len);
-        if table_end > container.len() {
+        let count = u32::from_le_bytes(header[10..14].try_into().expect("4 bytes")) as usize;
+        let table_end =
+            CONTAINER_HEADER_LEN.saturating_add(count.saturating_mul(SECTION_ENTRY_LEN));
+        if table_end > total_len {
             return Err(CodecError::Truncated {
                 needed: table_end,
-                available: container.len(),
+                available: total_len,
             });
         }
-        let table = &container[CONTAINER_HEADER_LEN..table_end];
-        let stored = u64::from_le_bytes(container[14..22].try_into().expect("8 bytes"));
-        let computed = checksum_parts(&[&container[10..14], table]);
+        Ok(table_end)
+    }
+
+    /// Parses and structurally validates the header and section table of
+    /// a container `total_len` bytes long, from its first bytes alone:
+    /// `prefix` must hold at least the [`prefix_len`](Self::prefix_len)
+    /// bytes the header declares. No payload byte is read; every section
+    /// must lie within `total_len`, and the sections must tile it
+    /// exactly.
+    ///
+    /// # Errors
+    ///
+    /// Magic/version violations, a table checksum mismatch
+    /// ([`CodecError::ChecksumMismatch`]), or any size inconsistency (the
+    /// container must equal header + table + declared payloads exactly).
+    pub fn parse_prefix(prefix: &[u8], total_len: usize) -> Result<Self, CodecError> {
+        let version = peek_version(prefix)?;
+        let table_end = SectionTable::prefix_len(prefix, total_len)?;
+        if prefix.len() < table_end {
+            return Err(CodecError::Truncated {
+                needed: table_end,
+                available: prefix.len(),
+            });
+        }
+        let table = &prefix[CONTAINER_HEADER_LEN..table_end];
+        let stored = u64::from_le_bytes(prefix[14..22].try_into().expect("8 bytes"));
+        let computed = checksum_parts(&[&prefix[10..14], table]);
         if stored != computed {
             return Err(CodecError::ChecksumMismatch { stored, computed });
         }
 
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(table.len() / SECTION_ENTRY_LEN);
         let mut offset = table_end;
         for entry in table.chunks_exact(SECTION_ENTRY_LEN) {
             let kind = u16::from_le_bytes(entry[0..2].try_into().expect("2 bytes"));
             let len = u64::from_le_bytes(entry[2..10].try_into().expect("8 bytes"));
             let stored_checksum = u64::from_le_bytes(entry[10..18].try_into().expect("8 bytes"));
-            let available = (container.len() - offset) as u64;
+            let available = (total_len - offset) as u64;
             if len > available {
                 return Err(CodecError::Truncated {
                     needed: offset.saturating_add(usize::try_from(len).unwrap_or(usize::MAX)),
-                    available: container.len(),
+                    available: total_len,
                 });
             }
             let len = len as usize;
@@ -504,13 +560,13 @@ impl SectionTable {
             });
             offset += len;
         }
-        if offset != container.len() {
-            return Err(CodecError::TrailingBytes(container.len() - offset));
+        if offset != total_len {
+            return Err(CodecError::TrailingBytes(total_len - offset));
         }
         Ok(SectionTable {
             version,
             entries,
-            total_len: container.len(),
+            total_len,
         })
     }
 
@@ -534,17 +590,16 @@ impl SectionTable {
         self.total_len
     }
 
-    /// Sum of the declared payload lengths of sections this reader
-    /// understands and would decode — the per-shard resident-memory
-    /// estimate the store's eviction budget accounts with.
+    /// Sum of the declared payload lengths of every section: the
+    /// container minus its header and section table.
     pub fn payload_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.len as u64).sum()
     }
 
     /// The unique entry of type `kind`, located structurally: no
     /// payload byte is read and no checksum verified. This is the lookup
-    /// an O(header) v3 open uses and the one [`find`](SectionTable::find)
-    /// builds on. `Ok(None)` when the container has no such section (an
+    /// the shard reader uses before it reads the section, and the one
+    /// [`find`](SectionTable::find) builds on. `Ok(None)` when the container has no such section (an
     /// *optional* section being absent is not an error).
     ///
     /// # Errors
@@ -568,8 +623,8 @@ impl SectionTable {
     }
 
     /// The payload `entry` describes within `container` (the same bytes
-    /// the table was parsed from), after verifying its checksum — the
-    /// lazy half of the mapped read path.
+    /// the table was parsed from), after verifying its checksum with
+    /// [`SectionEntry::check`].
     ///
     /// # Errors
     ///
@@ -591,14 +646,7 @@ impl SectionTable {
             "section table used against a different container"
         );
         let payload = entry.payload(container);
-        let computed = checksum(payload);
-        if computed != entry.stored_checksum {
-            return Err(CodecError::SectionChecksumMismatch {
-                kind: entry.kind,
-                stored: entry.stored_checksum,
-                computed,
-            });
-        }
+        entry.check(checksum(payload))?;
         Ok(payload)
     }
 

@@ -2,19 +2,18 @@
 //! single and batched queries.
 //!
 //! The engine owns one immutable bank source — a fully decoded
-//! [`TrajectoryBank`] or a zero-copy [`MappedBank`] — plus its
+//! [`TrajectoryBank`] or a shard's [`MappedBank`] handle — plus its
 //! [`SegmentIndex`]; batched queries fan out over `std::thread::scope`
 //! workers that share the engine by reference (everything inside is
 //! plain immutable data, so the borrow is free) and write results into
 //! disjoint output slots, preserving input order.
 //!
-//! A mapped engine ([`DiagnosisEngine::load_mapped`]) reads only the
+//! A shard engine ([`DiagnosisEngine::load_mapped`]) reads only the
 //! trajectory section at load; the dictionary and multi-fault sections
-//! stay as mapped bytes diagnosis never touches, which is what makes
-//! its cold load a fraction of the heap path on dictionary-heavy
-//! shards. The price: [`DiagnosisEngine::bank`] is `None` for mapped
-//! engines — tools that need the dictionaries open the file with
-//! [`MappedBank::open`] or [`TrajectoryBank::load`] themselves.
+//! stay on disk, unread, which is what makes its cold load a fraction
+//! of the full load on dictionary-heavy shards. The price:
+//! [`DiagnosisEngine::bank`] is `None` for shard engines — tools that
+//! need the dictionaries load the file with [`TrajectoryBank::load`].
 
 use std::path::Path;
 use std::sync::Arc;
@@ -24,8 +23,8 @@ use ft_core::{Diagnoser, DiagnoserConfig, Diagnosis, SegmentQuery, Signature, Tr
 use crate::bank::{MappedBank, TrajectoryBank};
 use crate::codec::CodecError;
 use crate::index::SegmentIndex;
-use crate::mmap::FileGen;
 use crate::obs::{EngineMetrics, SpanTimer};
+use crate::store::FileGen;
 
 /// Diagnoses a batch of signatures through an arbitrary query backend
 /// with `std::thread::scope` workers, returning results in input order.
@@ -137,7 +136,7 @@ enum BankSource {
     /// `Mapped` (a decoded bank is megabytes of owned vectors behind the
     /// box).
     Heap(Box<TrajectoryBank>),
-    /// A zero-copy mapped shard; only the trajectory set is decoded
+    /// A shard read for serving; only the trajectory set is decoded
     /// (and it lives in the diagnoser, not here).
     Mapped(MappedBank),
 }
@@ -183,24 +182,24 @@ impl DiagnosisEngine {
         Ok(DiagnosisEngine::new(TrajectoryBank::load(path)?, config))
     }
 
-    /// Maps a bank file zero-copy and builds the engine over it: only
-    /// the trajectory section is decoded; dictionary and multi-fault
-    /// sections stay as untouched mapped bytes ([`MappedBank`]), so
-    /// [`bank`](DiagnosisEngine::bank) is `None`.
+    /// Reads a bank file's trajectory section and builds the engine over
+    /// it: the dictionary and multi-fault sections are never read
+    /// ([`MappedBank::open`]), so [`bank`](DiagnosisEngine::bank) is
+    /// `None`. The engine holds an owned copy of the trajectories, so
+    /// rewriting or truncating the file afterwards cannot change its
+    /// answers.
     ///
-    /// A v3 open is O(header) — it reads no trajectory payload bytes —
-    /// so this method immediately runs the verification `open` skipped:
-    /// the trajectory section's checksum and a deep content validation
-    /// (finite coordinates, sound deviation ladders) of the packed
-    /// view. A corrupt shard is therefore still rejected at load, just
-    /// here instead of inside `open`.
+    /// Before the set serves, this checks the trajectory section's
+    /// checksum, taken when `open` read it, and runs the deep content
+    /// validation (finite coordinates, sound deviation ladders). A
+    /// corrupt shard is therefore rejected at load.
     ///
     /// # Errors
     ///
     /// As [`DiagnosisEngine::load`]; corruption confined to sections
     /// diagnosis never reads (dictionary, multi-fault) does *not* fail
-    /// the load (it surfaces when a tool decodes them through
-    /// [`MappedBank`] or [`TrajectoryBank::load`]).
+    /// the load (it surfaces when a tool loads the file with
+    /// [`TrajectoryBank::load`]).
     pub fn load_mapped(path: impl AsRef<Path>, config: EngineConfig) -> Result<Self, CodecError> {
         let path = path.as_ref();
         let (mapped, set) = MappedBank::open(path)?;
@@ -233,8 +232,7 @@ impl DiagnosisEngine {
     }
 
     /// The fully decoded bank, when this engine holds one (`None` for
-    /// mapped engines, whose dictionaries live undecoded in the
-    /// mapping).
+    /// shard engines, which never read the dictionaries).
     #[inline]
     pub fn bank(&self) -> Option<&TrajectoryBank> {
         match &self.source {
@@ -250,7 +248,7 @@ impl DiagnosisEngine {
         self.diagnoser.trajectory_set()
     }
 
-    /// The mapped shard file's generation at load time; `None` for heap
+    /// The shard file's generation at load time; `None` for heap
     /// engines, which keep no tie to a file. The store compares this
     /// against a fresh `stat` to detect rebuilt shards.
     #[inline]
@@ -261,8 +259,8 @@ impl DiagnosisEngine {
         }
     }
 
-    /// Bytes this engine's shard pins resident — what the store's
-    /// memory budget accounts per shard: for mapped engines, the
+    /// Bytes this engine's shard holds resident — what the store's
+    /// memory budget accounts per shard: for shard engines, the
     /// trajectory section's payload length, fixed at load (see
     /// [`MappedBank::resident_bytes`]); zero for heap engines, which the
     /// store only holds as pinned in-process banks that are never
@@ -273,13 +271,6 @@ impl DiagnosisEngine {
             BankSource::Heap(_) => 0,
             BankSource::Mapped(mapped) => mapped.resident_bytes(),
         }
-    }
-
-    /// `true` when the engine's undecoded sections are served by a
-    /// genuine kernel mapping.
-    #[inline]
-    pub fn is_mapped(&self) -> bool {
-        matches!(&self.source, BankSource::Mapped(m) if m.is_mapped())
     }
 
     /// The spatial index in use.
@@ -455,7 +446,6 @@ mod tests {
         heap.bank().expect("heap engine").save(&path).unwrap();
         let mapped = DiagnosisEngine::load_mapped(&path, heap.config()).unwrap();
         assert!(mapped.bank().is_none());
-        assert_eq!(mapped.is_mapped(), cfg!(unix));
         assert_eq!(mapped.trajectory_set(), heap.trajectory_set());
         assert_eq!(mapped.generation(), Some(FileGen::probe(&path).unwrap()));
         assert!(mapped.resident_bytes() > 0);

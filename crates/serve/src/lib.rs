@@ -8,11 +8,11 @@
 //! * [`TrajectoryBank`] — dictionary + trajectories (+ an optional
 //!   multi-fault dictionary) persisted to disk through a self-contained
 //!   binary [`codec`]: a sectioned v3 container whose sections are
-//!   type-tagged, length-prefixed, and independently checksummed, with
-//!   the trajectories laid out for zero-copy mapped serving (unknown
-//!   sections skip; v2 banks are read only so `ftd reencode` can migrate
-//!   them; the vendored `serde` is a marker-only shim, so the codec is
-//!   hand-rolled).
+//!   type-tagged, length-prefixed, and independently checksummed; a
+//!   served shard reads only its trajectory section ([`MappedBank`])
+//!   (unknown sections skip; v2 banks are read only so `ftd reencode`
+//!   can migrate them; the vendored `serde` is a marker-only shim, so
+//!   the codec is hand-rolled).
 //! * [`SegmentIndex`] — a spatial index over signature space: a
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests, incremental per-trajectory
@@ -47,13 +47,11 @@
 //!
 //! ## Platform
 //!
-//! The crate targets unix. Its two OS layers call the C library through
-//! hand-rolled `extern "C"` bindings (there is no libc crate here):
-//! [`Mmap`] maps shards with `mmap(2)`, and [`NetServer::run`] serves TCP
-//! from one `poll(2)` loop. Off unix, [`Mmap`] falls back to reading the
-//! file onto the heap, and [`NetServer::run`] returns
-//! [`std::io::ErrorKind::Unsupported`]; everything else, the stdin
-//! front end included, is portable.
+//! The crate targets unix for one layer: [`NetServer::run`] serves TCP
+//! from one `poll(2)` loop, called through hand-rolled `extern "C"`
+//! bindings (there is no libc crate here). Off unix it returns
+//! [`std::io::ErrorKind::Unsupported`]; everything else, shard loading
+//! and the stdin front end included, is portable `std`.
 //!
 //! ## Example
 //!
@@ -101,7 +99,6 @@ pub mod cli;
 pub mod codec;
 pub mod engine;
 pub mod index;
-pub mod mmap;
 pub mod net;
 pub mod obs;
 pub mod pool;
@@ -116,7 +113,6 @@ pub use codec::{
 };
 pub use engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 pub use index::{IndexCounters, QueryStats, SegmentIndex};
-pub use mmap::{FileGen, Mmap};
 pub use net::{
     connect_retry, fetch_stats, install_signal_drain, response_line, run_loadgen, FrameError,
     LoadgenConfig, LoadgenReport, NetConfig, NetError, NetServer, NetSummary, ShutdownHandle,
@@ -127,6 +123,7 @@ pub use obs::{
 };
 pub use pool::{BatchId, ServeHandle, ServeResult};
 pub use store::{
-    diagnose_on, valid_cut_id, BankStore, DiagnosisRequest, RefreshSummary, StoreConfig, StoreError,
+    diagnose_on, valid_cut_id, BankStore, DiagnosisRequest, FileGen, RefreshSummary, StoreConfig,
+    StoreError,
 };
 pub use synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};

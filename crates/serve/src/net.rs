@@ -2,9 +2,8 @@
 //! [`ServeHandle`] pool, plus the matching load-generator client.
 //!
 //! The server is one single-threaded `poll(2)` readiness loop,
-//! hand-rolled over raw `extern "C"` syscalls the way [`crate::mmap`]
-//! wraps `mmap(2)` (the vendored environment has no libc crate), that
-//! owns every socket and feeds decoded requests into the existing
+//! hand-rolled over raw `extern "C"` syscalls (the vendored environment
+//! has no libc crate), that owns every socket and feeds decoded requests into the existing
 //! worker pool. Workers wake the loop back through a self-pipe, once
 //! per finished batch (see [`ServeHandle::with_notifier`]), so the loop
 //! never blocks on anything but the poller. `poll(2)` is the readiness

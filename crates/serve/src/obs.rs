@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::mmap::FileGen;
+use crate::store::FileGen;
 
 /// Number of histogram buckets: one for the value 0 plus one per power
 /// of two up to `u64::MAX`.

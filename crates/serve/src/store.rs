@@ -14,10 +14,10 @@
 //!
 //! The store is built to front shard sets much larger than RAM:
 //!
-//! * **Zero-copy loads** — shards load through
-//!   [`DiagnosisEngine::load_mapped`]: the file is memory-mapped, the v3
-//!   trajectory section is viewed in place, and the dictionary payloads
-//!   stay as mapped bytes the kernel pages in on demand. A v2 shard
+//! * **Trajectory-section loads** — shards load through
+//!   [`DiagnosisEngine::load_mapped`]: the header, the section table and
+//!   the trajectory section are read, checksummed and decoded into an
+//!   owned set; the dictionary payloads are never read. A v2 shard
 //!   fails to load with an error naming `ftd reencode`, which converts
 //!   it.
 //! * **LRU eviction** — [`StoreConfig::mem_budget`] caps the resident
@@ -32,7 +32,11 @@
 //!   picked up without restarting the server while in-flight queries
 //!   finish on the old engine. The same keying retires slots whose file
 //!   vanished and retries cached load *failures* once the file is
-//!   repaired — a transient bad copy is never replayed forever.
+//!   repaired — a transient bad copy is never replayed forever. A
+//!   loaded shard is an owned copy, so a file rewritten or truncated in
+//!   place keeps serving the loaded answers until a probe sees the new
+//!   generation and reloads (or, for a damaged file, caches the
+//!   attributed failure).
 //!
 //! Every map mutation bumps the store [`epoch`](BankStore::epoch), which
 //! lets the pool's per-run shard cache revalidate with one atomic load
@@ -43,15 +47,67 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use ft_core::{Diagnosis, Signature};
 
 use crate::bank::TrajectoryBank;
 use crate::codec::CodecError;
 use crate::engine::{DiagnosisEngine, EngineConfig};
-use crate::mmap::FileGen;
 use crate::obs::{MetricsRegistry, SpanTimer, StoreMetrics};
+
+/// A file's load generation: modification time and byte length. Two
+/// observations with equal generations are treated as the same content;
+/// a shard slot caches its generation so the store can detect rebuilt
+/// (hot reload) or repaired (failure retry) shard files with one `stat`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileGen {
+    mtime: SystemTime,
+    len: u64,
+}
+
+impl FileGen {
+    /// The generation recorded in `meta`.
+    pub fn from_metadata(meta: &std::fs::Metadata) -> std::io::Result<FileGen> {
+        Ok(FileGen {
+            mtime: meta.modified()?,
+            len: meta.len(),
+        })
+    }
+
+    /// Stats `path` and returns its current generation.
+    pub fn probe(path: impl AsRef<Path>) -> std::io::Result<FileGen> {
+        FileGen::from_metadata(&std::fs::metadata(path)?)
+    }
+
+    /// The file length this generation was observed at.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// `true` for a zero-length file.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl fmt::Display for FileGen {
+    /// Renders `mtime=<unix-secs>.<nanos>,len=<bytes>` — the form the
+    /// store's failure attribution embeds in error messages and metric
+    /// labels.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.mtime.duration_since(SystemTime::UNIX_EPOCH) {
+            Ok(d) => write!(
+                f,
+                "mtime={}.{:09},len={}",
+                d.as_secs(),
+                d.subsec_nanos(),
+                self.len
+            ),
+            Err(_) => write!(f, "mtime=pre-epoch,len={}", self.len),
+        }
+    }
+}
 
 /// One serving request: which circuit-under-test, and the observed
 /// signature to diagnose against that CUT's trajectory bank.
@@ -703,8 +759,8 @@ impl BankStore {
                 // diagnosis reads, so that length is its accounted size
                 // for as long as it stays resident.
                 let bytes = engine.resident_bytes();
-                // Successful opens capture the generation from the file
-                // they actually read (fd-accurate for mapped shards).
+                // Successful opens capture the generation from the
+                // descriptor they actually read.
                 let generation = engine.generation().unwrap_or(generation);
                 (Ok(Arc::new(engine)), generation, bytes)
             }
@@ -882,6 +938,23 @@ mod tests {
     fn write_shard(path: &Path, bank: &TrajectoryBank) {
         bank.save(path).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(15));
+    }
+
+    #[test]
+    fn generation_distinguishes_rewrites() {
+        let path = std::env::temp_dir().join("ft_store_gen_test.bin");
+        std::fs::write(&path, b"first contents").unwrap();
+        let before = FileGen::probe(&path).unwrap();
+        assert_eq!(before.len(), 14);
+        assert!(!before.is_empty());
+        assert!(before.to_string().starts_with("mtime="));
+        assert!(before.to_string().ends_with(",len=14"));
+        // A different length always changes the generation, regardless
+        // of filesystem timestamp granularity.
+        std::fs::write(&path, b"second, longer contents").unwrap();
+        let after = FileGen::probe(&path).unwrap();
+        assert_ne!(before, after);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1145,12 +1218,6 @@ mod tests {
         let sig = Signature::new(vec![1.1, 0.2]);
         let req = DiagnosisRequest::new("cut", sig.clone());
         assert_eq!(store.diagnose(&req).unwrap(), heap.diagnose(&sig));
-        assert_eq!(
-            store.engine("cut").unwrap().is_mapped(),
-            cfg!(unix),
-            "the store maps on unix"
-        );
-        assert!(!heap.is_mapped());
         std::fs::remove_dir_all(&dir).ok();
     }
 

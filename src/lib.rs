@@ -18,11 +18,11 @@
 //! * [`serve`] — the serving layer: persistent trajectory banks
 //!   (sectioned v3 container), the segment spatial index, batched
 //!   diagnosis, out-of-core multi-circuit bank sharding (`BankStore`:
-//!   zero-copy mmap loads, LRU eviction under a memory budget, hot
-//!   shard reload), the persistent-pool front-end (`ServeHandle`), the
-//!   serving observability registry (`MetricsRegistry`: counters,
-//!   gauges, log₂ latency histograms, JSON/Prometheus snapshots), and
-//!   the `ftd` CLI.
+//!   shard loads that read only the trajectory section, LRU eviction
+//!   under a memory budget, hot shard reload), the persistent-pool
+//!   front-end (`ServeHandle`), the serving observability registry
+//!   (`MetricsRegistry`: counters, gauges, log₂ latency histograms,
+//!   JSON/Prometheus snapshots), and the `ftd` CLI.
 //!
 //! ## Quickstart
 //!

@@ -154,9 +154,9 @@ proptest! {
         );
     }
 
-    /// The v3 zero-copy view is indistinguishable from the heap
-    /// decode: same trajectory set, bit-identical diagnoses, and the
-    /// mapped engine really is viewing the file in place.
+    /// The shard reader's decode is indistinguishable from the full
+    /// load: same trajectory set, bit-identical diagnoses, and the
+    /// served engine holds the set in packed storage.
     #[test]
     fn mapped_view_matches_heap_decode(
         seed in 0i64..1_000_000, x in -9.0f64..9.0, y in -9.0f64..9.0
@@ -170,7 +170,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
         prop_assert!(
             mapped.trajectory_set().is_packed(),
-            "v3 shard must be viewed in place (seed {seed})"
+            "a set read from a file is packed (seed {seed})"
         );
         prop_assert!(mapped.trajectory_set() == heap.trajectory_set());
         let sig = Signature::new(vec![x, y]);

@@ -197,8 +197,9 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
 #[test]
 fn mapped_and_heap_engines_diagnose_byte_identically() {
     // Property: for banks of varying shape (with/without multifault,
-    // varying Q), the zero-copy mapped engine and the heap-decoding
-    // engine return bit-identical diagnoses on every path.
+    // varying Q), the engine loaded the way the store serves a shard
+    // (trajectory section only) and the one over the fully loaded bank
+    // return bit-identical diagnoses on every path.
     let dir = std::env::temp_dir().join("serve_v2_mapped_parity");
     std::fs::create_dir_all(&dir).expect("dir");
     for (name, bank) in [
@@ -224,7 +225,7 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
         assert_eq!(heap.generation(), None, "a heap engine keeps no file tie");
         assert!(
             mapped.trajectory_set().is_packed(),
-            "v3 shard must be viewed in place on `{name}`"
+            "a set read from a file is packed on `{name}`"
         );
 
         let queries = synthetic_queries(bank.trajectory_set(), 23, 42);
@@ -249,10 +250,11 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
 
 #[test]
 fn mapped_open_defers_corruption_outside_the_hot_section() {
-    // The mapped reader verifies section checksums lazily: damage to the
-    // dictionary payload must not stop diagnosis (which only needs the
-    // trajectories), but must still be detected — and attributed — the
-    // moment the damaged section is decoded.
+    // The served load reads only the trajectory section: damage to the
+    // dictionary or multi-fault payload must not stop diagnosis (which
+    // only needs the trajectories), while the full load the offline
+    // tools use still detects it and attributes it to the section it
+    // hit and the file.
     let bank = paper_bank_with_multifault(1.0);
     let bytes = bank.to_bytes();
     let sections: Vec<(u16, usize, usize)> = SectionTable::parse(&bytes)
@@ -261,6 +263,8 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
         .iter()
         .map(|e| (e.kind, e.offset, e.len))
         .collect();
+    let reference = DiagnosisEngine::new(bank.clone(), EngineConfig::default());
+    let queries = synthetic_queries(bank.trajectory_set(), 9, 77);
 
     let dir = std::env::temp_dir().join("serve_v2_mapped_lazy_corruption");
     std::fs::create_dir_all(&dir).expect("dir");
@@ -271,11 +275,11 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
         std::fs::write(&path, &corrupt).expect("writes");
 
         if kind == fault_trajectory::serve::SECTION_TRAJECTORIES {
-            // The v3 open is O(header) and reads no region byte, so the
-            // damage is invisible to it — but the deferred checksum
-            // pass (which every engine load runs before serving)
-            // attributes it, and the engine refuses the shard.
-            let (mapped, _) = MappedBank::open(&path).expect("v3 open skips region bytes");
+            // The damaged region still decodes, so the open succeeds;
+            // the checksum comparison every engine load runs before
+            // serving attributes the damage, and the engine refuses
+            // the shard.
+            let (mapped, _) = MappedBank::open(&path).expect("the damaged region still decodes");
             let err = mapped
                 .verify_trajectory_payload()
                 .expect_err("deferred verification detects damage");
@@ -285,15 +289,17 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
             assert!(err.to_string().contains("trajectories"), "got: {err}");
             continue;
         }
-        let (mapped, set) = MappedBank::open(&path).expect("open defers cold sections");
-        assert_eq!(&set, bank.trajectory_set(), "trajectories unaffected");
-        let err = if kind == fault_trajectory::serve::SECTION_DICTIONARY {
-            mapped.dictionary().expect_err("decode detects damage")
-        } else {
-            mapped
-                .multifault_dictionary()
-                .expect_err("decode detects damage")
-        };
+        let engine = DiagnosisEngine::load_mapped(&path, EngineConfig::default())
+            .expect("the served load never reads the damaged section");
+        assert_eq!(
+            engine.trajectory_set(),
+            bank.trajectory_set(),
+            "trajectories unaffected"
+        );
+        for q in &queries {
+            assert_eq!(engine.diagnose(q), reference.diagnose(q));
+        }
+        let err = TrajectoryBank::load(&path).expect_err("the full load detects damage");
         let msg = err.to_string();
         let name = fault_trajectory::serve::section_name(kind);
         assert!(msg.contains(name), "`{name}` missing from: {msg}");
