@@ -150,8 +150,8 @@ impl TrajectoryBank {
     }
 
     /// Serialises the bank into a sectioned **v3** container: a
-    /// dictionary section, a zero-copy-viewable trajectory section (see
-    /// the module docs for the aligned layout), and — when present — a
+    /// dictionary section, a fixed-stride trajectory section (see the
+    /// module docs for the layout), and — when present — a
     /// multi-fault section, each independently checksummed.
     pub fn to_bytes(&self) -> Vec<u8> {
         let dict_payload = encode_dictionary(&self.dict);
@@ -189,12 +189,11 @@ impl TrajectoryBank {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let table = SectionTable::parse(bytes)?;
         let dict = decode_payload(table.require(bytes, SECTION_DICTIONARY)?, decode_dictionary)?;
-        let traj = table
-            .locate(SECTION_TRAJECTORIES)?
-            .ok_or(CodecError::MissingSection(SECTION_TRAJECTORIES))?;
-        let traj_payload = table.verify(bytes, traj)?;
+        let traj_payload = table.require(bytes, SECTION_TRAJECTORIES)?;
         let set = if table.version() == BANK_VERSION {
-            decode_trajectory_set_v3(traj_payload, traj.offset)?
+            let set = decode_trajectories(traj_payload)?;
+            set.validate_deep().map_err(CodecError::Malformed)?;
+            set
         } else {
             decode_payload(traj_payload, decode_trajectory_set)?
         };
@@ -320,14 +319,7 @@ impl MappedBank {
         file.seek(SeekFrom::Start(entry.offset as u64))?;
         file.read_exact(&mut payload)?;
         let trajectory_checksum = checksum(&payload);
-        let layout = parse_v3_trajectory_payload(&payload, entry.offset)?;
-        let set = if layout.aligned {
-            decode_packed(&payload, layout)?
-        } else {
-            // Sections were shifted after encoding (spliced container):
-            // decode owned trajectories instead.
-            decode_trajectory_set_v3(&payload, entry.offset)?
-        };
+        let set = decode_trajectories(&payload)?;
         Ok((
             MappedBank {
                 table,
@@ -648,8 +640,8 @@ fn encode_trajectory_set_v3(set: &TrajectorySet, section_offset: usize) -> Vec<u
 
 /// The structurally parsed shape of a v3 trajectory payload: everything
 /// the header region declares, plus the payload-relative byte offsets of
-/// the two aligned `f64` regions. Parsing is O(header + n_traj) and
-/// touches no region byte.
+/// the two `f64` regions. Parsing is O(header + n_traj) and touches no
+/// region byte.
 struct V3Layout {
     omegas: Vec<f64>,
     components: Vec<String>,
@@ -658,24 +650,14 @@ struct V3Layout {
     devs_off: usize,
     coords_off: usize,
     dim: usize,
-    /// Whether the regions land on 8-byte container offsets. True for
-    /// anything our writer emits; false only for containers whose
-    /// sections were shifted after encoding (readers then decode owned
-    /// instead of viewing in place).
-    aligned: bool,
 }
 
 /// Parses and structurally validates a v3 trajectory payload:
 /// bounds, counts, UTF-8 names, zero padding, offset-table
-/// monotonicity, and exact region tiling (`section_offset` is the
-/// payload's absolute offset, used to report whether the regions land
-/// 8-byte aligned in the container). Region contents (deviation
+/// monotonicity, and exact region tiling. Region contents (deviation
 /// ordering, finiteness) are deliberately not read — that is
 /// `validate_deep`'s job.
-fn parse_v3_trajectory_payload(
-    payload: &[u8],
-    section_offset: usize,
-) -> Result<V3Layout, CodecError> {
+fn parse_v3_trajectory_payload(payload: &[u8]) -> Result<V3Layout, CodecError> {
     let mut dec = Decoder::over(payload);
     let omegas = dec.get_f64s()?;
     ensure(!omegas.is_empty(), "test vector is empty")?;
@@ -721,15 +703,6 @@ fn parse_v3_trajectory_payload(
         "v3 alignment padding must be zero",
     )?;
 
-    // Whether the writer's padding actually lands the regions on 8-byte
-    // container offsets. Our writer always aligns; a container whose
-    // sections were shifted afterwards (say, by a tool splicing in an
-    // unknown section without re-padding) stays decodable — the packed
-    // view is simply refused at construction and readers fall back to
-    // owned decode. Never a hard error here: misalignment costs the
-    // zero-copy fast path, not the data.
-    let table_off = payload.len() - dec.remaining();
-    let aligned = (section_offset + table_off).is_multiple_of(8);
     let mut point_offsets = Vec::with_capacity(n_traj + 1);
     for _ in 0..=n_traj {
         point_offsets.push(dec.get_u32()?);
@@ -769,15 +742,19 @@ fn parse_v3_trajectory_payload(
         devs_off,
         coords_off,
         dim,
-        aligned,
     })
 }
 
-/// Decodes the two `f64` regions `layout` locates in `payload` with
-/// `f64::from_le_bytes` into packed storage. The regions are read at any
-/// alignment; their content is left to
-/// [`TrajectorySet::validate_deep`].
-fn decode_packed(payload: &[u8], layout: V3Layout) -> Result<TrajectorySet, CodecError> {
+/// Decodes a v3 trajectory payload into packed storage — the one
+/// trajectory decoder, shared by [`TrajectoryBank::from_bytes`] and
+/// [`MappedBank::open`]. The structure is validated first
+/// ([`parse_v3_trajectory_payload`]); the two `f64` regions are then
+/// decoded with `f64::from_le_bytes`, at any alignment. Content
+/// (finiteness, deviation ordering) is left to
+/// [`TrajectorySet::validate_deep`], which every reader runs before the
+/// set serves.
+fn decode_trajectories(payload: &[u8]) -> Result<TrajectorySet, CodecError> {
+    let layout = parse_v3_trajectory_payload(payload)?;
     let f64s = |off: usize, n: usize| -> Vec<f64> {
         payload[off..off + 8 * n]
             .chunks_exact(8)
@@ -799,57 +776,6 @@ fn decode_packed(payload: &[u8], layout: V3Layout) -> Result<TrajectorySet, Code
         TestVector::new(layout.omegas),
         packed,
     ))
-}
-
-/// Decodes a v3 trajectory payload into owned trajectories — the heap
-/// path ([`TrajectoryBank::from_bytes`]) and the fallback for platforms
-/// where the payload cannot be viewed in place. Reads the regions via
-/// explicit little-endian conversion, so it works at any alignment, and
-/// re-checks every content invariant before the panicking constructors
-/// run.
-fn decode_trajectory_set_v3(
-    payload: &[u8],
-    section_offset: usize,
-) -> Result<TrajectorySet, CodecError> {
-    let layout = parse_v3_trajectory_payload(payload, section_offset)?;
-    let tv = TestVector::new(layout.omegas);
-    let f64_at = |off: usize| {
-        f64::from_le_bytes(
-            payload[off..off + 8]
-                .try_into()
-                .expect("8 bytes within the validated region"),
-        )
-    };
-    let mut trajectories = Vec::with_capacity(layout.components.len());
-    for (ti, component) in layout.components.into_iter().enumerate() {
-        let lo = layout.point_offsets[ti] as usize;
-        let hi = layout.point_offsets[ti + 1] as usize;
-        let devs: Vec<f64> = (lo..hi).map(|i| f64_at(layout.devs_off + 8 * i)).collect();
-        ensure(
-            devs.iter().all(|d| d.is_finite()),
-            "trajectory deviations must be finite",
-        )?;
-        ensure(
-            devs.windows(2).all(|w| w[0] < w[1]),
-            "trajectory deviations must be strictly ascending",
-        )?;
-        ensure(
-            devs.contains(&0.0),
-            "trajectory must contain the 0% origin point",
-        )?;
-        let mut points = Vec::with_capacity(hi - lo);
-        for i in lo..hi {
-            let base = layout.coords_off + 8 * layout.dim * i;
-            let coords: Vec<f64> = (0..layout.dim).map(|j| f64_at(base + 8 * j)).collect();
-            ensure(
-                coords.iter().all(|x| x.is_finite()),
-                "trajectory points must be finite",
-            )?;
-            points.push(Signature::new(coords));
-        }
-        trajectories.push(FaultTrajectory::new(component, devs, points));
-    }
-    Ok(TrajectorySet::new(tv, trajectories))
 }
 
 fn encode_multifault(mfd: &MultiFaultDictionary) -> Vec<u8> {
@@ -1159,9 +1085,9 @@ mod tests {
 
     #[test]
     fn v3_structural_corruption_fails_open() {
-        // A truncated payload must fail the O(header) open itself,
-        // never reaching the in-place f64 cast; a misaligned region
-        // must never be viewed in place, only decoded owned.
+        // A truncated payload must fail the open itself; a region that
+        // sits off its 8-byte file alignment must still decode
+        // losslessly, through the same decoder.
         let bank = rc_bank();
         let bytes = bank.to_bytes();
         let path = std::env::temp_dir().join("ft_serve_v3_structural_test.ftb");
@@ -1178,29 +1104,27 @@ mod tests {
         // assigns, the f64 regions land 4-byte aligned at best — the
         // shape a tool splicing sections without re-padding produces.
         // The checksums are valid (the builder recomputes them), so
-        // the data is intact: both readers must fall back to owned
-        // decode (no zero-copy view over unaligned bytes, no error).
+        // the data is intact: both readers must load it unchanged.
         let table = SectionTable::parse(&bytes).unwrap();
         let traj = table.entries()[1];
         let dict_payload = table.require(&bytes, SECTION_DICTIONARY).unwrap().to_vec();
-        let layout = parse_v3_trajectory_payload(traj.payload(&bytes), traj.offset).unwrap();
-        assert!(layout.aligned, "writer aligns");
+        let layout = parse_v3_trajectory_payload(traj.payload(&bytes)).unwrap();
         assert_eq!((traj.offset + layout.devs_off) % 8, 0, "writer aligns");
         let skewed = encode_trajectory_set_v3(bank.trajectory_set(), traj.offset + 4);
         let mut b = ContainerBuilder::new();
         b.push_section(SECTION_DICTIONARY, dict_payload);
         b.push_section(SECTION_TRAJECTORIES, skewed);
         let misaligned = b.finish();
-        let skewed_layout = {
-            let t = SectionTable::parse(&misaligned).unwrap().entries()[1];
-            parse_v3_trajectory_payload(t.payload(&misaligned), t.offset).unwrap()
-        };
-        assert!(!skewed_layout.aligned, "skew must defeat the padding");
+        let skewed = SectionTable::parse(&misaligned).unwrap().entries()[1];
+        let skewed_layout = parse_v3_trajectory_payload(skewed.payload(&misaligned)).unwrap();
+        assert_ne!(
+            (skewed.offset + skewed_layout.devs_off) % 8,
+            0,
+            "skew must defeat the padding"
+        );
         std::fs::write(&path, &misaligned).unwrap();
         let (_, set) = MappedBank::open(&path).expect("misaligned container still opens");
-        assert!(!set.is_packed(), "unaligned bytes must not be viewed");
-        assert_eq!(&set, bank.trajectory_set(), "owned fallback is lossless");
-        // The heap decoder never views in place, so it is indifferent.
+        assert_eq!(&set, bank.trajectory_set(), "the decode is lossless");
         let back = TrajectoryBank::from_bytes(&misaligned).expect("heap decode tolerates shift");
         assert_eq!(back.trajectory_set(), bank.trajectory_set());
 
@@ -1338,7 +1262,7 @@ mod tests {
             n_traj_at,
             pad_len_at,
             pad_len: u32_at(pad_len_at),
-            coords_at: parse_v3_trajectory_payload(payload, 0)
+            coords_at: parse_v3_trajectory_payload(payload)
                 .expect("writer output parses")
                 .coords_off,
         }
