@@ -38,20 +38,15 @@
 //! padding stays so that files remain byte-identical to those earlier
 //! builds wrote.
 //!
-//! v3 is the only format written and the only one the shard reader
-//! ([`MappedBank`]) opens. A v2 bank carries the older length-prefixed trajectory payload;
-//! [`TrajectoryBank::from_bytes`] still decodes it, so `ftd reencode`
-//! rewrites it as v3.
+//! v3 is the only format written and read: [`TrajectoryBank::from_bytes`]
+//! and the shard reader ([`MappedBank`]) refuse any other version.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use ft_circuit::Probe;
-use ft_core::{
-    trajectories_from_dictionary, FaultTrajectory, PackedTrajectories, Signature, TestVector,
-    TrajectorySet,
-};
+use ft_core::{trajectories_from_dictionary, PackedTrajectories, TestVector, TrajectorySet};
 use ft_faults::{
     DeviationGrid, DictionaryEntry, FaultDictionary, FaultUniverse, MultiFault,
     MultiFaultDictionary, MultiFaultEntry, ParametricFault,
@@ -59,9 +54,9 @@ use ft_faults::{
 use ft_numerics::{FrequencyGrid, Spacing};
 
 use crate::codec::{
-    checksum, peek_version, CodecError, ContainerBuilder, Decoder, Encoder, SectionEntry,
-    SectionTable, BANK_VERSION, CONTAINER_HEADER_LEN, SECTION_DICTIONARY, SECTION_ENTRY_LEN,
-    SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
+    checksum, CodecError, ContainerBuilder, Decoder, Encoder, SectionEntry, SectionTable,
+    CONTAINER_HEADER_LEN, SECTION_DICTIONARY, SECTION_ENTRY_LEN, SECTION_MULTIFAULT,
+    SECTION_TRAJECTORIES,
 };
 use crate::store::FileGen;
 
@@ -176,10 +171,9 @@ impl TrajectoryBank {
     }
 
     /// Deserialises a bank, verifying the container header, checksums,
-    /// and every structural invariant of the decoded data. v3 and v2
-    /// containers load — this is the one reader of v2, which is how
-    /// `ftd reencode` migrates old banks. Unknown sections are skipped,
-    /// and the optional multi-fault section is decoded when present.
+    /// and every structural and content invariant of the decoded data.
+    /// Unknown sections are skipped, and the optional multi-fault
+    /// section is decoded when present.
     ///
     /// # Errors
     ///
@@ -189,14 +183,8 @@ impl TrajectoryBank {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let table = SectionTable::parse(bytes)?;
         let dict = decode_payload(table.require(bytes, SECTION_DICTIONARY)?, decode_dictionary)?;
-        let traj_payload = table.require(bytes, SECTION_TRAJECTORIES)?;
-        let set = if table.version() == BANK_VERSION {
-            let set = decode_trajectories(traj_payload)?;
-            set.validate_deep().map_err(CodecError::Malformed)?;
-            set
-        } else {
-            decode_payload(traj_payload, decode_trajectory_set)?
-        };
+        let set = decode_trajectories(table.require(bytes, SECTION_TRAJECTORIES)?)?;
+        set.validate_deep().map_err(CodecError::Malformed)?;
         let multifault = table
             .find(bytes, SECTION_MULTIFAULT)?
             .map(|payload| decode_payload(payload, decode_multifault))
@@ -237,8 +225,7 @@ impl TrajectoryBank {
 /// A shard file opened for serving: only its trajectory section is read.
 ///
 /// Unlike [`TrajectoryBank::load`], opening reads the container header,
-/// the section table and the trajectory section, and nothing else. Only
-/// **v3** shards open (a v2 bank is converted with `ftd reencode`). The
+/// the section table and the trajectory section, and nothing else. The
 /// trajectory section is checksummed while its bytes are in hand and
 /// decoded into packed storage ([`PackedTrajectories`]); callers that
 /// serve from the set run [`MappedBank::verify_trajectory_payload`] plus
@@ -277,8 +264,8 @@ impl MappedBank {
     /// # Errors
     ///
     /// I/O failures, a format version other than v3
-    /// ([`CodecError::UnsupportedVersion`], whose message points a v2
-    /// bank at `ftd reencode`), header/table validation failures, and
+    /// ([`CodecError::UnsupportedVersion`]), header/table validation
+    /// failures, and
     /// any structural violation of the trajectory section, annotated
     /// with `path`. A trajectory checksum mismatch is reported by
     /// [`verify_trajectory_payload`](MappedBank::verify_trajectory_payload);
@@ -297,16 +284,6 @@ impl MappedBank {
             .map_err(|_| CodecError::Malformed("file exceeds the address space".into()))?;
         let mut prefix = vec![0u8; CONTAINER_HEADER_LEN.min(total_len)];
         file.read_exact(&mut prefix)?;
-        // Only v3 is served. A v2 bank is read by
-        // `TrajectoryBank::from_bytes` alone, which is what `ftd
-        // reencode` uses to convert it.
-        let found = peek_version(&prefix)?;
-        if found != BANK_VERSION {
-            return Err(CodecError::UnsupportedVersion {
-                found,
-                mapped: true,
-            });
-        }
         // The table length is bounded by the file before it is read.
         let table_end = SectionTable::prefix_len(&prefix, total_len)?;
         prefix.resize(table_end, 0);
@@ -523,69 +500,6 @@ fn decode_dictionary(dec: &mut Decoder) -> Result<FaultDictionary, CodecError> {
     Ok(FaultDictionary::from_parts(
         grid, golden_db, entries, universe, input, probe,
     ))
-}
-
-fn decode_trajectory_set(dec: &mut Decoder) -> Result<TrajectorySet, CodecError> {
-    let omegas = dec.get_f64s()?;
-    ensure(!omegas.is_empty(), "test vector is empty")?;
-    ensure(
-        omegas.iter().all(|w| w.is_finite() && *w > 0.0),
-        "test frequencies must be positive and finite",
-    )?;
-    let tv = TestVector::new(omegas);
-
-    let n_traj = dec.get_count(9)?;
-    ensure(n_traj > 0, "bank holds no trajectories")?;
-    let mut trajectories = Vec::with_capacity(n_traj);
-    let mut set_dim: Option<usize> = None;
-    for _ in 0..n_traj {
-        let component = dec.get_str()?;
-        let devs = dec.get_f64s()?;
-        ensure(devs.len() >= 2, "a trajectory needs at least two points")?;
-        ensure(
-            devs.windows(2).all(|w| w[0] < w[1]),
-            "trajectory deviations must be strictly ascending",
-        )?;
-        ensure(
-            devs.contains(&0.0),
-            "trajectory must contain the 0% origin point",
-        )?;
-        ensure(
-            devs.iter().all(|d| d.is_finite()),
-            "trajectory deviations must be finite",
-        )?;
-        let dim = dec.get_u32()? as usize;
-        ensure(dim > 0, "trajectory dimension must be positive")?;
-        // Bound the per-point allocation by the payload actually
-        // present (each coordinate takes 8 bytes), as get_count
-        // does for prefixed fields.
-        ensure(
-            dim <= dec.remaining() / 8,
-            "trajectory dimension exceeds the remaining payload",
-        )?;
-        ensure(
-            dim.is_multiple_of(tv.len()),
-            "trajectory dimension must be a multiple of the test-vector length",
-        )?;
-        ensure(
-            set_dim.replace(dim).is_none_or(|prev| prev == dim),
-            "all trajectories must share one dimension",
-        )?;
-        let mut points = Vec::with_capacity(devs.len());
-        for _ in 0..devs.len() {
-            let mut coords = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                coords.push(dec.get_f64()?);
-            }
-            ensure(
-                coords.iter().all(|x| x.is_finite()),
-                "trajectory points must be finite",
-            )?;
-            points.push(Signature::new(coords));
-        }
-        trajectories.push(FaultTrajectory::new(component, devs, points));
-    }
-    Ok(TrajectorySet::new(tv, trajectories))
 }
 
 /// Encodes a trajectory set as the **v3** aligned payload (module docs
@@ -835,42 +749,11 @@ fn decode_multifault(dec: &mut Decoder) -> Result<MultiFaultDictionary, CodecErr
     ))
 }
 
-/// Mints a **v2** container for `bank`, the previous layout that
-/// [`TrajectoryBank::from_bytes`] still reads, for the tests that pin
-/// its migration to v3.
-#[cfg(test)]
-pub(crate) fn v2_bytes(bank: &TrajectoryBank) -> Vec<u8> {
-    let mut traj = Encoder::new();
-    traj.put_f64s(bank.set.test_vector().omegas());
-    traj.put_u32(bank.set.len() as u32);
-    for t in bank.set.trajectories() {
-        traj.put_str(t.component());
-        traj.put_f64s(t.deviations_pct());
-        traj.put_u32(t.dim() as u32);
-        for p in t.points() {
-            for &x in p.coords() {
-                traj.put_f64(x);
-            }
-        }
-    }
-    let mut builder = ContainerBuilder::new();
-    builder.push_section(SECTION_DICTIONARY, encode_dictionary(&bank.dict));
-    builder.push_section(SECTION_TRAJECTORIES, traj.into_payload());
-    if let Some(mfd) = &bank.multifault {
-        builder.push_section(SECTION_MULTIFAULT, encode_multifault(mfd));
-    }
-    let mut bytes = builder.finish();
-    // The version field sits outside the table checksum, so stamping it
-    // leaves a well-formed container.
-    bytes[8..10].copy_from_slice(&crate::codec::BANK_VERSION_V2.to_le_bytes());
-    bytes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::BANK_VERSION_V2;
     use crate::engine::{DiagnosisEngine, EngineConfig};
+    use ft_core::{FaultTrajectory, Signature};
     use ft_numerics::FrequencyGrid;
 
     fn rc_bank() -> TrajectoryBank {
@@ -1161,26 +1044,20 @@ mod tests {
     }
 
     #[test]
-    fn v3_round_trip_and_reencode_from_v2_are_identical() {
+    fn v3_round_trip_with_multifault_is_identical() {
         let bank = rc_bank().with_multifault(rc_multifault());
-        // v3 round trip is the identity.
         let v3 = bank.to_bytes();
         let back = TrajectoryBank::from_bytes(&v3).unwrap();
         assert_eq!(bank, back);
+        assert!(back.trajectory_set().is_packed(), "a read set is packed");
         assert_eq!(v3, back.to_bytes(), "v3 encoding is deterministic");
-        // v2 → decode → v3 re-encode equals direct v3 encode.
-        let v2 = v2_bytes(&bank);
-        assert_ne!(v2, v3);
-        let via_v2 = TrajectoryBank::from_bytes(&v2).unwrap();
-        assert_eq!(bank, via_v2);
-        assert_eq!(via_v2.to_bytes(), v3, "re-encode is byte-identical");
     }
 
-    /// Encodes a minimal single-component bank by hand as a v2
-    /// container — a dictionary section plus a length-prefixed
-    /// trajectory section — letting tests inject hostile field values
-    /// the public API can never produce.
-    fn hostile_bank(step_pct: f64, traj_dim: u32, coord: f64) -> Vec<u8> {
+    /// Encodes a minimal single-component bank by hand as a v3
+    /// container — a hand-written dictionary section plus the writer's
+    /// trajectory section — letting tests inject hostile dictionary
+    /// values the public API can never produce.
+    fn hostile_bank(step_pct: f64) -> Vec<u8> {
         let mut dict = Encoder::new();
         dict.put_u8(1); // logarithmic spacing
         dict.put_f64s(&[1.0, 2.0]);
@@ -1197,30 +1074,30 @@ mod tests {
         for _ in 0..n_entries {
             dict.put_f64s(&[-2.0, -8.0]);
         }
-        let mut traj = Encoder::new();
-        traj.put_f64s(&[1.0, 2.0]); // test vector
-        traj.put_u32(1); // one trajectory
-        traj.put_str("R1");
-        traj.put_f64s(&[-10.0, 0.0, 10.0]);
-        traj.put_u32(traj_dim);
-        if traj_dim == 2 {
-            for &c in &[-1.0, -1.0, 0.0, 0.0, coord, 1.0] {
-                traj.put_f64(c);
-            }
-        }
+        let dict = dict.into_payload();
+        let p = |x: f64, y: f64| Signature::new(vec![x, y]);
+        let set = TrajectorySet::new(
+            TestVector::new(vec![1.0, 2.0]),
+            vec![FaultTrajectory::new(
+                "R1",
+                vec![-10.0, 0.0, 10.0],
+                vec![p(-1.0, -1.0), p(0.0, 0.0), p(1.0, 1.0)],
+            )],
+        );
+        let traj_offset = CONTAINER_HEADER_LEN + 2 * SECTION_ENTRY_LEN + dict.len();
         let mut b = ContainerBuilder::new();
-        b.push_section(SECTION_DICTIONARY, dict.into_payload());
-        b.push_section(SECTION_TRAJECTORIES, traj.into_payload());
-        let mut bytes = b.finish();
-        // The version field sits outside the table checksum.
-        bytes[8..10].copy_from_slice(&BANK_VERSION_V2.to_le_bytes());
-        bytes
+        b.push_section(SECTION_DICTIONARY, dict);
+        b.push_section(
+            SECTION_TRAJECTORIES,
+            encode_trajectory_set_v3(&set, traj_offset),
+        );
+        b.finish()
     }
 
     #[test]
     fn hand_encoded_baseline_decodes() {
         // Sanity-check the hostile encoder against the real format.
-        let bank = TrajectoryBank::from_bytes(&hostile_bank(10.0, 2, 1.0)).unwrap();
+        let bank = TrajectoryBank::from_bytes(&hostile_bank(10.0)).unwrap();
         assert_eq!(bank.trajectory_set().len(), 1);
         assert_eq!(bank.dictionary().entries().len(), 8);
     }
@@ -1228,15 +1105,11 @@ mod tests {
     #[test]
     fn hostile_fields_error_instead_of_panicking() {
         // Implausibly fine deviation grid: must not attempt to
-        // enumerate ~10^300 faults.
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(5e-324, 2, 1.0)).is_err());
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(1e-9, 2, 1.0)).is_err());
-        // Declared dimension far beyond the payload: must not allocate.
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, u32::MAX, 1.0)).is_err());
-        // Non-finite trajectory coordinate: must not load a bank that
-        // would panic the diagnosis path later.
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, 2, f64::NAN)).is_err());
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, 2, f64::INFINITY)).is_err());
+        // enumerate ~10^300 faults. (Hostile trajectory fields are
+        // covered on both read paths by
+        // `hostile_v3_fields_error_on_both_read_paths`.)
+        assert!(TrajectoryBank::from_bytes(&hostile_bank(5e-324)).is_err());
+        assert!(TrajectoryBank::from_bytes(&hostile_bank(1e-9)).is_err());
     }
 
     /// Payload-relative offsets of the v3 trajectory header fields the

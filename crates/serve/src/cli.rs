@@ -52,7 +52,6 @@ ftd — fault-trajectory diagnosis engine
 
 USAGE:
   ftd build-bank [--out PATH] [--f1 W] [--f2 W] [--grid-points N] [--q Q]
-  ftd reencode IN OUT
   ftd diagnose --bank PATH [--fault COMP:PCT]... [--random N]
                [--noise-db S] [--seed N] [--workers N] [--linear] [--q Q]
   ftd diagnose --bank PATH --requests FILE [--cut-id ID] [--workers N]
@@ -80,11 +79,6 @@ SUBCOMMANDS:
                        and persist the bank as format v3.
                        Deterministic: repeated runs are byte-identical
                        regardless of worker count.
-  reencode             Decode a v2 or v3 bank and re-persist it as v3,
-                       the only format `serve` maps; a v3 input comes
-                       back byte-identical. Lossless: serving from the
-                       output is byte-identical to serving from the
-                       input.
   diagnose             Load a bank, measure signatures for the requested
                        (--fault R2:+25) and/or --random sampled unknown
                        faults on the same CUT, and diagnose them as one
@@ -202,7 +196,6 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
     }
     let run = match cmd {
         "build-bank" => build_bank(rest),
-        "reencode" => reencode(rest),
         "diagnose" => diagnose(rest),
         "serve" => serve(rest),
         "loadgen" => loadgen(rest),
@@ -383,38 +376,6 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
         bank.trajectory_set().len(),
         bank.trajectory_set().total_segments(),
         bank.test_vector(),
-        bytes.len(),
-        started.elapsed(),
-    );
-    Ok(())
-}
-
-/// `ftd reencode IN OUT` — decode a v2 or v3 bank and re-persist it as
-/// v3, the format the mapped serving path reads. Re-encoding is
-/// lossless: serving from the output is byte-identical to serving from
-/// the input, and a v3 input comes back byte-identical.
-fn reencode(args: &[String]) -> Result<(), CliError> {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut flags = Flags::new(args);
-    while let Some(arg) = flags.next_flag() {
-        match arg {
-            other if other.starts_with("--") => {
-                return Err(usage(format!("reencode: unknown flag `{other}`")))
-            }
-            path => paths.push(path),
-        }
-    }
-    let [input, output] = paths[..] else {
-        return Err(usage("reencode takes IN and OUT paths"));
-    };
-    let started = Instant::now();
-    let bank = TrajectoryBank::load(input).map_err(runtime)?;
-    let bytes = bank.to_bytes();
-    std::fs::write(output, &bytes).map_err(|e| runtime(format!("{output}: {e}")))?;
-    println!(
-        "re-encoded `{input}` -> `{output}` (format v{BANK_VERSION}): {} trajectories / {} segments, {} bytes, {:.2?}",
-        bank.trajectory_set().len(),
-        bank.trajectory_set().total_segments(),
         bytes.len(),
         started.elapsed(),
     );
@@ -1151,14 +1112,7 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
     println!("bank `{path}`: {} bytes, format v{version}", bytes.len());
 
     let table = SectionTable::parse(&bytes).map_err(|e| runtime(e.in_file(path)))?;
-    if version == BANK_VERSION {
-        println!("layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)");
-    } else {
-        println!(
-            "layout: sectioned, length-prefixed trajectory payload (read only for migration: \
-             `ftd reencode IN OUT` rewrites it as v{BANK_VERSION})"
-        );
-    }
+    println!("layout: sectioned, fixed-stride little-endian trajectory runs");
     println!("section table ({} sections):", table.entries().len());
     println!("  type  name          offset  payload_bytes  checksum");
     let mut bad_sections = 0usize;
@@ -1810,72 +1764,47 @@ mod tests {
     }
 
     #[test]
-    fn reencode_round_trips_between_formats() {
-        use crate::bank::v2_bytes;
+    fn bank_info_reads_v3_and_refuses_every_other_version() {
         use crate::synthetic::synthetic_circuit_bank;
         use ft_core::TestVector;
 
-        let dir = std::env::temp_dir().join("ftd_reencode_cli_test");
+        let dir = std::env::temp_dir().join("ftd_bank_info_version_test");
         std::fs::create_dir_all(&dir).unwrap();
         let bank = synthetic_circuit_bank(2, 0.5, 7, &TestVector::pair(0.5, 2.0)).unwrap();
         let v3 = dir.join("v3.ftb");
-        let v2 = dir.join("v2.ftb");
         bank.save(&v3).unwrap();
-        std::fs::write(&v2, v2_bytes(&bank)).unwrap();
         let arg = |p: &std::path::Path| p.display().to_string();
-        let read = |p: &std::path::Path| std::fs::read(p).unwrap();
-        assert_ne!(read(&v2), read(&v3));
-
-        // v2 -> v3 equals a direct v3 save, and v3 -> v3 is the identity.
-        for (input, output) in [
-            (&v2, dir.join("from_v2.ftb")),
-            (&v3, dir.join("from_v3.ftb")),
-        ] {
-            assert_eq!(
-                main_from_args(vec!["reencode".into(), arg(input), arg(&output)]),
-                0
-            );
-            assert_eq!(read(&output), read(&v3), "reencode {}", input.display());
+        let plain = |p: &std::path::Path| vec![arg(p)];
+        let mapped = |p: &std::path::Path| vec!["--mapped".into(), arg(p)];
+        for args in [plain(&v3), mapped(&v3)] {
+            assert!(bank_info(&args).is_ok(), "{args:?}");
         }
-        // bank-info reads both formats; the mapped path opens only v3
-        // and points a v2 bank at `ftd reencode`.
-        for p in [&v3, &v2] {
-            assert_eq!(main_from_args(vec!["bank-info".into(), arg(p)]), 0);
+        // Versions 1 and 2 (deleted formats) and 4 (unknown) are refused
+        // by both forms with one message naming the file and the version.
+        // The version field sits outside every checksum, so the rest of
+        // each container is well formed.
+        for version in [1u16, 2, 4] {
+            let path = dir.join(format!("v{version}.ftb"));
+            let mut bytes = std::fs::read(&v3).unwrap();
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            for args in [plain(&path), mapped(&path)] {
+                let Err(CliError::Runtime(msg)) = bank_info(&args) else {
+                    panic!("bank-info {args:?} must fail at runtime");
+                };
+                assert!(msg.contains(&format!("v{version}.ftb")), "{msg}");
+                assert!(msg.contains(&format!("version {version}")), "{msg}");
+                assert!(msg.contains("reads v3 banks"), "{msg}");
+                let mut argv = vec!["bank-info".to_string()];
+                argv.extend(args);
+                assert_eq!(main_from_args(argv), 1);
+            }
         }
-        let mapped = |p: &std::path::Path| vec!["bank-info".into(), "--mapped".into(), arg(p)];
-        assert_eq!(main_from_args(mapped(&v3)), 0);
-        assert_eq!(main_from_args(mapped(&v2)), 1);
-        let Err(CliError::Runtime(msg)) = bank_info(&mapped(&v2)[1..]) else {
-            panic!("bank-info --mapped must fail at runtime on a v2 bank");
-        };
-        assert!(msg.contains("ftd reencode IN OUT"), "{msg}");
-        assert!(msg.contains("v2.ftb"), "{msg}");
-        // A v1 container is refused by every subcommand, naming the file.
-        let v1 = dir.join("v1.ftb");
-        let mut bytes = read(&v3);
-        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
-        std::fs::write(&v1, bytes).unwrap();
-        let Err(CliError::Runtime(msg)) = bank_info(&[arg(&v1)]) else {
-            panic!("bank-info must fail at runtime on a v1 bank");
-        };
-        assert!(msg.contains("v1.ftb") && msg.contains("version 1"), "{msg}");
-        assert_eq!(main_from_args(mapped(&v1)), 1);
-        let back = dir.join("from_v1.ftb");
+        // The migration subcommand is gone: an unknown subcommand.
         assert_eq!(
-            main_from_args(vec!["reencode".into(), arg(&v1), arg(&back)]),
-            1
-        );
-        // Usage errors: an unknown flag, missing paths.
-        assert_eq!(
-            main_from_args(vec![
-                "reencode".into(),
-                arg(&v3),
-                arg(&v2),
-                "--bogus".into()
-            ]),
+            main_from_args(vec!["reencode".into(), arg(&v3), arg(&v3)]),
             2
         );
-        assert_eq!(main_from_args(vec!["reencode".into(), arg(&v3)]), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,12 +6,12 @@
 //! corruption-detecting reader that never trusts a length it has not
 //! bounds-checked.
 //!
-//! ## Container layout, formats v2 and v3 (sectioned)
+//! ## Container layout, format v3 (sectioned)
 //!
 //! ```text
 //! offset    size  field
 //! 0         8     magic  b"FTBANK\r\n"
-//! 8         2     format version (u16 LE) = 2 or 3
+//! 8         2     format version (u16 LE) = 3
 //! 10        4     section count n (u32 LE)
 //! 14        8     FNV-1a 64 checksum of the count (bytes 10..14)
 //!                 concatenated with the table (bytes 22..22+18n)
@@ -29,14 +29,10 @@
 //! The container's total length must equal the header + table + declared
 //! payloads exactly.
 //!
-//! **v3 differs from v2 only inside the trajectory section payload**: it
-//! switches from length-prefixed per-point fields to an 8-byte-aligned,
-//! fixed-stride little-endian layout that a reader can view in place
-//! without decoding (see `bank.rs` for the payload layout). The
-//! container framing above is byte-for-byte the same; [`SectionTable`]
-//! parses both and reports the version it saw so payload readers can
-//! dispatch. Only v3 is written and served; v2 is read by the heap
-//! reader alone, so `ftd reencode` can migrate old banks to v3.
+//! The trajectory section stores its points in fixed-stride
+//! little-endian runs (see `bank.rs` for the payload layout). v3 is the
+//! only version written and read: every reader refuses any other
+//! version with [`CodecError::UnsupportedVersion`].
 //!
 //! Within any payload every variable-length field carries a `u32 LE`
 //! count prefix; scalars are fixed-width little-endian. All reads are
@@ -49,14 +45,9 @@ use std::path::{Path, PathBuf};
 /// PNG-style.
 pub const BANK_MAGIC: [u8; 8] = *b"FTBANK\r\n";
 
-/// Current container format version (sectioned, zero-copy-viewable
-/// trajectory payload).
+/// The container format version, the only one written and read
+/// (sectioned, fixed-stride trajectory payload).
 pub const BANK_VERSION: u16 = 3;
-
-/// The previous sectioned format, with a length-prefixed trajectory
-/// payload. No writer emits it; the heap reader still decodes it so
-/// `ftd reencode` can migrate a v2 bank to v3.
-pub const BANK_VERSION_V2: u16 = 2;
 
 /// Size of the fixed container header in bytes (magic, version, section
 /// count, table checksum) — the section table follows.
@@ -113,17 +104,11 @@ pub enum CodecError {
     Io(std::io::Error),
     /// The container does not start with [`BANK_MAGIC`].
     BadMagic,
-    /// The container's format version is not one the failing read path
-    /// reads: the heap reader ([`SectionTable::parse`] and
-    /// `TrajectoryBank::from_bytes` on top of it) reads v2 and v3, the
-    /// mapped serving path (`MappedBank::open`) v3 only.
+    /// The container's format version is not [`BANK_VERSION`], the one
+    /// every reader reads.
     UnsupportedVersion {
         /// The version the container declares.
         found: u16,
-        /// `true` when the mapped serving path refused the container;
-        /// the message then points at `ftd reencode`, which converts a
-        /// v2 bank to v3.
-        mapped: bool,
     },
     /// The container or a field within it is shorter than declared.
     Truncated {
@@ -186,22 +171,10 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Io(e) => write!(f, "bank I/O error: {e}"),
             CodecError::BadMagic => write!(f, "not a trajectory bank (bad magic)"),
-            CodecError::UnsupportedVersion {
-                found,
-                mapped: false,
-            } => write!(
+            CodecError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported bank format version {found} (this reader reads v{BANK_VERSION_V2} \
-                 and v{BANK_VERSION} banks)"
-            ),
-            CodecError::UnsupportedVersion {
-                found,
-                mapped: true,
-            } => write!(
-                f,
-                "unsupported bank format version {found} (mapped serving reads v{BANK_VERSION} \
-                 banks only; `ftd reencode IN OUT` converts a v{BANK_VERSION_V2} bank to \
-                 v{BANK_VERSION})"
+                "unsupported bank format version {found} (this reader reads v{BANK_VERSION} \
+                 banks)"
             ),
             CodecError::Truncated { needed, available } => {
                 write!(
@@ -258,8 +231,8 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 }
 
 /// [`checksum`] over the concatenation of `parts`, without materialising
-/// it (used for the v2 table checksum, which covers the section count
-/// and the table bytes).
+/// it (used for the table checksum, which covers the section count and
+/// the table bytes).
 pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
@@ -456,14 +429,13 @@ impl SectionEntry {
 /// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionTable {
-    version: u16,
     entries: Vec<SectionEntry>,
     total_len: usize,
 }
 
 impl SectionTable {
-    /// Parses and structurally validates a sectioned (v2 or v3)
-    /// container's header and section table, touching none of the
+    /// Parses and structurally validates a v3 container's header and
+    /// section table, touching none of the
     /// payload bytes: [`SectionTable::parse_prefix`] over the whole
     /// container.
     ///
@@ -485,12 +457,9 @@ impl SectionTable {
     /// Magic/version violations, or [`CodecError::Truncated`] when the
     /// header is short or the declared table runs past `total_len`.
     pub fn prefix_len(header: &[u8], total_len: usize) -> Result<usize, CodecError> {
-        let version = peek_version(header)?;
-        if version != BANK_VERSION_V2 && version != BANK_VERSION {
-            return Err(CodecError::UnsupportedVersion {
-                found: version,
-                mapped: false,
-            });
+        let found = peek_version(header)?;
+        if found != BANK_VERSION {
+            return Err(CodecError::UnsupportedVersion { found });
         }
         if header.len() < CONTAINER_HEADER_LEN {
             return Err(CodecError::Truncated {
@@ -523,7 +492,6 @@ impl SectionTable {
     /// ([`CodecError::ChecksumMismatch`]), or any size inconsistency (the
     /// container must equal header + table + declared payloads exactly).
     pub fn parse_prefix(prefix: &[u8], total_len: usize) -> Result<Self, CodecError> {
-        let version = peek_version(prefix)?;
         let table_end = SectionTable::prefix_len(prefix, total_len)?;
         if prefix.len() < table_end {
             return Err(CodecError::Truncated {
@@ -563,18 +531,7 @@ impl SectionTable {
         if offset != total_len {
             return Err(CodecError::TrailingBytes(total_len - offset));
         }
-        Ok(SectionTable {
-            version,
-            entries,
-            total_len,
-        })
-    }
-
-    /// The container format version the header declared
-    /// ([`BANK_VERSION_V2`] or [`BANK_VERSION`]) — payload readers
-    /// dispatch the trajectory-section decoding on it.
-    pub fn version(&self) -> u16 {
-        self.version
+        Ok(SectionTable { entries, total_len })
     }
 
     /// The table entries, in table order (payload checksums not yet
@@ -915,7 +872,7 @@ mod tests {
         assert_eq!(checksum_parts(&[b"", b"abcd", b""]), checksum(b"abcd"));
     }
 
-    fn sample_v2() -> Vec<u8> {
+    fn sample_container() -> Vec<u8> {
         let mut b = ContainerBuilder::new();
         b.push_section(SECTION_DICTIONARY, b"dict-payload".to_vec());
         b.push_section(SECTION_TRAJECTORIES, b"traj".to_vec());
@@ -927,7 +884,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = sample_v2();
+        let mut bytes = sample_container();
         bytes[0] ^= 0xff;
         assert!(matches!(
             SectionTable::parse(&bytes),
@@ -936,8 +893,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_container_round_trips_sections() {
-        let bytes = sample_v2();
+    fn container_round_trips_sections() {
+        let bytes = sample_container();
         assert_eq!(peek_version(&bytes).unwrap(), BANK_VERSION);
         let table = SectionTable::parse(&bytes).unwrap();
         assert_eq!(table.entries().len(), 3);
@@ -970,8 +927,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_table_corruption_is_detected() {
-        let bytes = sample_v2();
+    fn table_corruption_is_detected() {
+        let bytes = sample_container();
         // Every byte of count + table checksum + table entries.
         for pos in 10..CONTAINER_HEADER_LEN + 3 * SECTION_ENTRY_LEN {
             let mut corrupt = bytes.clone();
@@ -984,8 +941,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_truncation_and_trailing_garbage_detected() {
-        let bytes = sample_v2();
+    fn truncation_and_trailing_garbage_detected() {
+        let bytes = sample_container();
         for cut in [0, 9, CONTAINER_HEADER_LEN - 1, bytes.len() - 1] {
             assert!(SectionTable::parse(&bytes[..cut]).is_err());
         }
@@ -995,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_duplicate_section_rejected_on_access() {
+    fn duplicate_section_rejected_on_access() {
         let mut b = ContainerBuilder::new();
         b.push_section(SECTION_DICTIONARY, b"a".to_vec());
         b.push_section(SECTION_DICTIONARY, b"b".to_vec());
@@ -1016,7 +973,7 @@ mod tests {
 
     #[test]
     fn section_table_verifies_payload_lazily() {
-        let bytes = sample_v2();
+        let bytes = sample_container();
         let traj_off = SectionTable::parse(&bytes).unwrap().entries()[1].offset;
         let mut corrupt = bytes.clone();
         corrupt[traj_off] ^= 0x01;
@@ -1036,41 +993,57 @@ mod tests {
     #[test]
     #[should_panic(expected = "different container")]
     fn section_table_rejects_foreign_container() {
-        let bytes = sample_v2();
+        let bytes = sample_container();
         let table = SectionTable::parse(&bytes).unwrap();
         let _ = table.find(&bytes[..bytes.len() - 1], SECTION_DICTIONARY);
     }
 
     #[test]
-    fn sectioned_parser_accepts_v2_and_v3_and_reports_the_version() {
-        for version in [BANK_VERSION_V2, BANK_VERSION] {
-            let mut b = ContainerBuilder::new();
-            b.push_section(SECTION_DICTIONARY, b"dict".to_vec());
-            let mut bytes = b.finish();
-            // The version field sits outside the table checksum.
-            bytes[8..10].copy_from_slice(&version.to_le_bytes());
-            assert_eq!(peek_version(&bytes).unwrap(), version);
-            let table = SectionTable::parse(&bytes).unwrap();
-            assert_eq!(table.version(), version);
-            assert_eq!(table.require(&bytes, SECTION_DICTIONARY).unwrap(), b"dict");
-        }
+    fn sectioned_parser_accepts_v3_only() {
+        let bytes = sample_container();
+        assert_eq!(peek_version(&bytes).unwrap(), BANK_VERSION);
+        assert!(SectionTable::parse(&bytes).is_ok());
         // Every other version is rejected — v1 (the deleted monolithic
-        // format) and an unknown future one — and the message states
-        // what this reader does read. The version field sits outside the
-        // table checksum, so the rest of the container is well formed.
-        for version in [1u16, 4] {
-            let mut bytes = sample_v2();
+        // format), v2 (the deleted length-prefixed trajectory payload)
+        // and an unknown future one — with the one message stating what
+        // this reader reads. The version field sits outside the table
+        // checksum, so the rest of the container is well formed.
+        for version in [1u16, 2, 4] {
+            let mut bytes = sample_container();
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             let err = SectionTable::parse(&bytes).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    CodecError::UnsupportedVersion { found, mapped: false } if found == version
-                ),
+                matches!(err, CodecError::UnsupportedVersion { found } if found == version),
                 "{err:?}"
             );
-            assert!(err.to_string().contains("reads v2 and v3"), "{err}");
+            assert!(err.to_string().contains("reads v3 banks"), "{err}");
         }
+    }
+
+    #[test]
+    fn prefix_parse_bounds_the_table_by_the_file() {
+        let bytes = sample_container();
+        let table_end =
+            SectionTable::prefix_len(&bytes[..CONTAINER_HEADER_LEN], bytes.len()).unwrap();
+        assert_eq!(table_end, CONTAINER_HEADER_LEN + 3 * SECTION_ENTRY_LEN);
+        // The prefix alone parses to the same table as the container.
+        assert_eq!(
+            SectionTable::parse_prefix(&bytes[..table_end], bytes.len()).unwrap(),
+            SectionTable::parse(&bytes).unwrap()
+        );
+        // A prefix shorter than the table it declares is truncated.
+        assert!(matches!(
+            SectionTable::parse_prefix(&bytes[..table_end - 1], bytes.len()),
+            Err(CodecError::Truncated { .. })
+        ));
+        // A table that would run past the file, or sections that do not
+        // tile it, are refused against the file length.
+        assert!(matches!(
+            SectionTable::prefix_len(&bytes[..CONTAINER_HEADER_LEN], table_end - 1),
+            Err(CodecError::Truncated { .. })
+        ));
+        assert!(SectionTable::parse_prefix(&bytes[..table_end], bytes.len() + 1).is_err());
+        assert!(SectionTable::parse_prefix(&bytes[..table_end], bytes.len() - 1).is_err());
     }
 
     #[test]

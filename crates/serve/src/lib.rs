@@ -10,9 +10,9 @@
 //!   binary [`codec`]: a sectioned v3 container whose sections are
 //!   type-tagged, length-prefixed, and independently checksummed; a
 //!   served shard reads only its trajectory section ([`MappedBank`])
-//!   (unknown sections skip; v2 banks are read only so `ftd reencode`
-//!   can migrate them; the vendored `serde` is a marker-only shim, so
-//!   the codec is hand-rolled).
+//!   (unknown sections skip; v3 is the one format written and read;
+//!   the vendored `serde` is a marker-only shim, so the codec is
+//!   hand-rolled).
 //! * [`SegmentIndex`] — a spatial index over signature space: a
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests, incremental per-trajectory

@@ -17,9 +17,8 @@
 //! * **Trajectory-section loads** — shards load through
 //!   [`DiagnosisEngine::load_mapped`]: the header, the section table and
 //!   the trajectory section are read, checksummed and decoded into an
-//!   owned set; the dictionary payloads are never read. A v2 shard
-//!   fails to load with an error naming `ftd reencode`, which converts
-//!   it.
+//!   owned set; the dictionary payloads are never read. A shard of any
+//!   format version but v3 fails to load with an attributed error.
 //! * **LRU eviction** — [`StoreConfig::mem_budget`] caps the resident
 //!   bytes, each shard accounted as its trajectory section's payload
 //!   length, fixed at load; crossing the budget evicts whole
@@ -1226,48 +1225,37 @@ mod tests {
         let dir = std::env::temp_dir().join("ft_store_version_test");
         std::fs::create_dir_all(&dir).unwrap();
         let bank = rc_bank(1e3);
-        // The version field sits outside every checksum, so stamping 1
-        // leaves an otherwise well-formed container.
-        let mut v1 = bank.to_bytes();
-        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let v1_path = dir.join("old.ftb");
-        std::fs::write(&v1_path, &v1).unwrap();
-        let v2_path = dir.join("mig.ftb");
-        std::fs::write(&v2_path, crate::bank::v2_bytes(&bank)).unwrap();
-        let is_v1_in_file = |err: &CodecError| match err {
-            CodecError::InFile { path, source } => {
-                path == &v1_path
-                    && matches!(**source, CodecError::UnsupportedVersion { found: 1, .. })
-            }
-            _ => false,
-        };
-
-        // v1: an attributed error on the heap, mapped and store paths,
-        // each message stating what that path reads.
-        let heap = TrajectoryBank::load(&v1_path).unwrap_err();
-        assert!(is_v1_in_file(&heap), "{heap:?}");
-        assert!(heap.to_string().contains("reads v2 and v3"), "{heap}");
-        let mapped = crate::bank::MappedBank::open(&v1_path).unwrap_err();
-        assert!(is_v1_in_file(&mapped), "{mapped:?}");
-        assert!(
-            mapped.to_string().contains("reads v3 banks only"),
-            "{mapped}"
-        );
         let store = BankStore::open(&dir, EngineConfig::default()).unwrap();
-        let Err(StoreError::Bank { source, .. }) = store.engine("old") else {
-            panic!("a v1 shard must fail to load");
-        };
-        assert!(is_v1_in_file(&source), "{source:?}");
-
-        // v2: the heap reader (what `ftd reencode` uses) still loads it,
-        // while the store refuses it and names the conversion.
-        assert_eq!(TrajectoryBank::load(&v2_path).unwrap(), bank);
-        let Err(err) = store.engine("mig") else {
-            panic!("a v2 shard must not be served");
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("mig.ftb"), "{msg}");
-        assert!(msg.contains("ftd reencode IN OUT"), "{msg}");
+        // v1 and v2 (deleted formats) and v4 (unknown): an attributed
+        // error on the heap, shard and store paths, each with the one
+        // message. The version field sits outside every checksum, so
+        // stamping it leaves an otherwise well-formed container.
+        for version in [1u16, 2, 4] {
+            let mut bytes = bank.to_bytes();
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            let cut = format!("old{version}");
+            let path = dir.join(format!("{cut}.ftb"));
+            std::fs::write(&path, &bytes).unwrap();
+            let attributed = |err: &CodecError| match err {
+                CodecError::InFile { path: p, source } => {
+                    p == &path
+                        && matches!(**source, CodecError::UnsupportedVersion { found } if found == version)
+                }
+                _ => false,
+            };
+            let heap = TrajectoryBank::load(&path).unwrap_err();
+            assert!(attributed(&heap), "{heap:?}");
+            let shard = crate::bank::MappedBank::open(&path).unwrap_err();
+            assert!(attributed(&shard), "{shard:?}");
+            let Err(StoreError::Bank { source, .. }) = store.engine(&cut) else {
+                panic!("a v{version} shard must fail to load");
+            };
+            assert!(attributed(&source), "{source:?}");
+            for err in [heap.to_string(), shard.to_string(), source.to_string()] {
+                assert!(err.contains(&format!("{cut}.ftb")), "{err}");
+                assert!(err.contains("reads v3 banks"), "{err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
