@@ -18,6 +18,7 @@ use fault_trajectory::faults::all_pairs;
 use fault_trajectory::prelude::*;
 use fault_trajectory::serve::{
     diagnose_on, response_line, synthetic_queries, ContainerBuilder, FileGen, SectionTable,
+    ServeResult,
 };
 
 /// The paper CUT's bank at quality factor `q`, with the exhaustive
@@ -429,6 +430,228 @@ fn one_shard_budget_serves_three_shard_stream_identically_to_unbounded() {
             .counter("store_shard_evictions_total")
             .unwrap_or(0);
         assert!(evictions > 0, "the pool at {workers} workers never evicted");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The paper CUT's bank at quality factor `q` with a dense dictionary
+/// (201 grid points, the paper's ±40% in 10% steps) and no multi-fault
+/// section, so the trajectory section is the file's last section and
+/// starts well past its first half.
+fn dense_paper_bank(q: f64) -> TrajectoryBank {
+    let bench = tow_thomas_normalized(q).expect("benchmark builds");
+    let universe = FaultUniverse::new(&bench.fault_set, DeviationGrid::paper());
+    let grid = FrequencyGrid::log_space(0.01, 100.0, 201);
+    let dict = FaultDictionary::build(&bench.circuit, &universe, &bench.input, &bench.probe, &grid)
+        .expect("dictionary builds");
+    TrajectoryBank::build(dict, &TestVector::pair(0.6, 1.6))
+}
+
+#[test]
+fn loaded_shard_survives_in_place_truncation_and_rewrite() {
+    // A loaded shard is an owned, checksummed copy of its trajectory
+    // section. Truncating the file in place must not change a loaded
+    // answer or fault the process; a refresh then attributes the damaged
+    // file to every request for its CUT while the other CUT serves on;
+    // and a valid bank written back in place serves after the next
+    // refresh.
+    let dir = std::env::temp_dir().join("serve_v2_in_place_rewrite");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("shard dir");
+    let bank_a = dense_paper_bank(1.0);
+    let bank_b = dense_paper_bank(2.0);
+    let bank_c = dense_paper_bank(1.5);
+    let path_a = dir.join("a.ftb");
+    bank_a.save(&path_a).expect("saves a");
+    bank_b.save(dir.join("b.ftb")).expect("saves b");
+    // The truncation below cuts the file in half; the trajectory section
+    // starts more than a page past the cut, so none of it survives.
+    let bytes_a = bank_a.to_bytes();
+    let traj = *SectionTable::parse(&bytes_a)
+        .expect("container parses")
+        .locate(fault_trajectory::serve::SECTION_TRAJECTORIES)
+        .expect("unique")
+        .expect("present");
+    assert!(traj.offset >= bytes_a.len() / 2 + 4096, "{traj:?}");
+
+    let queries_a = synthetic_queries(bank_a.trajectory_set(), 12, 500);
+    let queries_b = synthetic_queries(bank_b.trajectory_set(), 12, 501);
+    let requests: Vec<DiagnosisRequest> = queries_a
+        .iter()
+        .zip(&queries_b)
+        .flat_map(|(a, b)| {
+            [
+                DiagnosisRequest::new("a", a.clone()),
+                DiagnosisRequest::new("b", b.clone()),
+            ]
+        })
+        .collect();
+    // The per-bank top-1 answers a request must receive, with "a"
+    // served by `bank_for_a`.
+    let engine_b = DiagnosisEngine::new(bank_b, EngineConfig::default());
+    let reference = |bank_for_a: &TrajectoryBank| -> Vec<Diagnosis> {
+        let engine_a = DiagnosisEngine::new(bank_for_a.clone(), EngineConfig::default());
+        requests
+            .iter()
+            .map(|r| {
+                let engine = if r.cut_id == "a" {
+                    &engine_a
+                } else {
+                    &engine_b
+                };
+                engine.diagnose_topk(&r.signature, 1)
+            })
+            .collect()
+    };
+
+    // A long stat interval: only `refresh` looks at the files.
+    let config = StoreConfig {
+        min_stat_interval: std::time::Duration::from_secs(3600),
+        ..StoreConfig::new(EngineConfig::default())
+    };
+    let store = Arc::new(BankStore::open_with(&dir, config).expect("store opens"));
+    let mut handle = ServeHandle::new(Arc::clone(&store), 2);
+    let serve_both = |handle: &mut ServeHandle| -> (Vec<ServeResult>, Vec<ServeResult>) {
+        handle.submit(requests.clone());
+        let pooled = handle.drain_one().expect("batch completes");
+        (requests.iter().map(|r| store.diagnose(r)).collect(), pooled)
+    };
+    let all_ok = |results: Vec<ServeResult>| -> Vec<Diagnosis> {
+        results
+            .into_iter()
+            .map(|r| r.expect("request serves"))
+            .collect()
+    };
+
+    let expected = reference(&bank_a);
+    let (direct, pooled) = serve_both(&mut handle);
+    assert_eq!(all_ok(direct), expected);
+    assert_eq!(all_ok(pooled), expected);
+    let engine_a = store.engine("a").expect("a is loaded");
+    let linear: Vec<Diagnosis> = queries_a
+        .iter()
+        .map(|q| engine_a.diagnose_linear(q))
+        .collect();
+
+    // Truncate the loaded shard in place: same inode, half its bytes.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path_a)
+        .expect("opens for writing")
+        .set_len(bytes_a.len() as u64 / 2)
+        .expect("truncates");
+    let (direct, pooled) = serve_both(&mut handle);
+    assert_eq!(
+        all_ok(direct),
+        expected,
+        "truncation changed a stored answer"
+    );
+    assert_eq!(
+        all_ok(pooled),
+        expected,
+        "truncation changed a pooled answer"
+    );
+    let linear_after: Vec<Diagnosis> = queries_a
+        .iter()
+        .map(|q| engine_a.diagnose_linear(q))
+        .collect();
+    assert_eq!(
+        linear_after, linear,
+        "the loaded copy must not see the file"
+    );
+
+    // A refresh sees the new generation, fails to reload it, and every
+    // request for "a" is the attributed failure; "b" still serves.
+    let summary = store.refresh();
+    assert_eq!((summary.probed, summary.reloaded), (2, 1), "{summary:?}");
+    let damaged = FileGen::probe(&path_a).expect("stat");
+    let (direct, pooled) = serve_both(&mut handle);
+    for results in [direct, pooled] {
+        for ((req, got), want) in requests.iter().zip(results).zip(&expected) {
+            match (req.cut_id.as_str(), got) {
+                ("a", Err(err)) => {
+                    assert!(
+                        matches!(&err, StoreError::Bank { generation: Some(g), .. } if *g == damaged),
+                        "{err:?}"
+                    );
+                    let msg = err.to_string();
+                    assert!(msg.contains("a.ftb"), "path missing from: {msg}");
+                    assert!(
+                        msg.contains(&damaged.to_string()),
+                        "generation missing from: {msg}"
+                    );
+                }
+                ("b", Ok(got)) => assert_eq!(&got, want),
+                (cut, got) => panic!("unexpected answer for `{cut}`: {got:?}"),
+            }
+        }
+    }
+
+    // Write a valid, different bank back in place: after the next
+    // refresh it serves.
+    std::fs::write(&path_a, bank_c.to_bytes()).expect("rewrites in place");
+    let summary = store.refresh();
+    assert_eq!(summary.reloaded, 1, "{summary:?}");
+    let expected_c = reference(&bank_c);
+    assert_ne!(expected_c, expected, "the rewrite must change answers");
+    let (direct, pooled) = serve_both(&mut handle);
+    assert_eq!(all_ok(direct), expected_c);
+    assert_eq!(all_ok(pooled), expected_c);
+    drop(handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mapped_open_refuses_hostile_headers_within_the_file_length() {
+    // Three hostile headers: a file shorter than the header, a section
+    // count of u32::MAX (a 77 GB table), and a table entry declaring a
+    // payload past the end of the file. Each must be an attributed
+    // `Truncated` error that compares the declared size with the file's
+    // length — the reader checks every declared size against the file
+    // before it sizes a buffer, so it never allocates more than the
+    // file holds (a reader that allocated first would abort here).
+    use fault_trajectory::serve::{checksum, CodecError};
+
+    let bytes = paper_bank_with_multifault(1.0).to_bytes();
+    let table_end = 22 + 3 * 18;
+    let mut huge_count = bytes.clone();
+    huge_count[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+    // The trajectory entry (the second) declares u64::MAX / 2 payload
+    // bytes; the table checksum is recomputed so the length check is
+    // what refuses it.
+    let mut past_eof = bytes.clone();
+    past_eof[22 + 18 + 2..22 + 18 + 10].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    let mut covered = past_eof[10..14].to_vec();
+    covered.extend_from_slice(&past_eof[22..table_end]);
+    past_eof[14..22].copy_from_slice(&checksum(&covered).to_le_bytes());
+
+    let dir = std::env::temp_dir().join("serve_v2_hostile_headers");
+    std::fs::create_dir_all(&dir).expect("dir");
+    for (name, file, declared) in [
+        ("short", bytes[..16].to_vec(), Some(22)),
+        ("count", huge_count, Some(22 + 18 * u32::MAX as usize)),
+        ("entry", past_eof, None),
+    ] {
+        let path = dir.join(format!("{name}.ftb"));
+        std::fs::write(&path, &file).expect("writes");
+        let err = MappedBank::open(&path).expect_err("hostile header must not open");
+        match &err {
+            CodecError::InFile { path: p, source } => {
+                assert_eq!(p, &path);
+                match **source {
+                    CodecError::Truncated { needed, available } => {
+                        assert_eq!(available, file.len(), "{name}: {err}");
+                        assert!(needed > available, "{name}: {err}");
+                        if let Some(declared) = declared {
+                            assert_eq!(needed, declared, "{name}: {err}");
+                        }
+                    }
+                    ref other => panic!("{name}: expected Truncated, got {other:?}"),
+                }
+            }
+            other => panic!("{name}: expected an attributed error, got {other:?}"),
+        }
+        assert!(err.to_string().contains(&format!("{name}.ftb")), "{err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
