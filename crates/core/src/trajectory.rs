@@ -330,7 +330,10 @@ impl PackedTrajectories {
         if point_offsets.len() != components.len() + 1 || point_offsets[0] != 0 {
             return err("point offset table shape mismatch");
         }
-        if !point_offsets.windows(2).all(|w| w[0] + 2 <= w[1]) {
+        if !point_offsets
+            .windows(2)
+            .all(|w| u64::from(w[0]) + 2 <= u64::from(w[1]))
+        {
             return err("point offsets must grow by at least two per trajectory");
         }
         let total_points = point_offsets[components.len()] as usize;
@@ -1032,6 +1035,8 @@ mod tests {
         assert!(mk(vec![0, 1, 5], &devs, &coords, 2).is_err());
         // Single-point "trajectory" (offsets step of 1) is rejected.
         assert!(mk(vec![0, 4, 5], &devs, &coords, 2).is_err());
+        // An offset near u32::MAX must not wrap the growth check.
+        assert!(mk(vec![0, u32::MAX - 1, 5], &devs, &coords, 2).is_err());
         // Degenerate dims.
         assert!(mk(vec![0, 2, 5], &devs, &coords, 0).is_err());
         assert!(PackedTrajectories::new(vec![], vec![0], vec![], vec![], 2).is_err());

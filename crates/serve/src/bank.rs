@@ -626,7 +626,10 @@ fn parse_v3_trajectory_payload(payload: &[u8]) -> Result<V3Layout, CodecError> {
         "v3 point-offset table must start at zero",
     )?;
     ensure(
-        point_offsets.windows(2).all(|w| w[0] + 2 <= w[1]),
+        // Widened: a hostile offset near u32::MAX must not wrap.
+        point_offsets
+            .windows(2)
+            .all(|w| u64::from(w[0]) + 2 <= u64::from(w[1])),
         "v3 point offsets must grow by at least two per trajectory",
     )?;
     ensure(
@@ -1119,6 +1122,8 @@ mod tests {
         n_traj_at: usize,
         pad_len_at: usize,
         pad_len: usize,
+        /// The point-offset table, `n_traj + 1` `u32`s.
+        offsets_at: usize,
         coords_at: usize,
     }
 
@@ -1135,6 +1140,7 @@ mod tests {
             n_traj_at,
             pad_len_at,
             pad_len: u32_at(pad_len_at),
+            offsets_at: pad_len_at + 4 + u32_at(pad_len_at),
             coords_at: parse_v3_trajectory_payload(payload)
                 .expect("writer output parses")
                 .coords_off,
@@ -1216,10 +1222,22 @@ mod tests {
                 "a non-zero pad byte",
                 hostile_v3(|p, f| p[f.pad_len_at + 4 + f.pad_len - 1] = 0x5a),
             ),
+            // Would wrap the offsets' growth check in u32 and slice
+            // backwards.
+            (
+                "a point offset of u32::MAX - 1",
+                hostile_v3(|p, f| put_u32(p, f.offsets_at + 4, u32::MAX - 1)),
+            ),
             (
                 "a NaN coordinate",
                 hostile_v3(|p, f| {
                     p[f.coords_at..f.coords_at + 8].copy_from_slice(&f64::NAN.to_le_bytes())
+                }),
+            ),
+            (
+                "an infinite coordinate",
+                hostile_v3(|p, f| {
+                    p[f.coords_at..f.coords_at + 8].copy_from_slice(&f64::INFINITY.to_le_bytes())
                 }),
             ),
         ];
