@@ -265,9 +265,8 @@ impl MappedBank {
     ///
     /// I/O failures, a format version other than v3
     /// ([`CodecError::UnsupportedVersion`]), header/table validation
-    /// failures, and
-    /// any structural violation of the trajectory section, annotated
-    /// with `path`. A trajectory checksum mismatch is reported by
+    /// failures, and any structural violation of the trajectory section,
+    /// annotated with `path`. A trajectory checksum mismatch is reported by
     /// [`verify_trajectory_payload`](MappedBank::verify_trajectory_payload);
     /// corruption confined to the other sections is never seen.
     pub fn open(path: impl AsRef<Path>) -> Result<(MappedBank, TrajectorySet), CodecError> {

@@ -435,9 +435,8 @@ pub struct SectionTable {
 
 impl SectionTable {
     /// Parses and structurally validates a v3 container's header and
-    /// section table, touching none of the
-    /// payload bytes: [`SectionTable::parse_prefix`] over the whole
-    /// container.
+    /// section table, touching none of the payload bytes:
+    /// [`SectionTable::parse_prefix`] over the whole container.
     ///
     /// # Errors
     ///
