@@ -107,10 +107,13 @@ SUBCOMMANDS:
                        budget whole least-recently-used shards are
                        evicted (they reload on demand; results are
                        unchanged).
-                       --stat-interval-ms throttles the per-hit stat(2)
-                       generation probe: 0 (default) checks every hit,
-                       N>0 trusts a confirmed shard for N ms (a rebuilt
-                       shard is picked up within that window).
+                       Each batch stat(2)s each CUT's shard at most once,
+                       so a request read after a shard's rename completes
+                       is answered from the new file. --stat-interval-ms
+                       N widens that: a shard confirmed within N ms
+                       before its batch was submitted is trusted (a
+                       rebuilt shard is picked up within that window;
+                       default 0).
                        --stats-file snapshots serving metrics (qps,
                        latency histograms, shard cache hit rate) to a
                        JSON file on exit — and every N requests with
@@ -709,8 +712,9 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         MetricsRegistry::noop()
     });
     // TCP serving reloads changed shards from the periodic refresh
-    // sweep, so the per-hit stat(2) probe defaults off (one refresh
-    // interval of staleness); stdin serving keeps probing per hit.
+    // sweep, so its requests trust a shard confirmed within one refresh
+    // interval; stdin serving trusts only a confirmation made after the
+    // batch was submitted (one stat(2) per CUT per batch).
     let default_stat_interval = if listen.is_some() { refresh_ms } else { 0 };
     let store_config = StoreConfig {
         mem_budget,

@@ -968,7 +968,8 @@ pub struct StoreMetrics {
     /// `store_hot_reloads_total` — healthy shards swapped for a newer
     /// file generation.
     pub hot_reloads: Arc<Counter>,
-    /// `store_generation_stats_total` — per-hit `stat(2)` probes.
+    /// `store_generation_stats_total` — `stat(2)` probes of a resident
+    /// shard's generation, by a request or by a refresh sweep.
     pub file_stats: Arc<Counter>,
     /// `store_resident_bytes` — bytes currently accounted against the
     /// budget.

@@ -50,6 +50,9 @@ pub type BatchId = u64;
 struct Job {
     batch: BatchId,
     start: usize,
+    /// When the batch was submitted: shards resolve as of this instant
+    /// ([`BankStore::engine_since`]).
+    since: Instant,
     requests: Vec<DiagnosisRequest>,
     /// The batch's requests not yet published, shared by all its runs:
     /// the worker that takes it to zero runs the notifier, once per
@@ -61,10 +64,10 @@ struct Job {
 struct Pending {
     filled: usize,
     slots: Vec<Option<ServeResult>>,
-    /// Submission instant, kept only when metrics are attached: each
-    /// request's end-to-end latency is recorded against it when the
-    /// batch completes.
-    enqueued: Option<Instant>,
+    /// Submission instant: with metrics attached, each request's
+    /// end-to-end latency is recorded against it when the batch
+    /// completes.
+    enqueued: Instant,
 }
 
 impl Pending {
@@ -198,9 +201,12 @@ impl ServeHandle {
                             continue;
                         }
                         // Resolve each shard once per same-CUT stretch of
-                        // the run, keeping the shard-map lock — and the
-                        // per-hit generation stat — off the per-request
-                        // path. The cache names its CUT by the run
+                        // the run, keeping the shard-map lock off the
+                        // per-request path. Each resolve is as of the
+                        // batch's submission, so once one resolve has
+                        // confirmed a CUT's generation, the batch's later
+                        // resolves of that CUT, in any run, probe
+                        // nothing. The cache names its CUT by the run
                         // position of the request that resolved it, so a
                         // CUT switch clones no id. The cached resolution
                         // is stamped with the store epoch: any slot swap
@@ -220,7 +226,7 @@ impl ServeHandle {
                                 // the race can only cost a redundant
                                 // lookup, never a stale serve.
                                 let epoch = store.epoch();
-                                match store.engine(&request.cut_id) {
+                                match store.engine_since(&request.cut_id, job.since) {
                                     Ok(engine) => cached = Some((at, epoch, engine)),
                                     Err(e) => {
                                         results.push(Err(e));
@@ -306,16 +312,25 @@ impl ServeHandle {
     /// a slow run cannot stall the batch behind one worker, yet queue
     /// overhead stays amortised); run boundaries never affect results,
     /// only scheduling.
+    ///
+    /// The batch is stamped with one submission instant before any run
+    /// is queued, and its shards resolve as of that instant. With the
+    /// default [`crate::StoreConfig::min_stat_interval`], every request
+    /// is answered from a generation its shard file had after the batch
+    /// was submitted — a batch submitted after a rename completes is
+    /// answered from the new file — at a cost of at most one `stat(2)`
+    /// per CUT per batch (workers racing for one CUT may each probe it).
     pub fn submit(&mut self, requests: Vec<DiagnosisRequest>) -> BatchId {
         let id = self.next_batch;
         self.next_batch += 1;
         if let Some(m) = &self.metrics {
             m.batch_sizes.record(requests.len() as u64);
         }
+        let since = Instant::now();
         self.pending.push_back(Pending {
             filled: 0,
             slots: requests.iter().map(|_| None).collect(),
-            enqueued: self.metrics.as_ref().map(|_| Instant::now()),
+            enqueued: since,
         });
         if requests.is_empty() {
             return id;
@@ -331,6 +346,7 @@ impl ServeHandle {
             jobs.send(Job {
                 batch: id,
                 start,
+                since,
                 requests: std::mem::replace(&mut rest, tail),
                 unpublished: Arc::clone(&unpublished),
             })
@@ -366,13 +382,11 @@ impl ServeHandle {
             m.requests.add(batch.len() as u64);
             m.errors
                 .add(batch.iter().filter(|r| r.is_err()).count() as u64);
-            if let Some(enqueued) = entry.enqueued {
-                // Every request in the batch shares the submit-to-drain
-                // wall time: that is the latency a caller actually saw.
-                let micros = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                if !batch.is_empty() {
-                    m.request_latency.record_n(micros, batch.len() as u64);
-                }
+            // Every request in the batch shares the submit-to-drain wall
+            // time: that is the latency a caller actually saw.
+            let micros = entry.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+            if !batch.is_empty() {
+                m.request_latency.record_n(micros, batch.len() as u64);
             }
         }
         batch
@@ -442,21 +456,20 @@ impl Drop for ServeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::TrajectoryBank;
     use crate::engine::EngineConfig;
     use crate::store::BankStore;
     use crate::synthetic::{synthetic_circuit_bank, synthetic_queries};
     use ft_core::{Signature, TestVector};
 
-    fn two_cut_store() -> (Arc<BankStore>, Vec<DiagnosisRequest>) {
-        let store = BankStore::in_memory(EngineConfig::default());
+    /// Two CUTs, `a` and `b`, and `per_cut` requests for each,
+    /// interleaved in one stream so every request switches CUT.
+    fn two_cut_banks(per_cut: usize) -> ([TrajectoryBank; 2], Vec<DiagnosisRequest>) {
         let tv = TestVector::pair(0.5, 2.0);
         let a = synthetic_circuit_bank(2, 10.0, 9, &tv).unwrap();
         let b = synthetic_circuit_bank(3, 10.0, 9, &tv).unwrap();
-        let qa = synthetic_queries(a.trajectory_set(), 12, 5);
-        let qb = synthetic_queries(b.trajectory_set(), 12, 6);
-        store.insert_bank("a", a).unwrap();
-        store.insert_bank("b", b).unwrap();
-        // Interleave the two CUTs in one request stream.
+        let qa = synthetic_queries(a.trajectory_set(), per_cut, 5);
+        let qb = synthetic_queries(b.trajectory_set(), per_cut, 6);
         let requests = qa
             .into_iter()
             .zip(qb)
@@ -467,6 +480,14 @@ mod tests {
                 ]
             })
             .collect();
+        ([a, b], requests)
+    }
+
+    fn two_cut_store() -> (Arc<BankStore>, Vec<DiagnosisRequest>) {
+        let store = BankStore::in_memory(EngineConfig::default());
+        let ([a, b], requests) = two_cut_banks(12);
+        store.insert_bank("a", a).unwrap();
+        store.insert_bank("b", b).unwrap();
         (Arc::new(store), requests)
     }
 
@@ -547,22 +568,54 @@ mod tests {
     }
 
     #[test]
-    fn run_cache_revalidates_after_hot_reload() {
-        use crate::bank::TrajectoryBank;
-
-        // Two generations of one CUT, served through the pool: requests
-        // before the swap answer on the old bank, requests after it on
-        // the new — within one long-lived handle.
-        let dir = std::env::temp_dir().join("ft_pool_reload_test");
+    fn one_probe_per_cut_per_batch() {
+        // Two file-backed CUTs and one worker: a batch of 16 requests
+        // alternating the CUTs is cut into 4 runs, and every request
+        // switches CUT, so a probe per resolve would cost 16 stats a
+        // batch. Resolving as of the batch's submission costs 2.
+        let dir = std::env::temp_dir().join("ft_pool_probe_count_test");
         std::fs::create_dir_all(&dir).unwrap();
+        let ([a, b], batch) = two_cut_banks(8);
+        a.save(dir.join("a.ftb")).unwrap();
+        b.save(dir.join("b.ftb")).unwrap();
+        let registry = Arc::new(MetricsRegistry::new());
+        let store = BankStore::open(&dir, EngineConfig::default())
+            .unwrap()
+            .with_metrics(&registry);
+        let mut handle = ServeHandle::with_metrics(Arc::new(store), 1, &registry);
+        let mut serve = || {
+            handle.submit(batch.clone());
+            let results = handle.drain_one().unwrap();
+            assert!(results.iter().all(|r| r.is_ok()));
+        };
+        let probes = || {
+            registry
+                .snapshot()
+                .counter("store_generation_stats_total")
+                .unwrap()
+        };
+        serve(); // warm-up: both shards load
+        let before = probes();
+        for _ in 0..5 {
+            serve();
+        }
+        assert_eq!(probes() - before, 10, "one probe per CUT per batch");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_cache_revalidates_after_hot_reload() {
+        // Two generations of one CUT, served through the pool: requests
+        // drained before the swap answer on the old bank, and every
+        // batch submitted after the rename — with two earlier batches
+        // still in flight across it — on the new one, within one
+        // long-lived handle, at every worker count.
         let tv = TestVector::pair(0.5, 2.0);
         let bank_old = synthetic_circuit_bank(2, 10.0, 9, &tv).unwrap();
         let bank_new = synthetic_circuit_bank(2, 20.0, 9, &tv).unwrap();
-        bank_old.save(dir.join("cut.ftb")).unwrap();
         // Distinct decode sizes ⇒ distinct (mtime, len) generations.
         assert_ne!(bank_old.to_bytes().len(), bank_new.to_bytes().len());
 
-        let store = Arc::new(BankStore::open(&dir, EngineConfig::default()).unwrap());
         let queries = synthetic_queries(bank_old.trajectory_set(), 6, 9);
         let requests: Vec<DiagnosisRequest> = queries
             .iter()
@@ -594,35 +647,60 @@ mod tests {
             );
         }
 
-        let mut handle = ServeHandle::new(Arc::clone(&store), 2);
-        handle.submit(requests.clone());
-        let before = handle.drain_one().unwrap();
-        for (req, got) in requests.iter().zip(&before) {
-            served_as(
-                &ref_old,
-                req,
-                got.as_ref().unwrap(),
-                "pre-swap answers come from the old bank",
-            );
-        }
+        for workers in [1, 2, 8] {
+            let dir = std::env::temp_dir().join(format!("ft_pool_reload_test_{workers}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            bank_old.save(dir.join("cut.ftb")).unwrap();
+            let store = Arc::new(BankStore::open(&dir, EngineConfig::default()).unwrap());
+            let mut handle = ServeHandle::new(store, workers);
+            handle.submit(requests.clone());
+            let before = handle.drain_one().unwrap();
+            for (req, got) in requests.iter().zip(&before) {
+                served_as(
+                    &ref_old,
+                    req,
+                    got.as_ref().unwrap(),
+                    "pre-swap answers come from the old bank",
+                );
+            }
 
-        // Atomic replacement, as a deployment would do it.
-        let tmp = dir.join("cut.ftb.tmp");
-        bank_new.save(&tmp).unwrap();
-        std::fs::rename(&tmp, dir.join("cut.ftb")).unwrap();
-
-        handle.submit(requests.clone());
-        let after = handle.drain_one().unwrap();
-        for (req, got) in requests.iter().zip(&after) {
-            served_as(
-                &ref_new,
-                req,
-                got.as_ref().unwrap(),
-                "post-swap answers come from the rebuilt bank",
-            );
+            // Two batches in flight, then an atomic replacement, as a
+            // deployment would do it, then two more batches.
+            handle.submit(requests.clone());
+            handle.submit(requests.clone());
+            let tmp = dir.join("cut.ftb.tmp");
+            bank_new.save(&tmp).unwrap();
+            std::fs::rename(&tmp, dir.join("cut.ftb")).unwrap();
+            handle.submit(requests.clone());
+            handle.submit(requests.clone());
+            let batches = handle.drain();
+            assert_eq!(batches.len(), 4);
+            // A batch in flight across the rename may see either bank.
+            for batch in &batches[..2] {
+                for (req, got) in requests.iter().zip(batch) {
+                    let got = got.as_ref().unwrap();
+                    assert!(
+                        got == &ref_old.diagnose_topk(&req.signature, 1)
+                            || got == &ref_new.diagnose_topk(&req.signature, 1),
+                        "in-flight answers come from one of the two banks"
+                    );
+                }
+            }
+            for batch in &batches[2..] {
+                for (req, got) in requests.iter().zip(batch) {
+                    served_as(
+                        &ref_new,
+                        req,
+                        got.as_ref().unwrap(),
+                        &format!(
+                            "post-swap answers come from the rebuilt bank ({workers} workers)"
+                        ),
+                    );
+                }
+            }
+            drop(handle);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drop(handle);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -26,16 +26,21 @@
 //!   so in-flight diagnoses holding the engine finish unharmed, and a
 //!   later request simply reloads the shard.
 //! * **Hot reload** — every slot records its source file's
-//!   `(mtime, len)` generation ([`FileGen`]); a request that finds the
-//!   file changed reloads it and swaps the slot, so a rebuilt bank is
-//!   picked up without restarting the server while in-flight queries
-//!   finish on the old engine. The same keying retires slots whose file
-//!   vanished and retries cached load *failures* once the file is
-//!   repaired — a transient bad copy is never replayed forever. A
-//!   loaded shard is an owned copy, so a file rewritten or truncated in
-//!   place keeps serving the loaded answers until a probe sees the new
-//!   generation and reloads (or, for a damaged file, caches the
-//!   attributed failure).
+//!   `(mtime, len)` generation ([`FileGen`]) and when that generation
+//!   was last confirmed. A request is answered from a generation the
+//!   file had at some instant after the request was submitted: a slot
+//!   confirmed after that probes nothing, any other slot is re-`stat`ed
+//!   first, so a pool batch needs one probe per CUT (workers racing for
+//!   one CUT may each take one). A probe
+//!   that finds the file changed reloads it and swaps the slot, so a
+//!   rebuilt bank is picked up without restarting the server while
+//!   in-flight queries finish on the old engine. The same keying
+//!   retires slots whose file vanished and retries cached load
+//!   *failures* once the file is repaired — a transient bad copy is
+//!   never replayed forever. A loaded shard is an owned copy, so a file
+//!   rewritten or truncated in place keeps serving the loaded answers
+//!   until a probe sees the new generation and reloads (or, for a
+//!   damaged file, caches the attributed failure).
 //!
 //! Every map mutation bumps the store [`epoch`](BankStore::epoch), which
 //! lets the pool's per-run shard cache revalidate with one atomic load
@@ -246,12 +251,14 @@ pub struct StoreConfig {
     /// is never evicted, so a single shard larger than the budget still
     /// serves.
     pub mem_budget: Option<u64>,
-    /// Minimum age before a cache hit re-`stat(2)`s its shard file for
-    /// hot-reload detection. The default (`Duration::ZERO`) preserves
-    /// the historical stat-per-hit behavior; a serving deployment that
-    /// tolerates a bounded reload delay can raise it to take the
-    /// syscall off the hot path (a rebuilt shard is then picked up
-    /// within this interval rather than on the next request).
+    /// How long before a request's submission a shard's generation may
+    /// have been confirmed and still answer it without a `stat(2)`. The
+    /// default (`Duration::ZERO`) trusts only a confirmation made after
+    /// the request was submitted — one probe per CUT per pool batch, and
+    /// a batch submitted after a rename completes is answered from the
+    /// new file. A serving deployment that tolerates a bounded reload
+    /// delay can widen it to take the syscall off the hot path (a
+    /// rebuilt shard is then picked up within this interval).
     pub min_stat_interval: Duration,
 }
 
@@ -289,9 +296,11 @@ struct ShardSlot {
     generation: Option<FileGen>,
     bytes: u64,
     last_used: u64,
-    /// When the generation was last confirmed against the file — the
-    /// clock [`StoreConfig::min_stat_interval`] throttles against.
-    last_stat: Instant,
+    /// The instant read before the latest probe or load that found
+    /// `generation`: the file had that generation at some instant after
+    /// this one. Only moves forward, and only while the slot holds the
+    /// generation the probe found.
+    confirmed_at: Instant,
 }
 
 /// The mutex-guarded shard map plus its running resident-byte total.
@@ -478,7 +487,7 @@ impl BankStore {
             generation: None,
             bytes: 0,
             last_used: self.next_tick(),
-            last_stat: Instant::now(),
+            confirmed_at: Instant::now(),
         };
         let mut map = self.lock_shards();
         if let Some(old) = map.slots.insert(cut_id.to_string(), slot) {
@@ -534,7 +543,9 @@ impl BankStore {
     /// identical; one wins the insert) but routing of other CUTs never
     /// waits on shard I/O.
     ///
-    /// Every hit on a file-backed slot re-`stat`s the shard file:
+    /// The call is its own request, submitted now, so with the default
+    /// [`StoreConfig::min_stat_interval`] every hit on a file-backed
+    /// slot re-`stat`s the shard file:
     ///
     /// * unchanged generation — the cached outcome (engine *or* load
     ///   failure) is served from memory, no re-read;
@@ -548,6 +559,21 @@ impl BankStore {
     /// [`StoreError::InvalidCutId`], [`StoreError::UnknownCut`], or
     /// [`StoreError::Bank`] (decode/I/O failure naming the shard path).
     pub fn engine(&self, cut_id: &str) -> Result<Arc<DiagnosisEngine>, StoreError> {
+        self.engine_since(cut_id, Instant::now())
+    }
+
+    /// [`BankStore::engine`] for a request submitted at `since`. A slot
+    /// whose generation was confirmed after `since`, less
+    /// [`StoreConfig::min_stat_interval`], answers without a probe: the
+    /// file had that generation at an instant after the request was
+    /// submitted, which is all a probe of its own would promise. So the
+    /// requests of one batch, stamped once, need one probe per CUT
+    /// between them.
+    pub(crate) fn engine_since(
+        &self,
+        cut_id: &str,
+        since: Instant,
+    ) -> Result<Arc<DiagnosisEngine>, StoreError> {
         if !valid_cut_id(cut_id) {
             return Err(StoreError::InvalidCutId(cut_id.to_string()));
         }
@@ -557,12 +583,12 @@ impl BankStore {
                 None => None,
                 Some(slot) => {
                     slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                    // A recently confirmed generation is trusted without
-                    // another stat(2) — see StoreConfig::min_stat_interval
-                    // (ZERO by default, so this is never fresh and every
-                    // hit probes, the historical behavior).
-                    let fresh = self.config.min_stat_interval > Duration::ZERO
-                        && slot.last_stat.elapsed() < self.config.min_stat_interval;
+                    // An interval too large to add trusts the slot for
+                    // good.
+                    let fresh = slot
+                        .confirmed_at
+                        .checked_add(self.config.min_stat_interval)
+                        .is_none_or(|until| until > since);
                     Some((slot.state.clone(), slot.generation, fresh))
                 }
             }
@@ -586,19 +612,10 @@ impl BankStore {
                 if let Some(m) = &self.metrics {
                     m.file_stats.inc();
                 }
+                let probed_at = Instant::now();
                 match FileGen::probe(&path) {
                     Ok(current) if current == generation => {
-                        if self.config.min_stat_interval > Duration::ZERO {
-                            // Restart the freshness window from this
-                            // confirmation (same-generation guard: a
-                            // racing swap must not refresh a stale slot).
-                            let mut map = self.lock_shards();
-                            if let Some(slot) = map.slots.get_mut(cut_id) {
-                                if slot.generation == Some(generation) {
-                                    slot.last_stat = Instant::now();
-                                }
-                            }
-                        }
+                        self.confirm(cut_id, generation, probed_at);
                         if let Some(m) = &self.metrics {
                             m.cache_hits.inc();
                         }
@@ -634,6 +651,21 @@ impl BankStore {
         self.load_and_install(cut_id, &path)
     }
 
+    /// Records that a probe read `generation` for `cut_id`, with
+    /// `probed_at` read before the probe began: stamped after it, a
+    /// rename landing between the `stat` and the stamp would be hidden
+    /// from a request submitted in that gap. The confirmation never
+    /// moves backwards and is only recorded while the slot still holds
+    /// `generation` (a racing swap must not refresh a stale slot).
+    fn confirm(&self, cut_id: &str, generation: FileGen, probed_at: Instant) {
+        let mut map = self.lock_shards();
+        if let Some(slot) = map.slots.get_mut(cut_id) {
+            if slot.generation == Some(generation) {
+                slot.confirmed_at = slot.confirmed_at.max(probed_at);
+            }
+        }
+    }
+
     /// Removes `cut_id`'s slot if it still carries `generation` — the
     /// guard against retiring a slot a racing loader already swapped.
     /// Returns whether a slot was actually removed.
@@ -655,17 +687,18 @@ impl BankStore {
     }
 
     /// Probes every file-backed resident shard once: unchanged
-    /// generations get their freshness window restarted, changed files
-    /// are reloaded and swapped in (hot reload), and shards whose file
-    /// is gone are retired — the batch counterpart of the per-hit probe
-    /// in [`BankStore::engine`].
+    /// generations are confirmed (restarting their freshness window),
+    /// changed files are reloaded and swapped in (hot reload), and
+    /// shards whose file is gone are retired — the sweep counterpart of
+    /// the per-request probe in [`BankStore::engine`].
     ///
     /// A front-end with an event loop (the TCP tier) calls this off a
     /// periodic timer tick and sets [`StoreConfig::min_stat_interval`]
     /// to the tick period, so the request hot path never touches
     /// `stat(2)` while file swaps are still picked up within one tick.
-    /// The stdin serving path keeps its historical stat-per-hit
-    /// behavior. Pinned in-memory banks have no file and are skipped.
+    /// The stdin serving path sweeps nothing: it keeps the default
+    /// interval, so each batch probes each CUT it touches once. Pinned
+    /// in-memory banks have no file and are skipped.
     pub fn refresh(&self) -> RefreshSummary {
         let mut summary = RefreshSummary::default();
         let resident: Vec<(String, FileGen, bool)> = {
@@ -685,23 +718,16 @@ impl BankStore {
                 m.file_stats.inc();
             }
             summary.probed += 1;
+            let probed_at = Instant::now();
             match FileGen::probe(&path) {
                 Ok(current) if current == generation => {
-                    // Unchanged: restart the freshness window so hits
-                    // stay off stat(2) until the next tick (same-
-                    // generation guard against racing swaps).
-                    let mut map = self.lock_shards();
-                    if let Some(slot) = map.slots.get_mut(&cut_id) {
-                        if slot.generation == Some(generation) {
-                            slot.last_stat = Instant::now();
-                        }
-                    }
+                    self.confirm(&cut_id, generation, probed_at);
                 }
                 Ok(_) => {
                     // Changed: reload and swap (hot reload for a good
                     // slot, retry for a cached failure). A failed load
                     // is installed and attributed in the slot exactly
-                    // like a per-hit reload failure would be.
+                    // like a per-request reload failure would be.
                     if let Some(m) = &self.metrics {
                         if was_ok {
                             m.hot_reloads.inc();
@@ -736,6 +762,9 @@ impl BankStore {
         // Generation observed *before* the read: if the file is swapped
         // mid-load, the slot carries the pre-load stamp and the next
         // request's stat mismatches and retries — never the reverse.
+        // The confirmation instant is read before that probe, as in
+        // `confirm`.
+        let probed_at = Instant::now();
         let generation = match FileGen::probe(path) {
             Ok(g) => g,
             Err(_) => return Err(StoreError::UnknownCut(cut_id.to_string())),
@@ -775,7 +804,7 @@ impl BankStore {
             generation: Some(generation),
             bytes,
             last_used: self.next_tick(),
-            last_stat: Instant::now(),
+            confirmed_at: probed_at,
         };
 
         let mut map = self.lock_shards();
@@ -784,6 +813,7 @@ impl BankStore {
                 // A racing loader beat us to the same generation; its
                 // engine is identical, so keep it and drop ours.
                 existing.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                existing.confirmed_at = existing.confirmed_at.max(probed_at);
                 return existing.state.clone().map_err(bank_error(Some(generation)));
             }
         }
@@ -849,13 +879,19 @@ impl BankStore {
     }
 
     /// Diagnoses a batch of requests sequentially, preserving input
-    /// order; each request may target a different CUT. For a concurrent
-    /// front-end over the same store, use [`crate::ServeHandle`].
+    /// order; each request may target a different CUT. The batch is one
+    /// submission, stamped once, so a resident shard is probed at most
+    /// once. For a concurrent front-end over the same store, use
+    /// [`crate::ServeHandle`].
     pub fn diagnose_batch(
         &self,
         requests: &[DiagnosisRequest],
     ) -> Vec<Result<Diagnosis, StoreError>> {
-        requests.iter().map(|r| self.diagnose(r)).collect()
+        let since = Instant::now();
+        requests
+            .iter()
+            .map(|r| diagnose_on(&*self.engine_since(&r.cut_id, since)?, r))
+            .collect()
     }
 }
 
@@ -1442,6 +1478,63 @@ mod tests {
     }
 
     #[test]
+    fn engine_since_probes_only_requests_older_than_the_confirmation() {
+        let dir = std::env::temp_dir().join("ft_store_engine_since_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        write_shard(&dir.join("cut.ftb"), &rc_bank(1e3));
+        let registry = Arc::new(MetricsRegistry::new());
+        let store = BankStore::open(&dir, EngineConfig::default())
+            .unwrap()
+            .with_metrics(&registry);
+        let probes = || {
+            registry
+                .snapshot()
+                .counter("store_generation_stats_total")
+                .unwrap()
+        };
+
+        // The load confirms the generation after `submitted`.
+        let submitted = Instant::now();
+        store.engine("cut").unwrap();
+        store.engine_since("cut", submitted).unwrap();
+        assert_eq!(probes(), 0, "confirmed after submission: no probe");
+
+        // A later submission probes once; that probe confirms the
+        // generation after it, so the same stamp, or an earlier one,
+        // probes no more.
+        let later = Instant::now();
+        store.engine_since("cut", later).unwrap();
+        assert_eq!(probes(), 1, "submitted after the confirmation: probe");
+        store.engine_since("cut", later).unwrap();
+        store.engine_since("cut", submitted).unwrap();
+        assert_eq!(probes(), 1);
+
+        // An interval too large to add to an Instant trusts the slot
+        // for good, without overflowing.
+        let registry = Arc::new(MetricsRegistry::new());
+        let store = BankStore::open_with(
+            &dir,
+            StoreConfig {
+                min_stat_interval: Duration::MAX,
+                ..StoreConfig::default()
+            },
+        )
+        .unwrap()
+        .with_metrics(&registry);
+        store.engine("cut").unwrap();
+        for _ in 0..3 {
+            store.engine("cut").unwrap();
+            store.engine_since("cut", Instant::now()).unwrap();
+        }
+        assert_eq!(
+            registry.snapshot().counter("store_generation_stats_total"),
+            Some(0)
+        );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn refresh_reloads_retires_and_keeps_the_hot_path_off_stat() {
         let dir = std::env::temp_dir().join("ft_store_refresh_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1477,7 +1570,7 @@ mod tests {
         );
 
         // Swap a's file and delete b's: the sweep picks both up even
-        // though the per-hit path is still inside its freshness window.
+        // though the per-request path is still inside its freshness window.
         write_shard(&dir.join("a.ftb"), &rc_bank(3e3));
         std::fs::remove_file(dir.join("b.ftb")).unwrap();
         let swept = store.refresh();

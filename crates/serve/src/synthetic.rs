@@ -109,16 +109,17 @@ pub fn synthetic_circuit_bank(
 
 /// Draws `count` query signatures near the set's trajectories (random
 /// trajectory point plus jitter) — realistic observations for
-/// benchmarking, seeded deterministically.
+/// benchmarking, seeded deterministically. Reads the set through
+/// borrowed views, so a packed set (one read from a bank file) is never
+/// copied, and draws the same queries from either storage.
 pub fn synthetic_queries(set: &TrajectorySet, count: usize, seed: u64) -> Vec<Signature> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
         .map(|_| {
-            let t = &set.trajectories()[rng.gen_range(0..set.len())];
-            let p = &t.points()[rng.gen_range(0..t.points().len())];
+            let t = set.view(rng.gen_range(0..set.len()));
+            let p = t.point(rng.gen_range(0..t.point_count()));
             Signature::new(
-                p.coords()
-                    .iter()
+                p.iter()
                     .map(|&x| x + rng.gen_range(-0.25..0.25))
                     .collect::<Vec<f64>>(),
             )
@@ -154,6 +155,19 @@ mod tests {
         assert_eq!(qs.len(), 10);
         assert!(qs.iter().all(|q| q.dim() == 3));
         assert_eq!(qs, synthetic_queries(&set, 10, 2));
+    }
+
+    #[test]
+    fn queries_from_a_packed_set_equal_the_owned_sets() {
+        let tv = TestVector::pair(0.5, 2.0);
+        let built = synthetic_circuit_bank(3, 10.0, 11, &tv).unwrap();
+        let read = TrajectoryBank::from_bytes(&built.to_bytes()).unwrap();
+        assert!(!built.trajectory_set().is_packed());
+        assert!(read.trajectory_set().is_packed());
+        assert_eq!(
+            synthetic_queries(read.trajectory_set(), 40, 9),
+            synthetic_queries(built.trajectory_set(), 40, 9)
+        );
     }
 
     #[test]
