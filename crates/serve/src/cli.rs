@@ -15,8 +15,6 @@
 //! * `ftd bank-info` — inspect a bank container: format version,
 //!   section table with per-section payload bytes and checksum status,
 //!   entry counts.
-//! * `ftd stats` — pretty-print a stats file written by
-//!   `ftd serve --stats-file` (greppable text or Prometheus exposition).
 //! * `ftd bench-scan-vs-index` — measure the spatial index against the
 //!   linear scan on a production-scale synthetic bank.
 //!
@@ -42,7 +40,7 @@ use crate::bank::{MappedBank, TrajectoryBank};
 use crate::codec::{peek_version, section_name, SectionTable, BANK_VERSION};
 use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
-use crate::obs::{MetricsRegistry, Snapshot};
+use crate::obs::MetricsRegistry;
 use crate::pool::ServeHandle;
 use crate::store::{BankStore, DiagnosisRequest, StoreConfig};
 use crate::synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};
@@ -65,7 +63,6 @@ USAGE:
             [--depth N] [--total N] [--out PATH] [--json PATH] [--stats]
   ftd gen-requests --bank PATH --cut-id ID [--count N] [--seed N]
   ftd bank-info [--mapped] PATH
-  ftd stats [--prometheus] FILE
   ftd bench-scan-vs-index [--components N] [--points N] [--dim D]
                [--queries N] [--seed N] [--workers N] [--leaf N]
                [--topk K] [--circuit-order N] [--segments N[,N...]]
@@ -114,17 +111,17 @@ SUBCOMMANDS:
                        before its batch was submitted is trusted (a
                        rebuilt shard is picked up within that window;
                        default 0).
-                       --stats-file snapshots serving metrics (qps,
-                       latency histograms, shard cache hit rate) to a
-                       JSON file on exit — and every N requests with
-                       --stats-every; a `!stats` request line prints a
-                       one-shot snapshot to stderr. Metrics never change
-                       diagnosis output; without --stats-file nothing is
-                       recorded at all. Every request is answered by the
-                       index's top-1 early-exit search, which stops once
-                       rank 1 and its ambiguity set are settled, so each
-                       line is byte-identical to the full ranking's
-                       (`diagnose --requests`).
+                       --stats-file writes serving metrics (counters,
+                       gauges, latency histograms) as Prometheus text on
+                       exit, and every N requests with --stats-every,
+                       replacing the file atomically; a `!stats` request
+                       line prints the same text to stderr. Metrics never
+                       change diagnosis output; without --stats-file
+                       nothing is recorded at all. Every request is
+                       answered by the index's top-1 early-exit search,
+                       which stops once rank 1 and its ambiguity set are
+                       settled, so each line is byte-identical to the
+                       full ranking's (`diagnose --requests`).
                        With --listen ADDR the same shard directory is
                        served over TCP instead of stdin (unix only): a
                        non-blocking poll(2) event loop speaking
@@ -138,7 +135,8 @@ SUBCOMMANDS:
                        everything in flight, flush, exit 0. Response
                        lines are byte-identical to stdin serve. Listen
                        mode always keeps live metrics (a stats frame
-                       serves the Prometheus exposition on demand).
+                       serves the Prometheus exposition on demand;
+                       --stats-file writes it to the file at drain).
   loadgen              Drive pipelined request traffic from a requests
                        file (`gen-requests` format) at a --listen server
                        over --connections sockets with --depth requests
@@ -160,11 +158,6 @@ SUBCOMMANDS:
                        trajectory section only) and report the bytes a
                        served shard holds (its trajectory section), the
                        trajectory summary and the trajectory checksum.
-  stats                Read a --stats-file snapshot and print it as
-                       greppable `name value` lines (counters, gauges,
-                       histogram count/sum/mean/p50/p90/p99, derived
-                       qps and shard cache hit rate) — or as the
-                       Prometheus text exposition with --prometheus.
   bench-scan-vs-index  Time the linear scan against the flat
                        SIMD-friendly index and the top-k
                        early-termination path (K from --topk, default 5)
@@ -204,7 +197,6 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
         "loadgen" => loadgen(rest),
         "gen-requests" => gen_requests(rest),
         "bank-info" => bank_info(rest),
-        "stats" => stats(rest),
         "bench-scan-vs-index" => bench_scan_vs_index(rest),
         other => {
             eprintln!("ftd: unknown subcommand `{other}`\n");
@@ -753,10 +745,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         },
     );
     let mut handle = ServeHandle::with_metrics(store, workers, &registry);
-    let write_stats = |path: &str| -> Result<(), CliError> {
-        std::fs::write(path, registry.snapshot().to_json())
-            .map_err(|e| runtime(format!("stats file {path}: {e}")))
-    };
 
     // Requests stream in on stdin and pipeline through the pool in
     // --batch chunks: while one batch is in flight the next is being
@@ -846,7 +834,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         // one-shot snapshot to stderr (stdout stays pure diagnoses).
         if line.trim() == "!stats" {
             if registry.is_enabled() {
-                eprint!("{}", registry.snapshot().render_text());
+                eprint!("{}", registry.snapshot().to_prometheus());
             } else {
                 eprintln!("ftd serve: metrics disabled (run with --stats-file); !stats ignored");
             }
@@ -870,14 +858,14 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             // to "every N requests" without a write on the hot path.
             if let (Some(path), Some(every)) = (&stats_file, stats_every) {
                 if served.get() - stats_written_at >= every {
-                    write_stats(path)?;
+                    write_stats_file(path, &registry)?;
                     stats_written_at = served.get();
                 }
             }
         }
     }
     if let Some(path) = &stats_file {
-        write_stats(path)?;
+        write_stats_file(path, &registry)?;
         eprintln!("wrote stats snapshot to `{path}`");
     }
     eprintln!(
@@ -895,6 +883,17 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         )));
     }
     Ok(())
+}
+
+/// Writes a snapshot of `registry` to `path` as Prometheus text: into
+/// `<path>.tmp`, then renamed over `path`, so a reader of the file (a
+/// `--stats-every` consumer, a textfile collector) never sees it empty
+/// or half-written.
+fn write_stats_file(path: &str, registry: &MetricsRegistry) -> Result<(), CliError> {
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, registry.snapshot().to_prometheus())
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| runtime(format!("stats file {path}: {e}")))
 }
 
 /// `ftd serve --listen`: the TCP tier over the same store and worker
@@ -920,8 +919,7 @@ fn serve_listen(
     let started = Instant::now();
     let summary = server.run().map_err(runtime)?;
     if let Some(path) = stats_file {
-        std::fs::write(path, registry.snapshot().to_json())
-            .map_err(|e| runtime(format!("stats file {path}: {e}")))?;
+        write_stats_file(path, &registry)?;
         eprintln!("wrote stats snapshot to `{path}`");
     }
     eprintln!(
@@ -1032,31 +1030,6 @@ fn loadgen(args: &[String]) -> Result<(), CliError> {
     }
     if stats {
         print!("{}", crate::net::fetch_stats(&connect).map_err(runtime)?);
-    }
-    Ok(())
-}
-
-/// The `ftd stats` subcommand: reads a snapshot JSON written by
-/// `ftd serve --stats-file` and pretty-prints it — greppable
-/// `name value` text by default, the Prometheus exposition format with
-/// `--prometheus`.
-fn stats(args: &[String]) -> Result<(), CliError> {
-    let (prometheus, path) = match args {
-        [path] => (false, path),
-        [a, path] | [path, a] if a == "--prometheus" => (true, path),
-        _ => {
-            return Err(usage(
-                "stats takes one FILE argument (plus optional --prometheus)",
-            ))
-        }
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-    let snapshot = Snapshot::from_json(&text)
-        .map_err(|e| runtime(format!("{path}: not a stats file: {e}")))?;
-    if prometheus {
-        print!("{}", snapshot.to_prometheus());
-    } else {
-        print!("{}", snapshot.render_text());
     }
     Ok(())
 }
@@ -1623,6 +1596,8 @@ mod tests {
         assert_eq!(main_from_args(vec!["help".into()]), 0);
         assert_eq!(main_from_args(vec![]), 2);
         assert_eq!(main_from_args(vec!["frobnicate".into()]), 2);
+        // The stats file is the exposition itself; nothing reads it back.
+        assert_eq!(main_from_args(vec!["stats".into(), "f".into()]), 2);
     }
 
     #[test]
@@ -1730,6 +1705,17 @@ mod tests {
                 "/tmp".into(),
                 "--batch".into(),
                 "0".into(),
+            ]),
+            2
+        );
+        // --stats-every without --stats-file is rejected up front.
+        assert_eq!(
+            main_from_args(vec![
+                "serve".into(),
+                "--banks".into(),
+                "/tmp".into(),
+                "--stats-every".into(),
+                "10".into(),
             ]),
             2
         );
@@ -1965,44 +1951,6 @@ mod tests {
             render_diagnosis_line("q15", &three),
             "q15\tR3\t0.30000000000000004\t0.25\tR3,R5,C2"
         );
-    }
-
-    #[test]
-    fn stats_subcommand_round_trips_a_snapshot() {
-        let dir = std::env::temp_dir().join("ftd_cli_stats_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.json");
-        let registry = MetricsRegistry::new();
-        registry.counter("serve_requests_total").add(7);
-        registry.histogram("serve_request_latency_us").record(300);
-        std::fs::write(&path, registry.snapshot().to_json()).unwrap();
-        let path_str = path.to_string_lossy().to_string();
-
-        assert_eq!(main_from_args(vec!["stats".into(), path_str.clone()]), 0);
-        assert_eq!(
-            main_from_args(vec![
-                "stats".into(),
-                "--prometheus".into(),
-                path_str.clone()
-            ]),
-            0
-        );
-        // Malformed input is a runtime error, a missing arg a usage one.
-        std::fs::write(&path, "not a stats file").unwrap();
-        assert_eq!(main_from_args(vec!["stats".into(), path_str]), 1);
-        assert_eq!(main_from_args(vec!["stats".into()]), 2);
-        // --stats-every without --stats-file is rejected up front.
-        assert_eq!(
-            main_from_args(vec![
-                "serve".into(),
-                "--banks".into(),
-                "/tmp".into(),
-                "--stats-every".into(),
-                "10".into(),
-            ]),
-            2
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -399,8 +399,9 @@ impl MetricsRegistry {
     }
 }
 
-/// A point-in-time export of a registry: what `--stats-file` writes (as
-/// JSON), `!stats` prints (as text), and `ftd stats` reads back.
+/// A point-in-time export of a registry. [`Snapshot::to_prometheus`]
+/// renders it for every stats sink: the `--stats-file` file, a `!stats`
+/// line and the TCP stats frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Registry uptime in seconds at snapshot time.
@@ -518,86 +519,6 @@ impl Snapshot {
         out
     }
 
-    /// Parses a snapshot previously written by [`Snapshot::to_json`].
-    /// Quantiles are recomputed from the bucket counts, so the render
-    /// matches a live snapshot exactly.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first structural problem found.
-    pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let root = parse_json(text)?;
-        let obj = root.as_object().ok_or("top level is not an object")?;
-        let uptime_s = get(obj, "uptime_s")
-            .and_then(Json::as_f64)
-            .ok_or("missing numeric \"uptime_s\"")?;
-        let mut counters = Vec::new();
-        for (name, value) in get(obj, "counters")
-            .and_then(Json::as_object)
-            .ok_or("missing object \"counters\"")?
-        {
-            let v = value.as_f64().ok_or("non-numeric counter value")?;
-            counters.push((name.clone(), v as u64));
-        }
-        let mut gauges = Vec::new();
-        for (name, value) in get(obj, "gauges")
-            .and_then(Json::as_object)
-            .ok_or("missing object \"gauges\"")?
-        {
-            let v = value.as_f64().ok_or("non-numeric gauge value")?;
-            gauges.push((name.clone(), v as i64));
-        }
-        let mut histograms = Vec::new();
-        for (name, value) in get(obj, "histograms")
-            .and_then(Json::as_object)
-            .ok_or("missing object \"histograms\"")?
-        {
-            let hist = value
-                .as_object()
-                .ok_or("histogram entry is not an object")?;
-            let sum = get(hist, "sum")
-                .and_then(Json::as_f64)
-                .ok_or("histogram missing numeric \"sum\"")? as u64;
-            let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-            for pair in get(hist, "buckets")
-                .and_then(Json::as_array)
-                .ok_or("histogram missing array \"buckets\"")?
-            {
-                let pair = pair.as_array().ok_or("histogram bucket is not a pair")?;
-                let (lower, n) = match pair {
-                    [lower, n] => (
-                        lower.as_f64().ok_or("non-numeric bucket edge")? as u64,
-                        n.as_f64().ok_or("non-numeric bucket count")? as u64,
-                    ),
-                    _ => return Err("histogram bucket is not a pair".into()),
-                };
-                let index = if lower == 0 {
-                    0
-                } else if lower.is_power_of_two() {
-                    lower.ilog2() as usize + 1
-                } else {
-                    return Err(format!("bucket edge {lower} is not a power of two"));
-                };
-                buckets[index] = n;
-            }
-            let count = buckets.iter().sum();
-            histograms.push((
-                name.clone(),
-                HistogramSnapshot {
-                    buckets,
-                    count,
-                    sum,
-                },
-            ));
-        }
-        Ok(Snapshot {
-            uptime_s,
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-
     /// Renders greppable `name value` lines: uptime and derived values
     /// first, then counters, gauges, and per-histogram
     /// `_count`/`_sum`/`_mean`/`_p50`/`_p90`/`_p99` lines — the format
@@ -689,223 +610,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader — just enough for `ftd stats` to load a snapshot
-// back (objects, arrays, strings with the common escapes, f64 numbers,
-// booleans, null). Hand-rolled because the vendored serde is a
-// marker-only shim.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", parser.pos));
-    }
-    Ok(value)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at offset {}",
-                byte as char, self.pos
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let byte = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match byte {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let escape = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                }
-                _ => {
-                    // Re-take the full UTF-8 character starting here.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1289,38 +993,6 @@ mod tests {
             labeled("f", &[("shard", "a\"b\\c"), ("generation", "g")]),
             "f{shard=\"a\\\"b\\\\c\",generation=\"g\"}"
         );
-    }
-
-    #[test]
-    fn snapshot_json_round_trips() {
-        let registry = MetricsRegistry::new();
-        registry.counter("serve_requests_total").add(12);
-        registry
-            .counter(&labeled("pool_worker_jobs_total", &[("worker", "0")]))
-            .add(4);
-        registry.gauge("store_resident_bytes").set(4096);
-        let hist = registry.histogram("serve_request_latency_us");
-        for v in [0u64, 3, 17, 900, 70_000] {
-            hist.record(v);
-        }
-        let snap = registry.snapshot();
-        let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(parsed.counters, snap.counters);
-        assert_eq!(parsed.gauges, snap.gauges);
-        assert_eq!(parsed.histograms, snap.histograms);
-        // The re-render is identical except for floating uptime.
-        let mut snap = snap;
-        snap.uptime_s = parsed.uptime_s;
-        assert_eq!(parsed.render_text(), snap.render_text());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(Snapshot::from_json("").is_err());
-        assert!(Snapshot::from_json("{").is_err());
-        assert!(Snapshot::from_json("[1, 2]").is_err());
-        assert!(Snapshot::from_json("{\"uptime_s\": 1}").is_err());
-        assert!(Snapshot::from_json("not json at all").is_err());
     }
 
     #[test]

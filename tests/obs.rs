@@ -148,9 +148,4 @@ fn metrics_do_not_change_served_bytes() {
             >= requests.len() as u64,
         "engine latency histogram missed diagnoses"
     );
-    // The snapshot round-trips through the stats-file JSON unchanged.
-    let round = fault_trajectory::serve::Snapshot::from_json(&snap.to_json()).unwrap();
-    assert_eq!(round.counters, snap.counters);
-    assert_eq!(round.gauges, snap.gauges);
-    assert_eq!(round.histograms, snap.histograms);
 }
