@@ -34,16 +34,16 @@
 //!   pipeline; answers are byte-identical at every worker count.
 //! * [`MetricsRegistry`] ([`obs`]) — hand-rolled serving observability:
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
-//!   over the engine, store, and pool, snapshotted to JSON, greppable
-//!   text, or Prometheus exposition — and provably inert when disabled.
+//!   over the engine, store, and pool, snapshotted as the Prometheus
+//!   text exposition — and provably inert when disabled.
 //! * [`NetServer`] ([`net`]) — the non-blocking TCP serving tier: one
 //!   hand-rolled `poll(2)` readiness loop speaking a length-prefixed,
 //!   checksummed frame protocol, with per-connection pipelining,
 //!   bounded-memory backpressure, graceful drain, and a matching
 //!   pipelined load generator ([`run_loadgen`]).
 //! * the `ftd` binary ([`cli`]) — `build-bank`, `diagnose`, `serve`
-//!   (stdin or `--listen`), `loadgen`, `gen-requests`, `bank-info`,
-//!   `stats`, and `bench-scan-vs-index` front ends over the same API.
+//!   (stdin or `--listen`), `loadgen`, `gen-requests`, `bank-info`
+//!   and `bench-scan-vs-index` front ends over the same API.
 //!
 //! ## Platform
 //!

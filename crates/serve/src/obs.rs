@@ -1,6 +1,7 @@
 //! Serving-stack observability: lock-free counters, gauges, log₂-bucket
-//! latency histograms, RAII span timers, and snapshot export as JSON,
-//! Prometheus text exposition, and greppable `name value` lines.
+//! latency histograms, RAII span timers, and snapshot export as the
+//! Prometheus text exposition — the one rendering every stats sink
+//! prints.
 //!
 //! Everything is hand-rolled over `std::sync::atomic` (the vendored
 //! environment has no metrics crates) and designed around two hard
@@ -184,8 +185,8 @@ impl Histogram {
     }
 }
 
-/// Point-in-time histogram state; quantiles and means are computed here
-/// so a snapshot persisted as JSON reads back identically.
+/// Point-in-time histogram state, with quantiles and the mean read
+/// back from the bucket counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts, `HISTOGRAM_BUCKETS` entries.
@@ -302,7 +303,6 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
-    started: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
@@ -318,7 +318,6 @@ impl MetricsRegistry {
     fn with_enabled(enabled: bool) -> MetricsRegistry {
         MetricsRegistry {
             enabled,
-            started: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
@@ -339,12 +338,6 @@ impl MetricsRegistry {
     /// `false` for a [`MetricsRegistry::noop`] registry.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Time since the registry was created — the denominator for rate
-    /// metrics like qps.
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
     }
 
     /// The counter registered under `name`, registering it if new.
@@ -382,7 +375,6 @@ impl MetricsRegistry {
             self.counter("core_interp_pool_allocs_total").set(allocs);
         }
         Snapshot {
-            uptime_s: self.started.elapsed().as_secs_f64(),
             counters: lock(&self.counters)
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
@@ -404,8 +396,6 @@ impl MetricsRegistry {
 /// line and the TCP stats frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Registry uptime in seconds at snapshot time.
-    pub uptime_s: f64,
     /// `(name, value)` for every counter, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` for every gauge, sorted by name.
@@ -436,121 +426,12 @@ impl Snapshot {
             .map(|(_, h)| h)
     }
 
-    /// Values derived from the raw series: requests per second and the
-    /// shard-cache hit rate, when their inputs are present.
-    pub fn derived(&self) -> Vec<(&'static str, f64)> {
-        let mut out = Vec::new();
-        if let Some(requests) = self.counter("serve_requests_total") {
-            if self.uptime_s > 0.0 {
-                out.push(("qps", requests as f64 / self.uptime_s));
-            }
-        }
-        if let (Some(hits), Some(misses)) = (
-            self.counter("store_shard_cache_hits_total"),
-            self.counter("store_shard_cache_misses_total"),
-        ) {
-            if hits + misses > 0 {
-                out.push(("shard_cache_hit_rate", hits as f64 / (hits + misses) as f64));
-            }
-        }
-        out
-    }
-
-    /// Serializes the snapshot as a single JSON object. Histogram
-    /// buckets are `[inclusive_lower_edge_us, count]` pairs for the
-    /// nonzero buckets only (lower edges are powers of two, exactly
-    /// representable as JSON numbers), alongside precomputed
-    /// `count`/`sum`/`mean`/`p50`/`p90`/`p99`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"uptime_s\": {},\n", json_f64(self.uptime_s)));
-        out.push_str("  \"derived\": {");
-        for (i, (name, value)) in self.derived().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {}", json_f64(*value)));
-        }
-        out.push_str("},\n");
-        out.push_str("  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, hist)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                json_escape(name),
-                hist.count,
-                hist.sum,
-                json_f64(hist.mean()),
-                json_f64(hist.quantile(0.50)),
-                json_f64(hist.quantile(0.90)),
-                json_f64(hist.quantile(0.99)),
-            ));
-            let mut first = true;
-            for (index, &n) in hist.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(&format!("[{}, {n}]", bucket_bounds(index).0));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-
-    /// Renders greppable `name value` lines: uptime and derived values
-    /// first, then counters, gauges, and per-histogram
-    /// `_count`/`_sum`/`_mean`/`_p50`/`_p90`/`_p99` lines — the format
-    /// `!stats` prints to stderr and `ftd stats` prints to stdout.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("uptime_s {}\n", json_f64(self.uptime_s)));
-        for (name, value) in self.derived() {
-            out.push_str(&format!("{name} {}\n", json_f64(value)));
-        }
-        for (name, value) in &self.counters {
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, hist) in &self.histograms {
-            out.push_str(&format!("{name}_count {}\n", hist.count));
-            out.push_str(&format!("{name}_sum {}\n", hist.sum));
-            out.push_str(&format!("{name}_mean {}\n", json_f64(hist.mean())));
-            for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-                out.push_str(&format!("{name}_{label} {}\n", json_f64(hist.quantile(q))));
-            }
-        }
-        out
-    }
-
     /// Renders the Prometheus text exposition format: `# TYPE` lines
     /// per metric family, histograms as cumulative `_bucket{le="…"}`
     /// series (inclusive upper edges in microseconds, then `+Inf`) plus
-    /// `_sum`/`_count`. Derived values are not exported — Prometheus
-    /// consumers compute rates themselves.
+    /// `_sum`/`_count`. Nothing derived is exported: a consumer computes
+    /// rates across scrapes and ratios (such as the shard cache hit
+    /// rate) from the counters.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_family = String::new();
@@ -584,32 +465,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-/// Formats a float as a JSON-safe number (non-finite values render as
-/// 0, which JSON cannot represent otherwise).
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "0".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -993,26 +848,6 @@ mod tests {
             labeled("f", &[("shard", "a\"b\\c"), ("generation", "g")]),
             "f{shard=\"a\\\"b\\\\c\",generation=\"g\"}"
         );
-    }
-
-    #[test]
-    fn derived_values_and_text_render() {
-        let registry = MetricsRegistry::new();
-        registry.counter("serve_requests_total").add(10);
-        registry.counter("store_shard_cache_hits_total").add(8);
-        registry.counter("store_shard_cache_misses_total").add(2);
-        let snap = registry.snapshot();
-        let derived = snap.derived();
-        let rate = derived
-            .iter()
-            .find(|(name, _)| *name == "shard_cache_hit_rate")
-            .map(|&(_, v)| v)
-            .unwrap();
-        assert!((rate - 0.8).abs() < 1e-12);
-        let text = snap.render_text();
-        assert!(text.contains("serve_requests_total 10\n"));
-        assert!(text.contains("shard_cache_hit_rate 0.8\n"));
-        assert!(text.lines().all(|l| l.split_whitespace().count() == 2));
     }
 
     #[test]
