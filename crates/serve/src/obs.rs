@@ -528,7 +528,11 @@ pub struct StoreMetrics {
     /// file generation.
     pub hot_reloads: Arc<Counter>,
     /// `store_generation_stats_total` — `stat(2)` probes of a resident
-    /// shard's generation, by a request or by a refresh sweep.
+    /// shard's generation, by a request or by a refresh sweep. A miss
+    /// stats its shard path once, so a directory-backed store's
+    /// `stat(2)` calls on shard paths equal this counter plus
+    /// `store_shard_cache_misses_total` (a load's `fstat` of the file it
+    /// opened is the bank reader's, not counted).
     pub file_stats: Arc<Counter>,
     /// `store_resident_bytes` — bytes currently accounted against the
     /// budget.

@@ -621,7 +621,7 @@ impl BankStore {
                         }
                         return state.map_err(bank_error(Some(generation)));
                     }
-                    Ok(_) => {
+                    Ok(current) => {
                         // File changed: reload and swap (hot reload for
                         // a good slot, retry for a cached failure).
                         if let Some(m) = &self.metrics {
@@ -629,7 +629,7 @@ impl BankStore {
                                 m.hot_reloads.inc();
                             }
                         }
-                        return self.load_and_install(cut_id, &path);
+                        return self.load_and_install(cut_id, &path, current, probed_at);
                     }
                     Err(_) => {
                         // File gone: retire the slot.
@@ -645,10 +645,14 @@ impl BankStore {
             }
         }
         let path = self.shard_path(cut_id)?;
-        if !path.is_file() {
-            return Err(StoreError::UnknownCut(cut_id.to_string()));
-        }
-        self.load_and_install(cut_id, &path)
+        // One stat both finds the shard and stamps the load.
+        let probed_at = Instant::now();
+        let generation = std::fs::metadata(&path)
+            .ok()
+            .filter(|meta| meta.is_file())
+            .and_then(|meta| FileGen::from_metadata(&meta).ok())
+            .ok_or_else(|| StoreError::UnknownCut(cut_id.to_string()))?;
+        self.load_and_install(cut_id, &path, generation, probed_at)
     }
 
     /// Records that a probe read `generation` for `cut_id`, with
@@ -723,7 +727,7 @@ impl BankStore {
                 Ok(current) if current == generation => {
                     self.confirm(&cut_id, generation, probed_at);
                 }
-                Ok(_) => {
+                Ok(current) => {
                     // Changed: reload and swap (hot reload for a good
                     // slot, retry for a cached failure). A failed load
                     // is installed and attributed in the slot exactly
@@ -734,7 +738,7 @@ impl BankStore {
                         }
                     }
                     summary.reloaded += 1;
-                    let _ = self.load_and_install(&cut_id, &path);
+                    let _ = self.load_and_install(&cut_id, &path, current, probed_at);
                 }
                 Err(_) => {
                     if self.retire_slot(&cut_id, generation) {
@@ -754,21 +758,18 @@ impl BankStore {
     }
 
     /// Loads a shard file (outside the lock) and installs the outcome.
+    /// `generation` is the caller's probe of `path`, taken *before* the
+    /// read, and `probed_at` the instant read before that probe (as in
+    /// `confirm`): if the file is swapped mid-load, the slot carries the
+    /// pre-load stamp and the next probe mismatches and retries — never
+    /// the reverse.
     fn load_and_install(
         &self,
         cut_id: &str,
         path: &Path,
+        generation: FileGen,
+        probed_at: Instant,
     ) -> Result<Arc<DiagnosisEngine>, StoreError> {
-        // Generation observed *before* the read: if the file is swapped
-        // mid-load, the slot carries the pre-load stamp and the next
-        // request's stat mismatches and retries — never the reverse.
-        // The confirmation instant is read before that probe, as in
-        // `confirm`.
-        let probed_at = Instant::now();
-        let generation = match FileGen::probe(path) {
-            Ok(g) => g,
-            Err(_) => return Err(StoreError::UnknownCut(cut_id.to_string())),
-        };
         if let Some(m) = &self.metrics {
             m.loads.inc();
         }
@@ -1063,6 +1064,13 @@ mod tests {
             store.diagnose(&DiagnosisRequest::new("nope", sig.clone())),
             Err(StoreError::UnknownCut(_))
         ));
+        // A directory named like a shard is not one.
+        std::fs::create_dir_all(dir.join("sub.ftb")).unwrap();
+        assert!(matches!(
+            store.diagnose(&DiagnosisRequest::new("sub", sig.clone())),
+            Err(StoreError::UnknownCut(_))
+        ));
+        assert_eq!(store.loaded_count(), 0);
         assert!(matches!(
             store.diagnose(&DiagnosisRequest::new("../x", sig)),
             Err(StoreError::InvalidCutId(_))
