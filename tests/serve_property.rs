@@ -180,16 +180,20 @@ proptest! {
 
     /// The spatial index agrees with the exhaustive linear scan — same
     /// distances, same deviations, same ranking — on random signatures
-    /// against random synthetic banks.
+    /// against random synthetic banks. These banks' trajectories hold
+    /// at most a dozen segments, so the four index properties draw leaf
+    /// sizes of 1–16: at the default (16) each trajectory would be one
+    /// leaf and the search would never prune.
     #[test]
     fn indexed_diagnosis_matches_linear(
         seed in 0i64..1_000_000,
         components in 2usize..24,
         points in 1usize..6,
+        leaf in 1usize..17,
         x in -9.0f64..9.0, y in -9.0f64..9.0
     ) {
         let set = synthetic_trajectory_set(components, points, 2, seed as u64);
-        let index = SegmentIndex::build(&set);
+        let index = SegmentIndex::with_leaf_size(&set, leaf);
         let diagnoser = Diagnoser::new(set, DiagnoserConfig::default());
         let sig = Signature::new(vec![x, y]);
         let linear = diagnoser.diagnose(&sig);
@@ -202,15 +206,17 @@ proptest! {
     }
 
     /// The flat index stays bit-identical to the linear scan on ragged
-    /// banks full of zero-length segments, down to dimension 1.
+    /// banks full of zero-length segments, down to dimension 1 and at
+    /// every leaf size.
     #[test]
     fn flat_index_is_bit_identical_on_degenerate_banks(
         seed in 0i64..1_000_000,
         components in 1usize..12,
         dim in 1usize..4,
+        leaf in 1usize..17,
     ) {
         let set = jagged_set_from_seed(seed as u64, components, dim);
-        let index = SegmentIndex::build(&set);
+        let index = SegmentIndex::with_leaf_size(&set, leaf);
         let mut rng = StdRng::seed_from_u64(seed as u64 ^ 0x9e37_79b9);
         for _ in 0..8 {
             let sig = Signature::new(
@@ -233,9 +239,10 @@ proptest! {
         seed in 0i64..1_000_000,
         components in 2usize..16,
         k in 1usize..6,
+        leaf in 1usize..17,
     ) {
         let set = jagged_set_from_seed(seed as u64, components, 2);
-        let index = SegmentIndex::build(&set);
+        let index = SegmentIndex::with_leaf_size(&set, leaf);
         let ratio = DiagnoserConfig::default().ambiguity_ratio;
         let mut rng = StdRng::seed_from_u64(seed as u64 ^ 0x5151_5151);
         for _ in 0..6 {
@@ -273,12 +280,13 @@ proptest! {
         seed in 0i64..1_000_000,
         components in 1usize..12,
         dim in 1usize..4,
+        leaf in 1usize..17,
     ) {
         let raw = jagged_set_from_seed(seed as u64, components, dim);
         let anchored = anchored_at_origin(&raw);
         let mut rng = StdRng::seed_from_u64(seed as u64 ^ 0x7e57_0001);
         for (set, is_anchored) in [(raw, false), (anchored, true)] {
-            let index = SegmentIndex::build(&set);
+            let index = SegmentIndex::with_leaf_size(&set, leaf);
             let on = set.view(rng.gen_range(0..set.len()));
             let vertex = on.point(rng.gen_range(0..on.point_count())).to_vec();
             let mut probes = vec![Signature::new(vec![0.0; dim]), Signature::new(vertex)];
