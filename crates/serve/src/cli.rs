@@ -1596,7 +1596,7 @@ mod tests {
         assert_eq!(main_from_args(vec!["help".into()]), 0);
         assert_eq!(main_from_args(vec![]), 2);
         assert_eq!(main_from_args(vec!["frobnicate".into()]), 2);
-        // The stats file is the exposition itself; nothing reads it back.
+        // `stats` is no subcommand: the stats file is the exposition.
         assert_eq!(main_from_args(vec!["stats".into(), "f".into()]), 2);
     }
 
