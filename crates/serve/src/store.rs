@@ -1070,7 +1070,6 @@ mod tests {
             store.diagnose(&DiagnosisRequest::new("sub", sig.clone())),
             Err(StoreError::UnknownCut(_))
         ));
-        assert_eq!(store.loaded_count(), 0);
         assert!(matches!(
             store.diagnose(&DiagnosisRequest::new("../x", sig)),
             Err(StoreError::InvalidCutId(_))
