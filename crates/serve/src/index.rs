@@ -29,10 +29,7 @@
 //! explicit SSE2 `core::arch` path is used on x86_64; a unit test pins
 //! it to the scalar reference). Internal-node boxes are built bottom-up
 //! as the union of their children's boxes — one O(n) pass over the node
-//! array, not a per-node endpoint rescan — and
-//! [`SegmentIndex::rebuild_trajectory`] re-derives one trajectory's
-//! boxes in place when a bank is rebuilt at a new test vector with the
-//! same topology.
+//! array, not a per-node endpoint rescan.
 //!
 //! ## Exactness
 //!
@@ -81,9 +78,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use ft_core::geometry::point_segment_distance2;
-use ft_core::{
-    topk_prefix_len, FaultTrajectory, SegmentQuery, Signature, TopkRanking, TrajectorySet,
-};
+use ft_core::{topk_prefix_len, SegmentQuery, Signature, TopkRanking, TrajectorySet};
 
 use crate::obs::Counter;
 
@@ -324,49 +319,6 @@ impl SegmentIndex {
                     "union-built upper box plane diverged from the rescan oracle"
                 );
             }
-        }
-    }
-
-    /// Re-indexes one trajectory in place after its geometry changed —
-    /// the incremental path for banks rebuilt at a new test vector. The
-    /// tree shape is topology-only (it depends on the segment count,
-    /// not the coordinates), so only this trajectory's endpoint store
-    /// and its node block's boxes are rewritten; every other
-    /// trajectory's data is untouched and the result is identical to a
-    /// fresh [`SegmentIndex::build`] over the modified set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ti` is out of range, the trajectory's dimension does
-    /// not match the index, or its segment count differs from the
-    /// indexed topology (a changed topology needs a full rebuild).
-    pub fn rebuild_trajectory(&mut self, ti: usize, trajectory: &FaultTrajectory) {
-        assert!(ti < self.n_traj, "trajectory index out of range");
-        assert_eq!(
-            trajectory.dim(),
-            self.dim,
-            "trajectory dimension must match the index"
-        );
-        let root = self.roots[ti] as usize;
-        let (seg_lo, seg_hi) = (self.seg_lo[root], self.seg_hi[root]);
-        assert_eq!(
-            trajectory.segment_count(),
-            (seg_hi - seg_lo) as usize,
-            "segment count changed; incremental rebuild needs the same topology"
-        );
-        for (i, (d0, p0, d1, p1)) in trajectory.segments().enumerate() {
-            let s = seg_lo as usize + i;
-            self.seg_dev[s] = (d0, d1);
-            let base = s * 2 * self.dim;
-            self.coords[base..base + self.dim].copy_from_slice(p0.coords());
-            self.coords[base + self.dim..base + 2 * self.dim].copy_from_slice(p1.coords());
-        }
-        let block_end = self
-            .roots
-            .get(ti + 1)
-            .map_or(self.child_base.len(), |&r| r as usize);
-        for nid in (root..block_end).rev() {
-            self.refresh_box(nid);
         }
     }
 
@@ -1221,46 +1173,6 @@ mod tests {
                 assert_eq!(idx.query(&q), LinearScan.best_per_trajectory(&set, &q));
             }
         }
-    }
-
-    #[test]
-    fn rebuild_trajectory_matches_fresh_build() {
-        let set = fan_set(8);
-        let mut idx = SegmentIndex::with_leaf_size(&set, 3);
-        // Re-derive trajectory 5 with shifted geometry (same topology).
-        let old = &set.trajectories()[5];
-        let moved = FaultTrajectory::new(
-            old.component(),
-            old.deviations_pct().to_vec(),
-            old.points()
-                .iter()
-                .map(|p| sig(p.coords()[0] + 0.75, p.coords()[1] - 1.25))
-                .collect(),
-        );
-        let mut trajectories: Vec<FaultTrajectory> = set.trajectories().to_vec();
-        trajectories[5] = moved.clone();
-        let modified = TrajectorySet::new(set.test_vector().clone(), trajectories);
-        idx.rebuild_trajectory(5, &moved);
-        let fresh = SegmentIndex::with_leaf_size(&modified, 3);
-        assert_eq!(idx.planes, fresh.planes);
-        assert_eq!(idx.coords, fresh.coords);
-        assert_eq!(idx.seg_dev, fresh.seg_dev);
-        for q in [sig(0.4, 0.1), sig(-2.0, 3.0), sig(5.5, -5.5)] {
-            assert_eq!(idx.query(&q), LinearScan.best_per_trajectory(&modified, &q));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "same topology")]
-    fn rebuild_rejects_changed_topology() {
-        let set = fan_set(4);
-        let mut idx = SegmentIndex::build(&set);
-        let short = FaultTrajectory::new(
-            "T0",
-            vec![-10.0, 0.0, 10.0],
-            vec![sig(0.0, 0.0), sig(1.0, 0.0), sig(2.0, 0.0)],
-        );
-        idx.rebuild_trajectory(0, &short);
     }
 
     #[test]

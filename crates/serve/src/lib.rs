@@ -15,9 +15,8 @@
 //!   hand-rolled).
 //! * [`SegmentIndex`] — a spatial index over signature space: a
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
-//!   SIMD-friendly batched box tests, incremental per-trajectory
-//!   rebuilds, and a top-k early-termination query path — all
-//!   **bit-identical** to the linear scan.
+//!   SIMD-friendly batched box tests and a top-k early-termination
+//!   query path — all **bit-identical** to the linear scan.
 //! * [`DiagnosisEngine`] — single and batched full-ranking diagnosis
 //!   over a shared loaded bank, fanning batches out over
 //!   `std::thread::scope` workers in input order: the reference that
