@@ -6,7 +6,7 @@
 //!   dictionary, materialise trajectories, persist the bank.
 //! * `ftd diagnose` — online phase: load a bank, simulate observed
 //!   signatures for requested or random faults (or read pre-measured
-//!   signatures with `--requests`), answer them in a batch.
+//!   signatures with `--requests`), answer each with the linear scan.
 //! * `ftd serve` — the sharded front-end: a directory of banks keyed by
 //!   CUT id, a request stream on stdin, diagnoses on stdout, served by
 //!   a persistent worker pool.
@@ -38,7 +38,7 @@ use rand::SeedableRng;
 
 use crate::bank::{MappedBank, TrajectoryBank};
 use crate::codec::{peek_version, section_name, SectionTable, BANK_VERSION};
-use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
+use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, EngineConfig};
 use crate::index::SegmentIndex;
 use crate::obs::MetricsRegistry;
 use crate::pool::ServeHandle;
@@ -51,9 +51,8 @@ ftd — fault-trajectory diagnosis engine
 USAGE:
   ftd build-bank [--out PATH] [--f1 W] [--f2 W] [--grid-points N] [--q Q]
   ftd diagnose --bank PATH [--fault COMP:PCT]... [--random N]
-               [--noise-db S] [--seed N] [--workers N] [--linear] [--q Q]
-  ftd diagnose --bank PATH --requests FILE [--cut-id ID] [--workers N]
-               [--linear]
+               [--noise-db S] [--seed N] [--q Q]
+  ftd diagnose --bank PATH --requests FILE [--cut-id ID]
   ftd serve --banks DIR [--workers N] [--batch N]
             [--mem-budget BYTES[K|M|G]] [--stat-interval-ms N]
             [--stats-file PATH] [--stats-every N]
@@ -78,17 +77,17 @@ SUBCOMMANDS:
                        regardless of worker count.
   diagnose             Load a bank, measure signatures for the requested
                        (--fault R2:+25) and/or --random sampled unknown
-                       faults on the same CUT, and diagnose them as one
-                       batch (spatial index unless --linear), printing
-                       the ranked table, the accuracy, and how many
-                       verdicts resolve to a single structural ambiguity
-                       group. With --requests FILE, skip simulation and
-                       instead answer the file's signature lines (the
-                       `serve` request format; --cut-id keeps only
-                       matching lines), printing one tab-separated
-                       diagnosis line per request — byte-comparable with
-                       `serve` output. Every diagnosis here ranks all
-                       trajectories: this is the full-ranking reference
+                       faults on the same CUT, and diagnose each with the
+                       exhaustive linear scan, printing the ranked table,
+                       the accuracy, and how many verdicts resolve to a
+                       single structural ambiguity group. With --requests
+                       FILE, skip simulation and instead answer the
+                       file's signature lines (the `serve` request
+                       format; --cut-id keeps only matching lines),
+                       printing one tab-separated diagnosis line per
+                       request — byte-comparable with `serve` output.
+                       Every diagnosis here ranks all trajectories
+                       without the spatial index: this is the reference
                        that served answers are checked against.
   serve                Open a shard directory (<dir>/<cut-id>.ftb, loaded
                        lazily), read requests from stdin — one per line:
@@ -383,8 +382,6 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
     let mut random = 0usize;
     let mut noise_db: Option<f64> = None;
     let mut seed: Option<u64> = None;
-    let mut workers: Option<usize> = None;
-    let mut linear = false;
     let mut q: Option<f64> = None;
     let mut requests_path: Option<String> = None;
     let mut cut_id: Option<String> = None;
@@ -396,8 +393,6 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
             "--random" => random = flags.parse("--random")?,
             "--noise-db" => noise_db = Some(flags.parse("--noise-db")?),
             "--seed" => seed = Some(flags.parse("--seed")?),
-            "--workers" => workers = Some(flags.parse("--workers")?),
-            "--linear" => linear = true,
             "--q" => q = Some(flags.parse("--q")?),
             "--requests" => requests_path = Some(flags.value("--requests")?.to_string()),
             "--cut-id" => cut_id = Some(flags.value("--cut-id")?.to_string()),
@@ -414,13 +409,7 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
                  (--fault/--random/--noise-db/--seed/--q)",
             ));
         }
-        return diagnose_requests(
-            &bank_path,
-            &requests_path,
-            cut_id.as_deref(),
-            workers,
-            linear,
-        );
+        return diagnose_requests(&bank_path, &requests_path, cut_id.as_deref());
     }
     if cut_id.is_some() {
         return Err(usage("--cut-id only applies with --requests"));
@@ -435,17 +424,7 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
         random = 8;
     }
 
-    let engine = DiagnosisEngine::load(
-        &bank_path,
-        EngineConfig {
-            diagnoser: DiagnoserConfig::default(),
-            workers,
-        },
-    )
-    .map_err(runtime)?;
-    let bank = engine
-        .bank()
-        .expect("`ftd diagnose` loads banks on the heap");
+    let bank = TrajectoryBank::load(&bank_path).map_err(runtime)?;
     println!(
         "loaded `{bank_path}`: {} trajectories / {} segments at tv {}",
         bank.trajectory_set().len(),
@@ -502,12 +481,10 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
         signatures.push(sig);
     }
 
+    // The exhaustive linear scan, one signature at a time.
+    let diagnoser = Diagnoser::new(bank.trajectory_set().clone(), DiagnoserConfig::default());
     let started = Instant::now();
-    let results = if linear {
-        engine.diagnose_batch_linear(&signatures)
-    } else {
-        engine.diagnose_batch(&signatures)
-    };
+    let results: Vec<Diagnosis> = signatures.iter().map(|s| diagnoser.diagnose(s)).collect();
     let elapsed = started.elapsed();
 
     let mut top1 = 0usize;
@@ -536,12 +513,11 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
         );
     }
     println!(
-        "{}/{} top-1, {}/{} in ambiguity set, {} path, {:.2?} for the batch",
+        "{}/{} top-1, {}/{} in ambiguity set, {:.2?} for the linear scan",
         top1,
         results.len(),
         in_set,
         results.len(),
-        if linear { "linear" } else { "indexed" },
         elapsed,
     );
     // How often the verdict already pins down a single structural
@@ -560,26 +536,17 @@ fn diagnose(args: &[String]) -> Result<(), CliError> {
 
 /// The `--requests` arm of `ftd diagnose`: the single-bank reference
 /// path of the sharded server. Reads the request file, keeps the lines
-/// whose CUT id matches `--cut-id` (all lines when omitted), answers
-/// them with `DiagnosisEngine::diagnose_batch` (full rankings), and
-/// prints serve-format lines — so `cmp`-ing against the matching slice
-/// of `ftd serve` output proves the pooled sharded front-end's top-1
-/// answers byte-identical to the per-bank full ranking.
+/// whose CUT id matches `--cut-id` (all lines when omitted), ranks each
+/// in full with the exhaustive linear scan ([`Diagnoser::diagnose`]),
+/// and prints serve-format lines — so `cmp`-ing against the matching
+/// slice of `ftd serve` output checks the served index's top-1 answers
+/// against code that shares nothing with the index.
 fn diagnose_requests(
     bank_path: &str,
     requests_path: &str,
     cut_id: Option<&str>,
-    workers: Option<usize>,
-    linear: bool,
 ) -> Result<(), CliError> {
-    let engine = DiagnosisEngine::load(
-        bank_path,
-        EngineConfig {
-            diagnoser: DiagnoserConfig::default(),
-            workers,
-        },
-    )
-    .map_err(runtime)?;
+    let bank = TrajectoryBank::load(bank_path).map_err(runtime)?;
     let text = std::fs::read_to_string(requests_path)
         .map_err(|e| runtime(format!("{requests_path}: {e}")))?;
     let mut kept: Vec<DiagnosisRequest> = Vec::new();
@@ -590,7 +557,8 @@ fn diagnose_requests(
             }
         }
     }
-    let dim = engine.trajectory_set().dim();
+    let diagnoser = Diagnoser::new(bank.trajectory_set().clone(), DiagnoserConfig::default());
+    let dim = diagnoser.trajectory_set().dim();
     for req in &kept {
         if req.signature.dim() != dim {
             return Err(runtime(format!(
@@ -600,15 +568,10 @@ fn diagnose_requests(
             )));
         }
     }
-    let signatures: Vec<Signature> = kept.iter().map(|r| r.signature.clone()).collect();
-    let results = if linear {
-        engine.diagnose_batch_linear(&signatures)
-    } else {
-        engine.diagnose_batch(&signatures)
-    };
     let mut out = String::new();
-    for (req, diagnosis) in kept.iter().zip(&results) {
-        out.push_str(&render_diagnosis_line(&req.cut_id, diagnosis));
+    for req in &kept {
+        let diagnosis = diagnoser.diagnose(&req.signature);
+        out.push_str(&render_diagnosis_line(&req.cut_id, &diagnosis));
         out.push('\n');
     }
     print!("{out}");
@@ -1575,6 +1538,7 @@ fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DiagnosisEngine;
 
     #[test]
     fn fault_spec_parsing() {
@@ -1620,6 +1584,26 @@ mod tests {
             ]),
             2
         );
+    }
+
+    #[test]
+    fn deleted_executor_flags_are_unknown() {
+        // `diagnose` ranks each signature with the linear scan, so no
+        // flag picks a path or a thread count. A missing bank alone
+        // exits 1, so exit 2 means the flag itself was refused.
+        for args in [
+            &["diagnose", "--bank", "/nonexistent/bank.ftb", "--linear"][..],
+            &[
+                "diagnose",
+                "--bank",
+                "/nonexistent/bank.ftb",
+                "--workers",
+                "2",
+            ],
+        ] {
+            let argv = args.iter().map(|a| a.to_string()).collect();
+            assert_eq!(main_from_args(argv), 2, "{args:?}");
+        }
     }
 
     #[test]
