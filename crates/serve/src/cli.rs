@@ -38,7 +38,7 @@ use rand::SeedableRng;
 
 use crate::bank::{MappedBank, TrajectoryBank};
 use crate::codec::{peek_version, section_name, SectionTable, BANK_VERSION};
-use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::index::SegmentIndex;
 use crate::obs::MetricsRegistry;
 use crate::pool::ServeHandle;
@@ -63,7 +63,7 @@ USAGE:
   ftd gen-requests --bank PATH --cut-id ID [--count N] [--seed N]
   ftd bank-info [--mapped] PATH
   ftd bench-scan-vs-index [--components N] [--points N] [--dim D]
-               [--queries N] [--seed N] [--workers N] [--leaf N]
+               [--queries N] [--seed N] [--leaf N]
                [--topk K] [--circuit-order N] [--segments N[,N...]]
                [--json PATH]
   ftd help | --help
@@ -160,8 +160,8 @@ SUBCOMMANDS:
   bench-scan-vs-index  Time the linear scan against the flat
                        SIMD-friendly index and the top-k
                        early-termination path (K from --topk, default 5)
-                       on a synthetic bank, single-query and batched,
-                       with bit-identity self-checks on every path.
+                       on a synthetic bank, one query at a time, with
+                       bit-identity self-checks on every path.
                        --segments N[,N...] sweeps bank sizes (e.g.
                        1000,10000,100000; trajectories are derived from
                        --points at 2*points segments each); --json PATH
@@ -1206,7 +1206,6 @@ fn bench_one(
     queries: usize,
     seed: u64,
     leaf: usize,
-    workers: Option<usize>,
     topk: usize,
 ) -> Result<BenchRow, CliError> {
     let qs = synthetic_queries(set, queries, seed.wrapping_add(1));
@@ -1314,15 +1313,6 @@ fn bench_one(
                 "top-k diagnosis changed the verdict or the ambiguity set",
             ));
         }
-    }
-
-    // Batched paths must reproduce their single-query twins exactly.
-    if diagnose_batch_with(&diagnoser, &flat, &qs, workers) != flat_d
-        || diagnose_batch_topk_with(&diagnoser, &flat, &qs, topk, workers) != topk_d
-    {
-        return Err(runtime(
-            "batched results diverged from single-query results",
-        ));
     }
 
     Ok(BenchRow {
@@ -1440,7 +1430,6 @@ fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
     let mut dim = 2usize;
     let mut queries = 200usize;
     let mut seed = 7u64;
-    let mut workers: Option<usize> = None;
     let mut leaf = 0usize;
     let mut circuit_order = 0usize;
     let mut topk = 5usize;
@@ -1454,7 +1443,6 @@ fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
             "--dim" => dim = flags.parse("--dim")?,
             "--queries" => queries = flags.parse("--queries")?,
             "--seed" => seed = flags.parse("--seed")?,
-            "--workers" => workers = Some(flags.parse("--workers")?),
             "--leaf" => leaf = flags.parse("--leaf")?,
             "--circuit-order" => circuit_order = flags.parse("--circuit-order")?,
             "--topk" => topk = flags.parse("--topk")?,
@@ -1490,7 +1478,7 @@ fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
             let comp = ((target as f64 / (2.0 * points as f64)).round() as usize).max(2);
             let set = synthetic_trajectory_set(comp, points, dim, seed);
             println!("--- target {target} segments ---");
-            let row = bench_one(&set, queries, seed, leaf, workers, topk)?;
+            let row = bench_one(&set, queries, seed, leaf, topk)?;
             print_bench_row(&row);
             rows.push(row);
         }
@@ -1526,7 +1514,7 @@ fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
     } else {
         synthetic_trajectory_set(components, points, dim, seed)
     };
-    let row = bench_one(&set, queries, seed, leaf, workers, topk)?;
+    let row = bench_one(&set, queries, seed, leaf, topk)?;
     print_bench_row(&row);
     if let Some(path) = json {
         write_bench_json(&path, &[row])?;
@@ -1588,18 +1576,15 @@ mod tests {
 
     #[test]
     fn deleted_executor_flags_are_unknown() {
-        // `diagnose` ranks each signature with the linear scan, so no
-        // flag picks a path or a thread count. A missing bank alone
-        // exits 1, so exit 2 means the flag itself was refused.
+        // `diagnose` ranks each signature with the linear scan and the
+        // bench times one query at a time, so no flag picks a path or a
+        // thread count. A missing bank alone exits 1 and the bench
+        // alone exits 0, so exit 2 means the flag itself was refused.
+        let missing = "/nonexistent/bank.ftb";
         for args in [
-            &["diagnose", "--bank", "/nonexistent/bank.ftb", "--linear"][..],
-            &[
-                "diagnose",
-                "--bank",
-                "/nonexistent/bank.ftb",
-                "--workers",
-                "2",
-            ],
+            &["diagnose", "--bank", missing, "--linear"][..],
+            &["diagnose", "--bank", missing, "--workers", "2"],
+            &["bench-scan-vs-index", "--workers", "2"],
         ] {
             let argv = args.iter().map(|a| a.to_string()).collect();
             assert_eq!(main_from_args(argv), 2, "{args:?}");
