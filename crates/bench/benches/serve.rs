@@ -1,109 +1,30 @@
-//! Serving-layer throughput: linear scan vs spatial index, single-query
-//! vs batched, persistent worker pool vs per-batch scoped threads, plus
-//! bank codec round-trip cost.
+//! Serving-layer throughput: linear scan vs spatial index per query,
+//! the persistent worker pool's batch throughput, plus bank codec
+//! round-trip cost.
 //!
 //! The index's win is measured on a production-scale synthetic bank
 //! (8 trajectories × 128 segments = 1024 segments — the paper CUT's
 //! component count with a production-dense deviation sweep) and
 //! sanity-checked on the real paper bank (56 segments), where the
-//! linear scan is expected to stay competitive. The front-end comparison
-//! (pool vs scoped) runs over a simulated RLC-ladder bank and also
-//! writes a `BENCH_serve.json` summary so CI and the README can quote
-//! one number.
+//! linear scan is expected to stay competitive. The summary pass runs
+//! the pool over a simulated RLC-ladder bank and writes a
+//! `BENCH_serve.json` summary so CI and the README can quote one number.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ft_bench::paper_setup;
-use ft_core::{Diagnoser, DiagnoserConfig, Diagnosis, Signature, TestVector};
+use ft_core::{Diagnoser, DiagnoserConfig, TestVector};
 use ft_serve::{
-    diagnose_batch_topk_with, diagnose_batch_with, run_loadgen, synthetic_circuit_bank,
-    synthetic_queries, synthetic_trajectory_set, BankStore, DiagnosisEngine, DiagnosisRequest,
-    EngineConfig, LoadgenConfig, MetricsRegistry, NetConfig, NetServer, SegmentIndex, ServeHandle,
-    TrajectoryBank,
+    run_loadgen, synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set, BankStore,
+    DiagnosisEngine, DiagnosisRequest, EngineConfig, LoadgenConfig, MetricsRegistry, NetConfig,
+    NetServer, SegmentIndex, ServeHandle, TrajectoryBank,
 };
 
-/// Sustained-traffic workload for the front-end comparison: one batch
-/// of this many requests, served repeatedly.
+/// Sustained-traffic workload for the pool: one batch of this many
+/// requests, served repeatedly.
 const FRONTEND_BATCH: usize = 256;
-
-/// Builds the front-end workload: a simulated order-3 ladder bank
-/// (5 trajectories × 320 segments), an engine and a diagnoser over it
-/// for the scoped-thread side, a pooled handle over the same bank, and
-/// the request batch.
-fn frontend_setup(
-    workers: usize,
-) -> (
-    DiagnosisEngine,
-    Diagnoser,
-    ServeHandle,
-    Vec<Signature>,
-    Vec<DiagnosisRequest>,
-) {
-    let tv = TestVector::pair(0.5, 2.0);
-    let bank = synthetic_circuit_bank(3, 0.25, 21, &tv).expect("ladder bank simulates");
-    let queries = synthetic_queries(bank.trajectory_set(), FRONTEND_BATCH, 13);
-    let requests: Vec<DiagnosisRequest> = queries
-        .iter()
-        .map(|q| DiagnosisRequest::new("ladder", q.clone()))
-        .collect();
-    let config = EngineConfig {
-        diagnoser: DiagnoserConfig::default(),
-        workers: Some(workers),
-    };
-    let engine = DiagnosisEngine::new(bank.clone(), config);
-    let diagnoser = Diagnoser::new(bank.trajectory_set().clone(), config.diagnoser);
-    let store = Arc::new(BankStore::in_memory(config));
-    store.insert_bank("ladder", bank).expect("valid cut id");
-    let handle = ServeHandle::new(store, workers);
-    (engine, diagnoser, handle, queries, requests)
-}
-
-/// The scoped-thread side of the front-end comparison: the same top-1
-/// search the pool serves every request with, fanned out over scoped
-/// threads, so both sides compute the same answers.
-fn scoped_top1(
-    engine: &DiagnosisEngine,
-    diagnoser: &Diagnoser,
-    queries: &[Signature],
-    workers: usize,
-) -> Vec<Diagnosis> {
-    diagnose_batch_topk_with(diagnoser, engine.index(), queries, 1, Some(workers))
-}
-
-fn bench_pool_vs_scoped(c: &mut Criterion) {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8);
-    let (engine, diagnoser, mut handle, queries, requests) = frontend_setup(workers);
-
-    // The two paths must agree before any timing is worth reporting:
-    // both answer every request with the top-1 search, so their
-    // diagnoses are equal, not just their verdicts.
-    let scoped = scoped_top1(&engine, &diagnoser, &queries, workers);
-    handle.submit(requests.clone());
-    let pooled: Vec<_> = handle
-        .drain()
-        .remove(0)
-        .into_iter()
-        .map(|r| r.expect("request serves"))
-        .collect();
-    assert_eq!(scoped, pooled, "scoped and pooled top-1 answers differ");
-
-    let mut group = c.benchmark_group("serve/frontend_256");
-    group.bench_function("scoped_threads", |b| {
-        b.iter(|| scoped_top1(&engine, &diagnoser, black_box(&queries), workers).len())
-    });
-    group.bench_function("persistent_pool", |b| {
-        b.iter(|| {
-            handle.submit(black_box(&requests).clone());
-            handle.drain_one().expect("batch completes").len()
-        })
-    });
-    group.finish();
-}
 
 /// Median-of-N wall time of `f`, in seconds.
 fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
@@ -119,23 +40,32 @@ fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Emits `BENCH_serve.json`: sustained-traffic batch throughput of the
-/// persistent worker pool vs per-batch scoped-thread spin-up on the
-/// same bank, same worker count, same requests, both answering with the
-/// top-1 search — plus the cold-load comparison of the shard load
-/// (`DiagnosisEngine::load_mapped`: the trajectory section is read,
-/// checksummed and decoded, the dictionary never read) against the full
-/// load on a multi-MB dictionary-heavy bank.
+/// persistent worker pool, answering every request with the top-1
+/// search, with and without live metrics — plus the cold-load
+/// comparison of the shard load (`DiagnosisEngine::load_mapped`: the
+/// trajectory section is read, checksummed and decoded, the dictionary
+/// never read) against the full load on a multi-MB dictionary-heavy
+/// bank.
 fn emit_summary(_c: &mut Criterion) {
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
         .min(8);
-    let (engine, diagnoser, mut handle, queries, requests) = frontend_setup(workers);
-    let segments = engine.trajectory_set().total_segments();
-
-    let scoped_s = median_secs(15, || {
-        scoped_top1(&engine, &diagnoser, &queries, workers);
-    });
+    // A simulated order-3 ladder bank (5 trajectories × 320 segments)
+    // behind one CUT id.
+    let tv = TestVector::pair(0.5, 2.0);
+    let bank = synthetic_circuit_bank(3, 0.25, 21, &tv).expect("ladder bank simulates");
+    let segments = bank.trajectory_set().total_segments();
+    let requests: Vec<DiagnosisRequest> =
+        synthetic_queries(bank.trajectory_set(), FRONTEND_BATCH, 13)
+            .into_iter()
+            .map(|q| DiagnosisRequest::new("ladder", q))
+            .collect();
+    let store = Arc::new(BankStore::in_memory(EngineConfig::default()));
+    store
+        .insert_bank("ladder", bank.clone())
+        .expect("valid cut id");
+    let mut handle = ServeHandle::new(store, workers);
     let pooled_s = median_secs(15, || {
         handle.submit(requests.clone());
         handle.drain_one().expect("batch completes");
@@ -144,13 +74,10 @@ fn emit_summary(_c: &mut Criterion) {
     // The same pool with live metrics attached: the observability
     // acceptance bound says this must sit within noise of `pooled_s`.
     let registry = Arc::new(MetricsRegistry::new());
-    let bank = engine.bank().expect("heap-built engine has a bank").clone();
-    let config = EngineConfig {
-        diagnoser: DiagnoserConfig::default(),
-        workers: Some(workers),
-    };
-    let store = Arc::new(BankStore::in_memory(config).with_metrics(&registry));
-    store.insert_bank("ladder", bank).expect("valid cut id");
+    let store = Arc::new(BankStore::in_memory(EngineConfig::default()).with_metrics(&registry));
+    store
+        .insert_bank("ladder", bank.clone())
+        .expect("valid cut id");
     let mut instrumented = ServeHandle::with_metrics(store, workers, &registry);
     let instrumented_s = median_secs(15, || {
         instrumented.submit(requests.clone());
@@ -160,7 +87,6 @@ fn emit_summary(_c: &mut Criterion) {
     // Cold load: a dense dictionary (161 grid points × 320 deviations
     // per branch) makes the bank file multi-MB and dictionary-dominated,
     // the shape where out-of-core serving matters.
-    let tv = TestVector::pair(0.5, 2.0);
     let big = synthetic_circuit_bank(3, 0.25, 161, &tv).expect("dictionary-heavy bank simulates");
     let path = std::env::temp_dir().join("bench_serve_cold_load.ftb");
     big.save(&path).expect("saves cold-load bank");
@@ -185,14 +111,8 @@ fn emit_summary(_c: &mut Criterion) {
     // (the acceptance criterion asks for measured throughput and
     // latency percentiles at ≥2 configurations).
     let net_registry = Arc::new(MetricsRegistry::new());
-    let bank = engine.bank().expect("heap-built engine has a bank").clone();
-    let net_store = Arc::new(
-        BankStore::in_memory(EngineConfig {
-            diagnoser: DiagnoserConfig::default(),
-            workers: Some(workers),
-        })
-        .with_metrics(&net_registry),
-    );
+    let net_store =
+        Arc::new(BankStore::in_memory(EngineConfig::default()).with_metrics(&net_registry));
     net_store.insert_bank("ladder", bank).expect("valid cut id");
     let server = NetServer::bind(
         "127.0.0.1:0",
@@ -230,8 +150,7 @@ fn emit_summary(_c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bank\": \"rlc-ladder-order-3\",\n  \"segments\": {segments},\n  \
          \"batch\": {FRONTEND_BATCH},\n  \"workers\": {workers},\n  \
-         \"scoped_batch_s\": {scoped_s:.6e},\n  \"pooled_batch_s\": {pooled_s:.6e},\n  \
-         \"pooled_vs_scoped\": {:.2},\n  \
+         \"pooled_batch_s\": {pooled_s:.6e},\n  \
          \"instrumented_batch_s\": {instrumented_s:.6e},\n  \
          \"instrumented_vs_pooled\": {:.3},\n  \
          \"cold_load_bank_bytes\": {bank_bytes},\n  \
@@ -244,7 +163,6 @@ fn emit_summary(_c: &mut Criterion) {
          \"tcp_2conn_p90_us\": {},\n  \"tcp_2conn_p99_us\": {},\n  \
          \"tcp_8conn_rps\": {:.0},\n  \"tcp_8conn_p50_us\": {},\n  \
          \"tcp_8conn_p90_us\": {},\n  \"tcp_8conn_p99_us\": {}\n}}\n",
-        scoped_s / pooled_s.max(1e-12),
         instrumented_s / pooled_s.max(1e-12),
         mapped_s / heap_s.max(1e-12),
         open_s / heap_s.max(1e-12),
@@ -259,14 +177,14 @@ fn emit_summary(_c: &mut Criterion) {
     );
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!(
-        "BENCH_serve.json: persistent pool {:.1}x vs scoped threads (both top-1) \
+        "BENCH_serve.json: persistent pool {:.1}us per top-1 batch \
          ({FRONTEND_BATCH}-request batches, {workers} workers, {segments} segments); \
          metrics overhead {:.3}x; \
          shard cold load {:.2}x full load on a {:.1} MB bank \
          (bare MappedBank::open {:.5}x: reads and decodes the trajectory section only); \
          TCP tier {:.0} req/s at 2 conns (p50 {:.0}us p99 {:.0}us), \
          {:.0} req/s at 8 conns (p50 {:.0}us p99 {:.0}us), depth 32",
-        scoped_s / pooled_s.max(1e-12),
+        pooled_s * 1e6,
         instrumented_s / pooled_s.max(1e-12),
         mapped_s / heap_s.max(1e-12),
         bank_bytes as f64 / (1024.0 * 1024.0),
@@ -301,12 +219,6 @@ fn bench_scan_vs_index_1k(c: &mut Criterion) {
             i = (i + 1) % queries.len();
             diagnoser.diagnose_with(&index, black_box(&queries[i]))
         })
-    });
-    group.bench_function("batch64_linear_1k_segments", |b| {
-        b.iter(|| diagnose_batch_with(&diagnoser, &ft_core::LinearScan, black_box(&queries), None))
-    });
-    group.bench_function("batch64_indexed_1k_segments", |b| {
-        b.iter(|| diagnose_batch_with(&diagnoser, &index, black_box(&queries), None))
     });
     group.finish();
 }
@@ -348,7 +260,6 @@ criterion_group!(
     benches,
     bench_scan_vs_index_1k,
     bench_paper_bank,
-    bench_pool_vs_scoped,
     emit_summary
 );
 criterion_main!(benches);
