@@ -1851,7 +1851,7 @@ mod tests {
         // The acceptance wiring the CI smoke scripts in shell, pinned
         // here in-process: the store/pool path serves the single-bank
         // engine's top-1 prefix, and its serve-format lines equal the
-        // full-ranking diagnose_batch path's.
+        // linear scan's, which `diagnose --requests` prints.
         let dir = std::env::temp_dir().join("ftd_cli_serve_equiv_test");
         std::fs::create_dir_all(&dir).unwrap();
         let tv = ft_core::TestVector::pair(0.5, 2.0);
@@ -1871,12 +1871,11 @@ mod tests {
 
         let engine = DiagnosisEngine::load(dir.join("ladder.ftb"), EngineConfig::default())
             .expect("bank loads");
-        let signatures: Vec<Signature> = requests.iter().map(|r| r.signature.clone()).collect();
-        let reference = engine.diagnose_batch(&signatures);
 
-        assert_eq!(pooled.len(), reference.len());
-        for ((req, pooled), reference) in requests.iter().zip(&pooled).zip(&reference) {
+        assert_eq!(pooled.len(), requests.len());
+        for (req, pooled) in requests.iter().zip(&pooled) {
             let pooled = pooled.as_ref().expect("request served");
+            let reference = &engine.diagnose_linear(&req.signature);
             assert_eq!(
                 pooled,
                 &engine.diagnose_topk(&req.signature, 1),

@@ -85,8 +85,10 @@
 //!     &faulty, &bench.circuit, &bench.input, &bench.probe,
 //!     &TestVector::pair(0.6, 1.6),
 //! )?;
-//! let verdicts = engine.diagnose_batch(&[sig]);
-//! assert_eq!(verdicts[0].best().component, "R2");
+//! let verdict = engine.diagnose(&sig);
+//! assert_eq!(verdict.best().component, "R2");
+//! // The index is exact: the linear scan ranks identically.
+//! assert_eq!(verdict, engine.diagnose_linear(&sig));
 //! # Ok(())
 //! # }
 //! ```

@@ -1,9 +1,10 @@
 //! The full serving lifecycle: build a trajectory bank, persist it,
-//! reload it, and answer a batch of 100 noisy observations through the
-//! indexed diagnosis engine — then serve the same observations through
-//! the sharded `BankStore` + persistent `ServeHandle` worker pool and
-//! check that the pool serves the engine's top-1 prefix, whose verdict,
-//! ambiguity set and response line are the full ranking's.
+//! reload it, and answer 100 noisy observations through the indexed
+//! diagnosis engine, each checked against the linear scan — then serve
+//! the same observations through the sharded `BankStore` + persistent
+//! `ServeHandle` worker pool and check that the pool serves the
+//! engine's top-1 prefix, whose verdict, ambiguity set and response
+//! line are the full ranking's.
 //!
 //! ```sh
 //! cargo run --release --example serve_batch
@@ -69,16 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let started = std::time::Instant::now();
-    let verdicts = engine.diagnose_batch(&observations);
+    let verdicts: Vec<_> = observations.iter().map(|s| engine.diagnose(s)).collect();
     let elapsed = started.elapsed();
 
-    // The indexed batch must agree with the exhaustive linear scan.
-    let reference = engine.diagnose_batch_linear(&observations);
-    assert_eq!(verdicts, reference, "index is exact");
-    // And with the plain single-signature Diagnoser path.
-    let diagnoser = Diagnoser::new(engine.trajectory_set().clone(), DiagnoserConfig::default());
-    let single: Vec<_> = observations.iter().map(|s| diagnoser.diagnose(s)).collect();
-    assert_eq!(verdicts, single, "batching preserves results and order");
+    // The index must agree with the exhaustive linear scan.
+    for (sig, verdict) in observations.iter().zip(&verdicts) {
+        assert_eq!(verdict, &engine.diagnose_linear(sig), "index is exact");
+    }
 
     let mut top1 = 0;
     let mut in_set = 0;
@@ -121,13 +119,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(
             served.best(),
             full.best(),
-            "same verdict as the scoped batch"
+            "same verdict as the full ranking"
         );
         assert_eq!(served.ambiguity_set(), full.ambiguity_set());
         assert_eq!(
             fault_trajectory::serve::response_line("tow-thomas", &Ok(served.clone())),
             fault_trajectory::serve::response_line("tow-thomas", &Ok(full.clone())),
-            "same response line as the scoped batch"
+            "same response line as the full ranking"
         );
     }
     println!(

@@ -8,8 +8,8 @@
 //! * `BankStore` routing over two CUTs and `ServeHandle` at worker
 //!   counts 1, 2, and 8 serve exactly the per-bank engine's top-1
 //!   prefix (`DiagnosisEngine::diagnose_topk(sig, 1)`), whose verdict,
-//!   ambiguity set and response line are per-bank
-//!   `DiagnosisEngine::diagnose_batch`'s.
+//!   ambiguity set and response line are the per-bank linear scan's
+//!   (`DiagnosisEngine::diagnose_linear`).
 
 use std::sync::Arc;
 
@@ -140,17 +140,15 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
         requests.push(DiagnosisRequest::new("q2", b.clone()));
     }
 
-    // Reference: the per-bank scoped-thread batch path (full rankings),
-    // and the per-bank top-1 prefix every served request must equal.
+    // Reference: the per-bank linear scan (full rankings), and the
+    // per-bank top-1 prefix every served request must equal.
     let engine_q1 = DiagnosisEngine::new(bank_q1, EngineConfig::default());
     let engine_q2 = DiagnosisEngine::new(bank_q2, EngineConfig::default());
-    let ref_q1 = engine_q1.diagnose_batch(&sig_q1);
-    let ref_q2 = engine_q2.diagnose_batch(&sig_q2);
     let mut reference = Vec::with_capacity(requests.len());
     let mut served_ref = Vec::with_capacity(requests.len());
-    for (((a, b), sa), sb) in ref_q1.into_iter().zip(ref_q2).zip(&sig_q1).zip(&sig_q2) {
-        reference.push(a);
-        reference.push(b);
+    for (sa, sb) in sig_q1.iter().zip(&sig_q2) {
+        reference.push(engine_q1.diagnose_linear(sa));
+        reference.push(engine_q2.diagnose_linear(sb));
         served_ref.push(engine_q1.diagnose_topk(sa, 1));
         served_ref.push(engine_q2.diagnose_topk(sb, 1));
     }
@@ -183,7 +181,7 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
             assert_eq!(
                 response_line(&req.cut_id, &Ok(got.clone())),
                 response_line(&req.cut_id, &Ok(full.clone())),
-                "served line diverged from per-bank diagnose_batch at {workers} workers"
+                "served line diverged from the per-bank linear scan at {workers} workers"
             );
         }
         assert_eq!(
@@ -229,21 +227,15 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
             "a set read from a file is packed on `{name}`"
         );
 
-        let queries = synthetic_queries(bank.trajectory_set(), 23, 42);
-        let reference = heap.diagnose_batch(&queries);
-        assert_eq!(
-            reference,
-            mapped.diagnose_batch(&queries),
-            "indexed batch diverged on `{name}`"
-        );
-        assert_eq!(
-            heap.diagnose_batch_linear(&queries),
-            mapped.diagnose_batch_linear(&queries),
-            "linear batch diverged on `{name}`"
-        );
-        for q in &queries {
-            let want = heap.diagnose(q);
-            assert_eq!(want, mapped.diagnose(q), "single diverged on `{name}`");
+        for q in &synthetic_queries(bank.trajectory_set(), 23, 42) {
+            let want = heap.diagnose_linear(q);
+            assert_eq!(
+                want,
+                mapped.diagnose_linear(q),
+                "linear diverged on `{name}`"
+            );
+            assert_eq!(want, heap.diagnose(q), "heap index diverged on `{name}`");
+            assert_eq!(want, mapped.diagnose(q), "shard index diverged on `{name}`");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
