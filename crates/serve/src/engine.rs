@@ -1,12 +1,11 @@
-//! The online diagnosis engine: a loaded bank behind an index, serving
-//! single and batched queries.
+//! The online diagnosis engine: a loaded bank behind an index,
+//! answering one signature per call.
 //!
 //! The engine owns one immutable bank source — a fully decoded
 //! [`TrajectoryBank`] or a shard's [`MappedBank`] handle — plus its
-//! [`SegmentIndex`]; batched queries fan out over `std::thread::scope`
-//! workers that share the engine by reference (everything inside is
-//! plain immutable data, so the borrow is free) and write results into
-//! disjoint output slots, preserving input order.
+//! [`SegmentIndex`]. Everything inside is plain immutable data, so
+//! threads share an engine by reference; concurrent serving is
+//! [`crate::ServeHandle`]'s job, not the engine's.
 //!
 //! A shard engine ([`DiagnosisEngine::load_mapped`]) reads only the
 //! trajectory section at load; the dictionary and multi-fault sections
@@ -18,7 +17,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ft_core::{Diagnoser, DiagnoserConfig, Diagnosis, SegmentQuery, Signature, TrajectorySet};
+use ft_core::{Diagnoser, DiagnoserConfig, Diagnosis, Signature, TrajectorySet};
 
 use crate::bank::{MappedBank, TrajectoryBank};
 use crate::codec::CodecError;
@@ -26,97 +25,13 @@ use crate::index::SegmentIndex;
 use crate::obs::{EngineMetrics, SpanTimer};
 use crate::store::FileGen;
 
-/// Diagnoses a batch of signatures through an arbitrary query backend
-/// with `std::thread::scope` workers, returning results in input order.
-/// This is the engine's fan-out machinery exposed standalone so
-/// benchmarks and the CLI can drive bare [`Diagnoser`] + backend pairs.
-///
-/// # Panics
-///
-/// Panics on signature dimension mismatch or if a worker panics.
-pub fn diagnose_batch_with<B>(
-    diagnoser: &Diagnoser,
-    backend: &B,
-    observed: &[Signature],
-    workers: Option<usize>,
-) -> Vec<Diagnosis>
-where
-    B: SegmentQuery + Sync + ?Sized,
-{
-    fan_out(observed, workers, |sig| {
-        diagnoser.diagnose_with(backend, sig)
-    })
-}
-
-/// [`diagnose_batch_with`] over the top-k / early-termination path:
-/// each diagnosis ranks only the `k` best trajectories plus the rest of
-/// the winner's ambiguity set (see [`Diagnoser::diagnose_topk`]).
-///
-/// # Panics
-///
-/// Panics if `k` is zero, on signature dimension mismatch, or if a
-/// worker panics.
-pub fn diagnose_batch_topk_with<B>(
-    diagnoser: &Diagnoser,
-    backend: &B,
-    observed: &[Signature],
-    k: usize,
-    workers: Option<usize>,
-) -> Vec<Diagnosis>
-where
-    B: SegmentQuery + Sync + ?Sized,
-{
-    fan_out(observed, workers, |sig| {
-        diagnoser.diagnose_topk(backend, sig, k)
-    })
-}
-
-/// Runs `diagnose` over `observed` on up to `workers` scoped threads
-/// (`None`: the machine's available parallelism), one contiguous chunk
-/// each, and returns the results in input order.
-fn fan_out<F>(observed: &[Signature], workers: Option<usize>, diagnose: F) -> Vec<Diagnosis>
-where
-    F: Fn(&Signature) -> Diagnosis + Sync,
-{
-    let n = observed.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n);
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<Option<Diagnosis>> = vec![None; n];
-    let diagnose = &diagnose;
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in observed.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (sig, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(diagnose(sig));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|d| d.expect("every batch slot is filled by exactly one worker"))
-        .collect()
-}
-
 /// Engine configuration. Ranking depth is not configured:
-/// [`DiagnosisEngine::diagnose`] and [`DiagnosisEngine::diagnose_batch`]
-/// rank in full, and served requests take the top-1 prefix
-/// ([`crate::store::diagnose_on`]).
+/// [`DiagnosisEngine::diagnose`] ranks in full, and served requests
+/// take the top-1 prefix ([`crate::store::diagnose_on`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineConfig {
     /// Diagnosis configuration (ambiguity ratio).
     pub diagnoser: DiagnoserConfig,
-    /// Worker threads for batched queries; `None` uses the machine's
-    /// available parallelism.
-    pub workers: Option<usize>,
 }
 
 /// Where an engine's bank came from, and how much of it is decoded.
@@ -132,7 +47,7 @@ enum BankSource {
     Mapped(MappedBank),
 }
 
-/// A persistent, indexed, batched diagnosis engine over one bank.
+/// A persistent, indexed diagnosis engine over one bank.
 #[derive(Debug)]
 pub struct DiagnosisEngine {
     source: BankSource,
@@ -322,40 +237,6 @@ impl DiagnosisEngine {
         });
         self.diagnoser.diagnose(observed)
     }
-
-    /// Diagnoses a batch of observed signatures concurrently, returning
-    /// full rankings ([`DiagnosisEngine::diagnose`]) in input order —
-    /// the single-bank reference `ftd diagnose --requests` prints.
-    ///
-    /// # Panics
-    ///
-    /// Panics on signature dimension mismatch or if a worker panics.
-    pub fn diagnose_batch(&self, observed: &[Signature]) -> Vec<Diagnosis> {
-        self.batch(observed, true)
-    }
-
-    /// [`DiagnosisEngine::diagnose_batch`] over the linear path — kept
-    /// for benchmarking the index's win under identical threading.
-    ///
-    /// # Panics
-    ///
-    /// As [`DiagnosisEngine::diagnose_batch`].
-    pub fn diagnose_batch_linear(&self, observed: &[Signature]) -> Vec<Diagnosis> {
-        self.batch(observed, false)
-    }
-
-    fn batch(&self, observed: &[Signature], indexed: bool) -> Vec<Diagnosis> {
-        if indexed {
-            diagnose_batch_with(&self.diagnoser, &self.index, observed, self.config.workers)
-        } else {
-            diagnose_batch_with(
-                &self.diagnoser,
-                &ft_core::LinearScan,
-                observed,
-                self.config.workers,
-            )
-        }
-    }
 }
 
 #[cfg(test)]
@@ -368,7 +249,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn rc_engine(workers: Option<usize>) -> DiagnosisEngine {
+    fn rc_engine() -> DiagnosisEngine {
         let mut ckt = ft_circuit::Circuit::new("rc");
         ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
         ckt.resistor("R1", "in", "out", 1e3).unwrap();
@@ -384,18 +265,12 @@ mod tests {
         )
         .unwrap();
         let bank = TrajectoryBank::build(dict, &TestVector::pair(100.0, 1e4));
-        DiagnosisEngine::new(
-            bank,
-            EngineConfig {
-                workers,
-                ..EngineConfig::default()
-            },
-        )
+        DiagnosisEngine::new(bank, EngineConfig::default())
     }
 
     #[test]
     fn indexed_and_linear_paths_agree() {
-        let engine = rc_engine(Some(2));
+        let engine = rc_engine();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let sig = Signature::new(vec![rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0)]);
@@ -404,35 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_input_order() {
-        let engine = rc_engine(Some(3));
-        let mut rng = StdRng::seed_from_u64(6);
-        let sigs: Vec<Signature> = (0..23)
-            .map(|_| Signature::new(vec![rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0)]))
-            .collect();
-        let batched = engine.diagnose_batch(&sigs);
-        assert_eq!(batched.len(), sigs.len());
-        for (sig, got) in sigs.iter().zip(&batched) {
-            assert_eq!(&engine.diagnose(sig), got, "order or result drift");
-        }
-        // Linear batch agrees too.
-        assert_eq!(engine.diagnose_batch_linear(&sigs), batched);
-    }
-
-    #[test]
-    fn batch_edge_cases() {
-        let engine = rc_engine(None);
-        assert!(engine.diagnose_batch(&[]).is_empty());
-        let one = vec![Signature::new(vec![1.0, -1.0])];
-        assert_eq!(engine.diagnose_batch(&one).len(), 1);
-        // More workers than work.
-        let engine = rc_engine(Some(64));
-        assert_eq!(engine.diagnose_batch(&one).len(), 1);
-    }
-
-    #[test]
     fn mapped_engine_matches_heap_engine_exactly() {
-        let heap = rc_engine(Some(2));
+        let heap = rc_engine();
         let path = std::env::temp_dir().join("ft_serve_engine_mapped_test.ftb");
         heap.bank().expect("heap engine").save(&path).unwrap();
         let mapped = DiagnosisEngine::load_mapped(&path, heap.config()).unwrap();
@@ -454,7 +302,6 @@ mod tests {
         let sigs: Vec<Signature> = (0..40)
             .map(|_| Signature::new(vec![rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0)]))
             .collect();
-        assert_eq!(mapped.diagnose_batch(&sigs), heap.diagnose_batch(&sigs));
         for sig in &sigs {
             assert_eq!(mapped.diagnose(sig), heap.diagnose(sig));
             assert_eq!(mapped.diagnose_linear(sig), heap.diagnose_linear(sig));
@@ -463,8 +310,8 @@ mod tests {
 
     #[test]
     fn attached_metrics_count_paths_and_preserve_output() {
-        let plain = rc_engine(Some(2));
-        let mut metered = rc_engine(Some(2));
+        let plain = rc_engine();
+        let mut metered = rc_engine();
         let registry = crate::obs::MetricsRegistry::new();
         metered.set_metrics(EngineMetrics::from_registry(&registry));
         let sig = Signature::new(vec![1.0, -2.0]);
@@ -481,18 +328,17 @@ mod tests {
 
     #[test]
     fn topk_engine_keeps_rank1_and_ambiguity_set() {
-        let full = rc_engine(Some(2));
-        let mut topk = rc_engine(Some(2));
+        let full = rc_engine();
+        let mut topk = rc_engine();
         let registry = crate::obs::MetricsRegistry::new();
         topk.set_metrics(EngineMetrics::from_registry(&registry));
         let mut rng = StdRng::seed_from_u64(21);
         let sigs: Vec<Signature> = (0..30)
             .map(|_| Signature::new(vec![rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0)]))
             .collect();
-        let batched_full = full.diagnose_batch(&sigs);
-        let batched_topk =
-            diagnose_batch_topk_with(&topk.diagnoser, topk.index(), &sigs, 1, topk.config.workers);
-        for ((sig, f), t) in sigs.iter().zip(&batched_full).zip(&batched_topk) {
+        for sig in &sigs {
+            let f = full.diagnose(sig);
+            let t = topk.diagnose_topk(sig, 1);
             assert_eq!(f.best(), t.best(), "rank-1 drift at {sig}");
             assert_eq!(f.ambiguity_set(), t.ambiguity_set());
             assert_eq!(
@@ -500,9 +346,8 @@ mod tests {
                 &f.candidates()[..t.candidates().len()],
                 "top-k is not a prefix at {sig}"
             );
-            // Single-query path agrees with the batch.
-            assert_eq!(&topk.diagnose_topk(sig, 1), t);
-            assert_eq!(&full.diagnose_topk(sig, 1), t);
+            // Metrics never change an answer.
+            assert_eq!(full.diagnose_topk(sig, 1), t);
         }
         // The index counters flowed through EngineMetrics.
         let snap = registry.snapshot();
@@ -512,28 +357,11 @@ mod tests {
                 .unwrap()
                 > 0
         );
-        // Only the single-query loop above counts here: batch accounting
-        // lives in the pool layer, matching the full-ranking path.
+        // One count per top-1 call on the metered engine.
         assert_eq!(
             snap.counter("engine_diagnose_indexed_total"),
             Some(sigs.len() as u64)
         );
-    }
-
-    #[test]
-    fn batch_topk_helper_matches_single_calls() {
-        let engine = rc_engine(Some(3));
-        let mut rng = StdRng::seed_from_u64(22);
-        let sigs: Vec<Signature> = (0..17)
-            .map(|_| Signature::new(vec![rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0)]))
-            .collect();
-        let diagnoser = Diagnoser::new(engine.trajectory_set().clone(), engine.config().diagnoser);
-        let batched = diagnose_batch_topk_with(&diagnoser, engine.index(), &sigs, 2, Some(3));
-        assert_eq!(batched.len(), sigs.len());
-        for (sig, got) in sigs.iter().zip(&batched) {
-            assert_eq!(&engine.diagnose_topk(sig, 2), got);
-        }
-        assert!(diagnose_batch_topk_with(&diagnoser, engine.index(), &[], 2, None).is_empty());
     }
 
     #[test]

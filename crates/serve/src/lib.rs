@@ -17,20 +17,22 @@
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests and a top-k early-termination
 //!   query path — all **bit-identical** to the linear scan.
-//! * [`DiagnosisEngine`] — single and batched full-ranking diagnosis
-//!   over a shared loaded bank, fanning batches out over
-//!   `std::thread::scope` workers in input order: the reference that
-//!   served answers are checked against.
+//! * [`DiagnosisEngine`] — one loaded bank behind its index, answering
+//!   one signature per call: the full ranking through the index
+//!   ([`DiagnosisEngine::diagnose`]), the served top-1 prefix, or the
+//!   exhaustive linear scan ([`DiagnosisEngine::diagnose_linear`]), the
+//!   reference that served answers are checked against.
 //! * [`BankStore`] — multi-circuit sharding: many banks keyed by CUT
 //!   id, loaded lazily from `<dir>/<cut-id>.ftb`, each request routed to
 //!   its shard's index and answered by the top-1 early-exit search
 //!   ([`diagnose_on`]): the full ranking's prefix through the winner's
 //!   ambiguity set, so its verdict, ambiguity set and response line are
 //!   the full ranking's.
-//! * [`ServeHandle`] — the persistent serving front-end: long-lived
-//!   worker threads over an mpsc queue with input-order reassembly, so
-//!   sustained traffic pays no per-batch thread spawn and batches
-//!   pipeline; answers are byte-identical at every worker count.
+//! * [`ServeHandle`] — the persistent serving front-end and the one
+//!   concurrent executor: long-lived worker threads over an mpsc queue
+//!   with input-order reassembly, so sustained traffic pays no
+//!   per-batch thread spawn and batches pipeline; answers are
+//!   byte-identical at every worker count.
 //! * [`MetricsRegistry`] ([`obs`]) — hand-rolled serving observability:
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
 //!   over the engine, store, and pool, snapshotted as the Prometheus
@@ -112,7 +114,7 @@ pub use codec::{
     SectionEntry, SectionTable, BANK_MAGIC, BANK_VERSION, SECTION_DICTIONARY, SECTION_MULTIFAULT,
     SECTION_TRAJECTORIES,
 };
-pub use engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
+pub use engine::{DiagnosisEngine, EngineConfig};
 pub use index::{IndexCounters, QueryStats, SegmentIndex};
 pub use net::{
     connect_retry, fetch_stats, install_signal_drain, response_line, run_loadgen, FrameError,

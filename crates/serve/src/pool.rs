@@ -1,24 +1,26 @@
 //! The persistent serving front-end: a long-lived worker pool over a
-//! shared [`BankStore`].
+//! shared [`BankStore`], and the crate's one concurrent executor. Stdin
+//! `ftd serve`, [`crate::NetServer`] and `perfbench` all serve through
+//! it.
 //!
-//! [`DiagnosisEngine::diagnose_batch`] spins `std::thread::scope`
-//! workers up per call — fine for one-shot batches, wasteful under
-//! sustained traffic, where thread spawn/join costs recur on every
-//! batch and batches cannot overlap. [`ServeHandle`] replaces that with
-//! serving-process machinery: worker threads spawned **once**, fed from
-//! an mpsc request queue, their results reassembled into input order per
-//! batch. Batches pipeline — a new batch can be submitted while earlier
-//! ones are still in flight, and workers drain the queue continuously.
+//! [`ServeHandle`] spawns its worker threads **once**, feeds them from
+//! an mpsc request queue and reassembles their results into input order
+//! per batch, so sustained traffic pays no per-batch thread spawn.
+//! Batches pipeline — a new batch can be submitted while earlier ones
+//! are still in flight, and workers drain the queue continuously.
 //!
 //! Each request is answered by the call behind every served answer,
 //! [`diagnose_on`] (the index's top-1 early-exit search), so a result
 //! is a pure function of (bank, signature): **byte-identical** at every
 //! worker count — scheduling affects only timing, never values or
 //! order. It is the full ranking's prefix through the winner's
-//! ambiguity set, not the full ranking the scoped batch returns; its
-//! rank 1, ambiguity set and rendered line equal the scoped batch's.
+//! ambiguity set, not the full ranking; its rank 1, ambiguity set and
+//! rendered line equal the linear scan's
+//! ([`DiagnosisEngine::diagnose_linear`]), which `ftd diagnose
+//! --requests` prints. [`BankStore::diagnose_batch`] answers a batch
+//! sequentially and is the pool's reference in the tests.
 //!
-//! [`DiagnosisEngine::diagnose_batch`]: crate::DiagnosisEngine::diagnose_batch
+//! [`DiagnosisEngine::diagnose_linear`]: crate::DiagnosisEngine::diagnose_linear
 //! [`diagnose_on`]: crate::store::diagnose_on
 
 use std::collections::VecDeque;
