@@ -509,7 +509,8 @@ impl BankStore {
     }
 
     /// Every CUT id this store can serve: resident shards plus `*.ftb`
-    /// files in the shard directory, sorted and deduplicated.
+    /// regular files in the shard directory (the rule a first load
+    /// applies), sorted and deduplicated.
     pub fn cut_ids(&self) -> Vec<String> {
         let mut ids: Vec<String> = self
             .lock_shards()
@@ -522,7 +523,9 @@ impl BankStore {
             if let Ok(entries) = std::fs::read_dir(dir) {
                 for entry in entries.flatten() {
                     let path = entry.path();
-                    if path.extension().is_some_and(|e| e == "ftb") {
+                    if path.extension().is_some_and(|e| e == "ftb")
+                        && std::fs::metadata(&path).is_ok_and(|meta| meta.is_file())
+                    {
                         if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
                             if valid_cut_id(stem) {
                                 ids.push(stem.to_string());
@@ -1064,8 +1067,10 @@ mod tests {
             store.diagnose(&DiagnosisRequest::new("nope", sig.clone())),
             Err(StoreError::UnknownCut(_))
         ));
-        // A directory named like a shard is not one.
+        // A directory named like a shard is not one: neither listed nor
+        // routed.
         std::fs::create_dir_all(dir.join("sub.ftb")).unwrap();
+        assert_eq!(store.cut_ids(), vec!["x".to_string()]);
         assert!(matches!(
             store.diagnose(&DiagnosisRequest::new("sub", sig.clone())),
             Err(StoreError::UnknownCut(_))
