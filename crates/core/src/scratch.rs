@@ -38,7 +38,7 @@ pub fn scratch_pool_stats() -> (u64, u64) {
 
 /// An RAII guard over a pooled `Vec<f64>`. Derefs to the vector;
 /// dropping it returns the buffer to this thread's free list (up to
-/// [`MAX_POOLED`] retained buffers).
+/// `MAX_POOLED` retained buffers).
 #[derive(Debug)]
 pub struct DbScratch {
     buf: Vec<f64>,

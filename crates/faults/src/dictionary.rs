@@ -5,7 +5,7 @@
 //! response (dB) is computed on a frequency grid and stored together with
 //! the golden response. Construction parallelises across faults with std
 //! scoped threads. Each worker owns one
-//! [`AcSweepEngine`](ft_circuit::AcSweepEngine) and drives its rank-1
+//! [`AcSweepEngine`] and drives its rank-1
 //! batch fault sweep: per grid point the nominal system is factored
 //! once, each distinct component costs one extra solve, and every
 //! deviation of it is answered in O(1) by a Sherman–Morrison update —

@@ -24,7 +24,7 @@
 //! lower corners of *all* nodes form one contiguous `f64` run, then the
 //! upper corners — so testing the up-to-8 children of a node against
 //! the query reads `2 × dim` short contiguous chunks instead of chasing
-//! pointers. [`SegmentIndex::child_box_dist2`] computes all eight lanes
+//! pointers. `SegmentIndex::child_box_dist2` computes all eight lanes
 //! branchlessly in a shape the autovectorizer lowers to SIMD (and an
 //! explicit SSE2 `core::arch` path is used on x86_64; a unit test pins
 //! it to the scalar reference). Internal-node boxes are built bottom-up
@@ -38,8 +38,10 @@
 //! subtrees prune at the highest possible level. Results are
 //! nonetheless **bit-identical** to the linear scan:
 //!
-//! * distances come from the same [`point_segment_distance`] calls on
-//!   the same coordinates;
+//! * distances come from [`point_segment_distance2`] on the same
+//!   coordinates, whose square root is bit-identical to the linear
+//!   scan's
+//!   [`point_segment_distance`](ft_core::geometry::point_segment_distance);
 //! * the running best carries the segment index it came from, and a
 //!   later segment replaces it only with a strictly smaller distance or
 //!   an equal distance at a smaller index — the same winner the
@@ -62,7 +64,7 @@
 //! distance but tightly enough to discard most of the frontier. A
 //! trajectory's running best becomes *settled* — provably exact and
 //! provably ahead of every unsettled trajectory — as soon as it drops
-//! below the frontier bound minus [`prune_slack`]; settled trajectories drain
+//! below the frontier bound minus `prune_slack`; settled trajectories drain
 //! into the ranking in `(distance, trajectory index)` order, which is
 //! exactly the order [`Diagnosis`] ranks a full scan. The search stops
 //! once `k` trajectories are ranked **and** the winner's whole

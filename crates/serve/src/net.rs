@@ -227,8 +227,8 @@ fn clip_text(text: &str, max: usize) -> Cow<'_, str> {
 }
 
 /// Encodes a response frame: status byte (0 ok, 1 error) + the serve
-/// output line (clipped via [`clip_text`] in the pathological case of
-/// a line that would overflow the frame cap). The payload is laid out
+/// output line (clipped, with a truncation mark, in the pathological
+/// case of a line that would overflow the frame cap). The payload is laid out
 /// as [`Encoder::put_u8`] + [`Encoder::put_str`] would, straight into
 /// the frame buffer.
 pub fn encode_response(line: &str, is_error: bool) -> Vec<u8> {
@@ -258,7 +258,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(bool, String), FrameError> {
 
 /// Encodes a single-string frame ([`FRAME_STATS`] or [`FRAME_ERROR`]).
 /// Oversized text — a Prometheus snapshot can outgrow the wire cap —
-/// is clipped via [`clip_text`] instead of panicking.
+/// is clipped, with a truncation mark, instead of panicking.
 pub fn encode_text_frame(kind: u16, text: &str) -> Vec<u8> {
     let mut enc = Encoder::new();
     // Payload overhead: the 4-byte string length prefix.
