@@ -1,6 +1,8 @@
 //! Property-based tests for the serving layer: bank codec round-trips,
 //! corruption detection, indexed-vs-linear diagnosis agreement, and
-//! served (top-1) response lines against the full ranking's.
+//! served (top-1) response lines against the full ranking's — including
+//! at the hard probes: far from every trajectory, and exactly
+//! equidistant from two.
 
 use fault_trajectory::core::{FaultTrajectory, TrajectorySet};
 use fault_trajectory::prelude::*;
@@ -75,6 +77,45 @@ fn anchored_at_origin(set: &TrajectorySet) -> TrajectorySet {
         })
         .collect();
     TrajectorySet::new(set.test_vector().clone(), trajectories)
+}
+
+/// `set` plus a mirror image, across the plane where coordinate 0 is
+/// zero, of the trajectory nearest to `probe`, which lies on that plane.
+/// Negation is exact, so the twin's distance to `probe` equals the
+/// original's bit for bit: the two tie at rank 1, and the first-wins
+/// rule ranks the original (the lower index) first.
+fn with_mirrored_nearest(set: &TrajectorySet, probe: &Signature) -> TrajectorySet {
+    assert_eq!(probe.coords()[0], 0.0, "the probe lies on the mirror plane");
+    let dists = LinearScan.best_per_trajectory(set, probe);
+    let ti = (0..dists.len()).fold(0, |b, i| if dists[i].0 < dists[b].0 { i } else { b });
+    let t = &set.trajectories()[ti];
+    let points = t
+        .points()
+        .iter()
+        .map(|p| {
+            let mut c = p.coords().to_vec();
+            c[0] = -c[0];
+            Signature::new(c)
+        })
+        .collect();
+    let mut trajectories = set.trajectories().to_vec();
+    trajectories.push(FaultTrajectory::new(
+        format!("{}'", t.component()),
+        t.deviations_pct().to_vec(),
+        points,
+    ));
+    let twinned = TrajectorySet::new(set.test_vector().clone(), trajectories);
+    let tied = LinearScan.best_per_trajectory(&twinned, probe);
+    assert_eq!(tied[ti], tied[set.len()], "the twin ties bit for bit");
+    twinned
+}
+
+/// A point `1e3` from the origin in a random direction: far from every
+/// trajectory, so no trajectory is found first.
+fn far_probe(rng: &mut StdRng, dim: usize) -> Signature {
+    let v: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-9);
+    Signature::new(v.iter().map(|x| x / norm * 1e3).collect::<Vec<f64>>())
 }
 
 /// Builds a small but structurally varied bank from a seed: random
@@ -180,10 +221,12 @@ proptest! {
 
     /// The spatial index agrees with the exhaustive linear scan — same
     /// distances, same deviations, same ranking — on random signatures
-    /// against random synthetic banks. These banks' trajectories hold
-    /// at most a dozen segments, so the four index properties draw leaf
-    /// sizes of 1–16: at the default (16) each trajectory would be one
-    /// leaf and the search would never prune.
+    /// against random synthetic banks, at a point far from every
+    /// trajectory, and on the axis `x = 0` once the nearest trajectory
+    /// there has a mirror twin that ties it. These banks' trajectories
+    /// hold at most a dozen segments, so the four index properties draw
+    /// leaf sizes of 1–16: at the default (16) each trajectory would be
+    /// one leaf and the search would never prune.
     #[test]
     fn indexed_diagnosis_matches_linear(
         seed in 0i64..1_000_000,
@@ -193,16 +236,22 @@ proptest! {
         x in -9.0f64..9.0, y in -9.0f64..9.0
     ) {
         let set = synthetic_trajectory_set(components, points, 2, seed as u64);
-        let index = SegmentIndex::with_leaf_size(&set, leaf);
-        let diagnoser = Diagnoser::new(set, DiagnoserConfig::default());
-        let sig = Signature::new(vec![x, y]);
-        let linear = diagnoser.diagnose(&sig);
-        let indexed = diagnoser.diagnose_with(&index, &sig);
-        prop_assert!(
-            linear == indexed,
-            "divergence at ({x}, {y}) for seed {seed}: {:?} vs {:?}",
-            linear.best(), indexed.best()
-        );
+        let on_axis = Signature::new(vec![0.0, y]);
+        let twinned = with_mirrored_nearest(&set, &on_axis);
+        let far = far_probe(&mut StdRng::seed_from_u64(seed as u64), 2);
+        for (set, probes) in [(set, vec![Signature::new(vec![x, y]), far]), (twinned, vec![on_axis])] {
+            let index = SegmentIndex::with_leaf_size(&set, leaf);
+            let diagnoser = Diagnoser::new(set, DiagnoserConfig::default());
+            for sig in &probes {
+                let linear = diagnoser.diagnose(sig);
+                let indexed = diagnoser.diagnose_with(&index, sig);
+                prop_assert!(
+                    linear == indexed,
+                    "divergence at {sig} for seed {seed}: {:?} vs {:?}",
+                    linear.best(), indexed.best()
+                );
+            }
+        }
     }
 
     /// The flat index stays bit-identical to the linear scan on ragged
@@ -272,9 +321,12 @@ proptest! {
     /// A served answer — the index's top-1 early-exit search — renders
     /// the same response line as the linear full ranking, on ragged
     /// banks with ties and zero-length segments: at random signatures,
-    /// at an exact trajectory vertex, and at the origin. On the bank
-    /// anchored at the origin, every distance there is 0, so the whole
-    /// set is ambiguous and the search cannot exit early.
+    /// at an exact trajectory vertex, at the origin, far from every
+    /// trajectory, and on the plane `x0 = 0`. On the bank anchored at
+    /// the origin, every distance there is 0, so the whole set is
+    /// ambiguous and the search cannot exit early. On the plane, a third
+    /// bank adds a mirror twin of the nearest trajectory, so the two tie
+    /// at rank 1 and the first-wins rule picks the served winner.
     #[test]
     fn served_top1_line_matches_the_full_ranking(
         seed in 0i64..1_000_000,
@@ -285,11 +337,20 @@ proptest! {
         let raw = jagged_set_from_seed(seed as u64, components, dim);
         let anchored = anchored_at_origin(&raw);
         let mut rng = StdRng::seed_from_u64(seed as u64 ^ 0x7e57_0001);
-        for (set, is_anchored) in [(raw, false), (anchored, true)] {
+        let mut on_plane: Vec<f64> = (0..dim).map(|_| rng.gen_range(-12.0..12.0)).collect();
+        on_plane[0] = 0.0;
+        let on_plane = Signature::new(on_plane);
+        let twinned = with_mirrored_nearest(&raw, &on_plane);
+        for (set, is_anchored) in [(raw, false), (anchored, true), (twinned, false)] {
             let index = SegmentIndex::with_leaf_size(&set, leaf);
             let on = set.view(rng.gen_range(0..set.len()));
             let vertex = on.point(rng.gen_range(0..on.point_count())).to_vec();
-            let mut probes = vec![Signature::new(vec![0.0; dim]), Signature::new(vertex)];
+            let mut probes = vec![
+                Signature::new(vec![0.0; dim]),
+                Signature::new(vertex),
+                far_probe(&mut rng, dim),
+                on_plane.clone(),
+            ];
             for _ in 0..6 {
                 probes.push(Signature::new(
                     (0..dim).map(|_| rng.gen_range(-12.0..12.0)).collect::<Vec<f64>>(),
