@@ -1572,10 +1572,6 @@ mod tests {
             ]),
             2
         );
-    }
-
-    #[test]
-    fn deleted_executor_flags_are_unknown() {
         // `diagnose` ranks each signature with the linear scan and the
         // bench times one query at a time, so no flag picks a path or a
         // thread count. A missing bank alone exits 1 and the bench
