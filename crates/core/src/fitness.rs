@@ -139,7 +139,8 @@ pub fn count_intersections(set: &TrajectorySet, opts: &GeometryOptions) -> usize
 
 /// Per-pair minimum separations between trajectories (one entry per
 /// unordered pair of distinct trajectories), clipped against the origin
-/// ball. A coincident pair reports ~0; well-separated pairs report their
+/// ball. A coincident pair reports ~0, and so does a pair in which one
+/// trajectory never leaves the ball; well-separated pairs report their
 /// closest approach in dB.
 pub fn pairwise_separations(set: &TrajectorySet, opts: &GeometryOptions) -> Vec<f64> {
     let trajectories = set.trajectories();
@@ -168,39 +169,12 @@ pub fn pairwise_separations(set: &TrajectorySet, opts: &GeometryOptions) -> Vec<
     out
 }
 
-/// Minimum distance between (origin-clipped) segments of different
-/// trajectories: 0 when any pair intersects, large when trajectories are
-/// well separated.
+/// The least of [`pairwise_separations`]: 0 when any pair intersects or
+/// any trajectory never leaves the origin ball (and for fewer than two
+/// trajectories), large when trajectories are well separated.
 pub fn min_separation(set: &TrajectorySet, opts: &GeometryOptions) -> f64 {
-    let trajectories = set.trajectories();
-    let mut best = f64::INFINITY;
-    for i in 0..trajectories.len() {
-        for j in (i + 1)..trajectories.len() {
-            for (_, a0, _, a1) in trajectories[i].segments() {
-                let Some((ca0, ca1)) =
-                    clip_segment_outside_ball(a0.coords(), a1.coords(), opts.origin_exclusion)
-                else {
-                    continue;
-                };
-                for (_, b0, _, b1) in trajectories[j].segments() {
-                    let Some((cb0, cb1)) =
-                        clip_segment_outside_ball(b0.coords(), b1.coords(), opts.origin_exclusion)
-                    else {
-                        continue;
-                    };
-                    let d = segment_segment_distance(&ca0, &ca1, &cb0, &cb1);
-                    if d < best {
-                        best = d;
-                    }
-                }
-            }
-        }
-    }
-    if best.is_finite() {
-        best
-    } else {
-        0.0
-    }
+    let seps = pairwise_separations(set, opts);
+    seps.into_iter().reduce(f64::min).unwrap_or(0.0)
 }
 
 /// The fitness formulation used to score a test vector.
@@ -273,25 +247,27 @@ mod tests {
         Signature::new(vec![x, y])
     }
 
+    /// A straight trajectory through the origin along `(dx, dy)`.
+    fn line(name: &str, (dx, dy): (f64, f64)) -> FaultTrajectory {
+        FaultTrajectory::new(
+            name,
+            vec![-20.0, -10.0, 0.0, 10.0, 20.0],
+            vec![
+                sig(-2.0 * dx, -2.0 * dy),
+                sig(-dx, -dy),
+                sig(0.0, 0.0),
+                sig(dx, dy),
+                sig(2.0 * dx, 2.0 * dy),
+            ],
+        )
+    }
+
     /// Two straight trajectories through the origin along given
     /// directions.
     fn line_set(dir_a: (f64, f64), dir_b: (f64, f64)) -> TrajectorySet {
-        let mk = |(dx, dy): (f64, f64), name: &str| {
-            FaultTrajectory::new(
-                name,
-                vec![-20.0, -10.0, 0.0, 10.0, 20.0],
-                vec![
-                    sig(-2.0 * dx, -2.0 * dy),
-                    sig(-dx, -dy),
-                    sig(0.0, 0.0),
-                    sig(dx, dy),
-                    sig(2.0 * dx, 2.0 * dy),
-                ],
-            )
-        };
         TrajectorySet::new(
             TestVector::pair(1.0, 2.0),
-            vec![mk(dir_a, "A"), mk(dir_b, "B")],
+            vec![line("A", dir_a), line("B", dir_b)],
         )
     }
 
@@ -379,6 +355,19 @@ mod tests {
         let set = line_set((1.0, 0.0), (1.0, 0.05));
         let m2 = min_separation(&set, &opts);
         assert!(m2 > 0.0 && m2 < m, "near-parallel {m2} vs orthogonal {m}");
+    }
+
+    #[test]
+    fn min_separation_is_zero_with_an_unobservable_trajectory() {
+        // `C` never leaves the origin ball: indistinguishable from anything.
+        let opts = GeometryOptions::default();
+        let c = vec![sig(-0.1, 0.1), sig(0.0, 0.0), sig(0.1, -0.1)];
+        let c = FaultTrajectory::new("C", vec![-10.0, 0.0, 10.0], c);
+        let lines = vec![line("A", (1.0, 0.0)), line("B", (0.0, 1.0)), c];
+        let set = TrajectorySet::new(TestVector::pair(1.0, 2.0), lines);
+        let seps = pairwise_separations(&set, &opts);
+        assert!(seps[0] > 0.0 && seps[1..] == [0.0, 0.0], "{seps:?}");
+        assert_eq!(min_separation(&set, &opts), 0.0);
     }
 
     #[test]
