@@ -127,13 +127,13 @@ pub fn fig3_trajectories_with(setup: &PaperSetup, tv: &TestVector) -> Table {
         format!("Figure 3 (left) — fault trajectories at {tv}"),
         &["component", "deviation_pct", "X_dB", "Y_dB"],
     );
-    for t in set.trajectories() {
+    for t in set.views() {
         for (dev, point) in t.deviations_pct().iter().zip(t.points()) {
             table.push_row(vec![
                 t.component().to_string(),
                 num(*dev, 0),
-                num(point.coords()[0], 4),
-                num(point.coords()[1], 4),
+                num(point[0], 4),
+                num(point[1], 4),
             ]);
         }
     }

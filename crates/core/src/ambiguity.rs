@@ -8,9 +8,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::fitness::{clip_segment_outside_ball, GeometryOptions};
-use crate::geometry::segment_segment_distance;
-use crate::trajectory::TrajectorySet;
+use crate::fitness::{clip_outside_ball, closest_approach, GeometryOptions};
+use crate::geometry::norm;
+use crate::trajectory::{TrajectorySet, TrajectoryView};
 
 /// Partition of the fault set into groups indistinguishable at a test
 /// vector.
@@ -99,33 +99,16 @@ pub fn pair_separation(
     b: &str,
     opts: &GeometryOptions,
 ) -> Option<f64> {
-    let ta = set.trajectory_of(a)?;
-    let tb = set.trajectory_of(b)?;
-    let reach = |t: &crate::trajectory::FaultTrajectory| {
-        t.points()
-            .iter()
-            .map(crate::signature::Signature::norm)
-            .fold(0.0f64, f64::max)
-    };
+    let find = |name: &str| set.views().find(|t| t.component() == name);
+    let (ta, tb) = (find(a)?, find(b)?);
+    let reach = |t: TrajectoryView<'_>| t.points().map(norm).fold(0.0f64, f64::max);
     let radius = opts.origin_exclusion.min(0.5 * reach(ta).min(reach(tb)));
     if radius <= 0.0 {
         // At least one trajectory never leaves the origin: unobservable.
         return Some(0.0);
     }
-    let mut best = f64::INFINITY;
-    for (_, a0, _, a1) in ta.segments() {
-        let Some((ca0, ca1)) = clip_segment_outside_ball(a0.coords(), a1.coords(), radius) else {
-            continue;
-        };
-        for (_, b0, _, b1) in tb.segments() {
-            let Some((cb0, cb1)) = clip_segment_outside_ball(b0.coords(), b1.coords(), radius)
-            else {
-                continue;
-            };
-            best = best.min(segment_segment_distance(&ca0, &ca1, &cb0, &cb1));
-        }
-    }
-    Some(if best.is_finite() { best } else { 0.0 })
+    let clipped = clip_outside_ball([ta, tb], radius);
+    Some(closest_approach(&clipped[0], &clipped[1]))
 }
 
 /// Computes ambiguity groups: components whose pairwise trajectory
@@ -135,11 +118,7 @@ pub fn ambiguity_groups(
     threshold: f64,
     opts: &GeometryOptions,
 ) -> AmbiguityGroups {
-    let names: Vec<String> = set
-        .trajectories()
-        .iter()
-        .map(|t| t.component().to_string())
-        .collect();
+    let names: Vec<&str> = set.views().map(|t| t.component()).collect();
     let n = names.len();
     let mut parent: Vec<usize> = (0..n).collect();
 
@@ -167,7 +146,7 @@ pub fn ambiguity_groups(
         std::collections::HashMap::new();
     for (i, name) in names.iter().enumerate() {
         let root = find(&mut parent, i);
-        by_root.entry(root).or_default().push(name.clone());
+        by_root.entry(root).or_default().push(name.to_string());
     }
     let mut groups: Vec<Vec<String>> = by_root.into_values().collect();
     for g in &mut groups {

@@ -22,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{norm, segment_segment_distance, segments_intersect_2d};
-use crate::trajectory::TrajectorySet;
+use crate::trajectory::{TrajectorySet, TrajectoryView};
 
 /// Geometric tolerances for trajectory analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,30 +92,55 @@ pub fn clip_segment_outside_ball(p0: &[f64], p1: &[f64], r: f64) -> Option<(Vec<
     }
 }
 
+/// A segment's part outside the origin ball, as its two endpoints.
+pub(crate) type ClippedSegment = (Vec<f64>, Vec<f64>);
+
+/// Each trajectory's segments clipped, once, against the origin ball of
+/// radius `r`. Segments wholly inside the ball are dropped, so an empty
+/// entry is a trajectory that never leaves the ball.
+pub(crate) fn clip_outside_ball<'a>(
+    trajectories: impl IntoIterator<Item = TrajectoryView<'a>>,
+    r: f64,
+) -> Vec<Vec<ClippedSegment>> {
+    let clip = |t: TrajectoryView<'a>| {
+        t.segments()
+            .filter_map(|(_, p0, _, p1)| clip_segment_outside_ball(p0, p1, r))
+            .collect()
+    };
+    trajectories.into_iter().map(clip).collect()
+}
+
+/// Closest approach of two clipped trajectories: the least distance
+/// between their segments. A trajectory with no segment outside the
+/// ball is unobservable, indistinguishable from anything: 0.
+pub(crate) fn closest_approach(a: &[ClippedSegment], b: &[ClippedSegment]) -> f64 {
+    let mut best = f64::INFINITY;
+    for (a0, a1) in a {
+        for (b0, b1) in b {
+            best = best.min(segment_segment_distance(a0, a1, b0, b1));
+        }
+    }
+    if best.is_finite() {
+        best
+    } else {
+        0.0
+    }
+}
+
 /// Counts intersections *and common pathways* between segments of
 /// different trajectories, with origin-ball clipping (the paper's `I`).
 ///
 /// A segment pair contributes when it properly crosses or when the two
 /// segments run within [`GeometryOptions::pathway_eps`] of each other.
 pub fn count_intersections(set: &TrajectorySet, opts: &GeometryOptions) -> usize {
-    let trajectories = set.trajectories();
+    let clipped = clip_outside_ball(set.views(), opts.origin_exclusion);
     let mut count = 0;
-    for i in 0..trajectories.len() {
-        for j in (i + 1)..trajectories.len() {
-            for (_, a0, _, a1) in trajectories[i].segments() {
-                let Some((ca0, ca1)) =
-                    clip_segment_outside_ball(a0.coords(), a1.coords(), opts.origin_exclusion)
-                else {
-                    continue;
-                };
-                for (_, b0, _, b1) in trajectories[j].segments() {
-                    let Some((cb0, cb1)) =
-                        clip_segment_outside_ball(b0.coords(), b1.coords(), opts.origin_exclusion)
-                    else {
-                        continue;
-                    };
+    for (i, a) in clipped.iter().enumerate() {
+        for b in &clipped[i + 1..] {
+            for (ca0, ca1) in a {
+                for (cb0, cb1) in b {
                     // Common pathway: closer than pathway_eps anywhere.
-                    let mut hit = segment_segment_distance(&ca0, &ca1, &cb0, &cb1)
+                    let mut hit = segment_segment_distance(ca0, ca1, cb0, cb1)
                         < opts.pathway_eps.max(opts.eps);
                     // Exact crossing predicate adds robustness in 2-D.
                     if !hit && set.dim() == 2 {
@@ -143,27 +168,11 @@ pub fn count_intersections(set: &TrajectorySet, opts: &GeometryOptions) -> usize
 /// trajectory never leaves the ball; well-separated pairs report their
 /// closest approach in dB.
 pub fn pairwise_separations(set: &TrajectorySet, opts: &GeometryOptions) -> Vec<f64> {
-    let trajectories = set.trajectories();
+    let clipped = clip_outside_ball(set.views(), opts.origin_exclusion);
     let mut out = Vec::new();
-    for i in 0..trajectories.len() {
-        for j in (i + 1)..trajectories.len() {
-            let mut best = f64::INFINITY;
-            for (_, a0, _, a1) in trajectories[i].segments() {
-                let Some((ca0, ca1)) =
-                    clip_segment_outside_ball(a0.coords(), a1.coords(), opts.origin_exclusion)
-                else {
-                    continue;
-                };
-                for (_, b0, _, b1) in trajectories[j].segments() {
-                    let Some((cb0, cb1)) =
-                        clip_segment_outside_ball(b0.coords(), b1.coords(), opts.origin_exclusion)
-                    else {
-                        continue;
-                    };
-                    best = best.min(segment_segment_distance(&ca0, &ca1, &cb0, &cb1));
-                }
-            }
-            out.push(if best.is_finite() { best } else { 0.0 });
+    for (i, a) in clipped.iter().enumerate() {
+        for b in &clipped[i + 1..] {
+            out.push(closest_approach(a, b));
         }
     }
     out

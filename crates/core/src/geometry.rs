@@ -246,7 +246,8 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-fn norm_diff(a: &[f64], b: &[f64]) -> f64 {
+/// Euclidean distance between two points.
+pub(crate) fn norm_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).powi(2))

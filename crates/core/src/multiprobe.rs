@@ -195,11 +195,11 @@ impl ProbeBank {
 fn stack_aligned(per_probe: Vec<TrajectorySet>, tv: &TestVector, channels: usize) -> TrajectorySet {
     let first = &per_probe[0];
     let mut stacked = Vec::with_capacity(first.len());
-    for (idx, t0) in first.trajectories().iter().enumerate() {
-        let devs = t0.deviations_pct().to_vec();
+    for (idx, t0) in first.views().enumerate() {
+        let devs = t0.deviations_pct();
         let mut points: Vec<Vec<f64>> = vec![Vec::with_capacity(tv.len() * channels); devs.len()];
         for set in &per_probe {
-            let t = &set.trajectories()[idx];
+            let t = set.view(idx);
             assert_eq!(
                 t.component(),
                 t0.component(),
@@ -207,16 +207,16 @@ fn stack_aligned(per_probe: Vec<TrajectorySet>, tv: &TestVector, channels: usize
             );
             assert_eq!(
                 t.deviations_pct(),
-                devs.as_slice(),
+                devs,
                 "per-probe trajectory stacks disagree on deviations"
             );
-            for (k, p) in t.points().iter().enumerate() {
-                points[k].extend_from_slice(p.coords());
+            for (k, p) in t.points().enumerate() {
+                points[k].extend_from_slice(p);
             }
         }
         stacked.push(FaultTrajectory::new(
-            t0.component().to_string(),
-            devs,
+            t0.component(),
+            devs.to_vec(),
             points.into_iter().map(Signature::new).collect(),
         ));
     }
@@ -229,6 +229,7 @@ mod tests {
     use crate::ambiguity::ambiguity_groups;
     use crate::diagnosis::{Diagnoser, DiagnoserConfig};
     use crate::fitness::GeometryOptions;
+    use crate::geometry::{norm, norm_diff};
     use ft_circuit::tow_thomas_normalized;
     use ft_faults::{DeviationGrid, ParametricFault};
 
@@ -262,9 +263,9 @@ mod tests {
         assert_eq!(set.channels(), 3);
         assert_eq!(set.len(), 7);
         // Origin still the origin.
-        for t in set.trajectories() {
+        for t in set.views() {
             let origin = t.deviations_pct().iter().position(|d| *d == 0.0).unwrap();
-            assert!(t.points()[origin].norm() < 1e-12);
+            assert!(norm(t.point(origin)) < 1e-12);
         }
     }
 
@@ -284,10 +285,10 @@ mod tests {
             .unwrap(),
             &tv,
         );
-        for (s, t) in stacked.trajectories().iter().zip(single.trajectories()) {
-            for (ps, pt) in s.points().iter().zip(t.points()) {
-                assert!((ps.coords()[0] - pt.coords()[0]).abs() < 1e-12);
-                assert!((ps.coords()[1] - pt.coords()[1]).abs() < 1e-12);
+        for (s, t) in stacked.views().zip(single.views()) {
+            for (ps, pt) in s.points().zip(t.points()) {
+                assert!((ps[0] - pt[0]).abs() < 1e-12);
+                assert!((ps[1] - pt[1]).abs() < 1e-12);
             }
         }
     }
@@ -341,10 +342,14 @@ mod tests {
         let exact = bank.trajectories_exact(&bench.circuit, &tv).unwrap();
         assert_eq!(exact.dim(), 6);
         assert_eq!(exact.channels(), 3);
-        for (a, b) in interp.trajectories().iter().zip(exact.trajectories()) {
+        for (a, b) in interp.views().zip(exact.views()) {
             assert_eq!(a.component(), b.component());
-            for (pa, pb) in a.points().iter().zip(b.points()) {
-                assert!(pa.distance(pb) < 1e-9, "{}: {pa} vs {pb}", a.component());
+            for (pa, pb) in a.points().zip(b.points()) {
+                assert!(
+                    norm_diff(pa, pb) < 1e-9,
+                    "{}: {pa:?} vs {pb:?}",
+                    a.component()
+                );
             }
         }
     }

@@ -32,7 +32,7 @@ use ft_faults::{FaultDictionary, ParametricFault};
 use ft_numerics::decibel;
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::all_finite;
+use crate::geometry::{all_finite, norm, norm_diff};
 use crate::signature::{signature_from_db, Signature, TestVector, DB_FLOOR};
 
 /// One component's fault trajectory in signature space.
@@ -229,6 +229,11 @@ impl<'a> TrajectoryView<'a> {
         }
     }
 
+    /// Iterator over the coordinates of every point, in deviation order.
+    pub fn points(self) -> impl Iterator<Item = &'a [f64]> {
+        (0..self.point_count()).map(move |i| self.point(i))
+    }
+
     /// Number of piecewise-linear segments.
     #[inline]
     pub fn segment_count(&self) -> usize {
@@ -254,6 +259,36 @@ impl<'a> TrajectoryView<'a> {
     /// Iterator over all segments.
     pub fn segments(self) -> impl Iterator<Item = (f64, &'a [f64], f64, &'a [f64])> {
         (0..self.segment_count()).map(move |i| self.segment(i))
+    }
+
+    /// Total polyline length (a proxy for fault observability: longer
+    /// trajectories are easier to resolve).
+    pub fn length(&self) -> f64 {
+        self.segments()
+            .map(|(_, p0, _, p1)| norm_diff(p0, p1))
+            .sum()
+    }
+
+    /// `true` when the displacement from the origin grows monotonically
+    /// with |deviation| on both branches — the "smooth and monotonic"
+    /// assumption of §2.3.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the deviations hold no 0% point, which
+    /// [`TrajectorySet::validate_deep`] rules out.
+    pub fn is_monotonic(&self) -> bool {
+        let origin_idx = self
+            .deviations_pct
+            .iter()
+            .position(|d| *d == 0.0)
+            .expect("a trajectory holds its 0% origin point");
+        let norms: Vec<f64> = self.points().map(norm).collect();
+        let pos_ok = norms[origin_idx..].windows(2).all(|w| w[1] >= w[0] - 1e-12);
+        let neg_ok = norms[..=origin_idx]
+            .windows(2)
+            .all(|w| w[0] >= w[1] - 1e-12);
+        pos_ok && neg_ok
     }
 }
 

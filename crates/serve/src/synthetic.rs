@@ -139,9 +139,9 @@ mod tests {
         assert_eq!(set.total_segments(), 64 * 16);
         assert!(set.total_segments() >= 1000, "bench-scale bank");
         // Every trajectory passes through the origin.
-        for t in set.trajectories() {
+        for t in set.views() {
             let oi = t.deviations_pct().iter().position(|d| *d == 0.0).unwrap();
-            assert!(t.points()[oi].norm() < 1e-12);
+            assert!(ft_core::geometry::norm(t.point(oi)) < 1e-12);
         }
         // Same seed, same set; different seed, different geometry.
         assert_eq!(set, synthetic_trajectory_set(64, 8, 2, 7));

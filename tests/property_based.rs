@@ -2,7 +2,7 @@
 //! invariants, trajectory geometry, and GA machinery.
 
 use fault_trajectory::core::geometry::{
-    point_segment_distance, segment_segment_distance, segments_intersect_2d, GEOM_EPS,
+    norm, point_segment_distance, segment_segment_distance, segments_intersect_2d, GEOM_EPS,
 };
 use fault_trajectory::numerics::{solve, Complex64, Lu, RMatrix};
 use fault_trajectory::prelude::*;
@@ -258,14 +258,14 @@ proptest! {
         let tv = TestVector::pair(a.min(b), a.max(b));
         let set = trajectories_from_dictionary(&dict, &tv);
         prop_assert_eq!(set.len(), 7);
-        for t in set.trajectories() {
+        for t in set.views() {
             // 9 points, deviations ascending, origin exactly at 0%.
-            prop_assert_eq!(t.points().len(), 9);
+            prop_assert_eq!(t.point_count(), 9);
             let origin_idx = t.deviations_pct().iter().position(|d| *d == 0.0).unwrap();
-            prop_assert!(t.points()[origin_idx].norm() < 1e-12);
+            prop_assert!(norm(t.point(origin_idx)) < 1e-12);
             // Every point finite; total length finite and positive.
             for p in t.points() {
-                prop_assert!(p.coords().iter().all(|x| x.is_finite()));
+                prop_assert!(p.iter().all(|x| x.is_finite()));
             }
             prop_assert!(t.length().is_finite());
             prop_assert!(t.length() > 0.0);
@@ -294,13 +294,13 @@ fn monotonicity_assumption_has_counterexamples_near_resonance() {
     // Benign vector (straddling, away from the peak): all monotonic.
     let benign = TestVector::pair(0.7, 1.8);
     let set = trajectories_from_dictionary(&dict, &benign);
-    assert!(set.trajectories().iter().all(|t| t.is_monotonic()));
+    assert!(set.views().all(|t| t.is_monotonic()));
 
     // Near-resonance vector: at least one trajectory bends back.
     let resonant = TestVector::pair(1.0909, 20.6847);
     let set = trajectories_from_dictionary(&dict, &resonant);
     assert!(
-        set.trajectories().iter().any(|t| !t.is_monotonic()),
+        set.views().any(|t| !t.is_monotonic()),
         "expected a non-monotonic trajectory at {resonant}"
     );
 }

@@ -4,7 +4,7 @@
 //! at the hard probes: far from every trajectory, and exactly
 //! equidistant from two.
 
-use fault_trajectory::core::{FaultTrajectory, TrajectorySet};
+use fault_trajectory::core::{FaultTrajectory, TrajectorySet, TrajectoryView};
 use fault_trajectory::prelude::*;
 use fault_trajectory::serve::{response_line, synthetic_trajectory_set, SegmentIndex};
 use proptest::prelude::*;
@@ -46,34 +46,29 @@ fn jagged_set_from_seed(seed: u64, components: usize, dim: usize) -> TrajectoryS
     )
 }
 
+/// Trajectory `t` as builder input named `name`, each point mapped by
+/// `f`.
+fn rebuilt(t: TrajectoryView<'_>, name: String, f: impl Fn(&[f64]) -> Vec<f64>) -> FaultTrajectory {
+    let points = t.points().map(|p| Signature::new(f(p))).collect();
+    FaultTrajectory::new(name, t.deviations_pct().to_vec(), points)
+}
+
 /// `set` with every trajectory translated so its 0% point sits at the
 /// origin, as the golden circuit anchors every trajectory of a real
 /// bank: at the origin every trajectory is at distance 0.
 fn anchored_at_origin(set: &TrajectorySet) -> TrajectorySet {
     let trajectories = set
-        .trajectories()
-        .iter()
+        .views()
         .map(|t| {
             let zero = t
                 .deviations_pct()
                 .iter()
                 .position(|&d| d == 0.0)
                 .expect("jagged trajectories hold a 0% point");
-            let at = t.points()[zero].coords().to_vec();
-            let points = t
-                .points()
-                .iter()
-                .map(|p| {
-                    Signature::new(
-                        p.coords()
-                            .iter()
-                            .zip(&at)
-                            .map(|(x, o)| x - o)
-                            .collect::<Vec<f64>>(),
-                    )
-                })
-                .collect();
-            FaultTrajectory::new(t.component(), t.deviations_pct().to_vec(), points)
+            let at = t.point(zero);
+            rebuilt(t, t.component().into(), |p| {
+                p.iter().zip(at).map(|(x, o)| x - o).collect()
+            })
         })
         .collect();
     TrajectorySet::new(set.test_vector().clone(), trajectories)
@@ -88,22 +83,16 @@ fn with_mirrored_nearest(set: &TrajectorySet, probe: &Signature) -> TrajectorySe
     assert_eq!(probe.coords()[0], 0.0, "the probe lies on the mirror plane");
     let dists = LinearScan.best_per_trajectory(set, probe);
     let ti = (0..dists.len()).fold(0, |b, i| if dists[i].0 < dists[b].0 { i } else { b });
-    let t = &set.trajectories()[ti];
-    let points = t
-        .points()
-        .iter()
-        .map(|p| {
-            let mut c = p.coords().to_vec();
-            c[0] = -c[0];
-            Signature::new(c)
-        })
+    let mut trajectories: Vec<FaultTrajectory> = set
+        .views()
+        .map(|t| rebuilt(t, t.component().into(), <[f64]>::to_vec))
         .collect();
-    let mut trajectories = set.trajectories().to_vec();
-    trajectories.push(FaultTrajectory::new(
-        format!("{}'", t.component()),
-        t.deviations_pct().to_vec(),
-        points,
-    ));
+    let t = set.view(ti);
+    trajectories.push(rebuilt(t, format!("{}'", t.component()), |p| {
+        let mut c = p.to_vec();
+        c[0] = -c[0];
+        c
+    }));
     let twinned = TrajectorySet::new(set.test_vector().clone(), trajectories);
     let tied = LinearScan.best_per_trajectory(&twinned, probe);
     assert_eq!(tied[ti], tied[set.len()], "the twin ties bit for bit");
