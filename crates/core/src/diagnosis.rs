@@ -138,10 +138,10 @@ pub trait SegmentQuery {
     /// Best `(distance, deviation_pct)` per trajectory, in set order.
     ///
     /// Ties between segments of one trajectory must resolve to the
-    /// lowest segment index (the order [`FaultTrajectory::segments`]
+    /// lowest segment index (the order [`TrajectoryView::segments`]
     /// iterates), so that all backends agree bit-for-bit.
     ///
-    /// [`FaultTrajectory::segments`]: crate::trajectory::FaultTrajectory::segments
+    /// [`TrajectoryView::segments`]: crate::trajectory::TrajectoryView::segments
     fn best_per_trajectory(&self, set: &TrajectorySet, observed: &Signature) -> Vec<(f64, f64)>;
 
     /// The `k` best trajectories (plus however many more the ambiguity
@@ -207,9 +207,8 @@ pub fn topk_prefix_len(ranked: &[(usize, f64, f64)], k: usize, ambiguity_ratio: 
     keep
 }
 
-/// The exhaustive backend: scans every segment of every trajectory,
-/// through borrowed views, so a packed set is never copied into owned
-/// trajectories.
+/// The exhaustive backend: scans every segment of every trajectory
+/// through borrowed views.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearScan;
 

@@ -8,24 +8,17 @@
 //!
 //! ## Storage and views
 //!
-//! A [`TrajectorySet`] hides one of two storages behind the same
-//! accessor surface:
+//! A [`TrajectorySet`] stores its trajectories one way,
+//! [`PackedTrajectories`]: one contiguous deviation run and one
+//! point-major coordinate run, the layout a bank file's trajectory
+//! section stores and its reader decodes into. [`FaultTrajectory`] is
+//! the builders' validated input, which [`TrajectorySet::new`] packs;
+//! bank readers hand their decoded runs to [`TrajectorySet::from_packed`].
 //!
-//! * **owned** — the classic `Vec<FaultTrajectory>` the offline pipeline
-//!   builds, each point its own [`Signature`];
-//! * **packed** — [`PackedTrajectories`]: one contiguous deviation run
-//!   and one point-major coordinate run, the layout a bank file's
-//!   trajectory section stores and its reader decodes into. Every set
-//!   read from a bank file is packed.
-//!
-//! Hot paths consume [`TrajectoryView`]s ([`TrajectorySet::view`],
-//! [`TrajectorySet::all_segments`]), which read either storage without
-//! copying. The legacy [`TrajectorySet::trajectories`] accessor still
-//! works on packed sets by materialising owned trajectories once, on
-//! first use — cold introspection paths keep working, but they pay the
-//! per-point copy the hot paths avoid.
-
-use std::sync::OnceLock;
+//! Every reader — diagnosis, indexing, the fitness count, the ambiguity
+//! groups — consumes [`TrajectoryView`]s ([`TrajectorySet::view`],
+//! [`TrajectorySet::all_segments`]), which slice the runs without
+//! copying.
 
 use ft_circuit::{AcSweepEngine, Circuit, CircuitError, Probe};
 use ft_faults::{FaultDictionary, ParametricFault};
@@ -35,7 +28,8 @@ use serde::{Deserialize, Serialize};
 use crate::geometry::{all_finite, norm, norm_diff};
 use crate::signature::{signature_from_db, Signature, TestVector, DB_FLOOR};
 
-/// One component's fault trajectory in signature space.
+/// One component's fault trajectory in signature space, as a builder
+/// assembles it: the validated input [`TrajectorySet::new`] packs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultTrajectory {
     component: String,
@@ -108,87 +102,18 @@ impl FaultTrajectory {
     pub fn dim(&self) -> usize {
         self.points[0].dim()
     }
-
-    /// Number of piecewise-linear segments.
-    #[inline]
-    pub fn segment_count(&self) -> usize {
-        self.points.len() - 1
-    }
-
-    /// The `i`-th segment as (start deviation, start point, end
-    /// deviation, end point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn segment(&self, i: usize) -> (f64, &Signature, f64, &Signature) {
-        (
-            self.deviations_pct[i],
-            &self.points[i],
-            self.deviations_pct[i + 1],
-            &self.points[i + 1],
-        )
-    }
-
-    /// Iterator over all segments.
-    pub fn segments(&self) -> impl Iterator<Item = (f64, &Signature, f64, &Signature)> + '_ {
-        (0..self.segment_count()).map(move |i| self.segment(i))
-    }
-
-    /// This trajectory as a storage-agnostic borrowed [`TrajectoryView`].
-    #[inline]
-    pub fn view(&self) -> TrajectoryView<'_> {
-        TrajectoryView {
-            component: &self.component,
-            deviations_pct: &self.deviations_pct,
-            points: PointsRef::Owned(&self.points),
-            dim: self.dim(),
-        }
-    }
-
-    /// Total polyline length (a proxy for fault observability: longer
-    /// trajectories are easier to resolve).
-    pub fn length(&self) -> f64 {
-        self.points.windows(2).map(|w| w[0].distance(&w[1])).sum()
-    }
-
-    /// `true` when the displacement from the origin grows monotonically
-    /// with |deviation| on both branches — the "smooth and monotonic"
-    /// assumption of §2.3.
-    pub fn is_monotonic(&self) -> bool {
-        let origin_idx = self
-            .deviations_pct
-            .iter()
-            .position(|d| *d == 0.0)
-            .expect("constructor guarantees an origin point");
-        let norms: Vec<f64> = self.points.iter().map(Signature::norm).collect();
-        let pos_ok = norms[origin_idx..].windows(2).all(|w| w[1] >= w[0] - 1e-12);
-        let neg_ok = norms[..=origin_idx]
-            .windows(2)
-            .all(|w| w[0] >= w[1] - 1e-12);
-        pos_ok && neg_ok
-    }
 }
 
-/// A borrowed, storage-agnostic view of one trajectory: component name,
-/// deviation grid, and point coordinates exposed as plain `f64` slices.
-/// Owned and packed [`TrajectorySet`] storages produce the same view
-/// type, so diagnosis and indexing code written against it runs
-/// unchanged over sets built in process and sets read from bank files.
+/// A borrowed view of one trajectory of a [`TrajectorySet`]: component
+/// name, deviation grid, and point coordinates as plain `f64` slices of
+/// the set's packed runs.
 #[derive(Debug, Clone, Copy)]
 pub struct TrajectoryView<'a> {
     component: &'a str,
     deviations_pct: &'a [f64],
-    points: PointsRef<'a>,
+    /// Point coordinates, point-major (`point_count() * dim`).
+    coords: &'a [f64],
     dim: usize,
-}
-
-/// Point coordinates behind a view: per-point [`Signature`]s for owned
-/// storage, one contiguous point-major `f64` run for packed storage.
-#[derive(Debug, Clone, Copy)]
-enum PointsRef<'a> {
-    Owned(&'a [Signature]),
-    Packed(&'a [f64]),
 }
 
 impl<'a> TrajectoryView<'a> {
@@ -223,15 +148,12 @@ impl<'a> TrajectoryView<'a> {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn point(&self, i: usize) -> &'a [f64] {
-        match self.points {
-            PointsRef::Owned(points) => points[i].coords(),
-            PointsRef::Packed(coords) => &coords[i * self.dim..(i + 1) * self.dim],
-        }
+        &self.coords[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Iterator over the coordinates of every point, in deviation order.
     pub fn points(self) -> impl Iterator<Item = &'a [f64]> {
-        (0..self.point_count()).map(move |i| self.point(i))
+        self.coords.chunks_exact(self.dim)
     }
 
     /// Number of piecewise-linear segments.
@@ -315,7 +237,7 @@ impl std::error::Error for PackedLayoutError {}
 /// [`TrajectorySet::validate_deep`] runs the content checks
 /// (finiteness, deviation ordering, the 0% origin) a decoder must apply
 /// before serving the set.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct PackedTrajectories {
     components: Vec<String>,
     /// Prefix sums of per-trajectory point counts; `len() + 1` entries.
@@ -325,8 +247,6 @@ pub struct PackedTrajectories {
     /// Point coordinates, point-major (`total_points * dim`).
     coords: Vec<f64>,
     dim: usize,
-    /// Owned trajectories, built once if a legacy accessor needs them.
-    materialized: OnceLock<Vec<FaultTrajectory>>,
 }
 
 impl std::fmt::Debug for PackedTrajectories {
@@ -381,7 +301,6 @@ impl PackedTrajectories {
             devs,
             coords,
             dim,
-            materialized: OnceLock::new(),
         })
     }
 
@@ -391,8 +310,9 @@ impl PackedTrajectories {
         self.components.len()
     }
 
-    /// `true` when the storage holds no trajectories (never, for
-    /// successfully constructed storage).
+    /// `true` when the storage holds no trajectories: never for storage
+    /// from [`PackedTrajectories::new`], only for the empty set
+    /// [`TrajectorySet::new`] packs from no trajectories.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.components.is_empty()
@@ -422,7 +342,7 @@ impl PackedTrajectories {
         TrajectoryView {
             component: &self.components[ti],
             deviations_pct: &self.devs[lo..hi],
-            points: PointsRef::Packed(&self.coords[lo * self.dim..hi * self.dim]),
+            coords: &self.coords[lo * self.dim..hi * self.dim],
             dim: self.dim,
         }
     }
@@ -448,71 +368,20 @@ impl PackedTrajectories {
         }
         Ok(())
     }
-
-    /// Owned trajectories, built from the packed runs once and cached —
-    /// the compatibility path for cold accessors.
-    fn materialized(&self) -> &[FaultTrajectory] {
-        self.materialized.get_or_init(|| {
-            (0..self.len())
-                .map(|ti| {
-                    let v = self.view(ti);
-                    // Constructed directly (not via the asserting
-                    // `FaultTrajectory::new`): packed content is only
-                    // proven well-formed after `validate_deep`, and
-                    // materialisation must not panic before a caller had
-                    // the chance to run it.
-                    FaultTrajectory {
-                        component: v.component().to_string(),
-                        deviations_pct: v.deviations_pct().to_vec(),
-                        points: (0..v.point_count())
-                            .map(|i| Signature::new(v.point(i).to_vec()))
-                            .collect(),
-                    }
-                })
-                .collect()
-        })
-    }
 }
 
-/// All fault trajectories of a CUT for one test vector, over owned or
-/// packed storage (see the module docs).
-#[derive(Debug, Clone)]
+/// All fault trajectories of a CUT for one test vector, packed (see the
+/// module docs). Two sets are equal when their test vectors and packed
+/// runs are.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrajectorySet {
     test_vector: TestVector,
-    storage: TrajectoryStorage,
-}
-
-#[derive(Debug, Clone)]
-enum TrajectoryStorage {
-    Owned(Vec<FaultTrajectory>),
-    Packed(PackedTrajectories),
-}
-
-// The vendored serde is a marker-only shim (see vendor/serde); with the
-// storage enum the derives are spelled out by hand.
-impl Serialize for TrajectorySet {}
-impl<'de> Deserialize<'de> for TrajectorySet {}
-
-/// Equality is over content, not storage: a packed set equals the owned
-/// set holding the same trajectories — what the tests comparing sets
-/// read from files with the sets they were built from lean on.
-impl PartialEq for TrajectorySet {
-    fn eq(&self, other: &Self) -> bool {
-        if self.test_vector != other.test_vector || self.len() != other.len() {
-            return false;
-        }
-        (0..self.len()).all(|ti| {
-            let (a, b) = (self.view(ti), other.view(ti));
-            a.component() == b.component()
-                && a.deviations_pct() == b.deviations_pct()
-                && a.dim() == b.dim()
-                && (0..a.point_count()).all(|i| a.point(i) == b.point(i))
-        })
-    }
+    packed: PackedTrajectories,
 }
 
 impl TrajectorySet {
-    /// Packages trajectories with the test vector that produced them.
+    /// Packs trajectories with the test vector that produced them. An
+    /// empty set takes the test-vector length as its dimension.
     ///
     /// With a single probe the signature dimension equals the number of
     /// test frequencies; multi-probe observation stacks one block of
@@ -522,23 +391,35 @@ impl TrajectorySet {
     /// # Panics
     ///
     /// Panics if any trajectory's dimension is not the same positive
-    /// multiple of the test-vector length.
+    /// multiple of the test-vector length, or if the set holds more than
+    /// `u32::MAX` points.
     pub fn new(test_vector: TestVector, trajectories: Vec<FaultTrajectory>) -> Self {
-        if let Some(first) = trajectories.first() {
-            let dim = first.dim();
-            assert!(
-                dim > 0 && dim.is_multiple_of(test_vector.len()),
-                "trajectory dimension must be a positive multiple of the test-vector length"
-            );
-            assert!(
-                trajectories.iter().all(|t| t.dim() == dim),
-                "all trajectories must share one dimension"
-            );
+        let dim = trajectories
+            .first()
+            .map_or(test_vector.len(), FaultTrajectory::dim);
+        assert!(
+            trajectories.iter().all(|t| t.dim() == dim),
+            "all trajectories must share one dimension"
+        );
+        let total_points: usize = trajectories.iter().map(|t| t.points.len()).sum();
+        let mut packed = PackedTrajectories {
+            components: Vec::with_capacity(trajectories.len()),
+            point_offsets: Vec::with_capacity(trajectories.len() + 1),
+            devs: Vec::with_capacity(total_points),
+            coords: Vec::with_capacity(total_points * dim),
+            dim,
+        };
+        packed.point_offsets.push(0);
+        for t in trajectories {
+            packed.devs.extend_from_slice(&t.deviations_pct);
+            for p in &t.points {
+                packed.coords.extend_from_slice(p.coords());
+            }
+            let end = u32::try_from(packed.devs.len()).expect("at most u32::MAX points");
+            packed.point_offsets.push(end);
+            packed.components.push(t.component);
         }
-        TrajectorySet {
-            test_vector,
-            storage: TrajectoryStorage::Owned(trajectories),
-        }
+        TrajectorySet::from_packed(test_vector, packed)
     }
 
     /// Packages packed trajectories with the test vector that produced
@@ -556,15 +437,8 @@ impl TrajectorySet {
         );
         TrajectorySet {
             test_vector,
-            storage: TrajectoryStorage::Packed(packed),
+            packed,
         }
-    }
-
-    /// `true` when the set holds packed storage (it was read from a bank
-    /// file).
-    #[inline]
-    pub fn is_packed(&self) -> bool {
-        matches!(self.storage, TrajectoryStorage::Packed(_))
     }
 
     /// The test vector.
@@ -574,15 +448,10 @@ impl TrajectorySet {
     }
 
     /// Signature-space dimension (test frequencies × observation
-    /// channels). Falls back to the test-vector length for an empty set.
+    /// channels). An empty set reports the test-vector length.
     #[inline]
     pub fn dim(&self) -> usize {
-        match &self.storage {
-            TrajectoryStorage::Owned(trajectories) => trajectories
-                .first()
-                .map_or(self.test_vector.len(), FaultTrajectory::dim),
-            TrajectoryStorage::Packed(packed) => packed.dim(),
-        }
+        self.packed.dim()
     }
 
     /// Number of observation channels (probes) stacked into the
@@ -592,41 +461,24 @@ impl TrajectorySet {
         self.dim() / self.test_vector.len()
     }
 
-    /// All trajectories as owned values. On packed storage this decodes
-    /// once and caches — cold accessors and legacy callers only; hot
-    /// paths use [`TrajectorySet::views`].
-    #[inline]
-    pub fn trajectories(&self) -> &[FaultTrajectory] {
-        match &self.storage {
-            TrajectoryStorage::Owned(trajectories) => trajectories,
-            TrajectoryStorage::Packed(packed) => packed.materialized(),
-        }
-    }
-
-    /// Component name of trajectory `ti` without materialising anything.
+    /// Component name of trajectory `ti`.
     ///
     /// # Panics
     ///
     /// Panics if `ti` is out of range.
     #[inline]
     pub fn component(&self, ti: usize) -> &str {
-        match &self.storage {
-            TrajectoryStorage::Owned(trajectories) => trajectories[ti].component(),
-            TrajectoryStorage::Packed(packed) => &packed.components[ti],
-        }
+        &self.packed.components[ti]
     }
 
-    /// Borrowed view of trajectory `ti` — no copy on either storage.
+    /// Borrowed view of trajectory `ti`.
     ///
     /// # Panics
     ///
     /// Panics if `ti` is out of range.
     #[inline]
     pub fn view(&self, ti: usize) -> TrajectoryView<'_> {
-        match &self.storage {
-            TrajectoryStorage::Owned(trajectories) => trajectories[ti].view(),
-            TrajectoryStorage::Packed(packed) => packed.view(ti),
-        }
+        self.packed.view(ti)
     }
 
     /// Iterator over borrowed views of all trajectories, in order.
@@ -634,21 +486,10 @@ impl TrajectorySet {
         (0..self.len()).map(move |ti| self.view(ti))
     }
 
-    /// Trajectory of a named component (owned; materialises packed
-    /// storage — use [`TrajectorySet::views`] on hot paths).
-    pub fn trajectory_of(&self, component: &str) -> Option<&FaultTrajectory> {
-        self.trajectories()
-            .iter()
-            .find(|t| t.component() == component)
-    }
-
     /// Number of trajectories.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.storage {
-            TrajectoryStorage::Owned(trajectories) => trajectories.len(),
-            TrajectoryStorage::Packed(packed) => packed.len(),
-        }
+        self.packed.len()
     }
 
     /// `true` when the set holds no trajectories.
@@ -660,20 +501,14 @@ impl TrajectorySet {
     /// Total number of piecewise-linear segments across all trajectories
     /// — the size of the search space a diagnosis query scans.
     pub fn total_segments(&self) -> usize {
-        match &self.storage {
-            TrajectoryStorage::Owned(trajectories) => trajectories
-                .iter()
-                .map(FaultTrajectory::segment_count)
-                .sum(),
-            TrajectoryStorage::Packed(packed) => packed.total_points() - packed.len(),
-        }
+        self.packed.total_points() - self.packed.len()
     }
 
     /// Flat iterator over every segment of every trajectory as
     /// `(trajectory index, segment index, start deviation, start point
     /// coordinates, end deviation, end point coordinates)`, in
     /// trajectory-major order — the enumeration spatial index builders
-    /// consume. No copy on either storage.
+    /// consume. Nothing is copied.
     pub fn all_segments(
         &self,
     ) -> impl Iterator<Item = (usize, usize, f64, &[f64], f64, &[f64])> + '_ {
@@ -684,17 +519,22 @@ impl TrajectorySet {
         })
     }
 
-    /// Full content validation of packed storage (finite, ascending
-    /// deviation grids containing the 0% origin; finite coordinates).
-    /// Owned storage was validated at construction and returns `Ok`
-    /// immediately. Every bank reader runs this before a set it decoded
-    /// serves, so a file's bytes can never put a NaN in a diagnosis.
+    /// Full content validation: finite, ascending deviation grids
+    /// containing the 0% origin, and finite coordinates. Every bank
+    /// reader runs this before a set it decoded serves, so a file's bytes
+    /// can never put a NaN in a diagnosis.
     pub fn validate_deep(&self) -> Result<(), String> {
-        match &self.storage {
-            TrajectoryStorage::Owned(_) => Ok(()),
-            TrajectoryStorage::Packed(packed) => packed.validate_deep(),
-        }
+        self.packed.validate_deep()
     }
+}
+
+/// A component's trajectory from its (deviation, signature) samples in
+/// any order, the 0% origin among them.
+fn sorted_trajectory(component: &str, mut samples: Vec<(f64, Signature)>) -> FaultTrajectory {
+    // Sort by deviation (origin lands in the middle).
+    samples.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite deviations"));
+    let (devs, points) = samples.into_iter().unzip();
+    FaultTrajectory::new(component, devs, points)
 }
 
 /// Builds the trajectory set from a fault dictionary by interpolating
@@ -714,23 +554,16 @@ pub fn trajectories_from_dictionary(dict: &FaultDictionary, tv: &TestVector) -> 
 
     let mut trajectories = Vec::new();
     for component in dict.universe().components() {
-        let mut devs: Vec<f64> = vec![0.0];
-        let mut points: Vec<Signature> = vec![Signature::origin(tv.len())];
+        let mut samples = vec![(0.0, Signature::origin(tv.len()))];
         for (idx, fault) in dict.universe().faults().iter().enumerate() {
             if fault.component() != component {
                 continue;
             }
             measured.clear();
             measured.extend(omegas.iter().map(|&w| dict.entry_db_at(idx, w)));
-            devs.push(fault.percent());
-            points.push(signature_from_db(&measured, &golden));
+            samples.push((fault.percent(), signature_from_db(&measured, &golden)));
         }
-        // Sort by deviation (origin lands in the middle).
-        let mut order: Vec<usize> = (0..devs.len()).collect();
-        order.sort_by(|&a, &b| devs[a].partial_cmp(&devs[b]).expect("finite deviations"));
-        let devs: Vec<f64> = order.iter().map(|&i| devs[i]).collect();
-        let points: Vec<Signature> = order.iter().map(|&i| points[i].clone()).collect();
-        trajectories.push(FaultTrajectory::new(component.clone(), devs, points));
+        trajectories.push(sorted_trajectory(component, samples));
     }
     TrajectorySet::new(tv.clone(), trajectories)
 }
@@ -769,8 +602,7 @@ pub fn trajectories_exact(
     let golden = sample_db(&mut engine, &mut samples)?;
     let mut trajectories = Vec::new();
     for component in components {
-        let mut devs: Vec<f64> = vec![0.0];
-        let mut points: Vec<Signature> = vec![Signature::origin(tv.len())];
+        let mut points = vec![(0.0, Signature::origin(tv.len()))];
         for fault in faults
             .iter()
             .filter(|f| f.component() == component.as_str())
@@ -788,14 +620,9 @@ pub fn trajectories_exact(
             engine.restamp_component(id, nominal * fault.multiplier())?;
             let measured = sample_db(&mut engine, &mut samples);
             engine.reset();
-            devs.push(fault.percent());
-            points.push(signature_from_db(&measured?, &golden));
+            points.push((fault.percent(), signature_from_db(&measured?, &golden)));
         }
-        let mut order: Vec<usize> = (0..devs.len()).collect();
-        order.sort_by(|&a, &b| devs[a].partial_cmp(&devs[b]).expect("finite deviations"));
-        let devs: Vec<f64> = order.iter().map(|&i| devs[i]).collect();
-        let points: Vec<Signature> = order.iter().map(|&i| points[i].clone()).collect();
-        trajectories.push(FaultTrajectory::new(component.clone(), devs, points));
+        trajectories.push(sorted_trajectory(component, points));
     }
     Ok(TrajectorySet::new(tv.clone(), trajectories))
 }
@@ -817,6 +644,12 @@ mod tests {
         (bench, dict)
     }
 
+    /// `t` packed alone into a set over a test vector of its dimension.
+    fn single(t: FaultTrajectory) -> TrajectorySet {
+        let tv = TestVector::new((1..=t.dim()).map(|i| i as f64).collect());
+        TrajectorySet::new(tv, vec![t])
+    }
+
     #[test]
     fn trajectory_constructor_validates() {
         let p = |x: f64, y: f64| Signature::new(vec![x, y]);
@@ -826,15 +659,18 @@ mod tests {
             vec![p(-1.0, -1.0), p(0.0, 0.0), p(1.0, 1.0)],
         );
         assert_eq!(t.component(), "R1");
-        assert_eq!(t.segment_count(), 2);
         assert_eq!(t.dim(), 2);
-        assert!((t.length() - 2.0 * 2f64.sqrt()).abs() < 1e-12);
-        assert!(t.is_monotonic());
-        let (d0, p0, d1, _p1) = t.segment(0);
+        let set = single(t);
+        let v = set.view(0);
+        assert_eq!(v.segment_count(), 2);
+        assert_eq!(v.dim(), 2);
+        assert!((v.length() - 2.0 * 2f64.sqrt()).abs() < 1e-12);
+        assert!(v.is_monotonic());
+        let (d0, p0, d1, _p1) = v.segment(0);
         assert_eq!(d0, -10.0);
         assert_eq!(d1, 0.0);
-        assert_eq!(p0.coords(), &[-1.0, -1.0]);
-        assert_eq!(t.segments().count(), 2);
+        assert_eq!(p0, &[-1.0, -1.0]);
+        assert_eq!(v.segments().count(), 2);
     }
 
     #[test]
@@ -880,7 +716,7 @@ mod tests {
             vec![-10.0, 0.0, 10.0, 20.0],
             vec![p(-1.0), p(0.0), p(2.0), p(1.0)],
         );
-        assert!(!t.is_monotonic());
+        assert!(!single(t).view(0).is_monotonic());
     }
 
     #[test]
@@ -890,17 +726,17 @@ mod tests {
         let set = trajectories_from_dictionary(&dict, &tv);
         assert_eq!(set.len(), bench.fault_set.len());
         assert_eq!(set.test_vector(), &tv);
-        for t in set.trajectories() {
+        let names: Vec<&str> = set.views().map(|v| v.component()).collect();
+        assert_eq!(names, bench.fault_set);
+        for v in set.views() {
             // 8 dictionary deviations + origin.
-            assert_eq!(t.points().len(), 9);
-            assert_eq!(t.dim(), 2);
+            assert_eq!(v.point_count(), 9);
+            assert_eq!(v.dim(), 2);
             // Origin present and exactly zero.
-            let origin_idx = t.deviations_pct().iter().position(|d| *d == 0.0).unwrap();
+            let origin_idx = v.deviations_pct().iter().position(|d| *d == 0.0).unwrap();
             assert_eq!(origin_idx, 4);
-            assert!(t.points()[origin_idx].norm() < 1e-12);
+            assert!(norm(v.point(origin_idx)) < 1e-12);
         }
-        assert!(set.trajectory_of("R3").is_some());
-        assert!(set.trajectory_of("R99").is_none());
     }
 
     #[test]
@@ -920,10 +756,14 @@ mod tests {
             &tv,
         )
         .unwrap();
-        for (a, b) in interp.trajectories().iter().zip(exact.trajectories()) {
+        for (a, b) in interp.views().zip(exact.views()) {
             assert_eq!(a.component(), b.component());
-            for (pa, pb) in a.points().iter().zip(b.points()) {
-                assert!(pa.distance(pb) < 1e-9, "{}: {pa} vs {pb}", a.component());
+            for (pa, pb) in a.points().zip(b.points()) {
+                assert!(
+                    norm_diff(pa, pb) < 1e-9,
+                    "{}: {pa:?} vs {pb:?}",
+                    a.component()
+                );
             }
         }
     }
@@ -935,8 +775,8 @@ mod tests {
         let (_bench, dict) = paper_setup();
         let tv = TestVector::pair(0.7, 1.8);
         let set = trajectories_from_dictionary(&dict, &tv);
-        for t in set.trajectories() {
-            assert!(t.is_monotonic(), "{} not monotonic", t.component());
+        for v in set.views() {
+            assert!(v.is_monotonic(), "{} not monotonic", v.component());
         }
     }
 
@@ -946,13 +786,11 @@ mod tests {
         let tv = TestVector::pair(0.5, 2.0);
         let set = trajectories_from_dictionary(&dict, &tv);
         // R3 and C1 endpoints differ markedly.
-        let r3 = set.trajectory_of("R3").unwrap();
-        let c1 = set.trajectory_of("C1").unwrap();
-        let d = r3
-            .points()
-            .last()
-            .unwrap()
-            .distance(c1.points().last().unwrap());
+        let end = |name: &str| {
+            let v = set.views().find(|v| v.component() == name).unwrap();
+            v.point(v.point_count() - 1)
+        };
+        let d = norm_diff(end("R3"), end("C1"));
         assert!(d > 0.05, "endpoint distance {d}");
     }
 
@@ -974,11 +812,13 @@ mod tests {
         assert_eq!(set.channels(), 2);
         // Empty set falls back to the test-vector length.
         let empty = TrajectorySet::new(TestVector::pair(1.0, 2.0), vec![]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.total_segments(), 0);
         assert_eq!(empty.dim(), 2);
         assert_eq!(empty.channels(), 1);
     }
 
-    /// Packed storage for the two-trajectory layout of [`owned_pair`]
+    /// Packed storage for the two-trajectory layout of [`built_pair`]
     /// (`R1` with two points, `C2` with three), over the given runs.
     fn packed_pair(devs: &[f64], coords: &[f64]) -> PackedTrajectories {
         PackedTrajectories::new(
@@ -991,7 +831,7 @@ mod tests {
         .unwrap()
     }
 
-    fn owned_pair() -> TrajectorySet {
+    fn built_pair() -> TrajectorySet {
         let p = |x: f64, y: f64| Signature::new(vec![x, y]);
         let t1 = FaultTrajectory::new("R1", vec![-10.0, 0.0], vec![p(-1.0, -2.0), p(0.0, 0.0)]);
         let t2 = FaultTrajectory::new(
@@ -1003,46 +843,35 @@ mod tests {
     }
 
     #[test]
-    fn packed_storage_matches_owned_everywhere() {
-        let owned = owned_pair();
+    fn new_packs_what_a_reader_decodes() {
+        let built = built_pair();
         let devs = [-10.0, 0.0, -5.0, 0.0, 5.0];
         let coords = [-1.0, -2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0];
         let set =
             TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed_pair(&devs, &coords));
 
-        assert!(set.is_packed());
-        assert!(!owned.is_packed());
-        // Content equality crosses storage kinds.
-        assert_eq!(set, owned);
+        // `new` lays the trajectories out as the hand-packed runs.
+        assert_eq!(set, built);
         assert_eq!(set.len(), 2);
         assert_eq!(set.dim(), 2);
-        assert_eq!(set.total_segments(), owned.total_segments());
+        assert_eq!(set.total_segments(), 3);
+        assert_eq!(set.component(1), "C2");
+        let c2 = set.view(1);
+        assert_eq!(c2.deviations_pct(), &[-5.0, 0.0, 5.0]);
         assert_eq!(
-            set.all_segments().collect::<Vec<_>>(),
-            owned.all_segments().collect::<Vec<_>>()
-        );
-        // Views agree point-for-point and segment-for-segment.
-        for (pv, ov) in set.views().zip(owned.views()) {
-            assert_eq!(pv.component(), ov.component());
-            assert_eq!(pv.deviations_pct(), ov.deviations_pct());
-            assert_eq!(pv.point_count(), ov.point_count());
-            for i in 0..pv.point_count() {
-                assert_eq!(pv.point(i), ov.point(i));
-            }
-            assert_eq!(
-                pv.segments().collect::<Vec<_>>(),
-                ov.segments().collect::<Vec<_>>()
-            );
-        }
-        // Materialization produces the very same owned trajectories.
-        assert_eq!(set.trajectories(), owned.trajectories());
-        assert_eq!(
-            set.trajectory_of("C2").unwrap(),
-            owned.trajectory_of("C2").unwrap()
+            c2.points().collect::<Vec<_>>(),
+            [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]
         );
         set.validate_deep().unwrap();
-        // A clone stays equal.
-        assert_eq!(set.clone(), owned);
+        built.validate_deep().unwrap();
+        // A clone stays equal; a different run does not.
+        assert_eq!(set.clone(), built);
+        let mut moved = coords;
+        moved[9] = 4.5;
+        assert_ne!(
+            TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed_pair(&devs, &moved)),
+            built
+        );
     }
 
     #[test]
@@ -1089,36 +918,5 @@ mod tests {
             TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed_pair(&devs, &coords));
         let msg = set.validate_deep().unwrap_err();
         assert!(!msg.is_empty());
-    }
-
-    #[test]
-    fn packed_set_diagnoses_without_building_an_owned_copy() {
-        use crate::diagnosis::{Diagnoser, DiagnoserConfig, LinearScan};
-        let devs = [-10.0, 0.0, -5.0, 0.0, 5.0];
-        let coords = [-1.0, -2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0];
-        let diag = Diagnoser::new(
-            TrajectorySet::from_packed(TestVector::pair(1.0, 2.0), packed_pair(&devs, &coords)),
-            DiagnoserConfig::default(),
-        );
-        let reference = Diagnoser::new(owned_pair(), DiagnoserConfig::default());
-        for q in [[0.5, 1.2], [-0.8, -1.5], [2.0, 3.0]] {
-            let q = Signature::new(q.to_vec());
-            assert_eq!(diag.diagnose(&q), reference.diagnose(&q));
-            assert_eq!(
-                diag.diagnose_with(&LinearScan, &q),
-                reference.diagnose_with(&LinearScan, &q)
-            );
-            assert_eq!(
-                diag.diagnose_topk(&LinearScan, &q, 1),
-                reference.diagnose_topk(&LinearScan, &q, 1)
-            );
-        }
-        let TrajectoryStorage::Packed(packed) = &diag.trajectory_set().storage else {
-            panic!("the diagnoser keeps the packed storage");
-        };
-        assert!(
-            packed.materialized.get().is_none(),
-            "diagnosis built an owned copy of the packed trajectories"
-        );
     }
 }

@@ -109,9 +109,8 @@ pub fn synthetic_circuit_bank(
 
 /// Draws `count` query signatures near the set's trajectories (random
 /// trajectory point plus jitter) — realistic observations for
-/// benchmarking, seeded deterministically. Reads the set through
-/// borrowed views, so a packed set (one read from a bank file) is never
-/// copied, and draws the same queries from either storage.
+/// benchmarking, seeded deterministically. Equal sets draw equal
+/// queries.
 pub fn synthetic_queries(set: &TrajectorySet, count: usize, seed: u64) -> Vec<Signature> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
@@ -158,12 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn queries_from_a_packed_set_equal_the_owned_sets() {
+    fn queries_from_a_read_set_equal_the_built_sets() {
         let tv = TestVector::pair(0.5, 2.0);
         let built = synthetic_circuit_bank(3, 10.0, 11, &tv).unwrap();
         let read = TrajectoryBank::from_bytes(&built.to_bytes()).unwrap();
-        assert!(!built.trajectory_set().is_packed());
-        assert!(read.trajectory_set().is_packed());
         assert_eq!(
             synthetic_queries(read.trajectory_set(), 40, 9),
             synthetic_queries(built.trajectory_set(), 40, 9)

@@ -222,10 +222,6 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
             "the mapped engine records the file generation"
         );
         assert_eq!(heap.generation(), None, "a heap engine keeps no file tie");
-        assert!(
-            mapped.trajectory_set().is_packed(),
-            "a set read from a file is packed on `{name}`"
-        );
 
         for q in &synthetic_queries(bank.trajectory_set(), 23, 42) {
             let want = heap.diagnose_linear(q);
