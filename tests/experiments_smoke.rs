@@ -1,14 +1,25 @@
 //! Smoke tests over the experiment harness: every figure and table of the
 //! paper regenerates with the expected shape and internally consistent
-//! numbers.
+//! numbers, and each table regenerated here matches the committed paper
+//! pin (`crates/bench/REPRO_all.csv`) byte for byte.
 
-use ft_bench::{figures, paper_setup, tables, PAPER_SEED};
+use ft_bench::{figures, paper_setup, tables, Table, PAPER_SEED};
+
+/// The paper pin: every table `repro all --csv` prints, byte for byte.
+const PINNED: &str = include_str!("../crates/bench/REPRO_all.csv");
+
+/// Asserts that `t` regenerates exactly as pinned.
+fn assert_pinned(t: &Table) {
+    let csv = t.to_csv();
+    assert!(PINNED.contains(&csv), "not in REPRO_all.csv:\n{csv}");
+}
 
 #[test]
 fn fig1_regenerates() {
     let setup = paper_setup();
     let t = figures::fig1_with(&setup, "R3");
     assert_eq!(t.len(), 41);
+    assert_pinned(&t);
     let csv = t.to_csv();
     assert!(csv.contains("golden_db") || csv.contains("golden_dB"));
     assert!(csv.contains("R3-40%"));
@@ -24,6 +35,9 @@ fn fig2_and_fig3_regenerate() {
     assert_eq!(t3a.len(), 7 * 9);
     let t3b = figures::fig3_diagnosis();
     assert_eq!(t3b.len(), 7);
+    for t in [&t2, &t3a, &t3b] {
+        assert_pinned(t);
+    }
     // The diagnosed unknown (R3 +25%) must rank its class first.
     let text = t3b.to_text();
     let first = text.lines().nth(3).expect("first data row");
@@ -39,6 +53,8 @@ fn ga24_history_is_consistent() {
     let (history, summary) = figures::ga24_with(&setup);
     assert_eq!(history.len(), 16); // initial + 15 generations
     assert_eq!(summary.len(), 1);
+    assert_pinned(&history);
+    assert_pinned(&summary);
     // With elitism the best column never decreases.
     let text = history.to_csv();
     let bests: Vec<f64> = text
@@ -55,6 +71,7 @@ fn ga24_history_is_consistent() {
 fn table_accuracy_has_expected_rows() {
     let t = tables::table_accuracy();
     assert_eq!(t.len(), 4); // GA + 3 baselines
+    assert_pinned(&t);
     let csv = t.to_csv();
     assert!(csv.contains("GA (paper 2.4)"));
     assert!(csv.contains("random"));
@@ -66,12 +83,14 @@ fn table_accuracy_has_expected_rows() {
 fn table_noise_row_count() {
     let t = tables::table_noise();
     assert_eq!(t.len(), 5 * 3); // 5 noise levels × 3 tolerances
+    assert_pinned(&t);
 }
 
 #[test]
 fn table_methods_compares_two_classifiers() {
     let t = tables::table_diagnosis_methods();
     assert_eq!(t.len(), 2);
+    assert_pinned(&t);
     let csv = t.to_csv();
     assert!(csv.contains("fault trajectory"));
     assert!(csv.contains("nearest-neighbour"));
@@ -81,6 +100,7 @@ fn table_methods_compares_two_classifiers() {
 fn table_multiprobe_adds_classes() {
     let t = tables::table_multiprobe();
     assert_eq!(t.len(), 3);
+    assert_pinned(&t);
     let csv = t.to_csv();
     // Single probe: 5 classes; all three probes: 6 (R3/R5 split).
     let rows: Vec<&str> = csv.lines().skip(2).collect();
@@ -96,6 +116,7 @@ fn table_multiprobe_adds_classes() {
 fn table_encoding_rows() {
     let t = tables::table_encoding();
     assert_eq!(t.len(), 3);
+    assert_pinned(&t);
     let csv = t.to_csv();
     assert!(csv.contains("real (BLX-0.5)"));
     assert!(csv.contains("binary 8-bit"));
@@ -106,6 +127,7 @@ fn table_encoding_rows() {
 fn table_double_faults_shows_degradation() {
     let t = tables::table_double_faults();
     assert_eq!(t.len(), 2);
+    assert_pinned(&t);
     let csv = t.to_csv();
     let rows: Vec<&str> = csv.lines().skip(2).collect();
     let residual = |row: &str| -> f64 { row.split(',').nth(4).unwrap().parse().unwrap() };

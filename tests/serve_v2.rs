@@ -17,8 +17,8 @@ use fault_trajectory::core::Diagnosis;
 use fault_trajectory::faults::all_pairs;
 use fault_trajectory::prelude::*;
 use fault_trajectory::serve::{
-    diagnose_on, response_line, synthetic_queries, ContainerBuilder, FileGen, SectionTable,
-    ServeResult,
+    checksum, diagnose_on, response_line, synthetic_queries, ContainerBuilder, FileGen,
+    SectionTable, ServeResult,
 };
 
 /// The paper CUT's bank at quality factor `q`, with the exhaustive
@@ -52,6 +52,10 @@ fn multifault_dictionary_round_trips_byte_identically() {
     );
     // Byte-identical re-encode: save/load/save yields the same file.
     assert_eq!(back.to_bytes(), bytes);
+    // The bytes themselves are pinned, so a change to what both the
+    // writer and the reader do cannot pass as a round trip.
+    assert_eq!(bytes.len(), 9_034);
+    assert_eq!(checksum(&bytes), 0x9859_9091_191b_c58c);
 
     // And through disk, like a deployment would.
     let path = std::env::temp_dir().join("serve_v2_multifault.ftb");
@@ -598,7 +602,7 @@ fn mapped_open_refuses_hostile_headers_within_the_file_length() {
     // length — the reader checks every declared size against the file
     // before it sizes a buffer, so it never allocates more than the
     // file holds (a reader that allocated first would abort here).
-    use fault_trajectory::serve::{checksum, CodecError};
+    use fault_trajectory::serve::CodecError;
 
     let bytes = paper_bank_with_multifault(1.0).to_bytes();
     let table_end = 22 + 3 * 18;
