@@ -245,7 +245,11 @@ mod tests {
     fn pair_separation_values() {
         let set = TrajectorySet::new(
             TestVector::pair(1.0, 2.0),
-            vec![straight("A", 1.0, 0.0), straight("B", 0.0, 1.0)],
+            vec![
+                straight("A", 1.0, 0.0),
+                straight("B", 0.0, 1.0),
+                straight("T", 0.0, -0.05), // reach 0.1, inside the ball
+            ],
         );
         let opts = GeometryOptions::default();
         let sep = pair_separation(&set, "A", "B", &opts).unwrap();
@@ -254,6 +258,10 @@ mod tests {
         // Separation is symmetric.
         let sep2 = pair_separation(&set, "B", "A", &opts).unwrap();
         assert!((sep - sep2).abs() < 1e-12);
+        // A weakly observable component is compared at its own scale
+        // (radius 0.05), not swallowed by the 0.5 exclusion ball.
+        let weak = pair_separation(&set, "A", "T", &opts).unwrap();
+        assert!((weak - 0.05 * 2f64.sqrt()).abs() < 1e-12, "{weak}");
     }
 
     #[test]
