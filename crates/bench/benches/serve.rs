@@ -42,10 +42,10 @@ fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
 /// Emits `BENCH_serve.json`: sustained-traffic batch throughput of the
 /// persistent worker pool, answering every request with the top-1
 /// search, with and without live metrics — plus the cold-load
-/// comparison of the shard load (`DiagnosisEngine::load_mapped`: the
+/// comparison of the served load (`DiagnosisEngine::open`: the
 /// trajectory section is read, checksummed and decoded, the dictionary
-/// never read) against the full load on a multi-MB dictionary-heavy
-/// bank.
+/// never read) against the full load (`TrajectoryBank::load`, then
+/// `DiagnosisEngine::new`) on a multi-MB dictionary-heavy bank.
 fn emit_summary(_c: &mut Criterion) {
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -92,11 +92,12 @@ fn emit_summary(_c: &mut Criterion) {
     big.save(&path).expect("saves cold-load bank");
     let bank_bytes = std::fs::metadata(&path).expect("stat").len();
     let config = EngineConfig::default();
-    let heap_s = median_secs(9, || {
-        DiagnosisEngine::load(&path, config).expect("heap load");
+    let full_s = median_secs(9, || {
+        let bank = TrajectoryBank::load(&path).expect("full load");
+        DiagnosisEngine::new(bank.into_trajectory_set(), config);
     });
-    let mapped_s = median_secs(9, || {
-        DiagnosisEngine::load_mapped(&path, config).expect("mapped load");
+    let served_s = median_secs(9, || {
+        DiagnosisEngine::open(&path, config).expect("served load");
     });
     // Bare shard open: read the header, the section table and the
     // trajectory section, checksum and decode it — no content
@@ -154,18 +155,18 @@ fn emit_summary(_c: &mut Criterion) {
          \"instrumented_batch_s\": {instrumented_s:.6e},\n  \
          \"instrumented_vs_pooled\": {:.3},\n  \
          \"cold_load_bank_bytes\": {bank_bytes},\n  \
-         \"heap_cold_load_s\": {heap_s:.6e},\n  \"mapped_cold_load_s\": {mapped_s:.6e},\n  \
-         \"mapped_vs_heap_cold_load\": {:.3},\n  \
+         \"full_cold_load_s\": {full_s:.6e},\n  \"served_cold_load_s\": {served_s:.6e},\n  \
+         \"served_vs_full_cold_load\": {:.3},\n  \
          \"v3_open_s\": {open_s:.6e},\n  \
-         \"v3_open_vs_heap_cold_load\": {:.5},\n  \
+         \"v3_open_vs_full_cold_load\": {:.5},\n  \
          \"tcp_requests_per_config\": {TCP_TOTAL},\n  \"tcp_depth\": 32,\n  \
          \"tcp_2conn_rps\": {:.0},\n  \"tcp_2conn_p50_us\": {},\n  \
          \"tcp_2conn_p90_us\": {},\n  \"tcp_2conn_p99_us\": {},\n  \
          \"tcp_8conn_rps\": {:.0},\n  \"tcp_8conn_p50_us\": {},\n  \
          \"tcp_8conn_p90_us\": {},\n  \"tcp_8conn_p99_us\": {}\n}}\n",
         instrumented_s / pooled_s.max(1e-12),
-        mapped_s / heap_s.max(1e-12),
-        open_s / heap_s.max(1e-12),
+        served_s / full_s.max(1e-12),
+        open_s / full_s.max(1e-12),
         tcp2.rps,
         tcp2.p50_us,
         tcp2.p90_us,
@@ -180,15 +181,15 @@ fn emit_summary(_c: &mut Criterion) {
         "BENCH_serve.json: persistent pool {:.1}us per top-1 batch \
          ({FRONTEND_BATCH}-request batches, {workers} workers, {segments} segments); \
          metrics overhead {:.3}x; \
-         shard cold load {:.2}x full load on a {:.1} MB bank \
+         served cold load {:.2}x full load on a {:.1} MB bank \
          (bare MappedBank::open {:.5}x: reads and decodes the trajectory section only); \
          TCP tier {:.0} req/s at 2 conns (p50 {:.0}us p99 {:.0}us), \
          {:.0} req/s at 8 conns (p50 {:.0}us p99 {:.0}us), depth 32",
         pooled_s * 1e6,
         instrumented_s / pooled_s.max(1e-12),
-        mapped_s / heap_s.max(1e-12),
+        served_s / full_s.max(1e-12),
         bank_bytes as f64 / (1024.0 * 1024.0),
-        open_s / heap_s.max(1e-12),
+        open_s / full_s.max(1e-12),
         tcp2.rps,
         tcp2.p50_us,
         tcp2.p99_us,

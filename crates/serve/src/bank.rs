@@ -132,6 +132,12 @@ impl TrajectoryBank {
         &self.set
     }
 
+    /// The trajectory set, without the dictionaries: what an engine
+    /// over this bank keeps.
+    pub fn into_trajectory_set(self) -> TrajectorySet {
+        self.set
+    }
+
     /// The attached multi-fault dictionary, if any.
     #[inline]
     pub fn multifault_dictionary(&self) -> Option<&MultiFaultDictionary> {
@@ -222,14 +228,17 @@ impl TrajectoryBank {
     }
 }
 
-/// A shard file opened for serving: only its trajectory section is read.
+/// The facts of a shard file read for serving: its path, its
+/// generation, its trajectory section's table entry and the checksum of
+/// the bytes read. Only the trajectory section is read.
 ///
 /// Unlike [`TrajectoryBank::load`], opening reads the container header,
 /// the section table and the trajectory section, and nothing else. The
 /// trajectory section is checksummed while its bytes are in hand and
-/// decoded into packed storage ([`PackedTrajectories`]); callers that
-/// serve from the set run [`MappedBank::verify_trajectory_payload`] plus
-/// [`TrajectorySet::validate_deep`] once before trusting it. A loaded set
+/// decoded into packed storage ([`PackedTrajectories`]);
+/// [`DiagnosisEngine::open`](crate::DiagnosisEngine::open) runs
+/// [`MappedBank::verify_trajectory_payload`] and
+/// [`TrajectorySet::validate_deep`] before the set serves. A loaded set
 /// is an owned copy: rewriting or truncating the file afterwards cannot
 /// change it.
 ///
@@ -244,8 +253,6 @@ impl TrajectoryBank {
 /// one copy.
 #[derive(Debug)]
 pub struct MappedBank {
-    /// The validated section table of the shard file.
-    table: SectionTable,
     path: PathBuf,
     generation: FileGen,
     /// The trajectory section's table entry.
@@ -298,7 +305,6 @@ impl MappedBank {
         let set = decode_trajectories(&payload)?;
         Ok((
             MappedBank {
-                table,
                 path: path.to_path_buf(),
                 generation,
                 trajectories: entry,
@@ -309,9 +315,10 @@ impl MappedBank {
     }
 
     /// Compares the trajectory section's checksum, computed when `open`
-    /// read it, with the one the section table stores. Serving paths
-    /// call this once at engine load, so a corrupt shard is rejected
-    /// before any diagnosis reads its trajectories.
+    /// read it, with the one the section table stores.
+    /// [`DiagnosisEngine::open`](crate::DiagnosisEngine::open) calls
+    /// this, so a corrupt shard is rejected before any diagnosis reads
+    /// its trajectories.
     ///
     /// # Errors
     ///
@@ -339,12 +346,6 @@ impl MappedBank {
     /// The shard file this bank was read from.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Payload bytes across every section of the container (the file
-    /// minus header and section table).
-    pub fn payload_bytes(&self) -> u64 {
-        self.table.payload_bytes()
     }
 }
 
@@ -910,10 +911,6 @@ mod tests {
         assert_eq!(mapped.resident_bytes(), traj.len as u64);
         assert_eq!(mapped.path(), path.as_path());
         assert_eq!(mapped.generation(), FileGen::probe(&path).unwrap());
-        // The payload total is the container minus header/table
-        // overhead.
-        let file_len = std::fs::metadata(&path).unwrap().len();
-        assert!(mapped.payload_bytes() > 0 && mapped.payload_bytes() < file_len);
         std::fs::remove_file(&path).ok();
     }
 
@@ -929,9 +926,10 @@ mod tests {
         std::fs::write(&path, &corrupt).unwrap();
         // The served load succeeds — the trajectory section is intact,
         // and the dictionary bytes are never read — and diagnoses.
-        let engine = DiagnosisEngine::load_mapped(&path, EngineConfig::default()).unwrap();
+        let (engine, _) = DiagnosisEngine::open(&path, EngineConfig::default()).unwrap();
         assert_eq!(engine.trajectory_set(), bank.trajectory_set());
-        let reference = DiagnosisEngine::new(bank, EngineConfig::default());
+        let reference =
+            DiagnosisEngine::new(bank.trajectory_set().clone(), EngineConfig::default());
         let sig = Signature::new(vec![0.3, -0.2]);
         assert_eq!(engine.diagnose(&sig), reference.diagnose(&sig));
         // The full load, which tools use, attributes the hit to the
@@ -1181,7 +1179,7 @@ mod tests {
         assert_eq!(bank.trajectory_set(), rc_bank().trajectory_set());
         let path = std::env::temp_dir().join("ft_serve_hostile_v3_baseline_test.ftb");
         std::fs::write(&path, &bytes).unwrap();
-        let engine = DiagnosisEngine::load_mapped(&path, EngineConfig::default()).unwrap();
+        let (engine, _) = DiagnosisEngine::open(&path, EngineConfig::default()).unwrap();
         assert_eq!(engine.trajectory_set(), bank.trajectory_set());
         std::fs::remove_file(&path).ok();
     }
@@ -1247,8 +1245,8 @@ mod tests {
             // decoder does not judge, at validate_deep.
             std::fs::write(&path, &bytes).unwrap();
             assert!(
-                DiagnosisEngine::load_mapped(&path, EngineConfig::default()).is_err(),
-                "mapped engine accepted {what}"
+                DiagnosisEngine::open(&path, EngineConfig::default()).is_err(),
+                "served load accepted {what}"
             );
         }
         std::fs::remove_file(&path).ok();

@@ -14,7 +14,7 @@
 //!   bank's trajectories (smoke tests, load generators).
 //! * `ftd bank-info` — inspect a bank container: format version,
 //!   section table with per-section payload bytes and checksum status,
-//!   entry counts.
+//!   whether the served load accepts it, entry counts.
 //! * `ftd bench-scan-vs-index` — measure the spatial index against the
 //!   linear scan on a production-scale synthetic bank.
 //!
@@ -36,9 +36,9 @@ use ft_numerics::FrequencyGrid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bank::{MappedBank, TrajectoryBank};
+use crate::bank::TrajectoryBank;
 use crate::codec::{peek_version, section_name, SectionTable, BANK_VERSION};
-use crate::engine::EngineConfig;
+use crate::engine::{DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
 use crate::obs::MetricsRegistry;
 use crate::pool::ServeHandle;
@@ -61,7 +61,7 @@ USAGE:
   ftd loadgen --connect ADDR --requests FILE [--connections N]
             [--depth N] [--total N] [--out PATH] [--json PATH] [--stats]
   ftd gen-requests --bank PATH --cut-id ID [--count N] [--seed N]
-  ftd bank-info [--mapped] PATH
+  ftd bank-info PATH
   ftd bench-scan-vs-index [--components N] [--points N] [--dim D]
                [--queries N] [--seed N] [--leaf N]
                [--topk K] [--circuit-order N] [--segments N[,N...]]
@@ -149,14 +149,14 @@ SUBCOMMANDS:
   gen-requests         Load a bank and print --count deterministic
                        request lines (signatures jittered around the
                        bank's trajectories) tagged with --cut-id.
-  bank-info            Print a bank container's format version, section
-                       table (type, payload bytes, checksum status), and
-                       entry counts without serving from it. With
-                       --mapped, open it the way the server loads a
-                       shard instead (header, section table and
-                       trajectory section only) and report the bytes a
-                       served shard holds (its trajectory section), the
-                       trajectory summary and the trajectory checksum.
+  bank-info            Print a bank container's format version and
+                       section table (type, payload bytes, checksum
+                       status); then load it the way the server loads a
+                       shard (trajectory section only) and report
+                       whether that load succeeds and the bytes a served
+                       shard holds (its trajectory section); then decode
+                       every section and print entry counts. Exits 1
+                       when the full decode fails.
   bench-scan-vs-index  Time the linear scan against the flat
                        SIMD-friendly index and the top-k
                        early-termination path (K from --topk, default 5)
@@ -1035,18 +1035,10 @@ fn gen_requests(args: &[String]) -> Result<(), CliError> {
 }
 
 fn bank_info(args: &[String]) -> Result<(), CliError> {
-    let (mapped, path) = match args {
-        [path] => (false, path),
-        [a, path] | [path, a] if a == "--mapped" => (true, path),
-        _ => {
-            return Err(usage(
-                "bank-info takes one PATH argument (plus optional --mapped)",
-            ))
-        }
+    let path = match args {
+        [path] if !path.starts_with('-') => path,
+        _ => return Err(usage("bank-info takes one PATH argument")),
     };
-    if mapped {
-        return bank_info_mapped(path);
-    }
     let bytes = std::fs::read(path).map_err(|e| runtime(format!("{path}: {e}")))?;
     let version = peek_version(&bytes).map_err(|e| runtime(e.in_file(path)))?;
     println!("bank `{path}`: {} bytes, format v{version}", bytes.len());
@@ -1075,6 +1067,14 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
         table.entries().len(),
         bytes.len() - payload_total,
     );
+    // What `ftd serve` reads of this file: the trajectory section alone.
+    match DiagnosisEngine::open(path, EngineConfig::default()) {
+        Ok((_, shard)) => println!(
+            "served load: ok, a served shard holds {} bytes (its trajectory section)",
+            shard.resident_bytes()
+        ),
+        Err(e) => println!("served load: FAILED: {e}"),
+    }
 
     match TrajectoryBank::from_bytes(&bytes) {
         Ok(bank) => {
@@ -1108,35 +1108,6 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
             "decode failed ({bad_sections} bad sections): {e}"
         ))),
     }
-}
-
-/// The `--mapped` arm of `ftd bank-info`: opens the bank the way the
-/// server loads a shard (header, section table and trajectory section
-/// only), so the report reflects exactly what `ftd serve` would read and
-/// how many bytes a served shard holds.
-fn bank_info_mapped(path: &str) -> Result<(), CliError> {
-    let (bank, set) = MappedBank::open(path).map_err(runtime)?;
-    println!(
-        "bank `{path}`: {} payload bytes of {} on disk, trajectory section read",
-        bank.payload_bytes(),
-        bank.generation().len(),
-    );
-    println!(
-        "served shard pins {} bytes (the trajectory section)",
-        bank.resident_bytes()
-    );
-    println!(
-        "trajectories: {} trajectories / {} segments, dim {}, tv {}",
-        set.len(),
-        set.total_segments(),
-        set.dim(),
-        set.test_vector(),
-    );
-    match bank.verify_trajectory_payload() {
-        Ok(()) => println!("trajectory payload checksum: ok"),
-        Err(e) => println!("trajectory payload checksum: FAILED: {e}"),
-    }
-    Ok(())
 }
 
 fn probe_str(probe: &Probe) -> String {
@@ -1526,7 +1497,6 @@ fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DiagnosisEngine;
 
     #[test]
     fn fault_spec_parsing() {
@@ -1729,31 +1699,23 @@ mod tests {
         let v3 = dir.join("v3.ftb");
         bank.save(&v3).unwrap();
         let arg = |p: &std::path::Path| p.display().to_string();
-        let plain = |p: &std::path::Path| vec![arg(p)];
-        let mapped = |p: &std::path::Path| vec!["--mapped".into(), arg(p)];
-        for args in [plain(&v3), mapped(&v3)] {
-            assert!(bank_info(&args).is_ok(), "{args:?}");
-        }
+        assert!(bank_info(&[arg(&v3)]).is_ok());
         // Versions 1 and 2 (deleted formats) and 4 (unknown) are refused
-        // by both forms with one message naming the file and the version.
-        // The version field sits outside every checksum, so the rest of
-        // each container is well formed.
+        // with one message naming the file and the version. The version
+        // field sits outside every checksum, so the rest of each
+        // container is well formed.
         for version in [1u16, 2, 4] {
             let path = dir.join(format!("v{version}.ftb"));
             let mut bytes = std::fs::read(&v3).unwrap();
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, bytes).unwrap();
-            for args in [plain(&path), mapped(&path)] {
-                let Err(CliError::Runtime(msg)) = bank_info(&args) else {
-                    panic!("bank-info {args:?} must fail at runtime");
-                };
-                assert!(msg.contains(&format!("v{version}.ftb")), "{msg}");
-                assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains("reads v3 banks"), "{msg}");
-                let mut argv = vec!["bank-info".to_string()];
-                argv.extend(args);
-                assert_eq!(main_from_args(argv), 1);
-            }
+            let Err(CliError::Runtime(msg)) = bank_info(&[arg(&path)]) else {
+                panic!("bank-info {path:?} must fail at runtime");
+            };
+            assert!(msg.contains(&format!("v{version}.ftb")), "{msg}");
+            assert!(msg.contains(&format!("version {version}")), "{msg}");
+            assert!(msg.contains("reads v3 banks"), "{msg}");
+            assert_eq!(main_from_args(vec!["bank-info".into(), arg(&path)]), 1);
         }
         // The migration subcommand is gone: an unknown subcommand.
         assert_eq!(
@@ -1865,8 +1827,10 @@ mod tests {
         handle.submit(requests.clone());
         let pooled = handle.drain().remove(0);
 
-        let engine = DiagnosisEngine::load(dir.join("ladder.ftb"), EngineConfig::default())
-            .expect("bank loads");
+        let set = TrajectoryBank::load(dir.join("ladder.ftb"))
+            .expect("bank loads")
+            .into_trajectory_set();
+        let engine = DiagnosisEngine::new(set, EngineConfig::default());
 
         assert_eq!(pooled.len(), requests.len());
         for (req, pooled) in requests.iter().zip(&pooled) {

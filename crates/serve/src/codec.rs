@@ -546,12 +546,6 @@ impl SectionTable {
         self.total_len
     }
 
-    /// Sum of the declared payload lengths of every section: the
-    /// container minus its header and section table.
-    pub fn payload_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.len as u64).sum()
-    }
-
     /// The unique entry of type `kind`, located structurally: no
     /// payload byte is read and no checksum verified. This is the lookup
     /// the shard reader uses before it reads the section, and the one
@@ -902,10 +896,6 @@ mod tests {
             .entries()
             .iter()
             .all(|e| table.verify(&bytes, e).is_ok()));
-        assert_eq!(
-            table.payload_bytes(),
-            table.entries().iter().map(|e| e.len as u64).sum()
-        );
         assert_eq!(
             table.require(&bytes, SECTION_DICTIONARY).unwrap(),
             b"dict-payload"

@@ -1,29 +1,29 @@
-//! The online diagnosis engine: a loaded bank behind an index,
+//! The online diagnosis engine: a trajectory set behind its index,
 //! answering one signature per call.
 //!
-//! The engine owns one immutable bank source — a fully decoded
-//! [`TrajectoryBank`] or a shard's [`MappedBank`] handle — plus its
-//! [`SegmentIndex`]. Everything inside is plain immutable data, so
-//! threads share an engine by reference; concurrent serving is
-//! [`crate::ServeHandle`]'s job, not the engine's.
+//! Diagnosis needs nothing but the trajectories, so an engine is a
+//! [`TrajectorySet`], its [`SegmentIndex`] and a [`Diagnoser`]. It is
+//! built in process ([`DiagnosisEngine::new`]) or read from a shard
+//! file ([`DiagnosisEngine::open`]). Everything inside is plain
+//! immutable data, so threads share an engine by reference; concurrent
+//! serving is [`crate::ServeHandle`]'s job, not the engine's.
 //!
-//! A shard engine ([`DiagnosisEngine::load_mapped`]) reads only the
-//! trajectory section at load; the dictionary and multi-fault sections
-//! stay on disk, unread, which is what makes its cold load a fraction
-//! of the full load on dictionary-heavy shards. The price:
-//! [`DiagnosisEngine::bank`] is `None` for shard engines — tools that
-//! need the dictionaries load the file with [`TrajectoryBank::load`].
+//! [`DiagnosisEngine::open`] reads only the trajectory section; the
+//! dictionary and multi-fault sections stay on disk, unread, which is
+//! what makes a shard's cold load a fraction of the full load on
+//! dictionary-heavy shards. Tools that need the dictionaries load the
+//! file with [`TrajectoryBank::load`](crate::TrajectoryBank::load) and
+//! keep that bank themselves.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use ft_core::{Diagnoser, DiagnoserConfig, Diagnosis, Signature, TrajectorySet};
 
-use crate::bank::{MappedBank, TrajectoryBank};
+use crate::bank::MappedBank;
 use crate::codec::CodecError;
 use crate::index::SegmentIndex;
 use crate::obs::{EngineMetrics, SpanTimer};
-use crate::store::FileGen;
 
 /// Engine configuration. Ranking depth is not configured:
 /// [`DiagnosisEngine::diagnose`] ranks in full, and served requests
@@ -34,23 +34,9 @@ pub struct EngineConfig {
     pub diagnoser: DiagnoserConfig,
 }
 
-/// Where an engine's bank came from, and how much of it is decoded.
-#[derive(Debug)]
-enum BankSource {
-    /// A fully decoded in-memory bank (built in-process or heap-loaded
-    /// from a file). Boxed so the variant stays close in size to
-    /// `Mapped` (a decoded bank is megabytes of owned vectors behind the
-    /// box).
-    Heap(Box<TrajectoryBank>),
-    /// A shard read for serving; only the trajectory set is decoded
-    /// (and it lives in the diagnoser, not here).
-    Mapped(MappedBank),
-}
-
-/// A persistent, indexed diagnosis engine over one bank.
+/// A persistent, indexed diagnosis engine over one trajectory set.
 #[derive(Debug)]
 pub struct DiagnosisEngine {
-    source: BankSource,
     index: SegmentIndex,
     diagnoser: Diagnoser,
     config: EngineConfig,
@@ -58,69 +44,51 @@ pub struct DiagnosisEngine {
 }
 
 impl DiagnosisEngine {
-    /// Builds the engine (and its spatial index) over a bank.
+    /// Builds the engine (and its spatial index) over a trajectory set.
     ///
     /// # Panics
     ///
-    /// Panics if the bank's trajectory set is empty.
-    pub fn new(bank: TrajectoryBank, config: EngineConfig) -> Self {
-        let index = SegmentIndex::build(bank.trajectory_set());
-        let diagnoser = Diagnoser::new(bank.trajectory_set().clone(), config.diagnoser);
+    /// Panics if the set is empty.
+    pub fn new(set: TrajectorySet, config: EngineConfig) -> Self {
+        let index = SegmentIndex::build(&set);
         DiagnosisEngine {
-            source: BankSource::Heap(Box::new(bank)),
             index,
-            diagnoser,
+            diagnoser: Diagnoser::new(set, config.diagnoser),
             config,
             metrics: None,
         }
     }
 
-    /// Loads a bank file (full heap decode, every section verified) and
-    /// builds the engine over it — the path of the single-bank CLI
-    /// commands. The engine keeps no tie to the file: the store serves
-    /// shards through [`DiagnosisEngine::load_mapped`] instead.
+    /// Reads a shard file's trajectory section ([`MappedBank::open`])
+    /// and builds the engine over it; the dictionary and multi-fault
+    /// sections are never read. Before the set serves, this compares
+    /// the section's checksum with the section table's and runs the
+    /// deep content validation (finite coordinates, sound deviation
+    /// ladders), so a corrupt shard is rejected here. The engine holds
+    /// an owned copy of the trajectories: rewriting or truncating the
+    /// file afterwards cannot change its answers.
+    ///
+    /// The returned handle describes the file that was read: its
+    /// generation and the bytes the served shard holds.
     ///
     /// # Errors
     ///
-    /// Propagates bank I/O and decode errors, annotated with the file
-    /// path ([`CodecError::InFile`]).
-    pub fn load(path: impl AsRef<Path>, config: EngineConfig) -> Result<Self, CodecError> {
-        Ok(DiagnosisEngine::new(TrajectoryBank::load(path)?, config))
-    }
-
-    /// Reads a bank file's trajectory section and builds the engine over
-    /// it: the dictionary and multi-fault sections are never read
-    /// ([`MappedBank::open`]), so [`bank`](DiagnosisEngine::bank) is
-    /// `None`. The engine holds an owned copy of the trajectories, so
-    /// rewriting or truncating the file afterwards cannot change its
-    /// answers.
-    ///
-    /// Before the set serves, this checks the trajectory section's
-    /// checksum, taken when `open` read it, and runs the deep content
-    /// validation (finite coordinates, sound deviation ladders). A
-    /// corrupt shard is therefore rejected at load.
-    ///
-    /// # Errors
-    ///
-    /// As [`DiagnosisEngine::load`]; corruption confined to sections
-    /// diagnosis never reads (dictionary, multi-fault) does *not* fail
-    /// the load (it surfaces when a tool loads the file with
-    /// [`TrajectoryBank::load`]).
-    pub fn load_mapped(path: impl AsRef<Path>, config: EngineConfig) -> Result<Self, CodecError> {
+    /// I/O, format-version, structural, checksum and content errors,
+    /// annotated with the file path ([`CodecError::InFile`]).
+    /// Corruption confined to sections diagnosis never reads
+    /// (dictionary, multi-fault) does *not* fail the open; it surfaces
+    /// when a tool loads the file with
+    /// [`TrajectoryBank::load`](crate::TrajectoryBank::load).
+    pub fn open(
+        path: impl AsRef<Path>,
+        config: EngineConfig,
+    ) -> Result<(Self, MappedBank), CodecError> {
         let path = path.as_ref();
-        let (mapped, set) = MappedBank::open(path)?;
-        mapped.verify_trajectory_payload()?;
+        let (shard, set) = MappedBank::open(path)?;
+        shard.verify_trajectory_payload()?;
         set.validate_deep()
             .map_err(|msg| CodecError::Malformed(msg).in_file(path))?;
-        let index = SegmentIndex::build(&set);
-        let diagnoser = Diagnoser::new(set, config.diagnoser);
-        Ok(DiagnosisEngine {
-            source: BankSource::Mapped(mapped),
-            index,
-            diagnoser,
-            config,
-            metrics: None,
-        })
+        Ok((DiagnosisEngine::new(set, config), shard))
     }
 
     /// Attaches observability handles: per-diagnose latency and path
@@ -137,46 +105,10 @@ impl DiagnosisEngine {
         self.metrics = Some(metrics);
     }
 
-    /// The fully decoded bank, when this engine holds one (`None` for
-    /// shard engines, which never read the dictionaries).
-    #[inline]
-    pub fn bank(&self) -> Option<&TrajectoryBank> {
-        match &self.source {
-            BankSource::Heap(bank) => Some(bank),
-            BankSource::Mapped(_) => None,
-        }
-    }
-
-    /// The trajectory set diagnosis runs against — always available,
-    /// whatever the bank source.
+    /// The trajectory set diagnosis runs against.
     #[inline]
     pub fn trajectory_set(&self) -> &TrajectorySet {
         self.diagnoser.trajectory_set()
-    }
-
-    /// The shard file's generation at load time; `None` for heap
-    /// engines, which keep no tie to a file. The store compares this
-    /// against a fresh `stat` to detect rebuilt shards.
-    #[inline]
-    pub fn generation(&self) -> Option<FileGen> {
-        match &self.source {
-            BankSource::Heap(_) => None,
-            BankSource::Mapped(mapped) => Some(mapped.generation()),
-        }
-    }
-
-    /// Bytes this engine's shard holds resident — what the store's
-    /// memory budget accounts per shard: for shard engines, the
-    /// trajectory section's payload length, fixed at load (see
-    /// [`MappedBank::resident_bytes`]); zero for heap engines, which the
-    /// store only holds as pinned in-process banks that are never
-    /// evicted or counted.
-    #[inline]
-    pub fn resident_bytes(&self) -> u64 {
-        match &self.source {
-            BankSource::Heap(_) => 0,
-            BankSource::Mapped(mapped) => mapped.resident_bytes(),
-        }
     }
 
     /// The spatial index in use.
@@ -242,6 +174,8 @@ impl DiagnosisEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::TrajectoryBank;
+    use crate::store::FileGen;
     use crate::synthetic::synthetic_trajectory_set;
     use ft_core::TestVector;
     use ft_faults::{DeviationGrid, FaultDictionary, FaultUniverse};
@@ -249,7 +183,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn rc_engine() -> DiagnosisEngine {
+    fn rc_bank() -> TrajectoryBank {
         let mut ckt = ft_circuit::Circuit::new("rc");
         ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
         ckt.resistor("R1", "in", "out", 1e3).unwrap();
@@ -264,8 +198,11 @@ mod tests {
             &grid,
         )
         .unwrap();
-        let bank = TrajectoryBank::build(dict, &TestVector::pair(100.0, 1e4));
-        DiagnosisEngine::new(bank, EngineConfig::default())
+        TrajectoryBank::build(dict, &TestVector::pair(100.0, 1e4))
+    }
+
+    fn rc_engine() -> DiagnosisEngine {
+        DiagnosisEngine::new(rc_bank().trajectory_set().clone(), EngineConfig::default())
     }
 
     #[test]
@@ -279,23 +216,15 @@ mod tests {
     }
 
     #[test]
-    fn mapped_engine_matches_heap_engine_exactly() {
-        let heap = rc_engine();
-        let path = std::env::temp_dir().join("ft_serve_engine_mapped_test.ftb");
-        heap.bank().expect("heap engine").save(&path).unwrap();
-        let mapped = DiagnosisEngine::load_mapped(&path, heap.config()).unwrap();
-        assert!(mapped.bank().is_none());
-        assert_eq!(mapped.trajectory_set(), heap.trajectory_set());
-        assert_eq!(mapped.generation(), Some(FileGen::probe(&path).unwrap()));
-        assert!(mapped.resident_bytes() > 0);
-        // Heap engines, loaded from a file or built in-process, keep no
-        // tie to a file and pin nothing the store accounts.
-        let loaded = DiagnosisEngine::load(&path, heap.config()).unwrap();
-        for engine in [&loaded, &heap] {
-            assert_eq!(engine.generation(), None);
-            assert_eq!(engine.resident_bytes(), 0);
-        }
-        assert_eq!(loaded.trajectory_set(), heap.trajectory_set());
+    fn opened_engine_matches_built_engine_exactly() {
+        let built = rc_engine();
+        let path = std::env::temp_dir().join("ft_serve_engine_open_test.ftb");
+        rc_bank().save(&path).unwrap();
+        let (opened, shard) = DiagnosisEngine::open(&path, built.config()).unwrap();
+        assert_eq!(opened.trajectory_set(), built.trajectory_set());
+        // The handle describes the file that was read.
+        assert_eq!(shard.generation(), FileGen::probe(&path).unwrap());
+        assert!(shard.resident_bytes() > 0);
         std::fs::remove_file(&path).ok();
 
         let mut rng = StdRng::seed_from_u64(17);
@@ -303,8 +232,8 @@ mod tests {
             .map(|_| Signature::new(vec![rng.gen_range(-6.0..6.0), rng.gen_range(-6.0..6.0)]))
             .collect();
         for sig in &sigs {
-            assert_eq!(mapped.diagnose(sig), heap.diagnose(sig));
-            assert_eq!(mapped.diagnose_linear(sig), heap.diagnose_linear(sig));
+            assert_eq!(opened.diagnose(sig), built.diagnose(sig));
+            assert_eq!(opened.diagnose_linear(sig), built.diagnose_linear(sig));
         }
     }
 

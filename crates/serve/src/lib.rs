@@ -9,16 +9,18 @@
 //!   multi-fault dictionary) persisted to disk through a self-contained
 //!   binary [`codec`]: a sectioned v3 container whose sections are
 //!   type-tagged, length-prefixed, and independently checksummed; a
-//!   served shard reads only its trajectory section ([`MappedBank`])
-//!   (unknown sections skip; v3 is the one format written and read;
-//!   the vendored `serde` is a marker-only shim, so the codec is
-//!   hand-rolled).
+//!   served shard reads only its trajectory section
+//!   ([`DiagnosisEngine::open`], through [`MappedBank`]) (unknown
+//!   sections skip; v3 is the one format written and read; the vendored
+//!   `serde` is a marker-only shim, so the codec is hand-rolled).
 //! * [`SegmentIndex`] — a spatial index over signature space: a
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests and a top-k early-termination
 //!   query path — all **bit-identical** to the linear scan.
-//! * [`DiagnosisEngine`] — one loaded bank behind its index, answering
-//!   one signature per call: the full ranking through the index
+//! * [`DiagnosisEngine`] — one trajectory set behind its index, built in
+//!   process ([`DiagnosisEngine::new`]) or read from a shard file
+//!   ([`DiagnosisEngine::open`]), answering one signature per call: the
+//!   full ranking through the index
 //!   ([`DiagnosisEngine::diagnose`]), the served top-1 prefix, or the
 //!   exhaustive linear scan ([`DiagnosisEngine::diagnose_linear`]), the
 //!   reference that served answers are checked against.
@@ -80,7 +82,7 @@
 //!
 //! // Online: reload and serve.
 //! let bank = TrajectoryBank::from_bytes(&bytes)?;
-//! let engine = DiagnosisEngine::new(bank, EngineConfig::default());
+//! let engine = DiagnosisEngine::new(bank.into_trajectory_set(), EngineConfig::default());
 //! let mut faulty = bench.circuit.clone();
 //! faulty.set_value("R2", 1.25)?;
 //! let sig = ft_core::measure_signature(

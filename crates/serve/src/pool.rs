@@ -624,10 +624,10 @@ mod tests {
             .map(|q| DiagnosisRequest::new("cut", q.clone()))
             .collect();
         let ref_old = TrajectoryBank::from_bytes(&bank_old.to_bytes())
-            .map(|b| crate::DiagnosisEngine::new(b, EngineConfig::default()))
+            .map(|b| crate::DiagnosisEngine::new(b.into_trajectory_set(), EngineConfig::default()))
             .unwrap();
         let ref_new = TrajectoryBank::from_bytes(&bank_new.to_bytes())
-            .map(|b| crate::DiagnosisEngine::new(b, EngineConfig::default()))
+            .map(|b| crate::DiagnosisEngine::new(b.into_trajectory_set(), EngineConfig::default()))
             .unwrap();
 
         // A served answer is the reference engine's top-1 prefix, and

@@ -1,8 +1,8 @@
 //! Multi-circuit bank sharding: one store, many banks, routed by CUT id.
 //!
 //! A deployment rarely serves a single circuit-under-test. [`BankStore`]
-//! owns a shard per CUT — each shard a full [`DiagnosisEngine`] (bank +
-//! spatial index + diagnoser) — and routes every
+//! owns a shard per CUT — each shard a [`DiagnosisEngine`] (trajectory
+//! set + spatial index + diagnoser) — and routes every
 //! [`DiagnosisRequest`]`{ cut_id, signature }` to the right shard's
 //! index. Shards load lazily from a directory laid out as
 //! `<dir>/<cut-id>.ftb`, so opening a store over thousands of banks
@@ -15,10 +15,10 @@
 //! The store is built to front shard sets much larger than RAM:
 //!
 //! * **Trajectory-section loads** — shards load through
-//!   [`DiagnosisEngine::load_mapped`]: the header, the section table and
-//!   the trajectory section are read, checksummed and decoded into an
-//!   owned set; the dictionary payloads are never read. A shard of any
-//!   format version but v3 fails to load with an attributed error.
+//!   [`DiagnosisEngine::open`]: the header, the section table and the
+//!   trajectory section are read, checksummed and decoded into an owned
+//!   set; the dictionary payloads are never read. A shard of any format
+//!   version but v3 fails to load with an attributed error.
 //! * **LRU eviction** — [`StoreConfig::mem_budget`] caps the resident
 //!   bytes, each shard accounted as its trajectory section's payload
 //!   length, fixed at load; crossing the budget evicts whole
@@ -460,10 +460,11 @@ impl BankStore {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Builds an engine over `bank` and registers it under `cut_id`,
-    /// replacing any previous shard with that id. In-memory banks are
-    /// pinned: they carry no file generation, are never statted or
-    /// evicted, and do not count against the memory budget.
+    /// Builds an engine over `bank`'s trajectory set and registers it
+    /// under `cut_id`, replacing any previous shard with that id; the
+    /// rest of the bank is dropped. In-memory banks are pinned: they
+    /// carry no file generation, are never statted or evicted, and do
+    /// not count against the memory budget.
     ///
     /// # Errors
     ///
@@ -477,7 +478,7 @@ impl BankStore {
         if !valid_cut_id(cut_id) {
             return Err(StoreError::InvalidCutId(cut_id.to_string()));
         }
-        let mut engine = DiagnosisEngine::new(bank, self.config.engine);
+        let mut engine = DiagnosisEngine::new(bank.into_trajectory_set(), self.config.engine);
         if let Some(m) = &self.metrics {
             engine.set_metrics(m.engine.clone());
         }
@@ -763,9 +764,10 @@ impl BankStore {
     /// Loads a shard file (outside the lock) and installs the outcome.
     /// `generation` is the caller's probe of `path`, taken *before* the
     /// read, and `probed_at` the instant read before that probe (as in
-    /// `confirm`): if the file is swapped mid-load, the slot carries the
-    /// pre-load stamp and the next probe mismatches and retries — never
-    /// the reverse.
+    /// `confirm`). A successful load records the generation of the
+    /// descriptor it read instead; a failed one keeps the probe. Either
+    /// way, if the file is swapped mid-load, the next probe mismatches
+    /// and retries — never the reverse.
     fn load_and_install(
         &self,
         cut_id: &str,
@@ -780,21 +782,18 @@ impl BankStore {
             .metrics
             .as_ref()
             .map(|m| SpanTimer::start(Arc::clone(&m.load_latency)));
-        let loaded = DiagnosisEngine::load_mapped(path, self.config.engine);
+        let loaded = DiagnosisEngine::open(path, self.config.engine);
         drop(span); // record the load wall time, success or failure
         let (state, generation, bytes): (ShardState, FileGen, u64) = match loaded {
-            Ok(mut engine) => {
+            Ok((mut engine, shard)) => {
                 if let Some(m) = &self.metrics {
                     engine.set_metrics(m.engine.clone());
                 }
-                // A shard pins its trajectory section and nothing else
+                // A shard holds its trajectory section and nothing else
                 // diagnosis reads, so that length is its accounted size
                 // for as long as it stays resident.
-                let bytes = engine.resident_bytes();
-                // Successful opens capture the generation from the
-                // descriptor they actually read.
-                let generation = engine.generation().unwrap_or(generation);
-                (Ok(Arc::new(engine)), generation, bytes)
+                let bytes = shard.resident_bytes();
+                (Ok(Arc::new(engine)), shard.generation(), bytes)
             }
             Err(e) => {
                 if let Some(m) = &self.metrics {
@@ -1024,8 +1023,8 @@ mod tests {
         let via_b = store
             .diagnose(&DiagnosisRequest::new("b", sig.clone()))
             .unwrap();
-        let engine_a = DiagnosisEngine::new(a, EngineConfig::default());
-        let engine_b = DiagnosisEngine::new(b, EngineConfig::default());
+        let engine_a = DiagnosisEngine::new(a.into_trajectory_set(), EngineConfig::default());
+        let engine_b = DiagnosisEngine::new(b.into_trajectory_set(), EngineConfig::default());
         assert_eq!(via_a, engine_a.diagnose(&sig));
         assert_eq!(via_b, engine_b.diagnose(&sig));
         // The two CUTs genuinely differ, so routing matters.
@@ -1147,7 +1146,7 @@ mod tests {
         // The full file arrives (different length ⇒ different gen).
         std::fs::write(&path, &good).unwrap();
         let diag = store.diagnose(&req).expect("repaired shard serves");
-        let reference = DiagnosisEngine::new(bank, EngineConfig::default());
+        let reference = DiagnosisEngine::new(bank.into_trajectory_set(), EngineConfig::default());
         assert_eq!(diag, reference.diagnose(&req.signature));
         assert_eq!(store.loaded_count(), 1);
 
@@ -1166,8 +1165,11 @@ mod tests {
         let store = BankStore::open(&dir, EngineConfig::default()).unwrap();
         let sig = Signature::new(vec![0.8, -0.3]);
         let req = DiagnosisRequest::new("cut", sig.clone());
-        let ref_v1 = DiagnosisEngine::new(bank_v1, EngineConfig::default()).diagnose(&sig);
-        let ref_v2 = DiagnosisEngine::new(bank_v2.clone(), EngineConfig::default()).diagnose(&sig);
+        let engine = |bank: &TrajectoryBank| {
+            DiagnosisEngine::new(bank.trajectory_set().clone(), EngineConfig::default())
+        };
+        let ref_v1 = engine(&bank_v1).diagnose(&sig);
+        let ref_v2 = engine(&bank_v2).diagnose(&sig);
         assert_ne!(ref_v1, ref_v2, "the rebuilt bank must answer differently");
         assert_eq!(store.diagnose(&req).unwrap(), ref_v1);
 
@@ -1255,16 +1257,17 @@ mod tests {
     }
 
     #[test]
-    fn mapped_store_agrees_with_heap_engine() {
+    fn directory_store_agrees_with_the_full_load() {
         let dir = std::env::temp_dir().join("ft_store_modes_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cut.ftb");
         rc_bank(1e3).save(&path).unwrap();
         let store = BankStore::open_with(&dir, StoreConfig::default()).unwrap();
-        let heap = DiagnosisEngine::load(&path, EngineConfig::default()).unwrap();
+        let full = TrajectoryBank::load(&path).unwrap().into_trajectory_set();
+        let full = DiagnosisEngine::new(full, EngineConfig::default());
         let sig = Signature::new(vec![1.1, 0.2]);
         let req = DiagnosisRequest::new("cut", sig.clone());
-        assert_eq!(store.diagnose(&req).unwrap(), heap.diagnose(&sig));
+        assert_eq!(store.diagnose(&req).unwrap(), full.diagnose(&sig));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- online phase: load, index, serve ---------------------------
     let loaded = TrajectoryBank::load(&path)?;
     assert_eq!(loaded, bank, "disk round trip is lossless");
-    let engine = DiagnosisEngine::new(loaded, EngineConfig::default());
+    let engine = DiagnosisEngine::new(loaded.trajectory_set().clone(), EngineConfig::default());
 
     // 100 unknown faults, off the dictionary grid, with 0.1 dB of
     // instrument noise on every measured magnitude.
@@ -50,12 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut faults = Vec::new();
     let mut observations = Vec::new();
     for _ in 0..100 {
-        let fault = engine
-            .bank()
-            .expect("heap engine keeps its bank")
-            .dictionary()
-            .universe()
-            .sample_unknown(&mut rng, 5.0);
+        let fault = loaded.dictionary().universe().sample_unknown(&mut rng, 5.0);
         let faulty = fault.apply(&bench.circuit)?;
         let clean = measure_signature(&faulty, &bench.circuit, &bench.input, &bench.probe, &tv)?;
         let noisy = Signature::new(
@@ -93,10 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = std::sync::Arc::new(fault_trajectory::serve::BankStore::in_memory(
         EngineConfig::default(),
     ));
-    store.insert_bank(
-        "tow-thomas",
-        engine.bank().expect("heap engine keeps its bank").clone(),
-    )?;
+    store.insert_bank("tow-thomas", loaded)?;
     let mut handle = ServeHandle::new(store, 4);
     handle.submit(
         observations

@@ -184,23 +184,24 @@ proptest! {
         );
     }
 
-    /// The shard reader's decode is indistinguishable from the full
+    /// The served load's decode is indistinguishable from the full
     /// load: same trajectory set and bit-identical diagnoses.
     #[test]
-    fn mapped_view_matches_heap_decode(
+    fn served_load_matches_full_decode(
         seed in 0i64..1_000_000, x in -9.0f64..9.0, y in -9.0f64..9.0
     ) {
         let bank = bank_from_seed(seed as u64);
-        let path = std::env::temp_dir().join(format!("serve_property_mapped_{seed}.ftb"));
+        let path = std::env::temp_dir().join(format!("serve_property_served_{seed}.ftb"));
         bank.save(&path).expect("saves");
-        let heap = DiagnosisEngine::load(&path, EngineConfig::default()).expect("heap load");
-        let mapped =
-            DiagnosisEngine::load_mapped(&path, EngineConfig::default()).expect("mapped load");
+        let full = TrajectoryBank::load(&path).expect("full load").into_trajectory_set();
+        let full = DiagnosisEngine::new(full, EngineConfig::default());
+        let (served, _) =
+            DiagnosisEngine::open(&path, EngineConfig::default()).expect("served load");
         std::fs::remove_file(&path).ok();
-        prop_assert!(mapped.trajectory_set() == heap.trajectory_set());
+        prop_assert!(served.trajectory_set() == full.trajectory_set());
         let sig = Signature::new(vec![x, y]);
-        prop_assert!(heap.diagnose(&sig) == mapped.diagnose(&sig));
-        prop_assert!(heap.diagnose_linear(&sig) == mapped.diagnose_linear(&sig));
+        prop_assert!(full.diagnose(&sig) == served.diagnose(&sig));
+        prop_assert!(full.diagnose_linear(&sig) == served.diagnose_linear(&sig));
     }
 
     /// The spatial index agrees with the exhaustive linear scan — same
@@ -377,9 +378,10 @@ fn paper_bank_round_trip_and_indexed_agreement() {
 
     let path = std::env::temp_dir().join("serve_property_paper_bank.ftb");
     bank.save(&path).expect("saves");
-    let engine = DiagnosisEngine::load(&path, EngineConfig::default()).expect("loads");
+    let loaded = TrajectoryBank::load(&path).expect("loads");
     std::fs::remove_file(&path).ok();
-    assert_eq!(engine.bank(), Some(&bank));
+    assert_eq!(loaded, bank);
+    let engine = DiagnosisEngine::new(loaded.into_trajectory_set(), EngineConfig::default());
 
     // Diagnose every ±25% single fault, indexed vs linear.
     let mut observations = Vec::new();

@@ -146,8 +146,8 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
 
     // Reference: the per-bank linear scan (full rankings), and the
     // per-bank top-1 prefix every served request must equal.
-    let engine_q1 = DiagnosisEngine::new(bank_q1, EngineConfig::default());
-    let engine_q2 = DiagnosisEngine::new(bank_q2, EngineConfig::default());
+    let engine_q1 = DiagnosisEngine::new(bank_q1.into_trajectory_set(), EngineConfig::default());
+    let engine_q2 = DiagnosisEngine::new(bank_q2.into_trajectory_set(), EngineConfig::default());
     let mut reference = Vec::with_capacity(requests.len());
     let mut served_ref = Vec::with_capacity(requests.len());
     for (sa, sb) in sig_q1.iter().zip(&sig_q2) {
@@ -198,12 +198,13 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
 }
 
 #[test]
-fn mapped_and_heap_engines_diagnose_byte_identically() {
+fn served_and_full_loads_diagnose_byte_identically() {
     // Property: for banks of varying shape (with/without multifault,
-    // varying Q), the engine loaded the way the store serves a shard
-    // (trajectory section only) and the one over the fully loaded bank
-    // return bit-identical diagnoses on every path.
-    let dir = std::env::temp_dir().join("serve_v2_mapped_parity");
+    // varying Q), the engine the store serves a shard with
+    // (`DiagnosisEngine::open`, trajectory section only) and one built
+    // over the fully loaded bank return bit-identical diagnoses on
+    // every path.
+    let dir = std::env::temp_dir().join("serve_v2_served_parity");
     std::fs::create_dir_all(&dir).expect("dir");
     for (name, bank) in [
         ("q1", paper_bank_with_multifault(1.0)),
@@ -216,26 +217,33 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
         let path = dir.join(format!("{name}.ftb"));
         bank.save(&path).expect("saves");
 
-        let heap = DiagnosisEngine::load(&path, EngineConfig::default()).expect("heap load");
-        let mapped =
-            DiagnosisEngine::load_mapped(&path, EngineConfig::default()).expect("mapped load");
-        assert!(mapped.bank().is_none(), "mapped engine holds no heap bank");
+        let full = TrajectoryBank::load(&path).expect("full load");
+        let full = DiagnosisEngine::new(full.into_trajectory_set(), EngineConfig::default());
+        let (served, shard) =
+            DiagnosisEngine::open(&path, EngineConfig::default()).expect("served load");
         assert_eq!(
-            mapped.generation(),
-            Some(FileGen::probe(&path).expect("stat")),
-            "the mapped engine records the file generation"
+            shard.generation(),
+            FileGen::probe(&path).expect("stat"),
+            "the served load records the file generation"
         );
-        assert_eq!(heap.generation(), None, "a heap engine keeps no file tie");
 
         for q in &synthetic_queries(bank.trajectory_set(), 23, 42) {
-            let want = heap.diagnose_linear(q);
+            let want = full.diagnose_linear(q);
             assert_eq!(
                 want,
-                mapped.diagnose_linear(q),
+                served.diagnose_linear(q),
                 "linear diverged on `{name}`"
             );
-            assert_eq!(want, heap.diagnose(q), "heap index diverged on `{name}`");
-            assert_eq!(want, mapped.diagnose(q), "shard index diverged on `{name}`");
+            assert_eq!(
+                want,
+                full.diagnose(q),
+                "full-load index diverged on `{name}`"
+            );
+            assert_eq!(
+                want,
+                served.diagnose(q),
+                "served index diverged on `{name}`"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -256,7 +264,7 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
         .iter()
         .map(|e| (e.kind, e.offset, e.len))
         .collect();
-    let reference = DiagnosisEngine::new(bank.clone(), EngineConfig::default());
+    let reference = DiagnosisEngine::new(bank.trajectory_set().clone(), EngineConfig::default());
     let queries = synthetic_queries(bank.trajectory_set(), 9, 77);
 
     let dir = std::env::temp_dir().join("serve_v2_mapped_lazy_corruption");
@@ -277,12 +285,12 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
                 .verify_trajectory_payload()
                 .expect_err("deferred verification detects damage");
             assert!(err.to_string().contains("trajectories"), "got: {err}");
-            let err = DiagnosisEngine::load_mapped(&path, EngineConfig::default())
+            let err = DiagnosisEngine::open(&path, EngineConfig::default())
                 .expect_err("engine must refuse the damaged shard");
             assert!(err.to_string().contains("trajectories"), "got: {err}");
             continue;
         }
-        let engine = DiagnosisEngine::load_mapped(&path, EngineConfig::default())
+        let (engine, _) = DiagnosisEngine::open(&path, EngineConfig::default())
             .expect("the served load never reads the damaged section");
         assert_eq!(
             engine.trajectory_set(),
@@ -480,9 +488,10 @@ fn loaded_shard_survives_in_place_truncation_and_rewrite() {
         .collect();
     // The per-bank top-1 answers a request must receive, with "a"
     // served by `bank_for_a`.
-    let engine_b = DiagnosisEngine::new(bank_b, EngineConfig::default());
+    let engine_b = DiagnosisEngine::new(bank_b.into_trajectory_set(), EngineConfig::default());
     let reference = |bank_for_a: &TrajectoryBank| -> Vec<Diagnosis> {
-        let engine_a = DiagnosisEngine::new(bank_for_a.clone(), EngineConfig::default());
+        let set = bank_for_a.trajectory_set().clone();
+        let engine_a = DiagnosisEngine::new(set, EngineConfig::default());
         requests
             .iter()
             .map(|r| {
@@ -659,8 +668,7 @@ fn engine_load_error_names_the_failing_shard() {
     bytes[last] ^= 0xff;
     std::fs::write(&path, &bytes).expect("writes");
 
-    let err = DiagnosisEngine::load(&path, EngineConfig::default())
-        .expect_err("corrupt shard must not load");
+    let err = TrajectoryBank::load(&path).expect_err("corrupt shard must not load");
     let msg = err.to_string();
     assert!(msg.contains("broken.ftb"), "path missing from: {msg}");
     assert!(msg.contains("multifault"), "section missing from: {msg}");
