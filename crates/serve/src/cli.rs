@@ -729,15 +729,8 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             let mut out = stdout.lock();
             for (cut, result) in cuts.drain(..).zip(results) {
                 served.set(served.get() + 1);
-                match result {
-                    Ok(diagnosis) => {
-                        writeln!(out, "{}", render_diagnosis_line(&cut, &diagnosis))?;
-                    }
-                    Err(e) => {
-                        errors.set(errors.get() + 1);
-                        writeln!(out, "{cut}\terror\t{e}")?;
-                    }
-                }
+                errors.set(errors.get() + usize::from(result.is_err()));
+                writeln!(out, "{}", crate::net::response_line(&cut, &result))?;
             }
             Ok(())
         };

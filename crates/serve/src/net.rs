@@ -279,11 +279,10 @@ pub fn decode_text_frame(payload: &[u8]) -> Result<String, FrameError> {
     Ok(text)
 }
 
-/// Renders the serve output line for one pool result — **the** line the
-/// stdin front-end prints for the same request, byte for byte: the TCP
-/// tier, `ftd loadgen --out`, and the integration tests all route
-/// through this one function so the byte-identity oracle has a single
-/// source of truth.
+/// Renders the serve output line for one pool result: stdin `ftd
+/// serve`, the TCP tier, `ftd loadgen --out` and the integration tests
+/// all route through this one function, so the byte-identity oracle has
+/// a single source of truth.
 pub fn response_line(cut_id: &str, result: &ServeResult) -> String {
     match result {
         Ok(diagnosis) => crate::cli::render_diagnosis_line(cut_id, diagnosis),
