@@ -255,7 +255,8 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
     // dictionary or multi-fault payload must not stop diagnosis (which
     // only needs the trajectories), while the full load the offline
     // tools use still detects it and attributes it to the section it
-    // hit and the file.
+    // hit and the file. Damage to the trajectory section, or a
+    // coordinate no checksum can catch, stops the served load.
     let bank = paper_bank_with_multifault(1.0);
     let bytes = bank.to_bytes();
     let sections: Vec<(u16, usize, usize)> = SectionTable::parse(&bytes)
@@ -309,6 +310,32 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
             "path missing from: {msg}"
         );
     }
+
+    // A NaN last coordinate, re-framed so every checksum holds: only the
+    // content validation can refuse it, and both served paths must.
+    let mut nan = ContainerBuilder::new();
+    for &(kind, offset, len) in &sections {
+        let mut payload = bytes[offset..offset + len].to_vec();
+        if kind == fault_trajectory::serve::SECTION_TRAJECTORIES {
+            payload[len - 8..].copy_from_slice(&f64::NAN.to_le_bytes());
+        }
+        nan.push_section(kind, payload);
+    }
+    let path = dir.join("nan.ftb");
+    std::fs::write(&path, nan.finish()).expect("writes");
+    let (shard, _) = MappedBank::open(&path).expect("the frame is sound");
+    shard
+        .verify_trajectory_payload()
+        .expect("every checksum holds");
+    let named = |msg: String| msg.contains("nan.ftb") && msg.contains("finite");
+    let err = DiagnosisEngine::open(&path, EngineConfig::default())
+        .expect_err("a NaN coordinate must not serve");
+    assert!(named(err.to_string()), "got: {err}");
+    let store = BankStore::open(&dir, EngineConfig::default()).expect("store opens");
+    let err = store
+        .engine("nan")
+        .expect_err("the store must refuse it too");
+    assert!(named(err.to_string()), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
