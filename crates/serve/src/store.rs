@@ -1272,6 +1272,26 @@ mod tests {
     }
 
     #[test]
+    fn a_load_records_the_generation_it_read() {
+        // The caller's probe can predate the read. A file replaced in
+        // between must be recorded as the file that was read; a slot
+        // that kept the probe would reload a current shard once more.
+        let dir = std::env::temp_dir().join("ft_store_read_generation_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cut.ftb");
+        write_shard(&path, &rc_bank(1e3));
+        let stale = FileGen::probe(&path).unwrap();
+        write_shard(&path, &rc_bank(4e3));
+        let store = BankStore::open(&dir, EngineConfig::default()).unwrap();
+        store
+            .load_and_install("cut", &path, stale, Instant::now())
+            .unwrap();
+        let recorded = store.lock_shards().slots["cut"].generation;
+        assert_eq!(recorded, Some(FileGen::probe(&path).unwrap()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn unsupported_bank_versions_are_attributed_on_every_read_path() {
         let dir = std::env::temp_dir().join("ft_store_version_test");
         std::fs::create_dir_all(&dir).unwrap();
