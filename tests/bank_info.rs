@@ -1,9 +1,8 @@
-//! `ftd bank-info` end to end, through the `ftd` binary: one report of
-//! the section table, the served load (what `ftd serve` reads of the
-//! file) and the full decode. The exit code is the full decode's, and
-//! `--mapped` is a usage error.
+//! `ftd bank-info` end to end, through the `ftd` binary: one report,
+//! whose served-load line says whether the load `ftd serve` runs accepts
+//! the file and whose exit code is the full decode's; `--mapped` is a
+//! usage error.
 
-use std::ffi::OsStr;
 use std::process::Command;
 
 use fault_trajectory::prelude::*;
@@ -11,77 +10,60 @@ use fault_trajectory::serve::{
     synthetic_circuit_bank, SectionTable, SECTION_DICTIONARY, SECTION_TRAJECTORIES,
 };
 
-/// Runs `ftd bank-info ARGS...`; returns its exit code and stdout.
-fn bank_info<S: AsRef<OsStr>>(args: &[S]) -> (i32, String) {
+/// Runs `ftd bank-info ARGS...`; returns its exit code and the report's
+/// one served-load line.
+fn bank_info(args: &[&str]) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ftd"))
         .arg("bank-info")
         .args(args)
         .output()
         .expect("ftd runs");
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    (out.status.code().expect("ftd exits"), stdout)
-}
-
-/// The report's one served-load line.
-fn served_line(report: &str) -> &str {
-    let mut lines = report.lines().filter(|l| l.starts_with("served load: "));
-    let line = lines
-        .next()
-        .unwrap_or_else(|| panic!("no served load in:\n{report}"));
-    assert!(lines.next().is_none(), "two served loads in:\n{report}");
-    line
+    let report = String::from_utf8(out.stdout).expect("utf-8 report");
+    let served: Vec<&str> = report
+        .lines()
+        .filter(|l| l.starts_with("served load: "))
+        .collect();
+    assert!(served.len() <= 1, "two served loads in:\n{report}");
+    (out.status.code().expect("ftd exits"), served.concat())
 }
 
 #[test]
 fn bank_info_reports_the_served_load_and_exits_with_the_full_decode() {
     let dir = std::env::temp_dir().join(format!("ftd_bank_info_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let bank = synthetic_circuit_bank(2, 10.0, 9, &TestVector::pair(0.5, 2.0)).unwrap();
-    let bytes = bank.to_bytes();
+    let tv = TestVector::pair(0.5, 2.0);
+    let bytes = synthetic_circuit_bank(2, 10.0, 9, &tv).unwrap().to_bytes();
     let table = SectionTable::parse(&bytes).unwrap();
     let traj = *table.locate(SECTION_TRAJECTORIES).unwrap().unwrap();
     let dict = *table.locate(SECTION_DICTIONARY).unwrap().unwrap();
-    let write = |name: &str, flip: Option<usize>| {
+    let holds = format!(
+        "served load: ok, a served shard holds {} bytes (its trajectory section)",
+        traj.len
+    );
+    // (file, byte flipped, exit code, served-load line prefix, and a
+    // word it must name). The served load never reads the dictionary.
+    let (ok, failed) = ("served load: ok, ", "served load: FAILED: ");
+    let dict_byte = dict.offset + dict.len / 2;
+    let traj_byte = traj.offset + traj.len - 1;
+    for (name, flip, code, prefix, names) in [
+        ("intact", None, 0, holds.as_str(), ""),
+        ("dict", Some(dict_byte), 1, ok, ""),
+        ("traj", Some(traj_byte), 1, failed, "trajectories"),
+    ] {
         let mut file = bytes.clone();
         if let Some(at) = flip {
             file[at] ^= 0x01;
         }
-        let path = dir.join(name);
+        let path = dir.join(format!("{name}.ftb"));
         std::fs::write(&path, file).unwrap();
-        path
-    };
-
-    // Intact: a served shard holds its trajectory section's payload.
-    let intact = write("intact.ftb", None);
-    let (code, report) = bank_info(&[&intact]);
-    assert_eq!(code, 0, "{report}");
-    assert_eq!(
-        served_line(&report),
-        format!(
-            "served load: ok, a served shard holds {} bytes (its trajectory section)",
-            traj.len
-        )
-    );
-
-    // A flipped dictionary byte: the served load never reads it, and
-    // the full decode fails.
-    let (code, report) = bank_info(&[write("dict.ftb", Some(dict.offset + dict.len / 2))]);
-    assert_eq!(code, 1, "{report}");
-    assert!(
-        served_line(&report).starts_with("served load: ok, "),
-        "{report}"
-    );
-
-    // The trajectory section's last byte flipped: the served load fails
-    // and names the section.
-    let (code, report) = bank_info(&[write("traj.ftb", Some(traj.offset + traj.len - 1))]);
-    assert_eq!(code, 1, "{report}");
-    let line = served_line(&report);
-    assert!(line.starts_with("served load: FAILED: "), "{line}");
-    assert!(line.contains("trajectories"), "{line}");
-
-    // There is one report: the old switch is a usage error.
-    let (code, _) = bank_info(&[OsStr::new("--mapped"), intact.as_os_str()]);
-    assert_eq!(code, 2);
+        let (got, line) = bank_info(&[path.to_str().unwrap()]);
+        assert_eq!(got, code, "{name}: {line}");
+        assert!(
+            line.starts_with(prefix) && line.contains(names),
+            "{name}: {line}"
+        );
+    }
+    let intact = dir.join("intact.ftb");
+    assert_eq!(bank_info(&["--mapped", intact.to_str().unwrap()]).0, 2);
     std::fs::remove_dir_all(&dir).ok();
 }
