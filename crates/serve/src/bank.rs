@@ -230,7 +230,7 @@ impl TrajectoryBank {
 
 /// The facts of a shard file read for serving: its path, its
 /// generation, its trajectory section's table entry and the checksum of
-/// the bytes read. Only the trajectory section is read.
+/// the bytes read.
 ///
 /// Unlike [`TrajectoryBank::load`], opening reads the container header,
 /// the section table and the trajectory section, and nothing else. The
