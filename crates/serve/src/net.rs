@@ -1244,14 +1244,23 @@ impl EventLoop {
     }
 }
 
-/// Reads everything currently available off the socket.
+/// The most one frame needs: [`read_into`] stops reading once a
+/// connection's read buffer holds this much, leaving the rest in the
+/// kernel, where TCP pushes back on the peer.
+#[cfg(unix)]
+const READ_CAP: usize = FRAME_HEADER_LEN + MAX_FRAME_PAYLOAD as usize;
+
+/// Reads what the socket has, until the read buffer reaches
+/// [`READ_CAP`]. A buffer at the cap holds a whole frame, so the next
+/// parse either consumes it or fills the in-flight budget, which stalls
+/// the connection's reads until replies drain.
 #[cfg(unix)]
 fn read_into(conn: &mut Conn, metrics: &Option<NetMetrics>) {
     if conn.read_closed || conn.dead {
         return;
     }
     let mut chunk = [0u8; 16 * 1024];
-    loop {
+    while conn.rbuf.len() < READ_CAP {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 conn.read_closed = true;

@@ -13,7 +13,7 @@ use fault_trajectory::prelude::*;
 use fault_trajectory::serve::net::{
     decode_frame, decode_response, decode_text_frame, encode_request, fetch_stats, frame_name,
     response_line, run_loadgen, LoadgenConfig, NetConfig, NetServer, NetSummary, ShutdownHandle,
-    FRAME_ERROR, FRAME_RESPONSE,
+    FRAME_ERROR, FRAME_HEADER_LEN, FRAME_RESPONSE, MAX_FRAME_PAYLOAD,
 };
 use fault_trajectory::serve::{
     synthetic_circuit_bank, synthetic_queries, BankStore, DiagnosisRequest, EngineConfig,
@@ -251,6 +251,70 @@ fn backpressure_bounds_memory_against_a_reader_that_never_reads() {
             .unwrap()
             > 0
     );
+}
+
+#[test]
+fn read_buffer_holds_at_most_one_frame_beyond_the_parser() {
+    // A client that streams requests while it reads its responses. The
+    // server parses only `max_inflight` requests ahead of the pool, so
+    // whatever it reads beyond that waits undecoded in the connection's
+    // read buffer: that must stay within one maximal frame plus one
+    // read chunk, leaving the rest in the kernel, where TCP pushes back.
+    let (store, requests) = store_and_requests();
+    let expected = reference_lines(&store, &requests[..1]).remove(0);
+    let registry = Arc::new(MetricsRegistry::new());
+    let server = Server::spawn(
+        Arc::clone(&store),
+        &registry,
+        NetConfig {
+            workers: 2,
+            refresh_interval: Duration::ZERO,
+            ..NetConfig::default()
+        },
+    );
+    let frame = encode_request(&requests[0]);
+    let frame_len = frame.len() as u64;
+    let count = (8 << 20) / frame.len() + 1;
+    let stream = TcpStream::connect(&server.addr).unwrap();
+    let mut writer_stream = stream.try_clone().unwrap();
+    let writer = thread::spawn(move || {
+        let burst = frame.repeat(1024);
+        let mut left = count;
+        while left > 0 {
+            let n = left.min(1024);
+            writer_stream.write_all(&burst[..n * frame.len()]).unwrap();
+            left -= n;
+        }
+        writer_stream.shutdown(Shutdown::Write).unwrap();
+    });
+    let mut reader_stream = stream;
+    let reader = thread::spawn(move || read_frames(&mut reader_stream));
+
+    let bound = (FRAME_HEADER_LEN + MAX_FRAME_PAYLOAD as usize + 16 * 1024) as u64;
+    let mut worst = 0u64;
+    while !reader.is_finished() {
+        // The snapshot reads `net_bytes_in_total` before
+        // `net_requests_total` (names in order), so a sample may
+        // understate the backlog but never overstate it.
+        let snapshot = registry.snapshot();
+        let bytes_in = snapshot.counter("net_bytes_in_total").unwrap_or(0);
+        let parsed = snapshot.counter("net_requests_total").unwrap_or(0);
+        worst = worst.max(bytes_in.saturating_sub(parsed * frame_len));
+        thread::sleep(Duration::from_millis(1));
+    }
+    writer.join().unwrap();
+    let frames = reader.join().unwrap();
+    assert_eq!(frames.len(), count);
+    for (i, (kind, payload)) in frames.iter().enumerate() {
+        assert_eq!(*kind, FRAME_RESPONSE, "frame {i} was {}", frame_name(*kind));
+        let (_, line) = decode_response(payload).unwrap();
+        assert_eq!(line, expected, "response {i}");
+    }
+    assert!(
+        worst <= bound,
+        "{worst} bytes read but not parsed, over the {bound}-byte bound"
+    );
+    assert_eq!(server.stop().served, count as u64);
 }
 
 #[test]
