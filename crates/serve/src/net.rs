@@ -50,7 +50,6 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1564,12 +1563,20 @@ pub fn connect_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
 
 /// Drives pipelined traffic at a running server and measures it.
 ///
-/// Each connection runs a writer thread (frames out, pipeline depth
-/// bounded by a slot channel acquired *before* the send timestamp is
-/// taken, so backpressure waits don't count as latency) and a reader
-/// (responses in, per-request latency off the matching timestamp).
+/// Each connection runs on one thread, in rounds: one write fills every
+/// free pipeline slot, its requests stamped just before it (the write
+/// after the last frame half-closes); then one read, whose whole
+/// response frames are all timed against the instant it returned. A
+/// request's latency thus runs from its write to the read that
+/// completed its response, and waiting for a free slot never counts.
 /// Request *i* of the run goes to connection `i % connections`, so with
 /// one connection the stream order is exactly the input order.
+///
+/// A connection reads only between its writes, so a write the server
+/// cannot take in at once waits until the server has answered enough of
+/// it. That wait ends whatever the server's `max_inflight` is, as long
+/// as the replies to `depth` requests fit in the socket buffers plus the
+/// server's [`NetConfig::write_highwater`].
 ///
 /// # Errors
 ///
@@ -1662,158 +1669,122 @@ fn drive_connection(
     depth: usize,
     capture: bool,
 ) -> Result<ConnOutcome, NetError> {
-    let expected = frames.len();
-    let stream = connect_retry(addr, Duration::from_secs(10)).map_err(NetError::io("connect"))?;
+    let mut stream =
+        connect_retry(addr, Duration::from_secs(10)).map_err(NetError::io("connect"))?;
     let _ = stream.set_nodelay(true);
-    let mut reader = stream.try_clone().map_err(NetError::io("clone stream"))?;
     let peer = stream
         .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| addr.to_string());
-
-    // Depth gating and timestamping are separate channels: the slot
-    // channel's capacity *is* the pipeline depth, so the writer blocks
-    // acquiring slot depth+1 until the reader consumes a response —
-    // and only timestamps once it holds the slot, immediately before
-    // the write. Timestamps ride an unbounded channel the send never
-    // blocks on, so a saturated pipeline's backpressure wait is not
-    // counted as request latency.
-    let (slots_tx, slots_rx) = sync_channel::<()>(depth);
-    let (times_tx, times_rx) = std::sync::mpsc::channel::<Instant>();
-    let writer = std::thread::spawn(move || -> io::Result<u64> {
-        let mut stream = stream;
-        let mut sent = 0u64;
-        for frame in &frames {
-            if slots_tx.send(()).is_err() || times_tx.send(Instant::now()).is_err() {
-                break; // reader bailed; stop writing
-            }
-            stream.write_all(frame)?;
-            sent += frame.len() as u64;
-        }
-        // Half-close tells the server this stream is done: it finishes
-        // the pipeline, flushes, and closes — the graceful-drain path.
-        stream.shutdown(Shutdown::Write)?;
-        Ok(sent)
-    });
-
+        .map_or_else(|_| addr.to_string(), |a| a.to_string());
+    let protocol = |frame, error| NetError::Protocol {
+        peer: peer.clone(),
+        frame,
+        error,
+    };
     let mut outcome = ConnOutcome {
-        latencies_us: Vec::with_capacity(expected),
+        latencies_us: Vec::with_capacity(frames.len()),
         error_lines: 0,
         bytes_out: 0,
         bytes_in: 0,
         lines: capture.then(Vec::new),
     };
+    // The send instant of every request in flight, oldest first.
+    let mut in_flight: VecDeque<Instant> = VecDeque::with_capacity(depth);
+    let mut next = 0usize;
+    let mut wbuf: Vec<u8> = Vec::new();
     let mut rbuf: Vec<u8> = Vec::new();
+    loop {
+        if in_flight.len() < depth && next < frames.len() {
+            let end = frames.len().min(next + depth - in_flight.len());
+            let now = Instant::now();
+            for frame in &frames[next..end] {
+                wbuf.extend_from_slice(frame);
+                in_flight.push_back(now);
+            }
+            next = end;
+            stream
+                .write_all(&wbuf)
+                .map_err(NetError::io("loadgen write"))?;
+            outcome.bytes_out += wbuf.len() as u64;
+            wbuf.clear();
+            if next == frames.len() {
+                // Half-close tells the server this stream is done: it
+                // finishes the pipeline, flushes, and closes — the
+                // graceful-drain path.
+                stream
+                    .shutdown(Shutdown::Write)
+                    .map_err(NetError::io("loadgen half-close"))?;
+            }
+        }
+        if in_flight.is_empty() {
+            return Ok(outcome);
+        }
+        let read = read_once(&mut stream, &mut rbuf).map_err(|source| NetError::Io {
+            context: format!(
+                "loadgen read after {} of {} responses",
+                outcome.latencies_us.len(),
+                frames.len()
+            ),
+            source,
+        })?;
+        let received = Instant::now();
+        outcome.bytes_in += read as u64;
+        let mut consumed = 0usize;
+        while let Some((kind, payload, used)) = decode_frame(&rbuf[consumed..])
+            .map_err(|(kind, error)| protocol(frame_name(kind), error))?
+        {
+            consumed += used;
+            match kind {
+                FRAME_RESPONSE => {
+                    let (is_error, line) =
+                        decode_response(payload).map_err(|error| protocol("response", error))?;
+                    let sent = in_flight.pop_front().ok_or_else(|| {
+                        protocol(
+                            "response",
+                            FrameError::Malformed("no request pending".into()),
+                        )
+                    })?;
+                    let micros = received.duration_since(sent).as_micros();
+                    outcome
+                        .latencies_us
+                        .push(micros.min(u64::MAX as u128) as u64);
+                    outcome.error_lines += u64::from(is_error);
+                    if let Some(lines) = &mut outcome.lines {
+                        lines.push(line);
+                    }
+                }
+                FRAME_ERROR => {
+                    let detail = decode_text_frame(payload)
+                        .unwrap_or_else(|e| format!("undecodable error frame: {e}"));
+                    let error = FrameError::Malformed(format!("server reported: {detail}"));
+                    return Err(protocol("error", error));
+                }
+                other => {
+                    let error = FrameError::Malformed("unexpected frame".into());
+                    return Err(protocol(frame_name(other), error));
+                }
+            }
+        }
+        rbuf.drain(..consumed);
+    }
+}
+
+/// Appends what one `read(2)` returns to `rbuf`, retrying a read a
+/// signal interrupted; returns how many bytes arrived. Both callers
+/// still await a frame, so the end of the stream is
+/// [`io::ErrorKind::UnexpectedEof`].
+fn read_once(stream: &mut TcpStream, rbuf: &mut Vec<u8>) -> io::Result<usize> {
     let mut chunk = [0u8; 16 * 1024];
-    let result = (|| -> Result<(), NetError> {
-        while outcome.latencies_us.len() < expected {
-            loop {
-                let (kind, payload, consumed) = match decode_frame(&rbuf) {
-                    Ok(None) => break,
-                    Ok(Some((kind, payload, consumed))) => (kind, payload.to_vec(), consumed),
-                    Err((kind, error)) => {
-                        return Err(NetError::Protocol {
-                            peer: peer.clone(),
-                            frame: frame_name(kind),
-                            error,
-                        })
-                    }
-                };
-                rbuf.drain(..consumed);
-                match kind {
-                    FRAME_RESPONSE => {
-                        let (is_error, line) =
-                            decode_response(&payload).map_err(|error| NetError::Protocol {
-                                peer: peer.clone(),
-                                frame: "response",
-                                error,
-                            })?;
-                        let sent_at = times_rx.recv().map_err(|_| NetError::Io {
-                            context: "loadgen timestamps".into(),
-                            source: io::Error::other("writer gone"),
-                        })?;
-                        let _ = slots_rx.recv(); // response in: release a pipeline slot
-                        outcome
-                            .latencies_us
-                            .push(sent_at.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                        if is_error {
-                            outcome.error_lines += 1;
-                        }
-                        if let Some(lines) = &mut outcome.lines {
-                            lines.push(line);
-                        }
-                    }
-                    FRAME_ERROR => {
-                        let detail = decode_text_frame(&payload)
-                            .unwrap_or_else(|e| format!("undecodable error frame: {e}"));
-                        return Err(NetError::Protocol {
-                            peer: peer.clone(),
-                            frame: "error",
-                            error: FrameError::Malformed(format!("server reported: {detail}")),
-                        });
-                    }
-                    other => {
-                        return Err(NetError::Protocol {
-                            peer: peer.clone(),
-                            frame: frame_name(other),
-                            error: FrameError::Malformed("unexpected frame".into()),
-                        })
-                    }
-                }
-                if outcome.latencies_us.len() == expected {
-                    break;
-                }
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                rbuf.extend_from_slice(&chunk[..n]);
+                return Ok(n);
             }
-            if outcome.latencies_us.len() == expected {
-                break;
-            }
-            match reader.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(NetError::Io {
-                        context: format!(
-                            "loadgen: server closed after {} of {expected} responses",
-                            outcome.latencies_us.len()
-                        ),
-                        source: io::Error::from(io::ErrorKind::UnexpectedEof),
-                    })
-                }
-                Ok(n) => {
-                    rbuf.extend_from_slice(&chunk[..n]);
-                    outcome.bytes_in += n as u64;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(NetError::Io {
-                        context: "loadgen read".into(),
-                        source: e,
-                    })
-                }
-            }
-        }
-        Ok(())
-    })();
-    // Unblock and join the writer whatever happened.
-    drop(times_rx);
-    drop(slots_rx);
-    match writer.join() {
-        Ok(Ok(sent)) => outcome.bytes_out = sent,
-        Ok(Err(e)) => {
-            result?;
-            return Err(NetError::Io {
-                context: "loadgen write".into(),
-                source: e,
-            });
-        }
-        Err(_) => {
-            result?;
-            return Err(NetError::Io {
-                context: "loadgen writer thread".into(),
-                source: io::Error::other("panicked"),
-            });
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    result?;
-    Ok(outcome)
 }
 
 /// Fetches the server's Prometheus stats over a fresh connection.
@@ -1827,8 +1798,12 @@ pub fn fetch_stats(addr: &str) -> Result<String, NetError> {
         connect_retry(addr, Duration::from_secs(10)).map_err(NetError::io("connect"))?;
     let peer = stream
         .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| addr.to_string());
+        .map_or_else(|_| addr.to_string(), |a| a.to_string());
+    let protocol = |frame, error| NetError::Protocol {
+        peer: peer.clone(),
+        frame,
+        error,
+    };
     stream
         .write_all(&encode_frame(FRAME_STATS_REQUEST, &[]))
         .map_err(NetError::io("stats request"))?;
@@ -1836,46 +1811,17 @@ pub fn fetch_stats(addr: &str) -> Result<String, NetError> {
         .shutdown(Shutdown::Write)
         .map_err(NetError::io("stats half-close"))?;
     let mut rbuf = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
     loop {
-        match decode_frame(&rbuf) {
-            Ok(None) => {}
-            Ok(Some((FRAME_STATS, payload, _))) => {
-                return decode_text_frame(payload).map_err(|error| NetError::Protocol {
-                    peer,
-                    frame: "stats",
-                    error,
-                })
+        match decode_frame(&rbuf).map_err(|(kind, error)| protocol(frame_name(kind), error))? {
+            None => {
+                read_once(&mut stream, &mut rbuf).map_err(NetError::io("stats read"))?;
             }
-            Ok(Some((other, _, _))) => {
-                return Err(NetError::Protocol {
-                    peer,
-                    frame: frame_name(other),
-                    error: FrameError::Malformed("expected a stats frame".into()),
-                })
+            Some((FRAME_STATS, payload, _)) => {
+                return decode_text_frame(payload).map_err(|error| protocol("stats", error))
             }
-            Err((kind, error)) => {
-                return Err(NetError::Protocol {
-                    peer,
-                    frame: frame_name(kind),
-                    error,
-                })
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(NetError::Io {
-                    context: "stats read".into(),
-                    source: io::Error::from(io::ErrorKind::UnexpectedEof),
-                })
-            }
-            Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(NetError::Io {
-                    context: "stats read".into(),
-                    source: e,
-                })
+            Some((other, _, _)) => {
+                let error = FrameError::Malformed("expected a stats frame".into());
+                return Err(protocol(frame_name(other), error));
             }
         }
     }

@@ -141,6 +141,43 @@ fn tcp_responses_byte_identical_across_workers_and_depths() {
         assert_eq!(summary.errors, 3 * error_lines);
         assert_eq!(summary.protocol_errors, 0);
     }
+
+    // A pipeline far deeper than the server's in-flight budget, over
+    // many passes of the list: the server stops reading mid-write, and
+    // the one-thread client must still finish with every line in order.
+    let registry = Arc::new(MetricsRegistry::new());
+    let server = Server::spawn(
+        Arc::clone(&store),
+        &registry,
+        NetConfig {
+            workers: 2,
+            max_inflight: 8,
+            write_highwater: 4096,
+            refresh_interval: Duration::ZERO,
+            ..NetConfig::default()
+        },
+    );
+    let total = 100 * requests.len();
+    let report = run_loadgen(
+        &server.addr,
+        &requests,
+        &LoadgenConfig {
+            connections: 1,
+            depth: 4096,
+            total,
+            capture: true,
+        },
+    )
+    .unwrap();
+    let cycled: Vec<String> = expected.iter().cycle().take(total).cloned().collect();
+    assert_eq!(report.lines.as_deref(), Some(&cycled[..]), "depth 4096");
+    assert_eq!(report.error_lines, 100 * error_lines);
+    let stalls = registry
+        .snapshot()
+        .counter("net_backpressure_stalls_total")
+        .unwrap_or(0);
+    assert!(stalls > 0, "the server never stopped reading");
+    assert_eq!(server.stop().served, total as u64);
 }
 
 #[test]
