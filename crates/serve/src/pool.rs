@@ -205,38 +205,30 @@ impl ServeHandle {
                         // Resolve each shard once per same-CUT stretch of
                         // the run, keeping the shard-map lock off the
                         // per-request path. Each resolve is as of the
-                        // batch's submission, so once one resolve has
-                        // confirmed a CUT's generation, the batch's later
-                        // resolves of that CUT, in any run, probe
-                        // nothing. The cache names its CUT by the run
-                        // position of the request that resolved it, so a
-                        // CUT switch clones no id. The cached resolution
-                        // is stamped with the store epoch: any slot swap
-                        // (hot reload, eviction, retirement) bumps it,
-                        // which forces a re-resolve so a run never keeps
-                        // serving a shard the store has since replaced.
-                        let mut cached: Option<(usize, u64, Arc<crate::DiagnosisEngine>)> = None;
+                        // batch's submission, so the engine a stretch
+                        // reuses is one its file had after the batch was
+                        // submitted, which is all a fresh resolve would
+                        // promise; and once one resolve has confirmed a
+                        // CUT's generation, the batch's later resolves of
+                        // that CUT, in any run, probe nothing. The cache
+                        // names its CUT by the run position of the
+                        // request that resolved it, so a CUT switch
+                        // clones no id.
+                        let mut cached: Option<(usize, Arc<crate::DiagnosisEngine>)> = None;
                         let mut results: Vec<ServeResult> = Vec::with_capacity(job.requests.len());
                         for (at, request) in job.requests.iter().enumerate() {
-                            let fresh = matches!(&cached, Some((from, epoch, _))
-                                if job.requests[*from].cut_id == request.cut_id
-                                    && store.epoch() == *epoch);
+                            let fresh = matches!(&cached, Some((from, _))
+                                if job.requests[*from].cut_id == request.cut_id);
                             if !fresh {
-                                // Epoch read *before* resolving: if a swap
-                                // lands in between, the stamp is already
-                                // stale and the next request re-resolves —
-                                // the race can only cost a redundant
-                                // lookup, never a stale serve.
-                                let epoch = store.epoch();
                                 match store.engine_since(&request.cut_id, job.since) {
-                                    Ok(engine) => cached = Some((at, epoch, engine)),
+                                    Ok(engine) => cached = Some((at, engine)),
                                     Err(e) => {
                                         results.push(Err(e));
                                         continue;
                                     }
                                 }
                             }
-                            let (_, _, engine) = cached.as_ref().expect("resolved above");
+                            let (_, engine) = cached.as_ref().expect("resolved above");
                             // A panicking diagnosis must not kill the
                             // worker: an unsent result would leave its
                             // batch slot empty and hang drain forever

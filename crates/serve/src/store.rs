@@ -41,10 +41,6 @@
 //!   rewritten or truncated in place keeps serving the loaded answers
 //!   until a probe sees the new generation and reloads (or, for a
 //!   damaged file, caches the attributed failure).
-//!
-//! Every map mutation bumps the store [`epoch`](BankStore::epoch), which
-//! lets the pool's per-run shard cache revalidate with one atomic load
-//! instead of re-taking the map lock per request.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -328,9 +324,6 @@ pub struct BankStore {
     shards: Mutex<ShardMap>,
     /// LRU clock: bumped on every shard touch.
     tick: AtomicU64,
-    /// Bumped on every map mutation (insert, swap, evict, retire) — the
-    /// pool's per-run cache revalidates against this.
-    epoch: AtomicU64,
     /// Observability handles ([`BankStore::with_metrics`]); `None`
     /// leaves every path entirely uninstrumented.
     metrics: Option<StoreMetrics>,
@@ -370,7 +363,6 @@ impl BankStore {
             config,
             shards: Mutex::new(ShardMap::default()),
             tick: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
             metrics: None,
         })
     }
@@ -383,7 +375,6 @@ impl BankStore {
             config: StoreConfig::new(config),
             shards: Mutex::new(ShardMap::default()),
             tick: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
             metrics: None,
         }
     }
@@ -433,17 +424,6 @@ impl BankStore {
         self.lock_shards().resident_bytes
     }
 
-    /// The store's mutation epoch: changes whenever any slot is
-    /// inserted, swapped, evicted, or retired. A cached
-    /// `(cut_id → engine)` resolution is still valid iff the epoch it
-    /// was taken at is unchanged.
-    pub fn epoch(&self) -> u64 {
-        // The map mutex orders the mutations themselves; the epoch is a
-        // monotonic validity stamp, so Relaxed is enough — a stale read
-        // only costs one redundant lock round-trip in the pool.
-        self.epoch.load(Ordering::Relaxed)
-    }
-
     /// Locks the shard map, recovering from poisoning: slots are only
     /// ever inserted or removed whole under the lock, so the map is
     /// structurally consistent even if a holder panicked mid-critical-
@@ -454,10 +434,6 @@ impl BankStore {
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Builds an engine over `bank`'s trajectory set and registers it
@@ -495,7 +471,6 @@ impl BankStore {
             map.resident_bytes -= old.bytes;
         }
         drop(map);
-        self.bump_epoch();
         Ok(engine)
     }
 
@@ -687,7 +662,6 @@ impl BankStore {
         map.resident_bytes -= old.bytes;
         let resident = map.resident_bytes;
         drop(map);
-        self.bump_epoch();
         if let Some(m) = &self.metrics {
             m.resident_bytes.set(resident.min(i64::MAX as u64) as i64);
         }
@@ -827,7 +801,6 @@ impl BankStore {
         self.evict_over_budget(&mut map, cut_id);
         let resident = map.resident_bytes;
         drop(map);
-        self.bump_epoch();
         if let Some(m) = &self.metrics {
             m.resident_bytes.set(resident.min(i64::MAX as u64) as i64);
         }
@@ -1175,7 +1148,6 @@ mod tests {
 
         // An in-flight holder resolved before the swap…
         let old_engine = store.engine("cut").unwrap();
-        let epoch_before = store.epoch();
 
         // …then the shard file is rebuilt (atomic rename, like a real
         // deployment would).
@@ -1185,7 +1157,6 @@ mod tests {
 
         // New requests see the new bank without reopening the store…
         assert_eq!(store.diagnose(&req).unwrap(), ref_v2);
-        assert_ne!(store.epoch(), epoch_before, "swap must bump the epoch");
         // …while the in-flight engine still answers on the old bank.
         assert_eq!(diagnose_on(&old_engine, &req).unwrap(), ref_v1);
 
