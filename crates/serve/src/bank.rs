@@ -253,6 +253,7 @@ impl TrajectoryBank {
 /// one copy.
 #[derive(Debug)]
 pub struct MappedBank {
+    /// Names the file in `verify_trajectory_payload`'s error.
     path: PathBuf,
     generation: FileGen,
     /// The trajectory section's table entry.
@@ -341,11 +342,6 @@ impl MappedBank {
     /// bytes were read from.
     pub fn generation(&self) -> FileGen {
         self.generation
-    }
-
-    /// The shard file this bank was read from.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -909,7 +905,6 @@ mod tests {
         let table = SectionTable::parse(&bytes).unwrap();
         let traj = table.locate(SECTION_TRAJECTORIES).unwrap().unwrap();
         assert_eq!(mapped.resident_bytes(), traj.len as u64);
-        assert_eq!(mapped.path(), path.as_path());
         assert_eq!(mapped.generation(), FileGen::probe(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }

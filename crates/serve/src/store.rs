@@ -403,11 +403,6 @@ impl BankStore {
         self
     }
 
-    /// The shard directory, when the store is directory-backed.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     /// The engine configuration every shard is built with.
     pub fn config(&self) -> EngineConfig {
         self.config.engine
