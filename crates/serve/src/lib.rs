@@ -98,6 +98,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every `unsafe` block states its invariant in a `// SAFETY:` comment.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bank;
 pub mod cli;
