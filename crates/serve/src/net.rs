@@ -1733,32 +1733,26 @@ fn drive_connection(
             .map_err(|(kind, error)| protocol(frame_name(kind), error))?
         {
             consumed += used;
-            match kind {
-                FRAME_RESPONSE => {
+            match (kind, in_flight.pop_front()) {
+                (FRAME_RESPONSE, Some(sent)) => {
                     let (is_error, line) =
                         decode_response(payload).map_err(|error| protocol("response", error))?;
-                    let sent = in_flight.pop_front().ok_or_else(|| {
-                        protocol(
-                            "response",
-                            FrameError::Malformed("no request pending".into()),
-                        )
-                    })?;
                     let micros = received.duration_since(sent).as_micros();
-                    outcome
-                        .latencies_us
-                        .push(micros.min(u64::MAX as u128) as u64);
+                    let micros = u64::try_from(micros).unwrap_or(u64::MAX);
+                    outcome.latencies_us.push(micros);
                     outcome.error_lines += u64::from(is_error);
                     if let Some(lines) = &mut outcome.lines {
                         lines.push(line);
                     }
                 }
-                FRAME_ERROR => {
+                (FRAME_ERROR, _) => {
                     let detail = decode_text_frame(payload)
                         .unwrap_or_else(|e| format!("undecodable error frame: {e}"));
                     let error = FrameError::Malformed(format!("server reported: {detail}"));
                     return Err(protocol("error", error));
                 }
-                other => {
+                // A response with no request in flight is unexpected too.
+                (other, _) => {
                     let error = FrameError::Malformed("unexpected frame".into());
                     return Err(protocol(frame_name(other), error));
                 }

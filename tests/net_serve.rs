@@ -4,16 +4,17 @@
 //! per-connection fault isolation.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use fault_trajectory::prelude::*;
 use fault_trajectory::serve::net::{
-    decode_frame, decode_response, decode_text_frame, encode_request, fetch_stats, frame_name,
-    response_line, run_loadgen, LoadgenConfig, NetConfig, NetServer, NetSummary, ShutdownHandle,
-    FRAME_ERROR, FRAME_HEADER_LEN, FRAME_RESPONSE, MAX_FRAME_PAYLOAD,
+    decode_frame, decode_response, decode_text_frame, encode_request, encode_response,
+    encode_text_frame, fetch_stats, frame_name, response_line, run_loadgen, LoadgenConfig,
+    NetConfig, NetServer, NetSummary, ShutdownHandle, FRAME_ERROR, FRAME_HEADER_LEN,
+    FRAME_RESPONSE, MAX_FRAME_PAYLOAD,
 };
 use fault_trajectory::serve::{
     synthetic_circuit_bank, synthetic_queries, BankStore, DiagnosisRequest, EngineConfig,
@@ -435,6 +436,41 @@ fn bad_frame_kills_only_its_connection() {
             && prometheus.contains("kind=\"checksum\""),
         "missing labeled protocol error:\n{prometheus}"
     );
+}
+
+#[test]
+fn loadgen_names_what_a_misbehaving_server_sent() {
+    let (_, requests) = store_and_requests();
+    let mut corrupt = encode_response("a\tR1\t10\t0.5\tR1", false);
+    *corrupt.last_mut().unwrap() ^= 0x40;
+    let cases = [
+        (
+            encode_text_frame(FRAME_ERROR, "no such thing"),
+            "bad error frame: server reported: no such thing",
+        ),
+        (corrupt, "bad response frame: checksum mismatch"),
+        (Vec::new(), "loadgen read after 0 of 1 responses"),
+    ];
+    for (reply, want) in cases {
+        // A stand-in server: takes the request stream up to the
+        // client's half-close, sends `reply`, and closes.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.read_to_end(&mut Vec::new()).unwrap();
+            stream.write_all(&reply).unwrap();
+        });
+        let config = LoadgenConfig {
+            connections: 1,
+            depth: 1,
+            total: 1,
+            capture: true,
+        };
+        let err = run_loadgen(&addr, &requests, &config).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+        server.join().unwrap();
+    }
 }
 
 #[test]
