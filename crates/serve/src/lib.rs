@@ -98,7 +98,6 @@
 //! ```
 
 #![warn(missing_docs)]
-// Every `unsafe` block states its invariant in a `// SAFETY:` comment.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bank;

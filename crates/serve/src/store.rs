@@ -465,7 +465,6 @@ impl BankStore {
         if let Some(old) = map.slots.insert(cut_id.to_string(), slot) {
             map.resident_bytes -= old.bytes;
         }
-        drop(map);
         Ok(engine)
     }
 
