@@ -17,16 +17,10 @@ use crate::report::{num, Table};
 use crate::setup::{ga_paper_result, paper_setup, PaperSetup};
 
 /// Figure 1: golden behaviour and the fault-dictionary items of one
-/// component (default: R3, the component the paper plots).
+/// component (the paper plots R3), over a shared setup.
 ///
 /// Output: one row per grid frequency; columns: golden plus each
 /// deviation of `component`.
-pub fn fig1(component: &str) -> Table {
-    let setup = paper_setup();
-    fig1_with(&setup, component)
-}
-
-/// [`fig1`] with a shared setup (avoids rebuilding the dictionary).
 pub fn fig1_with(setup: &PaperSetup, component: &str) -> Table {
     let entries = setup.dict.entries_of(component);
     let mut headers: Vec<String> = vec!["omega_rad_s".into(), "golden_dB".into()];

@@ -12,5 +12,5 @@ pub mod report;
 pub mod setup;
 pub mod tables;
 
-pub use report::{num, pct, Table};
-pub use setup::{ga_paper_result, paper_setup, PaperSetup, DICT_GRID_POINTS, PAPER_SEED};
+pub use report::Table;
+pub use setup::{paper_setup, PAPER_SEED};

@@ -13,7 +13,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
@@ -26,7 +26,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count differs from the header count.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -94,7 +94,7 @@ impl std::fmt::Display for Table {
 }
 
 /// Formats a float with fixed precision, rendering NaN as `-`.
-pub fn num(x: f64, decimals: usize) -> String {
+pub(crate) fn num(x: f64, decimals: usize) -> String {
     if x.is_nan() {
         "-".to_string()
     } else {
@@ -103,7 +103,7 @@ pub fn num(x: f64, decimals: usize) -> String {
 }
 
 /// Formats a probability/rate as a percentage string.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     if x.is_nan() {
         "-".to_string()
     } else {

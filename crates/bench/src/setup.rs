@@ -11,7 +11,7 @@ use ft_numerics::FrequencyGrid;
 pub const PAPER_SEED: u64 = 2005;
 
 /// Number of grid points in the dictionary sweep.
-pub const DICT_GRID_POINTS: usize = 41;
+pub(crate) const DICT_GRID_POINTS: usize = 41;
 
 /// Everything needed to run the paper's experiments on the CUT.
 #[derive(Debug, Clone)]
@@ -45,7 +45,7 @@ pub fn paper_setup() -> PaperSetup {
 }
 
 /// Runs the paper's GA (§2.4 parameters, seeded) on a setup.
-pub fn ga_paper_result(setup: &PaperSetup) -> AtpgResult {
+pub(crate) fn ga_paper_result(setup: &PaperSetup) -> AtpgResult {
     let config = AtpgConfig::paper_seeded(setup.bench.search_band, PAPER_SEED);
     select_test_vector(&setup.dict, &config)
 }

@@ -20,11 +20,11 @@ use crate::report::{num, pct, Table};
 use crate::setup::{ga_paper_result, paper_setup, PaperSetup, DICT_GRID_POINTS, PAPER_SEED};
 
 /// Monte Carlo trials used by the accuracy tables.
-pub const TRIALS: usize = 200;
+pub(crate) const TRIALS: usize = 200;
 
 /// Accuracy of predictions counted at ambiguity-class granularity: a
 /// prediction is correct when it lands in the true component's group.
-pub fn class_accuracy(confusion: &ConfusionMatrix, groups: &AmbiguityGroups) -> f64 {
+pub(crate) fn class_accuracy(confusion: &ConfusionMatrix, groups: &AmbiguityGroups) -> f64 {
     let mut correct = 0usize;
     let mut total = 0usize;
     for t in confusion.components() {

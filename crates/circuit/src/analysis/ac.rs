@@ -79,7 +79,7 @@ pub fn transfer(circuit: &Circuit, input: &str, probe: &Probe, omega: f64) -> Re
 /// # Errors
 ///
 /// Propagates probe and singularity errors.
-pub fn transfer_with_layout(
+pub(crate) fn transfer_with_layout(
     circuit: &Circuit,
     layout: &MnaLayout,
     input: &str,
@@ -135,25 +135,6 @@ impl AcSweep {
             .iter()
             .map(|v| decibel::clamp_db(v.abs_db(), -300.0))
             .collect()
-    }
-
-    /// Linear magnitudes.
-    pub fn magnitude(&self) -> Vec<f64> {
-        self.values.iter().map(|v| v.abs()).collect()
-    }
-
-    /// Phases in degrees.
-    pub fn phase_deg(&self) -> Vec<f64> {
-        self.values.iter().map(|v| v.arg_deg()).collect()
-    }
-
-    /// Peak magnitude and the frequency where it occurs.
-    pub fn peak(&self) -> Option<(f64, f64)> {
-        self.values
-            .iter()
-            .zip(&self.omegas)
-            .map(|(v, &w)| (w, v.abs()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite magnitudes"))
     }
 }
 
@@ -257,7 +238,7 @@ mod tests {
         assert!(!sw.is_empty());
         assert_eq!(sw.omegas().len(), sw.values().len());
         // Monotone decreasing magnitude for a first-order low-pass.
-        let mags = sw.magnitude();
+        let mags: Vec<f64> = sw.values().iter().map(|v| v.abs()).collect();
         for pair in mags.windows(2) {
             assert!(pair[1] <= pair[0] + 1e-12);
         }
@@ -276,7 +257,7 @@ mod tests {
             &FrequencyGrid::log_space(1.0, 1e6, 13),
         )
         .unwrap();
-        let ph = sw.phase_deg();
+        let ph: Vec<f64> = sw.values().iter().map(|v| v.arg().to_degrees()).collect();
         assert!(ph[0] > -1.0); // ≈0° well below the corner
         assert!(*ph.last().unwrap() < -89.0); // →−90° far above
     }
@@ -306,20 +287,5 @@ mod tests {
         assert_eq!(samples.len(), 3);
         // Order preserved: first sample is the highest frequency (lowest gain).
         assert!(samples[0].abs() < samples[1].abs());
-    }
-
-    #[test]
-    fn peak_detection() {
-        let ckt = rc();
-        let sw = sweep(
-            &ckt,
-            "V1",
-            &Probe::node("out"),
-            &FrequencyGrid::log_space(1.0, 1e6, 7),
-        )
-        .unwrap();
-        let (w, m) = sw.peak().unwrap();
-        assert_eq!(w, 1.0); // low-pass peaks at the lowest frequency
-        assert!((m - 1.0).abs() < 1e-6);
     }
 }

@@ -22,7 +22,7 @@ pub struct OperatingPoint {
 impl OperatingPoint {
     /// Node voltage (ground reads 0).
     #[inline]
-    pub fn voltage(&self, node: NodeId) -> f64 {
+    pub(crate) fn voltage(&self, node: NodeId) -> f64 {
         self.voltages[node.index()]
     }
 
@@ -40,14 +40,8 @@ impl OperatingPoint {
 
     /// Branch current of a component with a branch unknown.
     #[inline]
-    pub fn current(&self, id: ComponentId) -> Option<f64> {
+    pub(crate) fn current(&self, id: ComponentId) -> Option<f64> {
         self.currents.get(&id).copied()
-    }
-
-    /// All node voltages indexed by node id.
-    #[inline]
-    pub fn voltages(&self) -> &[f64] {
-        &self.voltages
     }
 }
 
@@ -67,7 +61,7 @@ pub fn operating_point(circuit: &Circuit) -> Result<OperatingPoint> {
 /// # Errors
 ///
 /// As [`operating_point`].
-pub fn operating_point_with_layout(
+pub(crate) fn operating_point_with_layout(
     circuit: &Circuit,
     layout: &MnaLayout,
 ) -> Result<OperatingPoint> {
@@ -98,7 +92,7 @@ mod tests {
         let op = operating_point(&ckt).unwrap();
         assert!((op.voltage_by_name(&ckt, "mid").unwrap() - 3.0).abs() < 1e-9);
         assert!((op.voltage_by_name(&ckt, "in").unwrap() - 9.0).abs() < 1e-9);
-        assert_eq!(op.voltage(NodeId::GROUND), 0.0);
+        assert_eq!(op.voltage(NodeId(0)), 0.0);
     }
 
     #[test]

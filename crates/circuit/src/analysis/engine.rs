@@ -58,7 +58,7 @@ use crate::analysis::ac::{AcSweep, Probe};
 use crate::element::Element;
 use crate::error::{CircuitError, Result};
 use crate::mna::MnaLayout;
-use crate::netlist::{Circuit, ComponentId};
+use crate::netlist::{Circuit, ComponentId, NodeId};
 
 /// How a component's principal value enters its matrix entries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,7 +116,7 @@ impl ValueStamp {
 
 /// Sparse `e_p − e_n` over the matrix rows of two nodes (grounds drop
 /// out).
-fn node_pair(layout: &MnaLayout, p: crate::NodeId, n: crate::NodeId) -> Vec<(usize, f64)> {
+fn node_pair(layout: &MnaLayout, p: NodeId, n: NodeId) -> Vec<(usize, f64)> {
     let mut out = Vec::with_capacity(2);
     if let Some(i) = layout.node_row(p) {
         out.push((i, 1.0));
@@ -400,20 +400,13 @@ impl AcSweepEngine {
 
     /// System dimension (non-ground nodes + branch currents).
     #[inline]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.g.rows()
     }
 
     /// Current principal value of a component, if it has one.
     pub fn value_of(&self, id: ComponentId) -> Option<f64> {
         self.components.get(id.index()).and_then(|c| c.value)
-    }
-
-    /// `true` when no restamp is outstanding (the engine represents the
-    /// circuit it was built from).
-    #[inline]
-    pub fn is_nominal(&self) -> bool {
-        self.undo_frames.is_empty()
     }
 
     /// Complex transfer function `probe / input` at angular frequency
@@ -460,17 +453,6 @@ impl AcSweepEngine {
         let mut values = Vec::with_capacity(grid.len());
         self.sweep_into(grid.frequencies(), &mut values)?;
         Ok(AcSweep::from_raw(grid.frequencies().to_vec(), values))
-    }
-
-    /// Samples the response at arbitrary frequencies.
-    ///
-    /// # Errors
-    ///
-    /// As [`AcSweepEngine::sweep_into`].
-    pub fn sample_at(&mut self, omegas: &[f64]) -> Result<Vec<Complex64>> {
-        let mut out = Vec::with_capacity(omegas.len());
-        self.sweep_into(omegas, &mut out)?;
-        Ok(out)
     }
 
     /// Sweeps a whole batch of single-component deviations in one pass —
@@ -873,13 +855,7 @@ fn resolve_probe(
 
 /// Stamps the constant branch-voltage pattern shared by V sources,
 /// inductors, VCVS, and CCVS into `g`.
-fn branch_voltage_pattern(
-    g: &mut CMatrix,
-    layout: &MnaLayout,
-    p: crate::NodeId,
-    n: crate::NodeId,
-    k: usize,
-) {
+fn branch_voltage_pattern(g: &mut CMatrix, layout: &MnaLayout, p: NodeId, n: NodeId, k: usize) {
     if let Some(i) = layout.node_row(p) {
         g[(i, k)] += Complex64::ONE;
         g[(k, i)] += Complex64::ONE;
@@ -896,6 +872,13 @@ mod tests {
     use crate::analysis::ac::{sweep_reference, transfer};
     use crate::library::{tow_thomas_normalized, twin_t_notch};
     use ft_numerics::FrequencyGrid;
+
+    /// The engine's response at `omegas`.
+    fn sample(engine: &mut AcSweepEngine, omegas: &[f64]) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        engine.sweep_into(omegas, &mut out).unwrap();
+        out
+    }
 
     fn rc() -> Circuit {
         let mut ckt = Circuit::new("rc");
@@ -948,7 +931,7 @@ mod tests {
         let old = engine.restamp_component(r2, 1.3).unwrap();
         assert_eq!(old, 1.0);
         assert_eq!(engine.value_of(r2), Some(1.3));
-        assert!(!engine.is_nominal());
+        assert!(!engine.undo_frames.is_empty());
 
         let mut faulty = bench.circuit.clone();
         faulty.set_value("R2", 1.3).unwrap();
@@ -971,9 +954,9 @@ mod tests {
             let id = bench.circuit.find(name).unwrap();
             engine.restamp_component(id, value).unwrap();
         }
-        assert!(!engine.is_nominal());
+        assert!(!engine.undo_frames.is_empty());
         engine.reset();
-        assert!(engine.is_nominal());
+        assert!(engine.undo_frames.is_empty());
         let back = engine.sweep(&grid).unwrap();
         // Bit-for-bit, not just within tolerance.
         assert_eq!(golden.values(), back.values());
@@ -1021,11 +1004,11 @@ mod tests {
             .unwrap();
         assert_eq!(golden.len(), omegas.len());
         assert_eq!(out.len(), faults.len() * omegas.len());
-        assert_eq!(golden, engine.sample_at(&omegas).unwrap());
+        assert_eq!(golden, sample(&mut engine, &omegas));
 
         for (fi, &(id, value)) in faults.iter().enumerate() {
             engine.restamp_component(id, value).unwrap();
-            let exact = engine.sample_at(&omegas).unwrap();
+            let exact = sample(&mut engine, &omegas);
             engine.reset();
             for (wi, (a, b)) in out[fi * omegas.len()..(fi + 1) * omegas.len()]
                 .iter()
@@ -1040,7 +1023,7 @@ mod tests {
             }
         }
         // The batch sweep leaves the engine at nominal.
-        assert!(engine.is_nominal());
+        assert!(engine.undo_frames.is_empty());
     }
 
     #[test]
@@ -1056,7 +1039,7 @@ mod tests {
         ckt.vccs("G1", "d", "d", "in", "0", 0.3).unwrap();
         let mut engine = AcSweepEngine::new(&ckt, "V1", &Probe::node("d")).unwrap();
         let omegas = [0.5, 2.0];
-        let nominal = engine.sample_at(&omegas).unwrap();
+        let nominal = sample(&mut engine, &omegas);
         let g1 = ckt.find("G1").unwrap();
         let (mut golden, mut out) = (Vec::new(), Vec::new());
         engine
@@ -1065,7 +1048,7 @@ mod tests {
         assert_eq!(golden, nominal);
         assert_eq!(out, nominal, "degenerate deviation must be a no-op");
         engine.restamp_component(g1, 0.9).unwrap();
-        assert_eq!(engine.sample_at(&omegas).unwrap(), nominal);
+        assert_eq!(sample(&mut engine, &omegas), nominal);
     }
 
     /// The menagerie circuit of `batch_fault_sweep_matches_restamp_path`:
@@ -1116,14 +1099,14 @@ mod tests {
             .unwrap();
         assert_eq!(golden.len(), omegas.len());
         assert_eq!(out.len(), multifaults.len() * omegas.len());
-        assert_eq!(golden, engine.sample_at(&omegas).unwrap());
-        assert!(engine.is_nominal());
+        assert_eq!(golden, sample(&mut engine, &omegas));
+        assert!(engine.undo_frames.is_empty());
 
         for (fi, mf) in multifaults.iter().enumerate() {
             for &(id, value) in mf {
                 engine.restamp_component(id, value).unwrap();
             }
-            let exact = engine.sample_at(&omegas).unwrap();
+            let exact = sample(&mut engine, &omegas);
             engine.reset();
             for (wi, (a, b)) in out[fi * omegas.len()..(fi + 1) * omegas.len()]
                 .iter()
@@ -1273,7 +1256,7 @@ mod tests {
             "wrong attribution: {err:?}"
         );
         // The sweep errored out cleanly: the engine still answers.
-        assert!(engine.is_nominal());
+        assert!(engine.undo_frames.is_empty());
         engine.response_at(1.0).unwrap();
     }
 
@@ -1327,7 +1310,7 @@ mod tests {
             CircuitError::UnknownComponent(_)
         ));
         // Failed restamps leave the engine untouched.
-        assert!(engine.is_nominal());
+        assert!(engine.undo_frames.is_empty());
     }
 
     #[test]

@@ -1,15 +1,8 @@
 //! Circuit analyses: AC sweep (engine-backed, with a reference oracle),
-//! DC operating point, transient, and sensitivity.
+//! DC operating point, transient, and rational fitting.
 
 pub mod ac;
 pub mod dc;
 pub mod engine;
 pub mod fit;
-pub mod sensitivity;
 pub mod tran;
-
-pub use ac::{sample_at, sweep, sweep_reference, transfer, AcSweep, Probe};
-pub use dc::{operating_point, OperatingPoint};
-pub use engine::AcSweepEngine;
-pub use fit::{fit_circuit, fit_rational, FitError};
-pub use tran::{transient, TransientOptions, TransientResult};

@@ -23,10 +23,8 @@ use crate::netlist::{Circuit, ComponentId, NodeId};
 pub struct TransientOptions {
     /// Total simulated time in seconds.
     pub t_stop: f64,
-    /// Fixed timestep in seconds.
+    /// Fixed timestep in seconds; every step is recorded.
     pub dt: f64,
-    /// Record every `record_every`-th step (1 = every step).
-    pub record_every: usize,
 }
 
 impl TransientOptions {
@@ -35,7 +33,7 @@ impl TransientOptions {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidValue`] when `t_stop` or `dt` is not
-    /// positive/finite or `record_every` is zero.
+    /// positive/finite, or `dt` exceeds `t_stop`.
     pub fn new(t_stop: f64, dt: f64) -> Result<Self> {
         if !t_stop.is_finite() || t_stop <= 0.0 {
             return Err(CircuitError::InvalidValue {
@@ -51,28 +49,7 @@ impl TransientOptions {
                 reason: "dt must be positive, finite, and not exceed t_stop",
             });
         }
-        Ok(TransientOptions {
-            t_stop,
-            dt,
-            record_every: 1,
-        })
-    }
-
-    /// Sets the recording decimation factor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidValue`] when `every` is zero.
-    pub fn record_every(mut self, every: usize) -> Result<Self> {
-        if every == 0 {
-            return Err(CircuitError::InvalidValue {
-                component: "transient".into(),
-                value: 0.0,
-                reason: "record_every must be at least 1",
-            });
-        }
-        self.record_every = every;
-        Ok(self)
+        Ok(TransientOptions { t_stop, dt })
     }
 }
 
@@ -86,12 +63,6 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Recorded time points (seconds).
-    #[inline]
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
     /// Sampling interval of the recorded points (seconds).
     #[inline]
     pub fn sample_interval(&self) -> f64 {
@@ -106,7 +77,7 @@ impl TransientResult {
 
     /// Waveform of a node by id.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &[f64] {
+    pub(crate) fn node(&self, id: NodeId) -> &[f64] {
         &self.voltages[id.index()]
     }
 
@@ -346,22 +317,20 @@ pub fn transient(circuit: &Circuit, options: &TransientOptions) -> Result<Transi
             ind.v_prev = v_new;
         }
 
-        if step % options.record_every == 0 {
-            times.push(t);
-            voltages[0].push(0.0);
-            for (node_idx, v) in voltages.iter_mut().enumerate().skip(1) {
-                let r = layout
-                    .node_row(NodeId(node_idx))
-                    .expect("non-ground node has a row");
-                v.push(x[r]);
-            }
+        times.push(t);
+        voltages[0].push(0.0);
+        for (node_idx, v) in voltages.iter_mut().enumerate().skip(1) {
+            let r = layout
+                .node_row(NodeId(node_idx))
+                .expect("non-ground node has a row");
+            v.push(x[r]);
         }
     }
 
     Ok(TransientResult {
         times,
         voltages,
-        dt_effective: h * options.record_every as f64,
+        dt_effective: h,
     })
 }
 
@@ -400,15 +369,7 @@ mod tests {
         assert!(TransientOptions::new(-1.0, 0.1).is_err());
         assert!(TransientOptions::new(1.0, 0.0).is_err());
         assert!(TransientOptions::new(1.0, 2.0).is_err());
-        assert!(TransientOptions::new(1.0, 0.1)
-            .unwrap()
-            .record_every(0)
-            .is_err());
-        let o = TransientOptions::new(1.0, 0.1)
-            .unwrap()
-            .record_every(2)
-            .unwrap();
-        assert_eq!(o.record_every, 2);
+        assert!(TransientOptions::new(1.0, 0.1).is_ok());
     }
 
     #[test]
@@ -434,7 +395,7 @@ mod tests {
         let opt = TransientOptions::new(5e-3, 1e-6).unwrap();
         let result = transient(&ckt, &opt).unwrap();
         let v = result.node_by_name(&ckt, "out").unwrap();
-        let t = result.times();
+        let t = &result.times;
         // Compare at t = τ and t = 3τ.
         for &(t_check, expect) in &[(1e-3, 1.0 - (-1.0f64).exp()), (3e-3, 1.0 - (-3.0f64).exp())] {
             let idx = t
@@ -545,20 +506,5 @@ mod tests {
         for &sample in v {
             assert!((sample - expected).abs() < 1e-9, "drift: {sample}");
         }
-    }
-
-    #[test]
-    fn recording_decimation() {
-        let mut ckt = Circuit::new("dec");
-        ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
-        ckt.resistor("R1", "in", "0", 1e3).unwrap();
-        let opt = TransientOptions::new(1e-3, 1e-5)
-            .unwrap()
-            .record_every(10)
-            .unwrap();
-        let result = transient(&ckt, &opt).unwrap();
-        // 100 steps / 10 + initial point = 11.
-        assert_eq!(result.times().len(), 11);
-        assert!((result.sample_interval() - 1e-4).abs() < 1e-15);
     }
 }

@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 
 /// Time-domain waveform of an independent source (transient analysis).
 ///
-/// AC analysis ignores the waveform and uses the source's AC magnitude and
-/// phase; DC analysis uses the DC value.
+/// AC analysis ignores the waveform: it drives the swept input with a unit
+/// phasor and zeroes every other source. DC analysis uses the DC value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Waveform {
     /// Constant value.
@@ -47,7 +47,7 @@ pub enum Waveform {
 
 impl Waveform {
     /// Evaluates the waveform at time `t` (seconds).
-    pub fn eval(&self, t: f64) -> f64 {
+    pub(crate) fn eval(&self, t: f64) -> f64 {
         match self {
             Waveform::Dc(v) => *v,
             Waveform::Sine {
@@ -126,7 +126,8 @@ pub enum Element {
     VoltageSource {
         /// DC value in volts.
         dc: f64,
-        /// AC magnitude (phasor analysis input).
+        /// AC magnitude as written in the netlist (the AC sweeps drive
+        /// their input with a unit phasor instead).
         ac_mag: f64,
         /// AC phase in radians.
         ac_phase: f64,
@@ -177,7 +178,7 @@ pub enum Element {
 
 impl Element {
     /// Number of terminals the element connects.
-    pub fn terminal_count(&self) -> usize {
+    pub(crate) fn terminal_count(&self) -> usize {
         match self {
             Element::Resistor { .. }
             | Element::Capacitor { .. }
@@ -192,7 +193,7 @@ impl Element {
     }
 
     /// `true` when MNA needs a branch-current unknown for this element.
-    pub fn needs_branch_current(&self) -> bool {
+    pub(crate) fn needs_branch_current(&self) -> bool {
         matches!(
             self,
             Element::VoltageSource { .. }
@@ -207,7 +208,7 @@ impl Element {
     /// parametric fault deviates (resistance, capacitance, inductance,
     /// gain, transconductance, transresistance). Independent sources and
     /// ideal op amps have none.
-    pub fn principal_value(&self) -> Option<f64> {
+    pub(crate) fn principal_value(&self) -> Option<f64> {
         match self {
             Element::Resistor { r } => Some(*r),
             Element::Capacitor { c } => Some(*c),
@@ -224,7 +225,7 @@ impl Element {
 
     /// Replaces the principal value; returns `false` for elements without
     /// one.
-    pub fn set_principal_value(&mut self, value: f64) -> bool {
+    pub(crate) fn set_principal_value(&mut self, value: f64) -> bool {
         match self {
             Element::Resistor { r } => *r = value,
             Element::Capacitor { c } => *c = value,
@@ -241,7 +242,7 @@ impl Element {
     }
 
     /// `true` for independent (V or I) sources.
-    pub fn is_independent_source(&self) -> bool {
+    pub(crate) fn is_independent_source(&self) -> bool {
         matches!(
             self,
             Element::VoltageSource { .. } | Element::CurrentSource { .. }
@@ -249,7 +250,7 @@ impl Element {
     }
 
     /// Short human-readable kind name (`"R"`, `"C"`, `"L"`, …).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Element::Resistor { .. } => "R",
             Element::Capacitor { .. } => "C",

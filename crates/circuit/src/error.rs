@@ -116,7 +116,7 @@ impl From<SingularMatrixError> for CircuitError {
 }
 
 /// Convenience alias for circuit results.
-pub type Result<T> = std::result::Result<T, CircuitError>;
+pub(crate) type Result<T> = std::result::Result<T, CircuitError>;
 
 #[cfg(test)]
 mod tests {

@@ -3,9 +3,9 @@
 //! A from-scratch linear analog circuit simulator built for the
 //! fault-trajectory diagnosis workspace: modified nodal analysis (MNA)
 //! over real or complex scalars, AC sweeps, DC operating points,
-//! trapezoidal transient analysis, finite-difference sensitivities, a
-//! SPICE-subset netlist parser, ideal and single-pole op-amp models, and a
-//! library of benchmark filters including the paper's Tow-Thomas CUT.
+//! trapezoidal transient analysis, rational fitting of a response, a
+//! SPICE-subset netlist parser, an ideal op-amp, and a library of
+//! benchmark filters including the paper's Tow-Thomas CUT.
 //!
 //! ## Example: Bode point of an RC low-pass
 //!
@@ -35,17 +35,17 @@ pub mod opamp;
 pub mod parser;
 
 pub use analysis::ac::{sample_at, sweep, sweep_reference, transfer, AcSweep, Probe};
-pub use analysis::dc::{operating_point, OperatingPoint};
+pub use analysis::dc::operating_point;
 pub use analysis::engine::AcSweepEngine;
-pub use analysis::fit::{fit_circuit, fit_rational, FitError};
-pub use analysis::tran::{transient, TransientOptions, TransientResult};
+pub use analysis::fit::fit_circuit;
+pub use analysis::tran::{transient, TransientOptions};
 pub use element::{Element, Waveform};
-pub use error::{CircuitError, Result};
+pub use error::CircuitError;
 pub use library::{
     all_benchmarks, khn_state_variable, mfb_lowpass, mfb_normalized, rlc_ladder_lowpass,
     sallen_key_lowpass, sallen_key_normalized, tow_thomas, tow_thomas_normalized, twin_t_notch,
     Benchmark, TowThomasParams,
 };
-pub use mna::{Excitation, MnaLayout};
-pub use netlist::{Circuit, Component, ComponentId, NodeId};
+pub use mna::MnaLayout;
+pub use netlist::{Circuit, ComponentId};
 pub use opamp::OpAmpModel;

@@ -17,11 +17,9 @@ use crate::netlist::{Circuit, ComponentId, NodeId};
 
 /// Which values independent sources contribute to the right-hand side.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Excitation {
+pub(crate) enum Excitation {
     /// DC values (operating point).
     Dc,
-    /// Every source contributes its AC magnitude/phase.
-    Ac,
     /// Single-input transfer-function mode: the source with this id
     /// contributes exactly `1∠0` and every other independent source is
     /// zeroed. The solved output then *is* the transfer function to that
@@ -41,7 +39,7 @@ impl Excitation {
     /// Returns [`CircuitError::UnknownComponent`] when `input` does not
     /// exist and [`CircuitError::NotASource`] when it is not an
     /// independent V or I source.
-    pub fn ac_unit(circuit: &Circuit, input: &str) -> Result<Self> {
+    pub(crate) fn ac_unit(circuit: &Circuit, input: &str) -> Result<Self> {
         let id = circuit
             .find(input)
             .ok_or_else(|| CircuitError::UnknownComponent(input.to_string()))?;
@@ -108,19 +106,13 @@ impl MnaLayout {
 
     /// Total system dimension.
     #[inline]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Number of non-ground node unknowns.
-    #[inline]
-    pub fn node_unknowns(&self) -> usize {
-        self.n_nodes
     }
 
     /// Matrix row/column of a node voltage; `None` for ground.
     #[inline]
-    pub fn node_row(&self, node: NodeId) -> Option<usize> {
+    pub(crate) fn node_row(&self, node: NodeId) -> Option<usize> {
         if node.is_ground() {
             None
         } else {
@@ -130,14 +122,14 @@ impl MnaLayout {
 
     /// Matrix row/column of a component's branch current.
     #[inline]
-    pub fn branch_row(&self, id: ComponentId) -> Option<usize> {
+    pub(crate) fn branch_row(&self, id: ComponentId) -> Option<usize> {
         self.branch_of.get(&id).map(|b| self.n_nodes + b)
     }
 }
 
 /// Assembled complex MNA system at one frequency.
 #[derive(Debug, Clone)]
-pub struct MnaSystem {
+pub(crate) struct MnaSystem {
     /// System matrix.
     pub matrix: CMatrix,
     /// Right-hand side.
@@ -150,7 +142,7 @@ pub struct MnaSystem {
 ///
 /// Returns an error for invalid controlled-source references (via
 /// [`MnaLayout::new`]) or an unknown `AcUnit` input name.
-pub fn assemble(
+pub(crate) fn assemble(
     circuit: &Circuit,
     layout: &MnaLayout,
     s: Complex64,
@@ -194,23 +186,13 @@ pub fn assemble(
                 stamp_branch_voltage(&mut a, layout, nodes[0], nodes[1], k);
                 a[(k, k)] -= s.scale(*l);
             }
-            Element::VoltageSource {
-                dc,
-                ac_mag,
-                ac_phase,
-                ..
-            } => {
+            Element::VoltageSource { dc, .. } => {
                 let k = layout.branch_row(id).expect("vsource has branch");
                 stamp_branch_voltage(&mut a, layout, nodes[0], nodes[1], k);
-                z[k] = source_value(id, *dc, *ac_mag, *ac_phase, excitation);
+                z[k] = source_value(id, *dc, excitation);
             }
-            Element::CurrentSource {
-                dc,
-                ac_mag,
-                ac_phase,
-                ..
-            } => {
-                let i = source_value(id, *dc, *ac_mag, *ac_phase, excitation);
+            Element::CurrentSource { dc, .. } => {
+                let i = source_value(id, *dc, excitation);
                 // Positive current flows p→n through the source: it leaves
                 // node p and enters node n.
                 if let Some(rp) = layout.node_row(nodes[0]) {
@@ -284,16 +266,9 @@ pub fn assemble(
     Ok(MnaSystem { matrix: a, rhs: z })
 }
 
-fn source_value(
-    id: ComponentId,
-    dc: f64,
-    ac_mag: f64,
-    ac_phase: f64,
-    excitation: &Excitation,
-) -> Complex64 {
+fn source_value(id: ComponentId, dc: f64, excitation: &Excitation) -> Complex64 {
     match excitation {
         Excitation::Dc => Complex64::from_real(dc),
-        Excitation::Ac => Complex64::from_polar(ac_mag, ac_phase),
         Excitation::AcUnit(input) => {
             if id == *input {
                 Complex64::ONE
@@ -335,7 +310,7 @@ fn stamp_branch_voltage(a: &mut CMatrix, layout: &MnaLayout, p: NodeId, n: NodeI
 
 /// Solution of one MNA solve: node voltages and branch currents.
 #[derive(Debug, Clone)]
-pub struct MnaSolution {
+pub(crate) struct MnaSolution {
     /// Node voltages indexed by [`NodeId::index`]; entry 0 (ground) is 0.
     voltages: Vec<Complex64>,
     /// Branch currents for components that have them.
@@ -345,19 +320,19 @@ pub struct MnaSolution {
 impl MnaSolution {
     /// Voltage at a node (ground reads 0).
     #[inline]
-    pub fn voltage(&self, node: NodeId) -> Complex64 {
+    pub(crate) fn voltage(&self, node: NodeId) -> Complex64 {
         self.voltages[node.index()]
     }
 
     /// Differential voltage `V(p) − V(n)`.
     #[inline]
-    pub fn voltage_between(&self, p: NodeId, n: NodeId) -> Complex64 {
+    pub(crate) fn voltage_between(&self, p: NodeId, n: NodeId) -> Complex64 {
         self.voltage(p) - self.voltage(n)
     }
 
     /// Branch current of a component, if it has a branch unknown.
     #[inline]
-    pub fn current(&self, id: ComponentId) -> Option<Complex64> {
+    pub(crate) fn current(&self, id: ComponentId) -> Option<Complex64> {
         self.currents.get(&id).copied()
     }
 }
@@ -368,7 +343,7 @@ impl MnaSolution {
 ///
 /// Returns [`CircuitError::Singular`] for ill-posed circuits (floating
 /// nodes, source loops) and reference errors per [`assemble`].
-pub fn solve(
+pub(crate) fn solve(
     circuit: &Circuit,
     layout: &MnaLayout,
     s: Complex64,
@@ -408,10 +383,9 @@ mod tests {
         let (ckt, layout) = divider();
         // 2 non-ground nodes + 1 vsource branch.
         assert_eq!(layout.dim(), 3);
-        assert_eq!(layout.node_unknowns(), 2);
         let v1 = ckt.find("V1").unwrap();
         assert_eq!(layout.branch_row(v1), Some(2));
-        assert_eq!(layout.node_row(NodeId::GROUND), None);
+        assert_eq!(layout.node_row(NodeId(0)), None);
     }
 
     #[test]

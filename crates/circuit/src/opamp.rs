@@ -2,10 +2,10 @@
 //!
 //! The paper's fault model (the FFM of Calvano et al., JETTA 2001) treats
 //! active-device faults as percentage deviations of *macromodel*
-//! parameters. Two models are provided: the ideal nullor (exact virtual
-//! short, used for the normalized CUT) and a single-pole macromodel whose
-//! expansion into primitive elements makes every parameter individually
-//! faultable.
+//! parameters. Two models are described: the ideal nullor (exact virtual
+//! short, used for the normalized CUT and stamped by
+//! [`Circuit::ideal_opamp`](crate::Circuit::ideal_opamp)) and a
+//! single-pole macromodel. No circuit builder expands the macromodel.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,53 +30,12 @@ pub enum OpAmpModel {
     },
 }
 
-impl OpAmpModel {
-    /// A typical general-purpose op amp (741-class): A₀ = 2·10⁵,
-    /// GBW = 1 MHz, Rin = 2 MΩ, Rout = 75 Ω.
-    pub fn typical() -> Self {
-        OpAmpModel::SinglePole {
-            a0: 2e5,
-            gbw_rad: std::f64::consts::TAU * 1e6,
-            rin: 2e6,
-            rout: 75.0,
-        }
-    }
-
-    /// Open-loop DC gain; `None` for the ideal model (infinite).
-    pub fn dc_gain(&self) -> Option<f64> {
-        match self {
-            OpAmpModel::Ideal => None,
-            OpAmpModel::SinglePole { a0, .. } => Some(*a0),
-        }
-    }
-
-    /// Open-loop pole frequency in rad/s (`GBW / A0`); `None` for ideal.
-    pub fn pole_rad(&self) -> Option<f64> {
-        match self {
-            OpAmpModel::Ideal => None,
-            OpAmpModel::SinglePole { a0, gbw_rad, .. } => Some(gbw_rad / a0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn typical_values() {
-        let m = OpAmpModel::typical();
-        assert_eq!(m.dc_gain(), Some(2e5));
-        let pole = m.pole_rad().unwrap();
-        // GBW 2π·1e6 / 2e5 = 2π·5 rad/s
-        assert!((pole - std::f64::consts::TAU * 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ideal_has_no_finite_parameters() {
-        let m = OpAmpModel::Ideal;
-        assert_eq!(m.dc_gain(), None);
-        assert_eq!(m.pole_rad(), None);
+    fn default_is_ideal() {
         assert_eq!(OpAmpModel::default(), OpAmpModel::Ideal);
     }
 }

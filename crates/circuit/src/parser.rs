@@ -84,7 +84,7 @@ impl std::error::Error for ParseError {}
 /// # Errors
 ///
 /// Returns the unparsable text when no leading number exists.
-pub fn parse_value(text: &str) -> Result<f64, String> {
+pub(crate) fn parse_value(text: &str) -> Result<f64, String> {
     let lower = text.trim().to_ascii_lowercase();
     if lower.is_empty() {
         return Err(text.to_string());
@@ -370,94 +370,6 @@ fn rename(circuit: Circuit, _title: &str) -> Circuit {
     circuit
 }
 
-/// Writes a circuit back out as a SPICE-subset netlist parseable by
-/// [`parse_netlist`].
-///
-/// Round-trip safe when component names follow the SPICE convention
-/// (first letter encodes the element kind, as the parser requires).
-/// Names produced by op-amp macromodel expansion (`U1.rin`, …) violate
-/// that convention; write the pre-expansion circuit instead.
-pub fn write_netlist(circuit: &Circuit) -> String {
-    use crate::element::Element;
-
-    let mut out = format!("* {}\n", circuit.name());
-    for comp in circuit.components() {
-        let node = |i: usize| circuit.node_name(comp.nodes()[i]);
-        let line = match comp.element() {
-            Element::Resistor { r } => {
-                format!("{} {} {} {}", comp.name(), node(0), node(1), fmt_num(*r))
-            }
-            Element::Capacitor { c } => {
-                format!("{} {} {} {}", comp.name(), node(0), node(1), fmt_num(*c))
-            }
-            Element::Inductor { l } => {
-                format!("{} {} {} {}", comp.name(), node(0), node(1), fmt_num(*l))
-            }
-            Element::VoltageSource {
-                dc,
-                ac_mag,
-                ac_phase,
-                ..
-            } => format!(
-                "{} {} {} DC {} AC {} {}",
-                comp.name(),
-                node(0),
-                node(1),
-                fmt_num(*dc),
-                fmt_num(*ac_mag),
-                fmt_num(ac_phase.to_degrees())
-            ),
-            Element::CurrentSource { dc, .. } => {
-                format!("{} {} {} {}", comp.name(), node(0), node(1), fmt_num(*dc))
-            }
-            Element::Vcvs { gain } => format!(
-                "{} {} {} {} {} {}",
-                comp.name(),
-                node(0),
-                node(1),
-                node(2),
-                node(3),
-                fmt_num(*gain)
-            ),
-            Element::Vccs { gm } => format!(
-                "{} {} {} {} {} {}",
-                comp.name(),
-                node(0),
-                node(1),
-                node(2),
-                node(3),
-                fmt_num(*gm)
-            ),
-            Element::Cccs { gain, control } => format!(
-                "{} {} {} {} {}",
-                comp.name(),
-                node(0),
-                node(1),
-                control,
-                fmt_num(*gain)
-            ),
-            Element::Ccvs { r, control } => format!(
-                "{} {} {} {} {}",
-                comp.name(),
-                node(0),
-                node(1),
-                control,
-                fmt_num(*r)
-            ),
-            Element::IdealOpAmp => format!("{} {} {} {}", comp.name(), node(0), node(1), node(2)),
-        };
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out.push_str(".end\n");
-    out
-}
-
-fn fmt_num(x: f64) -> String {
-    // Exact round-trip via the shortest representation ({} on f64).
-    format!("{x}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,42 +494,38 @@ mod tests {
     }
 
     #[test]
-    fn write_netlist_round_trips_rc() {
-        let original = parse_netlist(
-            "V1 in 0 DC 0 AC 1 0
-             R1 in out 1k
-             C1 out 0 1u",
+    fn parses_tow_thomas_matching_the_builder() {
+        // The paper's CUT written as a netlist, element for element.
+        let bench = crate::library::tow_thomas_normalized(1.0).unwrap();
+        let parsed = parse_netlist(
+            "* tow-thomas-biquad
+             V1 in 0 1
+             R1 in n1 1
+             R2 bp n1 1
+             C1 bp n1 1
+             R3 inv n1 1
+             U1 0 n1 bp
+             R4 bp n2 1
+             C2 lp n2 1
+             U2 0 n2 lp
+             R5 lp n3 1
+             R6 inv n3 1
+             U3 0 n3 inv
+             .end",
         )
         .unwrap();
-        let text = write_netlist(&original);
-        assert!(text.contains("R1 in out 1000"));
-        assert!(text.ends_with(".end\n"));
-        let reparsed = parse_netlist(&text).unwrap();
-        assert_eq!(reparsed.component_count(), original.component_count());
-        // Behavioural equivalence at a few frequencies.
-        for &w in &[10.0, 1000.0, 1e5] {
-            let a = transfer(&original, "V1", &Probe::node("out"), w).unwrap();
-            let b = transfer(&reparsed, "V1", &Probe::node("out"), w).unwrap();
-            assert!((a - b).abs() < 1e-12, "mismatch at {w}");
-        }
-    }
-
-    #[test]
-    fn write_netlist_round_trips_tow_thomas() {
-        let bench = crate::library::tow_thomas_normalized(1.0).unwrap();
-        let text = write_netlist(&bench.circuit);
-        let reparsed = parse_netlist(&text).unwrap();
-        reparsed.validate().unwrap();
+        parsed.validate().unwrap();
+        assert_eq!(parsed.component_count(), bench.circuit.component_count());
         for &w in &[0.1, 1.0, 10.0] {
             let a = transfer(&bench.circuit, "V1", &bench.probe, w).unwrap();
-            let b = transfer(&reparsed, "V1", &bench.probe, w).unwrap();
+            let b = transfer(&parsed, "V1", &bench.probe, w).unwrap();
             assert!((a - b).abs() < 1e-12, "mismatch at {w}");
         }
     }
 
     #[test]
-    fn write_netlist_controlled_sources() {
-        let original = parse_netlist(
+    fn controlled_sources_match_the_builder() {
+        let parsed = parse_netlist(
             "V1 a 0 1
              R1 a 0 1k
              E1 b 0 a 0 2
@@ -630,11 +538,21 @@ mod tests {
              Re e 0 1k",
         )
         .unwrap();
-        let reparsed = parse_netlist(&write_netlist(&original)).unwrap();
-        assert_eq!(reparsed.component_count(), original.component_count());
+        let mut built = Circuit::new("controlled");
+        built.voltage_source("V1", "a", "0", 1.0).unwrap();
+        built.resistor("R1", "a", "0", 1e3).unwrap();
+        built.vcvs("E1", "b", "0", "a", "0", 2.0).unwrap();
+        built.resistor("Rb", "b", "0", 1e3).unwrap();
+        built.vccs("G1", "c", "0", "a", "0", 0.5).unwrap();
+        built.resistor("Rc", "c", "0", 1e3).unwrap();
+        built.cccs("F1", "d", "0", "V1", 3.0).unwrap();
+        built.resistor("Rd", "d", "0", 1e3).unwrap();
+        built.ccvs("H1", "e", "0", "V1", 50.0).unwrap();
+        built.resistor("Re", "e", "0", 1e3).unwrap();
+        assert_eq!(parsed.component_count(), built.component_count());
         for node in ["b", "c", "d", "e"] {
-            let a = transfer(&original, "V1", &Probe::node(node), 1.0).unwrap();
-            let b = transfer(&reparsed, "V1", &Probe::node(node), 1.0).unwrap();
+            let a = transfer(&built, "V1", &Probe::node(node), 1.0).unwrap();
+            let b = transfer(&parsed, "V1", &Probe::node(node), 1.0).unwrap();
             assert!((a - b).abs() < 1e-12, "node {node}");
         }
     }

@@ -33,12 +33,6 @@ impl AmbiguityGroups {
         &self.groups
     }
 
-    /// Distance threshold used.
-    #[inline]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Number of groups (= number of distinguishable fault classes).
     #[inline]
     pub fn len(&self) -> usize {
@@ -49,12 +43,6 @@ impl AmbiguityGroups {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
-    }
-
-    /// `true` when every component is alone in its group — full
-    /// diagnosability, the paper's ideal.
-    pub fn fully_diagnosable(&self) -> bool {
-        self.groups.iter().all(|g| g.len() == 1)
     }
 
     /// The group containing `component`, if any.
@@ -200,7 +188,6 @@ mod tests {
         );
         let groups = ambiguity_groups(&set, 0.05, &wide_ball());
         assert_eq!(groups.len(), 3);
-        assert!(groups.fully_diagnosable());
         assert!(!groups.is_empty());
         assert_eq!(groups.group_of("A").unwrap(), &["A".to_string()]);
     }
@@ -217,7 +204,6 @@ mod tests {
         );
         let groups = ambiguity_groups(&set, 0.05, &wide_ball());
         assert_eq!(groups.len(), 2);
-        assert!(!groups.fully_diagnosable());
         let ab = groups.group_of("A").unwrap();
         assert!(ab.contains(&"B".to_string()));
         assert_eq!(groups.group_of("C").unwrap().len(), 1);
@@ -290,7 +276,7 @@ mod tests {
     fn threshold_stored() {
         let set = TrajectorySet::new(TestVector::pair(1.0, 2.0), vec![straight("A", 1.0, 0.0)]);
         let groups = ambiguity_groups(&set, 0.25, &GeometryOptions::default());
-        assert_eq!(groups.threshold(), 0.25);
+        assert_eq!(groups.threshold, 0.25);
         assert_eq!(groups.len(), 1);
     }
 }

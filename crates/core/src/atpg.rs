@@ -32,7 +32,7 @@ pub struct AtpgConfig {
 impl AtpgConfig {
     /// The paper's setup: two frequencies, §2.4 GA parameters, fitness
     /// `1/(1+I)`.
-    pub fn paper(band: (f64, f64)) -> Self {
+    pub(crate) fn paper(band: (f64, f64)) -> Self {
         assert!(
             band.0 > 0.0 && band.1 > band.0,
             "band must satisfy 0 < ω_min < ω_max"
@@ -115,7 +115,10 @@ pub fn select_test_vector(dict: &FaultDictionary, config: &AtpgConfig) -> AtpgRe
 /// # Panics
 ///
 /// Panics on invalid configuration (zero frequencies, bad band).
-pub fn select_test_vector_from<S: TrajectorySource>(source: &S, config: &AtpgConfig) -> AtpgResult {
+pub(crate) fn select_test_vector_from<S: TrajectorySource>(
+    source: &S,
+    config: &AtpgConfig,
+) -> AtpgResult {
     assert!(config.n_frequencies >= 1, "need at least one frequency");
     let (lo, hi) = config.band;
     assert!(lo > 0.0 && hi > lo, "band must satisfy 0 < ω_min < ω_max");

@@ -288,7 +288,7 @@ impl NnDictionary {
     }
 
     /// The test vector the table was built for.
-    pub fn test_vector(&self) -> &TestVector {
+    pub(crate) fn test_vector(&self) -> &TestVector {
         &self.test_vector
     }
 

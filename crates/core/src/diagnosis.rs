@@ -66,18 +66,6 @@ impl Diagnosis {
             .map(|c| c.component.as_str())
     }
 
-    /// `true` when more than one component falls in the ambiguity set.
-    pub fn is_ambiguous(&self) -> bool {
-        self.ambiguity_set().len() > 1
-    }
-
-    /// Rank (0-based) of a component in the candidate list, if present.
-    pub fn rank_of(&self, component: &str) -> Option<usize> {
-        self.candidates
-            .iter()
-            .position(|c| c.component == component)
-    }
-
     /// Assembles a diagnosis from unranked candidates, sorting by
     /// distance (stable, so equal distances keep their input order).
     ///
@@ -138,10 +126,9 @@ pub trait SegmentQuery {
     /// Best `(distance, deviation_pct)` per trajectory, in set order.
     ///
     /// Ties between segments of one trajectory must resolve to the
-    /// lowest segment index (the order [`TrajectoryView::segments`]
+    /// lowest segment index (the order `TrajectoryView::segments`
     /// iterates), so that all backends agree bit-for-bit.
     ///
-    /// [`TrajectoryView::segments`]: crate::trajectory::TrajectoryView::segments
     fn best_per_trajectory(&self, set: &TrajectorySet, observed: &Signature) -> Vec<(f64, f64)>;
 
     /// The `k` best trajectories (plus however many more the ambiguity
@@ -408,8 +395,8 @@ mod tests {
         let d = diag.diagnose(&sig(3.0, 0.2));
         assert_eq!(d.best().component, "A");
         assert!(d.best().distance < 0.3);
-        assert_eq!(d.rank_of("B"), Some(1));
-        assert!(!d.is_ambiguous());
+        assert_eq!(d.candidates()[1].component, "B");
+        assert_eq!(d.ambiguity_set(), ["A"]);
     }
 
     #[test]
@@ -431,8 +418,8 @@ mod tests {
     fn equidistant_point_is_ambiguous() {
         let diag = Diagnoser::new(cross_set(), DiagnoserConfig::default());
         let d = diag.diagnose(&sig(1.0, 1.0));
-        assert!(d.is_ambiguous());
         let set = d.ambiguity_set();
+        assert_eq!(set.len(), 2);
         assert!(set.contains(&"A") && set.contains(&"B"));
     }
 
@@ -447,7 +434,7 @@ mod tests {
         // Clearly closer to A, but not by a factor > 1.5.
         let point = sig(2.0, 1.5);
         let d = tight.diagnose(&point);
-        assert!(!d.is_ambiguous());
+        assert_eq!(d.ambiguity_set().len(), 1);
         let loose = Diagnoser::new(
             cross_set(),
             DiagnoserConfig {
@@ -455,7 +442,7 @@ mod tests {
             },
         );
         let d = loose.diagnose(&point);
-        assert!(d.is_ambiguous());
+        assert!(d.ambiguity_set().len() > 1);
     }
 
     #[test]

@@ -54,7 +54,11 @@ impl Default for GeometryOptions {
 
 /// Clips segment `(p0, p1)` against the origin ball of radius `r`,
 /// returning the part outside the ball (or `None` when fully inside).
-pub fn clip_segment_outside_ball(p0: &[f64], p1: &[f64], r: f64) -> Option<(Vec<f64>, Vec<f64>)> {
+pub(crate) fn clip_segment_outside_ball(
+    p0: &[f64],
+    p1: &[f64],
+    r: f64,
+) -> Option<(Vec<f64>, Vec<f64>)> {
     let inside0 = norm(p0) < r;
     let inside1 = norm(p1) < r;
     if !inside0 && !inside1 {
@@ -167,7 +171,7 @@ pub fn count_intersections(set: &TrajectorySet, opts: &GeometryOptions) -> usize
 /// ball. A coincident pair reports ~0, and so does a pair in which one
 /// trajectory never leaves the ball; well-separated pairs report their
 /// closest approach in dB.
-pub fn pairwise_separations(set: &TrajectorySet, opts: &GeometryOptions) -> Vec<f64> {
+pub(crate) fn pairwise_separations(set: &TrajectorySet, opts: &GeometryOptions) -> Vec<f64> {
     let clipped = clip_outside_ball(set.views(), opts.origin_exclusion);
     let mut out = Vec::new();
     for (i, a) in clipped.iter().enumerate() {
@@ -178,7 +182,7 @@ pub fn pairwise_separations(set: &TrajectorySet, opts: &GeometryOptions) -> Vec<
     out
 }
 
-/// The least of [`pairwise_separations`]: 0 when any pair intersects or
+/// The least of `pairwise_separations`: 0 when any pair intersects or
 /// any trajectory never leaves the origin ball (and for fewer than two
 /// trajectories), large when trajectories are well separated.
 pub fn min_separation(set: &TrajectorySet, opts: &GeometryOptions) -> f64 {

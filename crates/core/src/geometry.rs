@@ -14,16 +14,16 @@ pub const GEOM_EPS: f64 = 1e-12;
 /// trajectory storage runs over its whole deviation/coordinate runs
 /// before serving from them.
 #[inline]
-pub fn all_finite(xs: &[f64]) -> bool {
+pub(crate) fn all_finite(xs: &[f64]) -> bool {
     xs.iter().all(|x| x.is_finite())
 }
 
 /// A 2-D point.
-pub type P2 = [f64; 2];
+pub(crate) type P2 = [f64; 2];
 
 /// Signed area orientation: > 0 counter-clockwise, < 0 clockwise,
 /// ≈ 0 collinear (within `eps` scaled by the operand magnitude).
-pub fn orientation(a: P2, b: P2, c: P2, eps: f64) -> i8 {
+pub(crate) fn orientation(a: P2, b: P2, c: P2, eps: f64) -> i8 {
     let v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]);
     let scale = (b[0] - a[0])
         .abs()
@@ -63,26 +63,6 @@ pub fn segments_intersect_2d(a1: P2, a2: P2, b1: P2, b2: P2, eps: f64) -> bool {
         || (o2 == 0 && on_segment(a1, a2, b2, eps))
         || (o3 == 0 && on_segment(b1, b2, a1, eps))
         || (o4 == 0 && on_segment(b1, b2, a2, eps))
-}
-
-/// The intersection point of two properly crossing segments, if unique.
-///
-/// Returns `None` for parallel/collinear pairs or pairs that do not
-/// cross.
-pub fn intersection_point_2d(a1: P2, a2: P2, b1: P2, b2: P2) -> Option<P2> {
-    let d1 = [a2[0] - a1[0], a2[1] - a1[1]];
-    let d2 = [b2[0] - b1[0], b2[1] - b1[1]];
-    let denom = d1[0] * d2[1] - d1[1] * d2[0];
-    if denom.abs() < GEOM_EPS {
-        return None;
-    }
-    let t = ((b1[0] - a1[0]) * d2[1] - (b1[1] - a1[1]) * d2[0]) / denom;
-    let u = ((b1[0] - a1[0]) * d1[1] - (b1[1] - a1[1]) * d1[0]) / denom;
-    if (-GEOM_EPS..=1.0 + GEOM_EPS).contains(&t) && (-GEOM_EPS..=1.0 + GEOM_EPS).contains(&u) {
-        Some([a1[0] + t * d1[0], a1[1] + t * d1[1]])
-    } else {
-        None
-    }
 }
 
 /// Distance from point `p` to segment `(a, b)` in n dimensions, plus the
@@ -377,17 +357,6 @@ mod tests {
                 segments_intersect_2d(b1, b2, a1, a2, GEOM_EPS),
             );
         }
-    }
-
-    #[test]
-    fn intersection_point_of_cross() {
-        let p = intersection_point_2d([0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]).unwrap();
-        assert!((p[0] - 0.5).abs() < 1e-12);
-        assert!((p[1] - 0.5).abs() < 1e-12);
-        // Parallel → None.
-        assert!(intersection_point_2d([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]).is_none());
-        // Non-crossing lines whose extension crosses → None.
-        assert!(intersection_point_2d([0.0, 0.0], [0.1, 0.1], [0.0, 1.0], [1.0, 0.0]).is_none());
     }
 
     #[test]

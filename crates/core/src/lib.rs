@@ -82,29 +82,24 @@ pub mod trajectory;
 
 pub use ambiguity::{ambiguity_groups, pair_separation, AmbiguityGroups};
 pub use atpg::{
-    genome_to_test_vector, select_test_vector, select_test_vector_binary, select_test_vector_from,
-    AtpgConfig, AtpgResult, TrajectorySource,
+    genome_to_test_vector, select_test_vector, select_test_vector_binary, AtpgConfig, AtpgResult,
+    TrajectorySource,
 };
-pub use baselines::{
-    grid_search, random_search, sensitivity_heuristic, BaselineResult, NnDictionary,
-};
+pub use baselines::{grid_search, random_search, sensitivity_heuristic, NnDictionary};
 pub use diagnosis::{
     topk_prefix_len, Candidate, Diagnoser, DiagnoserConfig, Diagnosis, LinearScan, SegmentQuery,
     TopkRanking,
 };
 pub use fitness::{
-    count_intersections, evaluate_fitness, min_separation, pairwise_separations, FitnessKind,
-    GeometryOptions,
+    count_intersections, evaluate_fitness, min_separation, FitnessKind, GeometryOptions,
 };
 pub use metrics::{
     evaluate_classifier, AccuracyReport, ConfusionMatrix, EvalConfig, SignatureClassifier,
 };
 pub use multiprobe::ProbeBank;
-pub use scratch::{scratch_pool_stats, DbScratch};
-pub use signature::{
-    measure_signature, sample_response_db, signature_from_db, Signature, TestVector, DB_FLOOR,
-};
+pub use scratch::scratch_pool_stats;
+pub use signature::{measure_signature, sample_response_db, Signature, TestVector};
 pub use trajectory::{
-    trajectories_exact, trajectories_from_dictionary, FaultTrajectory, PackedLayoutError,
-    PackedTrajectories, TrajectorySet, TrajectoryView,
+    trajectories_exact, trajectories_from_dictionary, FaultTrajectory, PackedTrajectories,
+    TrajectorySet, TrajectoryView,
 };

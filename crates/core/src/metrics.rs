@@ -109,7 +109,7 @@ impl ConfusionMatrix {
     }
 
     /// Index of a component in the matrix.
-    pub fn index_of(&self, component: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, component: &str) -> Option<usize> {
         self.components.iter().position(|c| c == component)
     }
 
@@ -124,33 +124,6 @@ impl ConfusionMatrix {
             (Some(t), Some(p)) => self.counts[t][p],
             _ => 0,
         }
-    }
-
-    /// Row-normalised accuracy for one true component.
-    pub fn recall(&self, component: &str) -> Option<f64> {
-        let t = self.index_of(component)?;
-        let row_total: usize = self.counts[t].iter().sum();
-        if row_total == 0 {
-            return None;
-        }
-        Some(self.counts[t][t] as f64 / row_total as f64)
-    }
-
-    /// Renders the matrix as aligned text.
-    pub fn to_table(&self) -> String {
-        let mut out = String::from("true\\pred");
-        for c in &self.components {
-            out.push_str(&format!("{c:>8}"));
-        }
-        out.push('\n');
-        for (t, c) in self.components.iter().enumerate() {
-            out.push_str(&format!("{c:<9}"));
-            for p in 0..self.components.len() {
-                out.push_str(&format!("{:>8}", self.counts[t][p]));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -272,15 +245,9 @@ mod tests {
         assert_eq!(m.count("R1", "C1"), 1);
         assert_eq!(m.count("C1", "C1"), 1);
         assert_eq!(m.count("C1", "R1"), 0);
-        assert_eq!(m.recall("R1"), Some(0.5));
-        assert_eq!(m.recall("C1"), Some(1.0));
-        let table = m.to_table();
-        assert!(table.contains("R1"));
-        assert!(table.lines().count() == 3);
         // Unknown labels are ignored gracefully.
         m.record("X", "R1");
         assert_eq!(m.count("X", "R1"), 0);
-        assert_eq!(m.recall("X"), None);
     }
 
     #[test]

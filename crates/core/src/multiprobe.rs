@@ -12,10 +12,8 @@
 //! The whole data path is engine-backed: [`ProbeBank::build`] shares one
 //! MNA layout across the per-probe dictionary builds (each of which
 //! drives one [`AcSweepEngine`] per worker through the rank-1 batch
-//! sweep), [`ProbeBank::measure`] sweeps one engine per probe instead of
-//! re-assembling the system at every test frequency, and
-//! [`ProbeBank::trajectories_exact`] stacks per-probe engine sweeps into
-//! exact multi-probe trajectories.
+//! sweep), and [`ProbeBank::measure`] sweeps one engine per probe instead
+//! of re-assembling the system at every test frequency.
 
 use ft_circuit::{AcSweepEngine, Circuit, CircuitError, MnaLayout, Probe};
 use ft_faults::{FaultDictionary, FaultUniverse};
@@ -23,9 +21,7 @@ use ft_numerics::{Complex64, FrequencyGrid};
 use serde::{Deserialize, Serialize};
 
 use crate::signature::{signature_from_db, Signature, TestVector, DB_FLOOR};
-use crate::trajectory::{
-    trajectories_exact, trajectories_from_dictionary, FaultTrajectory, TrajectorySet,
-};
+use crate::trajectory::{trajectories_from_dictionary, FaultTrajectory, TrajectorySet};
 
 /// One fault dictionary per observation probe, all sharing a circuit,
 /// input, universe, and grid.
@@ -71,27 +67,9 @@ impl ProbeBank {
         })
     }
 
-    /// The observation probes, in stacking order.
-    #[inline]
-    pub fn probes(&self) -> &[Probe] {
-        &self.probes
-    }
-
-    /// The per-probe dictionaries, aligned with [`ProbeBank::probes`].
-    #[inline]
-    pub fn dictionaries(&self) -> &[FaultDictionary] {
-        &self.dicts
-    }
-
-    /// The test input source.
-    #[inline]
-    pub fn input(&self) -> &str {
-        &self.input
-    }
-
     /// Number of observation channels.
     #[inline]
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.probes.len()
     }
 
@@ -114,38 +92,6 @@ impl ProbeBank {
             .map(|d| trajectories_from_dictionary(d, tv))
             .collect();
         stack_aligned(per_probe, tv, self.channels())
-    }
-
-    /// Builds the stacked trajectory set at `tv` by exact engine sweeps:
-    /// one [`AcSweepEngine`] per probe prices every universe fault via
-    /// the delta restamp path at the test frequencies — no interpolation
-    /// error, no circuit clones, no per-frequency reassembly. The
-    /// verification sibling of [`ProbeBank::trajectories`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn trajectories_exact(
-        &self,
-        circuit: &Circuit,
-        tv: &TestVector,
-    ) -> Result<TrajectorySet, CircuitError> {
-        let universe = self.dicts[0].universe();
-        let per_probe = self
-            .probes
-            .iter()
-            .map(|probe| {
-                trajectories_exact(
-                    circuit,
-                    universe.faults(),
-                    universe.components(),
-                    &self.input,
-                    probe,
-                    tv,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(stack_aligned(per_probe, tv, self.channels()))
     }
 
     /// Measures the stacked signature of `circuit` against `golden` at
@@ -247,11 +193,11 @@ mod tests {
     fn bank_builds_per_probe_dictionaries() {
         let (_, universe, bank) = bank();
         assert_eq!(bank.channels(), 3);
-        assert_eq!(bank.dictionaries().len(), 3);
-        for d in bank.dictionaries() {
+        assert_eq!(bank.dicts.len(), 3);
+        for d in &bank.dicts {
             assert_eq!(d.entries().len(), universe.len());
         }
-        assert_eq!(bank.input(), "V1");
+        assert_eq!(bank.input, "V1");
     }
 
     #[test]
@@ -333,23 +279,34 @@ mod tests {
 
     #[test]
     fn exact_stacked_trajectories_agree_with_interpolated_on_grid_frequencies() {
-        let (bench, _, bank) = bank();
+        let (bench, universe, bank) = bank();
         // Test frequencies on exact grid points: interpolation error
-        // vanishes, so the engine-swept stack must match.
-        let grid_freqs: Vec<f64> = bank.dictionaries()[0].grid().frequencies().to_vec();
+        // vanishes, so each probe's block of the stack must match that
+        // probe's engine-swept trajectories.
+        let grid_freqs: Vec<f64> = bank.dicts[0].grid().frequencies().to_vec();
         let tv = TestVector::pair(grid_freqs[10], grid_freqs[30]);
         let interp = bank.trajectories(&tv);
-        let exact = bank.trajectories_exact(&bench.circuit, &tv).unwrap();
-        assert_eq!(exact.dim(), 6);
-        assert_eq!(exact.channels(), 3);
-        for (a, b) in interp.views().zip(exact.views()) {
-            assert_eq!(a.component(), b.component());
-            for (pa, pb) in a.points().zip(b.points()) {
-                assert!(
-                    norm_diff(pa, pb) < 1e-9,
-                    "{}: {pa:?} vs {pb:?}",
-                    a.component()
-                );
+        assert_eq!(interp.dim(), 6);
+        for (k, probe) in bank.probes.iter().enumerate() {
+            let exact = crate::trajectory::trajectories_exact(
+                &bench.circuit,
+                universe.faults(),
+                universe.components(),
+                &bank.input,
+                probe,
+                &tv,
+            )
+            .unwrap();
+            for (a, b) in interp.views().zip(exact.views()) {
+                assert_eq!(a.component(), b.component());
+                for (pa, pb) in a.points().zip(b.points()) {
+                    let block = &pa[2 * k..2 * k + 2];
+                    assert!(
+                        norm_diff(block, pb) < 1e-9,
+                        "{} probe {k}: {block:?} vs {pb:?}",
+                        a.component()
+                    );
+                }
             }
         }
     }
@@ -363,9 +320,9 @@ mod tests {
         let sig = bank.measure(&faulty, &bench.circuit, &tv).unwrap();
         // The pre-engine construction: assemble + solve per frequency.
         let mut coords = Vec::new();
-        for probe in bank.probes() {
+        for probe in &bank.probes {
             let db = |ckt: &ft_circuit::Circuit| -> Vec<f64> {
-                ft_circuit::sample_at(ckt, bank.input(), probe, tv.omegas())
+                ft_circuit::sample_at(ckt, &bank.input, probe, tv.omegas())
                     .unwrap()
                     .iter()
                     .map(|v| ft_numerics::decibel::clamp_db(v.abs_db(), DB_FLOOR))

@@ -2,7 +2,7 @@
 //!
 //! The GA loop calls [`crate::trajectories_from_dictionary`] thousands
 //! of times per run, and each call used to allocate a fresh dB buffer
-//! per fault entry. [`DbScratch::acquire`] hands out a cleared buffer
+//! per fault entry. `DbScratch::acquire` hands out a cleared buffer
 //! from a small per-thread free list instead; dropping the guard
 //! returns the buffer for the next caller. Hits and fresh allocations
 //! are counted in process-wide atomics so the serving layer's metrics
@@ -40,14 +40,14 @@ pub fn scratch_pool_stats() -> (u64, u64) {
 /// dropping it returns the buffer to this thread's free list (up to
 /// `MAX_POOLED` retained buffers).
 #[derive(Debug)]
-pub struct DbScratch {
+pub(crate) struct DbScratch {
     buf: Vec<f64>,
 }
 
 impl DbScratch {
     /// Takes a cleared buffer from this thread's pool, or allocates a
     /// fresh one when the pool is empty.
-    pub fn acquire() -> DbScratch {
+    pub(crate) fn acquire() -> DbScratch {
         let pooled = FREE.with(|free| free.borrow_mut().pop());
         match pooled {
             Some(mut buf) => {

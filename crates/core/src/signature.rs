@@ -98,7 +98,7 @@ impl Signature {
     }
 
     /// The origin of an `n`-dimensional signature space.
-    pub fn origin(n: usize) -> Self {
+    pub(crate) fn origin(n: usize) -> Self {
         Signature(vec![0.0; n])
     }
 
@@ -119,7 +119,7 @@ impl Signature {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn distance(&self, other: &Signature) -> f64 {
+    pub(crate) fn distance(&self, other: &Signature) -> f64 {
         assert_eq!(self.dim(), other.dim(), "signature dimension mismatch");
         self.0
             .iter()
@@ -156,14 +156,14 @@ impl fmt::Display for Signature {
 
 /// Floor applied to dB magnitudes before differencing (keeps notch
 /// responses finite).
-pub const DB_FLOOR: f64 = -300.0;
+pub(crate) const DB_FLOOR: f64 = -300.0;
 
 /// Converts absolute dB samples to a golden-relative signature.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn signature_from_db(measured_db: &[f64], golden_db: &[f64]) -> Signature {
+pub(crate) fn signature_from_db(measured_db: &[f64], golden_db: &[f64]) -> Signature {
     assert_eq!(
         measured_db.len(),
         golden_db.len(),

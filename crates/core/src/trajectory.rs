@@ -77,26 +77,6 @@ impl FaultTrajectory {
         }
     }
 
-    /// The component this trajectory belongs to.
-    #[inline]
-    pub fn component(&self) -> &str {
-        &self.component
-    }
-
-    /// Deviations in percent, ascending.
-    #[inline]
-    pub fn deviations_pct(&self) -> &[f64] {
-        &self.deviations_pct
-    }
-
-    /// Signature points, aligned with [`deviations_pct`].
-    ///
-    /// [`deviations_pct`]: FaultTrajectory::deviations_pct
-    #[inline]
-    pub fn points(&self) -> &[Signature] {
-        &self.points
-    }
-
     /// Signature-space dimension.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -169,7 +149,7 @@ impl<'a> TrajectoryView<'a> {
     ///
     /// Panics if `i` is out of range.
     #[inline]
-    pub fn segment(&self, i: usize) -> (f64, &'a [f64], f64, &'a [f64]) {
+    pub(crate) fn segment(&self, i: usize) -> (f64, &'a [f64], f64, &'a [f64]) {
         (
             self.deviations_pct[i],
             self.point(i),
@@ -179,7 +159,7 @@ impl<'a> TrajectoryView<'a> {
     }
 
     /// Iterator over all segments.
-    pub fn segments(self) -> impl Iterator<Item = (f64, &'a [f64], f64, &'a [f64])> {
+    pub(crate) fn segments(self) -> impl Iterator<Item = (f64, &'a [f64], f64, &'a [f64])> {
         (0..self.segment_count()).map(move |i| self.segment(i))
     }
 
@@ -326,7 +306,7 @@ impl PackedTrajectories {
 
     /// Total points across all trajectories.
     #[inline]
-    pub fn total_points(&self) -> usize {
+    pub(crate) fn total_points(&self) -> usize {
         self.devs.len()
     }
 
@@ -467,7 +447,7 @@ impl TrajectorySet {
     ///
     /// Panics if `ti` is out of range.
     #[inline]
-    pub fn component(&self, ti: usize) -> &str {
+    pub(crate) fn component(&self, ti: usize) -> &str {
         &self.packed.components[ti]
     }
 
@@ -658,7 +638,7 @@ mod tests {
             vec![-10.0, 0.0, 10.0],
             vec![p(-1.0, -1.0), p(0.0, 0.0), p(1.0, 1.0)],
         );
-        assert_eq!(t.component(), "R1");
+        assert_eq!(t.component, "R1");
         assert_eq!(t.dim(), 2);
         let set = single(t);
         let v = set.view(0);

@@ -47,14 +47,6 @@ impl GaConfig {
         }
     }
 
-    /// Same as [`GaConfig::paper`] with a fixed seed (reproducible runs).
-    pub fn paper_seeded(seed: u64) -> Self {
-        GaConfig {
-            seed: Some(seed),
-            ..GaConfig::paper()
-        }
-    }
-
     fn validate(&self) {
         assert!(self.population >= 2, "population must be at least 2");
         assert!(self.generations >= 1, "need at least one generation");

@@ -28,14 +28,14 @@ pub mod ga;
 pub mod selection;
 pub mod species;
 
-pub use ga::{run, GaConfig, GaResult, GenerationStats};
+pub use ga::{run, GaConfig, GenerationStats};
 pub use selection::Selection;
 pub use species::{BinaryString, RealVector, Species};
 
 use rand::Rng;
 
 /// Standard normal deviate via Box–Muller (no `rand_distr` offline).
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 <= f64::MIN_POSITIVE {

@@ -31,7 +31,7 @@ impl Selection {
     /// Panics if `fitness` is empty, contains NaN, or the strategy
     /// parameters are invalid (`Tournament(0)`, pressure outside
     /// `[1, 2]`).
-    pub fn pick<R: Rng + ?Sized>(&self, fitness: &[f64], rng: &mut R) -> usize {
+    pub(crate) fn pick<R: Rng + ?Sized>(&self, fitness: &[f64], rng: &mut R) -> usize {
         assert!(
             !fitness.is_empty(),
             "cannot select from an empty population"

@@ -47,13 +47,17 @@ pub trait Species {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RealVector {
     bounds: Vec<(f64, f64)>,
-    blx_alpha: f64,
-    mutation_sigma_rel: f64,
 }
 
+/// BLX-α blending parameter of [`RealVector`]'s crossover.
+const BLX_ALPHA: f64 = 0.5;
+
+/// [`RealVector`]'s mutation σ as a fraction of the mutated gene's range.
+const MUTATION_SIGMA_REL: f64 = 0.1;
+
 impl RealVector {
-    /// Creates a species over the given per-gene bounds with default
-    /// operator parameters (BLX-0.5, σ = 10% of range).
+    /// Creates a species over the given per-gene bounds, with BLX-0.5
+    /// crossover and Gaussian mutation of σ = 10% of the gene's range.
     ///
     /// # Panics
     ///
@@ -67,46 +71,7 @@ impl RealVector {
                 "bad gene bounds ({lo}, {hi})"
             );
         }
-        RealVector {
-            bounds,
-            blx_alpha: 0.5,
-            mutation_sigma_rel: 0.1,
-        }
-    }
-
-    /// Overrides the BLX-α blending parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is negative or non-finite.
-    pub fn blx_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be ≥ 0");
-        self.blx_alpha = alpha;
-        self
-    }
-
-    /// Overrides the mutation σ as a fraction of each gene's range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma_rel` is non-positive or non-finite.
-    pub fn mutation_sigma_rel(mut self, sigma_rel: f64) -> Self {
-        assert!(
-            sigma_rel.is_finite() && sigma_rel > 0.0,
-            "sigma must be positive"
-        );
-        self.mutation_sigma_rel = sigma_rel;
-        self
-    }
-
-    /// The per-gene bounds.
-    pub fn bounds(&self) -> &[(f64, f64)] {
-        &self.bounds
-    }
-
-    /// Number of genes.
-    pub fn dim(&self) -> usize {
-        self.bounds.len()
+        RealVector { bounds }
     }
 
     fn clamp(&self, i: usize, x: f64) -> f64 {
@@ -136,8 +101,8 @@ impl Species for RealVector {
         for i in 0..a.len() {
             let (lo, hi) = (a[i].min(b[i]), a[i].max(b[i]));
             let span = (hi - lo).max(f64::MIN_POSITIVE);
-            let ext_lo = lo - self.blx_alpha * span;
-            let ext_hi = hi + self.blx_alpha * span;
+            let ext_lo = lo - BLX_ALPHA * span;
+            let ext_hi = hi + BLX_ALPHA * span;
             c1.push(self.clamp(i, rng.gen_range(ext_lo..=ext_hi)));
             c2.push(self.clamp(i, rng.gen_range(ext_lo..=ext_hi)));
         }
@@ -149,7 +114,7 @@ impl Species for RealVector {
         // fine-search operator matched to low-dimensional genomes.
         let i = rng.gen_range(0..genome.len());
         let (lo, hi) = self.bounds[i];
-        let sigma = self.mutation_sigma_rel * (hi - lo);
+        let sigma = MUTATION_SIGMA_REL * (hi - lo);
         let n = crate::gaussian(rng);
         genome[i] = self.clamp(i, genome[i] + sigma * n);
     }
@@ -161,38 +126,18 @@ impl Species for RealVector {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BinaryString {
     bits: usize,
-    flip_prob: f64,
 }
 
 impl BinaryString {
-    /// A species of `bits`-long strings with the default per-bit flip
-    /// probability `1/bits`.
+    /// A species of `bits`-long strings with per-bit flip probability
+    /// `1/bits`.
     ///
     /// # Panics
     ///
     /// Panics if `bits` is zero.
     pub fn new(bits: usize) -> Self {
         assert!(bits > 0, "need at least one bit");
-        BinaryString {
-            bits,
-            flip_prob: 1.0 / bits as f64,
-        }
-    }
-
-    /// Overrides the per-bit flip probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < p <= 1`.
-    pub fn flip_prob(mut self, p: f64) -> Self {
-        assert!(p > 0.0 && p <= 1.0, "flip probability must be in (0,1]");
-        self.flip_prob = p;
-        self
-    }
-
-    /// String length in bits.
-    pub fn bits(&self) -> usize {
-        self.bits
+        BinaryString { bits }
     }
 
     /// Decodes a bit-slice as an unsigned integer scaled into `[lo, hi]`
@@ -237,8 +182,9 @@ impl Species for BinaryString {
     }
 
     fn mutate<R: Rng + ?Sized>(&self, genome: &mut Vec<bool>, rng: &mut R) {
+        let flip_prob = 1.0 / self.bits as f64;
         for bit in genome.iter_mut() {
-            if rng.gen::<f64>() < self.flip_prob {
+            if rng.gen::<f64>() < flip_prob {
                 *bit = !*bit;
             }
         }
@@ -260,12 +206,11 @@ mod tests {
             assert!((0.0..=1.0).contains(&g[0]));
             assert!((-5.0..=5.0).contains(&g[1]));
         }
-        assert_eq!(sp.dim(), 2);
     }
 
     #[test]
     fn real_vector_crossover_respects_bounds() {
-        let sp = RealVector::new(vec![(0.0, 1.0); 4]).blx_alpha(1.0);
+        let sp = RealVector::new(vec![(0.0, 1.0); 4]);
         let mut rng = StdRng::seed_from_u64(2);
         let a = sp.random(&mut rng);
         let b = sp.random(&mut rng);
@@ -309,11 +254,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let g = sp.random(&mut rng);
         assert_eq!(g.len(), 64);
-        let mut h = g.clone();
-        // Flip probability 1 → every bit flips.
-        let all_flip = BinaryString::new(64).flip_prob(1.0);
-        all_flip.mutate(&mut h, &mut rng);
-        assert!(g.iter().zip(&h).all(|(a, b)| a != b));
+        // A one-bit string flips with probability 1/1: always.
+        let mut bit = vec![true];
+        BinaryString::new(1).mutate(&mut bit, &mut rng);
+        assert_eq!(bit, [false]);
     }
 
     #[test]

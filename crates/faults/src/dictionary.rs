@@ -320,25 +320,6 @@ impl FaultDictionary {
             .collect();
         (golden, per_entry)
     }
-
-    /// Serialises grid + golden + all entries as CSV (`omega` column,
-    /// `golden` column, one column per fault).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("omega_rad_s,golden_db");
-        for e in &self.entries {
-            out.push(',');
-            out.push_str(&e.fault.to_string());
-        }
-        out.push('\n');
-        for (j, &w) in self.grid.frequencies().iter().enumerate() {
-            out.push_str(&format!("{w:.6e},{:.6}", self.golden_db[j]));
-            for e in &self.entries {
-                out.push_str(&format!(",{:.6}", e.magnitude_db[j]));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Runs `run(start, len)` over contiguous chunks of `0..total` on std
@@ -547,18 +528,6 @@ mod tests {
             .position(|f| f.component() == "R1" && f.percent() == -40.0)
             .unwrap();
         assert!(per_entry[idx_minus40][2] > golden[2]);
-    }
-
-    #[test]
-    fn csv_export_shape() {
-        let dict = build_rc_dictionary();
-        let csv = dict.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 26); // header + 25 grid rows
-        let header_cols = lines[0].split(',').count();
-        assert_eq!(header_cols, 2 + 16);
-        assert!(lines[0].starts_with("omega_rad_s,golden_db"));
-        assert!(lines[0].contains("R1+40%"));
     }
 
     /// VCVS positive-feedback stage, singular exactly at gain 3 (node x

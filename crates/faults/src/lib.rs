@@ -38,10 +38,10 @@ pub mod noise;
 pub mod universe;
 
 pub use dictionary::{DictionaryEntry, FaultDictionary};
-pub use model::{HardFault, HardFaultKind, ParametricFault, HARD_FAULT_SCALE};
+pub use model::ParametricFault;
 pub use multifault::{
     all_pairs, sample_double, sample_tuple, sampled_tuples, MultiFault, MultiFaultDictionary,
     MultiFaultEntry,
 };
-pub use noise::{measure_faulty, standard_normal, MeasurementNoise, Tolerance};
+pub use noise::{measure_faulty, MeasurementNoise, Tolerance};
 pub use universe::{DeviationGrid, FaultUniverse};

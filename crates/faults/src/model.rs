@@ -2,9 +2,7 @@
 //!
 //! Following the paper's functional-parametric-fault paradigm (FFM,
 //! Calvano et al. 2001): a fault is a percentage deviation of one
-//! component's value. Faults on passives deviate R/C/L; faults on active
-//! devices deviate macromodel parameters (which the op-amp expansion in
-//! `ft-circuit` exposes as ordinary primitive components).
+//! component's value: R, C or L, or the gain of a controlled source.
 
 use std::fmt;
 
@@ -26,7 +24,7 @@ impl ParametricFault {
     ///
     /// Panics if `deviation <= -1` (a deviation of −100% or more is a
     /// catastrophic fault, not a parametric one) or is not finite.
-    pub fn new(component: impl Into<String>, deviation: f64) -> Self {
+    pub(crate) fn new(component: impl Into<String>, deviation: f64) -> Self {
         assert!(
             deviation.is_finite() && deviation > -1.0,
             "parametric deviation must be finite and > -100%"
@@ -41,7 +39,7 @@ impl ParametricFault {
     ///
     /// # Panics
     ///
-    /// As [`ParametricFault::new`].
+    /// As `ParametricFault::new`.
     pub fn from_percent(component: impl Into<String>, percent: f64) -> Self {
         ParametricFault::new(component, percent / 100.0)
     }
@@ -50,12 +48,6 @@ impl ParametricFault {
     #[inline]
     pub fn component(&self) -> &str {
         &self.component
-    }
-
-    /// Fractional deviation (−0.4 = −40%).
-    #[inline]
-    pub fn deviation(&self) -> f64 {
-        self.deviation
     }
 
     /// Deviation as a percentage.
@@ -68,12 +60,6 @@ impl ParametricFault {
     #[inline]
     pub fn multiplier(&self) -> f64 {
         1.0 + self.deviation
-    }
-
-    /// `true` when the deviation is zero — the golden circuit.
-    #[inline]
-    pub fn is_nominal(&self) -> bool {
-        self.deviation == 0.0
     }
 
     /// Resolves this fault against `circuit` into the
@@ -118,7 +104,7 @@ impl ParametricFault {
     /// # Errors
     ///
     /// As [`ParametricFault::apply`].
-    pub fn apply_in_place(&self, circuit: &mut Circuit) -> Result<(), CircuitError> {
+    pub(crate) fn apply_in_place(&self, circuit: &mut Circuit) -> Result<(), CircuitError> {
         let nominal =
             circuit
                 .value(&self.component)?
@@ -134,99 +120,6 @@ impl ParametricFault {
 impl fmt::Display for ParametricFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{:+.0}%", self.component, self.percent())
-    }
-}
-
-/// A catastrophic (hard) fault: the component value driven to an extreme.
-///
-/// Opens and shorts of two-terminal elements are approximated by scaling
-/// the principal value by a large factor (documented substitution: a true
-/// topological open/short would change the netlist; the ×10⁶ scaling
-/// produces the same response to within measurement resolution for the
-/// benchmark filters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HardFaultKind {
-    /// Element effectively removed (R→∞, C→0, L→0 behaviourally).
-    Open,
-    /// Element effectively shorted (R→0, C→∞, L→... see scaling note).
-    Short,
-}
-
-/// A hard fault on a named component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HardFault {
-    component: String,
-    kind: HardFaultKind,
-}
-
-/// Scale factor used to approximate opens/shorts.
-pub const HARD_FAULT_SCALE: f64 = 1e6;
-
-impl HardFault {
-    /// Creates a hard fault.
-    pub fn new(component: impl Into<String>, kind: HardFaultKind) -> Self {
-        HardFault {
-            component: component.into(),
-            kind,
-        }
-    }
-
-    /// The faulted component's name.
-    #[inline]
-    pub fn component(&self) -> &str {
-        &self.component
-    }
-
-    /// Open or short.
-    #[inline]
-    pub fn kind(&self) -> HardFaultKind {
-        self.kind
-    }
-
-    /// Applies to a clone of `circuit`.
-    ///
-    /// For resistors, `Open` scales R up and `Short` scales R down; for
-    /// capacitors and inductors the impedance relationship inverts the
-    /// scaling (an open capacitor has *less* capacitance).
-    ///
-    /// # Errors
-    ///
-    /// As [`ParametricFault::apply`].
-    pub fn apply(&self, circuit: &Circuit) -> Result<Circuit, CircuitError> {
-        let mut faulty = circuit.clone();
-        let nominal = faulty
-            .value(&self.component)?
-            .ok_or_else(|| CircuitError::InvalidValue {
-                component: self.component.clone(),
-                value: f64::NAN,
-                reason: "component has no principal value",
-            })?;
-        let comp = faulty.component_by_name(&self.component)?;
-        let is_capacitor = matches!(comp.element(), ft_circuit::Element::Capacitor { .. });
-        let scale_up = match (self.kind, is_capacitor) {
-            // Open resistor/inductor: impedance up → value up (R, L).
-            (HardFaultKind::Open, false) => true,
-            // Open capacitor: impedance up → capacitance down.
-            (HardFaultKind::Open, true) => false,
-            (HardFaultKind::Short, false) => false,
-            (HardFaultKind::Short, true) => true,
-        };
-        let value = if scale_up {
-            nominal * HARD_FAULT_SCALE
-        } else {
-            nominal / HARD_FAULT_SCALE
-        };
-        faulty.set_value(&self.component, value)?;
-        Ok(faulty)
-    }
-}
-
-impl fmt::Display for HardFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            HardFaultKind::Open => write!(f, "{} open", self.component),
-            HardFaultKind::Short => write!(f, "{} short", self.component),
-        }
     }
 }
 
@@ -247,13 +140,11 @@ mod tests {
     fn constructors_and_accessors() {
         let f = ParametricFault::new("R1", 0.3);
         assert_eq!(f.component(), "R1");
-        assert_eq!(f.deviation(), 0.3);
+        assert_eq!(f.deviation, 0.3);
         assert_eq!(f.percent(), 30.0);
         assert_eq!(f.multiplier(), 1.3);
-        assert!(!f.is_nominal());
         let g = ParametricFault::from_percent("C1", -40.0);
-        assert_eq!(g.deviation(), -0.4);
-        assert!(ParametricFault::new("R1", 0.0).is_nominal());
+        assert_eq!(g.deviation, -0.4);
     }
 
     #[test]
@@ -287,45 +178,5 @@ mod tests {
         let ckt = rc();
         assert!(ParametricFault::new("R9", 0.1).apply(&ckt).is_err());
         assert!(ParametricFault::new("V1", 0.1).apply(&ckt).is_err());
-    }
-
-    #[test]
-    fn hard_fault_open_resistor() {
-        let ckt = rc();
-        let faulty = HardFault::new("R1", HardFaultKind::Open)
-            .apply(&ckt)
-            .unwrap();
-        assert_eq!(faulty.value("R1").unwrap(), Some(1e3 * HARD_FAULT_SCALE));
-        // Output collapses with the series R open.
-        let f = transfer(&faulty, "V1", &Probe::node("out"), 100.0).unwrap();
-        assert!(f.abs() < 1e-2);
-    }
-
-    #[test]
-    fn hard_fault_capacitor_scaling_inverts() {
-        let ckt = rc();
-        let open_c = HardFault::new("C1", HardFaultKind::Open)
-            .apply(&ckt)
-            .unwrap();
-        assert!(open_c.value("C1").unwrap().unwrap() < 1e-6);
-        let short_c = HardFault::new("C1", HardFaultKind::Short)
-            .apply(&ckt)
-            .unwrap();
-        assert!(short_c.value("C1").unwrap().unwrap() > 1e-6);
-        // Shorted cap kills the output at all frequencies of interest.
-        let f = transfer(&short_c, "V1", &Probe::node("out"), 1000.0).unwrap();
-        assert!(f.abs() < 1e-2);
-    }
-
-    #[test]
-    fn hard_fault_display() {
-        assert_eq!(
-            HardFault::new("R1", HardFaultKind::Open).to_string(),
-            "R1 open"
-        );
-        assert_eq!(
-            HardFault::new("C2", HardFaultKind::Short).to_string(),
-            "C2 short"
-        );
     }
 }

@@ -55,7 +55,7 @@ impl MultiFault {
     }
 
     /// Convenience constructor for a double fault.
-    pub fn double(a: ParametricFault, b: ParametricFault) -> Self {
+    pub(crate) fn double(a: ParametricFault, b: ParametricFault) -> Self {
         MultiFault::new(vec![a, b])
     }
 
@@ -63,12 +63,6 @@ impl MultiFault {
     #[inline]
     pub fn faults(&self) -> &[ParametricFault] {
         &self.faults
-    }
-
-    /// Number of simultaneous faults.
-    #[inline]
-    pub fn order(&self) -> usize {
-        self.faults.len()
     }
 
     /// The faulted component names.
@@ -464,37 +458,6 @@ impl MultiFaultDictionary {
     pub fn probe(&self) -> &Probe {
         &self.probe
     }
-
-    /// Entries whose multi-fault touches `component`.
-    pub fn entries_of(&self, component: &str) -> Vec<&MultiFaultEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.fault.components().contains(&component))
-            .collect()
-    }
-
-    /// Serialises grid + golden + all entries as CSV (`omega` column,
-    /// `golden` column, one column per multi-fault), rounded to 6
-    /// decimals like `FaultDictionary::to_csv`. (The CI determinism
-    /// smoke `cmp`s the *full-precision* dump from
-    /// `examples/multifault_dictionary.rs` instead — 6 decimals would
-    /// mask sub-1e-6 nondeterminism.)
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("omega_rad_s,golden_db");
-        for e in &self.entries {
-            out.push(',');
-            out.push_str(&e.fault.to_string().replace(" & ", "&"));
-        }
-        out.push('\n');
-        for (j, &w) in self.grid.frequencies().iter().enumerate() {
-            out.push_str(&format!("{w:.6e},{:.6}", self.golden_db[j]));
-            for e in &self.entries {
-                out.push_str(&format!(",{:.6}", e.magnitude_db[j]));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -518,7 +481,7 @@ mod tests {
             ParametricFault::from_percent("R1", 20.0),
             ParametricFault::from_percent("C1", -30.0),
         );
-        assert_eq!(mf.order(), 2);
+        assert_eq!(mf.faults().len(), 2);
         assert_eq!(mf.components(), vec!["R1", "C1"]);
         assert_eq!(mf.to_string(), "R1+20% & C1-30%");
     }
@@ -558,7 +521,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
             let mf = sample_double(&u, &mut rng, 10.0);
-            assert_eq!(mf.order(), 2);
+            assert_eq!(mf.faults().len(), 2);
             assert_ne!(mf.faults()[0].component(), mf.faults()[1].component());
             for f in mf.faults() {
                 assert!(f.percent().abs() >= 10.0);
@@ -572,7 +535,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for order in 1..=4 {
             let mf = sample_tuple(&u, &mut rng, order, 5.0);
-            assert_eq!(mf.order(), order);
+            assert_eq!(mf.faults().len(), order);
             let mut comps = mf.components();
             comps.sort_unstable();
             comps.dedup();
@@ -595,7 +558,7 @@ mod tests {
         // 8 R1 deviations × 8 C1 deviations; never two on one component.
         assert_eq!(pairs.len(), 64);
         for p in &pairs {
-            assert_eq!(p.order(), 2);
+            assert_eq!(p.faults().len(), 2);
             assert_ne!(p.faults()[0].component(), p.faults()[1].component());
         }
         // Deterministic order: first-fault major, universe order.
@@ -612,7 +575,7 @@ mod tests {
         let c = sampled_tuples(&u, 3, 20, 8);
         assert_ne!(a, c, "different seeds should draw different tuples");
         for mf in &a {
-            assert_eq!(mf.order(), 3);
+            assert_eq!(mf.faults().len(), 3);
             for f in mf.faults() {
                 assert!(u.faults().contains(f), "{f} is off-grid");
             }
@@ -644,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_accessors_and_csv() {
+    fn dictionary_accessors() {
         let ckt = rc();
         let universe = FaultUniverse::new(&["R1", "C1"], DeviationGrid::new(40.0, 40.0));
         let grid = FrequencyGrid::log_space(1.0, 1e3, 5);
@@ -654,12 +617,6 @@ mod tests {
         assert_eq!(dict.len(), 4);
         assert!(!dict.is_empty());
         assert_eq!(dict.input(), "V1");
-        assert_eq!(dict.entries_of("R1").len(), 4);
-        let csv = dict.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 6); // header + 5 grid rows
-        assert_eq!(lines[0].split(',').count(), 2 + 4);
-        assert!(lines[0].contains("R1-40%&C1-40%"));
     }
 
     #[test]

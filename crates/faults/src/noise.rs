@@ -82,7 +82,7 @@ impl Tolerance {
     }
 
     /// Draws a fractional deviation within the band.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.pct == 0.0 {
             return 0.0;
         }
@@ -98,7 +98,7 @@ impl Default for Tolerance {
 
 /// Standard normal deviate via Box–Muller (the offline crate set has no
 /// `rand_distr`).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 <= f64::MIN_POSITIVE {

@@ -54,7 +54,7 @@ impl DeviationGrid {
 
     /// The deviation percentages, negative to positive, zero excluded:
     /// for the paper grid `[-40, -30, -20, -10, +10, +20, +30, +40]`.
-    pub fn percentages(&self) -> Vec<f64> {
+    pub(crate) fn percentages(&self) -> Vec<f64> {
         let n = (self.max_pct / self.step_pct).round() as i64;
         let mut out = Vec::with_capacity(2 * n as usize);
         for k in -n..=n {
@@ -66,18 +66,10 @@ impl DeviationGrid {
         out
     }
 
-    /// The *ordered trajectory* percentages including zero: the sequence
-    /// of dictionary points that forms one component's fault trajectory
-    /// (`−40 … 0 … +40` for the paper grid). Zero is the origin.
-    pub fn trajectory_percentages(&self) -> Vec<f64> {
-        let n = (self.max_pct / self.step_pct).round() as i64;
-        (-n..=n).map(|k| k as f64 * self.step_pct).collect()
-    }
-
     /// Draws a uniformly random *off-grid* deviation in the covered range
     /// with magnitude at least `min_abs_pct` — the unknown faults of the
     /// Monte Carlo diagnosis experiments.
-    pub fn sample_off_grid<R: Rng + ?Sized>(&self, rng: &mut R, min_abs_pct: f64) -> f64 {
+    pub(crate) fn sample_off_grid<R: Rng + ?Sized>(&self, rng: &mut R, min_abs_pct: f64) -> f64 {
         loop {
             let p = rng.gen_range(-self.max_pct..=self.max_pct);
             if p.abs() < min_abs_pct {
@@ -154,16 +146,6 @@ impl FaultUniverse {
         self.faults.is_empty()
     }
 
-    /// Iterator over faults of one component, ordered by deviation.
-    pub fn faults_of<'a>(
-        &'a self,
-        component: &'a str,
-    ) -> impl Iterator<Item = &'a ParametricFault> + 'a {
-        self.faults
-            .iter()
-            .filter(move |f| f.component() == component)
-    }
-
     /// Draws a random unknown fault: uniformly chosen component, off-grid
     /// deviation of magnitude ≥ `min_abs_pct`.
     pub fn sample_unknown<R: Rng + ?Sized>(
@@ -190,8 +172,6 @@ mod tests {
             g.percentages(),
             vec![-40.0, -30.0, -20.0, -10.0, 10.0, 20.0, 30.0, 40.0]
         );
-        assert_eq!(g.trajectory_percentages().len(), 9);
-        assert_eq!(g.trajectory_percentages()[4], 0.0);
     }
 
     #[test]
@@ -217,9 +197,9 @@ mod tests {
         assert_eq!(u.components(), &["R1".to_string(), "C1".to_string()]);
         // Grouped ordering: first 8 faults are R1.
         assert!(u.faults()[..8].iter().all(|f| f.component() == "R1"));
-        assert_eq!(u.faults_of("C1").count(), 8);
+        assert!(u.faults()[8..].iter().all(|f| f.component() == "C1"));
         // Within a component, deviations ascend.
-        let devs: Vec<f64> = u.faults_of("R1").map(|f| f.percent()).collect();
+        let devs: Vec<f64> = u.faults()[..8].iter().map(|f| f.percent()).collect();
         assert_eq!(devs, DeviationGrid::paper().percentages());
     }
 

@@ -31,16 +31,11 @@ pub struct Complex64 {
     pub im: f64,
 }
 
-/// The imaginary unit `j` (electrical-engineering notation).
-pub const J: Complex64 = Complex64 { re: 0.0, im: 1.0 };
-
 impl Complex64 {
     /// Zero (additive identity).
     pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
     /// One (multiplicative identity).
     pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
-    /// The imaginary unit.
-    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular coordinates.
     #[inline]
@@ -52,12 +47,6 @@ impl Complex64 {
     #[inline]
     pub const fn from_real(re: f64) -> Self {
         Complex64 { re, im: 0.0 }
-    }
-
-    /// Creates a purely imaginary complex number.
-    #[inline]
-    pub const fn from_imag(im: f64) -> Self {
-        Complex64 { re: 0.0, im }
     }
 
     /// Creates a complex number from polar coordinates `r·e^{jθ}`.
@@ -149,21 +138,6 @@ impl Complex64 {
         }
     }
 
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Complex64::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal natural logarithm.
-    #[inline]
-    pub fn ln(self) -> Self {
-        Complex64 {
-            re: self.abs().ln(),
-            im: self.arg(),
-        }
-    }
-
     /// Principal square root.
     ///
     /// # Examples
@@ -199,31 +173,10 @@ impl Complex64 {
         acc
     }
 
-    /// Real power via the polar form (principal branch).
-    #[inline]
-    pub fn powf(self, p: f64) -> Self {
-        if self == Complex64::ZERO {
-            return Complex64::ZERO;
-        }
-        Complex64::from_polar(self.abs().powf(p), self.arg() * p)
-    }
-
     /// `true` when both parts are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// `true` when either part is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
-    }
-
-    /// Distance `|self − other|` between two complex numbers.
-    #[inline]
-    pub fn distance(self, other: Complex64) -> f64 {
-        (self - other).abs()
     }
 
     /// Magnitude expressed in decibels, `20·log₁₀|z|`.
@@ -432,7 +385,6 @@ mod tests {
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.norm_sqr(), 25.0);
         assert_eq!(Complex64::from_real(2.0), Complex64::new(2.0, 0.0));
-        assert_eq!(Complex64::from_imag(2.0), Complex64::new(0.0, 2.0));
     }
 
     #[test]
@@ -495,19 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_identity() {
-        // e^{jπ} = -1
-        let z = Complex64::from_imag(std::f64::consts::PI).exp();
-        assert!(close(z, Complex64::new(-1.0, 0.0)));
-    }
-
-    #[test]
-    fn ln_inverts_exp() {
-        let z = Complex64::new(0.3, 1.2);
-        assert!(close(z.exp().ln(), z));
-    }
-
-    #[test]
     fn sqrt_squares_back() {
         for &(re, im) in &[(4.0, 0.0), (-4.0, 0.0), (3.0, 4.0), (-1.0, -1.0)] {
             let z = Complex64::new(re, im);
@@ -523,14 +462,6 @@ mod tests {
         assert!(close(z.powi(2), Complex64::new(0.0, 2.0)));
         assert!(close(z.powi(4), Complex64::new(-4.0, 0.0)));
         assert!(close(z.powi(-2), Complex64::new(0.0, 2.0).recip()));
-    }
-
-    #[test]
-    fn real_powers() {
-        let z = Complex64::new(0.0, 4.0);
-        let r = z.powf(0.5);
-        assert!(close(r * r, z));
-        assert_eq!(Complex64::ZERO.powf(2.5), Complex64::ZERO);
     }
 
     #[test]
@@ -563,10 +494,8 @@ mod tests {
     }
 
     #[test]
-    fn nan_and_finite_predicates() {
+    fn finite_predicate() {
         assert!(Complex64::new(1.0, 2.0).is_finite());
         assert!(!Complex64::new(f64::INFINITY, 0.0).is_finite());
-        assert!(Complex64::new(f64::NAN, 0.0).is_nan());
-        assert!(!Complex64::new(1.0, 1.0).is_nan());
     }
 }

@@ -1,34 +1,7 @@
-//! Decibel conversions.
+//! Decibel floor.
 //!
-//! The fault-trajectory signature works on gain magnitudes; the paper's
-//! figures are drawn on dB axes, so conversions live in one place.
-
-/// Converts an amplitude ratio to decibels: `20·log₁₀(x)`.
-///
-/// Returns `-∞` for zero and NaN for negative input (amplitude ratios are
-/// non-negative by definition).
-#[inline]
-pub fn db20(x: f64) -> f64 {
-    20.0 * x.log10()
-}
-
-/// Converts a power ratio to decibels: `10·log₁₀(x)`.
-#[inline]
-pub fn db10(x: f64) -> f64 {
-    10.0 * x.log10()
-}
-
-/// Inverts [`db20`]: amplitude ratio from decibels.
-#[inline]
-pub fn from_db20(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
-/// Inverts [`db10`]: power ratio from decibels.
-#[inline]
-pub fn from_db10(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
+//! The fault-trajectory signature works on gain magnitudes in dB; the
+//! floor that keeps a zero magnitude finite lives here.
 
 /// Clamps a dB value to a floor, replacing `-∞`/NaN with the floor.
 ///
@@ -46,28 +19,6 @@ pub fn clamp_db(db: f64, floor_db: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn amplitude_conversions() {
-        assert!((db20(10.0) - 20.0).abs() < 1e-12);
-        assert!((db20(1.0)).abs() < 1e-12);
-        assert!((db20(0.5) + 6.0206).abs() < 1e-3);
-        assert_eq!(db20(0.0), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn power_conversions() {
-        assert!((db10(100.0) - 20.0).abs() < 1e-12);
-        assert!((db10(2.0) - 3.0103).abs() < 1e-3);
-    }
-
-    #[test]
-    fn round_trips() {
-        for &x in &[0.001, 0.5, 1.0, 3.7, 1e6] {
-            assert!((from_db20(db20(x)) - x).abs() / x < 1e-12);
-            assert!((from_db10(db10(x)) - x).abs() / x < 1e-12);
-        }
-    }
 
     #[test]
     fn clamping() {

@@ -19,7 +19,7 @@ pub enum Window {
 impl Window {
     /// Window weight for sample `i` of `n`.
     #[inline]
-    pub fn weight(self, i: usize, n: usize) -> f64 {
+    pub(crate) fn weight(self, i: usize, n: usize) -> f64 {
         match self {
             Window::Rectangular => 1.0,
             Window::Hann => {
@@ -31,7 +31,7 @@ impl Window {
 
     /// Coherent gain of the window (mean weight), used to normalise
     /// amplitude estimates.
-    pub fn coherent_gain(self, n: usize) -> f64 {
+    pub(crate) fn coherent_gain(self, n: usize) -> f64 {
         (0..n).map(|i| self.weight(i, n)).sum::<f64>() / n as f64
     }
 }
@@ -86,16 +86,6 @@ pub fn tone_amplitude(samples: &[f64], f_hz: f64, fs_hz: f64, window: Window) ->
     2.0 * bin.abs() / window.coherent_gain(n)
 }
 
-/// Phase (radians) of the tone at `f_hz`, relative to a cosine at the
-/// record start.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or `fs_hz <= 0`.
-pub fn tone_phase(samples: &[f64], f_hz: f64, fs_hz: f64) -> f64 {
-    goertzel(samples, f_hz, fs_hz).arg()
-}
-
 /// Full DFT at arbitrary (not necessarily bin-centred) frequencies; the
 /// heavyweight reference against which Goertzel is tested.
 pub fn dft_at(samples: &[f64], freqs_hz: &[f64], fs_hz: f64) -> Vec<Complex64> {
@@ -120,35 +110,29 @@ pub fn rms(samples: &[f64]) -> f64 {
     (samples.iter().map(|x| x * x).sum::<f64>() / samples.len() as f64).sqrt()
 }
 
-/// Generates `n` coherent samples of `Σ aᵢ·sin(2πfᵢt + φᵢ)` at rate `fs_hz`.
-///
-/// # Panics
-///
-/// Panics if the three slices have different lengths.
-pub fn multitone(amps: &[f64], freqs_hz: &[f64], phases: &[f64], n: usize, fs_hz: f64) -> Vec<f64> {
-    assert_eq!(amps.len(), freqs_hz.len(), "amps/freqs length mismatch");
-    assert_eq!(amps.len(), phases.len(), "amps/phases length mismatch");
-    (0..n)
-        .map(|i| {
-            let t = i as f64 / fs_hz;
-            amps.iter()
-                .zip(freqs_hz)
-                .zip(phases)
-                .map(|((&a, &f), &p)| a * (std::f64::consts::TAU * f * t + p).sin())
-                .sum()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `n` samples of `Σ a·sin(2πft + φ)` at rate `fs`, one `(a, f, φ)`
+    /// per tone.
+    fn tones(parts: &[(f64, f64, f64)], n: usize, fs: f64) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let t = i as f64 / fs;
+                parts
+                    .iter()
+                    .map(|&(a, f, p)| a * (std::f64::consts::TAU * f * t + p).sin())
+                    .sum()
+            })
+            .collect()
+    }
 
     #[test]
     fn goertzel_recovers_coherent_tone() {
         let fs = 1000.0;
         let f = 50.0; // 20 samples/period, coherent over n=1000
-        let x = multitone(&[2.5], &[f], &[0.3], 1000, fs);
+        let x = tones(&[(2.5, f, 0.3)], 1000, fs);
         let a = tone_amplitude(&x, f, fs, Window::Rectangular);
         assert!((a - 2.5).abs() < 1e-9, "amplitude {a}");
     }
@@ -156,7 +140,7 @@ mod tests {
     #[test]
     fn goertzel_matches_dft() {
         let fs = 800.0;
-        let x = multitone(&[1.0, 0.5], &[40.0, 120.0], &[0.0, 1.0], 400, fs);
+        let x = tones(&[(1.0, 40.0, 0.0), (0.5, 120.0, 1.0)], 400, fs);
         for &f in &[40.0, 120.0, 200.0] {
             let g = goertzel(&x, f, fs);
             let d = dft_at(&x, &[f], fs)[0];
@@ -167,7 +151,7 @@ mod tests {
     #[test]
     fn two_tone_separation() {
         let fs = 1000.0;
-        let x = multitone(&[1.0, 0.25], &[50.0, 250.0], &[0.0, 0.0], 1000, fs);
+        let x = tones(&[(1.0, 50.0, 0.0), (0.25, 250.0, 0.0)], 1000, fs);
         let a1 = tone_amplitude(&x, 50.0, fs, Window::Rectangular);
         let a2 = tone_amplitude(&x, 250.0, fs, Window::Rectangular);
         assert!((a1 - 1.0).abs() < 1e-9);
@@ -178,7 +162,7 @@ mod tests {
     fn hann_window_reduces_leakage() {
         let fs = 1000.0;
         // Non-coherent tone: 51.3 Hz over 1000 samples.
-        let x = multitone(&[1.0], &[51.3], &[0.0], 1000, fs);
+        let x = tones(&[(1.0, 51.3, 0.0)], 1000, fs);
         let rect = tone_amplitude(&x, 51.3, fs, Window::Rectangular);
         let hann = tone_amplitude(&x, 51.3, fs, Window::Hann);
         // Hann estimate should be markedly closer to 1.0.
@@ -187,17 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn phase_estimation() {
-        let fs = 1000.0;
-        // sin(2πft) = cos(2πft - π/2): expect phase ≈ -π/2.
-        let x = multitone(&[1.0], &[100.0], &[0.0], 1000, fs);
-        let p = tone_phase(&x, 100.0, fs);
-        assert!((p + std::f64::consts::FRAC_PI_2).abs() < 1e-9, "phase {p}");
-    }
-
-    #[test]
     fn rms_of_sine() {
-        let x = multitone(&[2.0], &[10.0], &[0.0], 1000, 1000.0);
+        let x = tones(&[(2.0, 10.0, 0.0)], 1000, 1000.0);
         assert!((rms(&x) - 2.0 / 2f64.sqrt()).abs() < 1e-9);
         assert_eq!(rms(&[]), 0.0);
     }
@@ -213,11 +188,5 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn goertzel_empty_rejected() {
         let _ = goertzel(&[], 10.0, 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn multitone_length_checked() {
-        let _ = multitone(&[1.0], &[1.0, 2.0], &[0.0], 8, 100.0);
     }
 }

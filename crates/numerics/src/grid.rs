@@ -2,9 +2,7 @@
 //!
 //! Test-frequency search happens in log space (the natural metric for
 //! filter responses); this module provides linear and logarithmic grids
-//! over angular frequency (rad/s) with Hz conversions.
-
-use std::f64::consts::TAU;
+//! over angular frequency (rad/s).
 
 use serde::{Deserialize, Serialize};
 
@@ -74,27 +72,13 @@ impl FrequencyGrid {
         }
     }
 
-    /// Logarithmic grid specified as points-per-decade, SPICE `.AC DEC`
-    /// style.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w_min <= 0`, `w_max <= w_min`, or `points_per_decade == 0`.
-    pub fn decade(w_min: f64, w_max: f64, points_per_decade: usize) -> Self {
-        assert!(points_per_decade > 0, "need at least one point per decade");
-        assert!(w_min > 0.0 && w_max > w_min, "invalid decade range");
-        let decades = (w_max / w_min).log10();
-        let n = ((decades * points_per_decade as f64).ceil() as usize + 1).max(2);
-        FrequencyGrid::log_space(w_min, w_max, n)
-    }
-
     /// Creates a grid from explicit angular frequencies.
     ///
     /// # Panics
     ///
     /// Panics if `freqs` is empty, unsorted, or contains non-positive or
     /// non-finite entries.
-    pub fn from_frequencies(freqs: Vec<f64>) -> Self {
+    pub(crate) fn from_frequencies(freqs: Vec<f64>) -> Self {
         assert!(!freqs.is_empty(), "grid must not be empty");
         assert!(
             freqs.iter().all(|w| w.is_finite() && *w > 0.0),
@@ -117,7 +101,7 @@ impl FrequencyGrid {
     ///
     /// # Panics
     ///
-    /// As [`FrequencyGrid::from_frequencies`]: panics if `freqs` is
+    /// As `FrequencyGrid::from_frequencies`: panics if `freqs` is
     /// empty, unsorted, or contains non-positive or non-finite entries.
     pub fn from_parts(freqs: Vec<f64>, spacing: Spacing) -> Self {
         let mut grid = FrequencyGrid::from_frequencies(freqs);
@@ -149,47 +133,9 @@ impl FrequencyGrid {
         self.spacing
     }
 
-    /// Lowest angular frequency.
-    #[inline]
-    pub fn min(&self) -> f64 {
-        self.freqs[0]
-    }
-
-    /// Highest angular frequency.
-    #[inline]
-    pub fn max(&self) -> f64 {
-        *self.freqs.last().expect("grid is non-empty")
-    }
-
     /// Iterator over the angular frequencies.
     pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, f64>> {
         self.freqs.iter().copied()
-    }
-
-    /// The grid expressed in hertz.
-    pub fn to_hz(&self) -> Vec<f64> {
-        self.freqs.iter().map(|w| w / TAU).collect()
-    }
-
-    /// Index of the grid point closest to `w` (log-distance for log grids,
-    /// absolute distance otherwise).
-    pub fn nearest_index(&self, w: f64) -> usize {
-        let dist = |a: f64| -> f64 {
-            match self.spacing {
-                Spacing::Logarithmic if w > 0.0 => (a.ln() - w.ln()).abs(),
-                _ => (a - w).abs(),
-            }
-        };
-        let mut best = 0;
-        let mut best_d = dist(self.freqs[0]);
-        for (i, &f) in self.freqs.iter().enumerate().skip(1) {
-            let d = dist(f);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
     }
 }
 
@@ -199,18 +145,6 @@ impl<'a> IntoIterator for &'a FrequencyGrid {
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
-}
-
-/// Converts hertz to angular frequency (rad/s).
-#[inline]
-pub fn hz_to_rad(f_hz: f64) -> f64 {
-    TAU * f_hz
-}
-
-/// Converts angular frequency (rad/s) to hertz.
-#[inline]
-pub fn rad_to_hz(w: f64) -> f64 {
-    w / TAU
 }
 
 #[cfg(test)]
@@ -248,21 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn decade_point_count() {
-        let g = FrequencyGrid::decade(0.01, 100.0, 10);
-        // 4 decades × 10 points + 1 endpoint
-        assert_eq!(g.len(), 41);
-        assert!((g.min() - 0.01).abs() < 1e-12);
-        assert!((g.max() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn explicit_frequencies_validated() {
         let g = FrequencyGrid::from_frequencies(vec![1.0, 5.0, 9.0]);
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());
-        assert_eq!(g.min(), 1.0);
-        assert_eq!(g.max(), 9.0);
+        assert_eq!(g.frequencies(), [1.0, 5.0, 9.0]);
     }
 
     #[test]
@@ -275,26 +199,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn nonpositive_rejected() {
         let _ = FrequencyGrid::from_frequencies(vec![0.0, 1.0]);
-    }
-
-    #[test]
-    fn hz_round_trip() {
-        let w = 123.4;
-        assert!((hz_to_rad(rad_to_hz(w)) - w).abs() < 1e-12);
-        let g = FrequencyGrid::lin_space(TAU, 2.0 * TAU, 2);
-        let hz = g.to_hz();
-        assert!((hz[0] - 1.0).abs() < 1e-12);
-        assert!((hz[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nearest_index_log_metric() {
-        let g = FrequencyGrid::log_space(0.01, 100.0, 5); // 0.01,0.1,1,10,100
-        assert_eq!(g.nearest_index(0.012), 0);
-        assert_eq!(g.nearest_index(0.9), 2);
-        assert_eq!(g.nearest_index(3.0), 2); // log-mid of 1 and 10 is ~3.16
-        assert_eq!(g.nearest_index(3.3), 3);
-        assert_eq!(g.nearest_index(1e6), 4);
     }
 
     #[test]

@@ -71,18 +71,6 @@ impl PiecewiseLinear {
         Ok(PiecewiseLinear { xs, ys })
     }
 
-    /// The abscissae.
-    #[inline]
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The ordinates.
-    #[inline]
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
-    }
-
     /// Evaluates at `x`, extrapolating with the boundary segments outside
     /// the knot range (constant-slope extrapolation).
     pub fn eval(&self, x: f64) -> f64 {

@@ -43,8 +43,8 @@ pub mod poly;
 pub mod rational;
 pub mod stats;
 
-pub use complex::{Complex64, J};
-pub use grid::{hz_to_rad, rad_to_hz, FrequencyGrid, Spacing};
-pub use matrix::{solve, CMatrix, Lu, Matrix, RMatrix, Scalar, SingularMatrixError};
+pub use complex::Complex64;
+pub use grid::{FrequencyGrid, Spacing};
+pub use matrix::{solve, CMatrix, Lu, Matrix, RMatrix, SingularMatrixError};
 pub use poly::Poly;
-pub use rational::{SecondOrder, TransferFunction};
+pub use rational::TransferFunction;

@@ -122,15 +122,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::ONE;
-        }
-        m
-    }
-
     /// Creates a matrix from a row-major data vector.
     ///
     /// # Panics
@@ -147,7 +138,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Creates a matrix by evaluating `f(row, col)` for every entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+    pub(crate) fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut m = Matrix::zeros(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -163,37 +154,10 @@ impl<T: Scalar> Matrix<T> {
         self.rows
     }
 
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// `true` when the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Borrow of the underlying row-major storage.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Checked element access.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> Option<&T> {
-        if row < self.rows && col < self.cols {
-            Some(&self.data[row * self.cols + col])
-        } else {
-            None
-        }
-    }
-
-    /// Sets every entry back to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.fill(T::ZERO);
     }
 
     /// Copies `other`'s contents into `self` without allocating — the
@@ -228,25 +192,14 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Adds `value` to entry `(row, col)` — the elementary "stamping"
-    /// operation of MNA assembly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the position is out of bounds.
-    #[inline]
-    pub fn add_at(&mut self, row: usize, col: usize, value: T) {
-        self[(row, col)] += value;
-    }
-
     /// Borrow of one row as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[T] {
+    pub(crate) fn row(&self, r: usize) -> &[T] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
@@ -302,13 +255,8 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Maximum entry magnitude (∞-norm of the vectorised matrix).
-    pub fn max_abs(&self) -> f64 {
+    pub(crate) fn max_abs(&self) -> f64 {
         self.data.iter().map(|v| v.magnitude()).fold(0.0, f64::max)
-    }
-
-    /// `true` when every entry is finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite_scalar())
     }
 }
 
@@ -504,7 +452,7 @@ impl<T: Scalar> Lu<T> {
 
     /// Dimension of the factored system.
     #[inline]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
@@ -583,16 +531,6 @@ impl<T: Scalar> Lu<T> {
         Ok(())
     }
 
-    /// Solves in place, reusing the caller's buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_in_place(&self, b: &mut [T]) {
-        let x = self.solve(b);
-        b.copy_from_slice(&x);
-    }
-
     /// Determinant of the original matrix (product of pivots times the
     /// permutation sign).
     pub fn det(&self) -> T {
@@ -605,22 +543,6 @@ impl<T: Scalar> Lu<T> {
         } else {
             d
         }
-    }
-
-    /// Inverse of the original matrix (column-by-column solve).
-    pub fn inverse(&self) -> Matrix<T> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![T::ZERO; n];
-        for c in 0..n {
-            e.fill(T::ZERO);
-            e[c] = T::ONE;
-            let col = self.solve(&e);
-            for r in 0..n {
-                inv[(r, c)] = col[r];
-            }
-        }
-        inv
     }
 }
 
@@ -639,37 +561,18 @@ mod tests {
     use crate::complex::Complex64;
 
     #[test]
-    fn zeros_identity_shape() {
+    fn zeros_shape() {
         let m = RMatrix::zeros(2, 3);
         assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
+        assert_eq!(m.cols, 3);
         assert!(!m.is_square());
-        let i = RMatrix::identity(3);
-        assert!(i.is_square());
-        assert_eq!(i[(1, 1)], 1.0);
-        assert_eq!(i[(0, 1)], 0.0);
+        assert!(RMatrix::zeros(3, 3).is_square());
     }
 
     #[test]
     #[should_panic(expected = "data length")]
     fn from_rows_length_checked() {
         let _ = RMatrix::from_rows(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn stamping_accumulates() {
-        let mut m = RMatrix::zeros(2, 2);
-        m.add_at(0, 0, 2.0);
-        m.add_at(0, 0, 3.0);
-        assert_eq!(m[(0, 0)], 5.0);
-    }
-
-    #[test]
-    fn get_bounds() {
-        let m = RMatrix::identity(2);
-        assert_eq!(m.get(1, 1), Some(&1.0));
-        assert_eq!(m.get(2, 0), None);
-        assert_eq!(m.get(0, 2), None);
     }
 
     #[test]
@@ -701,7 +604,7 @@ mod tests {
     #[test]
     fn mat_mat_product_identity() {
         let m = RMatrix::from_rows(2, 2, vec![1., 2., 3., 4.]);
-        let i = RMatrix::identity(2);
+        let i = RMatrix::from_rows(2, 2, vec![1., 0., 0., 1.]);
         assert_eq!(m.mul_mat(&i), m);
         assert_eq!(i.mul_mat(&m), m);
     }
@@ -749,21 +652,8 @@ mod tests {
     }
 
     #[test]
-    fn lu_inverse() {
-        let a = RMatrix::from_rows(2, 2, vec![4., 7., 2., 6.]);
-        let inv = Lu::factor(&a).unwrap().inverse();
-        let prod = a.mul_mat(&inv);
-        for r in 0..2 {
-            for c in 0..2 {
-                let expect = if r == c { 1.0 } else { 0.0 };
-                assert!((prod[(r, c)] - expect).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn complex_lu_solves() {
-        let j = Complex64::I;
+        let j = Complex64::new(0.0, 1.0);
         // [[1+j, 2], [3, 4-j]] x = b
         let a = CMatrix::from_rows(
             2,
@@ -781,15 +671,6 @@ mod tests {
         for (bi, yi) in b.iter().zip(back.iter()) {
             assert!((*bi - *yi).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn solve_in_place_matches_solve() {
-        let a = RMatrix::from_rows(2, 2, vec![2., 0., 0., 5.]);
-        let lu = Lu::factor(&a).unwrap();
-        let mut b = [4.0, 10.0];
-        lu.solve_in_place(&mut b);
-        assert_eq!(b, [2.0, 2.0]);
     }
 
     #[test]
@@ -880,19 +761,10 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_and_finite() {
+    fn max_abs_is_the_largest_magnitude() {
         let mut m = RMatrix::zeros(2, 2);
         m[(0, 1)] = -7.0;
+        m[(1, 0)] = 3.0;
         assert_eq!(m.max_abs(), 7.0);
-        assert!(m.is_finite());
-        m[(1, 1)] = f64::NAN;
-        assert!(!m.is_finite());
-    }
-
-    #[test]
-    fn clear_keeps_shape() {
-        let mut m = RMatrix::identity(3);
-        m.clear();
-        assert_eq!(m, RMatrix::zeros(3, 3));
     }
 }

@@ -46,18 +46,13 @@ impl Poly {
     }
 
     /// The zero polynomial.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Poly { coeffs: vec![0.0] }
     }
 
     /// The constant polynomial `c`.
     pub fn constant(c: f64) -> Self {
         Poly::new(vec![c])
-    }
-
-    /// The monomial `s`.
-    pub fn s() -> Self {
-        Poly::new(vec![0.0, 1.0])
     }
 
     /// Builds the monic polynomial with the given real roots,
@@ -93,13 +88,13 @@ impl Poly {
 
     /// `true` if this is the zero polynomial.
     #[inline]
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.coeffs.len() == 1 && self.coeffs[0] == 0.0
     }
 
     /// Leading (highest-degree) coefficient.
     #[inline]
-    pub fn leading(&self) -> f64 {
+    pub(crate) fn leading(&self) -> f64 {
         *self.coeffs.last().expect("normalised poly is never empty")
     }
 
@@ -134,11 +129,6 @@ impl Poly {
             .map(|(k, &c)| c * k as f64)
             .collect();
         Poly::new(coeffs)
-    }
-
-    /// Multiplies by the scalar `k`.
-    pub fn scale(&self, k: f64) -> Poly {
-        Poly::new(self.coeffs.iter().map(|c| c * k).collect())
     }
 
     /// All complex roots by Durand–Kerner iteration.

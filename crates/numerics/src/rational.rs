@@ -46,48 +46,14 @@ impl TransferFunction {
         TransferFunction { num, den }
     }
 
-    /// The canonical second-order low-pass section
-    /// `H(s) = K·ω₀² / (s² + (ω₀/Q)s + ω₀²)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w0 <= 0` or `q <= 0`.
-    pub fn lowpass_biquad(k: f64, w0: f64, q: f64) -> Self {
-        assert!(w0 > 0.0 && q > 0.0, "w0 and Q must be positive");
-        TransferFunction::new(
-            Poly::constant(k * w0 * w0),
-            Poly::new(vec![w0 * w0, w0 / q, 1.0]),
-        )
-    }
-
-    /// The canonical second-order band-pass section
-    /// `H(s) = K·(ω₀/Q)s / (s² + (ω₀/Q)s + ω₀²)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w0 <= 0` or `q <= 0`.
-    pub fn bandpass_biquad(k: f64, w0: f64, q: f64) -> Self {
-        assert!(w0 > 0.0 && q > 0.0, "w0 and Q must be positive");
-        TransferFunction::new(
-            Poly::new(vec![0.0, k * w0 / q]),
-            Poly::new(vec![w0 * w0, w0 / q, 1.0]),
-        )
-    }
-
     /// Numerator polynomial.
     #[inline]
     pub fn num(&self) -> &Poly {
         &self.num
     }
 
-    /// Denominator polynomial.
-    #[inline]
-    pub fn den(&self) -> &Poly {
-        &self.den
-    }
-
     /// Evaluates `H(s)` at an arbitrary complex `s`.
-    pub fn eval(&self, s: Complex64) -> Complex64 {
+    pub(crate) fn eval(&self, s: Complex64) -> Complex64 {
         self.num.eval(s) / self.den.eval(s)
     }
 
@@ -96,30 +62,11 @@ impl TransferFunction {
         self.eval(Complex64::jw(omega))
     }
 
-    /// Gain magnitude in dB at angular frequency `omega`.
-    pub fn gain_db(&self, omega: f64) -> f64 {
-        self.eval_jw(omega).abs_db()
-    }
-
-    /// Phase in degrees at angular frequency `omega`.
-    pub fn phase_deg(&self, omega: f64) -> f64 {
-        self.eval_jw(omega).arg_deg()
-    }
-
     /// DC gain `H(0)`; may be ±∞ for differentiating/integrating networks.
     pub fn dc_gain(&self) -> f64 {
         let n = self.num.eval_real(0.0);
         let d = self.den.eval_real(0.0);
         n / d
-    }
-
-    /// Finite zeros (roots of the numerator).
-    pub fn zeros(&self) -> Vec<Complex64> {
-        if self.num.is_zero() {
-            Vec::new()
-        } else {
-            self.num.roots()
-        }
     }
 
     /// Poles (roots of the denominator).
@@ -149,35 +96,6 @@ impl TransferFunction {
         let q = (a0 * a2).sqrt() / a1;
         Some(SecondOrder { w0, q })
     }
-
-    /// The −3 dB cut-off (relative to DC gain) found by bisection on
-    /// `[lo, hi]` (rad/s). Returns `None` if the magnitude does not cross
-    /// the −3 dB level monotonically in the bracket.
-    pub fn cutoff_3db(&self, lo: f64, hi: f64) -> Option<f64> {
-        let target = self.dc_gain().abs() / std::f64::consts::SQRT_2;
-        if !target.is_finite() || target == 0.0 {
-            return None;
-        }
-        let f = |w: f64| self.eval_jw(w).abs() - target;
-        let (mut a, mut b) = (lo, hi);
-        let (fa, fb) = (f(a), f(b));
-        if fa * fb > 0.0 {
-            return None;
-        }
-        for _ in 0..200 {
-            let m = 0.5 * (a + b);
-            let fm = f(m);
-            if fm == 0.0 || (b - a) / m.max(f64::MIN_POSITIVE) < 1e-12 {
-                return Some(m);
-            }
-            if fa * fm < 0.0 {
-                b = m;
-            } else {
-                a = m;
-            }
-        }
-        Some(0.5 * (a + b))
-    }
 }
 
 impl fmt::Display for TransferFunction {
@@ -203,15 +121,20 @@ mod tests {
     fn rc_lowpass_magnitudes() {
         let h = TransferFunction::new(Poly::constant(1.0), Poly::new(vec![1.0, 1.0]));
         assert!((h.dc_gain() - 1.0).abs() < 1e-15);
-        assert!((h.gain_db(1.0) - (-3.0103)).abs() < 1e-3);
+        assert!((h.eval_jw(1.0).abs_db() - (-3.0103)).abs() < 1e-3);
         // One decade above the corner: −20 dB/dec slope.
-        assert!((h.gain_db(10.0) - (-20.043)).abs() < 0.01);
-        assert!((h.phase_deg(1.0) - (-45.0)).abs() < 1e-9);
+        assert!((h.eval_jw(10.0).abs_db() - (-20.043)).abs() < 0.01);
+        assert!((h.eval_jw(1.0).arg().to_degrees() - (-45.0)).abs() < 1e-9);
     }
 
     #[test]
-    fn biquad_constructor_descriptors() {
-        let h = TransferFunction::lowpass_biquad(2.0, 1000.0, 0.707);
+    fn biquad_descriptors() {
+        // H(s) = k·w0² / (s² + (w0/q)·s + w0²) with k = 2, w0 = 1000, q = 0.707.
+        let (k, w0, q) = (2.0, 1000.0, 0.707);
+        let h = TransferFunction::new(
+            Poly::constant(k * w0 * w0),
+            Poly::new(vec![w0 * w0, w0 / q, 1.0]),
+        );
         let so = h.second_order_descriptors().unwrap();
         assert!((so.w0 - 1000.0).abs() < 1e-9);
         assert!((so.q - 0.707).abs() < 1e-12);
@@ -219,25 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn bandpass_peak_at_w0() {
-        let h = TransferFunction::bandpass_biquad(1.0, 100.0, 5.0);
-        let peak = h.eval_jw(100.0).abs();
-        assert!((peak - 1.0).abs() < 1e-12);
-        assert!(h.eval_jw(10.0).abs() < peak);
-        assert!(h.eval_jw(1000.0).abs() < peak);
-        assert_eq!(h.dc_gain(), 0.0);
-    }
-
-    #[test]
-    fn poles_and_zeros() {
+    fn poles_and_stability() {
         // H(s) = s / (s+1)(s+2)
         let h = TransferFunction::new(
             Poly::new(vec![0.0, 1.0]),
             Poly::from_real_roots(&[-1.0, -2.0]),
         );
-        let zeros = h.zeros();
-        assert_eq!(zeros.len(), 1);
-        assert!(zeros[0].abs() < 1e-12);
         let mut poles: Vec<f64> = h.poles().iter().map(|p| p.re).collect();
         poles.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((poles[0] + 2.0).abs() < 1e-9);
@@ -250,19 +160,6 @@ mod tests {
         // Pole in the right half plane.
         let h = TransferFunction::new(Poly::constant(1.0), Poly::new(vec![-1.0, 1.0]));
         assert!(!h.is_stable());
-    }
-
-    #[test]
-    fn cutoff_bisection_matches_analytic() {
-        let h = TransferFunction::new(Poly::constant(1.0), Poly::new(vec![1.0, 1.0]));
-        let wc = h.cutoff_3db(0.01, 100.0).unwrap();
-        assert!((wc - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cutoff_none_when_no_crossing() {
-        let h = TransferFunction::new(Poly::constant(1.0), Poly::new(vec![1.0, 1.0]));
-        assert_eq!(h.cutoff_3db(0.001, 0.01), None);
     }
 
     #[test]

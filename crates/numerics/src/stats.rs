@@ -136,11 +136,6 @@ impl OnlineStats {
         }
     }
 
-    /// Standard deviation; `None` with fewer than two observations.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Minimum observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

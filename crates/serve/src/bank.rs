@@ -98,21 +98,6 @@ impl TrajectoryBank {
         }
     }
 
-    /// Packages an already-materialised trajectory set with its
-    /// dictionary (e.g. a set built by `trajectories_exact`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is empty — an empty bank cannot serve diagnoses.
-    pub fn from_parts(dict: FaultDictionary, set: TrajectorySet) -> Self {
-        assert!(!set.is_empty(), "a bank needs at least one trajectory");
-        TrajectoryBank {
-            dict,
-            set,
-            multifault: None,
-        }
-    }
-
     /// Attaches a multi-fault dictionary, persisted through the bank's
     /// `MultiFaultSection` on save.
     pub fn with_multifault(mut self, multifault: MultiFaultDictionary) -> Self {
@@ -202,14 +187,26 @@ impl TrajectoryBank {
         })
     }
 
-    /// Writes the bank to a file.
+    /// Writes the bank to a file and returns the number of bytes written.
+    ///
+    /// The bytes go to `<path>.tmp`, which is then renamed over `path`.
+    /// The rename replaces the file atomically, so a reader that opens
+    /// `path` during a save reads the old bank or the new one, never a
+    /// short or mixed file, and a handle held open on the old file keeps
+    /// reading the old bytes.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures, annotated with the path.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CodecError> {
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<usize, CodecError> {
         let path = path.as_ref();
-        std::fs::write(path, self.to_bytes()).map_err(|e| CodecError::from(e).in_file(path))
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let bytes = self.to_bytes();
+        std::fs::write(&tmp, &bytes)
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .map_err(|e| CodecError::from(e).in_file(path))?;
+        Ok(bytes.len())
     }
 
     /// Reads and verifies a bank from a file.
@@ -799,7 +796,11 @@ mod tests {
             dict.input().to_string(),
             Probe::differential("in", "out"),
         );
-        let bank = TrajectoryBank::from_parts(diff, bank.trajectory_set().clone());
+        let bank = TrajectoryBank {
+            dict: diff,
+            set: bank.trajectory_set().clone(),
+            multifault: None,
+        };
         let back = TrajectoryBank::from_bytes(&bank.to_bytes()).unwrap();
         assert_eq!(bank, back);
     }

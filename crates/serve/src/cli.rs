@@ -360,8 +360,7 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
     let dict = FaultDictionary::build(&bench.circuit, &universe, &bench.input, &bench.probe, &grid)
         .map_err(runtime)?;
     let bank = TrajectoryBank::build(dict, &TestVector::pair(f1, f2));
-    let bytes = bank.to_bytes();
-    std::fs::write(&out, &bytes).map_err(runtime)?;
+    let written = bank.save(&out).map_err(runtime)?;
 
     println!(
         "built bank `{out}` (format v{BANK_VERSION}): {} faults x {} grid points, {} trajectories / {} segments at tv {}, {} bytes, {:.2?}",
@@ -370,7 +369,7 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
         bank.trajectory_set().len(),
         bank.trajectory_set().total_segments(),
         bank.test_vector(),
-        bytes.len(),
+        written,
         started.elapsed(),
     );
     Ok(())

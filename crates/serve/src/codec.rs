@@ -43,18 +43,18 @@ use std::path::{Path, PathBuf};
 
 /// Container magic. The `\r\n` tail catches text-mode transfer mangling,
 /// PNG-style.
-pub const BANK_MAGIC: [u8; 8] = *b"FTBANK\r\n";
+pub(crate) const BANK_MAGIC: [u8; 8] = *b"FTBANK\r\n";
 
 /// The container format version, the only one written and read
 /// (sectioned, fixed-stride trajectory payload).
-pub const BANK_VERSION: u16 = 3;
+pub(crate) const BANK_VERSION: u16 = 3;
 
 /// Size of the fixed container header in bytes (magic, version, section
 /// count, table checksum) — the section table follows.
-pub const CONTAINER_HEADER_LEN: usize = 8 + 2 + 4 + 8;
+pub(crate) const CONTAINER_HEADER_LEN: usize = 8 + 2 + 4 + 8;
 
 /// Size of one section-table entry in bytes (type, length, checksum).
-pub const SECTION_ENTRY_LEN: usize = 2 + 8 + 8;
+pub(crate) const SECTION_ENTRY_LEN: usize = 2 + 8 + 8;
 
 /// Section type: the single-fault dictionary (required).
 pub const SECTION_DICTIONARY: u16 = 1;
@@ -63,7 +63,7 @@ pub const SECTION_DICTIONARY: u16 = 1;
 pub const SECTION_TRAJECTORIES: u16 = 2;
 
 /// Section type: an optional multi-fault dictionary.
-pub const SECTION_MULTIFAULT: u16 = 3;
+pub(crate) const SECTION_MULTIFAULT: u16 = 3;
 
 /// Human-readable name of a section type tag.
 pub fn section_name(kind: u16) -> &'static str {
@@ -83,7 +83,7 @@ pub fn section_name(kind: u16) -> &'static str {
 ///
 /// [`CodecError::Truncated`] when even the magic + version do not fit,
 /// [`CodecError::BadMagic`] when the magic is wrong.
-pub fn peek_version(container: &[u8]) -> Result<u16, CodecError> {
+pub(crate) fn peek_version(container: &[u8]) -> Result<u16, CodecError> {
     if container.len() < 10 {
         return Err(CodecError::Truncated {
             needed: 10,
@@ -102,9 +102,9 @@ pub fn peek_version(container: &[u8]) -> Result<u16, CodecError> {
 pub enum CodecError {
     /// Underlying file I/O failed.
     Io(std::io::Error),
-    /// The container does not start with [`BANK_MAGIC`].
+    /// The container does not start with `BANK_MAGIC`.
     BadMagic,
-    /// The container's format version is not [`BANK_VERSION`], the one
+    /// The container's format version is not `BANK_VERSION`, the one
     /// every reader reads.
     UnsupportedVersion {
         /// The version the container declares.
@@ -155,7 +155,7 @@ pub enum CodecError {
 impl CodecError {
     /// Wraps this error with the path of the file it occurred in. A
     /// second wrap is a no-op, so callers can annotate defensively.
-    pub fn in_file(self, path: impl AsRef<Path>) -> CodecError {
+    pub(crate) fn in_file(self, path: impl AsRef<Path>) -> CodecError {
         match self {
             CodecError::InFile { .. } => self,
             other => CodecError::InFile {
@@ -233,7 +233,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// [`checksum`] over the concatenation of `parts`, without materialising
 /// it (used for the table checksum, which covers the section count and
 /// the table bytes).
-pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
+pub(crate) fn checksum_parts(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
         for &b in *part {
@@ -246,7 +246,7 @@ pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
 
 /// Appends length-prefixed little-endian fields to a payload buffer.
 #[derive(Debug, Default)]
-pub struct Encoder {
+pub(crate) struct Encoder {
     buf: Vec<u8>,
 }
 
@@ -257,23 +257,18 @@ impl Encoder {
     }
 
     /// Appends a raw byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a `u32` (LE).
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` (LE).
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (LE) — exact, so a
     /// round trip is bit-identical.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -282,7 +277,7 @@ impl Encoder {
     /// # Panics
     ///
     /// Panics if the string exceeds `u32::MAX` bytes.
-    pub fn put_str(&mut self, s: &str) {
+    pub(crate) fn put_str(&mut self, s: &str) {
         self.put_u32(u32::try_from(s.len()).expect("string fits u32 length prefix"));
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -292,7 +287,7 @@ impl Encoder {
     /// # Panics
     ///
     /// Panics if the slice exceeds `u32::MAX` elements.
-    pub fn put_f64s(&mut self, xs: &[f64]) {
+    pub(crate) fn put_f64s(&mut self, xs: &[f64]) {
         self.put_u32(u32::try_from(xs.len()).expect("slice fits u32 length prefix"));
         for &x in xs {
             self.put_f64(x);
@@ -300,24 +295,19 @@ impl Encoder {
     }
 
     /// Current payload length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// `true` when nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// The raw payload bytes encoded so far — the body of one section
     /// (hand to [`ContainerBuilder::push_section`]).
-    pub fn into_payload(self) -> Vec<u8> {
+    pub(crate) fn into_payload(self) -> Vec<u8> {
         self.buf
     }
 }
 
 /// Assembles a sectioned container stamped with the current format
-/// version ([`BANK_VERSION`]): push type-tagged payloads, then
+/// version (`BANK_VERSION`): push type-tagged payloads, then
 /// [`finish`](ContainerBuilder::finish) seals the header and section
 /// table. Encoding is deterministic — identical sections in identical
 /// order yield identical bytes.
@@ -336,16 +326,6 @@ impl ContainerBuilder {
     /// locate them by type tag, so order carries no meaning.
     pub fn push_section(&mut self, kind: u16, payload: Vec<u8>) {
         self.sections.push((kind, payload));
-    }
-
-    /// Number of sections pushed so far.
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// `true` when no section has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
     }
 
     /// Seals the container: magic, version, section count, table
@@ -405,7 +385,7 @@ impl SectionEntry {
     ///
     /// [`CodecError::SectionChecksumMismatch`], attributed to the
     /// entry's type tag.
-    pub fn check(&self, computed: u64) -> Result<(), CodecError> {
+    pub(crate) fn check(&self, computed: u64) -> Result<(), CodecError> {
         if computed != self.stored_checksum {
             return Err(CodecError::SectionChecksumMismatch {
                 kind: self.kind,
@@ -420,9 +400,9 @@ impl SectionEntry {
 /// A structurally validated section table that owns no borrow of the
 /// container: magic, version, table checksum, and exact payload tiling
 /// are verified eagerly by [`SectionTable::parse`] (or, from a file's
-/// first bytes, [`SectionTable::parse_prefix`]), while each section's
+/// first bytes, `SectionTable::parse_prefix`), while each section's
 /// payload FNV is verified only when a reader asks for that section
-/// ([`SectionTable::find`] / [`SectionTable::require`]). A reader can
+/// (`SectionTable::find` / `SectionTable::require`). A reader can
 /// therefore read and check the one section it needs and leave the rest
 /// of the file unread. This is the one parser of the container frame:
 /// the heap reader, the shard reader and `ftd bank-info` all go through
@@ -436,11 +416,11 @@ pub struct SectionTable {
 impl SectionTable {
     /// Parses and structurally validates a v3 container's header and
     /// section table, touching none of the payload bytes:
-    /// [`SectionTable::parse_prefix`] over the whole container.
+    /// `SectionTable::parse_prefix` over the whole container.
     ///
     /// # Errors
     ///
-    /// As [`SectionTable::parse_prefix`].
+    /// As `SectionTable::parse_prefix`.
     pub fn parse(container: &[u8]) -> Result<Self, CodecError> {
         SectionTable::parse_prefix(container, container.len())
     }
@@ -455,7 +435,7 @@ impl SectionTable {
     ///
     /// Magic/version violations, or [`CodecError::Truncated`] when the
     /// header is short or the declared table runs past `total_len`.
-    pub fn prefix_len(header: &[u8], total_len: usize) -> Result<usize, CodecError> {
+    pub(crate) fn prefix_len(header: &[u8], total_len: usize) -> Result<usize, CodecError> {
         let found = peek_version(header)?;
         if found != BANK_VERSION {
             return Err(CodecError::UnsupportedVersion { found });
@@ -490,7 +470,7 @@ impl SectionTable {
     /// Magic/version violations, a table checksum mismatch
     /// ([`CodecError::ChecksumMismatch`]), or any size inconsistency (the
     /// container must equal header + table + declared payloads exactly).
-    pub fn parse_prefix(prefix: &[u8], total_len: usize) -> Result<Self, CodecError> {
+    pub(crate) fn parse_prefix(prefix: &[u8], total_len: usize) -> Result<Self, CodecError> {
         let table_end = SectionTable::prefix_len(prefix, total_len)?;
         if prefix.len() < table_end {
             return Err(CodecError::Truncated {
@@ -539,17 +519,10 @@ impl SectionTable {
         &self.entries
     }
 
-    /// Total container length the table was validated against. A byte
-    /// slice passed to [`find`](SectionTable::find) /
-    /// [`require`](SectionTable::require) must have exactly this length.
-    pub fn total_len(&self) -> usize {
-        self.total_len
-    }
-
     /// The unique entry of type `kind`, located structurally: no
     /// payload byte is read and no checksum verified. This is the lookup
     /// the shard reader uses before it reads the section, and the one
-    /// [`find`](SectionTable::find) builds on. `Ok(None)` when the container has no such section (an
+    /// `find` builds on. `Ok(None)` when the container has no such section (an
     /// *optional* section being absent is not an error).
     ///
     /// # Errors
@@ -585,7 +558,7 @@ impl SectionTable {
     ///
     /// Panics if `container` is not the byte sequence this table was
     /// parsed from (length mismatch).
-    pub fn verify<'a>(
+    pub(crate) fn verify<'a>(
         &self,
         container: &'a [u8],
         entry: &SectionEntry,
@@ -612,7 +585,11 @@ impl SectionTable {
     /// # Panics
     ///
     /// As [`verify`](SectionTable::verify).
-    pub fn find<'a>(&self, container: &'a [u8], kind: u16) -> Result<Option<&'a [u8]>, CodecError> {
+    pub(crate) fn find<'a>(
+        &self,
+        container: &'a [u8],
+        kind: u16,
+    ) -> Result<Option<&'a [u8]>, CodecError> {
         self.locate(kind)?
             .map(|entry| self.verify(container, entry))
             .transpose()
@@ -624,7 +601,11 @@ impl SectionTable {
     ///
     /// As [`SectionTable::find`], plus [`CodecError::MissingSection`]
     /// when the section is absent.
-    pub fn require<'a>(&self, container: &'a [u8], kind: u16) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn require<'a>(
+        &self,
+        container: &'a [u8],
+        kind: u16,
+    ) -> Result<&'a [u8], CodecError> {
         self.find(container, kind)?
             .ok_or(CodecError::MissingSection(kind))
     }
@@ -632,7 +613,7 @@ impl SectionTable {
 
 /// Bounds-checked reader over a verified container payload.
 #[derive(Debug)]
-pub struct Decoder<'a> {
+pub(crate) struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -640,7 +621,7 @@ pub struct Decoder<'a> {
 impl<'a> Decoder<'a> {
     /// A decoder over a bare payload slice (a section body whose
     /// checksum [`SectionTable::find`] already verified).
-    pub fn over(payload: &'a [u8]) -> Self {
+    pub(crate) fn over(payload: &'a [u8]) -> Self {
         Decoder {
             buf: payload,
             pos: 0,
@@ -668,7 +649,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at end of payload.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
@@ -677,20 +658,9 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at end of payload.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a `u64` (LE).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] at end of payload.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
@@ -699,7 +669,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at end of payload.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
@@ -713,7 +683,7 @@ impl<'a> Decoder<'a> {
     ///
     /// [`CodecError::Truncated`] when the declared count cannot fit in
     /// the remaining payload.
-    pub fn get_count(&mut self, elem_size: usize) -> Result<usize, CodecError> {
+    pub(crate) fn get_count(&mut self, elem_size: usize) -> Result<usize, CodecError> {
         let n = self.get_u32()? as usize;
         let needed = n.saturating_mul(elem_size.max(1));
         let available = self.buf.len() - self.pos;
@@ -736,7 +706,7 @@ impl<'a> Decoder<'a> {
     ///
     /// [`CodecError::Truncated`] or [`CodecError::Malformed`] on invalid
     /// UTF-8.
-    pub fn get_str(&mut self) -> Result<String, CodecError> {
+    pub(crate) fn get_str(&mut self) -> Result<String, CodecError> {
         let n = self.get_count(1)?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
@@ -749,7 +719,7 @@ impl<'a> Decoder<'a> {
     ///
     /// [`CodecError::Truncated`] when the declared length overruns the
     /// payload.
-    pub fn get_f64s(&mut self) -> Result<Vec<f64>, CodecError> {
+    pub(crate) fn get_f64s(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.get_count(8)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -759,7 +729,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -768,7 +738,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// [`CodecError::TrailingBytes`] when bytes are left over.
-    pub fn finish(self) -> Result<(), CodecError> {
+    pub(crate) fn finish(self) -> Result<(), CodecError> {
         if self.pos != self.buf.len() {
             return Err(CodecError::TrailingBytes(self.buf.len() - self.pos));
         }
@@ -784,7 +754,6 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put_u8(3);
         enc.put_u32(77);
-        enc.put_u64(1 << 40);
         enc.put_f64(-2.5);
         enc.put_str("R3+20%");
         enc.put_f64s(&[0.0, 1.5, f64::MAX]);
@@ -797,7 +766,6 @@ mod tests {
         let mut dec = Decoder::over(&bytes);
         assert_eq!(dec.get_u8().unwrap(), 3);
         assert_eq!(dec.get_u32().unwrap(), 77);
-        assert_eq!(dec.get_u64().unwrap(), 1 << 40);
         assert_eq!(dec.get_f64().unwrap(), -2.5);
         assert_eq!(dec.get_str().unwrap(), "R3+20%");
         assert_eq!(dec.get_f64s().unwrap(), vec![0.0, 1.5, f64::MAX]);
@@ -870,8 +838,7 @@ mod tests {
         b.push_section(SECTION_DICTIONARY, b"dict-payload".to_vec());
         b.push_section(SECTION_TRAJECTORIES, b"traj".to_vec());
         b.push_section(0x7ff0, b"future-section".to_vec());
-        assert_eq!(b.len(), 3);
-        assert!(!b.is_empty());
+        assert_eq!(b.sections.len(), 3);
         b.finish()
     }
 
@@ -891,7 +858,7 @@ mod tests {
         assert_eq!(peek_version(&bytes).unwrap(), BANK_VERSION);
         let table = SectionTable::parse(&bytes).unwrap();
         assert_eq!(table.entries().len(), 3);
-        assert_eq!(table.total_len(), bytes.len());
+        assert_eq!(table.total_len, bytes.len());
         assert!(table
             .entries()
             .iter()

@@ -39,7 +39,6 @@ pub struct EngineConfig {
 pub struct DiagnosisEngine {
     index: SegmentIndex,
     diagnoser: Diagnoser,
-    config: EngineConfig,
     metrics: Option<EngineMetrics>,
 }
 
@@ -54,7 +53,6 @@ impl DiagnosisEngine {
         DiagnosisEngine {
             index,
             diagnoser: Diagnoser::new(set, config.diagnoser),
-            config,
             metrics: None,
         }
     }
@@ -96,7 +94,7 @@ impl DiagnosisEngine {
     /// visited, segments examined, top-k early exits) on its index.
     /// Without this call every diagnose path is entirely uninstrumented
     /// (no clocks read, no atomics touched).
-    pub fn set_metrics(&mut self, metrics: EngineMetrics) {
+    pub(crate) fn set_metrics(&mut self, metrics: EngineMetrics) {
         self.index.set_counters(crate::index::IndexCounters {
             nodes_visited: Arc::clone(&metrics.index_nodes_visited),
             segments_examined: Arc::clone(&metrics.index_segments_examined),
@@ -115,12 +113,6 @@ impl DiagnosisEngine {
     #[inline]
     pub fn index(&self) -> &SegmentIndex {
         &self.index
-    }
-
-    /// The engine configuration.
-    #[inline]
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// Diagnoses one observed signature through the spatial index,
@@ -220,7 +212,7 @@ mod tests {
         let built = rc_engine();
         let path = std::env::temp_dir().join("ft_serve_engine_open_test.ftb");
         rc_bank().save(&path).unwrap();
-        let (opened, shard) = DiagnosisEngine::open(&path, built.config()).unwrap();
+        let (opened, shard) = DiagnosisEngine::open(&path, EngineConfig::default()).unwrap();
         assert_eq!(opened.trajectory_set(), built.trajectory_set());
         // The handle describes the file that was read.
         assert_eq!(shard.generation(), FileGen::probe(&path).unwrap());

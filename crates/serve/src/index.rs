@@ -119,7 +119,7 @@ pub struct QueryStats {
 /// attached (see [`crate::obs::EngineMetrics`]); without them a query
 /// touches no atomics.
 #[derive(Debug, Clone)]
-pub struct IndexCounters {
+pub(crate) struct IndexCounters {
     /// `engine_index_nodes_visited_total`.
     pub nodes_visited: Arc<Counter>,
     /// `engine_index_segments_examined_total`.
@@ -327,37 +327,19 @@ impl SegmentIndex {
     /// Attaches observability counters; every subsequent query adds its
     /// [`QueryStats`] to them. Without this call queries touch no
     /// atomics.
-    pub fn set_counters(&mut self, counters: IndexCounters) {
+    pub(crate) fn set_counters(&mut self, counters: IndexCounters) {
         self.counters = Some(counters);
     }
 
     /// Number of indexed segments.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.seg_dev.len()
-    }
-
-    /// `true` when no segments are indexed (never, for built indexes).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.seg_dev.is_empty()
-    }
-
-    /// Signature-space dimension.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of trajectories covered.
-    #[inline]
-    pub fn trajectory_count(&self) -> usize {
-        self.n_traj
     }
 
     /// Total tree nodes across all trajectories.
     #[inline]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.child_base.len()
     }
 
@@ -482,14 +464,14 @@ impl SegmentIndex {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn query(&self, observed: &Signature) -> Vec<(f64, f64)> {
+    pub(crate) fn query(&self, observed: &Signature) -> Vec<(f64, f64)> {
         self.query_stats(observed).0
     }
 
-    /// [`SegmentIndex::query`] plus instrumentation: how many node boxes
+    /// `SegmentIndex::query` plus instrumentation: how many node boxes
     /// were tested and how many exact segment distances were computed.
     /// On a large bank `segments_examined` is a small fraction of
-    /// [`SegmentIndex::len`] — that fraction *is* the speed-up.
+    /// `SegmentIndex::len` — that fraction *is* the speed-up.
     ///
     /// # Panics
     ///
@@ -617,7 +599,7 @@ impl SegmentIndex {
     /// ambiguity set needs — via one global best-first search that
     /// stops as soon as that prefix is provably settled. The returned
     /// ranking is bit-identical to sorting the full
-    /// [`SegmentIndex::query`] result by `(distance, trajectory index)`
+    /// `SegmentIndex::query` result by `(distance, trajectory index)`
     /// and truncating (the [`SegmentQuery::topk_per_trajectory`] oracle);
     /// `early_exit` reports whether any work was actually skipped.
     ///
@@ -871,8 +853,9 @@ thread_local! {
 /// How many [`SegmentIndex::query_topk`] calls on *this thread* had to
 /// grow the reused scratch. Steady state is a constant: after one
 /// warm-up query per shard size, subsequent queries reuse capacity.
-/// Exposed for tests and debug assertions, not as a metric.
-pub fn topk_scratch_grows() -> u64 {
+/// Read by the scratch-reuse test; not a metric.
+#[cfg(test)]
+fn topk_scratch_grows() -> u64 {
     TOPK_SCRATCH.with(|cell| cell.borrow().grows)
 }
 
@@ -982,10 +965,9 @@ mod tests {
         let set = cross_set();
         let idx = SegmentIndex::build(&set);
         assert_eq!(idx.len(), 8);
-        assert_eq!(idx.dim(), 2);
-        assert_eq!(idx.trajectory_count(), 2);
+        assert_eq!(idx.dim, 2);
+        assert_eq!(idx.n_traj, 2);
         assert!(idx.node_count() >= 2);
-        assert!(!idx.is_empty());
     }
 
     #[test]
@@ -1020,11 +1002,11 @@ mod tests {
             let set = fan_set(9);
             let idx = SegmentIndex::with_leaf_size(&set, leaf);
             for nid in 0..idx.node_count() {
-                for k in 0..idx.dim() {
+                for k in 0..idx.dim {
                     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
                     for s in idx.seg_lo[nid]..idx.seg_hi[nid] {
-                        let base = s as usize * 2 * idx.dim();
-                        for &x in &[idx.coords[base + k], idx.coords[base + idx.dim() + k]] {
+                        let base = s as usize * 2 * idx.dim;
+                        for &x in &[idx.coords[base + k], idx.coords[base + idx.dim + k]] {
                             lo = lo.min(x);
                             hi = hi.max(x);
                         }

@@ -113,23 +113,15 @@ pub mod synthetic;
 
 pub use bank::{MappedBank, TrajectoryBank};
 pub use codec::{
-    checksum, peek_version, section_name, CodecError, ContainerBuilder, Decoder, Encoder,
-    SectionEntry, SectionTable, BANK_MAGIC, BANK_VERSION, SECTION_DICTIONARY, SECTION_MULTIFAULT,
+    checksum, section_name, CodecError, ContainerBuilder, SectionTable, SECTION_DICTIONARY,
     SECTION_TRAJECTORIES,
 };
 pub use engine::{DiagnosisEngine, EngineConfig};
-pub use index::{IndexCounters, QueryStats, SegmentIndex};
-pub use net::{
-    connect_retry, fetch_stats, install_signal_drain, response_line, run_loadgen, FrameError,
-    LoadgenConfig, LoadgenReport, NetConfig, NetError, NetServer, NetSummary, ShutdownHandle,
-};
+pub use index::SegmentIndex;
+pub use net::{response_line, run_loadgen, LoadgenConfig, NetConfig, NetServer};
 pub use obs::{
-    bucket_bounds, bucket_index, labeled, Counter, EngineMetrics, Gauge, Histogram,
-    HistogramSnapshot, MetricsRegistry, NetMetrics, PoolMetrics, Snapshot, SpanTimer, StoreMetrics,
+    bucket_bounds, bucket_index, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot,
 };
-pub use pool::{BatchId, ServeHandle, ServeResult};
-pub use store::{
-    diagnose_on, valid_cut_id, BankStore, DiagnosisRequest, FileGen, RefreshSummary, StoreConfig,
-    StoreError,
-};
+pub use pool::{ServeHandle, ServeResult};
+pub use store::{diagnose_on, BankStore, DiagnosisRequest, FileGen, StoreConfig, StoreError};
 pub use synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};

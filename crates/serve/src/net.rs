@@ -5,7 +5,7 @@
 //! hand-rolled over raw `extern "C"` syscalls (the vendored environment
 //! has no libc crate), that owns every socket and feeds decoded requests into the existing
 //! worker pool. Workers wake the loop back through a self-pipe, once
-//! per finished batch (see [`ServeHandle::with_notifier`]), so the loop
+//! per finished batch (see `ServeHandle::with_notifier`), so the loop
 //! never blocks on anything but the poller. `poll(2)` is the readiness
 //! call every unix has, so the tier runs on unix only: elsewhere
 //! [`NetServer::run`] returns [`std::io::ErrorKind::Unsupported`]. The
@@ -14,7 +14,7 @@
 //! ## Wire protocol
 //!
 //! Length-prefixed binary frames, reusing the bank codec primitives
-//! ([`Encoder`]/[`Decoder`] payloads, FNV-1a checksums):
+//! (`Encoder`/`Decoder` payloads, FNV-1a checksums):
 //!
 //! ```text
 //! +--------+----------+------------------+------------------+
@@ -42,8 +42,6 @@
 //! flush, and only then do connections close — bounded by
 //! [`NetConfig::drain_deadline`].
 //!
-//! [`Encoder`]: crate::codec::Encoder
-//! [`Decoder`]: crate::codec::Decoder
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -78,9 +76,9 @@ pub const FRAME_REQUEST: u16 = 1;
 /// 1 error) plus the exact tab-separated serve output line.
 pub const FRAME_RESPONSE: u16 = 2;
 /// Client → server: asks for a stats frame (empty payload).
-pub const FRAME_STATS_REQUEST: u16 = 3;
+pub(crate) const FRAME_STATS_REQUEST: u16 = 3;
 /// Server → client: Prometheus text exposition of the live registry.
-pub const FRAME_STATS: u16 = 4;
+pub(crate) const FRAME_STATS: u16 = 4;
 /// Server → client: terminal protocol-error report (`str` message);
 /// the server closes the connection after flushing it.
 pub const FRAME_ERROR: u16 = 5;
@@ -104,7 +102,7 @@ fn frame_checksum(kind: u16, len: u32, payload: &[u8]) -> u64 {
 
 /// Encodes one frame (header + payload). Panics if `payload` exceeds
 /// [`MAX_FRAME_PAYLOAD`] — callers control payload sizes.
-pub fn encode_frame(kind: u16, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_frame(kind: u16, payload: &[u8]) -> Vec<u8> {
     build_frame(kind, payload.len(), |out| out.extend_from_slice(payload))
 }
 
@@ -134,7 +132,7 @@ fn build_frame(kind: u16, len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8>
 
 /// One whole decoded frame: `(kind, payload, consumed)` — the caller
 /// drops `consumed` bytes off the front of its read buffer.
-pub type DecodedFrame<'a> = (u16, &'a [u8], usize);
+pub(crate) type DecodedFrame<'a> = (u16, &'a [u8], usize);
 
 /// Tries to decode one frame from the front of `buf`.
 ///
@@ -228,7 +226,7 @@ fn clip_text(text: &str, max: usize) -> Cow<'_, str> {
 /// Encodes a response frame: status byte (0 ok, 1 error) + the serve
 /// output line (clipped, with a truncation mark, in the pathological
 /// case of a line that would overflow the frame cap). The payload is laid out
-/// as [`Encoder::put_u8`] + [`Encoder::put_str`] would, straight into
+/// as `Encoder::put_u8` + `Encoder::put_str` would, straight into
 /// the frame buffer.
 pub fn encode_response(line: &str, is_error: bool) -> Vec<u8> {
     // Payload overhead: 1 status byte + 4-byte string length prefix.
@@ -255,7 +253,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(bool, String), FrameError> {
     Ok((status != 0, line))
 }
 
-/// Encodes a single-string frame ([`FRAME_STATS`] or [`FRAME_ERROR`]).
+/// Encodes a single-string frame (`FRAME_STATS` or [`FRAME_ERROR`]).
 /// Oversized text — a Prometheus snapshot can outgrow the wire cap —
 /// is clipped, with a truncation mark, instead of panicking.
 pub fn encode_text_frame(kind: u16, text: &str) -> Vec<u8> {
@@ -320,7 +318,7 @@ pub enum FrameError {
 impl FrameError {
     /// Stable short label for metrics
     /// (`net_protocol_errors_total{kind=…}`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FrameError::Oversized { .. } => "oversized",
             FrameError::UnknownKind(_) => "unknown-kind",
@@ -379,7 +377,7 @@ impl NetError {
 
     /// Stable short label for metrics: the frame-error label, or
     /// `"io"`.
-    pub fn kind_label(&self) -> &'static str {
+    pub(crate) fn kind_label(&self) -> &'static str {
         match self {
             NetError::Io { .. } => "io",
             NetError::Protocol { error, .. } => error.label(),
@@ -417,7 +415,7 @@ mod sys {
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct PollFd {
+    pub(crate) struct PollFd {
         pub fd: c_int,
         pub events: i16,
         pub revents: i16,
@@ -426,34 +424,34 @@ mod sys {
     /// `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` on
     /// macOS and the BSDs.
     #[cfg(target_os = "linux")]
-    pub type Nfds = std::os::raw::c_ulong;
+    pub(crate) type Nfds = std::os::raw::c_ulong;
     #[cfg(not(target_os = "linux"))]
-    pub type Nfds = std::os::raw::c_uint;
+    pub(crate) type Nfds = std::os::raw::c_uint;
 
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn close(fd: c_int) -> c_int;
-        pub fn signal(signum: c_int, handler: usize) -> usize;
+        pub(crate) fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+        pub(crate) fn pipe(fds: *mut c_int) -> c_int;
+        pub(crate) fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+        pub(crate) fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        pub(crate) fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub(crate) fn close(fd: c_int) -> c_int;
+        pub(crate) fn signal(signum: c_int, handler: usize) -> usize;
     }
 
-    pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
-    pub const POLLERR: i16 = 0x8;
-    pub const POLLHUP: i16 = 0x10;
-    pub const POLLNVAL: i16 = 0x20;
+    pub(crate) const POLLIN: i16 = 0x1;
+    pub(crate) const POLLOUT: i16 = 0x4;
+    pub(crate) const POLLERR: i16 = 0x8;
+    pub(crate) const POLLHUP: i16 = 0x10;
+    pub(crate) const POLLNVAL: i16 = 0x20;
 
-    pub const F_SETFL: c_int = 4;
+    pub(crate) const F_SETFL: c_int = 4;
     #[cfg(target_os = "linux")]
-    pub const O_NONBLOCK: c_int = 0o4000;
+    pub(crate) const O_NONBLOCK: c_int = 0o4000;
     #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: c_int = 0x4;
+    pub(crate) const O_NONBLOCK: c_int = 0x4;
 
-    pub const SIGINT: c_int = 2;
-    pub const SIGTERM: c_int = 15;
+    pub(crate) const SIGINT: c_int = 2;
+    pub(crate) const SIGTERM: c_int = 15;
 }
 
 // ---------------------------------------------------------------------
@@ -512,7 +510,7 @@ mod poller {
         }
 
         /// Registers `fd`, which must not be registered already.
-        pub fn add(&mut self, fd: RawFd, token: u64, read: bool, write: bool) {
+        pub(crate) fn add(&mut self, fd: RawFd, token: u64, read: bool, write: bool) {
             debug_assert!(self.slot(fd).is_none(), "fd {fd} registered twice");
             self.fds.push(sys::PollFd {
                 fd,
@@ -522,13 +520,13 @@ mod poller {
             self.tokens.push(token);
         }
 
-        pub fn modify(&mut self, fd: RawFd, read: bool, write: bool) {
+        pub(crate) fn modify(&mut self, fd: RawFd, read: bool, write: bool) {
             if let Some(i) = self.slot(fd) {
                 self.fds[i].events = interest(read, write);
             }
         }
 
-        pub fn remove(&mut self, fd: RawFd) {
+        pub(crate) fn remove(&mut self, fd: RawFd) {
             if let Some(i) = self.slot(fd) {
                 self.fds.swap_remove(i);
                 self.tokens.swap_remove(i);
@@ -538,7 +536,11 @@ mod poller {
         /// Waits for readiness, filling `out` (cleared first). A signal
         /// interruption reports zero events instead of an error, so the
         /// caller re-checks its shutdown flag.
-        pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &mut self,
+            timeout: Option<Duration>,
+            out: &mut Vec<Event>,
+        ) -> io::Result<()> {
             out.clear();
             // SAFETY: `fds` is a live, exclusively borrowed array of
             // `fds.len()` `#[repr(C)]` entries laid out as `struct
@@ -711,7 +713,7 @@ impl ShutdownHandle {
     }
 
     /// Whether a drain has been requested.
-    pub fn is_shutdown(&self) -> bool {
+    pub(crate) fn is_shutdown(&self) -> bool {
         self.shared.flag.load(Ordering::SeqCst)
     }
 }
@@ -731,7 +733,7 @@ extern "C" fn drain_on_signal(_sig: std::os::raw::c_int) {
 /// `handle`'s server — `kill -TERM` (or Ctrl-C) finishes in-flight
 /// requests, flushes, and lets `ftd serve --listen` exit 0. First
 /// installation wins for the life of the process. No-op off unix.
-pub fn install_signal_drain(handle: &ShutdownHandle) {
+pub(crate) fn install_signal_drain(handle: &ShutdownHandle) {
     #[cfg(unix)]
     {
         let _ = SIGNAL_TARGET.set(handle.clone());
@@ -1546,7 +1548,7 @@ struct ConnOutcome {
 /// # Errors
 ///
 /// The last connect error once `timeout` is exhausted.
-pub fn connect_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+pub(crate) fn connect_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + timeout;
     loop {
         match TcpStream::connect(addr) {

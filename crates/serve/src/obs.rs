@@ -23,8 +23,8 @@
 //! inside the bucket, so a reported p99 is always bounded by the edges
 //! of the bucket containing the true p99 — exact to bucket resolution.
 //!
-//! The per-layer handle bundles ([`EngineMetrics`], [`StoreMetrics`],
-//! [`PoolMetrics`]) pre-resolve every hot-path handle once at
+//! The per-layer handle bundles (`EngineMetrics`, `StoreMetrics`,
+//! `PoolMetrics`) pre-resolve every hot-path handle once at
 //! attachment, so instrumented code never touches the registry map.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,7 +37,7 @@ use crate::store::FileGen;
 
 /// Number of histogram buckets: one for the value 0 plus one per power
 /// of two up to `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// The bucket index `value` lands in: 0 for the value 0, otherwise
 /// `⌊log₂ value⌋ + 1`, so bucket *i* ≥ 1 covers `[2^(i−1), 2^i)`.
@@ -74,28 +74,28 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A monotonically increasing `u64` metric. All operations are relaxed
 /// atomics — safe and lock-free from any thread.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub(crate) struct Counter(AtomicU64);
 
 impl Counter {
     /// Adds 1.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Overwrites the value — for mirroring a total maintained
     /// elsewhere (e.g. `ft_core`'s scratch-pool statistics) into a
     /// registry at snapshot time.
-    pub fn set(&self, value: u64) {
+    pub(crate) fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -103,26 +103,26 @@ impl Counter {
 /// A signed instantaneous value (queue depth, resident bytes). All
 /// operations are relaxed atomics.
 #[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
+pub(crate) struct Gauge(AtomicI64);
 
 impl Gauge {
     /// Overwrites the value.
-    pub fn set(&self, value: i64) {
+    pub(crate) fn set(&self, value: i64) {
         self.0.store(value, Ordering::Relaxed);
     }
 
     /// Adds `n`.
-    pub fn add(&self, n: i64) {
+    pub(crate) fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtracts `n`.
-    pub fn sub(&self, n: i64) {
+    pub(crate) fn sub(&self, n: i64) {
         self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -155,14 +155,14 @@ impl Histogram {
 
     /// Records `n` samples of the same `value` (one batch, `n`
     /// requests) with a single pair of atomic adds.
-    pub fn record_n(&self, value: u64, n: u64) {
+    pub(crate) fn record_n(&self, value: u64, n: u64) {
         self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
         self.sum
             .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
     }
 
     /// Records a duration in whole microseconds (saturating).
-    pub fn record_duration(&self, elapsed: Duration) {
+    pub(crate) fn record_duration(&self, elapsed: Duration) {
         self.record(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
@@ -239,27 +239,19 @@ impl HistogramSnapshot {
 /// RAII timing guard: records the elapsed time into its histogram (as
 /// whole microseconds) when dropped.
 #[derive(Debug)]
-pub struct SpanTimer {
+pub(crate) struct SpanTimer {
     histogram: Arc<Histogram>,
     start: Instant,
 }
 
 impl SpanTimer {
     /// Starts a span that will record into `histogram` on drop.
-    pub fn start(histogram: Arc<Histogram>) -> SpanTimer {
+    pub(crate) fn start(histogram: Arc<Histogram>) -> SpanTimer {
         SpanTimer {
             histogram,
             start: Instant::now(),
         }
     }
-
-    /// Time elapsed since the span started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Ends the span now (equivalent to dropping the guard).
-    pub fn finish(self) {}
 }
 
 impl Drop for SpanTimer {
@@ -271,7 +263,7 @@ impl Drop for SpanTimer {
 /// Renders `name{k="v",…}` — the registry key and Prometheus sample
 /// name for a labeled metric. Label values are escaped per the text
 /// exposition format (`\\`, `\"`, `\n`).
-pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
+pub(crate) fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     let mut out = String::from(name);
     out.push('{');
     for (i, (key, value)) in labels.iter().enumerate() {
@@ -294,7 +286,7 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     out
 }
 
-/// A named collection of [`Counter`]s, [`Gauge`]s, and [`Histogram`]s.
+/// A named collection of `Counter`s, `Gauge`s, and [`Histogram`]s.
 ///
 /// Handles are `Arc`s resolved once (get-or-register under a mutex) and
 /// then updated lock-free. A [`MetricsRegistry::noop`] registry never
@@ -336,12 +328,12 @@ impl MetricsRegistry {
     }
 
     /// `false` for a [`MetricsRegistry::noop`] registry.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// The counter registered under `name`, registering it if new.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         if !self.enabled {
             return Arc::new(Counter::default());
         }
@@ -349,7 +341,7 @@ impl MetricsRegistry {
     }
 
     /// The gauge registered under `name`, registering it if new.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         if !self.enabled {
             return Arc::new(Gauge::default());
         }
@@ -357,7 +349,7 @@ impl MetricsRegistry {
     }
 
     /// The histogram registered under `name`, registering it if new.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         if !self.enabled {
             return Arc::new(Histogram::default());
         }
@@ -474,7 +466,7 @@ impl Snapshot {
 
 /// Pre-resolved handles for [`crate::DiagnosisEngine`] instrumentation.
 #[derive(Debug, Clone)]
-pub struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     /// `engine_diagnose_latency_us` — per-diagnose wall time.
     pub diagnose_latency: Arc<Histogram>,
     /// `engine_diagnose_indexed_total` — diagnoses through the index.
@@ -494,7 +486,7 @@ pub struct EngineMetrics {
 
 impl EngineMetrics {
     /// Resolves the engine's handles from `registry`.
-    pub fn from_registry(registry: &MetricsRegistry) -> EngineMetrics {
+    pub(crate) fn from_registry(registry: &MetricsRegistry) -> EngineMetrics {
         EngineMetrics {
             diagnose_latency: registry.histogram("engine_diagnose_latency_us"),
             indexed: registry.counter("engine_diagnose_indexed_total"),
@@ -508,7 +500,7 @@ impl EngineMetrics {
 
 /// Pre-resolved handles for [`crate::BankStore`] instrumentation.
 #[derive(Debug, Clone)]
-pub struct StoreMetrics {
+pub(crate) struct StoreMetrics {
     registry: Arc<MetricsRegistry>,
     /// `store_shard_cache_hits_total` — requests answered by a cached
     /// shard whose generation still matched.
@@ -546,7 +538,7 @@ pub struct StoreMetrics {
 impl StoreMetrics {
     /// Resolves the store's handles from `registry` (kept, for the
     /// labeled per-shard failure counters).
-    pub fn from_registry(registry: &Arc<MetricsRegistry>) -> StoreMetrics {
+    pub(crate) fn from_registry(registry: &Arc<MetricsRegistry>) -> StoreMetrics {
         StoreMetrics {
             cache_hits: registry.counter("store_shard_cache_hits_total"),
             cache_misses: registry.counter("store_shard_cache_misses_total"),
@@ -566,7 +558,7 @@ impl StoreMetrics {
     /// Counts a shard-load failure, attributed to the failing shard
     /// path and the file generation the failure was observed at — the
     /// same attribution style as [`crate::CodecError::InFile`].
-    pub fn record_load_failure(&self, path: &Path, generation: Option<FileGen>) {
+    pub(crate) fn record_load_failure(&self, path: &Path, generation: Option<FileGen>) {
         self.load_failures.inc();
         let generation = generation.map_or_else(|| "unknown".to_string(), |g| g.to_string());
         self.registry
@@ -583,7 +575,7 @@ impl StoreMetrics {
 
 /// Pre-resolved handles for [`crate::ServeHandle`] instrumentation.
 #[derive(Debug, Clone)]
-pub struct PoolMetrics {
+pub(crate) struct PoolMetrics {
     registry: Arc<MetricsRegistry>,
     /// `pool_queue_depth` — jobs submitted and not yet picked up.
     pub queue_depth: Arc<Gauge>,
@@ -601,7 +593,7 @@ pub struct PoolMetrics {
 impl PoolMetrics {
     /// Resolves the pool's handles from `registry` (kept, for the
     /// labeled per-worker job counters).
-    pub fn from_registry(registry: &Arc<MetricsRegistry>) -> PoolMetrics {
+    pub(crate) fn from_registry(registry: &Arc<MetricsRegistry>) -> PoolMetrics {
         PoolMetrics {
             queue_depth: registry.gauge("pool_queue_depth"),
             batch_sizes: registry.histogram("pool_batch_requests"),
@@ -613,7 +605,7 @@ impl PoolMetrics {
     }
 
     /// The `pool_worker_jobs_total{worker="…"}` counter for one worker.
-    pub fn worker_jobs(&self, worker: usize) -> Arc<Counter> {
+    pub(crate) fn worker_jobs(&self, worker: usize) -> Arc<Counter> {
         self.registry.counter(&labeled(
             "pool_worker_jobs_total",
             &[("worker", &worker.to_string())],
@@ -627,11 +619,11 @@ impl PoolMetrics {
 /// addresses have been seen, further ones collapse into
 /// `peer="other"` — a hostile client cycling source addresses cannot
 /// grow the registry (or the stats exposition) without bound.
-pub const MAX_PEER_LABELS: usize = 64;
+pub(crate) const MAX_PEER_LABELS: usize = 64;
 
 /// Pre-resolved handles for the [`crate::NetServer`] TCP tier.
 #[derive(Debug, Clone)]
-pub struct NetMetrics {
+pub(crate) struct NetMetrics {
     registry: Arc<MetricsRegistry>,
     /// Distinct peer IPs already used as label values, shared across
     /// clones so the [`MAX_PEER_LABELS`] cap is global.
@@ -671,7 +663,7 @@ pub struct NetMetrics {
 impl NetMetrics {
     /// Resolves the network tier's handles from `registry` (kept, for
     /// the labeled per-peer protocol-error counters).
-    pub fn from_registry(registry: &Arc<MetricsRegistry>) -> NetMetrics {
+    pub(crate) fn from_registry(registry: &Arc<MetricsRegistry>) -> NetMetrics {
         NetMetrics {
             active_connections: registry.gauge("net_active_connections"),
             accepted: registry.counter("net_connections_accepted_total"),
@@ -695,7 +687,7 @@ impl NetMetrics {
     /// [`MAX_PEER_LABELS`] distinct IPs are ever registered (the rest
     /// share `peer="other"`), so misbehaving peers add bounded state no
     /// matter how many addresses they arrive from.
-    pub fn record_protocol_error(&self, peer: &str, kind: &str) {
+    pub(crate) fn record_protocol_error(&self, peer: &str, kind: &str) {
         self.protocol_errors.inc();
         // `rsplit_once` keeps bracketed IPv6 forms ("[::1]:80") whole.
         let ip = peer.rsplit_once(':').map_or(peer, |(ip, _)| ip);
@@ -814,10 +806,10 @@ mod tests {
     #[test]
     fn span_timer_records_on_drop() {
         let hist = Arc::new(Histogram::default());
-        SpanTimer::start(Arc::clone(&hist)).finish();
+        drop(SpanTimer::start(Arc::clone(&hist)));
         {
-            let span = SpanTimer::start(Arc::clone(&hist));
-            assert!(span.elapsed() < Duration::from_secs(1));
+            let _span = SpanTimer::start(Arc::clone(&hist));
+            assert_eq!(hist.snapshot().count, 1);
         }
         assert_eq!(hist.snapshot().count, 2);
     }

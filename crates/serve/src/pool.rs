@@ -17,8 +17,8 @@
 //! ambiguity set, not the full ranking; its rank 1, ambiguity set and
 //! rendered line equal the linear scan's
 //! ([`DiagnosisEngine::diagnose_linear`]), which `ftd diagnose
-//! --requests` prints. [`BankStore::diagnose_batch`] answers a batch
-//! sequentially and is the pool's reference in the tests.
+//! --requests` prints. [`BankStore::diagnose`] answers one request on
+//! the caller's thread and is the pool's reference in the tests.
 //!
 //! [`DiagnosisEngine::diagnose_linear`]: crate::DiagnosisEngine::diagnose_linear
 //! [`diagnose_on`]: crate::store::diagnose_on
@@ -43,7 +43,7 @@ use crate::store::{BankStore, DiagnosisRequest, StoreError};
 pub type ServeResult = Result<Diagnosis, StoreError>;
 
 /// Identifies a submitted batch; batches complete in submission order.
-pub type BatchId = u64;
+pub(crate) type BatchId = u64;
 
 /// One unit of queued work: a contiguous run of a batch's requests.
 /// Runs (rather than single requests) keep the per-job channel and lock
@@ -145,7 +145,7 @@ impl ServeHandle {
     /// it is complete at submit and never notifies.
     ///
     /// `notify` runs on worker threads and must be cheap and non-blocking.
-    pub fn with_notifier(
+    pub(crate) fn with_notifier(
         store: Arc<BankStore>,
         workers: usize,
         registry: &Arc<MetricsRegistry>,
@@ -282,18 +282,13 @@ impl ServeHandle {
     }
 
     /// The shared store the pool serves from.
-    pub fn store(&self) -> &Arc<BankStore> {
+    pub(crate) fn store(&self) -> &Arc<BankStore> {
         &self.store
     }
 
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Batches submitted but not yet drained.
-    pub fn pending_batches(&self) -> usize {
-        self.pending.len()
     }
 
     /// Enqueues a batch and returns immediately — requests start being
@@ -407,7 +402,7 @@ impl ServeHandle {
     /// still in flight" — callers driven by a completion notifier (see
     /// [`ServeHandle::with_notifier`]) simply call again on the next
     /// wake. Never parks the calling thread.
-    pub fn try_drain_one(&mut self) -> Option<Vec<ServeResult>> {
+    pub(crate) fn try_drain_one(&mut self) -> Option<Vec<ServeResult>> {
         while let Ok((batch, start, results)) = self.results.try_recv() {
             self.absorb(batch, start, results);
         }
@@ -488,10 +483,9 @@ mod tests {
     #[test]
     fn pool_matches_sequential_store_at_every_worker_count() {
         let (store, requests) = two_cut_store();
-        let reference: Vec<Diagnosis> = store
-            .diagnose_batch(&requests)
-            .into_iter()
-            .map(|r| r.unwrap())
+        let reference: Vec<Diagnosis> = requests
+            .iter()
+            .map(|r| store.diagnose(r).unwrap())
             .collect();
         for workers in [1, 2, 8] {
             let mut handle = ServeHandle::new(Arc::clone(&store), workers);
@@ -512,9 +506,9 @@ mod tests {
         let chunks: Vec<Vec<DiagnosisRequest>> = requests.chunks(7).map(|c| c.to_vec()).collect();
         let ids: Vec<BatchId> = chunks.iter().map(|c| handle.submit(c.clone())).collect();
         assert_eq!(ids, (0..chunks.len() as u64).collect::<Vec<_>>());
-        assert_eq!(handle.pending_batches(), chunks.len());
+        assert_eq!(handle.pending.len(), chunks.len());
         let drained = handle.drain();
-        assert_eq!(handle.pending_batches(), 0);
+        assert_eq!(handle.pending.len(), 0);
         assert_eq!(drained.len(), chunks.len());
         for (chunk, batch) in chunks.iter().zip(&drained) {
             for (req, got) in chunk.iter().zip(batch) {

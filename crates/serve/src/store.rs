@@ -68,7 +68,7 @@ pub struct FileGen {
 
 impl FileGen {
     /// The generation recorded in `meta`.
-    pub fn from_metadata(meta: &std::fs::Metadata) -> std::io::Result<FileGen> {
+    pub(crate) fn from_metadata(meta: &std::fs::Metadata) -> std::io::Result<FileGen> {
         Ok(FileGen {
             mtime: meta.modified()?,
             len: meta.len(),
@@ -81,13 +81,8 @@ impl FileGen {
     }
 
     /// The file length this generation was observed at.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
-    }
-
-    /// `true` for a zero-length file.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -226,7 +221,7 @@ fn bank_error(generation: Option<FileGen>) -> impl FnOnce(Arc<CodecError>) -> St
 /// `true` when `id` is a safe shard name: non-empty, ASCII
 /// alphanumerics plus `-`, `_`, `.`, and no leading dot (which rules out
 /// path traversal and hidden files in one stroke).
-pub fn valid_cut_id(id: &str) -> bool {
+pub(crate) fn valid_cut_id(id: &str) -> bool {
     !id.is_empty()
         && !id.starts_with('.')
         && id
@@ -401,16 +396,6 @@ impl BankStore {
             .set(self.resident_bytes().min(i64::MAX as u64) as i64);
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The engine configuration every shard is built with.
-    pub fn config(&self) -> EngineConfig {
-        self.config.engine
-    }
-
-    /// The full store configuration.
-    pub fn store_config(&self) -> StoreConfig {
-        self.config
     }
 
     /// Resident bytes currently pinned by file-backed shards (the
@@ -847,22 +832,6 @@ impl BankStore {
     pub fn diagnose(&self, request: &DiagnosisRequest) -> Result<Diagnosis, StoreError> {
         diagnose_on(&*self.engine(&request.cut_id)?, request)
     }
-
-    /// Diagnoses a batch of requests sequentially, preserving input
-    /// order; each request may target a different CUT. The batch is one
-    /// submission, stamped once, so a resident shard is probed at most
-    /// once. For a concurrent front-end over the same store, use
-    /// [`crate::ServeHandle`].
-    pub fn diagnose_batch(
-        &self,
-        requests: &[DiagnosisRequest],
-    ) -> Vec<Result<Diagnosis, StoreError>> {
-        let since = Instant::now();
-        requests
-            .iter()
-            .map(|r| diagnose_on(&*self.engine_since(&r.cut_id, since)?, r))
-            .collect()
-    }
 }
 
 /// What one [`BankStore::refresh`] sweep did.
@@ -951,7 +920,6 @@ mod tests {
         std::fs::write(&path, b"first contents").unwrap();
         let before = FileGen::probe(&path).unwrap();
         assert_eq!(before.len(), 14);
-        assert!(!before.is_empty());
         assert!(before.to_string().starts_with("mtime="));
         assert!(before.to_string().ends_with(",len=14"));
         // A different length always changes the generation, regardless
@@ -1389,27 +1357,6 @@ mod tests {
         assert_eq!(labeled.1, 1);
 
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn batch_mixes_cuts_and_preserves_order() {
-        let store = BankStore::in_memory(EngineConfig::default());
-        store.insert_bank("a", rc_bank(1e3)).unwrap();
-        store.insert_bank("b", rc_bank(2e3)).unwrap();
-        let reqs: Vec<DiagnosisRequest> = (0..10)
-            .map(|i| {
-                DiagnosisRequest::new(
-                    if i % 2 == 0 { "a" } else { "b" },
-                    Signature::new(vec![i as f64 * 0.3 - 1.5, 1.0]),
-                )
-            })
-            .collect();
-        let batch = store.diagnose_batch(&reqs);
-        assert_eq!(batch.len(), reqs.len());
-        for (req, got) in reqs.iter().zip(&batch) {
-            let solo = store.diagnose(req).unwrap();
-            assert_eq!(got.as_ref().unwrap(), &solo, "order or routing drift");
-        }
     }
 
     #[test]

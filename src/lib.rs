@@ -22,7 +22,7 @@
 //!   under a memory budget, hot shard reload), the persistent-pool
 //!   front-end (`ServeHandle`), the serving observability registry
 //!   (`MetricsRegistry`: counters, gauges, log₂ latency histograms,
-//!   JSON/Prometheus snapshots), and the `ftd` CLI.
+//!   Prometheus snapshots), and the `ftd` CLI.
 //!
 //! ## Quickstart
 //!

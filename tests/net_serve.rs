@@ -439,6 +439,45 @@ fn bad_frame_kills_only_its_connection() {
 }
 
 #[test]
+fn a_peer_that_half_closes_mid_frame_gets_its_whole_frames_answered() {
+    let (store, requests) = store_and_requests();
+    let expected = reference_lines(&store, &requests);
+    let registry = Arc::new(MetricsRegistry::new());
+    let server = Server::spawn(Arc::clone(&store), &registry, NetConfig::default());
+
+    // Two whole request frames and the first half of a third, then the
+    // half-close. The kernel delivers the bytes before the FIN.
+    let mut peer = TcpStream::connect(&server.addr).unwrap();
+    let mut bytes = encode_request(&requests[0]);
+    bytes.extend_from_slice(&encode_request(&requests[1]));
+    let third = encode_request(&requests[2]);
+    bytes.extend_from_slice(&third[..third.len() / 2]);
+    peer.write_all(&bytes).unwrap();
+    peer.shutdown(Shutdown::Write).unwrap();
+    let lines: Vec<String> = read_frames(&mut peer)
+        .iter()
+        .map(|(kind, payload)| {
+            assert_eq!(*kind, FRAME_RESPONSE);
+            decode_response(payload).unwrap().1
+        })
+        .collect();
+    assert_eq!(
+        lines,
+        expected[..2],
+        "exactly the two whole frames, then EOF"
+    );
+
+    // The server still answers a connection opened afterwards.
+    let mut next = TcpStream::connect(&server.addr).unwrap();
+    next.write_all(&encode_request(&requests[3])).unwrap();
+    next.shutdown(Shutdown::Write).unwrap();
+    let frames = read_frames(&mut next);
+    assert_eq!(frames.len(), 1);
+    assert_eq!(decode_response(&frames[0].1).unwrap().1, expected[3]);
+    server.stop();
+}
+
+#[test]
 fn loadgen_names_what_a_misbehaving_server_sent() {
     let (_, requests) = store_and_requests();
     let mut corrupt = encode_response("a\tR1\t10\t0.5\tR1", false);

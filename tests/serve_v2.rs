@@ -701,3 +701,51 @@ fn engine_load_error_names_the_failing_shard() {
     assert!(msg.contains("multifault"), "section missing from: {msg}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_directory_named_like_a_shard_is_neither_listed_nor_routed() {
+    let dir = std::env::temp_dir().join(format!("serve_v2_shard_dir_{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("sub.ftb")).expect("shard dir");
+    paper_bank_with_multifault(1.0)
+        .save(dir.join("x.ftb"))
+        .expect("saves");
+    let store = BankStore::open(&dir, EngineConfig::default()).expect("opens");
+    assert_eq!(store.cut_ids(), vec!["x".to_string()]);
+    let request = DiagnosisRequest::new("sub", Signature::new(vec![0.0, 0.0]));
+    assert!(
+        matches!(store.diagnose(&request), Err(StoreError::UnknownCut(_))),
+        "a directory was routed as a shard"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn save_replaces_the_file_atomically() {
+    use std::io::Read;
+    // A reader that opened the shard before a save keeps reading the old
+    // file to its end: the save writes `<path>.tmp` and renames it over
+    // the path instead of truncating the file in place.
+    let dir = std::env::temp_dir().join(format!("serve_v2_atomic_save_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("dir");
+    let path = dir.join("cut.ftb");
+    let old = paper_bank_with_multifault(1.0);
+    let new = paper_bank_with_multifault(2.0);
+    old.save(&path).expect("saves the old bank");
+    let mut held = std::fs::File::open(&path).expect("opens");
+    new.save(&path).expect("saves the new bank");
+
+    let mut read = Vec::new();
+    held.read_to_end(&mut read).expect("reads the held handle");
+    assert!(
+        read == old.to_bytes(),
+        "the held handle saw the file change under it"
+    );
+    assert_eq!(TrajectoryBank::load(&path).expect("loads"), new);
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
+    assert!(
+        !std::path::Path::new(&tmp).exists(),
+        "the temporary file was left behind"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
