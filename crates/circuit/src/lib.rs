@@ -31,7 +31,6 @@ pub mod error;
 pub mod library;
 pub mod mna;
 pub mod netlist;
-pub mod opamp;
 pub mod parser;
 
 pub use analysis::ac::{sample_at, sweep, sweep_reference, transfer, AcSweep, Probe};
@@ -48,4 +47,3 @@ pub use library::{
 };
 pub use mna::MnaLayout;
 pub use netlist::{Circuit, ComponentId};
-pub use opamp::OpAmpModel;

@@ -70,8 +70,7 @@ pub mod prelude {
         all_benchmarks, khn_state_variable, mfb_normalized, operating_point, rlc_ladder_lowpass,
         sallen_key_normalized, sample_at, sweep, sweep_reference, tow_thomas,
         tow_thomas_normalized, transfer, transient, twin_t_notch, AcSweepEngine, Benchmark,
-        Circuit, CircuitError, Element, OpAmpModel, Probe, TowThomasParams, TransientOptions,
-        Waveform,
+        Circuit, CircuitError, Element, Probe, TowThomasParams, TransientOptions, Waveform,
     };
     pub use ft_core::{
         ambiguity_groups, evaluate_classifier, grid_search, measure_signature, random_search,

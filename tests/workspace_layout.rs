@@ -43,7 +43,6 @@ fn prelude_exports_the_example_surface() {
     assert_named::<FrequencyGrid>();
     assert_named::<TransferFunction>();
     assert_named::<Complex64>();
-    assert_named::<OpAmpModel>();
     assert_named::<TowThomasParams>();
     assert_named::<TransientOptions>();
     assert_named::<Waveform>();
