@@ -1574,11 +1574,13 @@ pub(crate) fn connect_retry(addr: &str, timeout: Duration) -> io::Result<TcpStre
 /// Request *i* of the run goes to connection `i % connections`, so with
 /// one connection the stream order is exactly the input order.
 ///
-/// A connection reads only between its writes, so a write the server
-/// cannot take in at once waits until the server has answered enough of
-/// it. That wait ends whatever the server's `max_inflight` is, as long
-/// as the replies to `depth` requests fit in the socket buffers plus the
-/// server's [`NetConfig::write_highwater`].
+/// A round's write takes only what the socket accepts at once, and the
+/// rest waits for the next round, after the read. A server that stops
+/// reading (its `max_inflight` requests or
+/// [`NetConfig::write_highwater`] bytes of replies are pending) holds
+/// answers, so that read returns, and the client never waits on a
+/// write the server cannot take until it is read from: any depth
+/// finishes.
 ///
 /// # Errors
 ///
@@ -1674,6 +1676,11 @@ fn drive_connection(
     let mut stream =
         connect_retry(addr, Duration::from_secs(10)).map_err(NetError::io("connect"))?;
     let _ = stream.set_nodelay(true);
+    // Writes never wait; only the read of a round blocks (see
+    // `run_loadgen`).
+    let blocking =
+        |stream: &TcpStream, on: bool| stream.set_nonblocking(!on).map_err(NetError::io("loadgen"));
+    blocking(&stream, false)?;
     let peer = stream
         .peer_addr()
         .map_or_else(|_| addr.to_string(), |a| a.to_string());
@@ -1692,7 +1699,9 @@ fn drive_connection(
     // The send instant of every request in flight, oldest first.
     let mut in_flight: VecDeque<Instant> = VecDeque::with_capacity(depth);
     let mut next = 0usize;
+    // Frames stamped but not yet all written; bytes before `wpos` are.
     let mut wbuf: Vec<u8> = Vec::new();
+    let mut wpos = 0usize;
     let mut rbuf: Vec<u8> = Vec::new();
     loop {
         if in_flight.len() < depth && next < frames.len() {
@@ -1703,23 +1712,29 @@ fn drive_connection(
                 in_flight.push_back(now);
             }
             next = end;
-            stream
-                .write_all(&wbuf)
+        }
+        if wpos < wbuf.len() {
+            let wrote = write_available(&mut stream, &wbuf[wpos..])
                 .map_err(NetError::io("loadgen write"))?;
-            outcome.bytes_out += wbuf.len() as u64;
-            wbuf.clear();
-            if next == frames.len() {
-                // Half-close tells the server this stream is done: it
-                // finishes the pipeline, flushes, and closes — the
-                // graceful-drain path.
-                stream
-                    .shutdown(Shutdown::Write)
-                    .map_err(NetError::io("loadgen half-close"))?;
+            outcome.bytes_out += wrote as u64;
+            wpos += wrote;
+            if wpos == wbuf.len() {
+                wbuf.clear();
+                wpos = 0;
+                if next == frames.len() {
+                    // Half-close tells the server this stream is done:
+                    // it finishes the pipeline, flushes, and closes —
+                    // the graceful-drain path.
+                    stream
+                        .shutdown(Shutdown::Write)
+                        .map_err(NetError::io("loadgen half-close"))?;
+                }
             }
         }
         if in_flight.is_empty() {
             return Ok(outcome);
         }
+        blocking(&stream, true)?;
         let read = read_once(&mut stream, &mut rbuf).map_err(|source| NetError::Io {
             context: format!(
                 "loadgen read after {} of {} responses",
@@ -1729,6 +1744,7 @@ fn drive_connection(
             source,
         })?;
         let received = Instant::now();
+        blocking(&stream, false)?;
         outcome.bytes_in += read as u64;
         let mut consumed = 0usize;
         while let Some((kind, payload, used)) = decode_frame(&rbuf[consumed..])
@@ -1762,6 +1778,22 @@ fn drive_connection(
         }
         rbuf.drain(..consumed);
     }
+}
+
+/// Writes what the non-blocking `stream` takes of `bytes` at once, and
+/// returns how much that was.
+fn write_available(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut wrote = 0usize;
+    while wrote < bytes.len() {
+        match stream.write(&bytes[wrote..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => wrote += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(wrote)
 }
 
 /// Appends what one `read(2)` returns to `rbuf`, retrying a read a

@@ -513,6 +513,62 @@ fn loadgen_names_what_a_misbehaving_server_sent() {
 }
 
 #[test]
+fn loadgen_finishes_a_pipeline_whose_replies_outgrow_the_socket_buffers() {
+    // The server stops reading at 8 requests in flight or 4 KiB of
+    // unsent replies, and the client stamps its whole depth in one
+    // round. Each reply here is long: a request for a CUT the store does
+    // not hold, under a 4 000-byte id, is answered with an error line
+    // that names the id twice. So the server stops reading long before
+    // the client has written its depth, and the client must read while
+    // its write is unfinished.
+    let store = Arc::new(BankStore::in_memory(EngineConfig::default()));
+    let registry = Arc::new(MetricsRegistry::new());
+    let server = Server::spawn(
+        store,
+        &registry,
+        NetConfig {
+            workers: 2,
+            max_inflight: 8,
+            write_highwater: 4096,
+            refresh_interval: Duration::ZERO,
+            ..NetConfig::default()
+        },
+    );
+    let requests = vec![DiagnosisRequest::new(
+        "x".repeat(4000),
+        Signature::new(vec![0.0, 0.0]),
+    )];
+    let total = 6000;
+    let addr = server.addr.clone();
+    let (done, outcome) = std::sync::mpsc::channel();
+    let client = thread::spawn(move || {
+        let config = LoadgenConfig {
+            connections: 1,
+            depth: total,
+            total,
+            capture: false,
+        };
+        done.send(run_loadgen(&addr, &requests, &config)).ok();
+    });
+    let report = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("loadgen finished within 60 s")
+        .unwrap();
+    client.join().unwrap();
+    assert_eq!(report.responses, total as u64);
+    assert_eq!(report.error_lines, total as u64);
+    assert!(
+        registry
+            .snapshot()
+            .counter("net_backpressure_stalls_total")
+            .unwrap_or(0)
+            > 0,
+        "the server never stopped reading"
+    );
+    assert_eq!(server.stop().served, total as u64);
+}
+
+#[test]
 fn drain_deadline_force_closes_an_idle_peer() {
     let (store, _) = store_and_requests();
     let registry = Arc::new(MetricsRegistry::new());
