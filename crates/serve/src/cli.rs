@@ -7,9 +7,9 @@
 //! * `ftd diagnose` — online phase: load a bank, simulate observed
 //!   signatures for requested or random faults (or read pre-measured
 //!   signatures with `--requests`), answer each with the linear scan.
-//! * `ftd serve` — the sharded front-end: a directory of banks keyed by
-//!   CUT id, a request stream on stdin, diagnoses on stdout, served by
-//!   a persistent worker pool.
+//! * `ftd serve` — the sharded front end: a directory of banks keyed by
+//!   CUT id, served by a persistent worker pool from one event loop,
+//!   over stdin/stdout (request lines in, diagnoses out) or over TCP.
 //! * `ftd gen-requests` — mint a deterministic request file near a
 //!   bank's trajectories (smoke tests, load generators).
 //! * `ftd bank-info` — inspect a bank container: format version,
@@ -22,9 +22,8 @@
 //! `clap`). Errors print to stderr; exit codes are `0` success, `1`
 //! runtime failure, `2` usage error.
 
-use std::io::BufRead;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ft_circuit::{tow_thomas_normalized, Probe};
 use ft_core::{
@@ -40,8 +39,10 @@ use crate::bank::TrajectoryBank;
 use crate::codec::{peek_version, section_name, SectionTable, BANK_VERSION};
 use crate::engine::{DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
+#[cfg(unix)]
+use crate::net::{install_signal_drain, serve_stdin, NetServer};
+use crate::net::{parse_request_line, NetConfig};
 use crate::obs::MetricsRegistry;
-use crate::pool::ServeHandle;
 use crate::store::{BankStore, DiagnosisRequest, StoreConfig};
 use crate::synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};
 
@@ -53,11 +54,10 @@ USAGE:
   ftd diagnose --bank PATH [--fault COMP:PCT]... [--random N]
                [--noise-db S] [--seed N] [--q Q]
   ftd diagnose --bank PATH --requests FILE [--cut-id ID]
-  ftd serve --banks DIR [--workers N] [--batch N]
+  ftd serve --banks DIR [--workers N] [--max-inflight N]
             [--mem-budget BYTES[K|M|G]] [--stat-interval-ms N]
-            [--stats-file PATH] [--stats-every N]
-            [--listen ADDR] [--refresh-ms N] [--max-inflight N]
-            [--write-highwater BYTES[K|M|G]]
+            [--stats-file PATH] [--refresh-ms N]
+            [--listen ADDR] [--write-highwater BYTES[K|M|G]]
   ftd loadgen --connect ADDR --requests FILE [--connections N]
             [--depth N] [--total N] [--out PATH] [--json PATH] [--stats]
   ftd gen-requests --bank PATH --cut-id ID [--count N] [--seed N]
@@ -90,62 +90,71 @@ SUBCOMMANDS:
                        without the spatial index: this is the reference
                        that served answers are checked against.
   serve                Open a shard directory (<dir>/<cut-id>.ftb, loaded
-                       lazily), read requests from stdin — one per line:
-                       `CUT_ID X1 X2 ...` — route each to its CUT's bank,
-                       and print diagnoses to stdout in input order.
-                       Batches of --batch requests pipeline through a
-                       persistent pool of --workers threads; results are
-                       byte-identical at every worker count. A shard
-                       load reads only its trajectory section, a shard
-                       swaps in when its file changes on disk, and
+                       lazily), route each request to its CUT's bank,
+                       and answer in input order. One non-blocking
+                       poll(2) event loop serves (unix only): by default
+                       one connection, stdin/stdout — one request per
+                       line, `CUT_ID X1 X2 ...`, one diagnosis line per
+                       request; with --listen ADDR, TCP connections
+                       speaking length-prefixed, checksummed
+                       request/response frames instead, with the same
+                       response lines. Every flag means the same in both
+                       modes. Each pass over a connection's buffered
+                       requests is one batch through a persistent pool
+                       of --workers threads; results are byte-identical
+                       at every worker count. Backpressure is bounded per
+                       connection: --max-inflight requests with the pool
+                       (default 128) and --write-highwater unsent bytes.
+                       A shard load reads only its trajectory section, a
+                       shard swaps in when its file changes on disk, and
                        --mem-budget caps resident shard bytes: each
                        shard is charged its trajectory section, and over
                        budget whole least-recently-used shards are
                        evicted (they reload on demand; results are
                        unchanged).
-                       Each batch stat(2)s each CUT's shard at most once,
-                       so a request read after a shard's rename completes
-                       is answered from the new file. --stat-interval-ms
-                       N widens that: a shard confirmed within N ms
-                       before its batch was submitted is trusted (a
-                       rebuilt shard is picked up within that window;
-                       default 0).
+                       A batch resolves each shard as of its submission:
+                       a shard confirmed within --stat-interval-ms N
+                       before that is trusted, and any other is
+                       stat(2)ed once per batch (default N: 0 on stdin,
+                       so a request read after a shard's rename
+                       completes is answered from the new file, and
+                       --refresh-ms on TCP). Every --refresh-ms (default
+                       1000; 0 disables) a tick re-checks every loaded
+                       shard and rewrites --stats-file.
                        --stats-file writes serving metrics (counters,
                        gauges, latency histograms) as Prometheus text on
-                       exit, and every N requests with --stats-every,
-                       replacing the file atomically; a `!stats` request
-                       line prints the same text to stderr. Metrics never
-                       change diagnosis output; without --stats-file
-                       nothing is recorded at all. Every request is
-                       answered by the index's top-1 early-exit search,
-                       which stops once rank 1 and its ambiguity set are
-                       settled, so each line is byte-identical to the
-                       full ranking's (`diagnose --requests`).
-                       With --listen ADDR the same shard directory is
-                       served over TCP instead of stdin (unix only): a
-                       non-blocking poll(2) event loop speaking
-                       length-prefixed, checksummed request/response
-                       frames, with per-connection pipelining (responses
-                       in request order), bounded backpressure (--max-inflight
-                       requests in flight and --write-highwater unsent
-                       bytes per connection), periodic shard refresh
-                       every --refresh-ms (0 disables), and graceful
-                       drain on SIGINT/SIGTERM: stop accepting, answer
-                       everything in flight, flush, exit 0. Response
-                       lines are byte-identical to stdin serve. Listen
-                       mode always keeps live metrics (a stats frame
-                       serves the Prometheus exposition on demand;
-                       --stats-file writes it to the file at drain).
+                       every tick and at exit, replacing the file
+                       atomically; a `!stats` request line prints the
+                       same text to stderr. Metrics never change
+                       diagnosis output; on stdin without --stats-file
+                       nothing is recorded at all (TCP always keeps live
+                       metrics: a stats frame serves the exposition on
+                       demand). Every request is answered by the index's
+                       top-1 early-exit search, which stops once rank 1
+                       and its ambiguity set are settled, so each line is
+                       byte-identical to the full ranking's (`diagnose
+                       --requests`). A request line that does not parse,
+                       or has no newline within the 1 MiB read cap, ends
+                       stdin serving with exit 1 once every line before
+                       it is answered; a request the store cannot serve
+                       is answered with an error line, and makes the
+                       exit code 1 at EOF; a closed stdout ends serving
+                       quietly. On TCP a bad frame ends only its
+                       connection, and SIGINT/SIGTERM drains: stop
+                       accepting, answer everything in flight, flush,
+                       exit 0.
   loadgen              Drive pipelined request traffic from a requests
                        file (`gen-requests` format) at a --listen server
                        over --connections sockets with --depth requests
-                       in flight each, cycling the file until --total
-                       requests (default: one pass). Reports req/s and
-                       p50/p90/p99 latency to stderr, optionally as JSON
-                       with --json; --out (single connection) captures
-                       response lines in request order for byte-exact
-                       comparison against `diagnose --requests`; --stats
-                       prints the server's Prometheus stats afterwards.
+                       in flight each (any depth: a write the server
+                       cannot take yet yields to a read), cycling the
+                       file until --total requests (default: one pass).
+                       Reports req/s and p50/p90/p99 latency to stderr,
+                       optionally as JSON with --json; --out (single
+                       connection) captures response lines in request
+                       order for byte-exact comparison against `diagnose
+                       --requests`; --stats prints the server's
+                       Prometheus stats afterwards.
   gen-requests         Load a bank and print --count deterministic
                        request lines (signatures jittered around the
                        bank's trajectories) tagged with --cut-id.
@@ -282,36 +291,6 @@ pub(crate) fn render_diagnosis_line(cut_id: &str, diagnosis: &Diagnosis) -> Stri
         line.push_str(component);
     }
     line
-}
-
-/// Parses one request line — `CUT_ID X1 X2 ...`, whitespace-separated —
-/// into a [`DiagnosisRequest`]. Blank lines and `#` comments yield
-/// `None`.
-fn parse_request_line(line: &str, lineno: usize) -> Result<Option<DiagnosisRequest>, CliError> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
-    }
-    let mut tokens = line.split_whitespace();
-    let cut_id = tokens.next().expect("non-empty line has a first token");
-    let coords: Vec<f64> = tokens
-        .map(|t| {
-            t.parse::<f64>()
-                .ok()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| {
-                    runtime(format!(
-                        "request line {lineno}: bad signature coordinate `{t}`"
-                    ))
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    if coords.is_empty() {
-        return Err(runtime(format!(
-            "request line {lineno}: no signature coordinates after the CUT id"
-        )));
-    }
-    Ok(Some(DiagnosisRequest::new(cut_id, Signature::new(coords))))
 }
 
 /// Parses `COMP:PCT` fault specs (`R2:+25`, `C1:-12.5`, `R3:30%`).
@@ -550,7 +529,7 @@ fn diagnose_requests(
         .map_err(|e| runtime(format!("{requests_path}: {e}")))?;
     let mut kept: Vec<DiagnosisRequest> = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        if let Some(req) = parse_request_line(line, i + 1)? {
+        if let Some(req) = parse_request_line(line, i + 1).map_err(runtime)? {
             if cut_id.is_none_or(|id| id == req.cut_id) {
                 kept.push(req);
             }
@@ -597,10 +576,8 @@ fn parse_mem_budget(raw: &str) -> Result<u64, CliError> {
 fn serve(args: &[String]) -> Result<(), CliError> {
     let mut banks: Option<String> = None;
     let mut workers: Option<usize> = None;
-    let mut batch = 64usize;
     let mut mem_budget: Option<u64> = None;
     let mut stats_file: Option<String> = None;
-    let mut stats_every: Option<usize> = None;
     let mut stat_interval_ms: Option<u64> = None;
     let mut listen: Option<String> = None;
     let mut refresh_ms = 1000u64;
@@ -611,10 +588,8 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         match flag {
             "--banks" => banks = Some(flags.value("--banks")?.to_string()),
             "--workers" => workers = Some(flags.parse("--workers")?),
-            "--batch" => batch = flags.parse("--batch")?,
             "--mem-budget" => mem_budget = Some(parse_mem_budget(flags.value("--mem-budget")?)?),
             "--stats-file" => stats_file = Some(flags.value("--stats-file")?.to_string()),
-            "--stats-every" => stats_every = Some(flags.parse("--stats-every")?),
             "--stat-interval-ms" => stat_interval_ms = Some(flags.parse("--stat-interval-ms")?),
             "--listen" => listen = Some(flags.value("--listen")?.to_string()),
             "--refresh-ms" => refresh_ms = flags.parse("--refresh-ms")?,
@@ -628,18 +603,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         }
     }
     let banks = banks.ok_or_else(|| usage("serve needs --banks DIR"))?;
-    if batch == 0 {
-        return Err(usage("--batch must be positive"));
-    }
-    if stats_every.is_some() && stats_file.is_none() {
-        return Err(usage("--stats-every needs --stats-file PATH"));
-    }
-    if stats_every == Some(0) {
-        return Err(usage("--stats-every must be positive"));
-    }
-    if listen.is_some() && stats_every.is_some() {
-        return Err(usage("--stats-every applies to stdin serving only"));
-    }
     if max_inflight == 0 {
         return Err(usage("--max-inflight must be positive"));
     }
@@ -672,9 +635,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let default_stat_interval = if listen.is_some() { refresh_ms } else { 0 };
     let store_config = StoreConfig {
         mem_budget,
-        min_stat_interval: std::time::Duration::from_millis(
-            stat_interval_ms.unwrap_or(default_stat_interval),
-        ),
+        min_stat_interval: Duration::from_millis(stat_interval_ms.unwrap_or(default_stat_interval)),
         ..StoreConfig::new(EngineConfig::default())
     };
     let store = Arc::new(
@@ -682,211 +643,126 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             .map_err(runtime)?
             .with_metrics(&registry),
     );
-    if let Some(addr) = listen {
-        return serve_listen(
-            &addr,
-            store,
-            registry,
-            crate::net::NetConfig {
-                workers,
-                max_inflight,
-                write_highwater,
-                refresh_interval: std::time::Duration::from_millis(refresh_ms),
-                ..crate::net::NetConfig::default()
+    let config = NetConfig {
+        workers,
+        max_inflight,
+        write_highwater,
+        refresh_interval: Duration::from_millis(refresh_ms),
+        ..NetConfig::default()
+    };
+    if listen.is_none() {
+        eprintln!(
+            "serving shard directory `{banks}` ({} CUTs on disk) with {workers} workers, \
+             {max_inflight} requests in flight{}",
+            store.cut_ids().len(),
+            match mem_budget {
+                Some(b) => format!(", shard memory budget {b} bytes"),
+                None => String::new(),
             },
-            stats_file.as_deref(),
         );
     }
-    eprintln!(
-        "serving shard directory `{banks}` ({} CUTs on disk) with {workers} workers, \
-         batches of {batch}{}",
-        store.cut_ids().len(),
-        match mem_budget {
-            Some(b) => format!(", shard memory budget {b} bytes"),
-            None => String::new(),
-        },
-    );
-    let mut handle = ServeHandle::with_metrics(store, workers, &registry);
+    serve_loop(
+        store,
+        &registry,
+        &config,
+        listen.as_deref(),
+        stats_file.as_deref(),
+    )
+}
 
-    // Requests stream in on stdin and pipeline through the pool in
-    // --batch chunks: while one batch is in flight the next is being
-    // read, and completed batches print in input order.
+/// Runs `ftd serve`'s one event loop: over TCP with `listen`, else over
+/// stdin/stdout. `--stats-file` is rewritten on every refresh tick and at
+/// exit, in both modes.
+#[cfg(unix)]
+fn serve_loop(
+    store: Arc<BankStore>,
+    registry: &Arc<MetricsRegistry>,
+    config: &NetConfig,
+    listen: Option<&str>,
+    stats_file: Option<&str>,
+) -> Result<(), CliError> {
+    // A failed write on a tick shows again, as an error, at exit.
+    let tick = || {
+        if let Some(path) = stats_file {
+            let _ = write_stats_file(path, registry);
+        }
+    };
     let started = Instant::now();
-    let stdin = std::io::stdin();
-    let mut cuts: Vec<String> = Vec::new();
-    let mut chunk: Vec<DiagnosisRequest> = Vec::with_capacity(batch);
-    // Cells (not plain counters): the print closure and the periodic
-    // stats writer in the stream loop both live across the whole loop.
-    let served = std::cell::Cell::new(0usize);
-    let errors = std::cell::Cell::new(0usize);
-    let stdout = std::io::stdout();
-    // Write failures surface as results, not panics: a downstream
-    // `| head` closing the pipe must stop the stream cleanly.
-    let print_batch =
-        |cuts: &mut Vec<String>, results: Vec<crate::pool::ServeResult>| -> std::io::Result<()> {
-            use std::io::Write;
-            let mut out = stdout.lock();
-            for (cut, result) in cuts.drain(..).zip(results) {
-                served.set(served.get() + 1);
-                errors.set(errors.get() + usize::from(result.is_err()));
-                writeln!(out, "{}", crate::net::response_line(&cut, &result))?;
-            }
-            Ok(())
-        };
-    // Maps a print_batch failure: a closed pipe ends serving quietly
-    // (`Ok(false)` = stop), anything else is a runtime error.
-    let write_failed = |e: std::io::Error| -> Result<bool, CliError> {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            Ok(false)
-        } else {
-            Err(runtime(format!("stdout: {e}")))
+    let served = match listen {
+        Some(addr) => {
+            let cuts_on_disk = store.cut_ids().len();
+            let server = NetServer::bind(addr, Arc::clone(&store), registry, config.clone())
+                .map_err(runtime)?;
+            let bound = server.local_addr().map_err(runtime)?;
+            install_signal_drain(&server.shutdown_handle());
+            eprintln!(
+                "listening on {bound}: shard directory with {cuts_on_disk} CUTs on disk, \
+                 {} workers, {} in-flight requests and {} unsent bytes per connection, \
+                 shard refresh every {:?} (SIGINT/SIGTERM drains)",
+                config.workers,
+                config.max_inflight,
+                config.write_highwater,
+                config.refresh_interval,
+            );
+            server.run_with_tick(tick)
         }
+        None => serve_stdin(Arc::clone(&store), registry, config, tick),
     };
-    // Prints completed batches, oldest first, until at most `keep` stay
-    // in flight; `Ok(false)` means stdout closed and serving stops.
-    let drain_to = |handle: &mut ServeHandle,
-                    in_flight: &mut std::collections::VecDeque<Vec<String>>,
-                    keep: usize|
-     -> Result<bool, CliError> {
-        while in_flight.len() > keep {
-            let results = handle.drain_one().expect("submitted batch completes");
-            let mut cuts = in_flight.pop_front().expect("in-flight cuts per batch");
-            if let Err(e) = print_batch(&mut cuts, results) {
-                return write_failed(e);
-            }
-        }
-        Ok(true)
-    };
-    let mut in_flight: std::collections::VecDeque<Vec<String>> = std::collections::VecDeque::new();
-    let mut stats_written_at = 0usize;
-    let mut reader = std::io::BufReader::with_capacity(64 * 1024, stdin.lock());
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        // Once the bytes already read hold no whole line, the next read
-        // may block on a quiet pipe: answer everything read so far
-        // first, so a client that waits for its answers before writing
-        // more is never left hanging. At EOF this prints the tail.
-        if !reader.buffer().contains(&b'\n') {
-            if !chunk.is_empty() {
-                handle.submit(std::mem::take(&mut chunk));
-                in_flight.push_back(std::mem::take(&mut cuts));
-                chunk.reserve(batch);
-            }
-            if !drain_to(&mut handle, &mut in_flight, 0)? {
-                break;
-            }
-        }
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| runtime(format!("stdin: {e}")))?;
-        if read == 0 {
-            break;
-        }
-        lineno += 1;
-        // `!stats` is an in-band control line, not a request: print a
-        // one-shot snapshot to stderr (stdout stays pure diagnoses).
-        if line.trim() == "!stats" {
-            if registry.is_enabled() {
-                eprint!("{}", registry.snapshot().to_prometheus());
-            } else {
-                eprintln!("ftd serve: metrics disabled (run with --stats-file); !stats ignored");
-            }
-            continue;
-        }
-        let Some(req) = parse_request_line(&line, lineno)? else {
-            continue;
-        };
-        cuts.push(req.cut_id.clone());
-        chunk.push(req);
-        if chunk.len() == batch {
-            handle.submit(std::mem::take(&mut chunk));
-            in_flight.push_back(std::mem::take(&mut cuts));
-            chunk.reserve(batch);
-            // Keep at most two batches in flight: enough to overlap
-            // reading with serving, bounded so output stays prompt.
-            if !drain_to(&mut handle, &mut in_flight, 2)? {
-                break;
-            }
-            // Periodic snapshots land on batch boundaries: close enough
-            // to "every N requests" without a write on the hot path.
-            if let (Some(path), Some(every)) = (&stats_file, stats_every) {
-                if served.get() - stats_written_at >= every {
-                    write_stats_file(path, &registry)?;
-                    stats_written_at = served.get();
-                }
-            }
-        }
-    }
-    if let Some(path) = &stats_file {
-        write_stats_file(path, &registry)?;
+    if let Some(path) = stats_file {
+        write_stats_file(path, registry)?;
         eprintln!("wrote stats snapshot to `{path}`");
+    }
+    let summary = served.map_err(runtime)?;
+    if listen.is_some() {
+        eprintln!(
+            "drained: {} connections accepted, {} requests served ({} error lines, \
+             {} protocol errors) in {:.2?}",
+            summary.accepted,
+            summary.served,
+            summary.errors,
+            summary.protocol_errors,
+            started.elapsed(),
+        );
+        return Ok(());
     }
     eprintln!(
         "served {} requests ({} errors) across {} loaded shards in {:.2?}",
-        served.get(),
-        errors.get(),
-        handle.store().loaded_count(),
+        summary.served,
+        summary.errors,
+        store.loaded_count(),
         started.elapsed(),
     );
-    if errors.get() > 0 {
+    if summary.errors > 0 {
         return Err(runtime(format!(
             "{} of {} requests failed",
-            errors.get(),
-            served.get()
+            summary.errors, summary.served
         )));
     }
     Ok(())
 }
 
+#[cfg(not(unix))]
+fn serve_loop(
+    _: Arc<BankStore>,
+    _: &Arc<MetricsRegistry>,
+    _: &NetConfig,
+    _: Option<&str>,
+    _: Option<&str>,
+) -> Result<(), CliError> {
+    Err(runtime(
+        "serve runs one poll(2) event loop, so it runs on unix only",
+    ))
+}
+
 /// Writes a snapshot of `registry` to `path` as Prometheus text: into
 /// `<path>.tmp`, then renamed over `path`, so a reader of the file (a
-/// `--stats-every` consumer, a textfile collector) never sees it empty
-/// or half-written.
+/// textfile collector, a script polling a live server) never sees it
+/// empty or half-written.
 fn write_stats_file(path: &str, registry: &MetricsRegistry) -> Result<(), CliError> {
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, registry.snapshot().to_prometheus())
         .and_then(|()| std::fs::rename(&tmp, path))
         .map_err(|e| runtime(format!("stats file {path}: {e}")))
-}
-
-/// `ftd serve --listen`: the TCP tier over the same store and worker
-/// pool as stdin serving, draining gracefully on SIGINT/SIGTERM.
-fn serve_listen(
-    addr: &str,
-    store: Arc<BankStore>,
-    registry: Arc<MetricsRegistry>,
-    config: crate::net::NetConfig,
-    stats_file: Option<&str>,
-) -> Result<(), CliError> {
-    let cuts_on_disk = store.cut_ids().len();
-    let server =
-        crate::net::NetServer::bind(addr, store, &registry, config.clone()).map_err(runtime)?;
-    let bound = server.local_addr().map_err(runtime)?;
-    crate::net::install_signal_drain(&server.shutdown_handle());
-    eprintln!(
-        "listening on {bound}: shard directory with {cuts_on_disk} CUTs on disk, \
-         {} workers, {} in-flight requests and {} unsent bytes per connection, \
-         shard refresh every {:?} (SIGINT/SIGTERM drains)",
-        config.workers, config.max_inflight, config.write_highwater, config.refresh_interval,
-    );
-    let started = Instant::now();
-    let summary = server.run().map_err(runtime)?;
-    if let Some(path) = stats_file {
-        write_stats_file(path, &registry)?;
-        eprintln!("wrote stats snapshot to `{path}`");
-    }
-    eprintln!(
-        "drained: {} connections accepted, {} requests served ({} error lines, \
-         {} protocol errors) in {:.2?}",
-        summary.accepted,
-        summary.served,
-        summary.errors,
-        summary.protocol_errors,
-        started.elapsed(),
-    );
-    Ok(())
 }
 
 /// The `ftd loadgen` subcommand: pipelined client traffic against a
@@ -931,7 +807,7 @@ fn loadgen(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| runtime(format!("{requests_path}: {e}")))?;
     let mut requests: Vec<DiagnosisRequest> = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        if let Some(req) = parse_request_line(line, i + 1)? {
+        if let Some(req) = parse_request_line(line, i + 1).map_err(runtime)? {
             requests.push(req);
         }
     }
@@ -1489,6 +1365,7 @@ fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::ServeHandle;
 
     #[test]
     fn fault_spec_parsing() {
@@ -1615,7 +1492,7 @@ mod tests {
 
     #[test]
     fn serve_and_gen_requests_usage_errors() {
-        // serve without --banks, with a bogus directory, bad batch.
+        // serve without --banks, with a bogus directory, no budget.
         assert_eq!(main_from_args(vec!["serve".into()]), 2);
         assert_eq!(
             main_from_args(vec![
@@ -1625,27 +1502,26 @@ mod tests {
             ]),
             1
         );
-        assert_eq!(
-            main_from_args(vec![
-                "serve".into(),
-                "--banks".into(),
-                "/tmp".into(),
-                "--batch".into(),
-                "0".into(),
-            ]),
-            2
-        );
-        // --stats-every without --stats-file is rejected up front.
-        assert_eq!(
-            main_from_args(vec![
-                "serve".into(),
-                "--banks".into(),
-                "/tmp".into(),
-                "--stats-every".into(),
-                "10".into(),
-            ]),
-            2
-        );
+        // Stdin and TCP serving run one loop: a parse pass is a batch,
+        // capped by --max-inflight, and the refresh tick rewrites
+        // --stats-file, so neither --batch nor --stats-every exists.
+        for (flag, value) in [
+            ("--max-inflight", "0"),
+            ("--batch", "4"),
+            ("--stats-every", "3"),
+        ] {
+            assert_eq!(
+                main_from_args(vec![
+                    "serve".into(),
+                    "--banks".into(),
+                    "/nonexistent/shards".into(),
+                    flag.into(),
+                    value.into(),
+                ]),
+                2,
+                "serve {flag} {value}"
+            );
+        }
         // Serving always answers with the top-1 prefix; there is no
         // ranking-depth flag on either front end.
         for cmd in [["serve", "--banks"], ["diagnose", "--bank"]] {

@@ -39,22 +39,28 @@
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
 //!   over the engine, store, and pool, snapshotted as the Prometheus
 //!   text exposition — and provably inert when disabled.
-//! * [`NetServer`] ([`net`]) — the non-blocking TCP serving tier: one
-//!   hand-rolled `poll(2)` readiness loop speaking a length-prefixed,
-//!   checksummed frame protocol, with per-connection pipelining,
-//!   bounded-memory backpressure, graceful drain, and a matching
-//!   pipelined load generator ([`run_loadgen`]).
+//! * [`NetServer`] ([`net`]) — the serving front end: one hand-rolled
+//!   `poll(2)` readiness loop whose connections are generic over their
+//!   byte stream and codec — TCP sockets speaking a length-prefixed,
+//!   checksummed frame protocol, or stdin/stdout speaking request
+//!   lines — with per-connection pipelining, bounded-memory
+//!   backpressure, graceful drain, and a matching pipelined TCP load
+//!   generator ([`run_loadgen`]).
 //! * the `ftd` binary ([`cli`]) — `build-bank`, `diagnose`, `serve`
 //!   (stdin or `--listen`), `loadgen`, `gen-requests`, `bank-info`
 //!   and `bench-scan-vs-index` front ends over the same API.
 //!
 //! ## Platform
 //!
-//! The crate targets unix for one layer: [`NetServer::run`] serves TCP
-//! from one `poll(2)` loop, called through hand-rolled `extern "C"`
-//! bindings (there is no libc crate here). Off unix it returns
-//! [`std::io::ErrorKind::Unsupported`]; everything else, shard loading
-//! and the stdin front end included, is portable `std`.
+//! The crate targets unix for one layer: the event loop behind
+//! [`NetServer::run`] and `ftd serve` (stdin and `--listen` alike) waits
+//! in `poll(2)`, called through hand-rolled `extern "C"` bindings (there
+//! is no libc crate here). Off unix [`NetServer::run`] returns
+//! [`std::io::ErrorKind::Unsupported`] and `ftd serve` exits 1.
+//! Everything else — shard loading, [`BankStore`], the engine,
+//! [`ServeHandle`], the frame and line codecs and the load generator —
+//! is portable `std`; an embedding off unix serves through
+//! [`ServeHandle`] directly.
 //!
 //! ## Example
 //!

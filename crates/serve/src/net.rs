@@ -1,15 +1,27 @@
-//! The network serving tier: a non-blocking TCP front over the
-//! [`ServeHandle`] pool, plus the matching load-generator client.
+//! The serving front end: one non-blocking readiness loop over the
+//! [`ServeHandle`] pool, plus the matching TCP load-generator client.
 //!
 //! The server is one single-threaded `poll(2)` readiness loop,
 //! hand-rolled over raw `extern "C"` syscalls (the vendored environment
-//! has no libc crate), that owns every socket and feeds decoded requests into the existing
-//! worker pool. Workers wake the loop back through a self-pipe, once
-//! per finished batch (see `ServeHandle::with_notifier`), so the loop
-//! never blocks on anything but the poller. `poll(2)` is the readiness
-//! call every unix has, so the tier runs on unix only: elsewhere
-//! [`NetServer::run`] returns [`std::io::ErrorKind::Unsupported`]. The
-//! frame codec and the load generator are portable.
+//! has no libc crate), that owns every connection and feeds decoded
+//! requests into the existing worker pool. Workers wake the loop back
+//! through a self-pipe, once per finished batch (see
+//! `ServeHandle::with_notifier`), so the loop never blocks on anything
+//! but the poller. `poll(2)` is the readiness call every unix has, so
+//! the loop runs on unix only: elsewhere [`NetServer::run`] returns
+//! [`std::io::ErrorKind::Unsupported`]. The codecs and the load
+//! generator are portable.
+//!
+//! A connection is generic over its byte stream and its codec, so one
+//! connection core — parsing under the in-flight budget, the reply
+//! queue, backpressure and the close rule — serves both front ends:
+//!
+//! * TCP sockets speak binary frames (below), accepted off a listener;
+//! * stdin `ftd serve` is one more connection of the same loop, with no
+//!   listener: request lines in on fd 0, response lines out on stdout
+//!   (`LineCodec`). Neither fd is made non-blocking: fd 0 is read only
+//!   when a zero-timeout poll finds it readable, and stdout takes
+//!   blocking writes.
 //!
 //! ## Wire protocol
 //!
@@ -27,7 +39,7 @@
 //! length never masquerades as a different valid frame. Payloads are
 //! codec payloads: requests carry `str cut_id` + `[f64] signature`,
 //! responses carry a status byte + the **exact serve output line** the
-//! stdin front-end would print — which is what makes TCP responses
+//! stdin front end prints — which is what makes TCP responses
 //! byte-identical to `ftd serve` and `ftd diagnose --requests` (the CI
 //! `cmp` oracle).
 //!
@@ -37,10 +49,12 @@
 //! Each connection has a bounded in-flight budget and a write-buffer
 //! high-water mark; crossing either deregisters read interest until the
 //! pool and the peer catch up, so a slow reader costs bounded memory,
-//! never an OOM. On shutdown (signal or [`ShutdownHandle::shutdown`])
-//! the listener closes first, in-flight requests finish, responses
-//! flush, and only then do connections close — bounded by
-//! [`NetConfig::drain_deadline`].
+//! never an OOM. A pass of the parser over a connection's buffered
+//! input submits one pool batch, capped by the in-flight budget. On
+//! shutdown (signal or [`ShutdownHandle::shutdown`]) the listener
+//! closes first, in-flight requests finish, responses flush, and only
+//! then do connections close — bounded by [`NetConfig::drain_deadline`].
+//! Stdin serving has no listener: it ends when its one connection does.
 //!
 
 use std::borrow::Cow;
@@ -50,6 +64,9 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[cfg(unix)]
+use std::os::unix::io::{AsRawFd, RawFd};
 
 use crate::codec::{checksum_parts, CodecError, Decoder, Encoder};
 use crate::obs::{MetricsRegistry, NetMetrics};
@@ -288,6 +305,205 @@ pub fn response_line(cut_id: &str, result: &ServeResult) -> String {
 }
 
 // ---------------------------------------------------------------------
+// Request lines
+// ---------------------------------------------------------------------
+
+/// Parses one request line — `CUT_ID X1 X2 ...`, whitespace-separated —
+/// into a [`DiagnosisRequest`]. Blank lines and `#` comments yield
+/// `None`. This is the one reader of the line format: stdin `ftd serve`,
+/// `ftd diagnose --requests` and `ftd loadgen` all parse through it.
+///
+/// # Errors
+///
+/// A message naming line `lineno` and, for a bad coordinate, its token.
+pub(crate) fn parse_request_line(
+    line: &str,
+    lineno: usize,
+) -> Result<Option<DiagnosisRequest>, String> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut tokens = line.split_whitespace();
+    let cut_id = tokens.next().expect("non-empty line has a first token");
+    let coords: Vec<f64> = tokens
+        .map(|t| {
+            t.parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| format!("request line {lineno}: bad signature coordinate `{t}`"))
+        })
+        .collect::<Result<_, _>>()?;
+    if coords.is_empty() {
+        return Err(format!(
+            "request line {lineno}: no signature coordinates after the CUT id"
+        ));
+    }
+    Ok(Some(DiagnosisRequest::new(cut_id, Signature::new(coords))))
+}
+
+// ---------------------------------------------------------------------
+// Codecs: how a connection's bytes become requests and answers
+// ---------------------------------------------------------------------
+
+/// The most input one connection buffers: one maximal frame. The event
+/// loop stops reading a connection whose unparsed input reaches it,
+/// leaving the rest in the kernel, where TCP pushes back on a peer; a
+/// request line must end within it too, so the cap bounds memory on
+/// stdin as it does on TCP.
+const READ_CAP: usize = FRAME_HEADER_LEN + MAX_FRAME_PAYLOAD as usize;
+
+/// One item decoded off the front of a connection's input.
+pub(crate) enum Item {
+    /// A diagnosis request, answered in arrival order.
+    Request(DiagnosisRequest),
+    /// A request for the live Prometheus exposition.
+    Stats,
+    /// Bytes that carry nothing to answer: a blank or comment line.
+    Skip,
+}
+
+/// A connection's wire format: how buffered input splits into
+/// [`Item`]s, and what goes back for each. Frames serve TCP, lines
+/// serve stdin. Connections are generic over their codec, so the
+/// per-request path makes no dynamic call.
+pub(crate) trait Codec {
+    /// Why input could not be decoded, before it names its peer.
+    type Fault;
+
+    /// Decodes one item off the front of `buf`, returning it with the
+    /// bytes it used, or `Ok(None)` until `buf` holds a whole one.
+    /// `eof` says no more input will come. A fault is terminal: the
+    /// stream cannot be resynchronised.
+    fn decode(&mut self, buf: &[u8], eof: bool) -> Result<Option<(Item, usize)>, Self::Fault>;
+
+    /// Appends the reply carrying one request's answer to `out`.
+    fn answer(&self, cut_id: &str, result: &ServeResult, out: &mut Vec<u8>);
+
+    /// Answers a stats request: the reply to queue, or `None` when the
+    /// exposition goes elsewhere.
+    fn stats(&self, registry: &MetricsRegistry) -> Option<Vec<u8>>;
+
+    /// Turns a fault into the error it ends `peer`'s connection with,
+    /// and the terminal reply, if any, that tells the peer.
+    fn refuse(&self, fault: Self::Fault, peer: &str) -> (NetError, Option<Vec<u8>>);
+}
+
+/// The TCP wire: checksummed binary frames (see the module docs).
+#[derive(Default)]
+pub(crate) struct FrameCodec;
+
+impl Codec for FrameCodec {
+    /// The frame kind the corrupt bytes claimed, and what was wrong.
+    type Fault = (&'static str, FrameError);
+
+    fn decode(&mut self, buf: &[u8], _eof: bool) -> Result<Option<(Item, usize)>, Self::Fault> {
+        // A trailing partial frame at EOF is simply abandoned.
+        match decode_frame(buf) {
+            Ok(None) => Ok(None),
+            Ok(Some((FRAME_REQUEST, payload, used))) => match decode_request(payload) {
+                Ok(request) => Ok(Some((Item::Request(request), used))),
+                Err(error) => Err(("request", error)),
+            },
+            Ok(Some((FRAME_STATS_REQUEST, _, used))) => Ok(Some((Item::Stats, used))),
+            Ok(Some((other, _, _))) => Err((
+                frame_name(other),
+                FrameError::Malformed(format!("unexpected {} frame", frame_name(other))),
+            )),
+            Err((kind, error)) => Err((frame_name(kind), error)),
+        }
+    }
+
+    fn answer(&self, cut_id: &str, result: &ServeResult, out: &mut Vec<u8>) {
+        out.extend_from_slice(&encode_response(
+            &response_line(cut_id, result),
+            result.is_err(),
+        ));
+    }
+
+    fn stats(&self, registry: &MetricsRegistry) -> Option<Vec<u8>> {
+        Some(encode_text_frame(
+            FRAME_STATS,
+            &registry.snapshot().to_prometheus(),
+        ))
+    }
+
+    fn refuse(&self, (frame, error): Self::Fault, peer: &str) -> (NetError, Option<Vec<u8>>) {
+        let reply = encode_text_frame(FRAME_ERROR, &error.to_string());
+        let error = NetError::Protocol {
+            peer: peer.to_string(),
+            frame,
+            error,
+        };
+        (error, Some(reply))
+    }
+}
+
+/// The stdin wire: one request per line in ([`parse_request_line`]),
+/// one [`response_line`] plus `\n` out per request. A `!stats` line
+/// prints the live exposition to stderr, so stdout carries diagnoses
+/// only. A last line without `\n` at EOF is still a request; a line
+/// whose `\n` does not come within [`READ_CAP`] bytes is refused.
+#[derive(Default)]
+pub(crate) struct LineCodec {
+    /// Lines decoded so far; errors name the line they are on.
+    lineno: usize,
+}
+
+/// The in-band control line that asks for a stats snapshot.
+const STATS_LINE: &str = "!stats";
+
+impl Codec for LineCodec {
+    /// The message, naming the line.
+    type Fault = String;
+
+    fn decode(&mut self, buf: &[u8], eof: bool) -> Result<Option<(Item, usize)>, Self::Fault> {
+        let window = &buf[..buf.len().min(READ_CAP)];
+        let (line, used) = match window.iter().position(|&b| b == b'\n') {
+            Some(end) => (&buf[..end], end + 1),
+            None if buf.len() >= READ_CAP => {
+                return Err(format!(
+                    "request line {}: no newline within the {READ_CAP}-byte line cap",
+                    self.lineno + 1
+                ))
+            }
+            None if eof && !buf.is_empty() => (buf, buf.len()),
+            None => return Ok(None),
+        };
+        self.lineno += 1;
+        let line = std::str::from_utf8(line)
+            .map_err(|_| format!("request line {}: not UTF-8", self.lineno))?;
+        if line.trim() == STATS_LINE {
+            return Ok(Some((Item::Stats, used)));
+        }
+        Ok(Some(match parse_request_line(line, self.lineno)? {
+            Some(request) => (Item::Request(request), used),
+            None => (Item::Skip, used),
+        }))
+    }
+
+    fn answer(&self, cut_id: &str, result: &ServeResult, out: &mut Vec<u8>) {
+        out.extend_from_slice(response_line(cut_id, result).as_bytes());
+        out.push(b'\n');
+    }
+
+    fn stats(&self, registry: &MetricsRegistry) -> Option<Vec<u8>> {
+        if registry.is_enabled() {
+            eprint!("{}", registry.snapshot().to_prometheus());
+        } else {
+            eprintln!("ftd serve: metrics disabled (run with --stats-file); !stats ignored");
+        }
+        None
+    }
+
+    fn refuse(&self, fault: Self::Fault, _peer: &str) -> (NetError, Option<Vec<u8>>) {
+        // The message goes to stderr once the lines before it are
+        // answered: it is what the stdin server exits with.
+        (NetError::RequestLine(fault), None)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------
 
@@ -346,9 +562,10 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Errors surfaced by the network tier, attributed the way
-/// [`CodecError`] attributes bank failures: protocol errors name the
-/// peer address and the frame kind they arrived in.
+/// Errors surfaced by the serving loop and the load generator,
+/// attributed the way [`CodecError`] attributes bank failures: protocol
+/// errors name the peer address and the frame kind they arrived in, and
+/// request-line errors the line.
 #[derive(Debug)]
 pub enum NetError {
     /// An OS-level failure, with what the tier was doing at the time.
@@ -367,6 +584,9 @@ pub enum NetError {
         /// What was wrong with them.
         error: FrameError,
     },
+    /// A stdin request line that cannot be served: the message names
+    /// the line and, for a bad coordinate, its token.
+    RequestLine(String),
 }
 
 impl NetError {
@@ -381,6 +601,7 @@ impl NetError {
         match self {
             NetError::Io { .. } => "io",
             NetError::Protocol { error, .. } => error.label(),
+            NetError::RequestLine(_) => "request-line",
         }
     }
 }
@@ -392,6 +613,7 @@ impl std::fmt::Display for NetError {
             NetError::Protocol { peer, frame, error } => {
                 write!(f, "peer {peer}: bad {frame} frame: {error}")
             }
+            NetError::RequestLine(message) => write!(f, "{message}"),
         }
     }
 }
@@ -401,6 +623,7 @@ impl std::error::Error for NetError {
         match self {
             NetError::Io { source, .. } => Some(source),
             NetError::Protocol { error, .. } => Some(error),
+            NetError::RequestLine(_) => None,
         }
     }
 }
@@ -469,11 +692,12 @@ mod poller {
     use std::os::unix::io::RawFd;
     use std::time::Duration;
 
-    /// One readiness report from [`Poller::wait`].
+    /// One readiness report from [`Poller::wait`]: the token's fd is
+    /// ready for what it was registered for, and `readable` says whether
+    /// that includes a read (or EOF, or an error).
     pub(crate) struct Event {
         pub token: u64,
         pub readable: bool,
-        pub writable: bool,
     }
 
     /// Readiness poller over raw fds, keyed by caller tokens. The
@@ -571,7 +795,6 @@ mod poller {
                     token,
                     readable: bits & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)
                         != 0,
-                    writable: bits & (sys::POLLOUT | sys::POLLERR) != 0,
                 });
             }
             Ok(())
@@ -732,25 +955,19 @@ extern "C" fn drain_on_signal(_sig: std::os::raw::c_int) {
 /// Installs SIGINT/SIGTERM handlers that trigger a graceful drain on
 /// `handle`'s server — `kill -TERM` (or Ctrl-C) finishes in-flight
 /// requests, flushes, and lets `ftd serve --listen` exit 0. First
-/// installation wins for the life of the process. No-op off unix.
+/// installation wins for the life of the process.
+#[cfg(unix)]
 pub(crate) fn install_signal_drain(handle: &ShutdownHandle) {
-    #[cfg(unix)]
-    {
-        let _ = SIGNAL_TARGET.set(handle.clone());
-        // SAFETY: the handler is the address of `drain_on_signal`, an
-        // `extern "C" fn(c_int)` that lives as long as the program and
-        // does only async-signal-safe work (an atomic store and
-        // `write(2)`); `sighandler_t` is a pointer-sized function
-        // pointer, which `usize` matches. Exercised by the CI TCP smoke,
-        // which sends SIGTERM and expects exit 0.
-        unsafe {
-            sys::signal(sys::SIGINT, drain_on_signal as *const () as usize);
-            sys::signal(sys::SIGTERM, drain_on_signal as *const () as usize);
-        }
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = handle;
+    let _ = SIGNAL_TARGET.set(handle.clone());
+    // SAFETY: the handler is the address of `drain_on_signal`, an
+    // `extern "C" fn(c_int)` that lives as long as the program and does
+    // only async-signal-safe work (an atomic store and `write(2)`);
+    // `sighandler_t` is a pointer-sized function pointer, which `usize`
+    // matches. Exercised by the CI TCP smoke, which sends SIGTERM and
+    // expects exit 0.
+    unsafe {
+        sys::signal(sys::SIGINT, drain_on_signal as *const () as usize);
+        sys::signal(sys::SIGTERM, drain_on_signal as *const () as usize);
     }
 }
 
@@ -886,7 +1103,7 @@ impl NetServer {
     pub fn run(self) -> Result<NetSummary, NetError> {
         #[cfg(unix)]
         {
-            self.run_event_loop()
+            self.run_with_tick(|| {})
         }
         #[cfg(not(unix))]
         {
@@ -900,8 +1117,9 @@ impl NetServer {
         }
     }
 
+    /// [`NetServer::run`], calling `on_tick` after each refresh tick.
     #[cfg(unix)]
-    fn run_event_loop(self) -> Result<NetSummary, NetError> {
+    pub(crate) fn run_with_tick(self, on_tick: impl FnMut()) -> Result<NetSummary, NetError> {
         let NetServer {
             listener,
             store,
@@ -909,146 +1127,93 @@ impl NetServer {
             config,
             shutdown,
         } = self;
-        use std::os::unix::io::AsRawFd;
+        EventLoop::new(store, &registry, &config, &shutdown).run(
+            Some(listener),
+            EventLoop::accept_all,
+            &shutdown,
+            on_tick,
+        )
+    }
+}
 
-        listener
-            .set_nonblocking(true)
-            .map_err(NetError::io("listener nonblock"))?;
-        let metrics = registry
-            .is_enabled()
-            .then(|| NetMetrics::from_registry(&registry));
-        // The notifier holds the pipe's `Arc`, like every other poker.
-        let shared = Arc::clone(&shutdown.shared);
-        let handle = ServeHandle::with_notifier(
-            Arc::clone(&store),
-            config.workers,
-            &registry,
-            Arc::new(move || shared.wake.poke()),
-        );
-        let wake = &shutdown.shared.wake;
+/// Serves stdin: request lines in on fd 0, response lines out on stdout,
+/// through the event loop with that one connection and no listener,
+/// calling `on_tick` after each refresh tick. Returns once the last
+/// request line is answered and written, or once stdout closes.
+///
+/// # Errors
+///
+/// [`NetError::RequestLine`] for a line that cannot be served (every
+/// line before it is answered first), [`NetError::Io`] for a failed read
+/// of stdin or write of stdout (a closed stdout is no error), or a fatal
+/// loop error.
+#[cfg(unix)]
+pub(crate) fn serve_stdin(
+    store: Arc<BankStore>,
+    registry: &Arc<MetricsRegistry>,
+    config: &NetConfig,
+    on_tick: impl FnMut(),
+) -> Result<NetSummary, NetError> {
+    let shutdown = ShutdownHandle::new().map_err(NetError::io("wake pipe"))?;
+    let stdio = StdStreams::open().map_err(NetError::io("stdio"))?;
+    let fd = stdio.input.as_raw_fd();
+    let mut lp = EventLoop::new(store, registry, config, &shutdown);
+    lp.add_conn(stdio, LineCodec::default(), fd, "stdio".to_string());
+    lp.run(None, |_, _| {}, &shutdown, on_tick)
+}
 
-        let mut poller = Poller::default();
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
-        poller.add(wake.read_fd, TOKEN_WAKE, true, false);
+/// Stdin and stdout as one connection's byte stream. Neither fd is made
+/// non-blocking, since either may be a terminal or a pipe that another
+/// process shares. A read first asks a zero-timeout poll whether fd 0 is
+/// readable and reports `WouldBlock` when it is not, so the event loop
+/// never blocks in it; a write blocks until stdout takes the bytes, as
+/// stdin serving has no other connection to starve.
+#[cfg(unix)]
+struct StdStreams {
+    /// Duplicates of fds 0 and 1: reads and writes bypass std's
+    /// buffers, and dropping them closes neither.
+    input: std::fs::File,
+    output: std::fs::File,
+    ready: Poller,
+    events: Vec<Event>,
+}
 
-        let mut lp = EventLoop {
-            poller,
-            conns: HashMap::new(),
-            submissions: VecDeque::new(),
-            handle,
-            registry: Arc::clone(&registry),
-            metrics,
-            config: config.clone(),
-            next_token: FIRST_CONN_TOKEN,
-            summary: NetSummary::default(),
-        };
-        let mut listener = Some(listener);
-        let mut draining = false;
-        let mut deadline: Option<Instant> = None;
-        let mut next_refresh = (config.refresh_interval > Duration::ZERO)
-            .then(|| Instant::now() + config.refresh_interval);
-        let mut events: Vec<Event> = Vec::new();
-
-        loop {
-            if shutdown.is_shutdown() && !draining {
-                draining = true;
-                deadline = Some(Instant::now() + config.drain_deadline);
-                next_refresh = None;
-                if let Some(l) = listener.take() {
-                    // Connections whose handshake already completed sit
-                    // in the accept backlog; closing the listener would
-                    // RST them. Adopt them into the drain first.
-                    lp.accept_all(&l);
-                    lp.poller.remove(l.as_raw_fd());
-                    // Dropping closes the socket: no new connections.
-                }
-            }
-            if draining && lp.conns.is_empty() {
-                break;
-            }
-
-            let now = Instant::now();
-            let mut timeout: Option<Duration> =
-                next_refresh.map(|t| t.saturating_duration_since(now));
-            if let Some(d) = deadline {
-                let until = d.saturating_duration_since(now);
-                timeout = Some(timeout.map_or(until, |t| t.min(until)));
-            }
-            lp.poller
-                .wait(timeout, &mut events)
-                .map_err(NetError::io("poll wait"))?;
-
-            let mut touched: Vec<u64> = Vec::new();
-            for ev in &events {
-                match ev.token {
-                    TOKEN_WAKE => wake.drain(),
-                    TOKEN_LISTENER => {
-                        if let Some(l) = &listener {
-                            lp.accept_all(l);
-                        }
-                    }
-                    token => {
-                        if let Some(conn) = lp.conns.get_mut(&token) {
-                            if ev.readable {
-                                read_into(conn, &lp.metrics);
-                            }
-                            let _ = ev.writable; // pump retries the write either way
-                            touched.push(token);
-                        }
-                    }
-                }
-            }
-            touched.extend(lp.absorb_completions());
-            touched.sort_unstable();
-            touched.dedup();
-            for token in touched {
-                lp.pump(token);
-            }
-
-            if let Some(t) = next_refresh {
-                if Instant::now() >= t {
-                    lp.handle.store().refresh();
-                    if let Some(m) = &lp.metrics {
-                        m.refresh_ticks.inc();
-                    }
-                    next_refresh = Some(Instant::now() + config.refresh_interval);
-                }
-            }
-            if draining {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d && !lp.conns.is_empty() {
-                        let stragglers: Vec<u64> = lp.conns.keys().copied().collect();
-                        for token in stragglers {
-                            lp.close_conn(token);
-                        }
-                    }
-                }
-            }
-        }
-
-        let EventLoop {
-            handle, summary, ..
-        } = lp;
-        drop(handle); // joins the workers (discarding any orphaned runs)
-        Ok(summary)
+#[cfg(unix)]
+impl StdStreams {
+    fn open() -> io::Result<StdStreams> {
+        use std::os::fd::AsFd;
+        let input = std::fs::File::from(io::stdin().as_fd().try_clone_to_owned()?);
+        let output = std::fs::File::from(io::stdout().as_fd().try_clone_to_owned()?);
+        let mut ready = Poller::default();
+        ready.add(input.as_raw_fd(), 0, true, false);
+        Ok(StdStreams {
+            input,
+            output,
+            ready,
+            events: Vec::with_capacity(1),
+        })
     }
 }
 
 #[cfg(unix)]
-fn report_protocol_error(
-    peer: &str,
-    frame: &'static str,
-    error: &FrameError,
-    metrics: &Option<NetMetrics>,
-) {
-    let err = NetError::Protocol {
-        peer: peer.to_string(),
-        frame,
-        error: error.clone(),
-    };
-    eprintln!("ftd net: {err}");
-    if let Some(m) = metrics {
-        m.record_protocol_error(peer, err.kind_label());
+impl Read for StdStreams {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.ready.wait(Some(Duration::ZERO), &mut self.events)?;
+        if self.events.is_empty() {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        self.input.read(buf)
+    }
+}
+
+#[cfg(unix)]
+impl Write for StdStreams {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.output.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -1064,46 +1229,334 @@ const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// One queued reply slot. Replies leave in queue order; a diagnosis
-/// slot's body arrives when its pool batch completes, a stats or error
-/// slot is born with its body.
+/// slot's answer arrives when its pool batch completes, a stats or error
+/// slot is born with its bytes.
 #[cfg(unix)]
 struct Reply {
     received: Instant,
-    body: Option<Vec<u8>>,
-    /// Whether this reply samples the wire-latency histogram — true
-    /// only for diagnosis requests, so stats and error frames never
-    /// skew `net_request_wire_us`.
-    measure: bool,
+    body: Body,
 }
 
+/// What a reply slot holds.
 #[cfg(unix)]
-struct Conn {
-    stream: TcpStream,
-    fd: std::os::unix::io::RawFd,
+enum Body {
+    /// A request still with the pool.
+    Awaiting,
+    /// A request's CUT id and result, rendered as the reply reaches the
+    /// write buffer. Only these sample the wire-latency histogram, so
+    /// stats and error replies never skew `net_request_wire_us`.
+    Answer(String, ServeResult),
+    /// A reply born whole: stats, or a terminal error.
+    Ready(Vec<u8>),
+}
+
+/// One connection of the event loop: a byte stream `S` (a TCP socket,
+/// stdin/stdout, or a scripted stand-in in tests) spoken in codec `C`.
+/// The rules around the stream — parsing under the in-flight budget,
+/// the reply queue, backpressure and the close rule — are the same for
+/// every stream and codec.
+#[cfg(unix)]
+struct Conn<S, C> {
+    stream: S,
+    codec: C,
+    token: u64,
+    fd: RawFd,
     peer: String,
+    /// Input read; bytes before `rpos` are parsed.
     rbuf: Vec<u8>,
+    rpos: usize,
+    /// Output; bytes before `wpos` are written.
     wbuf: Vec<u8>,
     wpos: usize,
     queue: VecDeque<Reply>,
+    /// Requests with the pool: the in-flight budget counts these, so a
+    /// batch's answers free it before they are rendered and written.
+    awaiting: usize,
     /// Peer half-closed (or a protocol error poisoned the stream):
     /// stop reading, finish pending replies, flush, close.
     read_closed: bool,
-    /// Fatal socket error: close as soon as control returns.
+    /// Fatal stream error: close as soon as control returns.
     dead: bool,
     /// Read interest dropped under backpressure.
     stalled: bool,
-    want_read: bool,
-    want_write: bool,
+    /// The (read, write) interest registered with the poller; with
+    /// neither, the fd is not registered at all.
+    interest: (bool, bool),
+    /// What ended the connection, if it was more than a peer leaving.
+    failure: Option<NetError>,
 }
 
 #[cfg(unix)]
-impl Conn {
+impl<S: Read + Write, C: Codec> Conn<S, C> {
+    fn new(stream: S, codec: C, token: u64, fd: RawFd, peer: String) -> Self {
+        Conn {
+            stream,
+            codec,
+            token,
+            fd,
+            peer,
+            rbuf: Vec::new(),
+            rpos: 0,
+            wbuf: Vec::new(),
+            wpos: 0,
+            queue: VecDeque::new(),
+            awaiting: 0,
+            read_closed: false,
+            dead: false,
+            stalled: false,
+            interest: (true, false),
+            failure: None,
+        }
+    }
+
     fn unsent(&self) -> usize {
         self.wbuf.len() - self.wpos
     }
 
     fn finished(&self) -> bool {
         self.dead || (self.read_closed && self.queue.is_empty() && self.unsent() == 0)
+    }
+
+    /// What a pump pass moves: input parsed, replies queued, output
+    /// written.
+    fn progress(&self) -> (usize, usize, usize) {
+        (self.rpos, self.queue.len(), self.unsent())
+    }
+
+    /// Ends the connection on a stream error. A peer that went away is
+    /// no failure; anything else is recorded.
+    fn fail(&mut self, op: &str, error: io::Error) {
+        self.dead = true;
+        use io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+        if !matches!(
+            error.kind(),
+            BrokenPipe | ConnectionReset | ConnectionAborted
+        ) {
+            self.failure.get_or_insert(NetError::Io {
+                context: format!("{} {op}", self.peer),
+                source: error,
+            });
+        }
+    }
+
+    /// Reads what the stream has, until the unparsed input reaches
+    /// [`READ_CAP`]. Input at the cap holds a whole frame (or refuses a
+    /// line), so the next parse either consumes it or fills the
+    /// in-flight budget, which stalls the connection's reads until
+    /// replies drain.
+    fn read_into(&mut self, metrics: &Option<NetMetrics>) {
+        if self.read_closed || self.dead {
+            return;
+        }
+        // Reclaim the parsed prefix once it dominates the buffer, so
+        // each input byte moves at most once on average.
+        if self.rpos > 0 && self.rpos * 2 >= self.rbuf.len() {
+            self.rbuf.drain(..self.rpos);
+            self.rpos = 0;
+        }
+        let mut chunk = [0u8; 16 * 1024];
+        while self.rbuf.len() - self.rpos < READ_CAP {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.read_closed = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    if let Some(m) = metrics {
+                        m.bytes_in.add(n as u64);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.fail("read", e);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Decodes buffered input up to the in-flight budget: one parse
+    /// pass, whose requests go into `batch`/`cuts` as one pool batch.
+    /// Stats requests answer immediately, in order; a fault queues the
+    /// codec's terminal reply and poisons the read side. Returns how
+    /// many protocol errors occurred (0 or 1).
+    fn parse(
+        &mut self,
+        max_inflight: usize,
+        registry: &MetricsRegistry,
+        metrics: &Option<NetMetrics>,
+        batch: &mut Vec<DiagnosisRequest>,
+        cuts: &mut Vec<String>,
+    ) -> u64 {
+        let fault = loop {
+            // EOF does not gate parsing: input buffered before it is
+            // whole requests that must be answered.
+            if self.dead || self.awaiting >= max_inflight {
+                break None;
+            }
+            match self.codec.decode(&self.rbuf[self.rpos..], self.read_closed) {
+                Ok(None) => break None,
+                Ok(Some((item, used))) => {
+                    self.rpos += used;
+                    let body = match item {
+                        Item::Request(request) => {
+                            if let Some(m) = metrics {
+                                m.requests.inc();
+                            }
+                            cuts.push(request.cut_id.clone());
+                            batch.push(request);
+                            self.awaiting += 1;
+                            Body::Awaiting
+                        }
+                        Item::Stats => match self.codec.stats(registry) {
+                            Some(bytes) => Body::Ready(bytes),
+                            None => continue,
+                        },
+                        Item::Skip => continue,
+                    };
+                    self.queue.push_back(Reply {
+                        received: Instant::now(),
+                        body,
+                    });
+                }
+                Err(fault) => break Some(fault),
+            }
+        };
+        if self.rpos == self.rbuf.len() {
+            self.rbuf.clear();
+            self.rpos = 0;
+        }
+        let Some(fault) = fault else {
+            return 0;
+        };
+        let (error, reply) = self.codec.refuse(fault, &self.peer);
+        if let Some(m) = metrics {
+            m.record_protocol_error(&self.peer, error.kind_label());
+        }
+        // The terminal reply queues *behind* everything already
+        // accepted: earlier requests on this connection still answer,
+        // then it flushes and the connection closes. One bad input never
+        // touches any other connection.
+        if let Some(bytes) = reply {
+            self.queue.push_back(Reply {
+                received: Instant::now(),
+                body: Body::Ready(bytes),
+            });
+        }
+        self.failure = Some(error);
+        self.read_closed = true;
+        self.rbuf.clear();
+        self.rpos = 0;
+        1
+    }
+
+    /// Fills the next `results.len()` awaiting reply slots (global
+    /// submission order preserves each connection's arrival order, so
+    /// slots and results line up exactly).
+    fn fill_replies(&mut self, cuts: Vec<String>, results: Vec<ServeResult>) {
+        let mut answers = cuts.into_iter().zip(results);
+        for reply in self.queue.iter_mut() {
+            if !matches!(reply.body, Body::Awaiting) {
+                continue;
+            }
+            let Some((cut, result)) = answers.next() else {
+                break;
+            };
+            reply.body = Body::Answer(cut, result);
+            self.awaiting -= 1;
+        }
+        debug_assert!(answers.next().is_none(), "reply slots match the batch");
+    }
+
+    /// Moves completed replies, in order, from the queue to the write
+    /// buffer, rendering answers as they go; records wire latency at
+    /// that moment.
+    fn flush_ready(&mut self, metrics: &Option<NetMetrics>) {
+        while self
+            .queue
+            .front()
+            .is_some_and(|r| !matches!(r.body, Body::Awaiting))
+        {
+            let reply = self.queue.pop_front().expect("front checked above");
+            match reply.body {
+                Body::Answer(cut, result) => {
+                    self.codec.answer(&cut, &result, &mut self.wbuf);
+                    if let Some(m) = metrics {
+                        m.wire_latency.record(
+                            reply.received.elapsed().as_micros().min(u64::MAX as u128) as u64,
+                        );
+                    }
+                }
+                Body::Ready(bytes) => self.wbuf.extend_from_slice(&bytes),
+                Body::Awaiting => unreachable!("the loop stops at an awaiting reply"),
+            }
+        }
+        // Reclaim consumed prefix once it dominates the buffer.
+        if self.wpos > 0 && self.wpos * 2 >= self.wbuf.len() {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
+    }
+
+    /// Writes as much buffered output as the stream accepts.
+    fn write_some(&mut self, metrics: &Option<NetMetrics>) {
+        while self.wpos < self.wbuf.len() {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
+                Ok(0) => {
+                    self.fail("write", io::ErrorKind::WriteZero.into());
+                    break;
+                }
+                Ok(n) => {
+                    self.wpos += n;
+                    if let Some(m) = metrics {
+                        m.bytes_out.add(n as u64);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.fail("write", e);
+                    break;
+                }
+            }
+        }
+        if self.wpos == self.wbuf.len() && self.wpos > 0 {
+            self.wbuf.clear();
+            self.wpos = 0;
+        }
+    }
+
+    /// Recomputes backpressure state and poller interest. An fd with no
+    /// interest leaves the poller: a pipe whose writer is gone reports
+    /// `POLLHUP` whatever was asked, which would spin the loop.
+    fn update_interest(
+        &mut self,
+        poller: &mut Poller,
+        metrics: &Option<NetMetrics>,
+        config: &NetConfig,
+    ) {
+        let throttled =
+            self.awaiting >= config.max_inflight || self.unsent() >= config.write_highwater;
+        if throttled && !self.stalled {
+            self.stalled = true;
+            if let Some(m) = metrics {
+                m.backpressure_stalls.inc();
+            }
+        } else if !throttled {
+            self.stalled = false;
+        }
+        let interest = (!self.read_closed && !self.stalled, self.unsent() > 0);
+        if interest == self.interest {
+            return;
+        }
+        match (self.interest, interest) {
+            (_, (false, false)) => poller.remove(self.fd),
+            ((false, false), (read, write)) => poller.add(self.fd, self.token, read, write),
+            (_, (read, write)) => poller.modify(self.fd, read, write),
+        }
+        self.interest = interest;
     }
 }
 
@@ -1115,10 +1568,12 @@ struct Submission {
     cuts: Vec<String>,
 }
 
+/// The readiness loop over connections that all speak codec `C` over
+/// streams `S`.
 #[cfg(unix)]
-struct EventLoop {
+struct EventLoop<S, C> {
     poller: Poller,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Conn<S, C>>,
     submissions: VecDeque<Submission>,
     handle: ServeHandle,
     registry: Arc<MetricsRegistry>,
@@ -1126,51 +1581,173 @@ struct EventLoop {
     config: NetConfig,
     next_token: u64,
     summary: NetSummary,
+    /// Log each connection's failure as it closes, rather than keep the
+    /// first as the loop's result.
+    log_failures: bool,
+    failure: Option<NetError>,
 }
 
 #[cfg(unix)]
-impl EventLoop {
-    fn accept_all(&mut self, listener: &TcpListener) {
-        use std::os::unix::io::AsRawFd;
+impl<S: Read + Write, C: Codec> EventLoop<S, C> {
+    /// A loop with no connection yet: the pool, woken through
+    /// `shutdown`'s self-pipe, which the poller watches.
+    fn new(
+        store: Arc<BankStore>,
+        registry: &Arc<MetricsRegistry>,
+        config: &NetConfig,
+        shutdown: &ShutdownHandle,
+    ) -> Self {
+        let metrics = registry
+            .is_enabled()
+            .then(|| NetMetrics::from_registry(registry));
+        // The notifier holds the pipe's `Arc`, like every other poker.
+        let shared = Arc::clone(&shutdown.shared);
+        let handle = ServeHandle::with_notifier(
+            store,
+            config.workers,
+            registry,
+            Arc::new(move || shared.wake.poke()),
+        );
+        let mut poller = Poller::default();
+        poller.add(shutdown.shared.wake.read_fd, TOKEN_WAKE, true, false);
+        EventLoop {
+            poller,
+            conns: HashMap::new(),
+            submissions: VecDeque::new(),
+            handle,
+            registry: Arc::clone(registry),
+            metrics,
+            config: config.clone(),
+            next_token: FIRST_CONN_TOKEN,
+            summary: NetSummary::default(),
+            log_failures: false,
+            failure: None,
+        }
+    }
+
+    fn add_conn(&mut self, stream: S, codec: C, fd: RawFd, peer: String) {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.poller.add(fd, token, true, false);
+        self.summary.accepted += 1;
+        if let Some(m) = &self.metrics {
+            m.accepted.inc();
+            m.active_connections.add(1);
+        }
+        self.conns
+            .insert(token, Conn::new(stream, codec, token, fd, peer));
+    }
+
+    /// Runs until the loop has no listener and no connection: with a
+    /// listener (`accept` takes its connections), until a drain
+    /// completes; without one, until the connections it started with
+    /// close.
+    fn run(
+        mut self,
+        mut listener: Option<TcpListener>,
+        accept: impl Fn(&mut Self, &TcpListener),
+        shutdown: &ShutdownHandle,
+        mut on_tick: impl FnMut(),
+    ) -> Result<NetSummary, NetError> {
+        if let Some(l) = &listener {
+            l.set_nonblocking(true)
+                .map_err(NetError::io("listener nonblock"))?;
+            self.poller.add(l.as_raw_fd(), TOKEN_LISTENER, true, false);
+        }
+        // A server on a listener logs a failed connection and serves on;
+        // a loop over its own connections ends with the first failure.
+        self.log_failures = listener.is_some();
+        let wake = &shutdown.shared.wake;
+        let refresh = self.config.refresh_interval;
+        let mut draining = false;
+        let mut deadline: Option<Instant> = None;
+        let mut next_refresh = (refresh > Duration::ZERO).then(|| Instant::now() + refresh);
+        let mut events: Vec<Event> = Vec::new();
+
         loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.poller.add(fd, token, true, false);
-                    self.summary.accepted += 1;
-                    if let Some(m) = &self.metrics {
-                        m.accepted.inc();
-                        m.active_connections.add(1);
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            fd,
-                            peer: peer.to_string(),
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            wpos: 0,
-                            queue: VecDeque::new(),
-                            read_closed: false,
-                            dead: false,
-                            stalled: false,
-                            want_read: true,
-                            want_write: false,
-                        },
-                    );
+            if shutdown.is_shutdown() && !draining {
+                draining = true;
+                deadline = Some(Instant::now() + self.config.drain_deadline);
+                next_refresh = None;
+                if let Some(l) = listener.take() {
+                    // Connections whose handshake already completed sit
+                    // in the accept backlog; closing the listener would
+                    // RST them. Adopt them into the drain first.
+                    accept(&mut self, &l);
+                    self.poller.remove(l.as_raw_fd());
+                    // Dropping closes the socket: no new connections.
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break, // transient (EMFILE, reset mid-accept, …)
+            }
+            if listener.is_none() && self.conns.is_empty() {
+                break;
+            }
+
+            let now = Instant::now();
+            let mut timeout: Option<Duration> =
+                next_refresh.map(|t| t.saturating_duration_since(now));
+            if let Some(d) = deadline {
+                let until = d.saturating_duration_since(now);
+                timeout = Some(timeout.map_or(until, |t| t.min(until)));
+            }
+            self.poller
+                .wait(timeout, &mut events)
+                .map_err(NetError::io("poll wait"))?;
+
+            let mut touched: Vec<u64> = Vec::new();
+            for ev in &events {
+                match ev.token {
+                    TOKEN_WAKE => wake.drain(),
+                    TOKEN_LISTENER => {
+                        if let Some(l) = &listener {
+                            accept(&mut self, l);
+                        }
+                    }
+                    token => {
+                        if let Some(conn) = self.conns.get_mut(&token) {
+                            if ev.readable {
+                                conn.read_into(&self.metrics);
+                            }
+                            // pump retries the write either way
+                            touched.push(token);
+                        }
+                    }
+                }
+            }
+            touched.extend(self.absorb_completions());
+            touched.sort_unstable();
+            touched.dedup();
+            for token in touched {
+                self.pump(token);
+            }
+
+            if let Some(t) = next_refresh {
+                if Instant::now() >= t {
+                    self.handle.store().refresh();
+                    if let Some(m) = &self.metrics {
+                        m.refresh_ticks.inc();
+                    }
+                    on_tick();
+                    next_refresh = Some(Instant::now() + refresh);
+                }
+            }
+            if let Some(d) = deadline {
+                if Instant::now() >= d && !self.conns.is_empty() {
+                    let stragglers: Vec<u64> = self.conns.keys().copied().collect();
+                    for token in stragglers {
+                        self.close_conn(token);
+                    }
+                }
             }
         }
+
+        let EventLoop {
+            handle,
+            summary,
+            failure,
+            ..
+        } = self;
+        drop(handle); // joins the workers (discarding any orphaned runs)
+        failure.map_or(Ok(summary), Err)
     }
 
     /// Collects every completed pool batch into its connection's reply
@@ -1185,7 +1762,7 @@ impl EventLoop {
             self.summary.served += results.len() as u64;
             self.summary.errors += results.iter().filter(|r| r.is_err()).count() as u64;
             if let Some(conn) = self.conns.get_mut(&sub.conn) {
-                fill_replies(conn, &sub.cuts, &results);
+                conn.fill_replies(sub.cuts, results);
                 touched.push(sub.conn);
             }
             // A closed connection's results are simply dropped.
@@ -1193,33 +1770,34 @@ impl EventLoop {
         touched
     }
 
-    /// Makes all progress possible on one connection: parse newly read
-    /// frames (submitting a pool batch), move completed replies to the
-    /// write buffer, write, and either close or update poller interest.
+    /// Makes all progress possible on one connection: parse buffered
+    /// input and submit it as a pool batch, move completed replies to
+    /// the write buffer, write, and either close or update poller
+    /// interest. The batch goes to the pool before the connection's
+    /// finished answers are rendered and written, so the pool works
+    /// while the loop does.
     fn pump(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let before = (conn.rbuf.len(), conn.queue.len(), conn.unsent());
+            let before = conn.progress();
             let mut batch = Vec::new();
             let mut cuts = Vec::new();
-            self.summary.protocol_errors += parse_frames(
-                conn,
-                &self.config,
+            self.summary.protocol_errors += conn.parse(
+                self.config.max_inflight,
                 &self.registry,
                 &self.metrics,
                 &mut batch,
                 &mut cuts,
             );
-            flush_ready(conn, &self.metrics);
-            write_some(conn, &self.metrics);
-            let progressed = (conn.rbuf.len(), conn.queue.len(), conn.unsent()) != before;
             if !batch.is_empty() {
                 self.handle.submit(batch);
                 self.submissions.push_back(Submission { conn: token, cuts });
             }
-            if !progressed {
+            conn.flush_ready(&self.metrics);
+            conn.write_some(&self.metrics);
+            if conn.progress() == before {
                 break;
             }
         }
@@ -1229,244 +1807,48 @@ impl EventLoop {
         if conn.finished() {
             self.close_conn(token);
         } else {
-            update_interest(conn, &mut self.poller, &self.metrics, &self.config);
+            conn.update_interest(&mut self.poller, &self.metrics, &self.config);
         }
     }
 
     fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            self.poller.remove(conn.fd);
-            if let Some(m) = &self.metrics {
-                m.closed.inc();
-                m.active_connections.sub(1);
-            }
-            // Dropping the stream closes the socket.
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
+        self.poller.remove(conn.fd);
+        if let Some(m) = &self.metrics {
+            m.closed.inc();
+            m.active_connections.sub(1);
         }
+        match conn.failure {
+            Some(e) if self.log_failures => eprintln!("ftd net: {e}"),
+            Some(e) => {
+                self.failure.get_or_insert(e);
+            }
+            None => {}
+        }
+        // Dropping the stream closes the socket.
     }
 }
 
-/// The most one frame needs: [`read_into`] stops reading once a
-/// connection's read buffer holds this much, leaving the rest in the
-/// kernel, where TCP pushes back on the peer.
 #[cfg(unix)]
-const READ_CAP: usize = FRAME_HEADER_LEN + MAX_FRAME_PAYLOAD as usize;
-
-/// Reads what the socket has, until the read buffer reaches
-/// [`READ_CAP`]. A buffer at the cap holds a whole frame, so the next
-/// parse either consumes it or fills the in-flight budget, which stalls
-/// the connection's reads until replies drain.
-#[cfg(unix)]
-fn read_into(conn: &mut Conn, metrics: &Option<NetMetrics>) {
-    if conn.read_closed || conn.dead {
-        return;
-    }
-    let mut chunk = [0u8; 16 * 1024];
-    while conn.rbuf.len() < READ_CAP {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.read_closed = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                if let Some(m) = metrics {
-                    m.bytes_in.add(n as u64);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-}
-
-/// Decodes complete frames off `conn.rbuf` up to the in-flight budget.
-/// Requests go into `batch`/`cuts`; stats requests answer immediately
-/// in-order; a corrupt frame queues a terminal error reply and poisons
-/// the read side. Returns how many protocol errors occurred (0 or 1).
-#[cfg(unix)]
-fn parse_frames(
-    conn: &mut Conn,
-    config: &NetConfig,
-    registry: &MetricsRegistry,
-    metrics: &Option<NetMetrics>,
-    batch: &mut Vec<DiagnosisRequest>,
-    cuts: &mut Vec<String>,
-) -> u64 {
-    let mut consumed = 0usize;
-    let failure = loop {
-        // EOF does not gate parsing: bytes already buffered at
-        // half-close are complete, valid requests and must be answered
-        // (an unfinished trailing frame is simply abandoned).
-        if conn.dead || conn.queue.len() >= config.max_inflight {
-            break None;
-        }
-        enum Parsed {
-            Request(DiagnosisRequest),
-            Stats,
-        }
-        let step: Result<(Parsed, usize), (&'static str, FrameError)> =
-            match decode_frame(&conn.rbuf[consumed..]) {
-                Ok(None) => break None,
-                Ok(Some((FRAME_REQUEST, payload, used))) => match decode_request(payload) {
-                    Ok(request) => Ok((Parsed::Request(request), used)),
-                    Err(error) => Err(("request", error)),
-                },
-                Ok(Some((FRAME_STATS_REQUEST, _, used))) => Ok((Parsed::Stats, used)),
-                Ok(Some((other, _, _))) => Err((
-                    frame_name(other),
-                    FrameError::Malformed(format!("unexpected {} frame", frame_name(other))),
-                )),
-                Err((kind, error)) => Err((frame_name(kind), error)),
-            };
-        match step {
-            Ok((parsed, used)) => {
-                consumed += used;
-                match parsed {
-                    Parsed::Request(request) => {
-                        if let Some(m) = metrics {
-                            m.requests.inc();
-                        }
-                        cuts.push(request.cut_id.clone());
-                        batch.push(request);
-                        conn.queue.push_back(Reply {
-                            received: Instant::now(),
-                            body: None,
-                            measure: true,
-                        });
+impl EventLoop<TcpStream, FrameCodec> {
+    fn accept_all(&mut self, listener: &TcpListener) {
+        loop {
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
                     }
-                    Parsed::Stats => {
-                        let text = registry.snapshot().to_prometheus();
-                        conn.queue.push_back(Reply {
-                            received: Instant::now(),
-                            body: Some(encode_text_frame(FRAME_STATS, &text)),
-                            measure: false,
-                        });
-                    }
+                    let _ = stream.set_nodelay(true);
+                    let fd = stream.as_raw_fd();
+                    self.add_conn(stream, FrameCodec, fd, peer.to_string());
                 }
-            }
-            Err((frame, error)) => break Some((frame, error)),
-        }
-    };
-    if let Some((frame, error)) = failure {
-        report_protocol_error(&conn.peer, frame, &error, metrics);
-        // Terminal reply queued *behind* anything already accepted:
-        // earlier requests on this connection still answer, then the
-        // error flushes and the connection closes. One bad frame never
-        // touches any other connection.
-        conn.queue.push_back(Reply {
-            received: Instant::now(),
-            body: Some(encode_text_frame(FRAME_ERROR, &error.to_string())),
-            measure: false,
-        });
-        conn.read_closed = true;
-        conn.rbuf.clear();
-        return 1;
-    }
-    if consumed > 0 {
-        conn.rbuf.drain(..consumed);
-    }
-    0
-}
-
-/// Fills the next `results.len()` body-less reply slots of `conn` with
-/// rendered response frames (global submission order preserves each
-/// connection's arrival order, so slots and results line up exactly).
-#[cfg(unix)]
-fn fill_replies(conn: &mut Conn, cuts: &[String], results: &[ServeResult]) {
-    let mut filled = 0usize;
-    for reply in conn.queue.iter_mut() {
-        if filled == results.len() {
-            break;
-        }
-        if reply.body.is_none() {
-            let result = &results[filled];
-            let line = response_line(&cuts[filled], result);
-            reply.body = Some(encode_response(&line, result.is_err()));
-            filled += 1;
-        }
-    }
-    debug_assert_eq!(filled, results.len(), "reply slots match the batch");
-}
-
-/// Moves completed replies, in order, from the queue to the write
-/// buffer; records wire latency at that moment.
-#[cfg(unix)]
-fn flush_ready(conn: &mut Conn, metrics: &Option<NetMetrics>) {
-    while let Some(front) = conn.queue.front() {
-        let Some(body) = &front.body else { break };
-        conn.wbuf.extend_from_slice(body);
-        if front.measure {
-            if let Some(m) = metrics {
-                m.wire_latency
-                    .record(front.received.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break, // transient (EMFILE, reset mid-accept, …)
             }
         }
-        conn.queue.pop_front();
-    }
-    // Reclaim consumed prefix once it dominates the buffer.
-    if conn.wpos > 0 && conn.wpos * 2 >= conn.wbuf.len() {
-        conn.wbuf.drain(..conn.wpos);
-        conn.wpos = 0;
-    }
-}
-
-/// Writes as much buffered output as the socket accepts.
-#[cfg(unix)]
-fn write_some(conn: &mut Conn, metrics: &Option<NetMetrics>) {
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.wpos += n;
-                if let Some(m) = metrics {
-                    m.bytes_out.add(n as u64);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-    if conn.wpos == conn.wbuf.len() && conn.wpos > 0 {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
-}
-
-/// Recomputes backpressure state and poller interest for `conn`.
-#[cfg(unix)]
-fn update_interest(
-    conn: &mut Conn,
-    poller: &mut Poller,
-    metrics: &Option<NetMetrics>,
-    config: &NetConfig,
-) {
-    let throttled =
-        conn.queue.len() >= config.max_inflight || conn.unsent() >= config.write_highwater;
-    if throttled && !conn.stalled {
-        conn.stalled = true;
-        if let Some(m) = metrics {
-            m.backpressure_stalls.inc();
-        }
-    } else if !throttled {
-        conn.stalled = false;
-    }
-    let want_read = !conn.read_closed && !conn.stalled;
-    let want_write = conn.unsent() > 0;
-    if want_read != conn.want_read || want_write != conn.want_write {
-        conn.want_read = want_read;
-        conn.want_write = want_write;
-        poller.modify(conn.fd, want_read, want_write);
     }
 }
 
@@ -2145,7 +2527,7 @@ mod tests {
         poller.wait(ms(1000), &mut events).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 42);
-        assert!(events[0].readable && !events[0].writable);
+        assert!(events[0].readable);
 
         // The byte stays unread throughout: only interest hides it.
         poller.modify(b.read_fd, false, false);
@@ -2165,5 +2547,360 @@ mod tests {
         poller.wait(ms(10), &mut events).unwrap();
         assert!(events.is_empty(), "removed fd reports nothing");
         b.drain();
+    }
+
+    /// Deterministic connection tests: a scripted stream stands in for
+    /// the socket (or stdin/stdout), so short reads and writes,
+    /// `WouldBlock` and EOF land at chosen offsets instead of wherever
+    /// the kernel puts them.
+    #[cfg(unix)]
+    mod scripted {
+        use super::super::*;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// One step of a scripted stream's input.
+        enum Step {
+            Bytes(Vec<u8>),
+            Block,
+            Eof,
+        }
+
+        /// A byte stream that reads its script and records what is
+        /// written to it: each write takes at most `write_max` bytes,
+        /// and with `block_writes` every other write call reports
+        /// `WouldBlock` first.
+        struct Scripted {
+            input: VecDeque<Step>,
+            write_max: usize,
+            block_writes: bool,
+            blocked_last: bool,
+            out: Rc<RefCell<Vec<u8>>>,
+        }
+
+        impl Scripted {
+            fn new(input: Vec<Step>) -> Self {
+                Scripted {
+                    input: input.into(),
+                    write_max: usize::MAX,
+                    block_writes: false,
+                    blocked_last: false,
+                    out: Rc::default(),
+                }
+            }
+        }
+
+        impl Read for Scripted {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                // An empty piece is no read at all (a read of 0 is EOF).
+                while matches!(self.input.front(), Some(Step::Bytes(b)) if b.is_empty()) {
+                    self.input.pop_front();
+                }
+                match self.input.pop_front() {
+                    Some(Step::Bytes(mut bytes)) => {
+                        let n = bytes.len().min(buf.len());
+                        buf[..n].copy_from_slice(&bytes[..n]);
+                        if n < bytes.len() {
+                            self.input.push_front(Step::Bytes(bytes.split_off(n)));
+                        }
+                        Ok(n)
+                    }
+                    Some(Step::Block) => Err(io::ErrorKind::WouldBlock.into()),
+                    Some(Step::Eof) => {
+                        self.input.push_front(Step::Eof);
+                        Ok(0)
+                    }
+                    // Open, with nothing more to say yet.
+                    None => Err(io::ErrorKind::WouldBlock.into()),
+                }
+            }
+        }
+
+        impl Write for Scripted {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.block_writes && !self.blocked_last {
+                    self.blocked_last = true;
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                self.blocked_last = false;
+                let n = buf.len().min(self.write_max);
+                self.out.borrow_mut().extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        /// A two-CUT in-memory store, requests over both CUTs plus one
+        /// for a CUT it does not hold, and their answers.
+        fn fixture() -> (Arc<BankStore>, Vec<DiagnosisRequest>, Vec<ServeResult>) {
+            let store = Arc::new(BankStore::in_memory(crate::EngineConfig::default()));
+            let tv = ft_core::TestVector::pair(0.5, 2.0);
+            let mut requests = Vec::new();
+            for (cut, order, seed) in [("a", 2, 11), ("b", 3, 12)] {
+                let bank = crate::synthetic::synthetic_circuit_bank(order, 10.0, 9, &tv).unwrap();
+                for sig in crate::synthetic::synthetic_queries(bank.trajectory_set(), 3, seed) {
+                    requests.push(DiagnosisRequest::new(cut, sig));
+                }
+                store.insert_bank(cut, bank).unwrap();
+            }
+            requests.swap(1, 4);
+            requests.push(DiagnosisRequest::new(
+                "missing",
+                Signature::new(vec![0.5, -0.5]),
+            ));
+            let results = requests.iter().map(|r| store.diagnose(r)).collect();
+            (store, requests, results)
+        }
+
+        /// How a codec writes requests and reads answers in the tests.
+        trait Wire: Codec + Default {
+            fn request(request: &DiagnosisRequest) -> Vec<u8>;
+
+            fn answers(requests: &[DiagnosisRequest], results: &[ServeResult]) -> Vec<u8> {
+                let mut out = Vec::new();
+                for (request, result) in requests.iter().zip(results) {
+                    Self::default().answer(&request.cut_id, result, &mut out);
+                }
+                out
+            }
+        }
+
+        impl Wire for FrameCodec {
+            fn request(request: &DiagnosisRequest) -> Vec<u8> {
+                encode_request(request)
+            }
+        }
+
+        impl Wire for LineCodec {
+            fn request(request: &DiagnosisRequest) -> Vec<u8> {
+                let coords: Vec<String> = request
+                    .signature
+                    .coords()
+                    .iter()
+                    .map(f64::to_string)
+                    .collect();
+                format!("{} {}\n", request.cut_id, coords.join(" ")).into_bytes()
+            }
+        }
+
+        fn stream_of<W: Wire>(requests: &[DiagnosisRequest]) -> Vec<u8> {
+            requests.iter().flat_map(W::request).collect()
+        }
+
+        /// Runs one connection over `stream` through the event loop's
+        /// own steps (read while it wants to, absorb finished batches,
+        /// pump) until it closes; returns what it wrote and the failure
+        /// it ended with.
+        fn drive<C: Codec>(
+            store: &Arc<BankStore>,
+            codec: C,
+            stream: Scripted,
+            max_inflight: usize,
+        ) -> (Vec<u8>, Option<NetError>) {
+            let out = Rc::clone(&stream.out);
+            let shutdown = ShutdownHandle::new().unwrap();
+            let registry = Arc::new(MetricsRegistry::noop());
+            let config = NetConfig {
+                workers: 2,
+                max_inflight,
+                refresh_interval: Duration::ZERO,
+                ..NetConfig::default()
+            };
+            let mut lp = EventLoop::new(Arc::clone(store), &registry, &config, &shutdown);
+            lp.add_conn(stream, codec, -1, "script".to_string());
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !lp.conns.is_empty() {
+                assert!(Instant::now() < deadline, "the connection never finished");
+                for conn in lp.conns.values_mut() {
+                    if conn.interest.0 {
+                        conn.read_into(&None);
+                    }
+                    assert!(conn.rbuf.len() - conn.rpos < READ_CAP + 16 * 1024);
+                }
+                let mut touched = lp.absorb_completions();
+                touched.extend(lp.conns.keys().copied());
+                touched.sort_unstable();
+                touched.dedup();
+                for token in touched {
+                    lp.pump(token);
+                }
+                std::thread::yield_now();
+            }
+            let bytes = out.borrow().clone();
+            (bytes, lp.failure.take())
+        }
+
+        /// All of `bytes` in one piece, then EOF.
+        fn whole(bytes: Vec<u8>) -> Vec<Step> {
+            vec![Step::Bytes(bytes), Step::Eof]
+        }
+
+        fn one_byte_writes<W: Wire>(
+            store: &Arc<BankStore>,
+            reqs: &[DiagnosisRequest],
+            res: &[ServeResult],
+        ) {
+            let mut stream = Scripted::new(whole(stream_of::<W>(reqs)));
+            stream.write_max = 1;
+            let (out, failure) = drive(store, W::default(), stream, 4);
+            assert!(failure.is_none(), "{failure:?}");
+            assert_eq!(out, W::answers(reqs, res));
+        }
+
+        #[test]
+        fn writes_that_take_one_byte_per_call_deliver_every_answer() {
+            let (store, reqs, res) = fixture();
+            one_byte_writes::<FrameCodec>(&store, &reqs, &res);
+            one_byte_writes::<LineCodec>(&store, &reqs, &res);
+        }
+
+        fn would_block_everywhere<W: Wire>(
+            store: &Arc<BankStore>,
+            reqs: &[DiagnosisRequest],
+            res: &[ServeResult],
+        ) {
+            // A storm: every read of one byte is followed by a
+            // `WouldBlock`, and so is every write.
+            let mut input = Vec::new();
+            for byte in stream_of::<W>(reqs) {
+                input.push(Step::Bytes(vec![byte]));
+                input.push(Step::Block);
+            }
+            input.push(Step::Eof);
+            let mut stream = Scripted::new(input);
+            stream.block_writes = true;
+            let (out, failure) = drive(store, W::default(), stream, 3);
+            assert!(failure.is_none(), "{failure:?}");
+            assert_eq!(out, W::answers(reqs, res));
+        }
+
+        #[test]
+        fn would_block_between_every_read_and_every_write_changes_nothing() {
+            let (store, reqs, res) = fixture();
+            would_block_everywhere::<FrameCodec>(&store, &reqs, &res);
+            would_block_everywhere::<LineCodec>(&store, &reqs, &res);
+        }
+
+        fn split_everywhere<W: Wire>(
+            store: &Arc<BankStore>,
+            reqs: &[DiagnosisRequest],
+            res: &[ServeResult],
+        ) {
+            let reqs = &reqs[..3];
+            let bytes = stream_of::<W>(reqs);
+            let expected = W::answers(reqs, &res[..3]);
+            for cut in 0..=bytes.len() {
+                let input = vec![
+                    Step::Bytes(bytes[..cut].to_vec()),
+                    Step::Block,
+                    Step::Bytes(bytes[cut..].to_vec()),
+                    Step::Eof,
+                ];
+                let (out, failure) = drive(store, W::default(), Scripted::new(input), 128);
+                assert!(failure.is_none(), "split at byte {cut}: {failure:?}");
+                assert_eq!(out, expected, "split at byte {cut}");
+            }
+        }
+
+        #[test]
+        fn pipelined_input_split_at_every_byte_offset_is_answered_whole() {
+            let (store, reqs, res) = fixture();
+            split_everywhere::<FrameCodec>(&store, &reqs, &res);
+            split_everywhere::<LineCodec>(&store, &reqs, &res);
+        }
+
+        #[test]
+        fn eof_after_two_and_a_half_requests_answers_exactly_two() {
+            let (store, reqs, res) = fixture();
+
+            // Frames: the half frame at EOF is abandoned.
+            let mut bytes = stream_of::<FrameCodec>(&reqs[..2]);
+            let third = FrameCodec::request(&reqs[2]);
+            bytes.extend_from_slice(&third[..third.len() / 2]);
+            let (out, failure) = drive(&store, FrameCodec, Scripted::new(whole(bytes)), 128);
+            assert!(failure.is_none(), "{failure:?}");
+            assert_eq!(out, FrameCodec::answers(&reqs[..2], &res[..2]));
+
+            // Lines: a last line without `\n` is still a request, so a
+            // line torn after its CUT id is refused, naming its line,
+            // after the two whole lines are answered.
+            let mut bytes = stream_of::<LineCodec>(&reqs[..2]);
+            bytes.extend_from_slice(reqs[2].cut_id.as_bytes());
+            let (out, failure) = drive(
+                &store,
+                LineCodec::default(),
+                Scripted::new(whole(bytes)),
+                128,
+            );
+            assert_eq!(out, LineCodec::answers(&reqs[..2], &res[..2]));
+            let failure = failure.expect("the torn line is refused").to_string();
+            assert!(failure.starts_with("request line 3: "), "{failure}");
+        }
+
+        #[test]
+        fn lines_skip_stats_and_comments_and_answer_a_last_line_without_newline() {
+            let (store, reqs, res) = fixture();
+            let mut bytes = Vec::new();
+            for (i, request) in reqs.iter().enumerate() {
+                match i {
+                    1 => bytes.extend_from_slice(b"!stats\n"),
+                    2 => bytes.extend_from_slice(b"\n  # a comment\n\r\n"),
+                    _ => {}
+                }
+                bytes.extend_from_slice(&LineCodec::request(request));
+            }
+            assert_eq!(bytes.pop(), Some(b'\n'));
+            let (out, failure) = drive(
+                &store,
+                LineCodec::default(),
+                Scripted::new(whole(bytes)),
+                128,
+            );
+            assert!(failure.is_none(), "{failure:?}");
+            assert_eq!(out, LineCodec::answers(&reqs, &res));
+        }
+
+        #[test]
+        fn a_line_longer_than_the_cap_is_refused_after_the_lines_before_it() {
+            let (store, reqs, res) = fixture();
+            let mut bytes = stream_of::<LineCodec>(&reqs[..2]);
+            bytes.extend(std::iter::repeat_n(b'7', 2 * READ_CAP));
+            bytes.extend_from_slice(&LineCodec::request(&reqs[2]));
+            let input = bytes
+                .chunks(4096)
+                .map(|c| Step::Bytes(c.to_vec()))
+                .chain([Step::Eof])
+                .collect();
+            let (out, failure) = drive(&store, LineCodec::default(), Scripted::new(input), 128);
+            assert_eq!(out, LineCodec::answers(&reqs[..2], &res[..2]));
+            let failure = failure.expect("the long line is refused").to_string();
+            assert!(failure.starts_with("request line 3: "), "{failure}");
+            assert!(failure.contains(&format!("{READ_CAP}-byte")), "{failure}");
+            assert!(
+                failure.len() < 200,
+                "the refusal echoed the line: {failure}"
+            );
+        }
+
+        #[test]
+        fn a_bad_frame_is_answered_with_an_error_frame_after_the_frames_before_it() {
+            let (store, reqs, res) = fixture();
+            let mut bytes = stream_of::<FrameCodec>(&reqs[..2]);
+            let mut bad = FrameCodec::request(&reqs[2]);
+            *bad.last_mut().unwrap() ^= 0x40;
+            bytes.extend_from_slice(&bad);
+            bytes.extend_from_slice(&FrameCodec::request(&reqs[3]));
+            let (out, failure) = drive(&store, FrameCodec, Scripted::new(whole(bytes)), 128);
+            let mut expected = FrameCodec::answers(&reqs[..2], &res[..2]);
+            let Some(NetError::Protocol { peer, frame, error }) = failure else {
+                panic!("a bad frame is a protocol error: {failure:?}");
+            };
+            assert_eq!((peer.as_str(), frame), ("script", "request"));
+            expected.extend_from_slice(&encode_text_frame(FRAME_ERROR, &error.to_string()));
+            assert_eq!(out, expected);
+        }
     }
 }

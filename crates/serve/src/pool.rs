@@ -1,7 +1,7 @@
 //! The persistent serving front-end: a long-lived worker pool over a
-//! shared [`BankStore`], and the crate's one concurrent executor. Stdin
-//! `ftd serve`, [`crate::NetServer`] and `perfbench` all serve through
-//! it.
+//! shared [`BankStore`], and the crate's one concurrent executor.
+//! `ftd serve`'s event loop (stdin and TCP alike) and `perfbench` both
+//! serve through it.
 //!
 //! [`ServeHandle`] spawns its worker threads **once**, feeds them from
 //! an mpsc request queue and reassembles their results into input order

@@ -653,13 +653,13 @@ impl BankStore {
     /// shards whose file is gone are retired — the sweep counterpart of
     /// the per-request probe in [`BankStore::engine`].
     ///
-    /// A front-end with an event loop (the TCP tier) calls this off a
-    /// periodic timer tick and sets [`StoreConfig::min_stat_interval`]
-    /// to the tick period, so the request hot path never touches
-    /// `stat(2)` while file swaps are still picked up within one tick.
-    /// The stdin serving path sweeps nothing: it keeps the default
-    /// interval, so each batch probes each CUT it touches once. Pinned
-    /// in-memory banks have no file and are skipped.
+    /// `ftd serve`'s event loop calls this off a periodic timer tick, in
+    /// both of its modes. Over TCP it also sets
+    /// [`StoreConfig::min_stat_interval`] to the tick period, so the
+    /// request hot path never touches `stat(2)` while file swaps are
+    /// still picked up within one tick. Stdin serving keeps the default
+    /// interval, so each batch also probes each CUT it touches once.
+    /// Pinned in-memory banks have no file and are skipped.
     pub fn refresh(&self) -> RefreshSummary {
         let mut summary = RefreshSummary::default();
         let resident: Vec<(String, FileGen, bool)> = {
