@@ -30,10 +30,10 @@
 //!   ambiguity set, so its verdict, ambiguity set and response line are
 //!   the full ranking's.
 //! * [`ServeHandle`] — the persistent serving front-end and the one
-//!   concurrent executor: long-lived worker threads over an mpsc queue
-//!   with input-order reassembly, so sustained traffic pays no
-//!   per-batch thread spawn and batches pipeline; answers are
-//!   byte-identical at every worker count.
+//!   concurrent executor: long-lived worker threads claim runs of each
+//!   queued batch and fill its input-order result slots in place, so
+//!   sustained traffic pays no per-batch thread spawn and batches
+//!   pipeline; answers are byte-identical at every worker count.
 //! * [`MetricsRegistry`] ([`obs`]) — hand-rolled serving observability:
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
 //!   over the engine, store, and pool, snapshotted as the Prometheus

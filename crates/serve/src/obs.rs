@@ -577,7 +577,7 @@ impl StoreMetrics {
 #[derive(Debug, Clone)]
 pub(crate) struct PoolMetrics {
     registry: Arc<MetricsRegistry>,
-    /// `pool_queue_depth` — jobs submitted and not yet picked up.
+    /// `pool_queue_depth` — batch runs submitted and not yet claimed.
     pub queue_depth: Arc<Gauge>,
     /// `pool_batch_requests` — requests per submitted batch.
     pub batch_sizes: Arc<Histogram>,

@@ -3,11 +3,16 @@
 //! `ftd serve`'s event loop (stdin and TCP alike) and `perfbench` both
 //! serve through it.
 //!
-//! [`ServeHandle`] spawns its worker threads **once**, feeds them from
-//! an mpsc request queue and reassembles their results into input order
-//! per batch, so sustained traffic pays no per-batch thread spawn.
-//! Batches pipeline — a new batch can be submitted while earlier ones
-//! are still in flight, and workers drain the queue continuously.
+//! [`ServeHandle`] spawns its worker threads **once**, so sustained
+//! traffic pays no per-batch thread spawn. A submitted batch is one
+//! shared allocation holding its requests and a result slot for each,
+//! queued once: workers claim contiguous runs of it through an atomic
+//! cursor and write each result straight into its slot, so a batch is
+//! never split up, sent piecewise or reassembled. The worker whose run
+//! completes the batch wakes the drainer, once per batch. Batches
+//! pipeline — a new batch can be submitted while earlier ones are still
+//! in flight, and a worker moves on to the next queued batch as soon as
+//! every run of the current one is claimed.
 //!
 //! Each request is answered by the call behind every served answer,
 //! [`diagnose_on`] (the index's top-1 early-exit search), so a result
@@ -24,15 +29,17 @@
 //! [`diagnose_on`]: crate::store::diagnose_on
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ft_core::Diagnosis;
 
-use crate::obs::{MetricsRegistry, PoolMetrics};
+use crate::engine::DiagnosisEngine;
+use crate::obs::{Counter, Gauge, MetricsRegistry, PoolMetrics};
 use crate::store::{BankStore, DiagnosisRequest, StoreError};
 
 /// The outcome of one request served through the pool. The
@@ -45,36 +52,231 @@ pub type ServeResult = Result<Diagnosis, StoreError>;
 /// Identifies a submitted batch; batches complete in submission order.
 pub(crate) type BatchId = u64;
 
-/// One unit of queued work: a contiguous run of a batch's requests.
-/// Runs (rather than single requests) keep the per-job channel and lock
-/// overhead amortised across several diagnoses while still giving the
-/// pool enough pieces to balance load across workers.
-struct Job {
-    batch: BatchId,
-    start: usize,
-    /// When the batch was submitted: shards resolve as of this instant
-    /// ([`BankStore::engine_since`]).
-    since: Instant,
+/// One submitted batch, shared by the handle and every worker serving
+/// it. Workers claim contiguous runs of `run` requests rather than
+/// single requests, which amortises the claim and the shard resolve
+/// over several diagnoses while still giving the pool enough pieces to
+/// balance load across workers.
+struct Batch {
     requests: Vec<DiagnosisRequest>,
-    /// The batch's requests not yet published, shared by all its runs:
-    /// the worker that takes it to zero runs the notifier, once per
-    /// batch.
-    unpublished: Arc<AtomicUsize>,
+    /// When the batch was submitted: shards resolve as of this instant
+    /// ([`BankStore::engine_since`]), and with metrics attached each
+    /// request's end-to-end latency is recorded against it at drain.
+    since: Instant,
+    /// Requests per run.
+    run: usize,
+    /// The first request of the next unclaimed run. Each claim is one
+    /// `fetch_add(run)`, so every run goes to exactly one worker; at or
+    /// past `requests.len()` every run is claimed.
+    next: AtomicUsize,
+    /// One slot per request, filled once by the worker that claimed its
+    /// run and emptied by the drain.
+    slots: Box<[Mutex<Option<ServeResult>>]>,
+    /// Requests whose result is not yet in its slot. The worker that
+    /// takes it to zero wakes the drainer.
+    unpublished: AtomicUsize,
 }
 
-/// Per-batch reassembly state: filled slot count + the slots.
-struct Pending {
-    filled: usize,
-    slots: Vec<Option<ServeResult>>,
-    /// Submission instant: with metrics attached, each request's
-    /// end-to-end latency is recorded against it when the batch
-    /// completes.
-    enqueued: Instant,
-}
+impl Batch {
+    /// Claims the next run of requests; `None` once every run is claimed.
+    fn claim(&self) -> Option<Range<usize>> {
+        // Relaxed: the cursor only has to hand out each run once; the
+        // requests it indexes were published with the batch itself.
+        let start = self.next.fetch_add(self.run, Ordering::Relaxed);
+        let n = self.requests.len();
+        (start < n).then(|| start..(start + self.run).min(n))
+    }
 
-impl Pending {
+    /// Whether more than one run is still unclaimed.
+    fn has_spare_runs(&self) -> bool {
+        self.next.load(Ordering::Relaxed) + self.run < self.requests.len()
+    }
+
+    /// Claims every run still unclaimed, serving none of them; returns
+    /// how many runs that was.
+    fn discard(&self) -> usize {
+        let n = self.requests.len();
+        let claimed = self.next.fetch_max(n, Ordering::Relaxed);
+        n.saturating_sub(claimed).div_ceil(self.run)
+    }
+
+    /// Whether every result is in its slot. Acquire pairs with the
+    /// workers' `AcqRel` count updates, so a caller that reads `true`
+    /// finds every slot filled.
     fn complete(&self) -> bool {
-        self.filled == self.slots.len()
+        self.unpublished.load(Ordering::Acquire) == 0
+    }
+}
+
+/// The queued batches, oldest first. Workers serve only the front one,
+/// and the first worker to find it fully claimed unqueues it.
+struct Queue {
+    batches: VecDeque<Arc<Batch>>,
+    /// Workers asleep on [`Shared::work`]: a submit signals it only when
+    /// one is, since each signal is a syscall even with no waiter.
+    idle: usize,
+    /// Set on drop: workers exit instead of waiting for more batches.
+    closed: bool,
+}
+
+/// What the handle and its workers share.
+struct Shared {
+    store: Arc<BankStore>,
+    queue: Mutex<Queue>,
+    /// Idle workers sleep here until a batch is queued or the pool
+    /// closes.
+    work: Condvar,
+    /// Whether a blocking drain is asleep on `completed`.
+    draining: Mutex<bool>,
+    /// Signalled when a batch completes while a drain sleeps.
+    completed: Condvar,
+    notify: Option<Arc<dyn Fn() + Send + Sync>>,
+    queue_depth: Option<Arc<Gauge>>,
+}
+
+/// Locks `mutex`, recovering it from poisoning: every update made under
+/// the pool's locks leaves the state valid, and diagnoses, the one place
+/// a worker may panic, run with no lock held.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`diagnose_on`](crate::store::diagnose_on), with a panic reported in
+/// the request's slot: a panicking diagnosis must not kill the worker,
+/// or its run's slots would stay empty and the batch's drain would wait
+/// forever (unlike `thread::scope`, which re-raises on join).
+fn diagnose_caught(engine: &DiagnosisEngine, request: &DiagnosisRequest) -> ServeResult {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        crate::store::diagnose_on(engine, request)
+    }))
+    .unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err(StoreError::Panicked(what))
+    })
+}
+
+impl Shared {
+    /// One worker's life: claim and serve runs of the front batch, sleep
+    /// while the queue is empty, return once the pool closes.
+    fn work(&self, jobs: Option<Arc<Counter>>) {
+        let mut queue = lock(&self.queue);
+        loop {
+            if queue.closed {
+                return;
+            }
+            let Some(batch) = queue.batches.front().map(Arc::clone) else {
+                queue.idle += 1;
+                queue = self
+                    .work
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+                queue.idle -= 1;
+                continue;
+            };
+            // A submit wakes one sleeper; it wakes the next while the
+            // batch has runs beyond the one it is about to claim.
+            if queue.idle > 0 && batch.has_spare_runs() {
+                self.work.notify_one();
+            }
+            drop(queue);
+            while let Some(run) = batch.claim() {
+                if let Some(depth) = &self.queue_depth {
+                    depth.sub(1);
+                }
+                let len = run.len();
+                self.serve_run(&batch, run);
+                if let Some(jobs) = &jobs {
+                    jobs.inc();
+                }
+                self.publish(&batch, len);
+            }
+            queue = lock(&self.queue);
+            // Only the front batch is served, so a fully claimed batch
+            // is either still the front or already unqueued.
+            if queue
+                .batches
+                .front()
+                .is_some_and(|front| Arc::ptr_eq(front, &batch))
+            {
+                queue.batches.pop_front();
+            }
+        }
+    }
+
+    /// Serves one run into its slots. Each shard resolves once per
+    /// same-CUT stretch of the run, keeping the shard-map lock off the
+    /// per-request path. Each resolve is as of the batch's submission,
+    /// so the engine a stretch reuses is one its file had after the
+    /// batch was submitted, which is all a fresh resolve would promise;
+    /// and once one resolve has confirmed a CUT's generation, the
+    /// batch's later resolves of that CUT, in any run, probe nothing.
+    /// The cache names its CUT by the position of the request that
+    /// resolved it, so a CUT switch clones no id.
+    fn serve_run(&self, batch: &Batch, run: Range<usize>) {
+        let mut cached: Option<(usize, Arc<DiagnosisEngine>)> = None;
+        for at in run {
+            let request = &batch.requests[at];
+            let result = match &cached {
+                Some((from, engine)) if batch.requests[*from].cut_id == request.cut_id => {
+                    diagnose_caught(engine, request)
+                }
+                _ => match self.store.engine_since(&request.cut_id, batch.since) {
+                    Ok(engine) => {
+                        let result = diagnose_caught(&engine, request);
+                        cached = Some((at, engine));
+                        result
+                    }
+                    Err(e) => Err(e),
+                },
+            };
+            *lock(&batch.slots[at]) = Some(result);
+        }
+    }
+
+    /// Publishes a served run of `len` requests. The worker that
+    /// publishes a batch's last result wakes its drainer: the notifier,
+    /// and a blocking drain if one sleeps.
+    fn publish(&self, batch: &Batch, len: usize) {
+        // Every slot write happens before its run's fetch_sub, and
+        // AcqRel orders the batch's fetch_subs, so the worker that takes
+        // the count to zero follows every slot write of the batch: a
+        // drain after its wake finds the whole batch.
+        if batch.unpublished.fetch_sub(len, Ordering::AcqRel) != len {
+            return;
+        }
+        if let Some(notify) = &self.notify {
+            notify();
+        }
+        // A blocking drain checks the count under this lock before it
+        // sleeps, so by now it has either seen zero or is asleep.
+        let mut draining = lock(&self.draining);
+        if *draining {
+            *draining = false;
+            self.completed.notify_one();
+        }
+    }
+
+    /// Blocks until `batch` completes.
+    fn wait_for(&self, batch: &Batch) {
+        if batch.complete() {
+            return;
+        }
+        let mut draining = lock(&self.draining);
+        while !batch.complete() {
+            *draining = true;
+            draining = self
+                .completed
+                .wait(draining)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        // A spurious wake can find the batch complete with the flag still
+        // set: clear it, so no later completion signals a drain that is
+        // not asleep.
+        *draining = false;
     }
 }
 
@@ -84,18 +286,12 @@ impl Pending {
 /// Submit batches with [`ServeHandle::submit`]; collect them, in
 /// submission order, with [`ServeHandle::drain`] or
 /// [`ServeHandle::drain_one`]. Workers live until the handle drops
-/// (drop closes the queue and joins every thread).
+/// (drop discards the unserved backlog and joins every thread).
 pub struct ServeHandle {
-    store: Arc<BankStore>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    jobs: Option<Sender<Job>>,
-    results: Receiver<(BatchId, usize, Vec<ServeResult>)>,
-    /// Set on drop so workers discard any still-queued backlog instead
-    /// of diagnosing requests whose results nobody will read.
-    shutdown: Arc<AtomicBool>,
-    /// Undrained batches in submission order: batch `id` sits at index
-    /// `id - (next_batch - pending.len())`.
-    pending: VecDeque<Pending>,
+    /// Undrained batches in submission order.
+    pending: VecDeque<Arc<Batch>>,
     next_batch: BatchId,
     metrics: Option<PoolMetrics>,
 }
@@ -112,9 +308,10 @@ impl std::fmt::Debug for ServeHandle {
 impl ServeHandle {
     /// Spawns `workers` long-lived threads (at least one) over `store`.
     ///
-    /// The job queue is a single mpsc channel; idle workers take turns
-    /// blocking on it behind a mutex, so each job goes to exactly one
-    /// worker and a free worker picks up the next job immediately.
+    /// Submitted batches wait in one queue, oldest first. Idle workers
+    /// sleep on it; a worker claims runs of the front batch one at a
+    /// time, so a free worker picks up the next run immediately and each
+    /// run goes to exactly one worker.
     pub fn new(store: Arc<BankStore>, workers: usize) -> Self {
         ServeHandle::build(store, workers, None, None)
     }
@@ -136,8 +333,8 @@ impl ServeHandle {
 
     /// Like [`ServeHandle::with_metrics`], but additionally installs a
     /// completion notifier: `notify` runs once per batch, on the worker
-    /// that publishes the batch's last run, after that run is published
-    /// — so a [`ServeHandle::try_drain_one`] after the wake finds the
+    /// that publishes the batch's last result, after it is published —
+    /// so a [`ServeHandle::try_drain_one`] after the wake finds the
     /// whole batch. A non-blocking front-end (the TCP event loop) uses
     /// this to wake its poller — e.g. by writing one byte to a self-pipe
     /// registered for read interest — instead of parking on the
@@ -163,118 +360,29 @@ impl ServeHandle {
         metrics: Option<PoolMetrics>,
         notify: Option<Arc<dyn Fn() + Send + Sync>>,
     ) -> Self {
-        let workers = workers.max(1);
-        let (job_tx, job_rx) = channel::<Job>();
-        let (res_tx, res_rx) = channel();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let threads = (0..workers)
+        let shared = Arc::new(Shared {
+            store,
+            queue: Mutex::new(Queue {
+                batches: VecDeque::new(),
+                idle: 0,
+                closed: false,
+            }),
+            work: Condvar::new(),
+            draining: Mutex::new(false),
+            completed: Condvar::new(),
+            notify,
+            queue_depth: metrics.as_ref().map(|m| Arc::clone(&m.queue_depth)),
+        });
+        let threads = (0..workers.max(1))
             .map(|i| {
-                let job_rx = Arc::clone(&job_rx);
-                let res_tx = res_tx.clone();
-                let store = Arc::clone(&store);
-                let shutdown = Arc::clone(&shutdown);
-                let worker_metrics = metrics
-                    .as_ref()
-                    .map(|m| (Arc::clone(&m.queue_depth), m.worker_jobs(i)));
-                let notify = notify.clone();
-                std::thread::spawn(move || {
-                    loop {
-                        // Hold the queue lock only for the take; the
-                        // diagnosis itself runs unlocked.
-                        let job = {
-                            let queue = job_rx.lock().expect("job queue lock poisoned");
-                            queue.recv()
-                        };
-                        let Ok(job) = job else {
-                            break; // queue closed: the handle dropped
-                        };
-                        // Depth decrements on take — including discarded
-                        // shutdown backlog, so the gauge returns to zero.
-                        if let Some((depth, _)) = &worker_metrics {
-                            depth.sub(1);
-                        }
-                        // A dropped handle reads no more results: drain
-                        // the backlog without paying for diagnoses.
-                        // Acquire pairs with the Release store in Drop,
-                        // so a worker that sees the flag also sees every
-                        // write the dropping thread made before it.
-                        if shutdown.load(Ordering::Acquire) {
-                            continue;
-                        }
-                        // Resolve each shard once per same-CUT stretch of
-                        // the run, keeping the shard-map lock off the
-                        // per-request path. Each resolve is as of the
-                        // batch's submission, so the engine a stretch
-                        // reuses is one its file had after the batch was
-                        // submitted, which is all a fresh resolve would
-                        // promise; and once one resolve has confirmed a
-                        // CUT's generation, the batch's later resolves of
-                        // that CUT, in any run, probe nothing. The cache
-                        // names its CUT by the run position of the
-                        // request that resolved it, so a CUT switch
-                        // clones no id.
-                        let mut cached: Option<(usize, Arc<crate::DiagnosisEngine>)> = None;
-                        let mut results: Vec<ServeResult> = Vec::with_capacity(job.requests.len());
-                        for (at, request) in job.requests.iter().enumerate() {
-                            let fresh = matches!(&cached, Some((from, _))
-                                if job.requests[*from].cut_id == request.cut_id);
-                            if !fresh {
-                                match store.engine_since(&request.cut_id, job.since) {
-                                    Ok(engine) => cached = Some((at, engine)),
-                                    Err(e) => {
-                                        results.push(Err(e));
-                                        continue;
-                                    }
-                                }
-                            }
-                            let (_, engine) = cached.as_ref().expect("resolved above");
-                            // A panicking diagnosis must not kill the
-                            // worker: an unsent result would leave its
-                            // batch slot empty and hang drain forever
-                            // (unlike thread::scope, which re-raises on
-                            // join). Catch and report it in-slot.
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    crate::store::diagnose_on(engine, request)
-                                }))
-                                .unwrap_or_else(|panic| {
-                                    let what = panic
-                                        .downcast_ref::<&str>()
-                                        .map(|s| s.to_string())
-                                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "non-string panic payload".into());
-                                    Err(StoreError::Panicked(what))
-                                });
-                            results.push(result);
-                        }
-                        if let Some((_, jobs)) = &worker_metrics {
-                            jobs.inc();
-                        }
-                        let published = results.len();
-                        if res_tx.send((job.batch, job.start, results)).is_err() {
-                            break; // handle dropped mid-flight
-                        }
-                        // Every run's send happens before its fetch_sub,
-                        // and AcqRel orders the batch's fetch_subs, so
-                        // the worker that takes the count to zero sees
-                        // every run of the batch published: the caller's
-                        // try_recv after this wake finds the whole batch.
-                        if job.unpublished.fetch_sub(published, Ordering::AcqRel) == published {
-                            if let Some(notify) = &notify {
-                                notify();
-                            }
-                        }
-                    }
-                })
+                let shared = Arc::clone(&shared);
+                let jobs = metrics.as_ref().map(|m| m.worker_jobs(i));
+                std::thread::spawn(move || shared.work(jobs))
             })
             .collect();
         ServeHandle {
-            store,
+            shared,
             workers: threads,
-            jobs: Some(job_tx),
-            results: res_rx,
-            shutdown,
             pending: VecDeque::new(),
             next_batch: 0,
             metrics,
@@ -283,7 +391,7 @@ impl ServeHandle {
 
     /// The shared store the pool serves from.
     pub(crate) fn store(&self) -> &Arc<BankStore> {
-        &self.store
+        &self.shared.store
     }
 
     /// Number of worker threads.
@@ -297,13 +405,13 @@ impl ServeHandle {
     /// [`ServeHandle::drain_one`] in submission order, each batch in
     /// input order.
     ///
-    /// The batch is cut into roughly `4 × workers` contiguous runs (so
-    /// a slow run cannot stall the batch behind one worker, yet queue
-    /// overhead stays amortised); run boundaries never affect results,
-    /// only scheduling.
+    /// Workers claim the batch in runs of `ceil(n / (4 × workers))`
+    /// contiguous requests (so a slow run cannot stall the batch behind
+    /// one worker, yet the claims stay few); run boundaries never affect
+    /// results, only scheduling.
     ///
-    /// The batch is stamped with one submission instant before any run
-    /// is queued, and its shards resolve as of that instant. With the
+    /// The batch is stamped with one submission instant before it is
+    /// queued, and its shards resolve as of that instant. With the
     /// default [`crate::StoreConfig::min_stat_interval`], every request
     /// is answered from a generation its shard file had after the batch
     /// was submitted — a batch submitted after a rename completes is
@@ -312,100 +420,78 @@ impl ServeHandle {
     pub fn submit(&mut self, requests: Vec<DiagnosisRequest>) -> BatchId {
         let id = self.next_batch;
         self.next_batch += 1;
+        let n = requests.len();
         if let Some(m) = &self.metrics {
-            m.batch_sizes.record(requests.len() as u64);
+            m.batch_sizes.record(n as u64);
         }
-        let since = Instant::now();
-        self.pending.push_back(Pending {
-            filled: 0,
-            slots: requests.iter().map(|_| None).collect(),
-            enqueued: since,
+        let run = n.div_ceil(self.workers.len() * 4).max(1);
+        let batch = Arc::new(Batch {
+            requests,
+            since: Instant::now(),
+            run,
+            next: AtomicUsize::new(0),
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            unpublished: AtomicUsize::new(n),
         });
-        if requests.is_empty() {
-            return id;
+        self.pending.push_back(Arc::clone(&batch));
+        if n == 0 {
+            return id; // no runs: complete at submit
         }
-        let run = requests.len().div_ceil(self.workers.len() * 4).max(1);
-        let unpublished = Arc::new(AtomicUsize::new(requests.len()));
-        let jobs = self.jobs.as_ref().expect("job queue open while alive");
-        let mut start = 0usize;
-        let mut rest = requests;
-        while !rest.is_empty() {
-            let take = run.min(rest.len());
-            let tail = rest.split_off(take);
-            jobs.send(Job {
-                batch: id,
-                start,
-                since,
-                requests: std::mem::replace(&mut rest, tail),
-                unpublished: Arc::clone(&unpublished),
-            })
-            .expect("workers outlive the handle");
-            if let Some(m) = &self.metrics {
-                m.queue_depth.add(1);
-            }
-            start += take;
+        if let Some(m) = &self.metrics {
+            m.queue_depth.add(n.div_ceil(run) as i64);
+        }
+        let mut queue = lock(&self.shared.queue);
+        queue.batches.push_back(batch);
+        let wake = queue.idle > 0;
+        drop(queue);
+        if wake {
+            self.shared.work.notify_one();
         }
         id
     }
 
-    /// Slots one worker run into its batch's reassembly buffer.
-    fn absorb(&mut self, batch: BatchId, start: usize, results: Vec<ServeResult>) {
-        let front = self.next_batch - self.pending.len() as BatchId;
-        let entry = &mut self.pending[(batch - front) as usize];
-        for (offset, result) in results.into_iter().enumerate() {
-            debug_assert!(entry.slots[start + offset].is_none(), "slot filled twice");
-            entry.slots[start + offset] = Some(result);
-            entry.filled += 1;
-        }
-    }
-
     /// Pops the completed oldest batch and returns it in input order.
     fn finish_front(&mut self) -> Vec<ServeResult> {
-        let entry = self.pending.pop_front().expect("completed batch present");
-        let batch: Vec<ServeResult> = entry
+        let batch = self.pending.pop_front().expect("completed batch present");
+        let results: Vec<ServeResult> = batch
             .slots
-            .into_iter()
-            .map(|slot| slot.expect("every slot filled by exactly one worker"))
+            .iter()
+            .map(|slot| {
+                lock(slot)
+                    .take()
+                    .expect("every slot filled before its batch completes")
+            })
             .collect();
         if let Some(m) = &self.metrics {
-            m.requests.add(batch.len() as u64);
+            m.requests.add(results.len() as u64);
             m.errors
-                .add(batch.iter().filter(|r| r.is_err()).count() as u64);
+                .add(results.iter().filter(|r| r.is_err()).count() as u64);
             // Every request in the batch shares the submit-to-drain wall
             // time: that is the latency a caller actually saw.
-            let micros = entry.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            if !batch.is_empty() {
-                m.request_latency.record_n(micros, batch.len() as u64);
+            let micros = batch.since.elapsed().as_micros().min(u64::MAX as u128) as u64;
+            if !results.is_empty() {
+                m.request_latency.record_n(micros, results.len() as u64);
             }
         }
-        batch
+        results
     }
 
     /// Blocks until the **oldest** outstanding batch completes and
     /// returns its results in input order; `None` when nothing is
     /// outstanding. Younger batches keep being served in the background
-    /// while this waits.
+    /// while this waits, and the wait wakes once, when the worker that
+    /// publishes a batch's last result finds it asleep.
     pub fn drain_one(&mut self) -> Option<Vec<ServeResult>> {
-        while !self.pending.front()?.complete() {
-            let (batch, start, results) = self
-                .results
-                .recv()
-                .expect("workers alive while batches are outstanding");
-            self.absorb(batch, start, results);
-        }
+        self.shared.wait_for(self.pending.front()?);
         Some(self.finish_front())
     }
 
-    /// Non-blocking [`ServeHandle::drain_one`]: absorbs every worker run
-    /// already published, then returns the oldest batch **iff** it is
-    /// complete. `None` means "nothing outstanding" or "oldest batch
-    /// still in flight" — callers driven by a completion notifier (see
-    /// [`ServeHandle::with_notifier`]) simply call again on the next
-    /// wake. Never parks the calling thread.
+    /// Non-blocking [`ServeHandle::drain_one`]: returns the oldest batch
+    /// **iff** it is complete. `None` means "nothing outstanding" or
+    /// "oldest batch still in flight" — callers driven by a completion
+    /// notifier (see [`ServeHandle::with_notifier`]) simply call again
+    /// on the next wake. Never parks the calling thread.
     pub(crate) fn try_drain_one(&mut self) -> Option<Vec<ServeResult>> {
-        while let Ok((batch, start, results)) = self.results.try_recv() {
-            self.absorb(batch, start, results);
-        }
         if !self.pending.front()?.complete() {
             return None;
         }
@@ -425,17 +511,21 @@ impl ServeHandle {
 
 impl Drop for ServeHandle {
     fn drop(&mut self) {
-        // An mpsc receiver keeps yielding buffered messages after the
-        // sender drops, so closing the queue alone would make workers
-        // diagnose the whole undrained backlog first. The shutdown flag
-        // turns that drain into discards: workers finish the run they
-        // are on, skip everything still queued, and exit when the
-        // closed queue empties — drop stays prompt even with batches in
-        // flight. Release pairs with the workers' Acquire load, giving
-        // the flag a synchronizing edge of its own instead of riding on
-        // the channel's internal synchronization.
-        self.shutdown.store(true, Ordering::Release);
-        drop(self.jobs.take());
+        // A dropped handle reads no more results: close the queue and
+        // discard every unclaimed run, so workers finish the run they
+        // are on and exit instead of diagnosing the backlog — drop stays
+        // prompt even with batches in flight. The discarded runs leave
+        // the depth gauge, so it returns to zero.
+        let mut queue = lock(&self.shared.queue);
+        queue.closed = true;
+        for batch in queue.batches.drain(..) {
+            let discarded = batch.discard();
+            if let Some(depth) = &self.shared.queue_depth {
+                depth.sub(discarded as i64);
+            }
+        }
+        drop(queue);
+        self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -470,6 +560,16 @@ mod tests {
             })
             .collect();
         ([a, b], requests)
+    }
+
+    /// The sum of the `pool_worker_jobs_total{worker=…}` counters: runs
+    /// served.
+    fn worker_jobs(snap: &crate::obs::Snapshot) -> u64 {
+        snap.counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("pool_worker_jobs_total{"))
+            .map(|(_, v)| v)
+            .sum()
     }
 
     fn two_cut_store() -> (Arc<BankStore>, Vec<DiagnosisRequest>) {
@@ -537,21 +637,52 @@ mod tests {
     fn drop_with_undrained_backlog_neither_hangs_nor_panics() {
         for workers in [1usize, 2, 8] {
             let (store, requests) = two_cut_store();
-            let mut handle = ServeHandle::new(store, workers);
-            // Pile up far more work than the workers can finish, then
-            // drop without draining: the shutdown flag discards the
-            // backlog, so this returns promptly instead of diagnosing
-            // it all.
+            let registry = Arc::new(MetricsRegistry::new());
+            // A worker that completes a batch parks in the notifier until
+            // drop has discarded the backlog, so drop meets the workers
+            // mid-stream and the backlog still queued.
+            let park = Arc::new((Mutex::new(false), Condvar::new()));
+            let parked = Arc::clone(&park);
+            let mut handle = ServeHandle::with_notifier(
+                store,
+                workers,
+                &registry,
+                Arc::new(move || {
+                    let (released, wake) = &*parked;
+                    let mut released = lock(released);
+                    while !*released {
+                        released = wake.wait(released).unwrap();
+                    }
+                }),
+            );
             for _ in 0..200 {
                 handle.submit(requests.clone());
             }
-            // Draining one batch first guarantees the workers are mid-
-            // stream when drop races them: the flag flips while runs of
-            // later batches are genuinely in flight.
-            let first = handle.drain_one().expect("first batch completes");
-            assert_eq!(first.len(), requests.len());
-            assert!(first.iter().all(|r| r.is_ok()));
+            // Claims and drop's discard of the unclaimed runs both leave
+            // the depth gauge, so it reads zero once drop has discarded
+            // the backlog, and not before: a completion parks its worker.
+            let depth = registry.gauge("pool_queue_depth");
+            let releaser = std::thread::spawn(move || {
+                while depth.get() != 0 {
+                    std::thread::yield_now();
+                }
+                *lock(&park.0) = true;
+                park.1.notify_all();
+            });
             drop(handle);
+            releaser.join().unwrap();
+            // Before the discard, each completed batch parked its worker
+            // and each other fully claimed batch had a run in progress on
+            // a worker, so at most `workers` batches and part of the next
+            // were claimed, and nothing after: the rest was discarded.
+            let runs_per_batch = requests
+                .len()
+                .div_ceil(requests.len().div_ceil(4 * workers));
+            let served = worker_jobs(&registry.snapshot());
+            assert!(
+                served <= ((workers + 1) * runs_per_batch) as u64,
+                "drop served {served} runs at {workers} workers"
+            );
         }
     }
 
@@ -718,13 +849,10 @@ mod tests {
         assert_eq!(snap.gauge("pool_queue_depth"), Some(0), "queue drained");
         assert_eq!(snap.histogram("pool_batch_requests").unwrap().count, 1);
         assert_eq!(snap.histogram("serve_request_latency_us").unwrap().count, n);
-        let jobs: u64 = snap
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("pool_worker_jobs_total{"))
-            .map(|(_, v)| v)
-            .sum();
-        assert!(jobs > 0, "per-worker job counters record the runs");
+        assert!(
+            worker_jobs(&snap) > 0,
+            "per-worker job counters record the runs"
+        );
 
         // A noop registry attaches nothing and registers nothing.
         let noop = Arc::new(MetricsRegistry::noop());
@@ -736,61 +864,135 @@ mod tests {
     }
 
     #[test]
-    fn try_drain_with_notifier_matches_blocking_drain() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn every_batch_drains_after_its_wake() {
+        // The event loop drains only after a notifier call, so a wake
+        // that is lost, or that runs before its batch is complete, hangs
+        // a connection. Drain only after a wake, and fail at a deadline.
+        // Every fifth batch is empty: it has no runs, is complete at
+        // submit and never notifies.
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
 
         let (store, requests) = two_cut_store();
-        // Batches of 5 are cut into several runs at either worker count
-        // (3 runs at 1 worker, 5 at 3), and an empty batch sits in the
-        // middle of the sequence.
-        let mut chunks: Vec<Vec<DiagnosisRequest>> =
-            requests.chunks(5).map(|c| c.to_vec()).collect();
-        chunks.insert(2, Vec::new());
-        let non_empty = chunks.iter().filter(|c| !c.is_empty()).count();
-        for workers in [1, 3] {
-            let mut blocking = ServeHandle::new(Arc::clone(&store), workers);
-            for chunk in &chunks {
-                blocking.submit(chunk.clone());
-            }
-            let reference = blocking.drain();
-
-            let wakes = Arc::new(AtomicUsize::new(0));
+        let reference: Vec<Diagnosis> = requests
+            .iter()
+            .map(|r| store.diagnose(r).unwrap())
+            .collect();
+        let batches: Vec<Range<usize>> = (0..200)
+            .map(|k| {
+                let n = k % 5;
+                let start = k * 5 % (requests.len() - n + 1);
+                start..start + n
+            })
+            .collect();
+        for workers in [1, 2, 3, 8] {
+            let (tx, rx) = channel();
             let registry = Arc::new(MetricsRegistry::noop());
-            let counter = Arc::clone(&wakes);
             let mut handle = ServeHandle::with_notifier(
                 Arc::clone(&store),
                 workers,
                 &registry,
-                Arc::new(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }),
+                Arc::new(move || tx.send(()).expect("the test outlives the pool")),
             );
             assert!(handle.try_drain_one().is_none(), "nothing outstanding yet");
-            for chunk in &chunks {
-                handle.submit(chunk.clone());
-            }
-            let mut drained = Vec::new();
-            while drained.len() < chunks.len() {
-                match handle.try_drain_one() {
-                    Some(batch) => drained.push(batch),
-                    None => std::thread::yield_now(),
+            let mut wakes = 0;
+            let mut drained = 0;
+            // Waves of 25 batches submitted back to back, each drained
+            // before the next, so submits also find the workers asleep.
+            for wave in batches.chunks(25) {
+                for batch in wave {
+                    handle.submit(requests[batch.clone()].to_vec());
+                }
+                let end = drained + wave.len();
+                while drained < end {
+                    rx.recv_timeout(Duration::from_secs(10))
+                        .unwrap_or_else(|_| {
+                            panic!("no wake for batch {drained} at {workers} workers")
+                        });
+                    wakes += 1;
+                    while let Some(results) = handle.try_drain_one() {
+                        let want = &reference[batches[drained].clone()];
+                        assert_eq!(results.len(), want.len());
+                        for (got, want) in results.iter().zip(want) {
+                            assert_eq!(got.as_ref().unwrap(), want);
+                        }
+                        drained += 1;
+                    }
                 }
             }
             assert!(handle.try_drain_one().is_none());
             // Dropping joins the workers, so every notify has returned.
             drop(handle);
+            wakes += rx.try_iter().count();
+            let non_empty = batches.iter().filter(|b| !b.is_empty()).count();
             assert_eq!(
-                wakes.load(Ordering::SeqCst),
-                non_empty,
+                wakes, non_empty,
                 "one wake per non-empty batch at {workers} workers"
             );
-            assert_eq!(reference.len(), drained.len());
-            for (a, b) in reference.iter().zip(&drained) {
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+        }
+    }
+
+    #[test]
+    fn runs_cover_awkward_batch_sizes() {
+        const SIZES: [usize; 10] = [0, 1, 2, 7, 8, 9, 33, 64, 65, 257];
+        let store = BankStore::in_memory(EngineConfig::default());
+        let ([a, b], requests) = two_cut_banks(129);
+        store.insert_bank("a", a).unwrap();
+        store.insert_bank("b", b).unwrap();
+        let store = Arc::new(store);
+        let reference: Vec<Diagnosis> = requests
+            .iter()
+            .map(|r| store.diagnose(r).unwrap())
+            .collect();
+        for workers in [1, 2, 3, 8] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut handle = ServeHandle::with_metrics(Arc::clone(&store), workers, &registry);
+            let mut expected: VecDeque<&[Diagnosis]> = VecDeque::new();
+            let check = |drained: Vec<Vec<ServeResult>>, expected: &mut VecDeque<_>| {
+                for results in drained {
+                    let want: &[Diagnosis] = expected.pop_front().expect("a batch in flight");
+                    assert_eq!(results.len(), want.len(), "at {workers} workers");
+                    for (got, want) in results.iter().zip(want) {
+                        assert_eq!(got.as_ref().unwrap(), want, "at {workers} workers");
+                    }
+                }
+            };
+            // Up to three batches in flight, drained alternately one at
+            // a time and all at once.
+            let mut one_at_a_time = true;
+            for (k, &n) in SIZES.iter().enumerate() {
+                let start = k * 13 % (requests.len() - n + 1);
+                handle.submit(requests[start..start + n].to_vec());
+                expected.push_back(&reference[start..start + n]);
+                if expected.len() == 3 {
+                    let drained = if one_at_a_time {
+                        vec![handle.drain_one().unwrap()]
+                    } else {
+                        handle.drain()
+                    };
+                    check(drained, &mut expected);
+                    one_at_a_time = !one_at_a_time;
                 }
             }
+            check(handle.drain(), &mut expected);
+            assert!(expected.is_empty());
+
+            let snap = registry.snapshot();
+            assert_eq!(
+                snap.gauge("pool_queue_depth"),
+                Some(0),
+                "at {workers} workers"
+            );
+            let runs: usize = SIZES
+                .iter()
+                .filter(|&&n| n > 0)
+                .map(|&n| n.div_ceil(n.div_ceil(4 * workers)))
+                .sum();
+            assert_eq!(
+                worker_jobs(&snap),
+                runs as u64,
+                "one job per run at {workers} workers"
+            );
         }
     }
 
