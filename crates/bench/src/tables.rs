@@ -1,10 +1,10 @@
-//! Extended experiment tables (T-A … T-G of DESIGN.md).
+//! Extended experiment tables, T-A … T-J.
 //!
 //! The paper's evaluation is qualitative (figures); these tables quantify
 //! its claims: GA versus baseline selectors, number of test frequencies,
 //! behaviour across circuits, fitness-formulation ablation, dictionary
-//! resolution, noise robustness, and trajectory versus nearest-neighbour
-//! diagnosis.
+//! resolution, noise robustness, trajectory versus nearest-neighbour
+//! diagnosis, multi-probe observation, genome encoding, and double faults.
 
 use ft_circuit::all_benchmarks;
 use ft_core::{

@@ -443,7 +443,7 @@ mod tests {
         // one while compensating the other leaves the response identical.
         // These pairs are therefore inherent ambiguity groups of any
         // single-output diagnosis of this CUT — a floor on the paper's
-        // intersection count I documented in DESIGN.md.
+        // intersection count I.
         let probe = Probe::node("lp");
         let base = tow_thomas(&TowThomasParams::normalized(1.0)).unwrap();
         for (inc, dec) in [("R3", "R5"), ("R4", "C2")] {

@@ -84,7 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "(faults inside {{R3,R5}} and {{R4,C2}} are provably indistinguishable \
-         from a single low-pass output — see DESIGN.md §4b)"
+         from a single low-pass output — see the tow_thomas_structural_ambiguity_pairs \
+         test in crates/circuit/src/library.rs)"
     );
     Ok(())
 }

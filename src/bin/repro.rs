@@ -1,5 +1,6 @@
 //! Regenerates every figure and table of the DATE 2005 fault-trajectory
-//! paper (plus the extended tables of DESIGN.md).
+//! paper, plus the extended tables T-A … T-J that `ft_bench::tables`
+//! describes in its module doc.
 //!
 //! ```text
 //! repro <experiment> [--csv]
