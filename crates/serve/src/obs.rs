@@ -63,9 +63,11 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panic while holding a registry lock leaves plain numeric state;
-    // recover the guard rather than propagating poisoning.
+/// Locks `mutex`, recovering the guard rather than propagating
+/// poisoning. Only for locks whose every update leaves the guarded state
+/// valid: a panic while holding a registry lock leaves plain numeric
+/// state, and the pool's locks guard no code that can panic.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())

@@ -32,14 +32,14 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ft_core::Diagnosis;
 
 use crate::engine::DiagnosisEngine;
-use crate::obs::{Counter, Gauge, MetricsRegistry, PoolMetrics};
+use crate::obs::{lock, Counter, MetricsRegistry, PoolMetrics};
 use crate::store::{BankStore, DiagnosisRequest, StoreError};
 
 /// The outcome of one request served through the pool. The
@@ -119,7 +119,9 @@ struct Queue {
     closed: bool,
 }
 
-/// What the handle and its workers share.
+/// What the handle and its workers share. Its locks recover from
+/// poisoning: every update under them leaves the state valid, and
+/// diagnoses, the one place a worker may panic, run with none held.
 struct Shared {
     store: Arc<BankStore>,
     queue: Mutex<Queue>,
@@ -131,14 +133,7 @@ struct Shared {
     /// Signalled when a batch completes while a drain sleeps.
     completed: Condvar,
     notify: Option<Arc<dyn Fn() + Send + Sync>>,
-    queue_depth: Option<Arc<Gauge>>,
-}
-
-/// Locks `mutex`, recovering it from poisoning: every update made under
-/// the pool's locks leaves the state valid, and diagnoses, the one place
-/// a worker may panic, run with no lock held.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+    metrics: Option<PoolMetrics>,
 }
 
 /// [`diagnose_on`](crate::store::diagnose_on), with a panic reported in
@@ -184,8 +179,8 @@ impl Shared {
             }
             drop(queue);
             while let Some(run) = batch.claim() {
-                if let Some(depth) = &self.queue_depth {
-                    depth.sub(1);
+                if let Some(m) = &self.metrics {
+                    m.queue_depth.sub(1);
                 }
                 let len = run.len();
                 self.serve_run(&batch, run);
@@ -293,7 +288,6 @@ pub struct ServeHandle {
     /// Undrained batches in submission order.
     pending: VecDeque<Arc<Batch>>,
     next_batch: BatchId,
-    metrics: Option<PoolMetrics>,
 }
 
 impl std::fmt::Debug for ServeHandle {
@@ -371,12 +365,12 @@ impl ServeHandle {
             draining: Mutex::new(false),
             completed: Condvar::new(),
             notify,
-            queue_depth: metrics.as_ref().map(|m| Arc::clone(&m.queue_depth)),
+            metrics,
         });
         let threads = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let jobs = metrics.as_ref().map(|m| m.worker_jobs(i));
+                let jobs = shared.metrics.as_ref().map(|m| m.worker_jobs(i));
                 std::thread::spawn(move || shared.work(jobs))
             })
             .collect();
@@ -385,7 +379,6 @@ impl ServeHandle {
             workers: threads,
             pending: VecDeque::new(),
             next_batch: 0,
-            metrics,
         }
     }
 
@@ -421,7 +414,7 @@ impl ServeHandle {
         let id = self.next_batch;
         self.next_batch += 1;
         let n = requests.len();
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.shared.metrics {
             m.batch_sizes.record(n as u64);
         }
         let run = n.div_ceil(self.workers.len() * 4).max(1);
@@ -437,7 +430,7 @@ impl ServeHandle {
         if n == 0 {
             return id; // no runs: complete at submit
         }
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.shared.metrics {
             m.queue_depth.add(n.div_ceil(run) as i64);
         }
         let mut queue = lock(&self.shared.queue);
@@ -462,7 +455,7 @@ impl ServeHandle {
                     .expect("every slot filled before its batch completes")
             })
             .collect();
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.shared.metrics {
             m.requests.add(results.len() as u64);
             m.errors
                 .add(results.iter().filter(|r| r.is_err()).count() as u64);
@@ -520,8 +513,8 @@ impl Drop for ServeHandle {
         queue.closed = true;
         for batch in queue.batches.drain(..) {
             let discarded = batch.discard();
-            if let Some(depth) = &self.shared.queue_depth {
-                depth.sub(discarded as i64);
+            if let Some(m) = &self.shared.metrics {
+                m.queue_depth.sub(discarded as i64);
             }
         }
         drop(queue);
@@ -572,9 +565,10 @@ mod tests {
             .sum()
     }
 
-    fn two_cut_store() -> (Arc<BankStore>, Vec<DiagnosisRequest>) {
+    /// Both CUTs in one in-memory store, and `per_cut` requests for each.
+    fn two_cut_store(per_cut: usize) -> (Arc<BankStore>, Vec<DiagnosisRequest>) {
         let store = BankStore::in_memory(EngineConfig::default());
-        let ([a, b], requests) = two_cut_banks(12);
+        let ([a, b], requests) = two_cut_banks(per_cut);
         store.insert_bank("a", a).unwrap();
         store.insert_bank("b", b).unwrap();
         (Arc::new(store), requests)
@@ -582,7 +576,7 @@ mod tests {
 
     #[test]
     fn pool_matches_sequential_store_at_every_worker_count() {
-        let (store, requests) = two_cut_store();
+        let (store, requests) = two_cut_store(12);
         let reference: Vec<Diagnosis> = requests
             .iter()
             .map(|r| store.diagnose(r).unwrap())
@@ -601,7 +595,7 @@ mod tests {
 
     #[test]
     fn batches_pipeline_and_complete_in_submission_order() {
-        let (store, requests) = two_cut_store();
+        let (store, requests) = two_cut_store(12);
         let mut handle = ServeHandle::new(store, 3);
         let chunks: Vec<Vec<DiagnosisRequest>> = requests.chunks(7).map(|c| c.to_vec()).collect();
         let ids: Vec<BatchId> = chunks.iter().map(|c| handle.submit(c.clone())).collect();
@@ -620,7 +614,7 @@ mod tests {
 
     #[test]
     fn errors_come_back_in_their_slot() {
-        let (store, mut requests) = two_cut_store();
+        let (store, mut requests) = two_cut_store(12);
         requests.insert(
             3,
             DiagnosisRequest::new("ghost", Signature::new(vec![0.0; 2])),
@@ -636,7 +630,7 @@ mod tests {
     #[test]
     fn drop_with_undrained_backlog_neither_hangs_nor_panics() {
         for workers in [1usize, 2, 8] {
-            let (store, requests) = two_cut_store();
+            let (store, requests) = two_cut_store(12);
             let registry = Arc::new(MetricsRegistry::new());
             // A worker that completes a batch parks in the notifier until
             // drop has discarded the backlog, so drop meets the workers
@@ -824,7 +818,7 @@ mod tests {
 
     #[test]
     fn instrumented_pool_matches_plain_and_counts_traffic() {
-        let (store, mut requests) = two_cut_store();
+        let (store, mut requests) = two_cut_store(12);
         requests.push(DiagnosisRequest::new("ghost", Signature::new(vec![0.0; 2])));
 
         let registry = Arc::new(MetricsRegistry::new());
@@ -873,7 +867,7 @@ mod tests {
         use std::sync::mpsc::channel;
         use std::time::Duration;
 
-        let (store, requests) = two_cut_store();
+        let (store, requests) = two_cut_store(12);
         let reference: Vec<Diagnosis> = requests
             .iter()
             .map(|r| store.diagnose(r).unwrap())
@@ -935,11 +929,7 @@ mod tests {
     #[test]
     fn runs_cover_awkward_batch_sizes() {
         const SIZES: [usize; 10] = [0, 1, 2, 7, 8, 9, 33, 64, 65, 257];
-        let store = BankStore::in_memory(EngineConfig::default());
-        let ([a, b], requests) = two_cut_banks(129);
-        store.insert_bank("a", a).unwrap();
-        store.insert_bank("b", b).unwrap();
-        let store = Arc::new(store);
+        let (store, requests) = two_cut_store(129);
         let reference: Vec<Diagnosis> = requests
             .iter()
             .map(|r| store.diagnose(r).unwrap())
@@ -998,7 +988,7 @@ mod tests {
 
     #[test]
     fn empty_and_repeated_drains_are_safe() {
-        let (store, _) = two_cut_store();
+        let (store, _) = two_cut_store(12);
         let mut handle = ServeHandle::new(store, 2);
         assert!(handle.drain_one().is_none());
         assert!(handle.drain().is_empty());
