@@ -7,12 +7,11 @@
 //! traffic pays no per-batch thread spawn. A submitted batch is one
 //! shared allocation holding its requests and a result slot for each,
 //! queued once: workers claim contiguous runs of it through an atomic
-//! cursor and write each result straight into its slot, so a batch is
-//! never split up, sent piecewise or reassembled. The worker whose run
-//! completes the batch wakes the drainer, once per batch. Batches
-//! pipeline — a new batch can be submitted while earlier ones are still
-//! in flight, and a worker moves on to the next queued batch as soon as
-//! every run of the current one is claimed.
+//! cursor and write each result straight into its slot. The worker
+//! whose run completes the batch wakes the drainer, once per batch.
+//! Batches pipeline — a new batch can be submitted while earlier ones
+//! are still in flight, and a worker moves on to the next queued batch
+//! as soon as every run of the current one is claimed.
 //!
 //! Each request is answered by the call behind every served answer,
 //! [`diagnose_on`] (the index's top-1 early-exit search), so a result
@@ -228,7 +227,8 @@ impl Shared {
                     Err(e) => Err(e),
                 },
             };
-            *lock(&batch.slots[at]) = Some(result);
+            let prev = lock(&batch.slots[at]).replace(result);
+            debug_assert!(prev.is_none(), "slot filled twice");
         }
     }
 
@@ -862,8 +862,10 @@ mod tests {
         // The event loop drains only after a notifier call, so a wake
         // that is lost, or that runs before its batch is complete, hangs
         // a connection. Drain only after a wake, and fail at a deadline.
-        // Every fifth batch is empty: it has no runs, is complete at
-        // submit and never notifies.
+        // Every tenth batch is empty: it has no runs, is complete at
+        // submit and never notifies. Batches of up to 9 requests give
+        // runs of 2 or 3 at 1 worker and of 2 at 2 workers, so a batch
+        // whose last publish carries more than one result is counted.
         use std::sync::mpsc::channel;
         use std::time::Duration;
 
@@ -874,7 +876,7 @@ mod tests {
             .collect();
         let batches: Vec<Range<usize>> = (0..200)
             .map(|k| {
-                let n = k % 5;
+                let n = k % 10;
                 let start = k * 5 % (requests.len() - n + 1);
                 start..start + n
             })

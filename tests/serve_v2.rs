@@ -161,7 +161,7 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
         let store = Arc::new(BankStore::open(&dir, EngineConfig::default()).expect("store opens"));
         assert_eq!(store.loaded_count(), 0, "shards load lazily");
         let mut handle = ServeHandle::new(Arc::clone(&store), workers);
-        // Pipeline several sub-batches to exercise reassembly.
+        // Several sub-batches in flight at once, drained together.
         for chunk in requests.chunks(9) {
             handle.submit(chunk.to_vec());
         }
