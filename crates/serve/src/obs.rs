@@ -66,7 +66,8 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 /// Locks `mutex`, recovering the guard rather than propagating
 /// poisoning. Only for locks whose every update leaves the guarded state
 /// valid: a panic while holding a registry lock leaves plain numeric
-/// state, and the pool's locks guard no code that can panic.
+/// state, the pool's locks guard no code that can panic, and the store's
+/// shard map changes only by whole slots.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()

@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use ft_core::{Diagnosis, Signature};
@@ -54,7 +54,7 @@ use ft_core::{Diagnosis, Signature};
 use crate::bank::TrajectoryBank;
 use crate::codec::CodecError;
 use crate::engine::{DiagnosisEngine, EngineConfig};
-use crate::obs::{MetricsRegistry, SpanTimer, StoreMetrics};
+use crate::obs::{lock, MetricsRegistry, SpanTimer, StoreMetrics};
 
 /// A file's load generation: modification time and byte length. Two
 /// observations with equal generations are treated as the same content;
@@ -316,6 +316,10 @@ struct ShardMap {
 pub struct BankStore {
     dir: Option<PathBuf>,
     config: StoreConfig,
+    /// Locked through `obs::lock`, which recovers from poisoning: slots
+    /// are only ever inserted or removed whole under the lock, so the
+    /// map stays consistent even if a holder panicked, and one crashed
+    /// client thread must not brick the store.
     shards: Mutex<ShardMap>,
     /// LRU clock: bumped on every shard touch.
     tick: AtomicU64,
@@ -401,15 +405,7 @@ impl BankStore {
     /// Resident bytes currently pinned by file-backed shards (the
     /// quantity [`StoreConfig::mem_budget`] bounds).
     pub fn resident_bytes(&self) -> u64 {
-        self.lock_shards().resident_bytes
-    }
-
-    /// Locks the shard map, recovering from poisoning: slots are only
-    /// ever inserted or removed whole under the lock, so the map is
-    /// structurally consistent even if a holder panicked mid-critical-
-    /// section — one crashed client thread must not brick the store.
-    fn lock_shards(&self) -> MutexGuard<'_, ShardMap> {
-        self.shards.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.shards).resident_bytes
     }
 
     fn next_tick(&self) -> u64 {
@@ -446,7 +442,7 @@ impl BankStore {
             last_used: self.next_tick(),
             confirmed_at: Instant::now(),
         };
-        let mut map = self.lock_shards();
+        let mut map = lock(&self.shards);
         if let Some(old) = map.slots.insert(cut_id.to_string(), slot) {
             map.resident_bytes -= old.bytes;
         }
@@ -456,7 +452,7 @@ impl BankStore {
     /// Number of shards currently resident in memory (cached load
     /// failures do not count, and neither do evicted shards).
     pub fn loaded_count(&self) -> usize {
-        self.lock_shards()
+        lock(&self.shards)
             .slots
             .values()
             .filter(|slot| slot.state.is_ok())
@@ -467,8 +463,7 @@ impl BankStore {
     /// regular files in the shard directory (the rule a first load
     /// applies), sorted and deduplicated.
     pub fn cut_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .lock_shards()
+        let mut ids: Vec<String> = lock(&self.shards)
             .slots
             .iter()
             .filter(|(_, slot)| slot.state.is_ok())
@@ -536,11 +531,11 @@ impl BankStore {
             return Err(StoreError::InvalidCutId(cut_id.to_string()));
         }
         let cached: Option<(ShardState, Option<FileGen>, bool)> = {
-            let mut map = self.lock_shards();
+            let mut map = lock(&self.shards);
             match map.slots.get_mut(cut_id) {
                 None => None,
                 Some(slot) => {
-                    slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                    slot.last_used = self.next_tick();
                     // An interval too large to add trusts the slot for
                     // good.
                     let fresh = slot
@@ -620,7 +615,7 @@ impl BankStore {
     /// moves backwards and is only recorded while the slot still holds
     /// `generation` (a racing swap must not refresh a stale slot).
     fn confirm(&self, cut_id: &str, generation: FileGen, probed_at: Instant) {
-        let mut map = self.lock_shards();
+        let mut map = lock(&self.shards);
         if let Some(slot) = map.slots.get_mut(cut_id) {
             if slot.generation == Some(generation) {
                 slot.confirmed_at = slot.confirmed_at.max(probed_at);
@@ -632,7 +627,7 @@ impl BankStore {
     /// guard against retiring a slot a racing loader already swapped.
     /// Returns whether a slot was actually removed.
     fn retire_slot(&self, cut_id: &str, generation: FileGen) -> bool {
-        let mut map = self.lock_shards();
+        let mut map = lock(&self.shards);
         match map.slots.get(cut_id) {
             Some(slot) if slot.generation == Some(generation) => {}
             _ => return false,
@@ -663,7 +658,7 @@ impl BankStore {
     pub fn refresh(&self) -> RefreshSummary {
         let mut summary = RefreshSummary::default();
         let resident: Vec<(String, FileGen, bool)> = {
-            let map = self.lock_shards();
+            let map = lock(&self.shards);
             map.slots
                 .iter()
                 .filter_map(|(id, slot)| {
@@ -763,12 +758,12 @@ impl BankStore {
             confirmed_at: probed_at,
         };
 
-        let mut map = self.lock_shards();
+        let mut map = lock(&self.shards);
         if let Some(existing) = map.slots.get_mut(cut_id) {
             if existing.generation == Some(generation) {
                 // A racing loader beat us to the same generation; its
                 // engine is identical, so keep it and drop ours.
-                existing.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                existing.last_used = self.next_tick();
                 existing.confirmed_at = existing.confirmed_at.max(probed_at);
                 return existing.state.clone().map_err(bank_error(Some(generation)));
             }
@@ -1219,7 +1214,7 @@ mod tests {
         store
             .load_and_install("cut", &path, stale, Instant::now())
             .unwrap();
-        let recorded = store.lock_shards().slots["cut"].generation;
+        let recorded = lock(&store.shards).slots["cut"].generation;
         assert_eq!(recorded, Some(FileGen::probe(&path).unwrap()));
         std::fs::remove_dir_all(&dir).ok();
     }
