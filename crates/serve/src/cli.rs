@@ -15,8 +15,6 @@
 //! * `ftd bank-info` — inspect a bank container: format version,
 //!   section table with per-section payload bytes and checksum status,
 //!   whether the served load accepts it, entry counts.
-//! * `ftd bench-scan-vs-index` — measure the spatial index against the
-//!   linear scan on a production-scale synthetic bank.
 //!
 //! Argument parsing is hand-rolled (the environment is offline; no
 //! `clap`). Errors print to stderr; exit codes are `0` success, `1`
@@ -28,7 +26,7 @@ use std::time::{Duration, Instant};
 use ft_circuit::{tow_thomas_normalized, Probe};
 use ft_core::{
     ambiguity_groups, measure_signature, Diagnoser, DiagnoserConfig, Diagnosis, GeometryOptions,
-    LinearScan, SegmentQuery, Signature, TestVector,
+    Signature, TestVector,
 };
 use ft_faults::{DeviationGrid, FaultDictionary, FaultUniverse, MeasurementNoise, ParametricFault};
 use ft_numerics::FrequencyGrid;
@@ -38,13 +36,12 @@ use rand::SeedableRng;
 use crate::bank::TrajectoryBank;
 use crate::codec::{peek_version, section_name, SectionTable, BANK_VERSION};
 use crate::engine::{DiagnosisEngine, EngineConfig};
-use crate::index::SegmentIndex;
 #[cfg(unix)]
 use crate::net::{install_signal_drain, serve_stdin, NetServer};
 use crate::net::{parse_request_line, NetConfig};
 use crate::obs::MetricsRegistry;
 use crate::store::{BankStore, DiagnosisRequest, StoreConfig};
-use crate::synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};
+use crate::synthetic::synthetic_queries;
 
 const USAGE: &str = "\
 ftd — fault-trajectory diagnosis engine
@@ -62,10 +59,6 @@ USAGE:
             [--depth N] [--total N] [--out PATH] [--json PATH] [--stats]
   ftd gen-requests --bank PATH --cut-id ID [--count N] [--seed N]
   ftd bank-info PATH
-  ftd bench-scan-vs-index [--components N] [--points N] [--dim D]
-               [--queries N] [--seed N] [--leaf N]
-               [--topk K] [--circuit-order N] [--segments N[,N...]]
-               [--json PATH]
   ftd help | --help
 
 SUBCOMMANDS:
@@ -166,20 +159,6 @@ SUBCOMMANDS:
                        shard holds (its trajectory section); then decode
                        every section and print entry counts. Exits 1
                        when the full decode fails.
-  bench-scan-vs-index  Time the linear scan against the flat
-                       SIMD-friendly index and the top-k
-                       early-termination path (K from --topk, default 5)
-                       on a synthetic bank, one query at a time, with
-                       bit-identity self-checks on every path.
-                       --segments N[,N...] sweeps bank sizes (e.g.
-                       1000,10000,100000; trajectories are derived from
-                       --points at 2*points segments each); --json PATH
-                       writes the per-size timings as JSON. With
-                       --circuit-order N the bank is *simulated*
-                       (engine-built fault dictionary of an order-N RLC
-                       ladder) instead of generated geometrically;
-                       --points then sets the deviation count per branch
-                       (max 320) and --dim is ignored.
 ";
 
 /// Entry point for the `ftd` binary: parses `args` (without the program
@@ -205,7 +184,6 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
         "loadgen" => loadgen(rest),
         "gen-requests" => gen_requests(rest),
         "bank-info" => bank_info(rest),
-        "bench-scan-vs-index" => bench_scan_vs_index(rest),
         other => {
             eprintln!("ftd: unknown subcommand `{other}`\n");
             eprint!("{USAGE}");
@@ -985,383 +963,6 @@ fn probe_str(probe: &Probe) -> String {
     }
 }
 
-/// One measured bank size of `ftd bench-scan-vs-index`: query-level
-/// timings isolate the backend (`best_per_trajectory` / `query_topk`),
-/// diagnose-level timings include candidate materialisation and
-/// ranking, so the JSON records both.
-struct BenchRow {
-    segments: usize,
-    trajectories: usize,
-    dim: usize,
-    queries: usize,
-    topk: usize,
-    flat_nodes: usize,
-    build_flat_us: f64,
-    linear_query_us: f64,
-    flat_query_us: f64,
-    topk_query_us: f64,
-    linear_diagnose_us: f64,
-    flat_diagnose_us: f64,
-    topk_diagnose_us: f64,
-    examined_frac: f64,
-    early_exit_rate: f64,
-}
-
-/// Parses `--segments N[,N...]` into a list of target segment counts.
-fn parse_segment_sizes(raw: &str) -> Result<Vec<usize>, CliError> {
-    let sizes: Vec<usize> = raw
-        .split(',')
-        .map(|t| t.trim().parse::<usize>())
-        .collect::<Result<_, _>>()
-        .map_err(|_| usage(format!("--segments: expected N[,N...], got `{raw}`")))?;
-    if sizes.is_empty() || sizes.contains(&0) {
-        return Err(usage("--segments sizes must be positive"));
-    }
-    Ok(sizes)
-}
-
-/// Timed rounds per path in `bench_one`. The paths are timed in
-/// interleaved rounds — every path runs once per round, and the
-/// fastest round per path is reported. The min is the standard
-/// low-noise estimator on a shared machine, and the interleaving keeps
-/// a slow window from landing on one path's whole sample while another
-/// path gets a quiet machine, which would bias every reported ratio
-/// (each path computes identical results every round, so only the
-/// timing varies).
-const BENCH_REPS: usize = 5;
-
-/// Runs `f` once, returning its result and the per-query time in
-/// microseconds.
-fn time_once<T>(queries: usize, f: impl FnOnce() -> T) -> (T, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64() * 1e6 / queries.max(1) as f64)
-}
-
-/// Times every query path over one trajectory set, self-checking each
-/// against the linear-scan oracle before any number is reported.
-fn bench_one(
-    set: &ft_core::TrajectorySet,
-    queries: usize,
-    seed: u64,
-    leaf: usize,
-    topk: usize,
-) -> Result<BenchRow, CliError> {
-    let qs = synthetic_queries(set, queries, seed.wrapping_add(1));
-
-    let t = Instant::now();
-    let flat = if leaf == 0 {
-        SegmentIndex::build(set)
-    } else {
-        SegmentIndex::with_leaf_size(set, leaf)
-    };
-    let build_flat_us = t.elapsed().as_secs_f64() * 1e6;
-
-    let diagnoser = Diagnoser::new(set.clone(), DiagnoserConfig::default());
-    let ratio = diagnoser.config().ambiguity_ratio;
-
-    // Time all paths in interleaved rounds (see `BENCH_REPS`), keeping
-    // the fastest round per path; results are identical every round, so
-    // the last round's are validated below.
-    let mut linear_query_us = f64::INFINITY;
-    let mut flat_query_us = f64::INFINITY;
-    let mut topk_query_us = f64::INFINITY;
-    let mut linear_diagnose_us = f64::INFINITY;
-    let mut flat_diagnose_us = f64::INFINITY;
-    let mut topk_diagnose_us = f64::INFINITY;
-    let (mut lin_q, mut flat_q, mut topk_q) = (vec![], vec![], vec![]);
-    let (mut lin_d, mut flat_d, mut topk_d): (Vec<Diagnosis>, Vec<_>, Vec<_>) =
-        (vec![], vec![], vec![]);
-    let mut examined = 0usize;
-    let mut early = 0usize;
-    for _ in 0..BENCH_REPS {
-        // Query level: the raw backend, no candidate materialisation.
-        let (r, t) = time_once(qs.len(), || {
-            qs.iter()
-                .map(|q| LinearScan.best_per_trajectory(set, q))
-                .collect::<Vec<Vec<(f64, f64)>>>()
-        });
-        lin_q = r;
-        linear_query_us = linear_query_us.min(t);
-        examined = 0;
-        let (r, t) = time_once(qs.len(), || {
-            qs.iter()
-                .map(|q| {
-                    let (best, stats) = flat.query_stats(q);
-                    examined += stats.segments_examined;
-                    best
-                })
-                .collect::<Vec<_>>()
-        });
-        flat_q = r;
-        flat_query_us = flat_query_us.min(t);
-        early = 0;
-        let (r, t) = time_once(qs.len(), || {
-            qs.iter()
-                .map(|q| {
-                    let (ranking, stats) = flat.query_topk(q, topk, ratio);
-                    early += stats.early_exit as usize;
-                    ranking
-                })
-                .collect::<Vec<_>>()
-        });
-        topk_q = r;
-        topk_query_us = topk_query_us.min(t);
-
-        // Diagnose level: candidates, sort, ambiguity set — what
-        // callers pay.
-        let (r, t) = time_once(qs.len(), || {
-            qs.iter()
-                .map(|q| diagnoser.diagnose(q))
-                .collect::<Vec<Diagnosis>>()
-        });
-        lin_d = r;
-        linear_diagnose_us = linear_diagnose_us.min(t);
-        let (r, t) = time_once(qs.len(), || {
-            qs.iter()
-                .map(|q| diagnoser.diagnose_with(&flat, q))
-                .collect::<Vec<_>>()
-        });
-        flat_d = r;
-        flat_diagnose_us = flat_diagnose_us.min(t);
-        let (r, t) = time_once(qs.len(), || {
-            qs.iter()
-                .map(|q| diagnoser.diagnose_topk(&flat, q, topk))
-                .collect::<Vec<_>>()
-        });
-        topk_d = r;
-        topk_diagnose_us = topk_diagnose_us.min(t);
-    }
-
-    if flat_q != lin_q {
-        return Err(runtime("indexed path diverged from the linear scan"));
-    }
-    let examined_frac = examined as f64 / (flat.len() * qs.len()) as f64;
-    for (q, got) in qs.iter().zip(&topk_q) {
-        if *got != LinearScan.topk_per_trajectory(set, q, topk, ratio) {
-            return Err(runtime("top-k path diverged from the linear-scan oracle"));
-        }
-    }
-    let early_exit_rate = early as f64 / qs.len() as f64;
-    if flat_d != lin_d {
-        return Err(runtime("indexed diagnosis diverged from the linear scan"));
-    }
-    for (full, cut) in lin_d.iter().zip(&topk_d) {
-        if cut.best() != full.best() || cut.ambiguity_set() != full.ambiguity_set() {
-            return Err(runtime(
-                "top-k diagnosis changed the verdict or the ambiguity set",
-            ));
-        }
-    }
-
-    Ok(BenchRow {
-        segments: set.total_segments(),
-        trajectories: set.len(),
-        dim: set.dim(),
-        queries: qs.len(),
-        topk,
-        flat_nodes: flat.node_count(),
-        build_flat_us,
-        linear_query_us,
-        flat_query_us,
-        topk_query_us,
-        linear_diagnose_us,
-        flat_diagnose_us,
-        topk_diagnose_us,
-        examined_frac,
-        early_exit_rate,
-    })
-}
-
-fn print_bench_row(r: &BenchRow) {
-    println!(
-        "bank: {} trajectories x {} segments = {} segments, dim {}, {} flat nodes",
-        r.trajectories,
-        r.segments / r.trajectories,
-        r.segments,
-        r.dim,
-        r.flat_nodes,
-    );
-    println!("  build: flat {:.1} ms", r.build_flat_us / 1e3);
-    println!("  {} queries, results identical on every path", r.queries);
-    let x = |a: f64, b: f64| a / b.max(1e-12);
-    println!(
-        "  query    linear scan : {:>9.1} us/query",
-        r.linear_query_us
-    );
-    println!(
-        "  query    flat index  : {:>9.1} us/query  ({:.1}x vs linear, \
-         examined {:.1}% of segments)",
-        r.flat_query_us,
-        x(r.linear_query_us, r.flat_query_us),
-        r.examined_frac * 100.0,
-    );
-    println!(
-        "  query    flat top-{:<2} : {:>9.1} us/query  ({:.1}x vs linear, early exit on \
-         {:.0}% of queries)",
-        r.topk,
-        r.topk_query_us,
-        x(r.linear_query_us, r.topk_query_us),
-        r.early_exit_rate * 100.0,
-    );
-    println!(
-        "  diagnose linear      : {:>9.1} us/query",
-        r.linear_diagnose_us
-    );
-    println!(
-        "  diagnose flat        : {:>9.1} us/query  ({:.1}x vs linear)",
-        r.flat_diagnose_us,
-        x(r.linear_diagnose_us, r.flat_diagnose_us),
-    );
-    println!(
-        "  diagnose flat top-{:<2} : {:>9.1} us/query  ({:.1}x vs linear)",
-        r.topk,
-        r.topk_diagnose_us,
-        x(r.linear_diagnose_us, r.topk_diagnose_us),
-    );
-}
-
-/// Serialises the measured rows as a self-describing JSON document
-/// (hand-rolled; the workspace has no JSON crate).
-fn write_bench_json(path: &str, rows: &[BenchRow]) -> Result<(), CliError> {
-    let mut s = String::from("{\n  \"bench\": \"scan-vs-index\",\n  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let x = |a: f64, b: f64| a / b.max(1e-12);
-        s.push_str(&format!(
-            "    {{\"segments\": {}, \"trajectories\": {}, \"dim\": {}, \"queries\": {}, \
-             \"topk\": {}, \"flat_nodes\": {}, \"build_flat_us\": {:.1}, \
-             \"linear_query_us\": {:.3}, \
-             \"flat_query_us\": {:.3}, \"topk_query_us\": {:.3}, \
-             \"flat_speedup_vs_linear\": {:.2}, \
-             \"topk_speedup_vs_linear\": {:.2}, \
-             \"linear_diagnose_us\": {:.3}, \"flat_diagnose_us\": {:.3}, \
-             \"topk_diagnose_us\": {:.3}, \
-             \"segments_examined_frac\": {:.4}, \"topk_early_exit_rate\": {:.4}}}{}\n",
-            r.segments,
-            r.trajectories,
-            r.dim,
-            r.queries,
-            r.topk,
-            r.flat_nodes,
-            r.build_flat_us,
-            r.linear_query_us,
-            r.flat_query_us,
-            r.topk_query_us,
-            x(r.linear_query_us, r.flat_query_us),
-            x(r.linear_query_us, r.topk_query_us),
-            r.linear_diagnose_us,
-            r.flat_diagnose_us,
-            r.topk_diagnose_us,
-            r.examined_frac,
-            r.early_exit_rate,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).map_err(|e| runtime(format!("{path}: {e}")))
-}
-
-fn bench_scan_vs_index(args: &[String]) -> Result<(), CliError> {
-    // Default shape: the paper-like CUT (a handful of components) with a
-    // production-dense deviation sweep — 8 × 128 = 1024 segments.
-    let mut components = 8usize;
-    let mut points = 64usize;
-    let mut dim = 2usize;
-    let mut queries = 200usize;
-    let mut seed = 7u64;
-    let mut leaf = 0usize;
-    let mut circuit_order = 0usize;
-    let mut topk = 5usize;
-    let mut segments: Option<Vec<usize>> = None;
-    let mut json: Option<String> = None;
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--components" => components = flags.parse("--components")?,
-            "--points" => points = flags.parse("--points")?,
-            "--dim" => dim = flags.parse("--dim")?,
-            "--queries" => queries = flags.parse("--queries")?,
-            "--seed" => seed = flags.parse("--seed")?,
-            "--leaf" => leaf = flags.parse("--leaf")?,
-            "--circuit-order" => circuit_order = flags.parse("--circuit-order")?,
-            "--topk" => topk = flags.parse("--topk")?,
-            "--segments" => segments = Some(parse_segment_sizes(flags.value("--segments")?)?),
-            "--json" => json = Some(flags.value("--json")?.to_string()),
-            other => {
-                return Err(usage(format!(
-                    "bench-scan-vs-index: unknown flag `{other}`"
-                )));
-            }
-        }
-    }
-    if components == 0 || points == 0 || dim == 0 || queries == 0 {
-        return Err(usage(
-            "--components/--points/--dim/--queries must be positive",
-        ));
-    }
-    if topk == 0 {
-        return Err(usage("--topk must be at least 1"));
-    }
-    if segments.is_some() && circuit_order > 0 {
-        return Err(usage(
-            "--segments and --circuit-order are mutually exclusive",
-        ));
-    }
-
-    if let Some(sizes) = segments {
-        // Size sweep: trajectories are derived from the target segment
-        // count at 2·points segments per trajectory (minimum 2), so the
-        // actual count printed/recorded may round off the target.
-        let mut rows = Vec::with_capacity(sizes.len());
-        for &target in &sizes {
-            let comp = ((target as f64 / (2.0 * points as f64)).round() as usize).max(2);
-            let set = synthetic_trajectory_set(comp, points, dim, seed);
-            println!("--- target {target} segments ---");
-            let row = bench_one(&set, queries, seed, leaf, topk)?;
-            print_bench_row(&row);
-            rows.push(row);
-        }
-        if let Some(path) = json {
-            write_bench_json(&path, &rows)?;
-            println!("wrote {path}");
-        }
-        return Ok(());
-    }
-
-    let set = if circuit_order > 0 {
-        if !(1..=9).contains(&circuit_order) {
-            return Err(usage("--circuit-order must be in 1..=9"));
-        }
-        if points > 320 {
-            return Err(usage(
-                "--circuit-order mode supports --points up to 320 (deviation step >= 0.125%)",
-            ));
-        }
-        // Simulated bank: one trajectory per ladder passive, 2·points
-        // segments each (deviation step 40/points %), built through the
-        // engine-backed offline pipeline.
-        let step = 40.0 / points as f64;
-        let bank = synthetic_circuit_bank(circuit_order, step, 41, &TestVector::pair(0.6, 1.6))
-            .map_err(runtime)?;
-        let set = bank.trajectory_set().clone();
-        println!(
-            "simulated order-{circuit_order} RLC-ladder bank: {} faults on a {}-point grid",
-            bank.dictionary().entries().len(),
-            bank.dictionary().grid().len(),
-        );
-        set
-    } else {
-        synthetic_trajectory_set(components, points, dim, seed)
-    };
-    let row = bench_one(&set, queries, seed, leaf, topk)?;
-    print_bench_row(&row);
-    if let Some(path) = json {
-        write_bench_json(&path, &[row])?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1389,6 +990,9 @@ mod tests {
         assert_eq!(main_from_args(vec!["frobnicate".into()]), 2);
         // `stats` is no subcommand: the stats file is the exposition.
         assert_eq!(main_from_args(vec!["stats".into(), "f".into()]), 2);
+        // The scan-vs-index comparison is the serve bench's summary
+        // pass, not a subcommand.
+        assert_eq!(main_from_args(vec!["bench-scan-vs-index".into()]), 2);
     }
 
     #[test]
@@ -1411,15 +1015,13 @@ mod tests {
             ]),
             2
         );
-        // `diagnose` ranks each signature with the linear scan and the
-        // bench times one query at a time, so no flag picks a path or a
-        // thread count. A missing bank alone exits 1 and the bench
-        // alone exits 0, so exit 2 means the flag itself was refused.
+        // `diagnose` ranks each signature with the linear scan, so no
+        // flag picks a path or a thread count. A missing bank alone
+        // exits 1, so exit 2 means the flag itself was refused.
         let missing = "/nonexistent/bank.ftb";
         for args in [
             &["diagnose", "--bank", missing, "--linear"][..],
             &["diagnose", "--bank", missing, "--workers", "2"],
-            &["bench-scan-vs-index", "--workers", "2"],
         ] {
             let argv = args.iter().map(|a| a.to_string()).collect();
             assert_eq!(main_from_args(argv), 2, "{args:?}");
@@ -1435,58 +1037,6 @@ mod tests {
                 "/nonexistent/bank.ftb".into(),
             ]),
             1
-        );
-    }
-
-    #[test]
-    fn bench_subcommand_runs_small() {
-        assert_eq!(
-            main_from_args(vec![
-                "bench-scan-vs-index".into(),
-                "--components".into(),
-                "8".into(),
-                "--points".into(),
-                "3".into(),
-                "--queries".into(),
-                "5".into(),
-            ]),
-            0
-        );
-    }
-
-    #[test]
-    fn bench_subcommand_runs_on_simulated_circuit_bank() {
-        assert_eq!(
-            main_from_args(vec![
-                "bench-scan-vs-index".into(),
-                "--circuit-order".into(),
-                "2".into(),
-                "--points".into(),
-                "4".into(),
-                "--queries".into(),
-                "5".into(),
-            ]),
-            0
-        );
-        assert_eq!(
-            main_from_args(vec![
-                "bench-scan-vs-index".into(),
-                "--circuit-order".into(),
-                "12".into(),
-            ]),
-            2
-        );
-        // --points beyond the circuit-mode cap is a usage error, not a
-        // silent clamp.
-        assert_eq!(
-            main_from_args(vec![
-                "bench-scan-vs-index".into(),
-                "--circuit-order".into(),
-                "2".into(),
-                "--points".into(),
-                "1000".into(),
-            ]),
-            2
         );
     }
 

@@ -47,8 +47,7 @@
 //!   generator ([`run_loadgen`]).
 //! * [`cli`], the root package's `ftd` binary — `build-bank`,
 //!   `diagnose`, `serve` (stdin or `--listen`), `loadgen`,
-//!   `gen-requests`, `bank-info` and `bench-scan-vs-index` front ends
-//!   over the same API.
+//!   `gen-requests` and `bank-info` front ends over the same API.
 //!
 //! ## Platform
 //!
