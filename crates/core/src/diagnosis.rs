@@ -57,7 +57,7 @@ impl Diagnosis {
     /// [`Diagnosis::ambiguity_set`] in the same order, without
     /// collecting it.
     pub fn ambiguity_iter(&self) -> impl Iterator<Item = &str> {
-        let threshold = self.best().distance.max(1e-12) * self.ambiguity_ratio;
+        let threshold = ambiguity_threshold(self.best().distance, self.ambiguity_ratio);
         self.candidates
             .iter()
             .filter(move |c| c.distance <= threshold)
@@ -171,10 +171,20 @@ pub trait SegmentQuery {
     }
 }
 
+/// The largest distance inside the ambiguity set of a winner at
+/// distance `best`: `best`, floored at 1e-12, times `ambiguity_ratio`.
+/// [`Diagnosis::ambiguity_set`], [`topk_prefix_len`] and the bounds of
+/// every top-k search that stops early apply this one rule, so a search
+/// cannot stop short of the set it must return.
+#[inline]
+pub fn ambiguity_threshold(best: f64, ambiguity_ratio: f64) -> f64 {
+    best.max(1e-12) * ambiguity_ratio
+}
+
 /// Length of the prefix a top-k ranking must keep: at least `min(k, n)`
 /// entries and every entry inside the winner's ambiguity set (distance
-/// `<= best.max(1e-12) * ambiguity_ratio`, the [`Diagnosis::ambiguity_set`]
-/// rule). `ranked` is sorted by `(distance, trajectory_index)`.
+/// at most [`ambiguity_threshold`] of the winner's). `ranked` is sorted
+/// by `(distance, trajectory_index)`.
 ///
 /// The [`SegmentQuery::topk_per_trajectory`] oracle and every backend
 /// that overrides it trim with this one function, so they cannot
@@ -184,7 +194,7 @@ pub fn topk_prefix_len(ranked: &[(usize, f64, f64)], k: usize, ambiguity_ratio: 
     if n == 0 {
         return 0;
     }
-    let threshold = ranked[0].1.max(1e-12) * ambiguity_ratio;
+    let threshold = ambiguity_threshold(ranked[0].1, ambiguity_ratio);
     let mut keep = k.min(n);
     while keep < n && ranked[keep].1 <= threshold {
         keep += 1;

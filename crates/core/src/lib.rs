@@ -87,8 +87,8 @@ pub use atpg::{
 };
 pub use baselines::{grid_search, random_search, sensitivity_heuristic, NnDictionary};
 pub use diagnosis::{
-    topk_prefix_len, Candidate, Diagnoser, DiagnoserConfig, Diagnosis, LinearScan, SegmentQuery,
-    TopkRanking,
+    ambiguity_threshold, topk_prefix_len, Candidate, Diagnoser, DiagnoserConfig, Diagnosis,
+    LinearScan, SegmentQuery, TopkRanking,
 };
 pub use fitness::{
     count_intersections, evaluate_fitness, min_separation, FitnessKind, GeometryOptions,

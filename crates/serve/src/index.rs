@@ -80,15 +80,16 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use ft_core::geometry::point_segment_distance2;
-use ft_core::{topk_prefix_len, SegmentQuery, Signature, TopkRanking, TrajectorySet};
+use ft_core::{
+    ambiguity_threshold, topk_prefix_len, SegmentQuery, Signature, TopkRanking, TrajectorySet,
+};
 
 use crate::obs::Counter;
 
 /// Default maximum number of segments per leaf node. The flat layout
 /// makes segment exams cheap (squared-domain scan, contiguous endpoint
-/// rows), so it pays to push more work into leaves than the pointer
-/// tree does: 16 measured fastest for both full and top-k queries at
-/// 100k segments (see `BENCH_index.json`).
+/// rows), so it pays to push work into leaves rather than into more
+/// box tests.
 const DEFAULT_LEAF_SIZE: usize = 16;
 
 /// Children per internal node — one batched box test covers a whole
@@ -335,12 +336,6 @@ impl SegmentIndex {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.seg_dev.len()
-    }
-
-    /// Total tree nodes across all trajectories.
-    #[inline]
-    pub(crate) fn node_count(&self) -> usize {
-        self.child_base.len()
     }
 
     /// Squared distance from `q` to node `nid`'s box (zero inside) —
@@ -751,7 +746,7 @@ impl SegmentIndex {
                 ranked.push((ti as usize, bd, devs[ti as usize]));
             }
             if ranked.len() >= k_eff {
-                let threshold = ranked[0].1.max(1e-12) * ambiguity_ratio;
+                let threshold = ambiguity_threshold(ranked[0].1, ambiguity_ratio);
                 if threshold < cut {
                     stopped_early = true;
                     break;
@@ -774,7 +769,7 @@ impl SegmentIndex {
             }
             if smallest.len() == k_eff {
                 let kth = f64::from_bits(*smallest.peek().expect("k_eff >= 1"));
-                let a = kth.max(best_resolved.max(1e-12) * ambiguity_ratio);
+                let a = kth.max(ambiguity_threshold(best_resolved, ambiguity_ratio));
                 let pad = a + prune_slack(a);
                 adm2 = pad * pad;
             }
@@ -967,14 +962,14 @@ mod tests {
         assert_eq!(idx.len(), 8);
         assert_eq!(idx.dim, 2);
         assert_eq!(idx.n_traj, 2);
-        assert!(idx.node_count() >= 2);
+        assert!(idx.child_base.len() >= 2);
     }
 
     #[test]
     fn sibling_groups_are_contiguous_and_bfs_ordered() {
         let set = fan_set(5);
         let idx = SegmentIndex::with_leaf_size(&set, 3);
-        for nid in 0..idx.node_count() {
+        for nid in 0..idx.child_base.len() {
             let cb = idx.child_base[nid];
             if cb == u32::MAX {
                 assert_eq!(idx.child_count[nid], 0);
@@ -1001,7 +996,7 @@ mod tests {
         for leaf in [1, 2, 4, 7] {
             let set = fan_set(9);
             let idx = SegmentIndex::with_leaf_size(&set, leaf);
-            for nid in 0..idx.node_count() {
+            for nid in 0..idx.child_base.len() {
                 for k in 0..idx.dim {
                     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
                     for s in idx.seg_lo[nid]..idx.seg_hi[nid] {
@@ -1030,7 +1025,7 @@ mod tests {
             sig(123.0, -456.0),
         ];
         let mut checked = 0;
-        for nid in 0..idx.node_count() {
+        for nid in 0..idx.child_base.len() {
             let cb = idx.child_base[nid];
             if cb == u32::MAX {
                 continue;
