@@ -20,29 +20,26 @@
 //! [`Lu::factor`]) re-walks the netlist and allocates a fresh matrix,
 //! factorisation, and solution at every frequency.
 //!
-//! # The delta restamp path
+//! # The rank-1 batch fault sweep
 //!
 //! A parametric fault deviates one component's principal value. Each
 //! value enters its stamps through a single scalar (`1/R` for resistors,
-//! the value itself for everything else), so
-//! [`AcSweepEngine::restamp_component`] updates only the handful of
-//! touched entries instead of cloning and re-walking the whole circuit.
-//! The prior entry values are kept on an undo log and
-//! [`AcSweepEngine::reset`] restores them **verbatim**, so a
-//! fault → sweep → reset cycle returns bit-for-bit to the golden
-//! response: dictionary builds are reproducible byte-identically no
-//! matter how faults are chunked across worker threads.
-//!
-//! # The rank-1 batch fault sweep
-//!
-//! Every single-component deviation is a rank-1 update of the nominal
-//! system (the stamp patterns factor as `u·vᵀ` for all ten element
-//! kinds), so [`AcSweepEngine::sweep_faults_into`] prices a whole fault
+//! the value itself for everything else) times a fixed pattern that
+//! factors as `u·vᵀ` for all ten element kinds, so every
+//! single-component deviation is a rank-1 update of the nominal system.
+//! [`AcSweepEngine::sweep_faults_into`] therefore prices a whole fault
 //! universe with **one factorization per grid point plus one solve per
 //! distinct component**, answering each deviation in O(1) via the
-//! Sherman–Morrison identity — the closed form of the delta path, and
-//! the reason `FaultDictionary::build` beats the pre-refactor
-//! clone-and-reassemble build by an order of magnitude even on one core.
+//! Sherman–Morrison identity — the reason `FaultDictionary::build` beats
+//! the clone-and-reassemble build by an order of magnitude even on one
+//! core. [`AcSweepEngine::sweep_multifaults_into`] is its rank-k
+//! (Woodbury) generalisation for simultaneous deviations.
+//!
+//! Neither sweep modifies `G` or `B`: every fault is priced from the
+//! nominal factorization of its grid point, so its response does not
+//! depend on which other faults share its batch, and dictionary builds
+//! are byte-identical however the faults are chunked across worker
+//! threads.
 //!
 //! # When the reference path is still used
 //!
@@ -74,9 +71,9 @@ enum ValueMap {
 /// For every element kind this simulator knows, the value-dependent part
 /// of the stamp is the **rank-1** outer product `m(value) · u · vᵀ` of
 /// two sparse sign vectors (e.g. `u = v = e_p − e_n` for a two-terminal
-/// admittance, `u = e_k, v = e_cn − e_cp` for a VCVS): `entries` is that
-/// outer product materialised for the delta restamp path, while `u`/`v`
-/// feed the Sherman–Morrison batch fault sweep.
+/// admittance, `u = e_k, v = e_cn − e_cp` for a VCVS): the nominal value
+/// is stamped through that outer product, and the batch fault sweeps
+/// use `u`/`v` directly.
 #[derive(Debug, Clone)]
 struct ValueStamp {
     /// `true` when the entries live in the susceptance part `B`
@@ -87,26 +84,11 @@ struct ValueStamp {
     u: Vec<(usize, f64)>,
     /// Sparse column factor, as `(col, sign)`.
     v: Vec<(usize, f64)>,
-    /// `(row, col, sign)` positions the mapped value accumulates into —
-    /// the outer product `u ⊗ v`.
-    entries: Vec<(usize, usize, f64)>,
 }
 
 impl ValueStamp {
     fn from_factors(in_b: bool, map: ValueMap, u: Vec<(usize, f64)>, v: Vec<(usize, f64)>) -> Self {
-        let mut entries = Vec::with_capacity(u.len() * v.len());
-        for &(row, su) in &u {
-            for &(col, sv) in &v {
-                entries.push((row, col, su * sv));
-            }
-        }
-        ValueStamp {
-            in_b,
-            map,
-            u,
-            v,
-            entries,
-        }
+        ValueStamp { in_b, map, u, v }
     }
 
     fn empty() -> Self {
@@ -136,32 +118,15 @@ fn sparse_dot(sparse: &[(usize, f64)], x: &[Complex64]) -> Complex64 {
     acc
 }
 
-/// Per-component restamp metadata.
+/// Per-component fault-pricing metadata.
 #[derive(Debug, Clone)]
 struct EngineComponent {
     name: String,
-    /// Current principal value; `None` for sources and ideal op amps.
+    /// Nominal principal value; `None` for sources and ideal op amps.
     value: Option<f64>,
     /// R/C/L values must stay positive (mirrors `Circuit::set_value`).
     must_be_positive: bool,
     stamp: ValueStamp,
-}
-
-/// One saved matrix entry of the undo log.
-#[derive(Debug, Clone, Copy)]
-struct UndoEntry {
-    in_b: bool,
-    row: usize,
-    col: usize,
-    prev: Complex64,
-}
-
-/// One [`AcSweepEngine::restamp_component`] call of the undo log.
-#[derive(Debug, Clone, Copy)]
-struct UndoFrame {
-    component: usize,
-    prev_value: f64,
-    entries_from: usize,
 }
 
 /// A reusable, allocation-free AC sweep pipeline for one
@@ -181,14 +146,13 @@ struct UndoFrame {
 /// let h = engine.response_at(1_000.0)?;
 /// assert!((h.abs() - 1.0 / 2f64.sqrt()).abs() < 1e-9);
 ///
-/// // Delta path: deviate R1 by +50% without touching the netlist…
+/// // Price R1 at +50% without touching the netlist; the golden
+/// // response comes back alongside, bit-for-bit.
 /// let r1 = ckt.find("R1").unwrap();
-/// let nominal = engine.restamp_component(r1, 1_500.0)?;
-/// assert_eq!(nominal, 1_000.0);
-/// assert!(engine.response_at(1_000.0)?.abs() < h.abs());
-/// // …and return to the golden circuit bit-for-bit.
-/// engine.reset();
-/// assert_eq!(engine.response_at(1_000.0)?, h);
+/// let (mut golden, mut faulty) = (Vec::new(), Vec::new());
+/// engine.sweep_faults_into(&[1_000.0], &[(r1, 1_500.0)], &mut golden, &mut faulty)?;
+/// assert_eq!(golden, [h]);
+/// assert!(faulty[0].abs() < h.abs());
 /// # Ok::<(), ft_circuit::CircuitError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -207,9 +171,6 @@ pub struct AcSweepEngine {
     work: CMatrix,
     lu: Lu<Complex64>,
     x: Vec<Complex64>,
-    // --- restamp undo log ---------------------------------------------
-    undo_entries: Vec<UndoEntry>,
-    undo_frames: Vec<UndoFrame>,
 }
 
 impl AcSweepEngine {
@@ -361,18 +322,20 @@ impl AcSweepEngine {
                     }
                 }
             }
-            // Apply the value-dependent entries at the nominal value.
-            // (A component whose entries all land on ground keeps its
-            // value — restamping it is then a tracked no-op, matching
-            // `Circuit::set_value` semantics.)
-            if let Some(v) = value {
+            // Stamp the value-dependent entries `mapped · u ⊗ v` at the
+            // nominal value. (A component whose entries all land on
+            // ground keeps its value; deviating it is then a no-op,
+            // matching `Circuit::set_value` semantics.)
+            if let Some(nominal) = value {
                 let mapped = match stamp.map {
-                    ValueMap::Inverse => 1.0 / v,
-                    ValueMap::Linear => v,
+                    ValueMap::Inverse => 1.0 / nominal,
+                    ValueMap::Linear => nominal,
                 };
                 let target = if stamp.in_b { &mut b } else { &mut g };
-                for &(row, col, sign) in &stamp.entries {
-                    target[(row, col)] += Complex64::from_real(sign * mapped);
+                for &(row, su) in &stamp.u {
+                    for &(col, sv) in &stamp.v {
+                        target[(row, col)] += Complex64::from_real(su * sv * mapped);
+                    }
                 }
             }
             components.push(EngineComponent {
@@ -393,8 +356,6 @@ impl AcSweepEngine {
             probe_pos,
             probe_neg,
             components,
-            undo_entries: Vec::new(),
-            undo_frames: Vec::new(),
         })
     }
 
@@ -402,11 +363,6 @@ impl AcSweepEngine {
     #[inline]
     pub(crate) fn dim(&self) -> usize {
         self.g.rows()
-    }
-
-    /// Current principal value of a component, if it has one.
-    pub fn value_of(&self, id: ComponentId) -> Option<f64> {
-        self.components.get(id.index()).and_then(|c| c.value)
     }
 
     /// Complex transfer function `probe / input` at angular frequency
@@ -419,13 +375,36 @@ impl AcSweepEngine {
     /// Returns [`CircuitError::Singular`] for an ill-posed system at this
     /// frequency.
     pub fn response_at(&mut self, omega: f64) -> Result<Complex64> {
+        // The batch sweeps take their nominal solve from here: the
+        // factorization stays in `lu` and the solution `x₀` in `x`.
         self.work.copy_from(&self.g);
         self.work.add_scaled(&self.b, Complex64::jw(omega));
         self.lu.factor_into(&self.work)?;
         self.lu.solve_into(&self.rhs, &mut self.x);
-        let vp = self.probe_pos.map_or(Complex64::ZERO, |r| self.x[r]);
-        let vn = self.probe_neg.map_or(Complex64::ZERO, |r| self.x[r]);
-        Ok(vp - vn)
+        Ok(self.probe_read(&self.x))
+    }
+
+    /// The probe voltage `pᵀx` of a solution vector.
+    fn probe_read(&self, x: &[Complex64]) -> Complex64 {
+        let vp = self.probe_pos.map_or(Complex64::ZERO, |r| x[r]);
+        let vn = self.probe_neg.map_or(Complex64::ZERO, |r| x[r]);
+        vp - vn
+    }
+
+    /// The dense `u` columns of the components `uniq` lists, stacked
+    /// slot-major (frequency-free). Accumulated, not assigned: a
+    /// degenerate stamp with both terminals on one node (e.g. a VCCS
+    /// output across `d`,`d`) has u-entries that must cancel to zero, as
+    /// they do in the nominal stamp `u ⊗ v`.
+    fn u_columns(&self, uniq: &[usize]) -> Vec<Complex64> {
+        let dim = self.dim();
+        let mut ucols = vec![Complex64::ZERO; uniq.len() * dim];
+        for (slot, &idx) in uniq.iter().enumerate() {
+            for &(row, sign) in &self.components[idx].stamp.u {
+                ucols[slot * dim + row] += Complex64::from_real(sign);
+            }
+        }
+        ucols
     }
 
     /// Sweeps `omegas` into a caller-owned buffer (cleared first): the
@@ -473,20 +452,21 @@ impl AcSweepEngine {
     /// (`x₀` the nominal solution, `p` the probe read vector). For the
     /// paper's 7-component × 8-deviation universe that is 8 solves per
     /// grid point instead of 56 factorizations. The result is
-    /// algebraically identical to restamp-and-solve and agrees with the
-    /// reference path within the property-test bound; outputs are
-    /// deterministic and independent of how callers chunk `faults`.
+    /// algebraically identical to stamping the deviated value and
+    /// solving, and agrees with the reference path within the
+    /// property-test bound; outputs are deterministic and independent of
+    /// how callers chunk `faults`.
     ///
-    /// `golden` receives the nominal response at every frequency; `out`
-    /// is filled fault-major (`out[f * omegas.len() + w]`). Outstanding
-    /// restamps are respected: deviations are relative to the engine's
-    /// *current* values.
+    /// `golden` receives the nominal response at every frequency (bit for
+    /// bit what [`AcSweepEngine::response_at`] returns); `out` is filled
+    /// fault-major (`out[f * omegas.len() + w]`). Deviations are relative
+    /// to the circuit the engine was built from.
     ///
     /// # Errors
     ///
-    /// Validates every fault as [`AcSweepEngine::restamp_component`]
-    /// does; returns [`CircuitError::Singular`] when the *nominal* system
-    /// is singular at some grid point and [`CircuitError::SingularFault`]
+    /// Validates every fault as `Circuit::set_value` validates a value;
+    /// returns [`CircuitError::Singular`] when the *nominal* system is
+    /// singular at some grid point and [`CircuitError::SingularFault`]
     /// (identifying the batch index and frequency) when a *deviated*
     /// system is — healthy entries are never blamed for a sick one.
     pub fn sweep_faults_into(
@@ -497,30 +477,12 @@ impl AcSweepEngine {
         out: &mut Vec<Complex64>,
     ) -> Result<()> {
         let dim = self.dim();
-        // Validate faults; map each to (unique-component slot, mapped
-        // value delta, reactive?).
         let mut uniq: Vec<usize> = Vec::new();
-        let mut fault_info: Vec<(usize, f64, bool)> = Vec::with_capacity(faults.len());
-        for &(id, value) in faults {
-            let (idx, m, in_b) = self.fault_update(id, value)?;
-            let slot = uniq.iter().position(|&c| c == idx).unwrap_or_else(|| {
-                uniq.push(idx);
-                uniq.len() - 1
-            });
-            fault_info.push((slot, m, in_b));
-        }
-
-        // Dense u columns, one per distinct component (frequency-free).
-        // Accumulated, not assigned: a degenerate stamp with both
-        // terminals on one node (e.g. a VCCS output across `d`,`d`) has
-        // u-entries that must cancel to zero, as they do in the outer-
-        // product entries the restamp path uses.
-        let mut ucols = vec![Complex64::ZERO; uniq.len() * dim];
-        for (slot, &idx) in uniq.iter().enumerate() {
-            for &(row, sign) in &self.components[idx].stamp.u {
-                ucols[slot * dim + row] += Complex64::from_real(sign);
-            }
-        }
+        let fault_info: Vec<(usize, f64, bool)> = faults
+            .iter()
+            .map(|&(id, value)| self.fault_update(&mut uniq, id, value))
+            .collect::<Result<_>>()?;
+        let ucols = self.u_columns(&uniq);
 
         golden.clear();
         golden.reserve(omegas.len());
@@ -531,20 +493,17 @@ impl AcSweepEngine {
         let mut scalars = vec![(Complex64::ZERO, Complex64::ZERO, Complex64::ZERO); uniq.len()];
 
         for (wi, &w) in omegas.iter().enumerate() {
-            self.work.copy_from(&self.g);
-            self.work.add_scaled(&self.b, Complex64::jw(w));
-            self.lu.factor_into(&self.work)?;
-            self.lu.solve_into(&self.rhs, &mut self.x);
-            let s0 = self.probe_pos.map_or(Complex64::ZERO, |r| self.x[r])
-                - self.probe_neg.map_or(Complex64::ZERO, |r| self.x[r]);
+            let s0 = self.response_at(w)?;
             golden.push(s0);
             for (slot, &idx) in uniq.iter().enumerate() {
                 self.lu
                     .solve_into(&ucols[slot * dim..(slot + 1) * dim], &mut y);
                 let v = &self.components[idx].stamp.v;
-                let s3 = self.probe_pos.map_or(Complex64::ZERO, |r| y[r])
-                    - self.probe_neg.map_or(Complex64::ZERO, |r| y[r]);
-                scalars[slot] = (sparse_dot(v, &self.x), sparse_dot(v, &y), s3);
+                scalars[slot] = (
+                    sparse_dot(v, &self.x),
+                    sparse_dot(v, &y),
+                    self.probe_read(&y),
+                );
             }
             for (fi, &(slot, m, in_b)) in fault_info.iter().enumerate() {
                 let c = if in_b {
@@ -569,12 +528,18 @@ impl AcSweepEngine {
         Ok(())
     }
 
-    /// Validates one batch deviation exactly as
-    /// [`AcSweepEngine::restamp_component`] does and maps it to its
-    /// update data: the component index, the mapped value delta `m`
-    /// (`1/value − 1/old` for resistors, `value − old` otherwise), and
-    /// whether the stamp lives in the susceptance part `B`.
-    fn fault_update(&self, id: ComponentId, value: f64) -> Result<(usize, f64, bool)> {
+    /// Validates one batch deviation as `Circuit::set_value` validates a
+    /// value and maps it to its update data: its component's slot in
+    /// `uniq` (the batch's distinct components, appended on first sight),
+    /// the mapped value delta `m` (`1/value − 1/old` for resistors,
+    /// `value − old` otherwise), and whether the stamp lives in the
+    /// susceptance part `B`.
+    fn fault_update(
+        &self,
+        uniq: &mut Vec<usize>,
+        id: ComponentId,
+        value: f64,
+    ) -> Result<(usize, f64, bool)> {
         let idx = id.index();
         let Some(comp) = self.components.get(idx) else {
             return Err(CircuitError::UnknownComponent(format!("component #{idx}")));
@@ -601,7 +566,11 @@ impl AcSweepEngine {
             ValueMap::Inverse => 1.0 / value - 1.0 / old,
             ValueMap::Linear => value - old,
         };
-        Ok((idx, m, comp.stamp.in_b))
+        let slot = uniq.iter().position(|&c| c == idx).unwrap_or_else(|| {
+            uniq.push(idx);
+            uniq.len() - 1
+        });
+        Ok((slot, m, comp.stamp.in_b))
     }
 
     /// Sweeps a whole batch of **multi-faults** (simultaneous deviations
@@ -630,14 +599,14 @@ impl AcSweepEngine {
     ///
     /// `golden` receives the nominal response at every frequency; `out`
     /// is filled fault-major (`out[f * omegas.len() + w]`). An empty
-    /// tuple is priced as the golden response (a rank-0 update).
-    /// Outstanding restamps are respected, and outputs are deterministic
-    /// and independent of how callers chunk `multifaults`.
+    /// tuple is priced as the golden response (a rank-0 update). Outputs
+    /// are deterministic and independent of how callers chunk
+    /// `multifaults`.
     ///
     /// # Errors
     ///
-    /// Validates every deviation as [`AcSweepEngine::restamp_component`]
-    /// does, plus [`CircuitError::InvalidValue`] when one tuple deviates
+    /// Validates every deviation as `Circuit::set_value` validates a
+    /// value, plus [`CircuitError::InvalidValue`] when one tuple deviates
     /// the same component twice; returns [`CircuitError::Singular`] when
     /// the nominal system is singular at some grid point and
     /// [`CircuitError::SingularFault`] (batch index + frequency) when a
@@ -657,32 +626,19 @@ impl AcSweepEngine {
         for mf in multifaults {
             let mut infos = Vec::with_capacity(mf.len());
             for (j, &(id, value)) in mf.iter().enumerate() {
-                let (idx, m, in_b) = self.fault_update(id, value)?;
+                infos.push(self.fault_update(&mut uniq, id, value)?);
                 if mf[..j].iter().any(|&(prev, _)| prev == id) {
                     return Err(CircuitError::InvalidValue {
-                        component: self.components[idx].name.clone(),
+                        component: self.components[id.index()].name.clone(),
                         value,
                         reason: "duplicate component in multi-fault",
                     });
                 }
-                let slot = uniq.iter().position(|&c| c == idx).unwrap_or_else(|| {
-                    uniq.push(idx);
-                    uniq.len() - 1
-                });
-                infos.push((slot, m, in_b));
             }
             tuples.push(infos);
         }
         let k_u = uniq.len();
-
-        // Dense U columns, one per distinct component (accumulated so
-        // degenerate same-node stamps cancel — see sweep_faults_into).
-        let mut ucols = vec![Complex64::ZERO; k_u * dim];
-        for (slot, &idx) in uniq.iter().enumerate() {
-            for &(row, sign) in &self.components[idx].stamp.u {
-                ucols[slot * dim + row] += Complex64::from_real(sign);
-            }
-        }
+        let ucols = self.u_columns(&uniq);
 
         golden.clear();
         golden.reserve(omegas.len());
@@ -706,18 +662,12 @@ impl AcSweepEngine {
         let mut w_small: Vec<Complex64> = Vec::new();
 
         for (wi, &w) in omegas.iter().enumerate() {
-            self.work.copy_from(&self.g);
-            self.work.add_scaled(&self.b, Complex64::jw(w));
-            self.lu.factor_into(&self.work)?;
-            self.lu.solve_into(&self.rhs, &mut self.x);
-            let s0 = self.probe_pos.map_or(Complex64::ZERO, |r| self.x[r])
-                - self.probe_neg.map_or(Complex64::ZERO, |r| self.x[r]);
+            let s0 = self.response_at(w)?;
             golden.push(s0);
             for (slot, &idx) in uniq.iter().enumerate() {
                 self.lu
                     .solve_into(&ucols[slot * dim..(slot + 1) * dim], &mut y);
-                p[slot] = self.probe_pos.map_or(Complex64::ZERO, |r| y[r])
-                    - self.probe_neg.map_or(Complex64::ZERO, |r| y[r]);
+                p[slot] = self.probe_read(&y);
                 t[slot] = sparse_dot(&self.components[idx].stamp.v, &self.x);
                 ys[slot * dim..(slot + 1) * dim].copy_from_slice(&y);
             }
@@ -778,60 +728,6 @@ impl AcSweepEngine {
         }
         Ok(())
     }
-
-    /// Sets component `id`'s principal value to `value` by updating only
-    /// its touched stamp entries — the parametric-fault delta path.
-    /// Returns the previous value. Restamps compose; [`AcSweepEngine::reset`]
-    /// undoes all of them exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownComponent`] for an id that is not
-    /// part of this engine's circuit and [`CircuitError::InvalidValue`]
-    /// for components without a principal value or out-of-range values
-    /// (R/C/L must stay positive), mirroring `Circuit::set_value`.
-    pub fn restamp_component(&mut self, id: ComponentId, value: f64) -> Result<f64> {
-        let (idx, delta, in_b) = self.fault_update(id, value)?;
-        let old = self.components[idx]
-            .value
-            .expect("validated by fault_update");
-        let entries_from = self.undo_entries.len();
-        for i in 0..self.components[idx].stamp.entries.len() {
-            let (row, col, sign) = self.components[idx].stamp.entries[i];
-            let target = if in_b { &mut self.b } else { &mut self.g };
-            let prev = target[(row, col)];
-            self.undo_entries.push(UndoEntry {
-                in_b,
-                row,
-                col,
-                prev,
-            });
-            target[(row, col)] = prev + Complex64::from_real(sign * delta);
-        }
-        self.undo_frames.push(UndoFrame {
-            component: idx,
-            prev_value: old,
-            entries_from,
-        });
-        self.components[idx].value = Some(value);
-        Ok(old)
-    }
-
-    /// Undoes every outstanding [`AcSweepEngine::restamp_component`],
-    /// restoring the saved matrix entries verbatim (bit-for-bit) in
-    /// reverse order — the engine is then exactly the one built from the
-    /// original circuit, regardless of how many faults it has simulated.
-    pub fn reset(&mut self) {
-        while let Some(frame) = self.undo_frames.pop() {
-            for i in (frame.entries_from..self.undo_entries.len()).rev() {
-                let e = self.undo_entries[i];
-                let target = if e.in_b { &mut self.b } else { &mut self.g };
-                target[(e.row, e.col)] = e.prev;
-            }
-            self.undo_entries.truncate(frame.entries_from);
-            self.components[frame.component].value = Some(frame.prev_value);
-        }
-    }
 }
 
 /// Resolves a probe to its matrix rows (`None` = ground, reads 0).
@@ -880,12 +776,68 @@ mod tests {
         out
     }
 
+    /// The reference response at `omegas` of a clone of `ckt` with every
+    /// deviation in `faults` applied through `Circuit::set_value`.
+    fn rebuilt(
+        ckt: &Circuit,
+        probe: &Probe,
+        faults: &[(ComponentId, f64)],
+        omegas: &[f64],
+    ) -> Vec<Complex64> {
+        let mut faulty = ckt.clone();
+        for &(id, value) in faults {
+            faulty.set_value(ckt.component(id).name(), value).unwrap();
+        }
+        omegas
+            .iter()
+            .map(|&w| transfer(&faulty, "V1", probe, w).unwrap())
+            .collect()
+    }
+
+    /// Asserts `fast[i]` is within `1e-11·(1 + |oracle[i]|)` of `oracle[i]`.
+    fn assert_close(what: &str, omegas: &[f64], fast: &[Complex64], oracle: &[Complex64]) {
+        assert_eq!(fast.len(), oracle.len());
+        for ((w, a), b) in omegas.iter().zip(fast).zip(oracle) {
+            assert!(
+                (*a - *b).abs() <= 1e-11 * (1.0 + b.abs()),
+                "{what} at ω={w}: {a} vs {b}"
+            );
+        }
+    }
+
+    /// `(name, value)` deviations resolved against `ckt`.
+    fn tuple(ckt: &Circuit, names: &[(&str, f64)]) -> Vec<(ComponentId, f64)> {
+        names
+            .iter()
+            .map(|&(n, v)| (ckt.find(n).unwrap(), v))
+            .collect()
+    }
+
     fn rc() -> Circuit {
         let mut ckt = Circuit::new("rc");
         ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
         ckt.resistor("R1", "in", "out", 1e3).unwrap();
         ckt.capacitor("C1", "out", "0", 1e-6).unwrap();
         ckt
+    }
+
+    /// Every element kind with a principal value: R, C, L, E (VCVS),
+    /// G (VCCS), F (CCCS), H (CCVS).
+    fn menagerie() -> (Circuit, Probe) {
+        let mut ckt = Circuit::new("menagerie");
+        ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
+        ckt.resistor("R1", "in", "a", 1.0).unwrap();
+        ckt.capacitor("C1", "a", "0", 0.5).unwrap();
+        ckt.inductor("L1", "a", "b", 0.7).unwrap();
+        ckt.resistor("R2", "b", "0", 2.0).unwrap();
+        ckt.vcvs("E1", "c", "0", "b", "0", 1.5).unwrap();
+        ckt.resistor("R3", "c", "d", 1.0).unwrap();
+        ckt.vccs("G1", "d", "0", "a", "0", 0.3).unwrap();
+        ckt.cccs("F1", "d", "0", "V1", 0.2).unwrap();
+        ckt.ccvs("H1", "e", "0", "V1", 0.8).unwrap();
+        ckt.resistor("R4", "e", "0", 1.0).unwrap();
+        ckt.resistor("R5", "d", "0", 3.0).unwrap();
+        (ckt, Probe::node("d"))
     }
 
     #[test]
@@ -924,172 +876,76 @@ mod tests {
     }
 
     #[test]
-    fn restamp_matches_rebuilt_circuit() {
-        let bench = tow_thomas_normalized(1.0).unwrap();
-        let r2 = bench.circuit.find("R2").unwrap();
-        let mut engine = AcSweepEngine::new(&bench.circuit, &bench.input, &bench.probe).unwrap();
-        let old = engine.restamp_component(r2, 1.3).unwrap();
-        assert_eq!(old, 1.0);
-        assert_eq!(engine.value_of(r2), Some(1.3));
-        assert!(!engine.undo_frames.is_empty());
-
-        let mut faulty = bench.circuit.clone();
-        faulty.set_value("R2", 1.3).unwrap();
-        for &w in &[0.1, 0.7, 1.0, 1.4, 10.0] {
-            let a = engine.response_at(w).unwrap();
-            let b = transfer(&faulty, &bench.input, &bench.probe, w).unwrap();
-            assert!((a - b).abs() < 1e-12, "ω={w}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn reset_round_trips_bit_exactly() {
-        let bench = tow_thomas_normalized(1.0).unwrap();
-        let grid = FrequencyGrid::log_space(0.01, 100.0, 31);
-        let mut engine = AcSweepEngine::new(&bench.circuit, &bench.input, &bench.probe).unwrap();
-        let golden = engine.sweep(&grid).unwrap();
-        // Stack several deviations (including two on the same component)
-        // and undo them all.
-        for (name, value) in [("R2", 1.3), ("C1", 0.6), ("R2", 0.9), ("R4", 2.0)] {
-            let id = bench.circuit.find(name).unwrap();
-            engine.restamp_component(id, value).unwrap();
-        }
-        assert!(!engine.undo_frames.is_empty());
-        engine.reset();
-        assert!(engine.undo_frames.is_empty());
-        let back = engine.sweep(&grid).unwrap();
-        // Bit-for-bit, not just within tolerance.
-        assert_eq!(golden.values(), back.values());
-    }
-
-    #[test]
-    fn batch_fault_sweep_matches_restamp_path() {
-        // Exercise every element kind with a principal value: R, C, L,
-        // E (VCVS), G (VCCS), F (CCCS), H (CCVS).
-        let mut ckt = Circuit::new("menagerie");
-        ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
-        ckt.resistor("R1", "in", "a", 1.0).unwrap();
-        ckt.capacitor("C1", "a", "0", 0.5).unwrap();
-        ckt.inductor("L1", "a", "b", 0.7).unwrap();
-        ckt.resistor("R2", "b", "0", 2.0).unwrap();
-        ckt.vcvs("E1", "c", "0", "b", "0", 1.5).unwrap();
-        ckt.resistor("R3", "c", "d", 1.0).unwrap();
-        ckt.vccs("G1", "d", "0", "a", "0", 0.3).unwrap();
-        ckt.cccs("F1", "d", "0", "V1", 0.2).unwrap();
-        ckt.ccvs("H1", "e", "0", "V1", 0.8).unwrap();
-        ckt.resistor("R4", "e", "0", 1.0).unwrap();
-        ckt.resistor("R5", "d", "0", 3.0).unwrap();
-        let probe = Probe::node("d");
-
+    fn batch_fault_sweep_matches_rebuilt_circuits() {
+        let (ckt, probe) = menagerie();
         let omegas = [0.3, 1.0, 4.0];
-        let faults: Vec<(ComponentId, f64)> = [
-            ("R1", 1.4),
-            ("C1", 0.3),
-            ("L1", 1.0),
-            ("E1", 1.8),
-            ("G1", 0.45),
-            ("F1", 0.1),
-            ("H1", 1.2),
-            ("R1", 0.6), // second deviation of the same component
-        ]
-        .iter()
-        .map(|&(name, value)| (ckt.find(name).unwrap(), value))
-        .collect();
+        let faults = tuple(
+            &ckt,
+            &[
+                ("R1", 1.4),
+                ("C1", 0.3),
+                ("L1", 1.0),
+                ("E1", 1.8),
+                ("G1", 0.45),
+                ("F1", 0.1),
+                ("H1", 1.2),
+                ("R1", 0.6), // second deviation of the same component
+            ],
+        );
 
         let mut engine = AcSweepEngine::new(&ckt, "V1", &probe).unwrap();
-        let mut golden = Vec::new();
-        let mut out = Vec::new();
+        let (mut golden, mut out) = (Vec::new(), Vec::new());
         engine
             .sweep_faults_into(&omegas, &faults, &mut golden, &mut out)
             .unwrap();
-        assert_eq!(golden.len(), omegas.len());
-        assert_eq!(out.len(), faults.len() * omegas.len());
         assert_eq!(golden, sample(&mut engine, &omegas));
-
-        for (fi, &(id, value)) in faults.iter().enumerate() {
-            engine.restamp_component(id, value).unwrap();
-            let exact = sample(&mut engine, &omegas);
-            engine.reset();
-            for (wi, (a, b)) in out[fi * omegas.len()..(fi + 1) * omegas.len()]
-                .iter()
-                .zip(&exact)
-                .enumerate()
-            {
-                assert!(
-                    (*a - *b).abs() <= 1e-11 * (1.0 + b.abs()),
-                    "fault {fi} at ω={}: {a} vs {b}",
-                    omegas[wi]
-                );
-            }
+        assert_eq!(out.len(), faults.len() * omegas.len());
+        for (fi, (&fault, priced)) in faults.iter().zip(out.chunks(omegas.len())).enumerate() {
+            let oracle = rebuilt(&ckt, &probe, &[fault], &omegas);
+            assert_close(&format!("fault {fi}"), &omegas, priced, &oracle);
         }
-        // The batch sweep leaves the engine at nominal.
-        assert!(engine.undo_frames.is_empty());
     }
 
     #[test]
     fn batch_fault_sweep_cancels_degenerate_same_node_stamps() {
         // A VCCS whose output terminals land on the same node stamps
-        // nothing (its outer-product entries cancel); the batch sweep's
-        // dense u column must cancel the same way, so deviating it
-        // changes nothing on either path.
+        // nothing (its `u ⊗ v` entries cancel); the batch sweep's dense
+        // u column must cancel the same way, so deviating it changes
+        // nothing, as it changes nothing in a rebuilt circuit.
         let mut ckt = Circuit::new("degenerate");
         ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
         ckt.resistor("R1", "in", "d", 1.0).unwrap();
         ckt.resistor("R2", "d", "0", 2.0).unwrap();
         ckt.vccs("G1", "d", "d", "in", "0", 0.3).unwrap();
-        let mut engine = AcSweepEngine::new(&ckt, "V1", &Probe::node("d")).unwrap();
+        let probe = Probe::node("d");
+        let mut engine = AcSweepEngine::new(&ckt, "V1", &probe).unwrap();
         let omegas = [0.5, 2.0];
         let nominal = sample(&mut engine, &omegas);
-        let g1 = ckt.find("G1").unwrap();
+        let fault = tuple(&ckt, &[("G1", 0.9)]);
         let (mut golden, mut out) = (Vec::new(), Vec::new());
         engine
-            .sweep_faults_into(&omegas, &[(g1, 0.9)], &mut golden, &mut out)
+            .sweep_faults_into(&omegas, &fault, &mut golden, &mut out)
             .unwrap();
         assert_eq!(golden, nominal);
         assert_eq!(out, nominal, "degenerate deviation must be a no-op");
-        engine.restamp_component(g1, 0.9).unwrap();
-        assert_eq!(sample(&mut engine, &omegas), nominal);
-    }
-
-    /// The menagerie circuit of `batch_fault_sweep_matches_restamp_path`:
-    /// every element kind with a principal value.
-    fn menagerie() -> (Circuit, Probe) {
-        let mut ckt = Circuit::new("menagerie");
-        ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
-        ckt.resistor("R1", "in", "a", 1.0).unwrap();
-        ckt.capacitor("C1", "a", "0", 0.5).unwrap();
-        ckt.inductor("L1", "a", "b", 0.7).unwrap();
-        ckt.resistor("R2", "b", "0", 2.0).unwrap();
-        ckt.vcvs("E1", "c", "0", "b", "0", 1.5).unwrap();
-        ckt.resistor("R3", "c", "d", 1.0).unwrap();
-        ckt.vccs("G1", "d", "0", "a", "0", 0.3).unwrap();
-        ckt.cccs("F1", "d", "0", "V1", 0.2).unwrap();
-        ckt.ccvs("H1", "e", "0", "V1", 0.8).unwrap();
-        ckt.resistor("R4", "e", "0", 1.0).unwrap();
-        ckt.resistor("R5", "d", "0", 3.0).unwrap();
-        (ckt, Probe::node("d"))
+        let oracle = rebuilt(&ckt, &probe, &fault, &omegas);
+        assert_close("G1 = 0.9", &omegas, &out, &oracle);
     }
 
     #[test]
-    fn multifault_sweep_matches_restamp_path() {
+    fn multifault_sweep_matches_rebuilt_circuits() {
         let (ckt, probe) = menagerie();
         let omegas = [0.3, 1.0, 4.0];
-        let tuple = |names: &[(&str, f64)]| -> Vec<(ComponentId, f64)> {
-            names
-                .iter()
-                .map(|&(n, v)| (ckt.find(n).unwrap(), v))
-                .collect()
-        };
         // Doubles, a triple, a quad across G and B stamps, a rank-1
         // tuple, a tuple reusing components of earlier tuples, and an
         // empty tuple (priced as golden).
         let multifaults: Vec<Vec<(ComponentId, f64)>> = vec![
-            tuple(&[("R1", 1.4), ("C1", 0.3)]),
-            tuple(&[("L1", 1.0), ("E1", 1.8)]),
-            tuple(&[("R2", 2.6), ("G1", 0.45), ("H1", 1.2)]),
-            tuple(&[("R1", 0.6), ("C1", 0.7), ("L1", 0.5), ("F1", 0.1)]),
-            tuple(&[("R5", 2.2)]),
-            tuple(&[]),
+            tuple(&ckt, &[("R1", 1.4), ("C1", 0.3)]),
+            tuple(&ckt, &[("L1", 1.0), ("E1", 1.8)]),
+            tuple(&ckt, &[("R2", 2.6), ("G1", 0.45), ("H1", 1.2)]),
+            tuple(&ckt, &[("R1", 0.6), ("C1", 0.7), ("L1", 0.5), ("F1", 0.1)]),
+            tuple(&ckt, &[("R5", 2.2)]),
+            tuple(&ckt, &[]),
         ];
 
         let mut engine = AcSweepEngine::new(&ckt, "V1", &probe).unwrap();
@@ -1097,28 +953,11 @@ mod tests {
         engine
             .sweep_multifaults_into(&omegas, &multifaults, &mut golden, &mut out)
             .unwrap();
-        assert_eq!(golden.len(), omegas.len());
-        assert_eq!(out.len(), multifaults.len() * omegas.len());
         assert_eq!(golden, sample(&mut engine, &omegas));
-        assert!(engine.undo_frames.is_empty());
-
-        for (fi, mf) in multifaults.iter().enumerate() {
-            for &(id, value) in mf {
-                engine.restamp_component(id, value).unwrap();
-            }
-            let exact = sample(&mut engine, &omegas);
-            engine.reset();
-            for (wi, (a, b)) in out[fi * omegas.len()..(fi + 1) * omegas.len()]
-                .iter()
-                .zip(&exact)
-                .enumerate()
-            {
-                assert!(
-                    (*a - *b).abs() <= 1e-11 * (1.0 + b.abs()),
-                    "multi-fault {fi} at ω={}: {a} vs {b}",
-                    omegas[wi]
-                );
-            }
+        assert_eq!(out.len(), multifaults.len() * omegas.len());
+        for (fi, (mf, priced)) in multifaults.iter().zip(out.chunks(omegas.len())).enumerate() {
+            let oracle = rebuilt(&ckt, &probe, mf, &omegas);
+            assert_close(&format!("multi-fault {fi}"), &omegas, priced, &oracle);
         }
     }
 
@@ -1126,10 +965,7 @@ mod tests {
     fn multifault_sweep_reduces_to_rank1() {
         let (ckt, probe) = menagerie();
         let omegas = [0.5, 2.0];
-        let faults: Vec<(ComponentId, f64)> = [("R1", 1.3), ("C1", 0.4), ("E1", 1.1)]
-            .iter()
-            .map(|&(n, v)| (ckt.find(n).unwrap(), v))
-            .collect();
+        let faults = tuple(&ckt, &[("R1", 1.3), ("C1", 0.4), ("E1", 1.1)]);
         let singles: Vec<Vec<(ComponentId, f64)>> = faults.iter().map(|&f| vec![f]).collect();
         let mut engine = AcSweepEngine::new(&ckt, "V1", &probe).unwrap();
         let (mut g1, mut rank1) = (Vec::new(), Vec::new());
@@ -1150,43 +986,28 @@ mod tests {
     }
 
     #[test]
-    fn multifault_sweep_validates_like_restamp() {
+    fn multifault_sweep_validates_like_set_value() {
         let ckt = rc();
         let mut engine = AcSweepEngine::new(&ckt, "V1", &Probe::node("out")).unwrap();
-        let r1 = ckt.find("R1").unwrap();
-        let c1 = ckt.find("C1").unwrap();
-        let v1 = ckt.find("V1").unwrap();
         let (mut golden, mut out) = (Vec::new(), Vec::new());
-        // Duplicate component within one tuple.
-        assert!(matches!(
-            engine
-                .sweep_multifaults_into(
-                    &[1.0],
-                    &[vec![(r1, 2e3), (r1, 3e3)]],
-                    &mut golden,
-                    &mut out
-                )
-                .unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
-        // Out-of-range value, no principal value, unknown component.
-        assert!(matches!(
-            engine
-                .sweep_multifaults_into(
-                    &[1.0],
-                    &[vec![(r1, -2.0), (c1, 1e-6)]],
-                    &mut golden,
-                    &mut out
-                )
-                .unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
-        assert!(matches!(
-            engine
-                .sweep_multifaults_into(&[1.0], &[vec![(v1, 1.0)]], &mut golden, &mut out)
-                .unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
+        let mut sweep = |names: &[&[(&str, f64)]]| {
+            let mfs: Vec<_> = names.iter().map(|mf| tuple(&ckt, mf)).collect();
+            engine.sweep_multifaults_into(&[1.0], &mfs, &mut golden, &mut out)
+        };
+        // A duplicate component within one tuple, an out-of-range value,
+        // and a source, which has no value to deviate.
+        for bad in [
+            &[("R1", 2e3), ("R1", 3e3)][..],
+            &[("R1", -2.0), ("C1", 1e-6)],
+            &[("V1", 1.0)],
+        ] {
+            assert!(matches!(
+                sweep(&[bad]).unwrap_err(),
+                CircuitError::InvalidValue { .. }
+            ));
+        }
+        // The same component in *different* tuples is fine.
+        sweep(&[&[("R1", 2e3)], &[("R1", 3e3), ("C1", 2e-6)]]).unwrap();
         assert!(matches!(
             engine
                 .sweep_multifaults_into(
@@ -1198,15 +1019,6 @@ mod tests {
                 .unwrap_err(),
             CircuitError::UnknownComponent(_)
         ));
-        // The same component in *different* tuples is fine.
-        engine
-            .sweep_multifaults_into(
-                &[1.0],
-                &[vec![(r1, 2e3)], vec![(r1, 3e3), (c1, 2e-6)]],
-                &mut golden,
-                &mut out,
-            )
-            .unwrap();
     }
 
     /// A VCVS positive-feedback stage that is singular exactly at gain 3:
@@ -1256,61 +1068,35 @@ mod tests {
             "wrong attribution: {err:?}"
         );
         // The sweep errored out cleanly: the engine still answers.
-        assert!(engine.undo_frames.is_empty());
         engine.response_at(1.0).unwrap();
     }
 
     #[test]
-    fn batch_fault_sweep_validates_like_restamp() {
+    fn batch_fault_sweep_validates_like_set_value() {
         let ckt = rc();
         let mut engine = AcSweepEngine::new(&ckt, "V1", &Probe::node("out")).unwrap();
-        let r1 = ckt.find("R1").unwrap();
-        let v1 = ckt.find("V1").unwrap();
         let (mut golden, mut out) = (Vec::new(), Vec::new());
-        assert!(matches!(
-            engine
-                .sweep_faults_into(&[1.0], &[(r1, -2.0)], &mut golden, &mut out)
-                .unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
-        assert!(matches!(
-            engine
-                .sweep_faults_into(&[1.0], &[(v1, 1.0)], &mut golden, &mut out)
-                .unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
+        // A negative or NaN resistance, and a source, which has no
+        // value to deviate: refused by both.
+        for (name, value) in [("R1", -2.0), ("R1", f64::NAN), ("V1", 1.0)] {
+            let fault = tuple(&ckt, &[(name, value)]);
+            assert!(matches!(
+                engine
+                    .sweep_faults_into(&[1.0], &fault, &mut golden, &mut out)
+                    .unwrap_err(),
+                CircuitError::InvalidValue { .. }
+            ));
+            assert!(matches!(
+                ckt.clone().set_value(name, value).unwrap_err(),
+                CircuitError::InvalidValue { .. }
+            ));
+        }
         assert!(matches!(
             engine
                 .sweep_faults_into(&[1.0], &[(ComponentId(42), 1.0)], &mut golden, &mut out)
                 .unwrap_err(),
             CircuitError::UnknownComponent(_)
         ));
-    }
-
-    #[test]
-    fn restamp_validation_mirrors_set_value() {
-        let ckt = rc();
-        let mut engine = AcSweepEngine::new(&ckt, "V1", &Probe::node("out")).unwrap();
-        let r1 = ckt.find("R1").unwrap();
-        let v1 = ckt.find("V1").unwrap();
-        assert!(matches!(
-            engine.restamp_component(r1, -1.0).unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
-        assert!(matches!(
-            engine.restamp_component(r1, f64::NAN).unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
-        assert!(matches!(
-            engine.restamp_component(v1, 2.0).unwrap_err(),
-            CircuitError::InvalidValue { .. }
-        ));
-        assert!(matches!(
-            engine.restamp_component(ComponentId(99), 1.0).unwrap_err(),
-            CircuitError::UnknownComponent(_)
-        ));
-        // Failed restamps leave the engine untouched.
-        assert!(engine.undo_frames.is_empty());
     }
 
     #[test]

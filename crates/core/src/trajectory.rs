@@ -20,12 +20,11 @@
 //! [`TrajectorySet::all_segments`]), which slice the runs without
 //! copying.
 
-use ft_circuit::{AcSweepEngine, Circuit, CircuitError, Probe};
+use ft_circuit::{Circuit, CircuitError, Probe};
 use ft_faults::{FaultDictionary, ParametricFault};
-use ft_numerics::decibel;
 
 use crate::geometry::{all_finite, norm, norm_diff};
-use crate::signature::{signature_from_db, Signature, TestVector, DB_FLOOR};
+use crate::signature::{sample_response_db, signature_from_db, Signature, TestVector};
 
 /// One component's fault trajectory in signature space, as a builder
 /// assembles it: the validated input [`TrajectorySet::new`] packs.
@@ -524,9 +523,10 @@ fn sorted_trajectory(component: &str, mut samples: Vec<(f64, Signature)>) -> Fau
 /// minus the golden response; the 0% origin point is inserted explicitly.
 pub fn trajectories_from_dictionary(dict: &FaultDictionary, tv: &TestVector) -> TrajectorySet {
     let omegas = tv.omegas();
-    // The GA loop calls this thousands of times per run; both dB
-    // buffers come from the thread-local scratch pool so the hot path
-    // allocates only on its first call per thread.
+    // The GA loop calls this thousands of times per run; the two dB
+    // buffers come from the thread-local scratch pool, so they are
+    // reused across calls. The signatures, trajectories and the packed
+    // set are still allocated on every call.
     let mut golden = crate::scratch::DbScratch::acquire();
     golden.extend(omegas.iter().map(|&w| dict.golden_db_at(w)));
     let mut measured = crate::scratch::DbScratch::acquire();
@@ -550,9 +550,9 @@ pub fn trajectories_from_dictionary(dict: &FaultDictionary, tv: &TestVector) -> 
 /// Builds the trajectory set by exact re-simulation of every fault at the
 /// test frequencies — the verification path (no interpolation error).
 ///
-/// One [`AcSweepEngine`] serves the whole set: each fault is a delta
-/// restamp, a sample at the test frequencies, and a bit-exact reset — no
-/// circuit clones and no per-frequency reassembly.
+/// Each fault is applied to a clone of `circuit` and sampled with
+/// [`sample_response_db`], so this path shares no fault-pricing code with
+/// the batch sweep behind the dictionary it checks.
 ///
 /// # Errors
 ///
@@ -565,20 +565,7 @@ pub fn trajectories_exact(
     probe: &Probe,
     tv: &TestVector,
 ) -> Result<TrajectorySet, CircuitError> {
-    let mut engine = AcSweepEngine::new(circuit, input, probe)?;
-    let mut samples = Vec::with_capacity(tv.len());
-
-    let sample_db = |engine: &mut AcSweepEngine,
-                     samples: &mut Vec<ft_numerics::Complex64>|
-     -> Result<Vec<f64>, CircuitError> {
-        engine.sweep_into(tv.omegas(), samples)?;
-        Ok(samples
-            .iter()
-            .map(|v| decibel::clamp_db(v.abs_db(), DB_FLOOR))
-            .collect())
-    };
-
-    let golden = sample_db(&mut engine, &mut samples)?;
+    let golden = sample_response_db(circuit, input, probe, tv)?;
     let mut trajectories = Vec::new();
     for component in components {
         let mut points = vec![(0.0, Signature::origin(tv.len()))];
@@ -586,20 +573,8 @@ pub fn trajectories_exact(
             .iter()
             .filter(|f| f.component() == component.as_str())
         {
-            let id = circuit
-                .find(fault.component())
-                .ok_or_else(|| CircuitError::UnknownComponent(fault.component().into()))?;
-            let nominal = engine
-                .value_of(id)
-                .ok_or_else(|| CircuitError::InvalidValue {
-                    component: fault.component().into(),
-                    value: f64::NAN,
-                    reason: "component has no principal value to deviate",
-                })?;
-            engine.restamp_component(id, nominal * fault.multiplier())?;
-            let measured = sample_db(&mut engine, &mut samples);
-            engine.reset();
-            points.push((fault.percent(), signature_from_db(&measured?, &golden)));
+            let measured = sample_response_db(&fault.apply(circuit)?, input, probe, tv)?;
+            points.push((fault.percent(), signature_from_db(&measured, &golden)));
         }
         trajectories.push(sorted_trajectory(component, points));
     }

@@ -15,7 +15,7 @@
 //! path as the verification oracle.
 
 use ft_circuit::{AcSweepEngine, Circuit, CircuitError, ComponentId, MnaLayout, Probe};
-use ft_numerics::interp::PiecewiseLinear;
+use ft_numerics::interp::lerp_at;
 use ft_numerics::{decibel, Complex64, FrequencyGrid};
 
 use crate::model::ParametricFault;
@@ -57,6 +57,9 @@ impl DictionaryEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultDictionary {
     grid: FrequencyGrid,
+    /// The grid's log₁₀ knots ([`FrequencyGrid::log_knots`]), checked
+    /// once at construction; every sample interpolates over them.
+    log_omegas: Vec<f64>,
     golden_db: Vec<f64>,
     entries: Vec<DictionaryEntry>,
     universe: FaultUniverse,
@@ -83,6 +86,11 @@ impl FaultDictionary {
     /// genuinely singular entry (and with a single sick deviation, the
     /// same entry the reference path fails at); healthy entries are
     /// never blamed for a sick one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `grid` cannot be interpolated (see
+    /// [`FaultDictionary::from_parts`]).
     pub fn build(
         circuit: &Circuit,
         universe: &FaultUniverse,
@@ -99,6 +107,10 @@ impl FaultDictionary {
     /// whole multi-probe bank, with one engine per probe per worker.
     ///
     /// # Errors
+    ///
+    /// As [`FaultDictionary::build`].
+    ///
+    /// # Panics
     ///
     /// As [`FaultDictionary::build`].
     pub fn build_with_layout(
@@ -149,14 +161,14 @@ impl FaultDictionary {
                 .collect())
         })?;
 
-        Ok(FaultDictionary {
-            grid: grid.clone(),
+        Ok(FaultDictionary::from_parts(
+            grid.clone(),
             golden_db,
             entries,
-            universe: universe.clone(),
-            input: input.to_string(),
-            probe: probe.clone(),
-        })
+            universe.clone(),
+            input.to_string(),
+            probe.clone(),
+        ))
     }
 
     /// [`FaultDictionary::build`] on the reference simulation path: every
@@ -166,6 +178,10 @@ impl FaultDictionary {
     /// oracle the engine path is benchmarked and property-tested against.
     ///
     /// # Errors
+    ///
+    /// As [`FaultDictionary::build`].
+    ///
+    /// # Panics
     ///
     /// As [`FaultDictionary::build`].
     pub fn build_reference(
@@ -185,14 +201,14 @@ impl FaultDictionary {
                 magnitude_db: response.magnitude_db(),
             });
         }
-        Ok(FaultDictionary {
-            grid: grid.clone(),
+        Ok(FaultDictionary::from_parts(
+            grid.clone(),
             golden_db,
             entries,
-            universe: universe.clone(),
-            input: input.to_string(),
-            probe: probe.clone(),
-        })
+            universe.clone(),
+            input.to_string(),
+            probe.clone(),
+        ))
     }
 
     /// Reassembles a dictionary from persisted parts without
@@ -203,7 +219,10 @@ impl FaultDictionary {
     ///
     /// Panics when the parts are mutually inconsistent: golden/entry
     /// response lengths must match the grid, and the entries must mirror
-    /// the universe's fault enumeration one-to-one, in order.
+    /// the universe's fault enumeration one-to-one, in order. Panics too
+    /// when the grid cannot be interpolated: [`FrequencyGrid::log_knots`]
+    /// must accept it (at least two frequencies, with distinct log₁₀
+    /// values).
     pub fn from_parts(
         grid: FrequencyGrid,
         golden_db: Vec<f64>,
@@ -233,8 +252,10 @@ impl FaultDictionary {
                 "entry response length must match the grid"
             );
         }
+        let log_omegas = grid.log_knots().expect("grid is a valid knot set");
         FaultDictionary {
             grid,
+            log_omegas,
             golden_db,
             entries,
             universe,
@@ -290,7 +311,7 @@ impl FaultDictionary {
     /// Interpolates the golden response (dB) at angular frequency `omega`
     /// (log-frequency linear interpolation, Bode-style).
     pub fn golden_db_at(&self, omega: f64) -> f64 {
-        interp_log(&self.grid, &self.golden_db, omega)
+        lerp_at(&self.log_omegas, &self.golden_db, omega.log10())
     }
 
     /// Interpolates entry `index`'s response (dB) at `omega`.
@@ -299,7 +320,11 @@ impl FaultDictionary {
     ///
     /// Panics if `index` is out of bounds.
     pub fn entry_db_at(&self, index: usize, omega: f64) -> f64 {
-        interp_log(&self.grid, &self.entries[index].magnitude_db, omega)
+        lerp_at(
+            &self.log_omegas,
+            &self.entries[index].magnitude_db,
+            omega.log10(),
+        )
     }
 
     /// Interpolated responses of every entry at a set of frequencies:
@@ -307,15 +332,8 @@ impl FaultDictionary {
     /// returned alongside.
     pub fn sample_all(&self, omegas: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
         let golden = omegas.iter().map(|&w| self.golden_db_at(w)).collect();
-        let per_entry = self
-            .entries
-            .iter()
-            .map(|e| {
-                omegas
-                    .iter()
-                    .map(|&w| interp_log(&self.grid, &e.magnitude_db, w))
-                    .collect()
-            })
+        let per_entry = (0..self.entries.len())
+            .map(|i| omegas.iter().map(|&w| self.entry_db_at(i, w)).collect())
             .collect();
         (golden, per_entry)
     }
@@ -370,18 +388,12 @@ where
     Ok(entries)
 }
 
-fn interp_log(grid: &FrequencyGrid, ys: &[f64], omega: f64) -> f64 {
-    debug_assert_eq!(grid.len(), ys.len());
-    let log_xs: Vec<f64> = grid.frequencies().iter().map(|w| w.log10()).collect();
-    let pl = PiecewiseLinear::new(log_xs, ys.to_vec()).expect("grid is a valid knot set");
-    pl.eval(omega.log10())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::universe::DeviationGrid;
     use ft_circuit::sweep;
+    use ft_numerics::Spacing;
 
     fn rc() -> Circuit {
         let mut ckt = Circuit::new("rc");
@@ -434,6 +446,26 @@ mod tests {
         let _ = FaultDictionary::from_parts(
             dict.grid().clone(),
             dict.golden_db().to_vec(),
+            entries,
+            dict.universe().clone(),
+            dict.input().to_string(),
+            dict.probe().clone(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "valid knot set")]
+    fn from_parts_rejects_a_grid_it_cannot_interpolate() {
+        let dict = build_rc_dictionary();
+        let first = |ys: &[f64]| vec![ys[0]];
+        let entries = dict
+            .entries()
+            .iter()
+            .map(|e| DictionaryEntry::new(e.fault().clone(), first(e.magnitude_db())))
+            .collect();
+        let _ = FaultDictionary::from_parts(
+            FrequencyGrid::from_parts(first(dict.grid().frequencies()), Spacing::Logarithmic),
+            first(dict.golden_db()),
             entries,
             dict.universe().clone(),
             dict.input().to_string(),

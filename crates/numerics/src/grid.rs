@@ -4,6 +4,8 @@
 //! filter responses); this module provides linear and logarithmic grids
 //! over angular frequency (rad/s).
 
+use crate::interp::{check_knots, InterpError};
+
 /// Spacing rule of a frequency grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Spacing {
@@ -58,8 +60,9 @@ impl FrequencyGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `w_max <= w_min` or `n < 2`.
+    /// Panics if `w_min <= 0`, `w_max <= w_min`, or `n < 2`.
     pub fn lin_space(w_min: f64, w_max: f64, n: usize) -> Self {
+        assert!(w_min > 0.0, "linear grid requires positive start");
         assert!(w_max > w_min, "w_max must exceed w_min");
         assert!(n >= 2, "grid needs at least two points");
         let step = (w_max - w_min) / (n - 1) as f64;
@@ -131,6 +134,20 @@ impl FrequencyGrid {
         self.spacing
     }
 
+    /// The log₁₀ of the frequencies, checked as interpolation knots: the
+    /// abscissae of log-frequency (Bode-style) interpolation.
+    ///
+    /// # Errors
+    ///
+    /// [`InterpError::TooFewKnots`] for a one-point grid, and
+    /// [`InterpError::InvalidAbscissae`] when two frequencies are too
+    /// close for their log₁₀ values to differ.
+    pub fn log_knots(&self) -> Result<Vec<f64>, InterpError> {
+        let knots: Vec<f64> = self.freqs.iter().map(|w| w.log10()).collect();
+        check_knots(&knots)?;
+        Ok(knots)
+    }
+
     /// Iterator over the angular frequencies.
     pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, f64>> {
         self.freqs.iter().copied()
@@ -171,12 +188,18 @@ mod tests {
 
     #[test]
     fn lin_space_uniform() {
-        let g = FrequencyGrid::lin_space(0.0, 10.0, 6);
+        let g = FrequencyGrid::lin_space(2.0, 12.0, 6);
         let w = g.frequencies();
         assert_eq!(w.len(), 6);
         for (i, v) in w.iter().enumerate() {
-            assert!((v - 2.0 * i as f64).abs() < 1e-12);
+            assert!((v - 2.0 * (i + 1) as f64).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive start")]
+    fn lin_space_rejects_a_zero_start() {
+        let _ = FrequencyGrid::lin_space(0.0, 4.0, 9);
     }
 
     #[test]

@@ -60,32 +60,14 @@ impl PiecewiseLinear {
         if xs.len() != ys.len() {
             return Err(InterpError::LengthMismatch);
         }
-        if xs.len() < 2 {
-            return Err(InterpError::TooFewKnots);
-        }
-        if !xs.iter().all(|x| x.is_finite()) || !xs.windows(2).all(|w| w[0] < w[1]) {
-            return Err(InterpError::InvalidAbscissae);
-        }
+        check_knots(&xs)?;
         Ok(PiecewiseLinear { xs, ys })
     }
 
     /// Evaluates at `x`, extrapolating with the boundary segments outside
     /// the knot range (constant-slope extrapolation).
     pub fn eval(&self, x: f64) -> f64 {
-        let n = self.xs.len();
-        // Find the segment whose left knot is the last xs[i] <= x.
-        let i = match self
-            .xs
-            .binary_search_by(|probe| probe.partial_cmp(&x).expect("finite xs"))
-        {
-            Ok(i) => return self.ys[i],
-            Err(0) => 0,
-            Err(i) if i >= n => n - 2,
-            Err(i) => i - 1,
-        };
-        let (x0, x1) = (self.xs[i], self.xs[i + 1]);
-        let (y0, y1) = (self.ys[i], self.ys[i + 1]);
-        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        lerp_at(&self.xs, &self.ys, x)
     }
 
     /// Evaluates with `x` mapped through log₁₀ — interpolation linear in
@@ -96,15 +78,45 @@ impl PiecewiseLinear {
     }
 }
 
-/// Interpolates `y` at `x` over parallel slices (convenience wrapper when
-/// constructing a [`PiecewiseLinear`] is not worth it).
+/// The abscissa checks of [`PiecewiseLinear::new`]: at least two knots,
+/// all finite and strictly increasing.
+pub(crate) fn check_knots(xs: &[f64]) -> Result<(), InterpError> {
+    if xs.len() < 2 {
+        return Err(InterpError::TooFewKnots);
+    }
+    if !xs.iter().all(|x| x.is_finite()) || !xs.windows(2).all(|w| w[0] < w[1]) {
+        return Err(InterpError::InvalidAbscissae);
+    }
+    Ok(())
+}
+
+/// Interpolates at `x` over the knots `(xs, ys)`, extrapolating with the
+/// boundary segments: [`PiecewiseLinear::eval`] over borrowed slices, for
+/// callers that check their knots once and sample them many times.
+///
+/// `xs` must hold at least two knots, finite and strictly increasing
+/// (the checks [`PiecewiseLinear::new`] makes), and `ys` as many values.
+/// Debug builds assert both; release builds trust the caller.
 ///
 /// # Panics
 ///
-/// Panics if slices are empty, of different lengths, or `xs` unsorted.
+/// Panics if `x` is NaN. Knots that break the contract above panic in
+/// debug builds, and in release builds give an unspecified value or an
+/// index panic.
 pub fn lerp_at(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    let pl = PiecewiseLinear::new(xs.to_vec(), ys.to_vec()).expect("valid knots");
-    pl.eval(x)
+    debug_assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
+    debug_assert_eq!(check_knots(xs), Ok(()), "xs must be valid knots");
+    let n = xs.len();
+    // Find the segment whose left knot is the last xs[i] <= x.
+    let i = match xs.binary_search_by(|probe| probe.partial_cmp(&x).expect("x is not NaN")) {
+        Ok(i) => return ys[i],
+        Err(0) => 0,
+        Err(i) if i >= n => n - 2,
+        Err(i) => i - 1,
+    };
+    let (x0, x1) = (xs[i], xs[i + 1]);
+    let (y0, y1) = (ys[i], ys[i + 1]);
+    y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 }
 
 /// Linear interpolation between two scalars: `a + t·(b − a)`.

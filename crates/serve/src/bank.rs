@@ -451,6 +451,11 @@ fn encode_dictionary(dict: &FaultDictionary) -> Vec<u8> {
 
 fn decode_dictionary(dec: &mut Decoder) -> Result<FaultDictionary, CodecError> {
     let grid = decode_grid(dec)?;
+    // `FaultDictionary::from_parts` asserts its grid interpolates.
+    ensure(
+        grid.log_knots().is_ok(),
+        "dictionary grid needs two or more frequencies with distinct log10 values",
+    )?;
     let golden_db = decode_response(dec, grid.len(), "golden response")?;
     let input = dec.get_str()?;
     let probe = decode_probe(dec)?;
@@ -1051,11 +1056,11 @@ mod tests {
     /// container — a hand-written dictionary section plus the writer's
     /// trajectory section — letting tests inject hostile dictionary
     /// values the public API can never produce.
-    fn hostile_bank(step_pct: f64) -> Vec<u8> {
+    fn hostile_bank(freqs: &[f64], step_pct: f64) -> Vec<u8> {
         let mut dict = Encoder::new();
         dict.put_u8(1); // logarithmic spacing
-        dict.put_f64s(&[1.0, 2.0]);
-        dict.put_f64s(&[-3.0, -9.0]); // golden
+        dict.put_f64s(freqs);
+        dict.put_f64s(&vec![-3.0; freqs.len()]); // golden
         dict.put_str("V1");
         dict.put_u8(0); // node probe
         dict.put_str("out");
@@ -1066,7 +1071,7 @@ mod tests {
         let n_entries = if step_pct == 10.0 { 8 } else { 0 };
         dict.put_u32(n_entries);
         for _ in 0..n_entries {
-            dict.put_f64s(&[-2.0, -8.0]);
+            dict.put_f64s(&vec![-2.0; freqs.len()]);
         }
         let dict = dict.into_payload();
         let p = |x: f64, y: f64| Signature::new(vec![x, y]);
@@ -1091,7 +1096,7 @@ mod tests {
     #[test]
     fn hand_encoded_baseline_decodes() {
         // Sanity-check the hostile encoder against the real format.
-        let bank = TrajectoryBank::from_bytes(&hostile_bank(10.0)).unwrap();
+        let bank = TrajectoryBank::from_bytes(&hostile_bank(&[1.0, 2.0], 10.0)).unwrap();
         assert_eq!(bank.trajectory_set().len(), 1);
         assert_eq!(bank.dictionary().entries().len(), 8);
     }
@@ -1102,8 +1107,12 @@ mod tests {
         // enumerate ~10^300 faults. (Hostile trajectory fields are
         // covered on both read paths by
         // `hostile_v3_fields_error_on_both_read_paths`.)
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(5e-324)).is_err());
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(1e-9)).is_err());
+        assert!(TrajectoryBank::from_bytes(&hostile_bank(&[1.0, 2.0], 5e-324)).is_err());
+        assert!(TrajectoryBank::from_bytes(&hostile_bank(&[1.0, 2.0], 1e-9)).is_err());
+        // Grids the dictionary cannot interpolate: one frequency, and
+        // two adjacent floats whose log10 values coincide.
+        assert!(TrajectoryBank::from_bytes(&hostile_bank(&[1.0], 10.0)).is_err());
+        assert!(TrajectoryBank::from_bytes(&hostile_bank(&[1e10, 1e10 + 2e-6], 10.0)).is_err());
     }
 
     /// Payload-relative offsets of the v3 trajectory header fields the

@@ -16,15 +16,14 @@
 //!   can promise of itself);
 //! * complex agreement `|He − Hr| ≤ 1e-10·(1 + |Hr|)` at every point;
 //! * a singular system on one path is singular on the other;
-//! * the delta restamp path reproduces a cloned-and-rebuilt circuit and
-//!   round-trips back to the golden response **bit-for-bit** after
-//!   `reset`.
+//! * the rank-1 and rank-k batch fault sweeps reproduce cloned-and-rebuilt
+//!   faulty circuits, and the rank-1 sweep prices every fault
+//!   **bit-for-bit** the same however the universe is chunked — the
+//!   property `ftd build-bank`'s byte identity rests on.
 
 use fault_trajectory::circuit::{
-    sweep_reference, tow_thomas, AcSweep, AcSweepEngine, Circuit, ComponentId, Probe,
-    TowThomasParams,
+    sweep_reference, tow_thomas, AcSweepEngine, Circuit, ComponentId, Probe, TowThomasParams,
 };
-use fault_trajectory::core::geometry::norm;
 use fault_trajectory::faults::{
     all_pairs, sample_tuple, sampled_tuples, MultiFault, MultiFaultDictionary,
 };
@@ -117,30 +116,8 @@ fn random_grid(rng: &mut StdRng) -> FrequencyGrid {
     FrequencyGrid::log_space(lo, hi, points)
 }
 
-/// Asserts the two sweeps agree per the module contract. Returns the
-/// worst dB deviation seen above the floor (for assertion messages).
-fn assert_sweeps_agree(fast: &AcSweep, oracle: &AcSweep) {
-    assert_eq!(fast.len(), oracle.len());
-    for ((&w, he), hr) in fast.omegas().iter().zip(fast.values()).zip(oracle.values()) {
-        let abs_err = (*he - *hr).abs();
-        assert!(
-            abs_err <= 1e-10 * (1.0 + hr.abs()),
-            "complex mismatch at ω={w}: {he} vs {hr} (|Δ|={abs_err:.3e})"
-        );
-        let db_e = decibel::clamp_db(he.abs_db(), -300.0);
-        let db_r = decibel::clamp_db(hr.abs_db(), -300.0);
-        if db_r.min(db_e) > DB_TEST_FLOOR {
-            assert!(
-                (db_e - db_r).abs() <= DB_TOL,
-                "dB mismatch at ω={w}: {db_e} vs {db_r} (Δ={:.3e} dB)",
-                (db_e - db_r).abs()
-            );
-        }
-    }
-}
-
-/// As [`assert_sweeps_agree`], over raw complex response slices (the
-/// Woodbury batch sweep returns flat buffers, not [`AcSweep`]s).
+/// Asserts the engine's responses `fast` agree with the reference's
+/// `oracle` at `omegas` per the module contract.
 fn assert_responses_agree(omegas: &[f64], fast: &[Complex64], oracle: &[Complex64]) {
     assert_eq!(fast.len(), oracle.len());
     for ((&w, he), hr) in omegas.iter().zip(fast).zip(oracle) {
@@ -182,7 +159,9 @@ proptest! {
         let fast = AcSweepEngine::new(&ckt, "V1", &probe)
             .and_then(|mut e| e.sweep(&grid));
         match (fast, oracle) {
-            (Ok(fast), Ok(oracle)) => assert_sweeps_agree(&fast, &oracle),
+            (Ok(fast), Ok(oracle)) => {
+                assert_responses_agree(grid.frequencies(), fast.values(), oracle.values())
+            }
             // A (measure-zero) singular grid point must be singular on
             // both paths.
             (Err(CircuitError::Singular { .. }), Err(CircuitError::Singular { .. })) => {}
@@ -194,7 +173,7 @@ proptest! {
     }
 
     #[test]
-    fn engine_restamp_matches_rebuilt_circuit_on_random_chains(seed in 0usize..1_000_000) {
+    fn fault_sweep_matches_rebuilt_circuit_on_random_chains(seed in 0usize..1_000_000) {
         let (ckt, probe, faultable) = random_chain(seed as u64);
         let mut rng = StdRng::seed_from_u64(seed as u64 ^ 0x51ed_270b);
         let grid = random_grid(&mut rng);
@@ -207,15 +186,21 @@ proptest! {
         faulty.set_value(component, nominal * (1.0 + deviation)).unwrap();
         let oracle = sweep_reference(&faulty, "V1", &probe, &grid);
 
-        // Engine: delta restamp of the one touched component.
-        let id = ckt.find(component).unwrap();
+        // Engine: one rank-1 update of the nominal system.
+        let fault = (ckt.find(component).unwrap(), nominal * (1.0 + deviation));
         let fast = AcSweepEngine::new(&ckt, "V1", &probe).and_then(|mut e| {
-            e.restamp_component(id, nominal * (1.0 + deviation))?;
-            e.sweep(&grid)
+            let (mut golden, mut out) = (Vec::new(), Vec::new());
+            e.sweep_faults_into(grid.frequencies(), &[fault], &mut golden, &mut out)?;
+            Ok(out)
         });
         match (fast, oracle) {
-            (Ok(fast), Ok(oracle)) => assert_sweeps_agree(&fast, &oracle),
-            (Err(CircuitError::Singular { .. }), Err(CircuitError::Singular { .. })) => {}
+            (Ok(out), Ok(oracle)) => {
+                assert_responses_agree(grid.frequencies(), &out, oracle.values())
+            }
+            (
+                Err(CircuitError::Singular { .. } | CircuitError::SingularFault { .. }),
+                Err(CircuitError::Singular { .. }),
+            ) => {}
             (fast, oracle) => prop_assert!(
                 false,
                 "paths disagree on solvability: engine {fast:?} vs reference {oracle:?}"
@@ -298,7 +283,7 @@ proptest! {
             .unwrap()
             .sweep(&grid)
             .unwrap();
-        assert_sweeps_agree(&fast, &oracle);
+        assert_responses_agree(grid.frequencies(), fast.values(), oracle.values());
     }
 
     #[test]
@@ -332,35 +317,62 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Restamp round-trip regressions (deterministic).
+// Determinism regressions.
 // ---------------------------------------------------------------------
 
-/// After simulating the whole fault universe through restamp/reset, the
-/// engine must reproduce the golden sweep *bit-for-bit* — the property
-/// that makes `ftd build-bank` byte-identical across runs and worker
-/// chunkings.
+/// The rank-1 sweep prices every fault of the paper universe bit for bit
+/// the same however the universe is chunked or ordered: split into 2, 3,
+/// 8 and 56 contiguous chunks (the split `FaultDictionary::build` makes
+/// for that many workers), each on a fresh engine, and reversed on an
+/// engine that has already swept the whole universe. This is the
+/// property `ftd build-bank`'s byte identity across worker counts rests
+/// on.
 #[test]
-fn restamp_round_trips_to_golden_after_full_universe() {
+fn fault_sweep_is_bit_identical_however_the_universe_is_chunked() {
     let bench = tow_thomas_normalized(1.0).unwrap();
     let universe = FaultUniverse::new(&bench.fault_set, DeviationGrid::paper());
     let grid = FrequencyGrid::log_space(0.01, 100.0, 41);
-    let mut engine = AcSweepEngine::new(&bench.circuit, &bench.input, &bench.probe).unwrap();
-    let golden = engine.sweep(&grid).unwrap();
-    for fault in universe.faults() {
-        let id = bench.circuit.find(fault.component()).unwrap();
-        let nominal = bench.circuit.value(fault.component()).unwrap().unwrap();
-        engine
-            .restamp_component(id, nominal * fault.multiplier())
-            .unwrap();
-        engine.sweep(&grid).unwrap();
-        engine.reset();
-        let back = engine.sweep(&grid).unwrap();
-        assert_eq!(
-            golden.values(),
-            back.values(),
-            "{} did not round-trip bit-exactly",
-            fault
-        );
+    let omegas = grid.frequencies();
+    let n = omegas.len();
+    let targets: Vec<(ComponentId, f64)> = universe
+        .faults()
+        .iter()
+        .map(|f| f.resolve(&bench.circuit).unwrap())
+        .collect();
+    assert_eq!(targets.len(), 56);
+    let engine = || AcSweepEngine::new(&bench.circuit, &bench.input, &bench.probe).unwrap();
+
+    let mut whole_engine = engine();
+    let (mut golden, mut whole) = (Vec::new(), Vec::new());
+    whole_engine
+        .sweep_faults_into(omegas, &targets, &mut golden, &mut whole)
+        .unwrap();
+    assert_eq!(golden, engine().sweep(&grid).unwrap().values());
+
+    let (mut g, mut out) = (Vec::new(), Vec::new());
+    for workers in [2, 3, 8, 56] {
+        let len = targets.len().div_ceil(workers);
+        for (c, chunk) in targets.chunks(len).enumerate() {
+            engine()
+                .sweep_faults_into(omegas, chunk, &mut g, &mut out)
+                .unwrap();
+            assert_eq!(g, golden, "{workers} chunks: chunk {c} golden");
+            let start = c * len * n;
+            assert_eq!(
+                out[..],
+                whole[start..start + chunk.len() * n],
+                "{workers} chunks: chunk {c}"
+            );
+        }
+    }
+
+    let reversed: Vec<(ComponentId, f64)> = targets.iter().rev().copied().collect();
+    whole_engine
+        .sweep_faults_into(omegas, &reversed, &mut g, &mut out)
+        .unwrap();
+    assert_eq!(g, golden, "reversed: golden");
+    for (fi, priced) in out.chunks(n).rev().enumerate() {
+        assert_eq!(priced, &whole[fi * n..(fi + 1) * n], "reversed: fault {fi}");
     }
 }
 
@@ -440,57 +452,6 @@ fn sampled_triple_dictionary_matches_reference() {
         for (x, y) in a.magnitude_db().iter().zip(b.magnitude_db()) {
             if x.min(*y) > DB_TEST_FLOOR {
                 assert!((x - y).abs() <= DB_TOL, "{}: {x} vs {y} dB", a.fault());
-            }
-        }
-    }
-}
-
-/// `trajectories_exact` (engine + restamp) agrees with the clone-and-
-/// resimulate construction it replaced.
-#[test]
-fn trajectories_exact_matches_clone_based_construction() {
-    let bench = tow_thomas_normalized(1.0).unwrap();
-    let universe = FaultUniverse::new(&bench.fault_set, DeviationGrid::paper());
-    let tv = TestVector::pair(0.6, 1.6);
-    let set = fault_trajectory::core::trajectories_exact(
-        &bench.circuit,
-        universe.faults(),
-        &bench.fault_set,
-        &bench.input,
-        &bench.probe,
-        &tv,
-    )
-    .unwrap();
-    let golden: Vec<f64> = sample_at(&bench.circuit, &bench.input, &bench.probe, tv.omegas())
-        .unwrap()
-        .iter()
-        .map(|v| decibel::clamp_db(v.abs_db(), -300.0))
-        .collect();
-    for trajectory in set.views() {
-        for (dev, point) in trajectory.deviations_pct().iter().zip(trajectory.points()) {
-            if *dev == 0.0 {
-                assert!(norm(point) < 1e-15);
-                continue;
-            }
-            let mut faulty = bench.circuit.clone();
-            let nominal = faulty.value(trajectory.component()).unwrap().unwrap();
-            faulty
-                .set_value(trajectory.component(), nominal * (1.0 + dev / 100.0))
-                .unwrap();
-            let measured: Vec<f64> = sample_at(&faulty, &bench.input, &bench.probe, tv.omegas())
-                .unwrap()
-                .iter()
-                .map(|v| decibel::clamp_db(v.abs_db(), -300.0))
-                .collect();
-            for ((m, g), x) in measured.iter().zip(&golden).zip(point) {
-                assert!(
-                    (m - g - x).abs() < 1e-9,
-                    "{}{:+}%: {} vs {}",
-                    trajectory.component(),
-                    dev,
-                    m - g,
-                    x
-                );
             }
         }
     }
